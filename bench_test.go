@@ -39,7 +39,7 @@ func benchmarkPanel(b *testing.B, id string) {
 		b.Fatal(err)
 	}
 	// The sweep engine parallelises the panel's points across the machine;
-	// results are bit-identical to the sequential RunPanel.
+	// results are bit-identical to a one-worker sweep.
 	sweep := experiments.Sweep{Jobs: runtime.NumCPU(), Budget: benchBudget()}
 	for i := 0; i < b.N; i++ {
 		res, err := sweep.RunPanels(context.Background(), []experiments.Panel{panel})
@@ -101,7 +101,7 @@ func BenchmarkAblationEntrance(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		for name, pol := range policies {
-			pts := experiments.ModelCurve(panel, core.Options{Entrance: pol})
+			pts := experiments.ModelCurve(experiments.DefaultModel, panel, core.Options{Entrance: pol})
 			if i == 0 {
 				b.Logf("entrance=%s: %s", name, summarise(pts))
 			}
@@ -123,7 +123,7 @@ func BenchmarkAblationBlocking(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		for name, form := range forms {
-			pts := experiments.ModelCurve(panel, core.Options{Blocking: form})
+			pts := experiments.ModelCurve(experiments.DefaultModel, panel, core.Options{Blocking: form})
 			if i == 0 {
 				b.Logf("blocking=%s: %s", name, summarise(pts))
 			}
@@ -141,7 +141,7 @@ func BenchmarkAblationVariance(b *testing.B) {
 			"zero":  core.VarianceZero,
 			"paper": core.VariancePaper,
 		} {
-			pts := experiments.ModelCurve(panel, core.Options{Variance: v})
+			pts := experiments.ModelCurve(experiments.DefaultModel, panel, core.Options{Variance: v})
 			if i == 0 {
 				b.Logf("variance=%s: %s", name, summarise(pts))
 			}
@@ -225,18 +225,18 @@ func BenchmarkExtensionBursty(b *testing.B) {
 // simulator, against their unidirectional counterparts at equal load.
 func BenchmarkExtensionBidirectional(b *testing.B) {
 	const lambda = 1.2e-3
-	params := kncube.ModelParams{K: 8, V: 2, Lm: 16, H: 0.3, Lambda: lambda}
+	spec := kncube.ModelSpec{K: 8, V: 2, Lm: 16, H: 0.3, Lambda: lambda}
 	cube := topology.MustNew(8, 2)
 	hs, err := traffic.NewHotSpot(cube, 36, 0.3)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		uniModel, err := kncube.SolveModel(params, kncube.ModelOptions{})
+		uniModel, err := kncube.Solve("hotspot-2d", spec, kncube.ModelOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		biModel, err := kncube.SolveBidirectionalModel(params, kncube.ModelOptions{})
+		biModel, err := kncube.Solve("bidirectional-2d", spec, kncube.ModelOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -309,9 +309,9 @@ func BenchmarkExtensionAdaptive(b *testing.B) {
 // BenchmarkModelSolve measures the cost of one analytical evaluation — the
 // model's selling point over simulation (milliseconds vs. minutes).
 func BenchmarkModelSolve(b *testing.B) {
-	p := kncube.ModelParams{K: 16, V: 2, Lm: 32, H: 0.4, Lambda: 2e-4}
+	p := kncube.ModelSpec{K: 16, V: 2, Lm: 32, H: 0.4, Lambda: 2e-4}
 	for i := 0; i < b.N; i++ {
-		if _, err := kncube.SolveModel(p, kncube.ModelOptions{}); err != nil {
+		if _, err := kncube.Solve("hotspot-2d", p, kncube.ModelOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

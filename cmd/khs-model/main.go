@@ -29,8 +29,25 @@ import (
 func main() {
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "khs-model:", err)
-		os.Exit(1)
+		os.Exit(exitCode(err))
 	}
+}
+
+// usageError marks a command-line parsing failure (an unknown flag or a
+// malformed value); the flag package has already printed the usage.
+type usageError struct{ err error }
+
+func (e usageError) Error() string { return e.err.Error() }
+func (e usageError) Unwrap() error { return e.err }
+
+// exitCode maps run's error to the process exit status: 2 for a usage
+// error, as the flag package's own ExitOnError mode does, 1 otherwise.
+func exitCode(err error) int {
+	var ue usageError
+	if errors.As(err, &ue) {
+		return 2
+	}
+	return 1
 }
 
 func run(args []string, stdout, stderr io.Writer) (retErr error) {
@@ -59,34 +76,15 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 		metricsOut = fs.String("metrics-out", "", "write solver metrics to this file (.json = JSON snapshot, anything else = Prometheus text)")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file")
-		// Deprecated aliases, kept for compatibility with pre-registry
-		// invocations.
-		bi      = fs.Bool("bidirectional", false, "deprecated: alias for -model bidirectional-2d")
-		uniform = fs.Bool("uniform", false, "deprecated: alias for -model uniform")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return usageError{err}
 	}
-	logger, err := telemetry.NewLogger(stderr, *logFormat)
-	if err != nil {
+	if _, err := telemetry.NewLogger(stderr, *logFormat); err != nil {
 		return err
 	}
 
 	name := *model
-	if *bi {
-		if name != "" && name != "bidirectional-2d" {
-			return fmt.Errorf("-bidirectional conflicts with -model %s", name)
-		}
-		name = "bidirectional-2d"
-		logger.Warn("-bidirectional is deprecated; use -model bidirectional-2d")
-	}
-	if *uniform {
-		if name != "" && name != "uniform" {
-			return fmt.Errorf("-uniform conflicts with -model %s", name)
-		}
-		name = "uniform"
-		logger.Warn("-uniform is deprecated; use -model uniform")
-	}
 	if name == "" {
 		name = "hotspot-2d"
 	}

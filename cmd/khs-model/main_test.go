@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 
@@ -100,30 +101,42 @@ func TestSaturationComposesWithModel(t *testing.T) {
 	}
 }
 
+// TestDeprecatedAliases: the deprecated pre-registry -bidirectional and
+// -uniform aliases are removed — each is now an unknown flag, a usage
+// error (exit status 2) — and -model bidirectional-2d prints exactly what
+// the alias used to.
 func TestDeprecatedAliases(t *testing.T) {
 	args := []string{"-k", "8", "-lm", "16", "-h", "0.1", "-lambda", "1e-4"}
-	aliased, aliasedErr, err := runCLI(t, append([]string{"-bidirectional"}, args...)...)
+	for _, alias := range []string{"-bidirectional", "-uniform"} {
+		_, stderr, err := runCLI(t, append([]string{alias}, args...)...)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Fatalf("%s: want an unknown-flag error, got %v", alias, err)
+		}
+		if code := exitCode(err); code != 2 {
+			t.Errorf("%s: exit status %d, want 2", alias, code)
+		}
+		if !strings.Contains(stderr, "Usage of khs-model") {
+			t.Errorf("%s: no usage on stderr: %q", alias, stderr)
+		}
+	}
+	out, _, err := runCLI(t, append([]string{"-model", "bidirectional-2d"}, args...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, _, err := runCLI(t, append([]string{"-model", "bidirectional-2d"}, args...)...)
-	if err != nil {
-		t.Fatal(err)
+	const want = `model             bidirectional-2d
+mean latency           20.16 cycles
+  regular              20.15 cycles
+  hot-spot             20.24 cycles
+source waiting          0.01 cycles
+multiplexing      V̄=1.004
+convergence       37 iterations, residual 6.67e-10
+detail            Vx=1.004 Vhy=1.006, mean path 4.00 hops
+`
+	if out != want {
+		t.Fatalf("-model bidirectional-2d output changed:\n%s\nwant:\n%s", out, want)
 	}
-	if aliased != direct {
-		t.Fatalf("-bidirectional output differs from -model bidirectional-2d:\n%s\nvs\n%s", aliased, direct)
-	}
-	if !strings.Contains(aliasedErr, "deprecated") {
-		t.Fatalf("want deprecation notice on stderr, got %q", aliasedErr)
-	}
-
-	// -uniform with no explicit -h defaults the hot-spot fraction to zero.
-	out, _, err := runCLI(t, "-uniform", "-k", "8", "-lm", "16", "-lambda", "1e-4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "model             uniform") {
-		t.Fatalf("-uniform did not select the uniform model:\n%s", out)
+	if code := exitCode(errors.New("solve failed")); code != 1 {
+		t.Errorf("non-usage error exit status %d, want 1", code)
 	}
 }
 
@@ -202,15 +215,6 @@ func TestAccelFlagValidation(t *testing.T) {
 		if _, _, err := runCLI(t, append(tc.extra, point...)...); err == nil {
 			t.Errorf("%s (%v) accepted", tc.name, tc.extra)
 		}
-	}
-}
-
-func TestModelAliasConflict(t *testing.T) {
-	if _, _, err := runCLI(t, "-uniform", "-model", "hotspot-2d", "-lambda", "1e-4"); err == nil {
-		t.Fatal("conflicting -uniform and -model should fail")
-	}
-	if _, _, err := runCLI(t, "-bidirectional", "-model", "uniform", "-lambda", "1e-4"); err == nil {
-		t.Fatal("conflicting -bidirectional and -model should fail")
 	}
 }
 

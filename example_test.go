@@ -4,13 +4,14 @@ package kncube_test
 // simulator seeded, so both print stable values.
 
 import (
+	"errors"
 	"fmt"
 
 	"kncube"
 )
 
-func ExampleSolveModel() {
-	res, err := kncube.SolveModel(kncube.ModelParams{
+func ExampleSolve() {
+	res, err := kncube.Solve("hotspot-2d", kncube.ModelSpec{
 		K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4,
 	}, kncube.ModelOptions{})
 	if err != nil {
@@ -23,24 +24,25 @@ func ExampleSolveModel() {
 	// latency 51 cycles (regular 50, hot 55)
 }
 
-func ExampleSolveModel_saturated() {
-	_, err := kncube.SolveModel(kncube.ModelParams{
+func ExampleSolve_saturated() {
+	_, err := kncube.Solve("hotspot-2d", kncube.ModelSpec{
 		K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 0.01,
 	}, kncube.ModelOptions{})
-	fmt.Println(err != nil)
+	fmt.Println(errors.Is(err, kncube.ErrSaturated))
 	// Output:
 	// true
 }
 
-func ExampleSolveUniform() {
-	res, err := kncube.SolveUniform(kncube.UniformParams{
-		K: 16, Dims: 2, V: 2, Lm: 32, Lambda: 1e-3,
-	})
+func ExampleSolve_uniform() {
+	res, err := kncube.Solve("uniform", kncube.ModelSpec{
+		K: 16, V: 2, Lm: 32, Lambda: 1e-3,
+	}, kncube.ModelOptions{})
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	fmt.Printf("latency %.0f cycles at channel rate %.4f\n", res.Latency, res.ChannelRate)
+	u := res.Detail.(*kncube.UniformResult)
+	fmt.Printf("latency %.0f cycles at channel rate %.4f\n", res.Latency, u.ChannelRate)
 	// Output:
 	// latency 118 cycles at channel rate 0.0075
 }
@@ -62,7 +64,7 @@ func ExampleNewSimulator() {
 
 func ExampleSaturationLambda() {
 	sat, _ := kncube.SaturationLambda(func(lambda float64) error {
-		_, err := kncube.SolveModel(kncube.ModelParams{
+		_, err := kncube.Solve("hotspot-2d", kncube.ModelSpec{
 			K: 16, V: 2, Lm: 32, H: 0.4, Lambda: lambda,
 		}, kncube.ModelOptions{})
 		return err

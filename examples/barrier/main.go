@@ -33,8 +33,8 @@ func main() {
 	for _, h := range []float64{0, 0.1, 0.25, 0.5, 0.75} {
 		modelCell := "saturated"
 		if h < 1 {
-			m, err := kncube.SolveModel(
-				kncube.ModelParams{K: k, V: v, Lm: lm, H: h, Lambda: lambda},
+			m, err := kncube.Solve("hotspot-2d",
+				kncube.ModelSpec{K: k, V: v, Lm: lm, H: h, Lambda: lambda},
 				kncube.ModelOptions{},
 			)
 			if err == nil {

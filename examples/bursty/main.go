@@ -29,8 +29,8 @@ func main() {
 	}
 	hot := cube.FromCoords([]int{k / 2, k / 2})
 
-	model, err := kncube.SolveModel(
-		kncube.ModelParams{K: k, V: v, Lm: lm, H: h, Lambda: lambda},
+	model, err := kncube.Solve("hotspot-2d",
+		kncube.ModelSpec{K: k, V: v, Lm: lm, H: h, Lambda: lambda},
 		kncube.ModelOptions{},
 	)
 	if err != nil {

@@ -95,8 +95,8 @@ func main() {
 	// collection window.
 	window := float64(lastAck)
 	hEq := 1.0 / (1.0 + lambda*window) // ack vs background messages per node
-	m, err := kncube.SolveModel(
-		kncube.ModelParams{K: k, V: v, Lm: lm, H: hEq, Lambda: lambda * (1 + 1/(lambda*window))},
+	m, err := kncube.Solve("hotspot-2d",
+		kncube.ModelSpec{K: k, V: v, Lm: lm, H: hEq, Lambda: lambda * (1 + 1/(lambda*window))},
 		kncube.ModelOptions{},
 	)
 	if err != nil {

@@ -22,8 +22,8 @@ func main() {
 
 	// 1. The analytical model (Section 3 of the paper): milliseconds to
 	// evaluate.
-	model, err := kncube.SolveModel(
-		kncube.ModelParams{K: k, V: v, Lm: lm, H: h, Lambda: lambda},
+	model, err := kncube.Solve("hotspot-2d",
+		kncube.ModelSpec{K: k, V: v, Lm: lm, H: h, Lambda: lambda},
 		kncube.ModelOptions{},
 	)
 	if err != nil {

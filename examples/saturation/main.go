@@ -25,8 +25,8 @@ func main() {
 	for _, h := range []float64{0.1, 0.2, 0.4, 0.7, 0.9} {
 		for _, lm := range []int{32, 100} {
 			sat, err := kncube.SaturationLambda(func(lam float64) error {
-				_, err := kncube.SolveModel(
-					kncube.ModelParams{K: k, V: v, Lm: lm, H: h, Lambda: lam},
+				_, err := kncube.Solve("hotspot-2d",
+					kncube.ModelSpec{K: k, V: v, Lm: lm, H: h, Lambda: lam},
 					kncube.ModelOptions{},
 				)
 				return err

@@ -1,7 +1,7 @@
 // Torus3d: the paper's introduction motivates its model with the 2-D and
 // 3-D tori of practical machines (Cray T3D/T3E, SGI Origin). The published
 // analysis covers n = 2; this example uses the repository's general k-ary
-// n-cube model (SolveNDim) on an 8x8x8 torus under hot-spot traffic and
+// n-cube model ("ndim") on an 8x8x8 torus under hot-spot traffic and
 // validates it against the flit-level simulator, then contrasts the 2-D
 // and 3-D organisations of a 512-node machine at equal bisection load.
 package main
@@ -23,8 +23,8 @@ func main() {
 		lambda = 1e-4
 	)
 
-	model, err := kncube.SolveNDim(
-		kncube.NDimParams{K: k, N: n, V: v, Lm: lm, H: h, Lambda: lambda},
+	model, err := kncube.Solve("ndim",
+		kncube.ModelSpec{K: k, Dims: n, V: v, Lm: lm, H: h, Lambda: lambda},
 		kncube.ModelOptions{},
 	)
 	if err != nil {
@@ -63,7 +63,7 @@ func main() {
 	// saturation (the hot column aggregates k(k-1) sources instead of the
 	// hot tree spreading over three dimensions).
 	sat3, err := kncube.SaturationLambda(func(lam float64) error {
-		_, err := kncube.SolveNDim(kncube.NDimParams{K: 8, N: 3, V: v, Lm: lm, H: h, Lambda: lam}, kncube.ModelOptions{})
+		_, err := kncube.Solve("ndim", kncube.ModelSpec{K: 8, Dims: 3, V: v, Lm: lm, H: h, Lambda: lam}, kncube.ModelOptions{})
 		return err
 	}, 1e-8, 0, 1e-3)
 	if err != nil {
@@ -72,7 +72,7 @@ func main() {
 	// 512 nodes have no square 2-D torus; compare the classic 16x16 (256
 	// nodes) and 23x23 (529 nodes) brackets via the 2-D model.
 	sat2, err := kncube.SaturationLambda(func(lam float64) error {
-		_, err := kncube.SolveModel(kncube.ModelParams{K: 23, V: v, Lm: lm, H: h, Lambda: lam}, kncube.ModelOptions{})
+		_, err := kncube.Solve("hotspot-2d", kncube.ModelSpec{K: 23, V: v, Lm: lm, H: h, Lambda: lam}, kncube.ModelOptions{})
 		return err
 	}, 1e-9, 0, 1e-3)
 	if err != nil {

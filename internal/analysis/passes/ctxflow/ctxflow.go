@@ -25,9 +25,9 @@ starts: func main in a package main, or an allowlisted construction site
 function must thread the context it was given — reaching for
 context.Background() mid-stack detaches callees from cancellation.
 Passing a nil context at a context.Context parameter is always flagged.
-Compatibility wrappers that deliberately re-root (experiments.RunSim,
-RunPanel, the RunPanels nil-ctx fallback, khs-serve's drain deadline)
-carry reasoned //lint:ignore directives. Test files are exempt.`,
+The two sites that deliberately re-root (the RunPanels nil-ctx fallback
+and khs-serve's drain deadline) carry reasoned //lint:ignore directives.
+Test files are exempt.`,
 	Run: run,
 }
 

@@ -8,19 +8,19 @@ import "kncube/internal/core"
 func factory(s core.Spec, o core.Options) (core.Solver, error) { return nil, nil }
 
 func init() {
-	core.Register("fixture-init", factory) // init-time registration: allowed
+	core.Register("fixture-init", core.Spec{}, factory) // init-time registration: allowed
 }
 
 func lateRegister() {
-	core.Register("fixture-late", factory) // want `core\.Register outside an init func`
+	core.Register("fixture-late", core.Spec{}, factory) // want `core\.Register outside an init func`
 }
 
 var _ = func() bool {
-	core.Register("fixture-var", factory) // want `core\.Register outside an init func`
+	core.Register("fixture-var", core.Spec{}, factory) // want `core\.Register outside an init func`
 	return true
 }()
 
 func suppressed() {
 	//lint:ignore registerinit fixture exercises the suppression path
-	core.Register("fixture-suppressed", factory)
+	core.Register("fixture-suppressed", core.Spec{}, factory)
 }

@@ -40,8 +40,6 @@ type BiResult struct {
 	VX, VHy float64
 	// MeanDistance is the mean minimal path length of uniform traffic.
 	MeanDistance float64
-	// Iterations is the fixed-point iteration count.
-	Iterations int
 	// Convergence is the fixed-point diagnostic summary.
 	Convergence Convergence
 }
@@ -63,7 +61,7 @@ type biView struct {
 // biModel carries the direction-split constants.
 type biModel struct {
 	solverBase
-	p        Params
+	s        Spec
 	prepared bool
 	l        biLayout
 	n        int          // flat state size
@@ -86,8 +84,8 @@ type biRow struct {
 	dist   int // y hops remaining, 1..d[dir]
 }
 
-func newBiModel(p Params, o Options) *biModel {
-	return &biModel{solverBase: newSolverBase(o, p.V, p.Lm), p: p}
+func newBiModel(s Spec, o Options) *biModel {
+	return &biModel{solverBase: newSolverBase(o, s.V, s.Lm), s: s}
 }
 
 // Prepare builds the spec-invariant machinery: direction classes, row
@@ -95,10 +93,10 @@ func newBiModel(p Params, o Options) *biModel {
 // derives the rates for the constructed load.
 func (m *biModel) Prepare() {
 	if m.prepared {
-		m.SetLambda(m.p.Lambda)
+		m.SetLambda(m.s.Lambda)
 		return
 	}
-	k := m.p.K
+	k := m.s.K
 	if k < 0 {
 		k = 0
 	}
@@ -145,15 +143,15 @@ func (m *biModel) Prepare() {
 	}
 	m.n = b.Size()
 	m.prepared = true
-	m.SetLambda(m.p.Lambda)
+	m.SetLambda(m.s.Lambda)
 }
 
 // SetLambda recomputes the direction-split traffic rates in place.
 //
 //khs:hotpath
 func (m *biModel) SetLambda(lambda float64) {
-	m.p.Lambda = lambda
-	p := m.p
+	m.s.Lambda = lambda
+	p := m.s
 	k := p.K
 	if k < 0 {
 		k = 0
@@ -175,7 +173,7 @@ func (m *biModel) SetLambda(lambda float64) {
 	}
 }
 
-func (m *biModel) Validate() error { return m.p.Validate() }
+func (m *biModel) Validate() error { return validateTorus(m.s) }
 func (m *biModel) StateSize() int  { return m.n }
 
 // view unpacks a flat state into 1-indexed vectors.
@@ -204,8 +202,8 @@ func (m *biModel) InitState(x []float64) {
 			m.l.shybar[i].put(x, j, m.lm+jf)
 			m.l.shy[i].put(x, j, m.lm+jf)
 			m.l.sx[i].put(x, j, m.lm+jf)
-			m.l.sxhy[i].put(x, j, m.lm+jf+float64(m.p.K)/4)
-			m.l.sxhybar[i].put(x, j, m.lm+jf+float64(m.p.K)/4)
+			m.l.sxhy[i].put(x, j, m.lm+jf+float64(m.s.K)/4)
+			m.l.sxhybar[i].put(x, j, m.lm+jf+float64(m.s.K)/4)
 			m.l.shoty[i].put(x, j, m.lm+jf)
 		}
 		for r := range m.rows {
@@ -229,7 +227,7 @@ func (m *biModel) entrance(v [2][]float64) float64 {
 			sum += v[i][j]
 		}
 	}
-	return sum / float64(m.p.K-1)
+	return sum / float64(m.s.K-1)
 }
 
 // yNext returns the service continuation after the final x hop for a hot
@@ -246,7 +244,7 @@ func (m *biModel) yNext(st *biView, r int) float64 {
 //
 //khs:hotpath
 func (m *biModel) Iterate(in, out []float64) error {
-	k := m.p.K
+	k := m.s.K
 	st := m.view(in)
 
 	entHyB := m.entrance(st.shybar)
@@ -330,29 +328,19 @@ func (m *biModel) Iterate(in, out []float64) error {
 	return nil
 }
 
-// SolveBidirectional evaluates the bidirectional-torus extension of the
-// hot-spot model (the registry's "bidirectional-2d").
-func SolveBidirectional(p Params, o Options) (*BiResult, error) {
-	sr, err := solveWith(newBiModel(p, o), o)
-	if err != nil {
-		return nil, err
-	}
-	return sr.Detail.(*BiResult), nil
-}
-
 func init() {
-	Register("bidirectional-2d", func(s Spec, o Options) (Solver, error) {
-		if s.Dims != 0 && s.Dims != 2 {
+	Register("bidirectional-2d", Spec{Dims: 2}, func(s Spec, o Options) (Solver, error) {
+		if s.Dims != 2 {
 			return nil, fieldErrf("dims", "core: the bidirectional-2d solver models a 2-D torus, got Dims = %d", s.Dims)
 		}
-		return newBiModel(Params{K: s.K, V: s.V, Lm: s.Lm, H: s.H, Lambda: s.Lambda}, o), nil
+		return newBiModel(s, o), nil
 	})
 }
 
 // Assemble computes the latency decomposition from the converged state.
 func (m *biModel) Assemble(x []float64, conv Convergence) (*SolveResult, error) {
 	st := m.view(x)
-	p, k := m.p, m.p.K
+	p, k := m.s, m.s.K
 	entHyB := m.entrance(st.shybar)
 	entHy := m.entrance(st.shy)
 	entXmix := m.cXo*m.entrance(st.sx) + m.cXHy*m.entrance(st.sxhy) + m.cXHb*m.entrance(st.sxhybar)
@@ -393,7 +381,7 @@ func (m *biModel) Assemble(x []float64, conv Convergence) (*SolveResult, error) 
 			}
 		}
 	}
-	n := float64(p.N())
+	n := float64(k * k)
 	wsReg := wsSum / n
 
 	// Multiplexing degrees (Eqs. 33-37, per direction class).
@@ -506,7 +494,6 @@ func (m *biModel) Assemble(x []float64, conv Convergence) (*SolveResult, error) 
 		VX:           vX,
 		VHy:          vHy,
 		MeanDistance: meanDist,
-		Iterations:   conv.Iterations,
 		Convergence:  conv,
 	}
 	// Channel-population-weighted mean multiplexing degree: 2k^2 x-channels,

@@ -8,25 +8,16 @@ import (
 	"kncube/internal/stats"
 )
 
-func solveBiOK(t *testing.T, p Params, o Options) *BiResult {
-	t.Helper()
-	r, err := SolveBidirectional(p, o)
-	if err != nil {
-		t.Fatalf("SolveBidirectional(%+v): %v", p, err)
-	}
-	return r
-}
-
 func TestBiValidation(t *testing.T) {
-	if _, err := SolveBidirectional(Params{}, Options{}); err == nil {
+	if _, err := Solve("bidirectional-2d", Spec{}, Options{}); err == nil {
 		t.Error("zero params accepted")
 	}
 }
 
 func TestBiZeroLoadGeometry(t *testing.T) {
 	// k=16 bidirectional: mean min ring distance = 4, mean path 8.
-	p := Params{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-9}
-	r := solveBiOK(t, p, Options{})
+	p := Spec{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-9}
+	r := solveDetail[BiResult](t, "bidirectional-2d", p, Options{})
 	if !stats.ApproxEqual(r.MeanDistance, 8, 0, 0) {
 		t.Fatalf("MeanDistance = %v, want 8", r.MeanDistance)
 	}
@@ -59,9 +50,9 @@ func TestBiZeroLoadGeometry(t *testing.T) {
 }
 
 func TestBiZeroLoadBelowUnidirectional(t *testing.T) {
-	p := Params{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-6}
-	bi := solveBiOK(t, p, Options{})
-	uni := solveOK(t, p, Options{})
+	p := Spec{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-6}
+	bi := solveDetail[BiResult](t, "bidirectional-2d", p, Options{})
+	uni := solveDetail[Result](t, "hotspot-2d", p, Options{})
 	if bi.Latency >= uni.Latency {
 		t.Errorf("bidirectional %v not below unidirectional %v", bi.Latency, uni.Latency)
 	}
@@ -70,7 +61,7 @@ func TestBiZeroLoadBelowUnidirectional(t *testing.T) {
 func TestBiMonotoneInLambda(t *testing.T) {
 	prev := 0.0
 	for _, lam := range []float64{1e-5, 1e-4, 3e-4, 6e-4, 9e-4} {
-		r := solveBiOK(t, Params{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: lam}, Options{})
+		r := solveDetail[BiResult](t, "bidirectional-2d", Spec{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: lam}, Options{})
 		if r.Latency <= prev {
 			t.Fatalf("latency not increasing at %v", lam)
 		}
@@ -88,11 +79,11 @@ func TestBiSaturatesLaterThanUnidirectional(t *testing.T) {
 		}
 		return s
 	}
-	p := func(lam float64) Params {
-		return Params{K: 16, V: 2, Lm: 32, H: 0.4, Lambda: lam}
+	p := func(lam float64) Spec {
+		return Spec{K: 16, V: 2, Lm: 32, H: 0.4, Lambda: lam}
 	}
-	uni := sat(func(lam float64) error { _, err := SolveHotSpot(p(lam), Options{}); return err })
-	bi := sat(func(lam float64) error { _, err := SolveBidirectional(p(lam), Options{}); return err })
+	uni := sat(func(lam float64) error { _, err := Solve("hotspot-2d", p(lam), Options{}); return err })
+	bi := sat(func(lam float64) error { _, err := Solve("bidirectional-2d", p(lam), Options{}); return err })
 	if bi <= uni {
 		t.Fatalf("bidirectional saturation %v not above unidirectional %v", bi, uni)
 	}
@@ -102,7 +93,7 @@ func TestBiSaturatesLaterThanUnidirectional(t *testing.T) {
 }
 
 func TestBiSaturationDetected(t *testing.T) {
-	_, err := SolveBidirectional(Params{K: 16, V: 2, Lm: 32, H: 0.4, Lambda: 0.01}, Options{})
+	_, err := Solve("bidirectional-2d", Spec{K: 16, V: 2, Lm: 32, H: 0.4, Lambda: 0.01}, Options{})
 	if !errors.Is(err, ErrSaturated) {
 		t.Errorf("err = %v, want ErrSaturated", err)
 	}
@@ -111,7 +102,7 @@ func TestBiSaturationDetected(t *testing.T) {
 func TestBiSmallRadixes(t *testing.T) {
 	// k=2 has an empty negative direction class; k=3 has symmetric ones.
 	for _, k := range []int{2, 3, 4, 5} {
-		r := solveBiOK(t, Params{K: k, V: 2, Lm: 8, H: 0.3, Lambda: 1e-3}, Options{})
+		r := solveDetail[BiResult](t, "bidirectional-2d", Spec{K: k, V: 2, Lm: 8, H: 0.3, Lambda: 1e-3}, Options{})
 		if r.Latency < 8 || math.IsNaN(r.Latency) {
 			t.Errorf("k=%d latency %v", k, r.Latency)
 		}
@@ -119,14 +110,14 @@ func TestBiSmallRadixes(t *testing.T) {
 }
 
 func TestBiHotAboveRegularUnderLoad(t *testing.T) {
-	r := solveBiOK(t, Params{K: 16, V: 2, Lm: 32, H: 0.4, Lambda: 4e-4}, Options{})
+	r := solveDetail[BiResult](t, "bidirectional-2d", Spec{K: 16, V: 2, Lm: 32, H: 0.4, Lambda: 4e-4}, Options{})
 	if r.Hot <= r.Regular {
 		t.Errorf("hot %v not above regular %v", r.Hot, r.Regular)
 	}
 }
 
 func TestBiMultiplexingBounds(t *testing.T) {
-	r := solveBiOK(t, Params{K: 16, V: 3, Lm: 32, H: 0.4, Lambda: 4e-4}, Options{})
+	r := solveDetail[BiResult](t, "bidirectional-2d", Spec{K: 16, V: 3, Lm: 32, H: 0.4, Lambda: 4e-4}, Options{})
 	for _, v := range []float64{r.VX, r.VHy} {
 		if v < 1 || v > 3 {
 			t.Errorf("multiplexing degree %v outside [1,3]", v)

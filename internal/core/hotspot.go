@@ -39,50 +39,8 @@ import (
 // diverges.
 var ErrSaturated = errors.New("core: network saturated at this load")
 
-// Params are the network and workload parameters of the model. The model
-// covers the 2-D torus (n = 2) with unidirectional channels, matching the
-// paper's analysis.
-type Params struct {
-	// K is the radix; the network has N = K*K nodes.
-	K int
-	// V is the number of virtual channels per physical channel (>= 2).
-	V int
-	// Lm is the message length in flits.
-	Lm int
-	// H is the hot-spot fraction in [0, 1).
-	H float64
-	// Lambda is the per-node generation rate in messages/cycle.
-	Lambda float64
-}
-
-// Validate reports the first problem with the parameters as a *FieldError.
-func (p Params) Validate() error {
-	if p.K < 2 {
-		return fieldErrf("k", "core: K = %d, want >= 2", p.K)
-	}
-	if p.V < 2 {
-		return fieldErrf("v", "core: V = %d, want >= 2", p.V)
-	}
-	if p.Lm < 1 {
-		return fieldErrf("lm", "core: Lm = %d, want >= 1", p.Lm)
-	}
-	if p.H < 0 || p.H >= 1 || math.IsNaN(p.H) {
-		return fieldErrf("h", "core: H = %v, want [0, 1)", p.H)
-	}
-	if p.Lambda <= 0 || math.IsNaN(p.Lambda) || math.IsInf(p.Lambda, 0) {
-		return fieldErrf("lambda", "core: Lambda = %v, want > 0", p.Lambda)
-	}
-	return nil
-}
-
-// N returns the node count K².
-func (p Params) N() int { return p.K * p.K }
-
-// KBar returns k̄ = (K-1)/2, the mean unidirectional ring distance (Eq. 1).
-func (p Params) KBar() float64 { return float64(p.K-1) / 2 }
-
-// MeanDistance returns d = 2·k̄ (Eq. 2 with n = 2).
-func (p Params) MeanDistance() float64 { return 2 * p.KBar() }
+// kBar returns k̄ = (K-1)/2, the mean unidirectional ring distance (Eq. 1).
+func kBar(k int) float64 { return float64(k-1) / 2 }
 
 // EntrancePolicy selects how the entrance service time of a regular message
 // (the OCR-ambiguous S_{·,k} subscript of Eqs. 12-20) is computed from the
@@ -195,8 +153,6 @@ type Result struct {
 	// Because wormhole holding times include stalls, this can exceed 1
 	// near saturation; the flit-capacity bound is enforced separately.
 	MaxUtilisation float64
-	// Iterations is the fixed-point iteration count.
-	Iterations int
 	// Convergence is the fixed-point diagnostic summary.
 	Convergence Convergence
 
@@ -245,7 +201,7 @@ func newLayout(k int) layout {
 
 type model struct {
 	solverBase
-	p        Params
+	s        Spec
 	prepared bool
 	l        layout
 	lr       float64   // Eq. 3
@@ -259,8 +215,8 @@ type model struct {
 	cXHb     float64 // P(x then non-hot y | via x)
 }
 
-func newModel(p Params, o Options) *model {
-	return &model{solverBase: newSolverBase(o, p.V, p.Lm), p: p}
+func newModel(s Spec, o Options) *model {
+	return &model{solverBase: newSolverBase(o, s.V, s.Lm), s: s}
 }
 
 // Prepare builds the spec-invariant machinery: the flat-state layout, the
@@ -268,10 +224,10 @@ func newModel(p Params, o Options) *model {
 // then derives the rates for the constructed load.
 func (m *model) Prepare() {
 	if m.prepared {
-		m.SetLambda(m.p.Lambda)
+		m.SetLambda(m.s.Lambda)
 		return
 	}
-	k := m.p.K
+	k := m.s.K
 	if k < 0 {
 		k = 0
 	}
@@ -286,7 +242,7 @@ func (m *model) Prepare() {
 	m.cXHy = (kf - 1) / (kf * kf)
 	m.cXHb = (kf - 1) * (kf - 1) / (kf * kf)
 	m.prepared = true
-	m.SetLambda(m.p.Lambda)
+	m.SetLambda(m.s.Lambda)
 }
 
 // SetLambda recomputes the λ-dependent traffic rates (Eqs. 3, 6-7) in
@@ -294,23 +250,23 @@ func (m *model) Prepare() {
 //
 //khs:hotpath
 func (m *model) SetLambda(lambda float64) {
-	m.p.Lambda = lambda
-	p := m.p
+	m.s.Lambda = lambda
+	s := m.s
 	k := len(m.lhy) - 1
-	m.lr = p.Lambda * (1 - p.H) * p.KBar()
+	m.lr = s.Lambda * (1 - s.H) * kBar(s.K)
 	for j := 1; j <= k; j++ {
-		m.lhy[j] = p.Lambda * p.H * float64(k) * float64(k-j)
-		m.lhx[j] = p.Lambda * p.H * float64(k-j)
+		m.lhy[j] = s.Lambda * s.H * float64(k) * float64(k-j)
+		m.lhx[j] = s.Lambda * s.H * float64(k-j)
 	}
 }
 
 // entrance reduces a 1-indexed service vector (remaining hops 1..k-1) to
 // the mean service time seen at ring entry, per the configured policy.
 func (m *model) entrance(s []float64) float64 {
-	k := m.p.K
+	k := m.s.K
 	switch m.o.Entrance {
 	case EntranceKBar:
-		j := int(math.Round(m.p.KBar()))
+		j := int(math.Round(kBar(k)))
 		if j < 1 {
 			j = 1
 		}
@@ -404,7 +360,7 @@ type view struct {
 }
 
 func (m *model) view(x []float64) view {
-	k := m.p.K
+	k := m.s.K
 	v := view{
 		shybar:  m.l.shybar.padded(x),
 		shy:     m.l.shy.padded(x),
@@ -425,7 +381,7 @@ func (m *model) view(x []float64) view {
 //
 //khs:hotpath
 func (m *model) Iterate(in, out []float64) error {
-	k := m.p.K
+	k := m.s.K
 	v := m.view(in)
 
 	entHyB := m.entrance(v.shybar)
@@ -532,12 +488,21 @@ func (m *model) Iterate(in, out []float64) error {
 }
 
 // Validate and StateSize complete the Solver interface.
-func (m *model) Validate() error { return m.p.Validate() }
+func (m *model) Validate() error { return validateTorus(m.s) }
 func (m *model) StateSize() int  { return m.l.size }
+
+// validateTorus is the 2-D torus variants' range check (hotspot-2d and
+// bidirectional-2d; their factories enforce Dims = 2).
+func validateTorus(s Spec) error {
+	if s.K < 2 {
+		return fieldErrf("k", "core: K = %d, want >= 2", s.K)
+	}
+	return s.checkRanges(2)
+}
 
 // InitState fills the zero-load (blocking-free) service times.
 func (m *model) InitState(x []float64) {
-	k := m.p.K
+	k := m.s.K
 	for j := 1; j <= k-1; j++ {
 		base := m.lm + float64(j)
 		m.l.shybar.put(x, j, base)
@@ -551,7 +516,7 @@ func (m *model) InitState(x []float64) {
 	case EntranceWorstCase:
 		entY = m.lm + float64(k-1)
 	case EntranceKBar:
-		entY = m.lm + math.Round(m.p.KBar())
+		entY = m.lm + math.Round(kBar(k))
 	default:
 		entY = m.lm + float64(k)/2
 	}
@@ -570,21 +535,12 @@ func (m *model) InitState(x []float64) {
 	}
 }
 
-// SolveHotSpot evaluates the paper's model (the registry's "hotspot-2d").
-func SolveHotSpot(p Params, o Options) (*Result, error) {
-	sr, err := solveWith(newModel(p, o), o)
-	if err != nil {
-		return nil, err
-	}
-	return sr.Detail.(*Result), nil
-}
-
 func init() {
-	Register("hotspot-2d", func(s Spec, o Options) (Solver, error) {
-		if s.Dims != 0 && s.Dims != 2 {
+	Register("hotspot-2d", Spec{Dims: 2}, func(s Spec, o Options) (Solver, error) {
+		if s.Dims != 2 {
 			return nil, fieldErrf("dims", "core: hotspot-2d models the 2-D torus, got Dims = %d", s.Dims)
 		}
-		return newModel(Params{K: s.K, V: s.V, Lm: s.Lm, H: s.H, Lambda: s.Lambda}, o), nil
+		return newModel(s, o), nil
 	})
 }
 
@@ -597,7 +553,7 @@ func (m *model) Assemble(x []float64, conv Convergence) (*SolveResult, error) {
 	}
 	// Channel-count-weighted mean multiplexing degree: k² x-channels, k hot
 	// y-ring channels, k(k-1) non-hot y-ring channels.
-	kf := float64(m.p.K)
+	kf := float64(m.s.K)
 	vbar := (kf*kf*r.VX + kf*r.VHy + kf*(kf-1)*r.VHyBar) / (2 * kf * kf)
 	return &SolveResult{
 		Latency:     r.Latency,
@@ -612,10 +568,10 @@ func (m *model) Assemble(x []float64, conv Convergence) (*SolveResult, error) {
 
 // assemble computes the typed Result from the converged service times.
 func (m *model) assemble(x []float64, conv Convergence) (*Result, error) {
-	p, k := m.p, m.p.K
+	p, k := m.s, m.s.K
 	v := m.view(x)
 	kf := float64(k)
-	n := float64(p.N())
+	n := kf * kf
 
 	entHyB := m.entrance(v.shybar)
 	entHy := m.entrance(v.shy)
@@ -765,7 +721,6 @@ func (m *model) assemble(x []float64, conv Convergence) (*Result, error) {
 		VHy:            vHy,
 		VHyBar:         vHyB,
 		MaxUtilisation: maxUtil,
-		Iterations:     conv.Iterations,
 		Convergence:    conv,
 		SHotY:          v.shoty,
 		SHotX:          v.shotx[1:],

@@ -4,58 +4,82 @@ import (
 	"errors"
 	"math"
 	"testing"
-
-	"kncube/internal/stats"
 )
 
-func solveOK(t *testing.T, p Params, o Options) *Result {
+// solveDetail solves spec through the registry and returns the variant's
+// typed result (SolveResult.Detail), failing the test on any error.
+func solveDetail[T any](t *testing.T, name string, s Spec, o Options) *T {
 	t.Helper()
-	r, err := SolveHotSpot(p, o)
+	r, err := Solve(name, s, o)
 	if err != nil {
-		t.Fatalf("Solve(%+v): %v", p, err)
+		t.Fatalf("Solve(%q, %+v): %v", name, s, err)
 	}
-	return r
+	d, ok := r.Detail.(*T)
+	if !ok {
+		t.Fatalf("Solve(%q) Detail is %T", name, r.Detail)
+	}
+	return d
 }
 
+// TestParamsValidate pins the 2-D torus rules (the shared range check
+// plus K >= 2 and V >= 2) and the field each rejection names.
 func TestParamsValidate(t *testing.T) {
-	good := Params{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4}
-	if err := good.Validate(); err != nil {
-		t.Fatalf("good params rejected: %v", err)
+	good := Spec{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4}
+	for _, name := range []string{"hotspot-2d", "bidirectional-2d"} {
+		if err := validateSpec(name, good); err != nil {
+			t.Fatalf("%s: good spec rejected: %v", name, err)
+		}
 	}
-	bad := []Params{
-		{K: 1, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4},
-		{K: 16, V: 1, Lm: 32, H: 0.2, Lambda: 1e-4},
-		{K: 16, V: 2, Lm: 0, H: 0.2, Lambda: 1e-4},
-		{K: 16, V: 2, Lm: 32, H: -0.1, Lambda: 1e-4},
-		{K: 16, V: 2, Lm: 32, H: 1.0, Lambda: 1e-4},
-		{K: 16, V: 2, Lm: 32, H: math.NaN(), Lambda: 1e-4},
-		{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 0},
-		{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: -1},
-		{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: math.Inf(1)},
+	bad := []struct {
+		s     Spec
+		field string
+	}{
+		{Spec{K: 1, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4}, "k"},
+		{Spec{K: 16, Dims: 3, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4}, "dims"},
+		{Spec{K: 16, V: 1, Lm: 32, H: 0.2, Lambda: 1e-4}, "v"},
+		{Spec{K: 16, V: 2, Lm: 0, H: 0.2, Lambda: 1e-4}, "lm"},
+		{Spec{K: 16, V: 2, Lm: 32, H: -0.1, Lambda: 1e-4}, "h"},
+		{Spec{K: 16, V: 2, Lm: 32, H: 1.0, Lambda: 1e-4}, "h"},
+		{Spec{K: 16, V: 2, Lm: 32, H: math.NaN(), Lambda: 1e-4}, "h"},
+		{Spec{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 0}, "lambda"},
+		{Spec{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: -1}, "lambda"},
+		{Spec{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: math.Inf(1)}, "lambda"},
 	}
-	for i, p := range bad {
-		if err := p.Validate(); err == nil {
-			t.Errorf("bad params %d accepted: %+v", i, p)
+	for _, name := range []string{"hotspot-2d", "bidirectional-2d"} {
+		for i, tc := range bad {
+			if f := fieldOf(validateSpec(name, tc.s)); f != tc.field {
+				t.Errorf("%s: bad spec %d (%+v) rejected on field %q, want %q", name, i, tc.s, f, tc.field)
+			}
 		}
 	}
 }
 
+// fieldOf returns the FieldError field of err ("" when err is nil or
+// carries no field).
+func fieldOf(err error) string {
+	var fe *FieldError
+	if errors.As(err, &fe) {
+		return fe.Field
+	}
+	return ""
+}
+
+// TestParamsDerived pins the derived parameter of Eqs. 1-2: k̄ = (K-1)/2
+// and the mean unidirectional 2-D path length 2·k̄.
 func TestParamsDerived(t *testing.T) {
-	p := Params{K: 16}
-	if p.N() != 256 {
-		t.Errorf("N = %d", p.N())
+	if got := kBar(16); math.Float64bits(got) != math.Float64bits(7.5) {
+		t.Errorf("kBar(16) = %v, want 7.5", got)
 	}
-	if !stats.ApproxEqual(p.KBar(), 7.5, 0, 0) {
-		t.Errorf("KBar = %v", p.KBar())
-	}
-	if !stats.ApproxEqual(p.MeanDistance(), 15, 0, 0) {
-		t.Errorf("MeanDistance = %v", p.MeanDistance())
+	if got := 2 * kBar(16); math.Float64bits(got) != math.Float64bits(15) {
+		t.Errorf("mean distance 2·kBar(16) = %v, want 15", got)
 	}
 }
 
 func TestSolveRejectsBadParams(t *testing.T) {
-	if _, err := SolveHotSpot(Params{}, Options{}); err == nil {
-		t.Error("Solve accepted zero params")
+	for _, name := range Solvers() {
+		if _, err := Solve(name, Spec{}, Options{}); err == nil {
+			t.Errorf("Solve(%q) accepted the zero spec", name)
+		}
 	}
 }
 
@@ -63,8 +87,8 @@ func TestZeroLoadLatencyMatchesGeometry(t *testing.T) {
 	// At vanishing load, blocking and waiting vanish and the latency must
 	// approach the traffic-weighted zero-load value: Lm + mean path length
 	// for each class.
-	p := Params{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-9}
-	r := solveOK(t, p, Options{})
+	p := Spec{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-9}
+	r := solveDetail[Result](t, "hotspot-2d", p, Options{})
 
 	// Regular zero-load: uniform destinations, mean distance 2·k̄ = 15.
 	wantReg := float64(p.Lm) + 15
@@ -107,7 +131,7 @@ func TestZeroLoadLatencyMatchesGeometry(t *testing.T) {
 func TestLatencyMonotoneInLambda(t *testing.T) {
 	prev := 0.0
 	for _, lam := range []float64{1e-5, 5e-5, 1e-4, 2e-4, 3e-4, 4e-4} {
-		r := solveOK(t, Params{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: lam}, Options{})
+		r := solveDetail[Result](t, "hotspot-2d", Spec{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: lam}, Options{})
 		if r.Latency <= prev {
 			t.Fatalf("latency not increasing at lambda=%v: %v <= %v", lam, r.Latency, prev)
 		}
@@ -119,7 +143,7 @@ func TestLatencyMonotoneInH(t *testing.T) {
 	lam := 1e-4
 	prev := 0.0
 	for _, h := range []float64{0, 0.1, 0.2, 0.4, 0.6} {
-		r := solveOK(t, Params{K: 16, V: 2, Lm: 32, H: h, Lambda: lam}, Options{})
+		r := solveDetail[Result](t, "hotspot-2d", Spec{K: 16, V: 2, Lm: 32, H: h, Lambda: lam}, Options{})
 		if r.Latency < prev {
 			t.Fatalf("latency decreased at h=%v: %v < %v", h, r.Latency, prev)
 		}
@@ -130,7 +154,7 @@ func TestLatencyMonotoneInH(t *testing.T) {
 func TestLatencyMonotoneInLm(t *testing.T) {
 	prev := 0.0
 	for _, lm := range []int{8, 16, 32, 64, 100} {
-		r := solveOK(t, Params{K: 16, V: 2, Lm: lm, H: 0.2, Lambda: 5e-5}, Options{})
+		r := solveDetail[Result](t, "hotspot-2d", Spec{K: 16, V: 2, Lm: lm, H: 0.2, Lambda: 5e-5}, Options{})
 		if r.Latency <= prev {
 			t.Fatalf("latency not increasing at Lm=%d: %v <= %v", lm, r.Latency, prev)
 		}
@@ -140,7 +164,7 @@ func TestLatencyMonotoneInLm(t *testing.T) {
 
 func TestSaturationDetected(t *testing.T) {
 	// Far beyond the hot-channel capacity 1/(h·k·(k-1)·Lm).
-	_, err := SolveHotSpot(Params{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 0.01}, Options{})
+	_, err := Solve("hotspot-2d", Spec{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 0.01}, Options{})
 	if !errors.Is(err, ErrSaturated) {
 		t.Errorf("err = %v, want ErrSaturated", err)
 	}
@@ -149,7 +173,7 @@ func TestSaturationDetected(t *testing.T) {
 func TestSaturationOrderedInH(t *testing.T) {
 	sat := func(h float64) float64 {
 		s, err := SaturationLambda(func(lam float64) error {
-			_, err := SolveHotSpot(Params{K: 16, V: 2, Lm: 32, H: h, Lambda: lam}, Options{})
+			_, err := Solve("hotspot-2d", Spec{K: 16, V: 2, Lm: 32, H: h, Lambda: lam}, Options{})
 			return err
 		}, 1e-6, 0, 1e-3)
 		if err != nil {
@@ -172,7 +196,7 @@ func TestSaturationOrderedInH(t *testing.T) {
 func TestSaturationOrderedInLm(t *testing.T) {
 	sat := func(lm int) float64 {
 		s, err := SaturationLambda(func(lam float64) error {
-			_, err := SolveHotSpot(Params{K: 16, V: 2, Lm: lm, H: 0.4, Lambda: lam}, Options{})
+			_, err := Solve("hotspot-2d", Spec{K: 16, V: 2, Lm: lm, H: 0.4, Lambda: lam}, Options{})
 			return err
 		}, 1e-7, 0, 1e-3)
 		if err != nil {
@@ -188,7 +212,7 @@ func TestSaturationOrderedInLm(t *testing.T) {
 func TestHotLatencyExceedsRegularNearLoad(t *testing.T) {
 	// Hot-spot messages funnel through congested channels; under load
 	// their latency must exceed the regular-message latency.
-	r := solveOK(t, Params{K: 16, V: 2, Lm: 32, H: 0.4, Lambda: 2e-4}, Options{})
+	r := solveDetail[Result](t, "hotspot-2d", Spec{K: 16, V: 2, Lm: 32, H: 0.4, Lambda: 2e-4}, Options{})
 	if r.Hot <= r.Regular {
 		t.Errorf("hot latency %v not above regular %v", r.Hot, r.Regular)
 	}
@@ -196,7 +220,7 @@ func TestHotLatencyExceedsRegularNearLoad(t *testing.T) {
 
 func TestServiceTimesDecreaseTowardHotNode(t *testing.T) {
 	// S^h_y[j] grows with j (more hops left => longer service).
-	r := solveOK(t, Params{K: 8, V: 2, Lm: 16, H: 0.3, Lambda: 5e-4}, Options{})
+	r := solveDetail[Result](t, "hotspot-2d", Spec{K: 8, V: 2, Lm: 16, H: 0.3, Lambda: 5e-4}, Options{})
 	for j := 2; j <= 7; j++ {
 		if r.SHotY[j] <= r.SHotY[j-1] {
 			t.Errorf("S^h_y not increasing at j=%d: %v <= %v", j, r.SHotY[j], r.SHotY[j-1])
@@ -208,7 +232,7 @@ func TestHotXRowsOrdered(t *testing.T) {
 	// For fixed j, a source farther from the hot node in y (larger t < k)
 	// has a longer remaining path and thus a larger service time; the hot
 	// row (t = k) has the shortest.
-	r := solveOK(t, Params{K: 8, V: 2, Lm: 16, H: 0.3, Lambda: 5e-4}, Options{})
+	r := solveDetail[Result](t, "hotspot-2d", Spec{K: 8, V: 2, Lm: 16, H: 0.3, Lambda: 5e-4}, Options{})
 	k := 8
 	j := 3
 	for t2 := 2; t2 <= k-1; t2++ {
@@ -224,7 +248,7 @@ func TestHotXRowsOrdered(t *testing.T) {
 }
 
 func TestMultiplexingDegreeBounds(t *testing.T) {
-	r := solveOK(t, Params{K: 16, V: 3, Lm: 32, H: 0.4, Lambda: 2e-4}, Options{})
+	r := solveDetail[Result](t, "hotspot-2d", Spec{K: 16, V: 3, Lm: 32, H: 0.4, Lambda: 2e-4}, Options{})
 	for _, v := range []float64{r.VX, r.VHy, r.VHyBar} {
 		if v < 1 || v > 3 {
 			t.Errorf("multiplexing degree %v outside [1, V]", v)
@@ -244,11 +268,8 @@ func TestHZeroMatchesUniformBaseline(t *testing.T) {
 	for _, c := range []struct{ lam, tol float64 }{
 		{1e-4, 0.03}, {1e-3, 0.20}, {2e-3, 0.20},
 	} {
-		hs := solveOK(t, Params{K: 16, V: 2, Lm: 32, H: 0, Lambda: c.lam}, Options{})
-		u, err := SolveUniform(UniformParams{K: 16, Dims: 2, V: 2, Lm: 32, Lambda: c.lam})
-		if err != nil {
-			t.Fatalf("uniform baseline: %v", err)
-		}
+		hs := solveDetail[Result](t, "hotspot-2d", Spec{K: 16, V: 2, Lm: 32, H: 0, Lambda: c.lam}, Options{})
+		u := solveDetail[UniformResult](t, "uniform", Spec{K: 16, Dims: 2, V: 2, Lm: 32, Lambda: c.lam}, Options{})
 		rel := math.Abs(hs.Latency-u.Latency) / u.Latency
 		if rel > c.tol {
 			t.Errorf("lambda=%v: h=0 model %v vs uniform baseline %v (rel %v > %v)",
@@ -258,10 +279,10 @@ func TestHZeroMatchesUniformBaseline(t *testing.T) {
 }
 
 func TestEntrancePolicyOrdering(t *testing.T) {
-	p := Params{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 2e-4}
-	mean := solveOK(t, p, Options{Entrance: EntranceMeanDistance})
-	worst := solveOK(t, p, Options{Entrance: EntranceWorstCase})
-	kbar := solveOK(t, p, Options{Entrance: EntranceKBar})
+	p := Spec{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 2e-4}
+	mean := solveDetail[Result](t, "hotspot-2d", p, Options{Entrance: EntranceMeanDistance})
+	worst := solveDetail[Result](t, "hotspot-2d", p, Options{Entrance: EntranceWorstCase})
+	kbar := solveDetail[Result](t, "hotspot-2d", p, Options{Entrance: EntranceKBar})
 	if worst.Latency <= mean.Latency {
 		t.Errorf("worst-case entrance %v not above mean %v", worst.Latency, mean.Latency)
 	}
@@ -273,9 +294,9 @@ func TestEntrancePolicyOrdering(t *testing.T) {
 func TestBlockingFormOrdering(t *testing.T) {
 	// B = Pb·wc <= wc since Pb <= 1, so the paper form gives lower latency
 	// than the wait-only form at loads where both are finite.
-	p := Params{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4}
-	paper := solveOK(t, p, Options{Blocking: BlockingPaper})
-	waitOnly := solveOK(t, p, Options{Blocking: BlockingWaitOnly})
+	p := Spec{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4}
+	paper := solveDetail[Result](t, "hotspot-2d", p, Options{Blocking: BlockingPaper})
+	waitOnly := solveDetail[Result](t, "hotspot-2d", p, Options{Blocking: BlockingWaitOnly})
 	if waitOnly.Latency < paper.Latency {
 		t.Errorf("wait-only blocking %v below paper form %v", waitOnly.Latency, paper.Latency)
 	}
@@ -284,13 +305,13 @@ func TestBlockingFormOrdering(t *testing.T) {
 func TestBlockingFormsFiniteAtLightLoad(t *testing.T) {
 	// Every blocking form must solve well below saturation and agree with
 	// the others within a few percent there.
-	p := Params{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 5e-5}
+	p := Spec{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 5e-5}
 	var lats []float64
 	for _, form := range []BlockingForm{
 		BlockingVCOccupancy, BlockingPaper, BlockingWaitOnly,
 		BlockingMultiServer, BlockingBandwidth,
 	} {
-		r := solveOK(t, p, Options{Blocking: form})
+		r := solveDetail[Result](t, "hotspot-2d", p, Options{Blocking: form})
 		lats = append(lats, r.Latency)
 	}
 	for i := 1; i < len(lats); i++ {
@@ -310,8 +331,8 @@ func TestModelCoversLoadRangeUpToCapacity(t *testing.T) {
 		for _, lm := range []int{32, 100} {
 			capacity := 1 / (h * 16 * 15 * float64(lm+1))
 			lam := 0.85 * capacity
-			p := Params{K: 16, V: 2, Lm: lm, H: h, Lambda: lam}
-			r, err := SolveHotSpot(p, Options{})
+			p := Spec{K: 16, V: 2, Lm: lm, H: h, Lambda: lam}
+			r, err := Solve("hotspot-2d", p, Options{})
 			if err != nil {
 				t.Errorf("h=%v Lm=%d lambda=%v (85%% capacity): %v", h, lm, lam, err)
 				continue
@@ -324,8 +345,8 @@ func TestModelCoversLoadRangeUpToCapacity(t *testing.T) {
 }
 
 func TestMaxUtilisationTracksHotChannel(t *testing.T) {
-	p := Params{K: 16, V: 2, Lm: 32, H: 0.4, Lambda: 2e-4}
-	r := solveOK(t, p, Options{})
+	p := Spec{K: 16, V: 2, Lm: 32, H: 0.4, Lambda: 2e-4}
+	r := solveDetail[Result](t, "hotspot-2d", p, Options{})
 	// Holding-time utilisation: can exceed 1 (the flit-capacity bound is
 	// enforced separately) but must stay finite and positive.
 	if r.MaxUtilisation <= 0 || r.MaxUtilisation > 10 || math.IsNaN(r.MaxUtilisation) {
@@ -341,15 +362,15 @@ func TestMaxUtilisationTracksHotChannel(t *testing.T) {
 
 func TestSmallRadixK2(t *testing.T) {
 	// k = 2 is the smallest torus; the model must stay finite and sane.
-	r := solveOK(t, Params{K: 2, V: 2, Lm: 8, H: 0.3, Lambda: 1e-3}, Options{})
+	r := solveDetail[Result](t, "hotspot-2d", Spec{K: 2, V: 2, Lm: 8, H: 0.3, Lambda: 1e-3}, Options{})
 	if r.Latency < 8 || math.IsNaN(r.Latency) {
 		t.Errorf("k=2 latency %v", r.Latency)
 	}
 }
 
 func TestResultDiagnosticsPopulated(t *testing.T) {
-	r := solveOK(t, Params{K: 8, V: 2, Lm: 16, H: 0.2, Lambda: 1e-4}, Options{})
-	if r.Iterations < 1 {
+	r := solveDetail[Result](t, "hotspot-2d", Spec{K: 8, V: 2, Lm: 16, H: 0.2, Lambda: 1e-4}, Options{})
+	if r.Convergence.Iterations < 1 {
 		t.Error("no iterations recorded")
 	}
 	if len(r.SHotY) != 8 || len(r.SHotX) != 8 || len(r.SRegHy) != 8 {

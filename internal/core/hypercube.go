@@ -32,44 +32,6 @@ import (
 	"kncube/internal/vcmodel"
 )
 
-// HypercubeParams parameterise the hypercube model.
-type HypercubeParams struct {
-	// N is the number of dimensions; the network has 2^N nodes.
-	N int
-	// V is the number of virtual channels per channel (>= 1; deterministic
-	// e-cube on a hypercube is deadlock-free without extra classes).
-	V int
-	// Lm is the message length in flits.
-	Lm int
-	// H is the hot-spot fraction in [0, 1).
-	H float64
-	// Lambda is the per-node generation rate, messages/cycle.
-	Lambda float64
-}
-
-// Validate reports the first problem with the parameters.
-func (p HypercubeParams) Validate() error {
-	if p.N < 1 || p.N > 30 {
-		return fieldErrf("dims", "core: hypercube N = %d, want 1..30", p.N)
-	}
-	if p.V < 1 {
-		return fieldErrf("v", "core: hypercube V = %d, want >= 1", p.V)
-	}
-	if p.Lm < 1 {
-		return fieldErrf("lm", "core: hypercube Lm = %d, want >= 1", p.Lm)
-	}
-	if p.H < 0 || p.H >= 1 || math.IsNaN(p.H) {
-		return fieldErrf("h", "core: hypercube H = %v, want [0, 1)", p.H)
-	}
-	if p.Lambda <= 0 || math.IsNaN(p.Lambda) || math.IsInf(p.Lambda, 0) {
-		return fieldErrf("lambda", "core: hypercube Lambda = %v, want > 0", p.Lambda)
-	}
-	return nil
-}
-
-// Nodes returns 2^N.
-func (p HypercubeParams) Nodes() int { return 1 << p.N }
-
 // HypercubeResult is the solved hypercube model.
 type HypercubeResult struct {
 	// Latency is the mean message latency (the analogue of Eq. 10).
@@ -82,15 +44,13 @@ type HypercubeResult struct {
 	V float64
 	// SHot[d] is the mean service time at the dimension-d hot channel.
 	SHot []float64
-	// Iterations is the fixed-point iteration count.
-	Iterations int
 	// Convergence is the fixed-point diagnostic summary.
 	Convergence Convergence
 }
 
 type hyperModel struct {
 	solverBase
-	p        HypercubeParams
+	s        Spec // s.Dims is the cube dimension n; the network has 2^n nodes
 	prepared bool
 	lu       float64   // regular per-channel rate lambda(1-h)/2
 	lh       []float64 // hot rate on the dim-d hot channel: lambda*h*2^d
@@ -99,15 +59,15 @@ type hyperModel struct {
 	pHotChan []float64
 }
 
-func newHyperModel(p HypercubeParams, o Options) *hyperModel {
-	return &hyperModel{solverBase: newSolverBase(o, p.V, p.Lm), p: p}
+func newHyperModel(s Spec, o Options) *hyperModel {
+	return &hyperModel{solverBase: newSolverBase(o, s.V, s.Lm), s: s}
 }
 
 // Prepare builds the e-cube hot-channel topology (the per-dimension hot
 // fractions) and derives the rates for the constructed load.
 func (m *hyperModel) Prepare() {
 	if !m.prepared {
-		n := m.p.N
+		n := m.s.Dims
 		if n < 0 {
 			n = 0
 		}
@@ -118,27 +78,35 @@ func (m *hyperModel) Prepare() {
 		}
 		m.prepared = true
 	}
-	m.SetLambda(m.p.Lambda)
+	m.SetLambda(m.s.Lambda)
 }
 
 // SetLambda recomputes the per-dimension traffic rates in place.
 //
 //khs:hotpath
 func (m *hyperModel) SetLambda(lambda float64) {
-	m.p.Lambda = lambda
-	p := m.p
+	m.s.Lambda = lambda
+	p := m.s
 	m.lu = p.Lambda * (1 - p.H) / 2
 	for d := range m.lh {
 		m.lh[d] = p.Lambda * p.H * float64(int64(1)<<d)
 	}
 }
 
-func (m *hyperModel) Validate() error { return m.p.Validate() }
+// Validate checks the cube dimension, then the shared ranges (V >= 1:
+// deterministic e-cube routing on a hypercube is deadlock-free without
+// extra virtual-channel classes).
+func (m *hyperModel) Validate() error {
+	if m.s.Dims < 1 || m.s.Dims > 30 {
+		return fieldErrf("dims", "core: hypercube Dims = %d, want 1..30", m.s.Dims)
+	}
+	return m.s.checkRanges(1)
+}
 
 // StateSize: [0..n) S^h_d (hot service at the dim-d hot channel);
 // [n..2n) S^r_d (regular service at a dim-d channel).
 func (m *hyperModel) StateSize() int {
-	n := m.p.N
+	n := m.s.Dims
 	if n < 0 {
 		n = 0
 	}
@@ -161,7 +129,7 @@ func (m *hyperModel) InitState(x []float64) {
 // probability that d was the last: each higher dimension differs
 // independently with probability 1/2 for uniform (and hot) destinations.
 func (m *hyperModel) nextWeights(d int) (next []float64, done float64) {
-	n := m.p.N
+	n := m.s.Dims
 	next = make([]float64, n) //lint:ignore hotalloc per-hop weight vector of length n, an accepted solver cost
 	rem := 1.0
 	for d2 := d + 1; d2 < n; d2++ {
@@ -173,7 +141,7 @@ func (m *hyperModel) nextWeights(d int) (next []float64, done float64) {
 
 //khs:hotpath
 func (m *hyperModel) Iterate(in, out []float64) error {
-	n := m.p.N
+	n := m.s.Dims
 	sh := in[:n]
 	sr := in[n : 2*n]
 
@@ -218,28 +186,18 @@ func (m *hyperModel) Iterate(in, out []float64) error {
 	return nil
 }
 
-// SolveHypercube evaluates the hypercube hot-spot model (the registry's
-// "hypercube").
-func SolveHypercube(p HypercubeParams, o Options) (*HypercubeResult, error) {
-	sr, err := solveWith(newHyperModel(p, o), o)
-	if err != nil {
-		return nil, err
-	}
-	return sr.Detail.(*HypercubeResult), nil
-}
-
 func init() {
-	Register("hypercube", func(s Spec, o Options) (Solver, error) {
-		if s.K != 0 && s.K != 2 {
+	Register("hypercube", Spec{K: 2}, func(s Spec, o Options) (Solver, error) {
+		if s.K != 2 {
 			return nil, fieldErrf("k", "core: the hypercube is the 2-ary n-cube, got K = %d", s.K)
 		}
-		return newHyperModel(HypercubeParams{N: s.Dims, V: s.V, Lm: s.Lm, H: s.H, Lambda: s.Lambda}, o), nil
+		return newHyperModel(s, o), nil
 	})
 }
 
 // Assemble computes the latency decomposition from the converged state.
 func (m *hyperModel) Assemble(state []float64, conv Convergence) (*SolveResult, error) {
-	n := m.p.N
+	n := m.s.Dims
 	sh := state[:n]
 	sr := state[n : 2*n]
 
@@ -266,8 +224,8 @@ func (m *hyperModel) Assemble(state []float64, conv Convergence) (*SolveResult, 
 	srMean /= float64(n)
 
 	// Source queue: rate lambda/V, service = class mix of entrances.
-	lv := m.p.Lambda / float64(m.p.V)
-	mix := (1-m.p.H)*entReg + m.p.H*entHot
+	lv := m.s.Lambda / float64(m.s.V)
+	mix := (1-m.s.H)*entReg + m.s.H*entHot
 	ws, err := queueing.MG1Wait(lv, mix, m.variance(mix))
 	if err != nil {
 		return nil, fmt.Errorf("%w (hypercube source queue)", ErrSaturated)
@@ -277,11 +235,11 @@ func (m *hyperModel) Assemble(state []float64, conv Convergence) (*SolveResult, 
 	vSum := 0.0
 	for d := 0; d < n; d++ {
 		sBarHot := queueing.WeightedService(m.lu, srMean, m.lh[d], sh[d])
-		vHot, err := vcmodel.Degree(m.p.V, m.lu+m.lh[d], sBarHot)
+		vHot, err := vcmodel.Degree(m.s.V, m.lu+m.lh[d], sBarHot)
 		if err != nil {
 			return nil, err
 		}
-		vQuiet, err := vcmodel.Degree(m.p.V, m.lu, srMean)
+		vQuiet, err := vcmodel.Degree(m.s.V, m.lu, srMean)
 		if err != nil {
 			return nil, err
 		}
@@ -291,7 +249,7 @@ func (m *hyperModel) Assemble(state []float64, conv Convergence) (*SolveResult, 
 
 	regular := (entReg + ws) * vBar
 	hot := (entHot + ws) * vBar
-	latency := (1-m.p.H)*regular + m.p.H*hot
+	latency := (1-m.s.H)*regular + m.s.H*hot
 
 	r := &HypercubeResult{
 		Latency:     latency,
@@ -300,7 +258,6 @@ func (m *hyperModel) Assemble(state []float64, conv Convergence) (*SolveResult, 
 		WsRegular:   ws,
 		V:           vBar,
 		SHot:        append([]float64(nil), sh...),
-		Iterations:  conv.Iterations,
 		Convergence: conv,
 	}
 	return &SolveResult{

@@ -6,39 +6,40 @@ import (
 	"testing"
 )
 
+// TestHypercubeParamsValidate pins the hypercube's rules (K = 2 with K 0
+// standing for it, Dims 1..30, V >= 1, then the shared ranges) and the
+// field each rejection names.
 func TestHypercubeParamsValidate(t *testing.T) {
-	good := HypercubeParams{N: 6, V: 2, Lm: 16, H: 0.2, Lambda: 1e-3}
-	if err := good.Validate(); err != nil {
-		t.Fatalf("good params rejected: %v", err)
-	}
-	bad := []HypercubeParams{
-		{N: 0, V: 2, Lm: 16, H: 0.2, Lambda: 1e-3},
-		{N: 31, V: 2, Lm: 16, H: 0.2, Lambda: 1e-3},
-		{N: 6, V: 0, Lm: 16, H: 0.2, Lambda: 1e-3},
-		{N: 6, V: 2, Lm: 0, H: 0.2, Lambda: 1e-3},
-		{N: 6, V: 2, Lm: 16, H: 1, Lambda: 1e-3},
-		{N: 6, V: 2, Lm: 16, H: -0.1, Lambda: 1e-3},
-		{N: 6, V: 2, Lm: 16, H: 0.2, Lambda: 0},
-	}
-	for i, p := range bad {
-		if err := p.Validate(); err == nil {
-			t.Errorf("bad params %d accepted", i)
+	for _, good := range []Spec{
+		{K: 2, Dims: 6, V: 2, Lm: 16, H: 0.2, Lambda: 1e-3},
+		{Dims: 6, V: 1, Lm: 16, H: 0.2, Lambda: 1e-3},
+	} {
+		if err := validateSpec("hypercube", good); err != nil {
+			t.Fatalf("good spec %+v rejected: %v", good, err)
 		}
 	}
-	if (HypercubeParams{N: 8}).Nodes() != 256 {
-		t.Error("Nodes() wrong")
+	bad := []struct {
+		s     Spec
+		field string
+	}{
+		{Spec{K: 4, Dims: 6, V: 2, Lm: 16, H: 0.2, Lambda: 1e-3}, "k"},
+		{Spec{Dims: 0, V: 2, Lm: 16, H: 0.2, Lambda: 1e-3}, "dims"},
+		{Spec{Dims: 31, V: 2, Lm: 16, H: 0.2, Lambda: 1e-3}, "dims"},
+		{Spec{Dims: 6, V: 0, Lm: 16, H: 0.2, Lambda: 1e-3}, "v"},
+		{Spec{Dims: 6, V: 2, Lm: 0, H: 0.2, Lambda: 1e-3}, "lm"},
+		{Spec{Dims: 6, V: 2, Lm: 16, H: 1, Lambda: 1e-3}, "h"},
+		{Spec{Dims: 6, V: 2, Lm: 16, H: -0.1, Lambda: 1e-3}, "h"},
+		{Spec{Dims: 6, V: 2, Lm: 16, H: 0.2, Lambda: 0}, "lambda"},
 	}
-	if _, err := SolveHypercube(HypercubeParams{}, Options{}); err == nil {
-		t.Error("SolveHypercube accepted zero params")
+	for i, tc := range bad {
+		if f := fieldOf(validateSpec("hypercube", tc.s)); f != tc.field {
+			t.Errorf("bad spec %d (%+v) rejected on field %q, want %q", i, tc.s, f, tc.field)
+		}
 	}
 }
 
 func TestHypercubeZeroLoad(t *testing.T) {
-	p := HypercubeParams{N: 6, V: 2, Lm: 16, H: 0.2, Lambda: 1e-9}
-	r, err := SolveHypercube(p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := solveDetail[HypercubeResult](t, "hypercube", Spec{Dims: 6, V: 2, Lm: 16, H: 0.2, Lambda: 1e-9}, Options{})
 	// Mean hops of a uniform non-self destination: (n/2)/(1-2^-n).
 	wantReg := 16 + 3.0/(1-math.Pow(2, -6))
 	if math.Abs(r.Regular-wantReg) > 0.2 {
@@ -55,7 +56,7 @@ func TestHypercubeZeroLoad(t *testing.T) {
 func TestHypercubeMonotoneInLambda(t *testing.T) {
 	prev := 0.0
 	for _, lam := range []float64{1e-5, 1e-4, 5e-4, 1e-3} {
-		r, err := SolveHypercube(HypercubeParams{N: 8, V: 2, Lm: 32, H: 0.2, Lambda: lam}, Options{})
+		r, err := Solve("hypercube", Spec{Dims: 8, V: 2, Lm: 32, H: 0.2, Lambda: lam}, Options{})
 		if err != nil {
 			t.Fatalf("lambda=%v: %v", lam, err)
 		}
@@ -69,7 +70,7 @@ func TestHypercubeMonotoneInLambda(t *testing.T) {
 func TestHypercubeSaturation(t *testing.T) {
 	// The dim-(n-1) hot channel carries lambda*h*2^(n-1): for n=8, h=0.2,
 	// Lm=32 capacity is ~1/(0.2*128*32) = 1.2e-3 at the last channel.
-	_, err := SolveHypercube(HypercubeParams{N: 8, V: 2, Lm: 32, H: 0.2, Lambda: 5e-3}, Options{})
+	_, err := Solve("hypercube", Spec{Dims: 8, V: 2, Lm: 32, H: 0.2, Lambda: 5e-3}, Options{})
 	if !errors.Is(err, ErrSaturated) {
 		t.Errorf("err = %v, want ErrSaturated", err)
 	}
@@ -78,7 +79,7 @@ func TestHypercubeSaturation(t *testing.T) {
 func TestHypercubeSaturationFallsWithH(t *testing.T) {
 	sat := func(h float64) float64 {
 		s, err := SaturationLambda(func(lam float64) error {
-			_, e := SolveHypercube(HypercubeParams{N: 8, V: 2, Lm: 32, H: h, Lambda: lam}, Options{})
+			_, e := Solve("hypercube", Spec{Dims: 8, V: 2, Lm: 32, H: h, Lambda: lam}, Options{})
 			return e
 		}, 1e-7, 0, 1e-3)
 		if err != nil {
@@ -94,10 +95,7 @@ func TestHypercubeSaturationFallsWithH(t *testing.T) {
 func TestHypercubeHotServiceShape(t *testing.T) {
 	// At vanishing load the dim-d hot service is the zero-load remaining
 	// path: Lm + 1 + (n-1-d)/2.
-	r, err := SolveHypercube(HypercubeParams{N: 8, V: 2, Lm: 32, H: 0.3, Lambda: 1e-9}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := solveDetail[HypercubeResult](t, "hypercube", Spec{Dims: 8, V: 2, Lm: 32, H: 0.3, Lambda: 1e-9}, Options{})
 	for d := 0; d < 8; d++ {
 		want := 32 + 1 + float64(8-1-d)/2
 		if math.Abs(r.SHot[d]-want) > 0.01 {
@@ -107,10 +105,7 @@ func TestHypercubeHotServiceShape(t *testing.T) {
 	// Under load every hot channel's service grows, and the first-crossed
 	// (dim 0) channel still reflects the longest remaining path among the
 	// low dimensions.
-	r2, err := SolveHypercube(HypercubeParams{N: 8, V: 2, Lm: 32, H: 0.3, Lambda: 3e-4}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r2 := solveDetail[HypercubeResult](t, "hypercube", Spec{Dims: 8, V: 2, Lm: 32, H: 0.3, Lambda: 3e-4}, Options{})
 	for d := 0; d < 8; d++ {
 		if r2.SHot[d] <= r.SHot[d] {
 			t.Errorf("loaded SHot[%d]=%v not above zero-load %v", d, r2.SHot[d], r.SHot[d])
@@ -123,10 +118,7 @@ func TestHypercubeHotServiceShape(t *testing.T) {
 }
 
 func TestHypercubeHotAboveRegular(t *testing.T) {
-	r, err := SolveHypercube(HypercubeParams{N: 8, V: 2, Lm: 32, H: 0.3, Lambda: 5e-4}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := solveDetail[HypercubeResult](t, "hypercube", Spec{Dims: 8, V: 2, Lm: 32, H: 0.3, Lambda: 5e-4}, Options{})
 	if r.Hot <= r.Regular {
 		t.Errorf("hot %v not above regular %v", r.Hot, r.Regular)
 	}

@@ -35,53 +35,6 @@ import (
 // paper's 1 + B + next recursions; the continuation into the next
 // dimension averages over the geometric first-differing-dimension
 // distribution of a uniform address suffix.
-type NDimParams struct {
-	// K is the radix, N the dimension count; the network has K^N nodes.
-	K, N int
-	// V is the virtual channel count per physical channel (>= 2).
-	V int
-	// Lm is the message length in flits.
-	Lm int
-	// H is the hot-spot fraction in [0, 1).
-	H float64
-	// Lambda is the per-node generation rate in messages/cycle.
-	Lambda float64
-}
-
-// Validate reports the first problem with the parameters.
-func (p NDimParams) Validate() error {
-	if p.K < 2 {
-		return fieldErrf("k", "core: ndim K = %d, want >= 2", p.K)
-	}
-	if p.N < 1 {
-		return fieldErrf("dims", "core: ndim N = %d, want >= 1", p.N)
-	}
-	if math.Pow(float64(p.K), float64(p.N)) > 1<<30 {
-		return fieldErrf("k", "core: ndim K^N too large (K=%d, N=%d)", p.K, p.N)
-	}
-	if p.V < 2 {
-		return fieldErrf("v", "core: ndim V = %d, want >= 2", p.V)
-	}
-	if p.Lm < 1 {
-		return fieldErrf("lm", "core: ndim Lm = %d, want >= 1", p.Lm)
-	}
-	if p.H < 0 || p.H >= 1 || math.IsNaN(p.H) {
-		return fieldErrf("h", "core: ndim H = %v, want [0, 1)", p.H)
-	}
-	if p.Lambda <= 0 || math.IsNaN(p.Lambda) || math.IsInf(p.Lambda, 0) {
-		return fieldErrf("lambda", "core: ndim Lambda = %v, want > 0", p.Lambda)
-	}
-	return nil
-}
-
-// Nodes returns K^N.
-func (p NDimParams) Nodes() int {
-	n := 1
-	for i := 0; i < p.N; i++ {
-		n *= p.K
-	}
-	return n
-}
 
 // NDimResult is the solved general model.
 type NDimResult struct {
@@ -94,29 +47,27 @@ type NDimResult struct {
 	// SHot[d][j] is the hot service time at the dimension-d hot channel j
 	// hops from the hot coordinate (j 1-indexed).
 	SHot [][]float64
-	// Iterations is the fixed-point iteration count.
-	Iterations int
 	// Convergence is the fixed-point diagnostic summary.
 	Convergence Convergence
 }
 
 type ndimModel struct {
 	solverBase
-	p        NDimParams
+	s        Spec // s.Dims is the dimension count n; the network has K^n nodes
 	prepared bool
 	lr       float64     // Eq. 3
 	lh       [][]float64 // lh[d][j] = lambda·h·k^d·(k-j)
 }
 
-func newNDimModel(p NDimParams, o Options) *ndimModel {
-	return &ndimModel{solverBase: newSolverBase(o, p.V, p.Lm), p: p}
+func newNDimModel(s Spec, o Options) *ndimModel {
+	return &ndimModel{solverBase: newSolverBase(o, s.V, s.Lm), s: s}
 }
 
 // Prepare allocates the hot-spot rate tree and derives the rates for the
 // constructed load.
 func (m *ndimModel) Prepare() {
 	if !m.prepared {
-		n, k := m.p.N, m.p.K
+		n, k := m.s.Dims, m.s.K
 		if n < 0 {
 			n = 0
 		}
@@ -129,15 +80,15 @@ func (m *ndimModel) Prepare() {
 		}
 		m.prepared = true
 	}
-	m.SetLambda(m.p.Lambda)
+	m.SetLambda(m.s.Lambda)
 }
 
 // SetLambda recomputes the λ-dependent traffic rates in place.
 //
 //khs:hotpath
 func (m *ndimModel) SetLambda(lambda float64) {
-	m.p.Lambda = lambda
-	p := m.p
+	m.s.Lambda = lambda
+	p := m.s
 	m.lr = p.Lambda * (1 - p.H) * float64(p.K-1) / 2
 	k := p.K
 	if k < 0 {
@@ -152,26 +103,39 @@ func (m *ndimModel) SetLambda(lambda float64) {
 	}
 }
 
-func (m *ndimModel) Validate() error { return m.p.Validate() }
+// Validate checks the radix, the dimension count and the node-count cap,
+// then the shared ranges.
+func (m *ndimModel) Validate() error {
+	if m.s.K < 2 {
+		return fieldErrf("k", "core: ndim K = %d, want >= 2", m.s.K)
+	}
+	if m.s.Dims < 1 {
+		return fieldErrf("dims", "core: ndim Dims = %d, want >= 1", m.s.Dims)
+	}
+	if math.Pow(float64(m.s.K), float64(m.s.Dims)) > 1<<30 {
+		return fieldErrf("k", "core: ndim K^Dims too large (K=%d, Dims=%d)", m.s.K, m.s.Dims)
+	}
+	return m.s.checkRanges(2)
+}
 
 // StateSize: hot services [d][j] then regular services [d][b], both
 // j,b = 1..k-1, flattened d-major.
 func (m *ndimModel) StateSize() int {
-	if m.p.N < 1 || m.p.K < 2 {
+	if m.s.Dims < 1 || m.s.K < 2 {
 		return 0
 	}
-	return 2 * m.p.N * (m.p.K - 1)
+	return 2 * m.s.Dims * (m.s.K - 1)
 }
 
-func (m *ndimModel) hotIdx(d, j int) int { return d*(m.p.K-1) + (j - 1) }
+func (m *ndimModel) hotIdx(d, j int) int { return d*(m.s.K-1) + (j - 1) }
 func (m *ndimModel) regIdx(d, b int) int {
-	return m.p.N*(m.p.K-1) + d*(m.p.K-1) + (b - 1)
+	return m.s.Dims*(m.s.K-1) + d*(m.s.K-1) + (b - 1)
 }
 
 // InitState writes the zero-load services: j hops in this dimension plus
 // the expected remaining path (half ring per remaining dimension, roughly).
 func (m *ndimModel) InitState(x []float64) {
-	k, n := m.p.K, m.p.N
+	k, n := m.s.K, m.s.Dims
 	for d := 0; d < n; d++ {
 		rem := float64(n-1-d) * float64(k-1) / 2 / 2
 		for j := 1; j <= k-1; j++ {
@@ -185,7 +149,7 @@ func (m *ndimModel) InitState(x []float64) {
 // dimension d for a hot-spot (hot = true) or regular message, given the
 // current state.
 func (m *ndimModel) cont(in []float64, d int, hot bool) float64 {
-	k, n := m.p.K, m.p.N
+	k, n := m.s.K, m.s.Dims
 	// The message's remaining address digits are uniform; the next crossed
 	// dimension is the first one among d+1..n-1 with a nonzero offset.
 	val := 0.0
@@ -211,15 +175,15 @@ func (m *ndimModel) cont(in []float64, d int, hot bool) float64 {
 // positions (the competing-class service used in the blocking terms).
 func (m *ndimModel) regEntrance(in []float64, d int) float64 {
 	sum := 0.0
-	for b := 1; b <= m.p.K-1; b++ {
+	for b := 1; b <= m.s.K-1; b++ {
 		sum += in[m.regIdx(d, b)]
 	}
-	return sum / float64(m.p.K-1)
+	return sum / float64(m.s.K-1)
 }
 
 //khs:hotpath
 func (m *ndimModel) Iterate(in, out []float64) error {
-	k, n := m.p.K, m.p.N
+	k, n := m.s.K, m.s.Dims
 	for d := 0; d < n; d++ {
 		entReg := m.regEntrance(in, d)
 		// Hot recursion.
@@ -262,29 +226,15 @@ func (m *ndimModel) Iterate(in, out []float64) error {
 	return nil
 }
 
-// SolveNDim evaluates the general k-ary n-cube hot-spot model (the
-// registry's "ndim").
-func SolveNDim(p NDimParams, o Options) (*NDimResult, error) {
-	sr, err := solveWith(newNDimModel(p, o), o)
-	if err != nil {
-		return nil, err
-	}
-	return sr.Detail.(*NDimResult), nil
-}
-
 func init() {
-	Register("ndim", func(s Spec, o Options) (Solver, error) {
-		dims := s.Dims
-		if dims == 0 {
-			dims = 2
-		}
-		return newNDimModel(NDimParams{K: s.K, N: dims, V: s.V, Lm: s.Lm, H: s.H, Lambda: s.Lambda}, o), nil
+	Register("ndim", Spec{Dims: 2}, func(s Spec, o Options) (Solver, error) {
+		return newNDimModel(s, o), nil
 	})
 }
 
 // Assemble computes the latency decomposition from the converged state.
 func (m *ndimModel) Assemble(state []float64, conv Convergence) (*SolveResult, error) {
-	k, n := m.p.K, m.p.N
+	k, n := m.s.K, m.s.Dims
 
 	// Entrance distributions: the first crossed dimension of a uniform
 	// non-self destination is d with probability (k-1)/k · k^-d,
@@ -302,8 +252,8 @@ func (m *ndimModel) Assemble(state []float64, conv Convergence) (*SolveResult, e
 	}
 
 	// Source queue.
-	lv := m.p.Lambda / float64(m.p.V)
-	mix := (1-m.p.H)*entReg + m.p.H*entHot
+	lv := m.s.Lambda / float64(m.s.V)
+	mix := (1-m.s.H)*entReg + m.s.H*entHot
 	ws, err := queueing.MG1Wait(lv, mix, m.variance(mix))
 	if err != nil {
 		return nil, fmt.Errorf("%w (ndim source queue)", ErrSaturated)
@@ -317,13 +267,13 @@ func (m *ndimModel) Assemble(state []float64, conv Convergence) (*SolveResult, e
 		acc := 0.0
 		for j := 1; j <= k-1; j++ {
 			sBar := queueing.WeightedService(m.lr, entRegD, m.lh[d][j], state[m.hotIdx(d, j)])
-			deg, err := vcmodel.Degree(m.p.V, m.lr+m.lh[d][j], sBar)
+			deg, err := vcmodel.Degree(m.s.V, m.lr+m.lh[d][j], sBar)
 			if err != nil {
 				return nil, err
 			}
 			acc += pHot * deg
 		}
-		quiet, err := vcmodel.Degree(m.p.V, m.lr, entRegD)
+		quiet, err := vcmodel.Degree(m.s.V, m.lr, entRegD)
 		if err != nil {
 			return nil, err
 		}
@@ -334,7 +284,7 @@ func (m *ndimModel) Assemble(state []float64, conv Convergence) (*SolveResult, e
 
 	regular := (entReg + ws) * vBar
 	hot := (entHot + ws) * vBar
-	latency := (1-m.p.H)*regular + m.p.H*hot
+	latency := (1-m.s.H)*regular + m.s.H*hot
 
 	shot := make([][]float64, n)
 	for d := 0; d < n; d++ {
@@ -350,7 +300,6 @@ func (m *ndimModel) Assemble(state []float64, conv Convergence) (*SolveResult, e
 		WsRegular:   ws,
 		VBar:        vBar,
 		SHot:        shot,
-		Iterations:  conv.Iterations,
 		Convergence: conv,
 	}
 	return &SolveResult{

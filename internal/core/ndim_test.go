@@ -6,39 +6,39 @@ import (
 	"testing"
 )
 
+// TestNDimParamsValidate pins the general model's rules (K >= 2, Dims >= 1
+// with Dims 0 standing for 2, the K^Dims cap, V >= 2, then the shared
+// ranges) and the field each rejection names.
 func TestNDimParamsValidate(t *testing.T) {
-	good := NDimParams{K: 8, N: 3, V: 2, Lm: 16, H: 0.2, Lambda: 1e-4}
-	if err := good.Validate(); err != nil {
-		t.Fatalf("good params rejected: %v", err)
-	}
-	bad := []NDimParams{
-		{K: 1, N: 3, V: 2, Lm: 16, H: 0.2, Lambda: 1e-4},
-		{K: 8, N: 0, V: 2, Lm: 16, H: 0.2, Lambda: 1e-4},
-		{K: 8, N: 3, V: 1, Lm: 16, H: 0.2, Lambda: 1e-4},
-		{K: 8, N: 3, V: 2, Lm: 0, H: 0.2, Lambda: 1e-4},
-		{K: 8, N: 3, V: 2, Lm: 16, H: 1, Lambda: 1e-4},
-		{K: 8, N: 3, V: 2, Lm: 16, H: 0.2, Lambda: 0},
-		{K: 1000, N: 30, V: 2, Lm: 16, H: 0.2, Lambda: 1e-4},
-	}
-	for i, p := range bad {
-		if err := p.Validate(); err == nil {
-			t.Errorf("bad params %d accepted", i)
+	for _, good := range []Spec{
+		{K: 8, Dims: 3, V: 2, Lm: 16, H: 0.2, Lambda: 1e-4},
+		{K: 8, V: 2, Lm: 16, H: 0.2, Lambda: 1e-4},
+	} {
+		if err := validateSpec("ndim", good); err != nil {
+			t.Fatalf("good spec %+v rejected: %v", good, err)
 		}
 	}
-	if (NDimParams{K: 4, N: 3}).Nodes() != 64 {
-		t.Error("Nodes() wrong")
+	bad := []struct {
+		s     Spec
+		field string
+	}{
+		{Spec{K: 1, Dims: 3, V: 2, Lm: 16, H: 0.2, Lambda: 1e-4}, "k"},
+		{Spec{K: 8, Dims: -1, V: 2, Lm: 16, H: 0.2, Lambda: 1e-4}, "dims"},
+		{Spec{K: 8, Dims: 3, V: 1, Lm: 16, H: 0.2, Lambda: 1e-4}, "v"},
+		{Spec{K: 8, Dims: 3, V: 2, Lm: 0, H: 0.2, Lambda: 1e-4}, "lm"},
+		{Spec{K: 8, Dims: 3, V: 2, Lm: 16, H: 1, Lambda: 1e-4}, "h"},
+		{Spec{K: 8, Dims: 3, V: 2, Lm: 16, H: 0.2, Lambda: 0}, "lambda"},
+		{Spec{K: 1000, Dims: 30, V: 2, Lm: 16, H: 0.2, Lambda: 1e-4}, "k"},
 	}
-	if _, err := SolveNDim(NDimParams{}, Options{}); err == nil {
-		t.Error("SolveNDim accepted zero params")
+	for i, tc := range bad {
+		if f := fieldOf(validateSpec("ndim", tc.s)); f != tc.field {
+			t.Errorf("bad spec %d (%+v) rejected on field %q, want %q", i, tc.s, f, tc.field)
+		}
 	}
 }
 
 func TestNDimZeroLoad(t *testing.T) {
-	p := NDimParams{K: 8, N: 3, V: 2, Lm: 16, H: 0.2, Lambda: 1e-9}
-	r, err := SolveNDim(p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := solveDetail[NDimResult](t, "ndim", Spec{K: 8, Dims: 3, V: 2, Lm: 16, H: 0.2, Lambda: 1e-9}, Options{})
 	// Mean hops of a uniform non-self destination in a k-ary n-cube:
 	// n·(k-1)/2 normalised for the self-exclusion.
 	wantHops := 3 * 3.5 / (1 - math.Pow(8, -3))
@@ -54,11 +54,11 @@ func TestNDimMatchesTwoDimModelAtLightLoad(t *testing.T) {
 	// For n = 2 the general model must agree with the paper's 2-D model at
 	// light load (they differ only in suffix-averaging granularity).
 	for _, lam := range []float64{1e-5, 5e-5, 1e-4} {
-		nd, err := SolveNDim(NDimParams{K: 16, N: 2, V: 2, Lm: 32, H: 0.2, Lambda: lam}, Options{})
+		nd, err := Solve("ndim", Spec{K: 16, Dims: 2, V: 2, Lm: 32, H: 0.2, Lambda: lam}, Options{})
 		if err != nil {
 			t.Fatalf("ndim: %v", err)
 		}
-		td := solveOK(t, Params{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: lam}, Options{})
+		td := solveDetail[Result](t, "hotspot-2d", Spec{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: lam}, Options{})
 		rel := math.Abs(nd.Latency-td.Latency) / td.Latency
 		if rel > 0.05 {
 			t.Errorf("lambda=%v: ndim %v vs 2-D %v (rel %.3f)", lam, nd.Latency, td.Latency, rel)
@@ -69,7 +69,7 @@ func TestNDimMatchesTwoDimModelAtLightLoad(t *testing.T) {
 func TestNDimMonotoneInLambda(t *testing.T) {
 	prev := 0.0
 	for _, lam := range []float64{1e-5, 5e-5, 1e-4, 2e-4} {
-		r, err := SolveNDim(NDimParams{K: 8, N: 3, V: 2, Lm: 32, H: 0.3, Lambda: lam}, Options{})
+		r, err := Solve("ndim", Spec{K: 8, Dims: 3, V: 2, Lm: 32, H: 0.3, Lambda: lam}, Options{})
 		if err != nil {
 			t.Fatalf("lambda=%v: %v", lam, err)
 		}
@@ -83,7 +83,7 @@ func TestNDimMonotoneInLambda(t *testing.T) {
 func TestNDimSaturation(t *testing.T) {
 	// The busiest hot channel (last dimension, j = 1) carries
 	// lambda·h·k^(n-1)·(k-1): capacity ~ 1/(0.3·64·7·33) for k=8, n=3.
-	_, err := SolveNDim(NDimParams{K: 8, N: 3, V: 2, Lm: 32, H: 0.3, Lambda: 1e-3}, Options{})
+	_, err := Solve("ndim", Spec{K: 8, Dims: 3, V: 2, Lm: 32, H: 0.3, Lambda: 1e-3}, Options{})
 	if !errors.Is(err, ErrSaturated) {
 		t.Errorf("err = %v, want ErrSaturated", err)
 	}
@@ -95,7 +95,7 @@ func TestNDimSaturationFallsWithN(t *testing.T) {
 	// falls with n.
 	sat := func(n int) float64 {
 		s, err := SaturationLambda(func(lam float64) error {
-			_, e := SolveNDim(NDimParams{K: 4, N: n, V: 2, Lm: 16, H: 0.3, Lambda: lam}, Options{})
+			_, e := Solve("ndim", Spec{K: 4, Dims: n, V: 2, Lm: 16, H: 0.3, Lambda: lam}, Options{})
 			return e
 		}, 1e-8, 0, 1e-3)
 		if err != nil {
@@ -110,10 +110,7 @@ func TestNDimSaturationFallsWithN(t *testing.T) {
 }
 
 func TestNDimHotAboveRegular(t *testing.T) {
-	r, err := SolveNDim(NDimParams{K: 8, N: 3, V: 2, Lm: 32, H: 0.3, Lambda: 1.5e-4}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := solveDetail[NDimResult](t, "ndim", Spec{K: 8, Dims: 3, V: 2, Lm: 32, H: 0.3, Lambda: 1.5e-4}, Options{})
 	if r.Hot <= r.Regular {
 		t.Errorf("hot %v not above regular %v", r.Hot, r.Regular)
 	}

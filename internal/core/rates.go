@@ -16,17 +16,22 @@ type ChannelRates struct {
 	HotX []float64
 }
 
-// Rates evaluates Eqs. 3-9 for the parameters.
-func Rates(p Params) (ChannelRates, error) {
-	if err := p.Validate(); err != nil {
+// Rates evaluates Eqs. 3-9 of the paper's model ("hotspot-2d") for a spec
+// that model accepts.
+func Rates(s Spec) (ChannelRates, error) {
+	sol, err := NewSolver("hotspot-2d", s, Options{})
+	if err != nil {
 		return ChannelRates{}, err
 	}
-	m := newModel(p, Options{})
+	if err := sol.Validate(); err != nil {
+		return ChannelRates{}, err
+	}
+	m := sol.(*model)
 	m.Prepare()
 	cr := ChannelRates{
 		Regular: m.lr,
-		HotY:    make([]float64, p.K+1),
-		HotX:    make([]float64, p.K+1),
+		HotY:    make([]float64, m.s.K+1),
+		HotX:    make([]float64, m.s.K+1),
 	}
 	copy(cr.HotY, m.lhy)
 	copy(cr.HotX, m.lhx)

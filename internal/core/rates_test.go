@@ -10,13 +10,13 @@ import (
 )
 
 func TestRatesValidation(t *testing.T) {
-	if _, err := Rates(Params{}); err == nil {
+	if _, err := Rates(Spec{}); err == nil {
 		t.Error("Rates accepted zero params")
 	}
 }
 
 func TestRatesMatchEquations(t *testing.T) {
-	p := Params{K: 8, V: 2, Lm: 16, H: 0.3, Lambda: 1e-3}
+	p := Spec{K: 8, V: 2, Lm: 16, H: 0.3, Lambda: 1e-3}
 	r, err := Rates(p)
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +44,7 @@ func TestRatesMatchBruteForceCrossingCounts(t *testing.T) {
 	// on a channel equals lambda·h times the number of sources whose
 	// deterministic path crosses it.
 	for _, k := range []int{3, 4, 8} {
-		p := Params{K: k, V: 2, Lm: 8, H: 0.25, Lambda: 2e-3}
+		p := Spec{K: k, V: 2, Lm: 8, H: 0.25, Lambda: 2e-3}
 		r, err := Rates(p)
 		if err != nil {
 			t.Fatal(err)
@@ -69,7 +69,7 @@ func TestRatesMatchBruteForceCrossingCounts(t *testing.T) {
 func TestRatesConservation(t *testing.T) {
 	// Total hot y-channel crossings must equal the sum over sources of
 	// their y-distance to the hot node.
-	p := Params{K: 8, V: 2, Lm: 16, H: 0.3, Lambda: 1e-3}
+	p := Spec{K: 8, V: 2, Lm: 16, H: 0.3, Lambda: 1e-3}
 	r, err := Rates(p)
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +89,7 @@ func TestRatesConservation(t *testing.T) {
 }
 
 func TestBottleneckUtilisation(t *testing.T) {
-	p := Params{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4}
+	p := Spec{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4}
 	r, err := Rates(p)
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +130,7 @@ func TestSaturationNearCapacityAcrossGrid(t *testing.T) {
 		for _, lm := range []int{16, 64} {
 			capacity := CapacityLambda(16, lm, h)
 			sat, err := SaturationLambda(func(lam float64) error {
-				_, e := SolveHotSpot(Params{K: 16, V: 2, Lm: lm, H: h, Lambda: lam}, Options{})
+				_, e := Solve("hotspot-2d", Spec{K: 16, V: 2, Lm: lm, H: h, Lambda: lam}, Options{})
 				return e
 			}, capacity/100, 0, 1e-3)
 			if err != nil {

@@ -2,16 +2,18 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
 )
 
 // Spec is the variant-independent parameter set the registry accepts: the
-// union of the five variants' parameters. Fields a variant does not use
-// are validated by its factory (e.g. the hypercube requires K = 2, the
-// uniform baseline requires H = 0); zero K or Dims pick the variant's
-// natural default where one exists.
+// union of the five variants' parameters, and the only parameter type the
+// models take. Fields a variant does not use are validated by its factory (e.g. the
+// hypercube requires K = 2, the uniform baseline requires H = 0); a zero K
+// or Dims stands for the variant's natural default where one exists, and
+// Canonical spells that default out.
 type Spec struct {
 	// K is the radix; Dims the dimension count n.
 	K, Dims int
@@ -25,20 +27,47 @@ type Spec struct {
 	Lambda float64
 }
 
-// Factory builds a variant's Solver from the generic Spec. It rejects
+// checkRanges reports the first out-of-range V, Lm, H or Lambda: the range
+// rules every variant shares, checked after the variant's own topology
+// rules. minV is the variant's virtual-channel floor.
+func (s Spec) checkRanges(minV int) error {
+	if s.V < minV {
+		return fieldErrf("v", "core: V = %d, want >= %d", s.V, minV)
+	}
+	if s.Lm < 1 {
+		return fieldErrf("lm", "core: Lm = %d, want >= 1", s.Lm)
+	}
+	if s.H < 0 || s.H >= 1 || math.IsNaN(s.H) {
+		return fieldErrf("h", "core: H = %v, want [0, 1)", s.H)
+	}
+	if s.Lambda <= 0 || math.IsNaN(s.Lambda) || math.IsInf(s.Lambda, 0) {
+		return fieldErrf("lambda", "core: Lambda = %v, want > 0", s.Lambda)
+	}
+	return nil
+}
+
+// Factory builds a variant's Solver from a canonical Spec. It rejects
 // specs that contradict the variant (wrong Dims, H where none is
 // modelled); parameter-range checking is left to Solver.Validate.
 type Factory func(s Spec, o Options) (Solver, error)
 
+// variant is one registry entry: the factory and the shape defaults a
+// zero K or Dims stands for.
+type variant struct {
+	defaults Spec
+	factory  Factory
+}
+
 var (
 	registryMu sync.RWMutex
-	registry   = map[string]Factory{}
+	registry   = map[string]variant{}
 )
 
-// Register adds a named solver factory. It panics on an empty name, a nil
-// factory, or a duplicate registration — all programming errors, caught at
-// init time.
-func Register(name string, f Factory) {
+// Register adds a named solver factory. defaults holds the K and Dims a
+// zero field of a spec stands for (zero where the variant has no default).
+// It panics on an empty name, a nil factory, or a duplicate registration —
+// all programming errors, caught at init time.
+func Register(name string, defaults Spec, f Factory) {
 	registryMu.Lock()
 	defer registryMu.Unlock()
 	if name == "" {
@@ -50,7 +79,7 @@ func Register(name string, f Factory) {
 	if _, dup := registry[name]; dup {
 		panic(fmt.Sprintf("core: duplicate solver registration %q", name))
 	}
-	registry[name] = f
+	registry[name] = variant{defaults: defaults, factory: f}
 }
 
 // Solvers returns the registered solver names, sorted.
@@ -65,33 +94,57 @@ func Solvers() []string {
 	return names
 }
 
-// lookup resolves a solver name to its factory, with the structured
-// unknown-model error shared by every registry entry point.
-func lookup(name string) (Factory, error) {
+// lookup resolves a solver name to its registry entry, with the
+// structured unknown-model error shared by every registry entry point.
+func lookup(name string) (variant, error) {
 	registryMu.RLock()
-	f, ok := registry[name]
+	v, ok := registry[name]
 	registryMu.RUnlock()
 	if !ok {
-		return nil, fieldErrf("model", "core: unknown solver %q (registered: %s)",
+		return variant{}, fieldErrf("model", "core: unknown solver %q (registered: %s)",
 			name, strings.Join(Solvers(), ", "))
 	}
-	return f, nil
+	return v, nil
 }
 
-// NewSolver builds the named variant's Solver for the given spec.
+// canonical fills the zero K and Dims of s with the variant's defaults.
+func (v variant) canonical(s Spec) Spec {
+	if s.K == 0 {
+		s.K = v.defaults.K
+	}
+	if s.Dims == 0 {
+		s.Dims = v.defaults.Dims
+	}
+	return s
+}
+
+// Canonical returns s with the named variant's defaults spelled out
+// (Dims 0 → 2 on the 2-D, uniform and ndim variants, K 0 → 2 on the
+// hypercube), so that specs which solve identically compare and key
+// identically. An unknown name returns s unchanged.
+func Canonical(name string, s Spec) Spec {
+	v, err := lookup(name)
+	if err != nil {
+		return s
+	}
+	return v.canonical(s)
+}
+
+// NewSolver builds the named variant's Solver for the canonical form of
+// the given spec.
 func NewSolver(name string, s Spec, o Options) (Solver, error) {
-	f, err := lookup(name)
+	v, err := lookup(name)
 	if err != nil {
 		return nil, err
 	}
-	return f(s, o)
+	return v.factory(v.canonical(s), o)
 }
 
 // Solve evaluates the named model variant through the shared fixed-point
-// driver. All registered variants — "hotspot-2d", "bidirectional-2d",
-// "uniform", "hypercube", "ndim" — are reachable here; the typed entry
-// points (SolveHotSpot, SolveBidirectional, ...) are thin wrappers over
-// the same driver.
+// driver. Every registered variant — "hotspot-2d", "bidirectional-2d",
+// "uniform", "hypercube", "ndim" — is reachable only through Solve,
+// Prepare, SolveBatch and SolveLambdas; SolveResult.Detail carries the
+// variant's typed result.
 func Solve(name string, s Spec, o Options) (*SolveResult, error) {
 	sol, err := NewSolver(name, s, o)
 	if err != nil {

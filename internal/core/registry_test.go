@@ -47,13 +47,13 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 			t.Fatal("duplicate registration should panic")
 		}
 	}()
-	Register("hotspot-2d", func(Spec, Options) (Solver, error) { return nil, nil })
+	Register("hotspot-2d", Spec{}, func(Spec, Options) (Solver, error) { return nil, nil })
 }
 
 func TestRegisterRejectsBadArguments(t *testing.T) {
 	for name, reg := range map[string]func(){
-		"empty name":  func() { Register("", func(Spec, Options) (Solver, error) { return nil, nil }) },
-		"nil factory": func() { Register("x-test-nil", nil) },
+		"empty name":  func() { Register("", Spec{}, func(Spec, Options) (Solver, error) { return nil, nil }) },
+		"nil factory": func() { Register("x-test-nil", Spec{}, nil) },
 	} {
 		func() {
 			defer func() {
@@ -212,35 +212,47 @@ func TestTraceSurvivesSaturation(t *testing.T) {
 	}
 }
 
-// Every typed entry point must agree exactly with its registry route — the
-// wrappers and the registry share one driver.
-func TestTypedEntryPointsMatchRegistry(t *testing.T) {
-	spec := goldenSpec("hotspot-2d")
-	reg, err := Solve("hotspot-2d", spec, Options{})
-	if err != nil {
-		t.Fatal(err)
+// TestCanonicalSpec pins the registry's canonical form: a zero K or Dims
+// stands for the variant's default, Canonical spells it out, and both
+// spellings solve bit-identically.
+func TestCanonicalSpec(t *testing.T) {
+	cases := []struct {
+		name       string
+		short, out Spec
+	}{
+		{"hotspot-2d", Spec{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4}, Spec{K: 16, Dims: 2, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4}},
+		{"bidirectional-2d", Spec{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4}, Spec{K: 16, Dims: 2, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4}},
+		{"uniform", Spec{K: 16, V: 2, Lm: 32, Lambda: 1e-4}, Spec{K: 16, Dims: 2, V: 2, Lm: 32, Lambda: 1e-4}},
+		{"ndim", Spec{K: 8, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4}, Spec{K: 8, Dims: 2, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4}},
+		{"hypercube", Spec{Dims: 6, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4}, Spec{K: 2, Dims: 6, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4}},
 	}
-	typed, err := SolveHotSpot(Params{K: spec.K, V: spec.V, Lm: spec.Lm, H: spec.H, Lambda: spec.Lambda}, Options{})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range cases {
+		if got := Canonical(tc.name, tc.short); got != tc.out {
+			t.Errorf("Canonical(%q, %+v) = %+v, want %+v", tc.name, tc.short, got, tc.out)
+		}
+		if got := Canonical(tc.name, tc.out); got != tc.out {
+			t.Errorf("Canonical(%q) is not idempotent: %+v -> %+v", tc.name, tc.out, got)
+		}
+		a, err := Solve(tc.name, tc.short, Options{})
+		if err != nil {
+			t.Fatalf("Solve(%q, %+v): %v", tc.name, tc.short, err)
+		}
+		b, err := Solve(tc.name, tc.out, Options{})
+		if err != nil {
+			t.Fatalf("Solve(%q, %+v): %v", tc.name, tc.out, err)
+		}
+		if math.Float64bits(a.Latency) != math.Float64bits(b.Latency) || a.Convergence != b.Convergence {
+			t.Errorf("%q: the two spellings solve differently: %v vs %v", tc.name, a.Latency, b.Latency)
+		}
 	}
-	if !stats.ApproxEqual(typed.Latency, reg.Latency, 0, 0) {
-		t.Errorf("SolveHotSpot latency %g != registry latency %g", typed.Latency, reg.Latency)
+	// Only the zero value is a default: other values pass through, for the
+	// factory to accept or reject.
+	odd := Spec{K: 16, Dims: 3, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4}
+	if got := Canonical("hotspot-2d", odd); got != odd {
+		t.Errorf("Canonical rewrote an explicit Dims: %+v", got)
 	}
-	if typed.Convergence != reg.Convergence {
-		t.Errorf("SolveHotSpot convergence %+v != registry %+v", typed.Convergence, reg.Convergence)
-	}
-
-	bi, err := SolveBidirectional(Params{K: spec.K, V: spec.V, Lm: spec.Lm, H: spec.H, Lambda: spec.Lambda}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	biReg, err := Solve("bidirectional-2d", spec, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stats.ApproxEqual(bi.Latency, biReg.Latency, 0, 0) {
-		t.Errorf("SolveBidirectional latency %g != registry latency %g", bi.Latency, biReg.Latency)
+	if got := Canonical("no-such-model", Spec{K: 16}); got != (Spec{K: 16}) {
+		t.Errorf("Canonical of an unknown model changed the spec: %+v", got)
 	}
 }
 

@@ -12,33 +12,19 @@ import (
 func TestSolversWrapErrSaturated(t *testing.T) {
 	cases := []struct {
 		name string
-		run  func(lambda float64) error
+		spec Spec
 	}{
-		{"Solve", func(lambda float64) error {
-			_, err := SolveHotSpot(Params{K: 8, V: 2, Lm: 32, H: 0.3, Lambda: lambda}, Options{})
-			return err
-		}},
-		{"SolveUniform", func(lambda float64) error {
-			_, err := SolveUniform(UniformParams{K: 8, Dims: 2, V: 2, Lm: 32, Lambda: lambda})
-			return err
-		}},
-		{"SolveBidirectional", func(lambda float64) error {
-			_, err := SolveBidirectional(Params{K: 8, V: 2, Lm: 32, H: 0.3, Lambda: lambda}, Options{})
-			return err
-		}},
-		{"SolveNDim", func(lambda float64) error {
-			_, err := SolveNDim(NDimParams{K: 8, N: 3, V: 2, Lm: 32, H: 0.3, Lambda: lambda}, Options{})
-			return err
-		}},
-		{"SolveHypercube", func(lambda float64) error {
-			_, err := SolveHypercube(HypercubeParams{N: 6, V: 2, Lm: 32, H: 0.3, Lambda: lambda}, Options{})
-			return err
-		}},
+		{"hotspot-2d", Spec{K: 8, V: 2, Lm: 32, H: 0.3}},
+		{"uniform", Spec{K: 8, Dims: 2, V: 2, Lm: 32}},
+		{"bidirectional-2d", Spec{K: 8, V: 2, Lm: 32, H: 0.3}},
+		{"ndim", Spec{K: 8, Dims: 3, V: 2, Lm: 32, H: 0.3}},
+		{"hypercube", Spec{Dims: 6, V: 2, Lm: 32, H: 0.3}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			// Far beyond any of these networks' capacity.
-			err := tc.run(0.5)
+			tc.spec.Lambda = 0.5
+			_, err := Solve(tc.name, tc.spec, Options{})
 			if err == nil {
 				t.Fatal("no error at an absurd offered load")
 			}
@@ -47,11 +33,10 @@ func TestSolversWrapErrSaturated(t *testing.T) {
 			}
 			// Every ablation's blocking form must uphold the contract too
 			// (they take different error paths through the iterate step).
-			if tc.name == "Solve" {
+			if tc.name == "hotspot-2d" {
 				for _, form := range []BlockingForm{BlockingPaper, BlockingWaitOnly,
 					BlockingMultiServer, BlockingBandwidth, BlockingVCOccupancy} {
-					_, err := SolveHotSpot(Params{K: 8, V: 2, Lm: 32, H: 0.3, Lambda: 0.5},
-						Options{Blocking: form})
+					_, err := Solve(tc.name, tc.spec, Options{Blocking: form})
 					if err == nil {
 						t.Fatalf("blocking form %v: no error at an absurd load", form)
 					}

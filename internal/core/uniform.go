@@ -3,46 +3,12 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"kncube/internal/fixpoint"
 	"kncube/internal/queueing"
 	"kncube/internal/stats"
 	"kncube/internal/vcmodel"
 )
-
-// UniformParams describe a k-ary n-cube under uniform traffic for the
-// baseline model.
-type UniformParams struct {
-	// K is the radix, Dims the dimension count n.
-	K, Dims int
-	// V is the virtual channel count per physical channel.
-	V int
-	// Lm is the message length in flits.
-	Lm int
-	// Lambda is the per-node generation rate in messages/cycle.
-	Lambda float64
-}
-
-// Validate reports the first problem with the parameters.
-func (p UniformParams) Validate() error {
-	if p.K < 2 {
-		return fieldErrf("k", "core: uniform K = %d, want >= 2", p.K)
-	}
-	if p.Dims < 1 {
-		return fieldErrf("dims", "core: uniform Dims = %d, want >= 1", p.Dims)
-	}
-	if p.V < 1 {
-		return fieldErrf("v", "core: uniform V = %d, want >= 1", p.V)
-	}
-	if p.Lm < 1 {
-		return fieldErrf("lm", "core: uniform Lm = %d, want >= 1", p.Lm)
-	}
-	if p.Lambda <= 0 || math.IsNaN(p.Lambda) || math.IsInf(p.Lambda, 0) {
-		return fieldErrf("lambda", "core: uniform Lambda = %v, want > 0", p.Lambda)
-	}
-	return nil
-}
 
 // UniformResult is the solved uniform-traffic baseline.
 type UniformResult struct {
@@ -59,8 +25,6 @@ type UniformResult struct {
 	ChannelRate float64
 	// Blocking is the per-channel mean blocking delay.
 	Blocking float64
-	// Iterations is the scalar fixed-point iteration count.
-	Iterations int
 	// Convergence is the fixed-point diagnostic summary.
 	Convergence Convergence
 }
@@ -77,36 +41,46 @@ type UniformResult struct {
 // hot-spot model's assembly.
 type uniformModel struct {
 	solverBase
-	p        UniformParams
+	s        Spec
 	prepared bool
 	lc       float64 // per-channel message rate lambda·k̄
 	dbar     float64 // mean path length n(k-1)/2
 }
 
-func newUniformModel(p UniformParams, o Options) *uniformModel {
-	return &uniformModel{solverBase: newSolverBase(o, p.V, p.Lm), p: p}
+func newUniformModel(s Spec, o Options) *uniformModel {
+	return &uniformModel{solverBase: newSolverBase(o, s.V, s.Lm), s: s}
 }
 
 // Prepare computes the mean path length (shape-invariant) and derives the
 // channel rate for the constructed load.
 func (m *uniformModel) Prepare() {
 	if !m.prepared {
-		m.dbar = float64(m.p.Dims) * (float64(m.p.K-1) / 2)
+		m.dbar = float64(m.s.Dims) * (float64(m.s.K-1) / 2)
 		m.prepared = true
 	}
-	m.SetLambda(m.p.Lambda)
+	m.SetLambda(m.s.Lambda)
 }
 
 // SetLambda recomputes the per-channel message rate λ·k̄ in place.
 //
 //khs:hotpath
 func (m *uniformModel) SetLambda(lambda float64) {
-	m.p.Lambda = lambda
-	m.lc = lambda * (float64(m.p.K-1) / 2)
+	m.s.Lambda = lambda
+	m.lc = lambda * (float64(m.s.K-1) / 2)
 }
 
-func (m *uniformModel) Validate() error { return m.p.Validate() }
-func (m *uniformModel) StateSize() int  { return 1 }
+// Validate checks the uniform baseline's topology rules, then the shared
+// ranges (V >= 1: one virtual channel suffices without a hot-spot class).
+func (m *uniformModel) Validate() error {
+	if m.s.K < 2 {
+		return fieldErrf("k", "core: uniform K = %d, want >= 2", m.s.K)
+	}
+	if m.s.Dims < 1 {
+		return fieldErrf("dims", "core: uniform Dims = %d, want >= 1", m.s.Dims)
+	}
+	return m.s.checkRanges(1)
+}
+func (m *uniformModel) StateSize() int { return 1 }
 
 func (m *uniformModel) InitState(x []float64) { x[0] = m.lm + m.dbar }
 
@@ -126,11 +100,11 @@ func (m *uniformModel) Assemble(x []float64, conv Convergence) (*SolveResult, er
 	if err != nil {
 		return nil, fmt.Errorf("%w (uniform channel)", ErrSaturated)
 	}
-	ws, err := queueing.PaperWait(m.p.Lambda/float64(m.p.V), s, m.lm)
+	ws, err := queueing.PaperWait(m.s.Lambda/float64(m.s.V), s, m.lm)
 	if err != nil {
 		return nil, fmt.Errorf("%w (source queue)", ErrSaturated)
 	}
-	vbar, err := vcmodel.Degree(m.p.V, m.lc, s)
+	vbar, err := vcmodel.Degree(m.s.V, m.lc, s)
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +115,6 @@ func (m *uniformModel) Assemble(x []float64, conv Convergence) (*SolveResult, er
 		Multiplexing: vbar,
 		ChannelRate:  m.lc,
 		Blocking:     b,
-		Iterations:   conv.Iterations,
 		Convergence:  conv,
 	}
 	return &SolveResult{
@@ -169,28 +142,12 @@ func uniformFixPoint(o Options) Options {
 	return o
 }
 
-// SolveUniform evaluates the uniform-traffic baseline model (the
-// registry's "uniform") with the default options.
-func SolveUniform(p UniformParams) (*UniformResult, error) {
-	o := uniformFixPoint(Options{})
-	sr, err := solveWith(newUniformModel(p, o), o)
-	if err != nil {
-		return nil, err
-	}
-	return sr.Detail.(*UniformResult), nil
-}
-
 func init() {
-	Register("uniform", func(s Spec, o Options) (Solver, error) {
+	Register("uniform", Spec{Dims: 2}, func(s Spec, o Options) (Solver, error) {
 		if !stats.IsZero(s.H) {
 			return nil, fieldErrf("h", "core: the uniform baseline models no hot-spot class, got H = %v", s.H)
 		}
-		dims := s.Dims
-		if dims == 0 {
-			dims = 2
-		}
-		return newUniformModel(UniformParams{K: s.K, Dims: dims, V: s.V, Lm: s.Lm, Lambda: s.Lambda},
-			uniformFixPoint(o)), nil
+		return newUniformModel(s, uniformFixPoint(o)), nil
 	})
 }
 

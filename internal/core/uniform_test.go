@@ -6,34 +6,39 @@ import (
 	"testing"
 )
 
+// TestUniformParamsValidate pins the baseline's rules (H = 0, K >= 2,
+// Dims >= 1 with Dims 0 standing for 2, V >= 1, then the shared ranges)
+// and the field each rejection names.
 func TestUniformParamsValidate(t *testing.T) {
-	good := UniformParams{K: 16, Dims: 2, V: 2, Lm: 32, Lambda: 1e-3}
-	if err := good.Validate(); err != nil {
-		t.Fatalf("good params rejected: %v", err)
-	}
-	bad := []UniformParams{
-		{K: 1, Dims: 2, V: 2, Lm: 32, Lambda: 1e-3},
-		{K: 16, Dims: 0, V: 2, Lm: 32, Lambda: 1e-3},
-		{K: 16, Dims: 2, V: 0, Lm: 32, Lambda: 1e-3},
-		{K: 16, Dims: 2, V: 2, Lm: 0, Lambda: 1e-3},
-		{K: 16, Dims: 2, V: 2, Lm: 32, Lambda: 0},
-		{K: 16, Dims: 2, V: 2, Lm: 32, Lambda: math.NaN()},
-	}
-	for i, p := range bad {
-		if err := p.Validate(); err == nil {
-			t.Errorf("bad params %d accepted", i)
+	for _, good := range []Spec{
+		{K: 16, Dims: 2, V: 2, Lm: 32, Lambda: 1e-3},
+		{K: 16, V: 1, Lm: 32, Lambda: 1e-3},
+	} {
+		if err := validateSpec("uniform", good); err != nil {
+			t.Fatalf("good spec %+v rejected: %v", good, err)
 		}
 	}
-	if _, err := SolveUniform(UniformParams{}); err == nil {
-		t.Error("SolveUniform accepted zero params")
+	bad := []struct {
+		s     Spec
+		field string
+	}{
+		{Spec{K: 16, Dims: 2, V: 2, Lm: 32, H: 0.1, Lambda: 1e-3}, "h"},
+		{Spec{K: 1, Dims: 2, V: 2, Lm: 32, Lambda: 1e-3}, "k"},
+		{Spec{K: 16, Dims: -1, V: 2, Lm: 32, Lambda: 1e-3}, "dims"},
+		{Spec{K: 16, Dims: 2, V: 0, Lm: 32, Lambda: 1e-3}, "v"},
+		{Spec{K: 16, Dims: 2, V: 2, Lm: 0, Lambda: 1e-3}, "lm"},
+		{Spec{K: 16, Dims: 2, V: 2, Lm: 32, Lambda: 0}, "lambda"},
+		{Spec{K: 16, Dims: 2, V: 2, Lm: 32, Lambda: math.NaN()}, "lambda"},
+	}
+	for i, tc := range bad {
+		if f := fieldOf(validateSpec("uniform", tc.s)); f != tc.field {
+			t.Errorf("bad spec %d (%+v) rejected on field %q, want %q", i, tc.s, f, tc.field)
+		}
 	}
 }
 
 func TestUniformZeroLoad(t *testing.T) {
-	r, err := SolveUniform(UniformParams{K: 16, Dims: 2, V: 2, Lm: 32, Lambda: 1e-9})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := solveDetail[UniformResult](t, "uniform", Spec{K: 16, Dims: 2, V: 2, Lm: 32, Lambda: 1e-9}, Options{})
 	want := 32.0 + 15.0 // Lm + n(k-1)/2
 	if math.Abs(r.Network-want) > 0.01 {
 		t.Errorf("zero-load network latency %v, want %v", r.Network, want)
@@ -49,7 +54,7 @@ func TestUniformZeroLoad(t *testing.T) {
 func TestUniformMonotoneInLambda(t *testing.T) {
 	prev := 0.0
 	for _, lam := range []float64{1e-4, 5e-4, 1e-3, 1.5e-3, 2e-3} {
-		r, err := SolveUniform(UniformParams{K: 16, Dims: 2, V: 2, Lm: 32, Lambda: lam})
+		r, err := Solve("uniform", Spec{K: 16, Dims: 2, V: 2, Lm: 32, Lambda: lam}, Options{})
 		if err != nil {
 			t.Fatalf("lambda=%v: %v", lam, err)
 		}
@@ -63,7 +68,7 @@ func TestUniformMonotoneInLambda(t *testing.T) {
 func TestUniformSaturates(t *testing.T) {
 	// Per-channel load k̄·lambda·S >= 1 must fail: with k̄ = 7.5, S >= 47,
 	// lambda = 0.004 gives utilisation > 1.4.
-	_, err := SolveUniform(UniformParams{K: 16, Dims: 2, V: 2, Lm: 32, Lambda: 0.004})
+	_, err := Solve("uniform", Spec{K: 16, Dims: 2, V: 2, Lm: 32, Lambda: 0.004}, Options{})
 	if !errors.Is(err, ErrSaturated) {
 		t.Errorf("err = %v, want ErrSaturated", err)
 	}
@@ -71,7 +76,7 @@ func TestUniformSaturates(t *testing.T) {
 
 func TestUniformSaturationNearChannelCapacity(t *testing.T) {
 	s, err := SaturationLambda(func(lam float64) error {
-		_, e := SolveUniform(UniformParams{K: 16, Dims: 2, V: 2, Lm: 32, Lambda: lam})
+		_, e := Solve("uniform", Spec{K: 16, Dims: 2, V: 2, Lm: 32, Lambda: lam}, Options{})
 		return e
 	}, 1e-5, 0, 1e-3)
 	if err != nil {
@@ -89,14 +94,8 @@ func TestUniformSaturationNearChannelCapacity(t *testing.T) {
 func TestUniformDimsScaling(t *testing.T) {
 	// More dimensions at the same radix mean longer paths and higher
 	// latency at equal lambda.
-	r2, err := SolveUniform(UniformParams{K: 8, Dims: 2, V: 2, Lm: 32, Lambda: 1e-3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r3, err := SolveUniform(UniformParams{K: 8, Dims: 3, V: 2, Lm: 32, Lambda: 1e-3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r2 := solveDetail[UniformResult](t, "uniform", Spec{K: 8, Dims: 2, V: 2, Lm: 32, Lambda: 1e-3}, Options{})
+	r3 := solveDetail[UniformResult](t, "uniform", Spec{K: 8, Dims: 3, V: 2, Lm: 32, Lambda: 1e-3}, Options{})
 	if r3.Latency <= r2.Latency {
 		t.Errorf("3-D latency %v not above 2-D %v", r3.Latency, r2.Latency)
 	}

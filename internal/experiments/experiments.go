@@ -107,66 +107,26 @@ func DefaultSimBudget() SimBudget {
 // wherever a solver name is not given explicitly.
 const DefaultModel = "hotspot-2d"
 
-// RunModel evaluates the default analytical model for one panel point.
-func RunModel(p Panel, lambda float64, opts core.Options) (float64, error) {
-	return RunNamedModel(DefaultModel, p, lambda, opts)
-}
-
-// RunNamedModel evaluates the named model variant (a core registry name;
-// see core.Solvers) for one panel point. Panels describe 2-D tori, so the
-// spec passes Dims = 2; variants that cannot represent a panel (e.g.
-// "hypercube" with K = 16, or "uniform" with H > 0) fail with the
+// Spec is the model spec of one panel point: the panel's 2-D torus shape
+// at offered load lambda. Solve it with core.Solve or prepare the panel's
+// shape once with core.Prepare; variants that cannot represent a panel
+// (e.g. "hypercube" with K = 16, or "uniform" with H > 0) fail with the
 // factory's error.
-func RunNamedModel(model string, p Panel, lambda float64, opts core.Options) (float64, error) {
-	res, err := SolveNamedModel(model, p, lambda, opts)
-	if err != nil {
-		return math.NaN(), err
-	}
-	return res.Latency, nil
-}
-
-// SolveNamedModel is RunNamedModel returning the full solve result —
-// latency decomposition and convergence diagnostics — for callers that
-// record manifests or traces. On error (including core.ErrSaturated) the
-// result is nil.
-func SolveNamedModel(model string, p Panel, lambda float64, opts core.Options) (*core.SolveResult, error) {
-	return core.Solve(model, core.Spec{
-		K: p.K, Dims: 2, V: p.V, Lm: p.Lm, H: p.H, Lambda: lambda,
-	}, opts)
-}
-
-// PrepareNamedModel validates and prepares the named variant once for a
-// panel's topology shape so the whole λ axis can be re-solved through the
-// returned core.PreparedSolver without repeating the spec-invariant setup.
-// Cold re-solves are bit-identical to SolveNamedModel at the same λ.
-func PrepareNamedModel(model string, p Panel, lambda float64, opts core.Options) (*core.PreparedSolver, error) {
-	return core.Prepare(model, core.Spec{
-		K: p.K, Dims: 2, V: p.V, Lm: p.Lm, H: p.H, Lambda: lambda,
-	}, opts)
+func (p Panel) Spec(lambda float64) core.Spec {
+	return core.Spec{K: p.K, Dims: 2, V: p.V, Lm: p.Lm, H: p.H, Lambda: lambda}
 }
 
 // simBidirectional maps a model-variant name to the simulator channel
 // configuration it is validated against.
 func simBidirectional(model string) bool { return model == "bidirectional-2d" }
 
-// RunSim measures one panel point with the flit-level simulator. The hot
-// node is placed at the centre of the torus (its location is immaterial on
-// a torus; tests verify the symmetry).
-func RunSim(p Panel, lambda float64, budget SimBudget) (sim.Result, error) {
-	//lint:ignore ctxflow compat wrapper for pre-context callers; new code uses RunSimContext
-	return RunSimContext(context.Background(), p, lambda, budget)
-}
-
-// RunSimContext is RunSim under a context: the run returns the context's
-// error promptly after cancellation or deadline expiry.
-func RunSimContext(ctx context.Context, p Panel, lambda float64, budget SimBudget) (sim.Result, error) {
-	return RunSimModelContext(ctx, DefaultModel, p, lambda, budget)
-}
-
-// RunSimModelContext is RunSimContext with the simulator configured for the
-// named model variant: bidirectional channels for "bidirectional-2d",
-// unidirectional otherwise.
-func RunSimModelContext(ctx context.Context, model string, p Panel, lambda float64, budget SimBudget) (sim.Result, error) {
+// RunSim measures one panel point with the flit-level simulator configured
+// for the named model variant: bidirectional channels for
+// "bidirectional-2d", unidirectional otherwise. The hot node is placed at
+// the centre of the torus (its location is immaterial on a torus; tests
+// verify the symmetry). The run returns the context's error promptly after
+// cancellation or deadline expiry.
+func RunSim(ctx context.Context, model string, p Panel, lambda float64, budget SimBudget) (sim.Result, error) {
 	cube, err := topology.New(p.K, 2)
 	if err != nil {
 		return sim.Result{}, err
@@ -192,56 +152,30 @@ func RunSimModelContext(ctx context.Context, model string, p Panel, lambda float
 	})
 }
 
-// RunPanel sweeps a panel sequentially: the analytical model and the
-// simulator at every axis point. It is a thin wrapper over the Sweep engine
-// with one worker and one replication; each point simulates under its own
-// seed derived from budget.Seed (see JobSeed), so the points' RNG streams
-// are independent rather than correlated copies of one stream.
-func RunPanel(p Panel, budget SimBudget, opts core.Options) ([]Point, error) {
-	res, err := Sweep{Jobs: 1, Reps: 1, Budget: budget, Opts: opts}.
-		//lint:ignore ctxflow compat wrapper for pre-context callers; new code uses RunPanels
-		RunPanels(context.Background(), []Panel{p})
-	if err != nil {
-		return nil, err
-	}
-	return res[0].Points, nil
-}
-
-// ModelCurve evaluates only the analytical side of a panel (cheap; used by
-// examples and the saturation studies).
-func ModelCurve(p Panel, opts core.Options) []Point {
-	return NamedModelCurve(DefaultModel, p, opts)
-}
-
-// NamedModelCurve is ModelCurve for a specific model variant.
-func NamedModelCurve(model string, p Panel, opts core.Options) []Point {
+// ModelCurve evaluates only the analytical side of a panel under the named
+// model variant (cheap; used by examples and the saturation studies).
+func ModelCurve(model string, p Panel, opts core.Options) []Point {
 	points := make([]Point, 0, len(p.Lambdas))
 	for _, lam := range p.Lambdas {
 		pt := Point{Lambda: lam}
-		m, err := RunNamedModel(model, p, lam, opts)
+		res, err := core.Solve(model, p.Spec(lam), opts)
 		if err != nil {
 			pt.Model = math.NaN()
 			pt.ModelSaturated = true
 		} else {
-			pt.Model = m
+			pt.Model = res.Latency
 		}
 		points = append(points, pt)
 	}
 	return points
 }
 
-// SaturationPoint locates the model's saturation load for a panel's
-// parameters by bisection.
-func SaturationPoint(p Panel, opts core.Options) (float64, error) {
-	return NamedSaturationPoint(DefaultModel, p, opts)
-}
-
-// NamedSaturationPoint is SaturationPoint for a specific model variant. A
-// spec the variant rejects outright (rather than saturating) surfaces as
-// the bracketing error.
-func NamedSaturationPoint(model string, p Panel, opts core.Options) (float64, error) {
+// SaturationPoint locates the named model variant's saturation load for a
+// panel's parameters by bisection. A spec the variant rejects outright
+// (rather than saturating) surfaces as the bracketing error.
+func SaturationPoint(model string, p Panel, opts core.Options) (float64, error) {
 	return core.SaturationLambda(func(lam float64) error {
-		_, err := RunNamedModel(model, p, lam, opts)
+		_, err := core.Solve(model, p.Spec(lam), opts)
 		return err
 	}, 1e-7, 0, 1e-3)
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -66,14 +67,14 @@ func TestPanelByID(t *testing.T) {
 
 func TestRunModelAndSaturation(t *testing.T) {
 	p, _ := PanelByID("fig1-h20")
-	lat, err := RunModel(p, p.Lambdas[0], core.Options{})
+	res, err := core.Solve(DefaultModel, p.Spec(p.Lambdas[0]), core.Options{})
 	if err != nil {
-		t.Fatalf("RunModel: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
-	if lat < float64(p.Lm) {
-		t.Errorf("latency %v below message length", lat)
+	if res.Latency < float64(p.Lm) {
+		t.Errorf("latency %v below message length", res.Latency)
 	}
-	sat, err := SaturationPoint(p, core.Options{})
+	sat, err := SaturationPoint(DefaultModel, p, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestRunModelAndSaturation(t *testing.T) {
 
 func TestModelCurveMarksSaturation(t *testing.T) {
 	p, _ := PanelByID("fig1-h70")
-	pts := ModelCurve(p, core.Options{})
+	pts := ModelCurve(DefaultModel, p, core.Options{})
 	if len(pts) != len(p.Lambdas) {
 		t.Fatalf("%d points", len(pts))
 	}
@@ -106,7 +107,7 @@ func TestModelCurveMarksSaturation(t *testing.T) {
 func TestRunSimSmallPanel(t *testing.T) {
 	// A small network keeps the test fast while exercising the full path.
 	p := Panel{ID: "test", K: 4, V: 2, Lm: 8, H: 0.3, Lambdas: []float64{0.002}}
-	res, err := RunSim(p, 0.002, SimBudget{WarmupCycles: 2000, MaxCycles: 100000, MinMeasured: 1000, Seed: 3})
+	res, err := RunSim(context.Background(), DefaultModel, p, 0.002, SimBudget{WarmupCycles: 2000, MaxCycles: 100000, MinMeasured: 1000, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +119,12 @@ func TestRunSimSmallPanel(t *testing.T) {
 func TestRunPanelEndToEnd(t *testing.T) {
 	p := Panel{ID: "test", K: 4, V: 2, Lm: 8, H: 0.3,
 		Lambdas: []float64{0.001, 0.003}}
-	pts, err := RunPanel(p, SimBudget{WarmupCycles: 1000, MaxCycles: 60000, MinMeasured: 500, Seed: 1},
-		core.Options{})
+	res, err := Sweep{Jobs: 1, Reps: 1, Budget: SimBudget{WarmupCycles: 1000, MaxCycles: 60000, MinMeasured: 500, Seed: 1}}.
+		RunPanels(context.Background(), []Panel{p})
 	if err != nil {
 		t.Fatal(err)
 	}
+	pts := res[0].Points
 	if len(pts) != 2 {
 		t.Fatalf("%d points", len(pts))
 	}

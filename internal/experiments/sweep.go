@@ -365,7 +365,7 @@ func (s Sweep) runJob(ctx context.Context, p Panel, jb sweepJob, reps, total int
 		defer jcancel()
 	}
 	simStart := time.Now()
-	res, err := RunSimModelContext(jctx, model, p, lam, budget)
+	res, err := RunSim(jctx, model, p, lam, budget)
 	rec.WallSeconds = time.Since(simStart).Seconds()
 	if err != nil {
 		if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
@@ -475,7 +475,7 @@ func (s Sweep) solvePanelModels(ctx context.Context, model string, p Panel) ([]m
 			// non-positive λ) is charged to its own point, exactly as the
 			// per-point driver charged it; the next point retries.
 			var perr error
-			ps, perr = PrepareNamedModel(model, p, lam, opts)
+			ps, perr = core.Prepare(model, p.Spec(lam), opts)
 			if perr != nil {
 				ps = nil
 				mp.err = perr

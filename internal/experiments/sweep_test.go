@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -54,12 +55,16 @@ func TestSweepBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestSweepMatchesSequentialRunPanel: a parallel sweep reproduces the
+// one-worker, one-replication run of the same panel point for point.
 func TestSweepMatchesSequentialRunPanel(t *testing.T) {
 	p := sweepTestPanel()
-	seq, err := RunPanel(p, sweepTestBudget(), core.Options{})
+	one, err := Sweep{Jobs: 1, Reps: 1, Budget: sweepTestBudget()}.
+		RunPanels(context.Background(), []Panel{p})
 	if err != nil {
 		t.Fatal(err)
 	}
+	seq := one[0].Points
 	res, err := Sweep{Jobs: 8, Budget: sweepTestBudget()}.
 		RunPanels(context.Background(), []Panel{p})
 	if err != nil {
@@ -256,33 +261,26 @@ func TestSweepUnknownModel(t *testing.T) {
 	}
 }
 
-// RunNamedModel agrees with the typed core entry points for every 2-D
-// variant a panel can express.
-func TestRunNamedModelAgreesWithTyped(t *testing.T) {
+// TestPanelSpec: a panel point's spec is the panel's 2-D torus shape at
+// the given load, and solving it through the registry is the model side
+// of the sweep.
+func TestPanelSpec(t *testing.T) {
 	p := sweepTestPanel()
 	lam := p.Lambdas[0]
-
-	named, err := RunNamedModel("bidirectional-2d", p, lam, core.Options{})
+	want := core.Spec{K: p.K, Dims: 2, V: p.V, Lm: p.Lm, H: p.H, Lambda: lam}
+	if got := p.Spec(lam); got != want {
+		t.Fatalf("Spec(%g) = %+v, want %+v", lam, got, want)
+	}
+	res, err := Sweep{Budget: sweepTestBudget(), Model: "bidirectional-2d"}.
+		RunPanels(context.Background(), []Panel{p})
 	if err != nil {
 		t.Fatal(err)
 	}
-	typed, err := core.SolveBidirectional(core.Params{K: p.K, V: p.V, Lm: p.Lm, H: p.H, Lambda: lam}, core.Options{})
+	direct, err := core.Solve("bidirectional-2d", p.Spec(lam), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !stats.ApproxEqual(named, typed.Latency, 0, 0) {
-		t.Errorf("RunNamedModel(bidirectional-2d) = %g, SolveBidirectional = %g", named, typed.Latency)
-	}
-
-	def, err := RunModel(p, lam, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs, err := RunNamedModel(DefaultModel, p, lam, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stats.ApproxEqual(def, hs, 0, 0) {
-		t.Errorf("RunModel = %g, RunNamedModel(%s) = %g", def, DefaultModel, hs)
+	if got := res[0].Points[0].Model; math.Float64bits(got) != math.Float64bits(direct.Latency) {
+		t.Errorf("sweep model %g != core.Solve %g", got, direct.Latency)
 	}
 }

@@ -209,7 +209,7 @@ func TestSweepTraceSinkMatchesConvergence(t *testing.T) {
 			t.Errorf("%s: trace labelled %q", label, last.Solve)
 		}
 		// Direct solve cross-check: same panel point, fresh options.
-		res, err := SolveNamedModel(DefaultModel, p, p.Lambdas[r.LambdaIdx], core.Options{})
+		res, err := core.Solve(DefaultModel, p.Spec(p.Lambdas[r.LambdaIdx]), core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,11 +13,14 @@ import (
 	"kncube/internal/telemetry"
 )
 
-// solveKey derives the canonical cache key of one solve: the model name,
-// the full core.Spec, and every option that changes the result. Floats are
-// keyed by their IEEE-754 bit patterns, so two requests share an entry iff
-// their solves are bit-for-bit identical — no epsilon, no float equality.
+// solveKey derives the cache key of one solve: the model name, the
+// canonical core.Spec (core.Canonical: a zero K or Dims spelled out as the
+// variant's default, so aliases of one spec share an entry), and every
+// option that changes the result. Floats are keyed by their IEEE-754 bit
+// patterns, so two requests share an entry iff their solves are
+// bit-for-bit identical — no epsilon, no float equality.
 func solveKey(model string, spec core.Spec, o core.Options) string {
+	spec = core.Canonical(model, spec)
 	return fmt.Sprintf("%s|%d|%d|%d|%d|%016x|%016x|%d|%d|%d|%t|%d|%d",
 		model, spec.K, spec.Dims, spec.V, spec.Lm,
 		math.Float64bits(spec.H), math.Float64bits(spec.Lambda),

@@ -83,7 +83,9 @@ func TestCacheRepeatIsHit(t *testing.T) {
 // TestSolveKeyDistinctSpecsNeverCollide enumerates single-field
 // perturbations of a base (model, spec, options) and requires all keys
 // pairwise distinct — including float changes below any printing
-// precision, which a %v-formatted key would collapse.
+// precision, which a %v-formatted key would collapse. (Dims 0 is not a
+// perturbation of Dims 2 but the same canonical spec; see
+// TestSolveCacheKeysCanonicalSpec.)
 func TestSolveKeyDistinctSpecsNeverCollide(t *testing.T) {
 	base := core.Spec{K: 16, Dims: 2, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4}
 	type variant struct {
@@ -100,7 +102,7 @@ func TestSolveKeyDistinctSpecsNeverCollide(t *testing.T) {
 	}
 	add("model", func(v *variant) { v.model = "bidirectional-2d" })
 	add("k", func(v *variant) { v.spec.K = 17 })
-	add("dims", func(v *variant) { v.spec.Dims = 0 })
+	add("dims", func(v *variant) { v.spec.Dims = 3 })
 	add("v", func(v *variant) { v.spec.V = 3 })
 	add("lm", func(v *variant) { v.spec.Lm = 33 })
 	add("h", func(v *variant) { v.spec.H = 0.4 })

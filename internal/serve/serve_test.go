@@ -102,6 +102,28 @@ func TestSolveMatchesCoreBitForBit(t *testing.T) {
 	}
 }
 
+// TestSolveCacheKeysCanonicalSpec: the solve cache keys on the canonical
+// spec, so a request that spells out a variant's default (Dims 2 on
+// hotspot-2d) hits the entry an otherwise identical request with Dims
+// omitted created — they are the same solve.
+func TestSolveCacheKeysCanonicalSpec(t *testing.T) {
+	h := New(Config{}).Handler()
+	omitted := figureRequest()
+	first := decodeBody[SolveResponse](t, postJSON(t, h, "/v1/solve", omitted))
+	if first.Cache != cacheMiss {
+		t.Fatalf("Dims omitted: cache=%q, want miss", first.Cache)
+	}
+	spelled := omitted
+	spelled.Dims = 2
+	again := decodeBody[SolveResponse](t, postJSON(t, h, "/v1/solve", spelled))
+	if again.Cache != cacheHit {
+		t.Errorf("Dims 2 after Dims omitted: cache=%q, want hit", again.Cache)
+	}
+	if again.Result == nil || math.Float64bits(again.Result.Latency) != math.Float64bits(first.Result.Latency) {
+		t.Errorf("aliased specs answered differently: %+v vs %+v", again.Result, first.Result)
+	}
+}
+
 // TestSolveAcceleration pins the acceleration options end to end:
 // "none" is bit-identical to the default (and shares its cache entry),
 // "anderson" reproduces the library's accelerated solve — same answer

@@ -264,11 +264,16 @@ func TestSurfaceSharding(t *testing.T) {
 	ring := shard.New(self, peers, 0)
 
 	// Find one shape each replica owns by walking the radix. Shape keys
-	// are verbatim, like solve-cache keys, so the probe Defs must carry
-	// exactly the spec fields the requests below will (Dims unset).
+	// are canonical, like solve-cache keys: Dims omitted and Dims 2 are
+	// one key, so both spellings have the same owner.
 	ownedK, foreignK := 0, 0
 	for k := 4; k <= 40 && (ownedK == 0 || foreignK == 0); k += 2 {
 		d := surface.Def{Model: "hotspot-2d", K: k, V: 2, Lm: 16}
+		spelled := d
+		spelled.Dims = 2
+		if d.Key() != spelled.Key() || ring.Owner(d.Key()) != ring.Owner(spelled.Key()) {
+			t.Fatalf("K=%d: Dims omitted (%s) and Dims 2 (%s) key or shard differently", k, d.Key(), spelled.Key())
+		}
 		if ring.Owns(d.Key()) {
 			if ownedK == 0 {
 				ownedK = k
@@ -301,6 +306,10 @@ func TestSurfaceSharding(t *testing.T) {
 	if rr := postJSON(t, h, "/v1/solve", solve); rr.Code != http.StatusMisdirectedRequest {
 		t.Errorf("foreign-shape surface solve: %d, want 421", rr.Code)
 	}
+	solve.Dims = 2
+	if rr := postJSON(t, h, "/v1/solve", solve); rr.Code != http.StatusMisdirectedRequest {
+		t.Errorf("foreign-shape surface solve with Dims 2: %d, want 421", rr.Code)
+	}
 
 	list := decodeBody[SurfaceList](t, getPath(h, "/v1/surfaces"))
 	if list.Shard == nil || list.Shard.Self != self || len(list.Shard.Nodes) != 2 {
@@ -315,8 +324,9 @@ func TestLoadSurfaces(t *testing.T) {
 		t.Skip("builds a small surface directly")
 	}
 	dir := t.TempDir()
-	// Dims matches the solve request below verbatim: shape keys, like
-	// solve-cache keys, do not alias a variant's zero-value defaults.
+	// The surface is built with Dims omitted and queried with Dims 2:
+	// shape keys, like solve-cache keys, are canonical, so the query's
+	// spelled-out default finds the surface.
 	d := surface.Def{
 		Model: "hotspot-2d", K: 8, V: 2, Lm: 16,
 		Hs:      []float64{0.1, 0.2},
@@ -335,7 +345,7 @@ func TestLoadSurfaces(t *testing.T) {
 	if err != nil || n != 1 {
 		t.Fatalf("LoadSurfaces = %d, %v, want 1 surface", n, err)
 	}
-	req := SolveRequest{K: 8, V: 2, Lm: 16, H: 0.15, Lambda: 1.25e-4,
+	req := SolveRequest{K: 8, Dims: 2, V: 2, Lm: 16, H: 0.15, Lambda: 1.25e-4,
 		Options: &SolveOptions{Mode: ModeSurface}}
 	resp := decodeBody[SolveResponse](t, postJSON(t, s.Handler(), "/v1/solve", req))
 	if resp.Source != ModeSurface || resp.Result == nil {

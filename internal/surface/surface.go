@@ -89,12 +89,14 @@ func (d Def) Key() string {
 
 // ShapeKey builds the surface shape key for a model name, a spec (H and
 // Lambda ignored — they are query coordinates, not shape), and the
-// result-affecting options (fixed-point knobs ignored). Spec fields are
-// keyed verbatim, matching the serve layer's solve-cache convention: a
-// variant's zero-value aliases (e.g. Dims 0 vs 2 on the 2-D models) are
-// distinct keys, so queries must spell the shape exactly as the surface
-// build did.
+// result-affecting options (fixed-point knobs ignored). The spec is keyed
+// in its canonical form (core.Canonical), matching the serve layer's
+// solve-cache convention: a variant's zero-value aliases (e.g. Dims 0 vs 2
+// on the 2-D models) are one key, so a surface built with the default
+// omitted answers queries that spell it out, and both spellings map to
+// the same shard owner.
 func ShapeKey(model string, s core.Spec, o core.Options) string {
+	s = core.Canonical(model, s)
 	return fmt.Sprintf("%s|%d|%d|%d|%d|%d|%d|%d|%t",
 		model, s.K, s.Dims, s.V, s.Lm, o.Entrance, o.Blocking, o.Variance, o.NoVCSplit)
 }

@@ -6,12 +6,12 @@
 //
 //   - the paper's analytical model of mean message latency in a wormhole-
 //     switched 2-D torus with deterministic (dimension-order) routing,
-//     virtual channels, and Pfister-Norton hot-spot traffic (SolveModel),
-//     with a uniform-traffic baseline (SolveUniform);
+//     virtual channels, and Pfister-Norton hot-spot traffic ("hotspot-2d"),
+//     with a uniform-traffic baseline ("uniform");
 //   - validated generalisations: the bidirectional torus
-//     (SolveBidirectionalModel), the general k-ary n-cube (SolveNDim), and
-//     the hypercube baseline of the authors' predecessor paper
-//     (SolveHypercube);
+//     ("bidirectional-2d"), the general k-ary n-cube ("ndim"), and the
+//     hypercube baseline of the authors' predecessor paper ("hypercube");
+//     every variant is solved through Solve, Prepare or SolveBatch;
 //   - the flit-level simulator the paper validates against (NewSimulator),
 //     supporting unidirectional and bidirectional channels and both
 //     deterministic and minimal-adaptive routing;
@@ -21,7 +21,7 @@
 //
 // Quick start:
 //
-//	res, err := kncube.SolveModel(kncube.ModelParams{
+//	res, err := kncube.Solve("hotspot-2d", kncube.ModelSpec{
 //		K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4,
 //	}, kncube.ModelOptions{})
 //	if err != nil { ... }
@@ -66,8 +66,9 @@ func Models() []string { return core.Solvers() }
 
 // Solve evaluates the named model variant — "hotspot-2d",
 // "bidirectional-2d", "uniform", "hypercube" or "ndim" — through the shared
-// instrumented fixed-point driver. The typed entry points below (SolveModel,
-// SolveBidirectionalModel, ...) are wrappers over the same driver.
+// instrumented fixed-point driver. SolveResult.Detail holds the variant's
+// typed result (*ModelResult, *BiModelResult, *UniformResult,
+// *HypercubeResult or *NDimResult).
 func Solve(model string, s ModelSpec, o ModelOptions) (*SolveResult, error) {
 	return core.Solve(model, s, o)
 }
@@ -120,14 +121,11 @@ func SolveBatch(model string, specs []ModelSpec, o BatchOptions) ([]BatchItem, e
 
 // --- Analytical models -------------------------------------------------------
 
-// ModelParams parameterise the hot-spot analytical model (2-D torus,
-// N = K² nodes).
-type ModelParams = core.Params
-
 // ModelOptions select the reconstruction knobs documented in DESIGN.md.
 type ModelOptions = core.Options
 
-// ModelResult is the solved model with diagnostics.
+// ModelResult is the solved hot-spot model with diagnostics
+// (the Detail of a "hotspot-2d" solve).
 type ModelResult = core.Result
 
 // Entrance policies for the service-time recursions (ablation A).
@@ -158,59 +156,23 @@ const (
 // ErrSaturated is returned by the models beyond their saturation load.
 var ErrSaturated = core.ErrSaturated
 
-// SolveModel evaluates the paper's hot-spot latency model (Eqs. 1-37); it
-// is the typed form of Solve("hotspot-2d", ...).
-func SolveModel(p ModelParams, o ModelOptions) (*ModelResult, error) {
-	return core.SolveHotSpot(p, o)
-}
-
-// UniformParams parameterise the uniform-traffic baseline model.
-type UniformParams = core.UniformParams
-
-// UniformResult is the solved baseline.
+// UniformResult is the solved uniform-traffic baseline (the Detail of a
+// "uniform" solve).
 type UniformResult = core.UniformResult
 
-// SolveUniform evaluates the classic uniform-traffic baseline model.
-func SolveUniform(p UniformParams) (*UniformResult, error) {
-	return core.SolveUniform(p)
-}
-
-// BiModelResult is the solved bidirectional-torus model.
+// BiModelResult is the solved bidirectional-torus model (the Detail of a
+// "bidirectional-2d" solve); pair it with SimConfig.Bidirectional for
+// validation.
 type BiModelResult = core.BiResult
 
-// SolveBidirectionalModel evaluates the bidirectional-channel extension of
-// the hot-spot model (the generalisation Section 2 of the paper mentions);
-// pair it with SimConfig.Bidirectional for validation.
-func SolveBidirectionalModel(p ModelParams, o ModelOptions) (*BiModelResult, error) {
-	return core.SolveBidirectional(p, o)
-}
-
-// NDimParams parameterise the general k-ary n-cube hot-spot model (the
-// paper analyses n = 2; this is the full-title generalisation).
-type NDimParams = core.NDimParams
-
-// NDimResult is the solved general model.
+// NDimResult is the solved general k-ary n-cube model (the Detail of an
+// "ndim" solve).
 type NDimResult = core.NDimResult
 
-// SolveNDim evaluates the general k-ary n-cube hot-spot model; it agrees
-// with SolveModel at n = 2 and extends the analysis to the 3-D tori the
-// paper's introduction motivates.
-func SolveNDim(p NDimParams, o ModelOptions) (*NDimResult, error) {
-	return core.SolveNDim(p, o)
-}
-
-// HypercubeParams parameterise the hypercube (2-ary n-cube) hot-spot model
-// — the authors' own predecessor model [12] included as a baseline.
-type HypercubeParams = core.HypercubeParams
-
-// HypercubeResult is the solved hypercube model.
+// HypercubeResult is the solved hypercube model (the Detail of a
+// "hypercube" solve); validate it against the simulator with
+// SimConfig{K: 2, Dims: n}.
 type HypercubeResult = core.HypercubeResult
-
-// SolveHypercube evaluates the hypercube hot-spot baseline model; validate
-// it against the simulator with SimConfig{K: 2, Dims: n}.
-func SolveHypercube(p HypercubeParams, o ModelOptions) (*HypercubeResult, error) {
-	return core.SolveHypercube(p, o)
-}
 
 // SaturationLambda bisects for the largest stable load of any solver.
 func SaturationLambda(solve func(lambda float64) error, lo, hi, relTol float64) (float64, error) {

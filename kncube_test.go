@@ -13,8 +13,8 @@ import (
 )
 
 func TestFacadeModelSolves(t *testing.T) {
-	res, err := kncube.SolveModel(
-		kncube.ModelParams{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4},
+	res, err := kncube.Solve("hotspot-2d",
+		kncube.ModelSpec{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4},
 		kncube.ModelOptions{},
 	)
 	if err != nil {
@@ -26,8 +26,8 @@ func TestFacadeModelSolves(t *testing.T) {
 }
 
 func TestFacadeSaturationError(t *testing.T) {
-	_, err := kncube.SolveModel(
-		kncube.ModelParams{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 0.01},
+	_, err := kncube.Solve("hotspot-2d",
+		kncube.ModelSpec{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 0.01},
 		kncube.ModelOptions{},
 	)
 	if !errors.Is(err, kncube.ErrSaturated) {
@@ -39,8 +39,8 @@ func TestFacadeSaturationError(t *testing.T) {
 // torus.
 func runPoint(t *testing.T, k, v, lm int, h, lambda float64) (model float64, sim kncube.SimResult) {
 	t.Helper()
-	m, err := kncube.SolveModel(
-		kncube.ModelParams{K: k, V: v, Lm: lm, H: h, Lambda: lambda},
+	m, err := kncube.Solve("hotspot-2d",
+		kncube.ModelSpec{K: k, V: v, Lm: lm, H: h, Lambda: lambda},
 		kncube.ModelOptions{},
 	)
 	if err != nil {
@@ -113,8 +113,8 @@ func TestSaturationOrderingMatchesSimulator(t *testing.T) {
 	// higher h saturates earlier.
 	sat := func(h float64) float64 {
 		s, err := kncube.SaturationLambda(func(lam float64) error {
-			_, err := kncube.SolveModel(
-				kncube.ModelParams{K: 8, V: 2, Lm: 16, H: h, Lambda: lam},
+			_, err := kncube.Solve("hotspot-2d",
+				kncube.ModelSpec{K: 8, V: 2, Lm: 16, H: h, Lambda: lam},
 				kncube.ModelOptions{},
 			)
 			return err
@@ -161,8 +161,8 @@ func TestBidirectionalModelTracksSimulator(t *testing.T) {
 		{9, 16, 0.4, 8e-4}, // odd radix: symmetric direction classes
 	}
 	for _, c := range cases {
-		m, err := kncube.SolveBidirectionalModel(
-			kncube.ModelParams{K: c.k, V: 2, Lm: c.lm, H: c.h, Lambda: c.lambda},
+		m, err := kncube.Solve("bidirectional-2d",
+			kncube.ModelSpec{K: c.k, V: 2, Lm: c.lm, H: c.h, Lambda: c.lambda},
 			kncube.ModelOptions{},
 		)
 		if err != nil {
@@ -206,8 +206,8 @@ func TestNDimModelTracksSimulatorThreeDims(t *testing.T) {
 		h      = 0.25
 		lambda = 3e-4
 	)
-	m, err := kncube.SolveNDim(
-		kncube.NDimParams{K: k, N: 3, V: 2, Lm: lm, H: h, Lambda: lambda},
+	m, err := kncube.Solve("ndim",
+		kncube.ModelSpec{K: k, Dims: 3, V: 2, Lm: lm, H: h, Lambda: lambda},
 		kncube.ModelOptions{},
 	)
 	if err != nil {
@@ -257,8 +257,8 @@ func TestHypercubeModelTracksSimulator(t *testing.T) {
 		h      = 0.2
 		lambda = 8e-4
 	)
-	m, err := kncube.SolveHypercube(
-		kncube.HypercubeParams{N: n, V: 2, Lm: lm, H: h, Lambda: lambda},
+	m, err := kncube.Solve("hypercube",
+		kncube.ModelSpec{Dims: n, V: 2, Lm: lm, H: h, Lambda: lambda},
 		kncube.ModelOptions{},
 	)
 	if err != nil {
@@ -292,7 +292,7 @@ func TestHypercubeModelTracksSimulator(t *testing.T) {
 }
 
 func TestUniformBaselineMatchesSimulator(t *testing.T) {
-	u, err := kncube.SolveUniform(kncube.UniformParams{K: 8, Dims: 2, V: 2, Lm: 16, Lambda: 1e-3})
+	u, err := kncube.Solve("uniform", kncube.ModelSpec{K: 8, Dims: 2, V: 2, Lm: 16, Lambda: 1e-3}, kncube.ModelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
