@@ -38,6 +38,7 @@ import (
 	"kncube/internal/experiments"
 	"kncube/internal/fixpoint"
 	"kncube/internal/telemetry"
+	"kncube/internal/telemetry/span"
 )
 
 func main() {
@@ -76,7 +77,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		// Observability (DESIGN.md §7).
 		logFormat  = fs.String("log-format", "text", "structured log format for progress/status lines: text or json")
 		manifest   = fs.String("manifest", "", "write one JSONL run-manifest record per simulation job to this file")
-		traceOut   = fs.String("trace-out", "", "directory for per-solve convergence traces (one JSONL file per load point)")
+		spanOut    = fs.String("span-out", "", "write kept traces as JSONL span records to this file (truncated if it exists)")
 		metricsOut = fs.String("metrics-out", "", "write sweep metrics to this file (.json = JSON snapshot, anything else = Prometheus text)")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file")
@@ -139,12 +140,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		manifestFile = f
 		sweep.Manifest = telemetry.NewManifestWriter(f)
 	}
-	if *traceOut != "" {
-		sink, err := telemetry.NewDirTraceSink(*traceOut)
-		if err != nil {
-			return err
-		}
-		sweep.TraceSink = sink
+	ctx, finishSpans, err := span.StartFile(ctx, *spanOut, "khs-figures",
+		core.RoundBudget(*model, opts))
+	if err != nil {
+		return err
 	}
 	var reg *telemetry.Registry
 	if *metricsOut != "" {
@@ -170,6 +169,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 
 	start := time.Now()
 	results, err := sweep.RunPanels(ctx, panels)
+	if serr := finishSpans(); serr != nil {
+		return serr
+	}
 	if perr := stopProf(); perr != nil {
 		return perr
 	}

@@ -3,8 +3,13 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
+
+	"kncube/internal/experiments"
+	"kncube/internal/telemetry/span"
 )
 
 func runFigures(t *testing.T, args ...string) (stdout, stderr string, err error) {
@@ -39,5 +44,51 @@ func TestRejectsUnknownPanelAndArgs(t *testing.T) {
 	}
 	if _, _, err := runFigures(t, "stray-arg"); err == nil {
 		t.Error("stray positional argument accepted")
+	}
+}
+
+// TestSpanOutTracesModelSolves: -span-out writes the run as one trace
+// rooted at a khs-figures span, with one fixpoint.solve span per load
+// point of the panel, identified by panel/lambda_idx/lambda, and no round
+// dropped. A 1ms simulation timeout fails the sweep right after the model
+// curve is solved; the trace is written on that path too.
+func TestSpanOutTracesModelSolves(t *testing.T) {
+	path := t.TempDir() + "/spans.jsonl"
+	_, _, err := runFigures(t, "-fast", "-panel", "fig1-h20", "-jobs", "1",
+		"-timeout", "1ms", "-quiet", "-span-out", path)
+	if err == nil || !strings.Contains(err.Error(), "deadline") {
+		t.Fatalf("want the per-point timeout error, got %v", err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	recs, err := span.ReadRecords(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := experiments.PanelByID("fig1-h20")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, r := range recs {
+		if r.Name != "fixpoint.solve" {
+			continue
+		}
+		idx := fmt.Sprint(r.Attrs["lambda_idx"])
+		if r.Attrs["panel"] != p.ID || seen[idx] || r.DroppedEvents != 0 ||
+			fmt.Sprint(r.Attrs["iterations"]) != fmt.Sprint(len(r.Events)) {
+			t.Errorf("fixpoint.solve span %s: attrs %v, %d events (%d dropped)",
+				idx, r.Attrs, len(r.Events), r.DroppedEvents)
+		}
+		seen[idx] = true
+	}
+	if len(seen) != len(p.Lambdas) {
+		t.Errorf("%d fixpoint.solve spans for %d load points", len(seen), len(p.Lambdas))
+	}
+	if root := recs[len(recs)-1]; root.Name != "khs-figures" || root.ParentID != "" {
+		t.Errorf("last record %q (parent %q), want the khs-figures root", root.Name, root.ParentID)
 	}
 }

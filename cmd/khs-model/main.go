@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -23,11 +24,13 @@ import (
 	"strings"
 
 	"kncube"
+	"kncube/internal/core"
 	"kncube/internal/telemetry"
+	"kncube/internal/telemetry/span"
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+	if err := run(context.Background(), os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "khs-model:", err)
 		os.Exit(exitCode(err))
 	}
@@ -50,7 +53,7 @@ func exitCode(err error) int {
 	return 1
 }
 
-func run(args []string, stdout, stderr io.Writer) (retErr error) {
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr error) {
 	fs := flag.NewFlagSet("khs-model", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -71,17 +74,13 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 		accel    = fs.String("accel", "none", "fixed-point acceleration scheme: none, anderson, aitken")
 		accelWin = fs.Int("accel-window", 0, "Anderson mixing window, past residual differences combined per round (0 = solver default; requires -accel anderson)")
 		// Observability (DESIGN.md §7).
-		logFormat  = fs.String("log-format", "text", "structured log format for diagnostics: text or json")
-		traceOut   = fs.String("trace-out", "", "directory for per-solve convergence traces (one JSONL file per solve)")
+		spanOut    = fs.String("span-out", "", "write kept traces as JSONL span records to this file (truncated if it exists)")
 		metricsOut = fs.String("metrics-out", "", "write solver metrics to this file (.json = JSON snapshot, anything else = Prometheus text)")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return usageError{err}
-	}
-	if _, err := telemetry.NewLogger(stderr, *logFormat); err != nil {
-		return err
 	}
 
 	name := *model
@@ -124,13 +123,14 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 		return kncube.ModelSpec{K: *k, Dims: *n, V: *v, Lm: *lm, H: *h, Lambda: lam}
 	}
 
-	var sink *telemetry.DirTraceSink
-	if *traceOut != "" {
-		var err error
-		if sink, err = telemetry.NewDirTraceSink(*traceOut); err != nil {
-			return err
-		}
+	// One root span per run; each solve is a fixpoint.solve child.
+	ctx, finishSpans, err := span.StartFile(ctx, *spanOut, "khs-model",
+		core.RoundBudget(name, opts))
+	if err != nil {
+		return err
 	}
+	fp := span.NewFixpointTrace(nil)
+	opts.FixPoint.Trace = fp.Hook()
 	var reg *telemetry.Registry
 	if *metricsOut != "" {
 		reg = telemetry.NewRegistry()
@@ -140,6 +140,9 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 		return err
 	}
 	defer func() {
+		if serr := finishSpans(); serr != nil && retErr == nil {
+			retErr = serr
+		}
 		if reg != nil {
 			if werr := reg.WriteFile(*metricsOut); werr != nil && retErr == nil {
 				retErr = werr
@@ -150,29 +153,13 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 		}
 	}()
 
-	// solve wraps kncube.Solve with the observability hooks: a convergence
-	// trace per solve (when -trace-out is set) and khs_model_* metrics
-	// (when -metrics-out is set).
-	solve := func(label string, lam float64) (*kncube.SolveResult, error) {
-		o := opts
-		var done func() error
-		if sink != nil {
-			var hook func(kncube.TraceRecord)
-			hook, done = sink.Solve(label)
-			prev := o.FixPoint.Trace
-			o.FixPoint.Trace = func(tr kncube.TraceRecord) {
-				if prev != nil {
-					prev(tr)
-				}
-				hook(tr)
-			}
-		}
-		r, err := kncube.Solve(name, spec(lam), o)
-		if done != nil {
-			if terr := done(); terr != nil && err == nil {
-				err = terr
-			}
-		}
+	// solve wraps kncube.Solve with the observability hooks: a
+	// fixpoint.solve span per solve (when -span-out is set) and
+	// khs_model_* metrics (when -metrics-out is set).
+	solve := func(lam float64) (*kncube.SolveResult, error) {
+		fp.Start(ctx, span.String("model", name), span.Float64("lambda", lam))
+		r, err := kncube.Solve(name, spec(lam), opts)
+		fp.End()
 		if reg != nil {
 			outcome := "ok"
 			switch {
@@ -196,10 +183,8 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 
 	switch {
 	case *sat:
-		probe := 0
 		rate, err := kncube.SaturationLambda(func(lam float64) error {
-			probe++
-			_, err := solve(fmt.Sprintf("sat-%s-probe%03d", name, probe), lam)
+			_, err := solve(lam)
 			return err
 		}, 1e-8, 0, 1e-4)
 		if err != nil {
@@ -210,7 +195,7 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 		fmt.Fprintln(stdout, "lambda,latency,regular,hot,ws,vbar,iterations")
 		for i := 1; i <= *points; i++ {
 			lam := *sweep * float64(i) / float64(*points)
-			r, err := solve(fmt.Sprintf("sweep-%s-lam%02d", name, i), lam)
+			r, err := solve(lam)
 			if errors.Is(err, kncube.ErrSaturated) {
 				fmt.Fprintf(stdout, "%.6g,saturated,,,,,\n", lam)
 				continue
@@ -222,7 +207,7 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 				lam, r.Latency, r.Regular, r.Hot, r.SourceWait, r.VBar, r.Convergence.Iterations)
 		}
 	default:
-		r, err := solve(fmt.Sprintf("point-%s", name), *lambda)
+		r, err := solve(*lambda)
 		if err != nil {
 			return err
 		}

@@ -1,22 +1,25 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
-
-	"bytes"
-	"kncube/internal/telemetry"
 	"strconv"
 	"strings"
 	"testing"
+
+	"kncube/internal/telemetry"
+	"kncube/internal/telemetry/span"
 )
 
 func runCLI(t *testing.T, args ...string) (stdout, stderr string, err error) {
 	t.Helper()
 	var out, errb bytes.Buffer
-	err = run(args, &out, &errb)
+	err = run(context.Background(), args, &out, &errb)
 	return out.String(), errb.String(), err
 }
 
@@ -225,74 +228,128 @@ func TestUnknownModel(t *testing.T) {
 	}
 }
 
-// TestTraceOutWritesConvergenceTraces drives every mode with -trace-out and
-// checks one JSONL trace per solve appears, with iteration counts matching
-// the CSV the sweep mode prints.
-func TestTraceOutWritesConvergenceTraces(t *testing.T) {
-	dir := t.TempDir()
-	out, _, err := runCLI(t,
-		"-k", "8", "-lm", "16", "-h", "0.1",
-		"-sweep", "2e-4", "-points", "3", "-trace-out", dir)
+// readSpans runs khs-model with -span-out over an existing file, checks the
+// export is one trace under a single khs-model root, and returns stdout and
+// the fixpoint.solve spans in solve order.
+func readSpans(t *testing.T, args ...string) (out string, solves []span.Record) {
+	t.Helper()
+	// The file starts with a stale line: -span-out truncates, so it must
+	// not survive into the export.
+	path := t.TempDir() + "/spans.jsonl"
+	if err := os.WriteFile(path, []byte("stale\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, _, err := runCLI(t, append(args, "-span-out", path)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink, err := telemetry.NewDirTraceSink(dir)
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer f.Close()
+	recs, err := span.ReadRecords(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var root span.Record
+	roots := 0
+	for _, r := range recs {
+		switch {
+		case r.ParentID == "":
+			roots++
+			root = r
+		case r.Name == "fixpoint.solve":
+			solves = append(solves, r)
+		}
+		if r.TraceID != recs[0].TraceID {
+			t.Fatalf("span %s in trace %s, want the run's one trace %s", r.Name, r.TraceID, recs[0].TraceID)
+		}
+	}
+	if roots != 1 || root.Name != "khs-model" {
+		t.Fatalf("want one khs-model root span, got %d roots (last %q)", roots, root.Name)
+	}
+	return out, solves
+}
+
+// rounds returns a span's round events, failing on any other event or
+// any dropped one.
+func rounds(t *testing.T, r span.Record) []span.EventRecord {
+	t.Helper()
+	if r.DroppedEvents != 0 {
+		t.Fatalf("%s dropped %d round events", r.Name, r.DroppedEvents)
+	}
+	for _, ev := range r.Events {
+		if ev.Name != "round" {
+			t.Fatalf("%s event %q, want round", r.Name, ev.Name)
+		}
+	}
+	return r.Events
+}
+
+// TestSpanOutSweep: -span-out on a sweep writes one fixpoint.solve span per
+// load point, whose round events and iterations attribute both agree with
+// the iteration count the sweep prints.
+func TestSpanOutSweep(t *testing.T) {
+	out, solves := readSpans(t,
+		"-k", "8", "-lm", "16", "-h", "0.1", "-sweep", "2e-4", "-points", "3")
 	lines := strings.Split(strings.TrimSpace(out), "\n")[1:]
-	if len(lines) != 3 {
-		t.Fatalf("want 3 sweep lines, got %d", len(lines))
+	if len(lines) != 3 || len(solves) != 3 {
+		t.Fatalf("want 3 sweep lines and 3 fixpoint.solve spans, got %d and %d", len(lines), len(solves))
 	}
 	for i, ln := range lines {
-		recs, err := telemetry.ReadConvergenceTrace(
-			sink.Path(fmt.Sprintf("sweep-hotspot-2d-lam%02d", i+1)))
-		if err != nil {
-			t.Fatalf("trace for point %d: %v", i+1, err)
-		}
-		if len(recs) == 0 {
-			t.Fatalf("empty trace for point %d", i+1)
-		}
 		fields := strings.Split(ln, ",")
 		iters, err := strconv.Atoi(fields[len(fields)-1])
 		if err != nil {
 			t.Fatalf("bad iterations field in %q: %v", ln, err)
 		}
-		if last := recs[len(recs)-1]; last.Iteration != iters {
-			t.Errorf("point %d: trace ends at iteration %d, CSV says %d",
-				i+1, last.Iteration, iters)
+		evs := rounds(t, solves[i])
+		if len(evs) != iters {
+			t.Errorf("point %d: %d round events, sweep prints %d iterations", i+1, len(evs), iters)
+		}
+		if got := fmt.Sprint(solves[i].Attrs["iterations"]); got != strconv.Itoa(iters) {
+			t.Errorf("point %d: iterations attr %s, sweep prints %d", i+1, got, iters)
+		}
+		lam, _ := strconv.ParseFloat(fields[0], 64)
+		if got, ok := solves[i].Attrs["lambda"].(float64); !ok || math.Abs(got-lam) > 1e-5*lam {
+			t.Errorf("point %d: lambda attr %v, sweep line %s", i+1, solves[i].Attrs["lambda"], fields[0])
 		}
 	}
 }
 
-// TestTraceOutSingleAndSaturation covers the point and bisection modes.
-func TestTraceOutSingleAndSaturation(t *testing.T) {
-	dir := t.TempDir()
-	if _, _, err := runCLI(t,
-		"-k", "8", "-lm", "16", "-h", "0.1", "-lambda", "1e-4",
-		"-trace-out", dir); err != nil {
-		t.Fatal(err)
+// TestSpanOutPointAndSaturation: a single point writes one fixpoint.solve
+// span; bisection writes one per probe, saturated probes included.
+func TestSpanOutPointAndSaturation(t *testing.T) {
+	out, solves := readSpans(t, "-k", "8", "-lm", "16", "-h", "0.1", "-lambda", "1e-4")
+	if len(solves) != 1 {
+		t.Fatalf("point mode wrote %d fixpoint.solve spans, want 1", len(solves))
 	}
-	sink, err := telemetry.NewDirTraceSink(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(sink.Path("point-hotspot-2d")); err != nil {
-		t.Errorf("point-mode trace missing: %v", err)
+	if want := fmt.Sprintf("convergence       %d iterations", len(rounds(t, solves[0]))); !strings.Contains(out, want) {
+		t.Errorf("point output lacks %q:\n%s", want, out)
 	}
 
-	satDir := t.TempDir()
-	if _, _, err := runCLI(t,
-		"-k", "8", "-lm", "16", "-h", "0.1", "-saturation",
-		"-trace-out", satDir); err != nil {
-		t.Fatal(err)
-	}
-	probes, err := os.ReadDir(satDir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, probes := readSpans(t, "-k", "8", "-lm", "16", "-h", "0.1", "-saturation")
 	if len(probes) < 2 {
-		t.Errorf("bisection wrote %d probe traces, want several", len(probes))
+		t.Fatalf("bisection wrote %d probe spans, want several", len(probes))
+	}
+	for i, p := range probes {
+		if n := len(rounds(t, p)); fmt.Sprint(p.Attrs["iterations"]) != strconv.Itoa(n) {
+			t.Errorf("probe %d: iterations attr %v, %d round events", i, p.Attrs["iterations"], n)
+		}
+	}
+}
+
+// TestRemovedFlags: -trace-out (superseded by -span-out) and -log-format
+// (khs-model never logged) are unknown flags, a usage error.
+func TestRemovedFlags(t *testing.T) {
+	for _, args := range [][]string{{"-trace-out", t.TempDir()}, {"-log-format", "json"}} {
+		_, _, err := runCLI(t, append(args, "-lambda", "1e-4")...)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Fatalf("%s: want an unknown-flag error, got %v", args[0], err)
+		}
+		if code := exitCode(err); code != 2 {
+			t.Errorf("%s: exit status %d, want 2", args[0], code)
+		}
 	}
 }
 

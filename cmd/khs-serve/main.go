@@ -69,7 +69,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready fun
 		shardID      = fs.String("shard-id", "", "this replica's name on the consistent-hash surface ring")
 		shardPeers   = fs.String("shard-peers", "", "comma-separated ring membership (surface builds for shapes owned elsewhere are refused with 421)")
 		logFormat    = fs.String("log-format", "text", "structured log format: text or json")
-		spanOut      = fs.String("span-out", "", "append kept traces as JSONL span records to this file")
+		spanOut      = fs.String("span-out", "", "write kept traces as JSONL span records to this file (truncated if it exists)")
 		traceBuffer  = fs.Int("trace-buffer", 0, "traces retained for GET /v1/traces/{id} (0 = default 256)")
 		traceSlow    = fs.Duration("trace-slow", 0, "always keep traces at least this slow (0 = default 250ms, negative disables)")
 		traceRatio   = fs.Float64("trace-keep-ratio", 0, "fraction of unremarkable traces kept (0 = keep all, negative = none)")

@@ -27,6 +27,11 @@ func TestValidationErrorsAreFieldErrors(t *testing.T) {
 		{"uniform with hot spot", "uniform", func(s *Spec) {}, "h"},
 		{"hypercube bad K", "hypercube", func(s *Spec) {}, "k"},
 		{"ndim bad V", "ndim", func(s *Spec) { s.V = 1 }, "v"},
+		// Cost caps: refused before the solver allocates its state.
+		{"K above the torus cap", "hotspot-2d", func(s *Spec) { s.K = 888816 }, "k"},
+		{"bi K overflowing K²", "bidirectional-2d", func(s *Spec) { s.K = 1 << 32 }, "k"},
+		{"V above the cap", "hotspot-2d", func(s *Spec) { s.V = 1 << 30 }, "v"},
+		{"ndim state above the cap", "ndim", func(s *Spec) { s.K, s.Dims = 1e9, 1 }, "k"},
 		{"unknown model", "no-such-model", func(s *Spec) {}, "model"},
 	}
 	for _, tc := range cases {

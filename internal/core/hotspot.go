@@ -491,11 +491,15 @@ func (m *model) Iterate(in, out []float64) error {
 func (m *model) Validate() error { return validateTorus(m.s) }
 func (m *model) StateSize() int  { return m.l.size }
 
+// maxTorusK is the largest 2-D torus radix validateTorus accepts: the
+// torus state grows as K², and (K+6)(K-1) stays under maxStateSize.
+const maxTorusK = 1 << 10
+
 // validateTorus is the 2-D torus variants' range check (hotspot-2d and
 // bidirectional-2d; their factories enforce Dims = 2).
 func validateTorus(s Spec) error {
-	if s.K < 2 {
-		return fieldErrf("k", "core: K = %d, want >= 2", s.K)
+	if s.K < 2 || s.K > maxTorusK {
+		return fieldErrf("k", "core: K = %d, want 2..%d", s.K, maxTorusK)
 	}
 	return s.checkRanges(2)
 }

@@ -112,7 +112,8 @@ func (m *ndimModel) Validate() error {
 	if m.s.Dims < 1 {
 		return fieldErrf("dims", "core: ndim Dims = %d, want >= 1", m.s.Dims)
 	}
-	if math.Pow(float64(m.s.K), float64(m.s.Dims)) > 1<<30 {
+	if math.Pow(float64(m.s.K), float64(m.s.Dims)) > 1<<30 ||
+		2*float64(m.s.Dims)*float64(m.s.K-1) > maxStateSize {
 		return fieldErrf("k", "core: ndim K^Dims too large (K=%d, Dims=%d)", m.s.K, m.s.Dims)
 	}
 	return m.s.checkRanges(2)

@@ -27,12 +27,17 @@ type Spec struct {
 	Lambda float64
 }
 
+// maxV and maxStateSize bound a spec's cost before anything is allocated:
+// each blocking evaluation allocates V+1 floats, and a solve holds several
+// fixed-point state vectors.
+const maxV, maxStateSize = 1024, 1 << 21
+
 // checkRanges reports the first out-of-range V, Lm, H or Lambda: the range
 // rules every variant shares, checked after the variant's own topology
 // rules. minV is the variant's virtual-channel floor.
 func (s Spec) checkRanges(minV int) error {
-	if s.V < minV {
-		return fieldErrf("v", "core: V = %d, want >= %d", s.V, minV)
+	if s.V < minV || s.V > maxV {
+		return fieldErrf("v", "core: V = %d, want %d..%d", s.V, minV, maxV)
 	}
 	if s.Lm < 1 {
 		return fieldErrf("lm", "core: Lm = %d, want >= 1", s.Lm)

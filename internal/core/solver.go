@@ -94,6 +94,19 @@ func defaultFixPoint(o fixpoint.Options) fixpoint.Options {
 	return o
 }
 
+// RoundBudget returns the fixed-point round budget (the defaulted
+// MaxIterations) a solve of the named model under o runs with — the most
+// trace rounds one solve can produce.
+func RoundBudget(model string, o Options) int {
+	if model == "uniform" {
+		o = uniformFixPoint(o)
+	}
+	if n := defaultFixPoint(o.FixPoint).MaxIterations; n > 0 {
+		return n
+	}
+	return fixpoint.Defaults().MaxIterations
+}
+
 // solveWith is the shared driver: validate, build the zero-load state, run
 // the damped fixed-point iteration, classify failures, assemble. It is the
 // single entry point into fixpoint.Solve for every model variant.

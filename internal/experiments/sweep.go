@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"kncube/internal/core"
-	"kncube/internal/fixpoint"
 	"kncube/internal/sim"
 	"kncube/internal/stats"
 	"kncube/internal/telemetry"
@@ -89,11 +88,6 @@ type Sweep struct {
 	// simulation job (from worker goroutines, under the engine's lock —
 	// keep it light).
 	Progress func(SweepProgress)
-	// TraceSink, when non-nil, receives one convergence trace per analytical
-	// solve (the replication-0 model evaluation of each load point),
-	// labelled "<panelID>-lam<idx>". Sinks must be safe for concurrent
-	// Solve calls (both telemetry sinks are).
-	TraceSink telemetry.TraceSink
 	// Manifest, when non-nil, receives one RunManifest record per
 	// simulation job. Record order follows job completion, not axis order;
 	// the (panel, lambda_idx, rep) fields identify each record.
@@ -227,7 +221,7 @@ func (s Sweep) RunPanels(ctx context.Context, panels []Panel) ([]PanelResult, er
 				if cctx.Err() != nil {
 					continue // sweep aborted: drain the queue
 				}
-				s.runJob(cctx, panels[jb.panel], jb, reps, total,
+				s.runJob(cctx, model, panels[jb.panel], jb, reps, total,
 					modelPts[jb.panel][jb.point],
 					simRes, modelVal, modelSat, &mu, &done, fail)
 			}
@@ -293,20 +287,17 @@ feed:
 // deterministic, so the per-panel prepared solve suffices). Each writes only
 // its own result slot; completion counting and the Progress callback
 // serialise on mu.
-func (s Sweep) runJob(ctx context.Context, p Panel, jb sweepJob, reps, total int,
+func (s Sweep) runJob(ctx context.Context, model string, p Panel, jb sweepJob, reps, total int,
 	mp modelPoint,
 	simRes [][][]sim.Result, modelVal [][]float64, modelSat [][]bool,
 	mu *sync.Mutex, done *int, fail func(error)) {
 
 	lam := p.Lambdas[jb.point]
-	model := s.Model
-	if model == "" {
-		model = DefaultModel
-	}
 	// One span per (panel, λ, rep) unit when the sweep runs under a tracer
-	// (khs-serve hands its linked job span down through ctx; CLI sweeps
-	// carry none and pay nothing — StartChild returns nil). The manifest
-	// record carries the same ids, correlating JSONL rows with the trace.
+	// (khs-serve's linked job span or khs-figures' -span-out root arrives
+	// through ctx; untraced sweeps pay nothing — StartChild returns nil).
+	// The manifest record carries the same ids, correlating JSONL rows with
+	// the trace.
 	ctx, jsp := span.StartChild(ctx, "sweep.sim",
 		span.String("panel", p.ID),
 		span.Float64("lambda", lam),
@@ -401,7 +392,8 @@ func (s Sweep) runJob(ctx context.Context, p Panel, jb sweepJob, reps, total int
 }
 
 // modelPoint is one precomputed analytical solve: the result (or error) and
-// the iteration count observed when a solve failed mid-iteration.
+// its last traced round — Convergence.Iterations on success, the rounds run
+// before a failure otherwise.
 type modelPoint struct {
 	res        *core.SolveResult
 	err        error
@@ -410,45 +402,35 @@ type modelPoint struct {
 
 // fill copies the solve outcome into a manifest record's model fields.
 func (mp modelPoint) fill(rec *RunManifest) {
+	rec.ModelIterations = mp.iterations
 	switch {
 	case mp.err == nil:
 		rec.ModelOutcome = "ok"
 		rec.ModelLatency = mp.res.Latency
-		rec.ModelIterations = mp.res.Convergence.Iterations
+		return
 	case errors.Is(mp.err, core.ErrSaturated):
 		rec.ModelOutcome = "saturated"
-		rec.ModelIterations = mp.iterations
-		rec.ModelError = mp.err.Error()
 	default:
 		rec.ModelOutcome = "error"
-		rec.ModelIterations = mp.iterations
-		rec.ModelError = mp.err.Error()
 	}
+	rec.ModelError = mp.err.Error()
 }
 
 // solvePanelModels evaluates the panel's analytical curve through one
 // prepared solver: the topology-dependent setup runs once, then each load
-// point is a cold re-solve (bit-identical to the per-point driver). The
-// sweep's trace sink receives each point's convergence trace under the same
-// "<panelID>-lam<idx>" label the per-point driver used, matching the file
-// name DirTraceSink derives.
+// point is a cold re-solve (bit-identical to the per-point driver). Under
+// a tracer each point is a fixpoint.solve span, identified by its panel,
+// lambda_idx and lambda attributes.
 func (s Sweep) solvePanelModels(ctx context.Context, model string, p Panel) ([]modelPoint, error) {
 	// The whole analytical curve of one panel under one span (it is one
 	// prepared solver reused across the loads); nil and free untraced.
-	_, msp := span.StartChild(ctx, "sweep.model",
+	ctx, msp := span.StartChild(ctx, "sweep.model",
 		span.String("panel", p.ID),
 		span.Int("points", len(p.Lambdas)))
 	defer msp.End()
 	opts := s.Opts
-	// The prepared solver captures its options once, but each load point
-	// needs its own trace plumbing — route through a per-point hook variable.
-	var cur func(fixpoint.TraceRecord)
-	prev := opts.FixPoint.Trace
-	opts.FixPoint.Trace = func(tr fixpoint.TraceRecord) {
-		if cur != nil {
-			cur(tr)
-		}
-	}
+	fp := span.NewFixpointTrace(opts.FixPoint.Trace)
+	opts.FixPoint.Trace = fp.Hook()
 	var ps *core.PreparedSolver
 	out := make([]modelPoint, len(p.Lambdas))
 	for j, lam := range p.Lambdas {
@@ -456,20 +438,6 @@ func (s Sweep) solvePanelModels(ctx context.Context, model string, p Panel) ([]m
 			return nil, err
 		}
 		mp := &out[j]
-		var hook func(fixpoint.TraceRecord)
-		var traceDone func() error
-		if s.TraceSink != nil {
-			hook, traceDone = s.TraceSink.Solve(fmt.Sprintf("%s-lam%02d", p.ID, j))
-		}
-		cur = func(tr fixpoint.TraceRecord) {
-			mp.iterations = tr.Iteration
-			if prev != nil {
-				prev(tr)
-			}
-			if hook != nil {
-				hook(tr)
-			}
-		}
 		if ps == nil {
 			// Prepared lazily so a point-specific validation failure (e.g. a
 			// non-positive λ) is charged to its own point, exactly as the
@@ -479,18 +447,16 @@ func (s Sweep) solvePanelModels(ctx context.Context, model string, p Panel) ([]m
 			if perr != nil {
 				ps = nil
 				mp.err = perr
-				if traceDone != nil {
-					traceDone() //nolint:errcheck // the validation error wins
-				}
 				continue
 			}
 		}
+		fp.Start(ctx,
+			span.String("panel", p.ID),
+			span.Int("lambda_idx", j),
+			span.Float64("lambda", lam))
 		mp.res, mp.err = ps.Solve(lam)
-		if traceDone != nil {
-			if terr := traceDone(); terr != nil && mp.err == nil {
-				mp.err = fmt.Errorf("experiments: trace %s-lam%02d: %w", p.ID, j, terr)
-			}
-		}
+		fp.End()
+		mp.iterations = fp.Iterations()
 	}
 	return out, nil
 }

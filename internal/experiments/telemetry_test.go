@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"os"
 	"testing"
 
 	"kncube/internal/core"
@@ -168,91 +167,116 @@ func TestSweepManifestCarriesSpanIDs(t *testing.T) {
 	}
 }
 
-// TestSweepTraceSinkMatchesConvergence wires a DirTraceSink through a sweep
-// and checks each trace file's last record agrees with the solver's own
-// Convergence summary — the invariant the fixpoint package guarantees.
-func TestSweepTraceSinkMatchesConvergence(t *testing.T) {
-	p := sweepTestPanel()
-	dir := t.TempDir()
-	sink, err := telemetry.NewDirTraceSink(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+// tracedSweep runs s over p under a tracer whose spans keep every round
+// (the CLI -span-out configuration) and returns the manifest records and
+// the panel's fixpoint.solve spans keyed by lambda_idx.
+func tracedSweep(t *testing.T, s Sweep, p Panel) ([]RunManifest, map[int]span.Record) {
+	t.Helper()
+	ring := span.NewRingExporter(1, nil)
+	tr := span.New(span.Config{Exporter: ring, Seed: 7,
+		MaxEventsPerSpan: core.RoundBudget(DefaultModel, s.Opts)})
+	ctx, root := tr.Start(context.Background(), "test.sweep")
 	var buf bytes.Buffer
-	s := Sweep{
-		Jobs: 2, Budget: sweepTestBudget(),
-		TraceSink: sink,
-		Manifest:  telemetry.NewManifestWriter(&buf),
-	}
-	if _, err := s.RunPanels(context.Background(), []Panel{p}); err != nil {
+	s.Manifest = telemetry.NewManifestWriter(&buf)
+	if _, err := s.RunPanels(ctx, []Panel{p}); err != nil {
 		t.Fatal(err)
 	}
+	root.End()
 	recs, err := telemetry.ReadJSONL[RunManifest](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	solves := map[int]span.Record{}
+	for _, r := range ring.Trace(root.TraceID().String()) {
+		if r.Name != "fixpoint.solve" {
+			continue
+		}
+		idx, ok := r.Attrs["lambda_idx"].(int64)
+		if !ok || r.Attrs["panel"] != p.ID {
+			t.Fatalf("fixpoint.solve span lacks its point identity: %v", r.Attrs)
+		}
+		if r.DroppedEvents != 0 {
+			t.Fatalf("lambda_idx %d: %d round events dropped", idx, r.DroppedEvents)
+		}
+		solves[int(idx)] = r
+	}
+	if len(solves) != len(p.Lambdas) {
+		t.Fatalf("%d fixpoint.solve spans for %d load points", len(solves), len(p.Lambdas))
+	}
+	return recs, solves
+}
+
+// TestSweepRoundEventsMatchConvergence runs a traced sweep, one point past
+// saturation, and checks each point's fixpoint.solve span against the
+// manifest and the solver: the last round event's iteration is the
+// manifest's model_iterations (saturated points included) and, on
+// converged points, core.Solve's Convergence.Iterations, with the same
+// residual.
+func TestSweepRoundEventsMatchConvergence(t *testing.T) {
+	p := sweepTestPanel()
+	// Past saturation: the iteration converges, then the source queue saturates.
+	p.Lambdas = append(p.Lambdas, 0.0234)
+	recs, solves := tracedSweep(t, Sweep{Jobs: 2, Budget: sweepTestBudget()}, p)
+	saturated := 0
 	for _, r := range recs {
-		label := fmt.Sprintf("%s-lam%02d", p.ID, r.LambdaIdx)
-		trace, err := telemetry.ReadConvergenceTrace(sink.Path(label))
-		if err != nil {
-			t.Fatalf("trace %s: %v", label, err)
+		if r.Rep != 0 {
+			continue
 		}
-		if len(trace) == 0 {
-			t.Fatalf("empty trace for %s", label)
+		sp := solves[r.LambdaIdx]
+		if len(sp.Events) == 0 {
+			t.Fatalf("lambda_idx %d: no round events", r.LambdaIdx)
 		}
-		last := trace[len(trace)-1]
-		if last.Iteration != r.ModelIterations {
-			t.Errorf("%s: trace ends at iteration %d, manifest records %d",
-				label, last.Iteration, r.ModelIterations)
+		last := sp.Events[len(sp.Events)-1]
+		iter, _ := last.Attrs["iteration"].(int64)
+		if int(iter) != r.ModelIterations || r.ModelIterations == 0 {
+			t.Errorf("lambda_idx %d: last round %d, manifest model_iterations %d",
+				r.LambdaIdx, iter, r.ModelIterations)
 		}
-		if last.Solve != label {
-			t.Errorf("%s: trace labelled %q", label, last.Solve)
+		if got := sp.Attrs["iterations"]; got != iter {
+			t.Errorf("lambda_idx %d: iterations attr %v, last round %d", r.LambdaIdx, got, iter)
 		}
-		// Direct solve cross-check: same panel point, fresh options.
+		if lam, _ := sp.Attrs["lambda"].(float64); !stats.ApproxEqual(lam, p.Lambdas[r.LambdaIdx], 1e-12, 0) {
+			t.Errorf("lambda_idx %d: lambda attr %v", r.LambdaIdx, sp.Attrs["lambda"])
+		}
+		if r.ModelOutcome == "saturated" {
+			saturated++
+			continue
+		}
 		res, err := core.Solve(DefaultModel, p.Spec(p.Lambdas[r.LambdaIdx]), core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if last.Iteration != res.Convergence.Iterations {
-			t.Errorf("%s: trace iterations %d != Convergence.Iterations %d",
-				label, last.Iteration, res.Convergence.Iterations)
+		if int(iter) != res.Convergence.Iterations {
+			t.Errorf("lambda_idx %d: last round %d != Convergence.Iterations %d",
+				r.LambdaIdx, iter, res.Convergence.Iterations)
 		}
-		if !stats.ApproxEqual(last.Residual, res.Convergence.Residual, 1e-12, 1e-9) {
-			t.Errorf("%s: trace residual %v != Convergence.Residual %v",
-				label, last.Residual, res.Convergence.Residual)
+		resid, _ := last.Attrs["max_rel_delta"].(float64)
+		spanResid, _ := sp.Attrs["residual"].(float64)
+		if !stats.ApproxEqual(resid, res.Convergence.Residual, 1e-12, 0) ||
+			!stats.ApproxEqual(spanResid, resid, 1e-12, 0) {
+			t.Errorf("lambda_idx %d: last round residual %v, span residual %v, Convergence.Residual %v",
+				r.LambdaIdx, resid, sp.Attrs["residual"], res.Convergence.Residual)
 		}
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != len(p.Lambdas) {
-		t.Errorf("%d trace files for %d load points", len(entries), len(p.Lambdas))
+	if saturated != 1 {
+		t.Errorf("%d saturated model points, want 1", saturated)
 	}
 }
 
-// TestSweepTraceSinkPreservesCallerTrace checks the sweep chains, rather
-// than replaces, a caller-supplied fixpoint trace callback.
-func TestSweepTraceSinkPreservesCallerTrace(t *testing.T) {
+// TestSweepFixpointTracePreservesCallerTrace checks the sweep chains, rather
+// than replaces, a caller-supplied fixpoint trace callback: the caller sees
+// exactly the rounds the span records.
+func TestSweepFixpointTracePreservesCallerTrace(t *testing.T) {
 	p := sweepTestPanel()
 	p.Lambdas = p.Lambdas[:1]
 	callerRecords := 0
 	opts := core.Options{}
 	opts.FixPoint.Trace = func(fixpoint.TraceRecord) { callerRecords++ }
-	var buf bytes.Buffer
-	s := Sweep{Jobs: 1, Budget: sweepTestBudget(), Opts: opts,
-		TraceSink: telemetry.NewStreamTraceSink(&buf)}
-	if _, err := s.RunPanels(context.Background(), []Panel{p}); err != nil {
-		t.Fatal(err)
-	}
-	sinkRecords, err := telemetry.ReadJSONL[telemetry.ConvergenceRecord](&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, solves := tracedSweep(t, Sweep{Jobs: 1, Budget: sweepTestBudget(), Opts: opts}, p)
 	if callerRecords == 0 {
 		t.Fatalf("caller trace was dropped")
 	}
-	if callerRecords != len(sinkRecords) {
-		t.Errorf("caller saw %d records, sink %d", callerRecords, len(sinkRecords))
+	if n := len(solves[0].Events); callerRecords != n {
+		t.Errorf("caller saw %d rounds, span recorded %d", callerRecords, n)
 	}
 }

@@ -129,6 +129,9 @@ func TestAccelerationOptionValidation(t *testing.T) {
 	if _, err := Solve([]float64{0}, ok, Options{Acceleration: AccelAnderson, Window: -1}); err == nil {
 		t.Error("negative Window accepted")
 	}
+	if _, err := Solve([]float64{0}, ok, Options{Acceleration: AccelAnderson, Window: MaxWindow + 1}); err == nil {
+		t.Error("Window above MaxWindow accepted")
+	}
 	if _, err := Solve([]float64{0}, ok, Options{Acceleration: AccelAnderson, Window: 2}); err != nil {
 		t.Errorf("explicit Window rejected: %v", err)
 	}

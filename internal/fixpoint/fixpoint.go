@@ -139,6 +139,11 @@ func Defaults() Options {
 // defaultWindow is the Anderson mixing depth when Options.Window is 0.
 const defaultWindow = 5
 
+// MaxWindow caps Options.Window: the least-squares system is built
+// Window × Window up front, and deeper histories stop paying off long
+// before this.
+const MaxWindow = 64
+
 func (o Options) withDefaults() (Options, error) {
 	d := Defaults()
 	// This package stays free of internal dependencies, so the unset-field
@@ -169,8 +174,8 @@ func (o Options) withDefaults() (Options, error) {
 	if o.Acceleration < AccelNone || o.Acceleration > AccelAitken {
 		return o, fmt.Errorf("fixpoint: unknown acceleration scheme %d", o.Acceleration)
 	}
-	if o.Window < 1 {
-		return o, fmt.Errorf("fixpoint: Window %d < 1", o.Window)
+	if o.Window < 1 || o.Window > MaxWindow {
+		return o, fmt.Errorf("fixpoint: Window %d outside 1..%d", o.Window, MaxWindow)
 	}
 	return o, nil
 }

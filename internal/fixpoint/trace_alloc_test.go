@@ -2,8 +2,8 @@ package fixpoint
 
 import "testing"
 
-// TestNilRoutedTraceAddsNoAllocations pins the contract the serve tracing
-// layer relies on: installing a Trace callback that routes through a nil
+// TestNilRoutedTraceAddsNoAllocations pins the contract span.FixpointTrace
+// relies on: installing a Trace callback that routes through a nil
 // indirection (the hook-variable pattern — the callback is captured at
 // prepare time, the span recorder only exists per solve) costs zero
 // additional allocations per Solve compared to no callback at all. The

@@ -73,8 +73,9 @@ type SolveOptions struct {
 	// Δ²). Accelerated solves converge to the same tolerance in fewer
 	// iterations but along a different trajectory.
 	Acceleration string `json:"acceleration,omitempty"`
-	// AndersonWindow is the Anderson mixing depth (0 selects the library
-	// default). Only meaningful with acceleration "anderson".
+	// AndersonWindow is the Anderson mixing depth, at most
+	// fixpoint.MaxWindow (0 selects the library default). Only meaningful
+	// with acceleration "anderson".
 	AndersonWindow int `json:"anderson_window,omitempty"`
 	// Mode selects how the answer is produced: "exact" (the solver, today's
 	// default), "surface" (interpolate from a precomputed latency surface,
@@ -163,9 +164,9 @@ func (o *SolveOptions) toCore() (core.Options, *FieldIssue) {
 		return opts, &FieldIssue{Field: "options.acceleration",
 			Reason: fmt.Sprintf("unknown acceleration scheme %q (none, anderson, aitken)", o.Acceleration)}
 	}
-	if o.AndersonWindow < 0 {
+	if o.AndersonWindow < 0 || o.AndersonWindow > fixpoint.MaxWindow {
 		return opts, &FieldIssue{Field: "options.anderson_window",
-			Reason: fmt.Sprintf("anderson window must be non-negative, got %d", o.AndersonWindow)}
+			Reason: fmt.Sprintf("anderson window must be in 0..%d, got %d", fixpoint.MaxWindow, o.AndersonWindow)}
 	}
 	if o.AndersonWindow > 0 && opts.FixPoint.Acceleration != fixpoint.AccelAnderson {
 		return opts, &FieldIssue{Field: "options.anderson_window",

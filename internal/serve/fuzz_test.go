@@ -1,0 +1,105 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+)
+
+// FuzzSolveRequest drives POST /v1/solve and POST /v1/solve:batch through
+// the full handler stack with arbitrary bodies. Invariants: the handler
+// never panics and never answers 500; every 4xx body decodes as the API's
+// ErrorResponse with a message; every 2xx body decodes as the route's
+// response type. The one 5xx the API documents for a well-formed request,
+// 504, answers a solve whose deadline expired — legitimate for any spec
+// too slow for the server's request timeout, so it is allowed but must
+// carry the error JSON too.
+func FuzzSolveRequest(f *testing.F) {
+	for _, seed := range []struct {
+		batch bool
+		body  string
+	}{
+		{false, `{"k":16,"v":2,"lm":32,"h":0.2,"lambda":0.00015}`},
+		{false, `{"model":"uniform","k":8,"lm":16,"lambda":0.001,"options":{"acceleration":"anderson","anderson_window":3}}`},
+		{false, `{"model":"ndim","k":4,"dims":3,"v":2,"lm":8,"h":0.1,"lambda":0.001,"options":{"mode":"auto"}}`},
+		{false, `{"k":16,"v":2,"lm":32,"h":0.2,"lambda":0.01}`}, // saturated
+		{false, `{"k":1,"v":2,"lm":32,"h":0.2,"lambda":0.00015}`},
+		{false, `{"k":16,"v":2,"lm":32,"h":1.5,"lambda":-1,"timeout_ms":-5}`},
+		{false, `{"k":16,"options":{"entrance":"psychic","blocking":"?"}}`},
+		{false, `{"k":16,"v":2,"lm":32,"h":0.2,"lambda":0.00015,"nope":1}`},
+		{false, `{"model":"no-such-model"}`},
+		{false, `{"k":"16"}`},
+		{false, `{"k":16`},
+		{false, `[]`},
+		{false, `null`},
+		{false, ``},
+		{true, `{"items":[{"k":16,"v":2,"lm":32,"h":0.2,"lambda":0.00015},{"k":16,"v":2,"lm":32,"h":0.2,"lambda":0.01},{"k":0}]}`},
+		{true, `{"model":"bidirectional-2d","options":{"mode":"surface"},"items":[{"k":8,"v":2,"lm":16,"h":0.1,"lambda":0.001}]}`},
+		{true, `{"items":[]}`},
+		{true, `{"items":null,"timeout_ms":-1}`},
+		{true, `{"model":"hypercube","items":[{"k":2,"dims":40,"v":1,"lm":8,"lambda":0.001}]}`},
+		{true, `{"items":[{"k":16}],"options":{"variance":"loud"}}`},
+		// Specs whose cost validation must refuse before any allocation:
+		// each of these once exhausted memory inside the solver.
+		{false, `{"k":888816,"v":2,"lm":32,"h":0.2,"lambda":0.00015}`},
+		{false, `{"k":16,"v":1000000000,"lm":32,"h":0.2,"lambda":0.00015}`},
+		{false, `{"k":16,"v":2,"lm":32,"h":0.2,"lambda":0.00015,"options":{"acceleration":"anderson","anderson_window":1000000000}}`},
+		{true, `{"model":"ndim","items":[{"k":1000000000,"dims":1,"v":2,"lm":8,"h":0.1,"lambda":1e-12}]}`},
+	} {
+		f.Add(seed.batch, []byte(seed.body))
+	}
+
+	s := New(Config{RequestTimeout: 2 * time.Second, RuntimeMetricsInterval: -1})
+	h := s.Handler()
+	f.Fuzz(func(t *testing.T, batch bool, body []byte) {
+		path := "/v1/solve"
+		if batch {
+			path = "/v1/solve:batch"
+		}
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest("POST", path, bytes.NewReader(body)))
+
+		var into any = &SolveResponse{}
+		if batch {
+			into = &BatchSolveResponse{}
+		}
+		switch code := rr.Code; {
+		case code == http.StatusOK:
+		case code >= 400 && code < 500, code == http.StatusGatewayTimeout:
+			into = &ErrorResponse{}
+		default:
+			t.Fatalf("%s answered %d for %q: %s", path, code, body, rr.Body.String())
+		}
+		dec := json.NewDecoder(strings.NewReader(rr.Body.String()))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(into); err != nil {
+			t.Fatalf("%s %d: body does not decode as %T: %v\n%s", path, rr.Code, into, err, rr.Body.String())
+		}
+		if e, ok := into.(*ErrorResponse); ok && e.Error == "" {
+			t.Errorf("%s %d: error body without a message: %s", path, rr.Code, rr.Body.String())
+		}
+	})
+}
+
+// TestRequestTimeoutCannotOverflow: a timeout_ms too large for
+// time.Duration is capped at the server's request timeout like any other
+// long request, not wrapped into an already-expired deadline (which
+// answered 504 without solving).
+func TestRequestTimeoutCannotOverflow(t *testing.T) {
+	h := New(Config{RuntimeMetricsInterval: -1}).Handler()
+	req := figureRequest()
+	req.TimeoutMS = math.MaxInt64
+	if rr := postJSON(t, h, "/v1/solve", req); rr.Code != http.StatusOK {
+		t.Errorf("solve with timeout_ms=MaxInt64: %d %s", rr.Code, rr.Body.String())
+	}
+	batch := BatchSolveRequest{TimeoutMS: math.MaxInt64,
+		Items: []BatchSpec{{K: req.K, V: req.V, Lm: req.Lm, H: req.H, Lambda: req.Lambda}}}
+	if rr := postJSON(t, h, "/v1/solve:batch", batch); rr.Code != http.StatusOK {
+		t.Errorf("batch with timeout_ms=MaxInt64: %d %s", rr.Code, rr.Body.String())
+	}
+}

@@ -283,6 +283,17 @@ func (s *Server) shed(w http.ResponseWriter, status int, reason string) {
 	writeJSON(w, status, ErrorResponse{Error: "overloaded: " + reason})
 }
 
+// deadline is the solve timeout for a request asking for timeoutMS: the
+// server's RequestTimeout, shortened (never lengthened) by a positive
+// request value. The comparison runs in milliseconds so a huge request
+// value cannot overflow time.Duration.
+func (s *Server) deadline(timeoutMS int64) time.Duration {
+	if timeoutMS > 0 && timeoutMS < s.cfg.RequestTimeout.Milliseconds() {
+		return time.Duration(timeoutMS) * time.Millisecond
+	}
+	return s.cfg.RequestTimeout
+}
+
 // decodeStrict decodes a JSON body rejecting unknown fields, so client
 // typos surface as 400s instead of silently-defaulted parameters.
 func decodeStrict(r *http.Request, v any) error {
@@ -360,12 +371,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.inflight.Add(-1)
 	}()
 
-	timeout := s.cfg.RequestTimeout
-	if req.TimeoutMS > 0 {
-		if d := time.Duration(req.TimeoutMS) * time.Millisecond; d < timeout {
-			timeout = d
-		}
-	}
+	timeout := s.deadline(req.TimeoutMS)
 	cctx, csp := span.StartChild(r.Context(), "cache")
 	ctx, cancel := context.WithTimeout(cctx, timeout)
 	defer cancel()
@@ -480,12 +486,7 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 		s.inflight.Add(-1)
 	}()
 
-	timeout := s.cfg.RequestTimeout
-	if req.TimeoutMS > 0 {
-		if d := time.Duration(req.TimeoutMS) * time.Millisecond; d < timeout {
-			timeout = d
-		}
-	}
+	timeout := s.deadline(req.TimeoutMS)
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 

@@ -7,7 +7,6 @@ import (
 	"net/http"
 
 	"kncube/internal/core"
-	"kncube/internal/fixpoint"
 	"kncube/internal/telemetry/span"
 )
 
@@ -39,16 +38,14 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 
 // solveRunner owns the solver side of one request: prepared solvers keyed
 // by topology shape (λ excluded), plus the tracing of each cache-miss
-// leader solve. fixpoint.Options captures its Trace callback at Prepare
-// time while the fixpoint span only exists per solve, so rounds route
-// through the `round` indirection — the same hook-variable pattern as
-// experiments.solvePanelModels. Leaders run sequentially per request
-// (singleflight calls fn synchronously), so `round` needs no lock.
+// leader solve through one span.FixpointTrace. Leaders run sequentially
+// per request (singleflight calls fn synchronously), so one bridge serves
+// every solve of the request.
 type solveRunner struct {
 	model    string
 	opts     core.Options
 	prepared map[core.Spec]*core.PreparedSolver
-	round    func(fixpoint.TraceRecord)
+	fp       *span.FixpointTrace
 }
 
 // newSolveRunner builds a runner whose solves are cancelled by ctx.
@@ -57,13 +54,10 @@ func newSolveRunner(ctx context.Context, model string, opts core.Options) *solve
 		model:    model,
 		opts:     opts,
 		prepared: map[core.Spec]*core.PreparedSolver{},
+		fp:       span.NewFixpointTrace(opts.FixPoint.Trace),
 	}
 	r.opts.FixPoint.Ctx = ctx
-	r.opts.FixPoint.Trace = func(tr fixpoint.TraceRecord) {
-		if r.round != nil {
-			r.round(tr)
-		}
-	}
+	r.opts.FixPoint.Trace = r.fp.Hook()
 	return r
 }
 
@@ -92,24 +86,9 @@ func (r *solveRunner) solve(ctx context.Context, spec core.Spec) (*core.SolveRes
 		r.prepared[shape] = ps
 	}
 
-	_, fp := span.StartChild(ctx, "fixpoint.solve")
-	if fp != nil {
-		r.round = func(tr fixpoint.TraceRecord) {
-			fp.Event("round",
-				span.Int("iteration", tr.Iteration),
-				span.Float64("max_rel_delta", tr.MaxRelDelta),
-				span.Bool("accelerated", tr.Accelerated))
-		}
-	}
+	r.fp.Start(ctx)
 	res, err := ps.Solve(spec.Lambda)
-	r.round = nil
-	if res != nil {
-		fp.SetAttr("iterations", int64(res.Convergence.Iterations))
-		fp.SetAttr("accelerated_rounds", int64(res.Convergence.AcceleratedRounds))
-		fp.SetAttr("damped_rounds", int64(res.Convergence.DampedRounds))
-		fp.SetAttr("residual", res.Convergence.Residual)
-	}
-	fp.End()
+	r.fp.End()
 	if errors.Is(err, core.ErrSaturated) {
 		sp.SetAttr("saturated", true)
 		sp.Keep("saturated")

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"kncube/internal/core"
@@ -19,7 +21,18 @@ var benchSpec = core.Spec{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 0.00015}
 // StartChild call sites — and nothing per fixed-point round (that part is
 // pinned exactly by fixpoint's TestNilRoutedTraceAddsNoAllocations and the
 // iteration-count independence asserted here).
+//
+// A solve here allocates a few MB, so a garbage collection lands in most
+// readings and adds the runtime's own allocations to the count, ±1 per
+// solve at random. With the collector paused (and run explicitly between
+// readings) the counts are exact, so a few runs per reading suffice and
+// keep the uncollected heap small.
 func TestUntracedSolveAllocBound(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := func(f func()) float64 {
+		runtime.GC()
+		return testing.AllocsPerRun(5, f)
+	}
 	measure := func(lambda float64) (bare, untraced float64) {
 		spec := benchSpec
 		spec.Lambda = lambda
@@ -30,7 +43,7 @@ func TestUntracedSolveAllocBound(t *testing.T) {
 		if _, err := ps.Solve(spec.Lambda); err != nil {
 			t.Fatal(err)
 		}
-		bare = testing.AllocsPerRun(20, func() {
+		bare = allocs(func() {
 			if _, err := ps.Solve(spec.Lambda); err != nil {
 				t.Fatal(err)
 			}
@@ -39,7 +52,7 @@ func TestUntracedSolveAllocBound(t *testing.T) {
 		if _, err := runner.solve(context.Background(), spec); err != nil {
 			t.Fatal(err)
 		}
-		untraced = testing.AllocsPerRun(20, func() {
+		untraced = allocs(func() {
 			if _, err := runner.solve(context.Background(), spec); err != nil {
 				t.Fatal(err)
 			}

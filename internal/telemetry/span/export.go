@@ -1,17 +1,19 @@
 package span
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
+	"os"
 	"sync"
 
 	"kncube/internal/telemetry"
 )
 
-// Record is the exported (JSONL) form of one finished span. It mirrors the
-// telemetry.ConvergenceRecord conventions: flat JSON, one record per line,
-// snake_case keys, times as integer nanoseconds so records are stable
-// under re-encoding.
+// Record is the exported (JSONL) form of one finished span: flat JSON, one
+// record per line, snake_case keys, times as integer nanoseconds so
+// records are stable under re-encoding.
 type Record struct {
 	TraceID  string `json:"trace_id"`
 	SpanID   string `json:"span_id"`
@@ -47,8 +49,8 @@ type Exporter interface {
 
 // RingExporter retains the most recent traces in memory (FIFO over
 // distinct trace ids) for the GET /v1/traces/{id} debug endpoint, and
-// optionally tees every kept trace to a JSONL stream using the
-// telemetry.TraceSink file conventions (one JSON record per line).
+// optionally tees every kept trace to a JSONL stream (one Record per
+// line).
 type RingExporter struct {
 	mu       sync.Mutex
 	capacity int
@@ -136,4 +138,25 @@ func (e *RingExporter) Err() error {
 // RingExporter tee), reusing the shared telemetry JSONL reader.
 func ReadRecords(r io.Reader) ([]Record, error) {
 	return telemetry.ReadJSONL[Record](r)
+}
+
+// StartFile begins the one-root trace of a command-line run (-span-out):
+// ctx gains a root span named name, and finish ends it and writes the
+// run's spans to path (created or truncated) as JSONL. maxEvents is
+// Config.MaxEventsPerSpan, the round budget so no round is dropped. With
+// path "" it returns ctx unchanged and a no-op finish.
+func StartFile(ctx context.Context, path, name string, maxEvents int) (_ context.Context, finish func() error, _ error) {
+	if path == "" {
+		return ctx, func() error { return nil }, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return ctx, nil, err
+	}
+	exp := NewRingExporter(1, f)
+	ctx, root := New(Config{Exporter: exp, MaxEventsPerSpan: maxEvents}).Start(ctx, name)
+	return ctx, func() error {
+		root.End()
+		return errors.Join(exp.Err(), f.Close())
+	}, nil
 }

@@ -1,0 +1,132 @@
+package span
+
+import (
+	"context"
+	"math"
+	"testing"
+
+	"kncube/internal/fixpoint"
+)
+
+// contraction is a 4-variable map with a comfortable fixed point; the
+// tolerance sets how many damped rounds a solve takes.
+func contraction(in, out []float64) error {
+	for i := range in {
+		out[i] = 0.5*in[i] + float64(i+1)
+	}
+	return nil
+}
+
+// solveRounds runs one solve of contraction through f (nil: untraced,
+// no hook installed) and returns its convergence summary.
+func solveRounds(ctx context.Context, t testing.TB, f *FixpointTrace, tol float64) fixpoint.Convergence {
+	opts := fixpoint.Options{Tolerance: tol}
+	if f != nil {
+		opts.Trace = f.Hook()
+		f.Start(ctx)
+		defer f.End()
+	}
+	conv, err := fixpoint.Solve(make([]float64, 4), contraction, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return conv
+}
+
+// TestFixpointTraceRecordsRounds: under a span, a solve becomes one
+// fixpoint.solve span with one round event per Convergence round (carrying
+// exactly iteration, max_rel_delta and accelerated) and the tallies as
+// attributes; the caller's own hook still sees every round.
+func TestFixpointTraceRecordsRounds(t *testing.T) {
+	tr, ring := tracer(t, Config{})
+	ctx, root := tr.Start(context.Background(), "test")
+	callerRounds := 0
+	f := NewFixpointTrace(func(fixpoint.TraceRecord) { callerRounds++ })
+	conv := solveRounds(ctx, t, f, 1e-9)
+	root.End()
+
+	var fp Record
+	for _, r := range ring.Trace(root.TraceID().String()) {
+		if r.Name == "fixpoint.solve" {
+			fp = r
+		}
+	}
+	if len(fp.Events) != conv.Iterations || callerRounds != conv.Iterations {
+		t.Fatalf("%d round events, caller saw %d rounds, Convergence.Iterations %d",
+			len(fp.Events), callerRounds, conv.Iterations)
+	}
+	for i, ev := range fp.Events {
+		if ev.Name != "round" || len(ev.Attrs) != 3 || ev.Attrs["iteration"] != int64(i+1) ||
+			ev.Attrs["accelerated"] != false {
+			t.Fatalf("round %d event = %+v", i+1, ev)
+		}
+	}
+	want := map[string]any{
+		"iterations":         int64(conv.Iterations),
+		"accelerated_rounds": int64(conv.AcceleratedRounds),
+		"damped_rounds":      int64(conv.DampedRounds),
+		"residual":           conv.Residual,
+	}
+	if len(fp.Attrs) != len(want) {
+		t.Errorf("fixpoint.solve attrs = %v, want %v", fp.Attrs, want)
+	}
+	for k, v := range want {
+		if fp.Attrs[k] != v {
+			t.Errorf("attr %s = %v, want %v", k, fp.Attrs[k], v)
+		}
+	}
+}
+
+// TestFixpointTraceNonFiniteIndex: a diverging solve stamps the index of
+// the variable that went non-finite, and its final round is not counted
+// as damped (matching Convergence).
+func TestFixpointTraceNonFiniteIndex(t *testing.T) {
+	tr, ring := tracer(t, Config{})
+	ctx, root := tr.Start(context.Background(), "test")
+	f := NewFixpointTrace(nil)
+	f.Start(ctx)
+	blowUp := func(in, out []float64) error {
+		out[0], out[1] = 1, in[1]*1e300+1
+		return nil
+	}
+	conv, err := fixpoint.Solve(make([]float64, 2), blowUp,
+		fixpoint.Options{Damping: 1, Trace: f.Hook()})
+	f.End()
+	root.End()
+	if err == nil || !conv.Diverged {
+		t.Fatalf("solve did not diverge: %+v, %v", conv, err)
+	}
+	fp := ring.Trace(root.TraceID().String())[0]
+	if fp.Attrs["non_finite_index"] != int64(conv.NonFiniteIndex) ||
+		fp.Attrs["damped_rounds"] != int64(conv.DampedRounds) ||
+		fp.Attrs["iterations"] != int64(conv.Iterations) {
+		t.Errorf("attrs %v, Convergence %+v", fp.Attrs, conv)
+	}
+	if math.IsNaN(fp.Attrs["residual"].(float64)) {
+		t.Errorf("residual attr is NaN")
+	}
+}
+
+// TestFixpointTraceUntracedAllocs pins the cost of the bridge when no span
+// is in the context (CLI runs without -span-out, untraced requests): a
+// constant few allocations per solve over a bare, hook-free solve, and
+// none per round — the overhead must not grow with the round count.
+func TestFixpointTraceUntracedAllocs(t *testing.T) {
+	f := NewFixpointTrace(nil)
+	ctx := context.Background()
+	overhead := func(tol float64) float64 {
+		bare := testing.AllocsPerRun(50, func() { solveRounds(ctx, t, nil, tol) })
+		hooked := testing.AllocsPerRun(50, func() { solveRounds(ctx, t, f, tol) })
+		return hooked - bare
+	}
+	few, many := overhead(1e-2), overhead(1e-12)
+	if few < 0 || few > 2 {
+		t.Errorf("untraced bridge adds %v allocs per solve, want at most 2", few)
+	}
+	if int(few) != int(many) {
+		t.Errorf("untraced bridge allocations grow with rounds: %v at loose tolerance, %v at tight", few, many)
+	}
+	if n := solveRounds(ctx, t, nil, 1e-12).Iterations; n <= 2*solveRounds(ctx, t, nil, 1e-2).Iterations {
+		t.Fatalf("tolerances do not separate the round counts (%d rounds at tight tolerance)", n)
+	}
+}

@@ -294,28 +294,25 @@ func (t *Tracer) Start(ctx context.Context, name string, attrs ...Attr) (context
 		}
 		return ContextWith(ctx, s), s
 	}
-	var (
-		tid    TraceID
-		pid    SpanID
-		remote bool
-	)
 	if p, ok := parentFromContext(ctx); ok {
-		tid, pid, remote = p.TraceID, p.SpanID, true
-	} else {
-		tid = t.newTraceID()
+		s := t.newRoot(p.TraceID, name, attrs)
+		s.parentID, s.remote = p.SpanID, true
+		return ContextWith(ctx, s), s
 	}
-	tr := &trace{tracer: t, id: tid}
-	s := &Span{
-		tr:       tr,
-		name:     name,
-		spanID:   t.newSpanID(),
-		parentID: pid,
-		remote:   remote,
-		isRoot:   true,
-		start:    time.Now(),
-		attrs:    attrs,
-	}
+	s := t.newRoot(t.newTraceID(), name, attrs)
 	return ContextWith(ctx, s), s
+}
+
+// newRoot begins a trace's root span under the given trace id.
+func (t *Tracer) newRoot(id TraceID, name string, attrs []Attr) *Span {
+	return &Span{
+		tr:     &trace{tracer: t, id: id},
+		name:   name,
+		spanID: t.newSpanID(),
+		isRoot: true,
+		start:  time.Now(),
+		attrs:  attrs,
+	}
 }
 
 // StartLinked begins a fresh trace root that is causally linked to — but
@@ -326,15 +323,7 @@ func (t *Tracer) StartLinked(ctx context.Context, name string, link Parent, attr
 	if t == nil {
 		return ctx, nil
 	}
-	tr := &trace{tracer: t, id: t.newTraceID()}
-	s := &Span{
-		tr:     tr,
-		name:   name,
-		spanID: t.newSpanID(),
-		isRoot: true,
-		start:  time.Now(),
-		attrs:  attrs,
-	}
+	s := t.newRoot(t.newTraceID(), name, attrs)
 	if !link.IsZero() {
 		s.attrs = append(s.attrs,
 			String("link.trace_id", link.TraceID.String()),

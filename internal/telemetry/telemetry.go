@@ -1,9 +1,9 @@
 // Package telemetry is the project's dependency-free observability toolkit:
 // atomic counters, gauges, fixed-bucket histograms and timers behind a named
 // Registry with label support, exposed as Prometheus text or a JSON snapshot
-// (expose.go); JSONL convergence-trace sinks for the fixed-point solvers
-// (trace.go); JSONL run manifests for the sweep engine (manifest.go); and
-// pprof profiling hooks for the CLIs (profile.go).
+// (expose.go); JSONL run manifests for the sweep engine (manifest.go); and
+// pprof profiling hooks for the CLIs (profile.go). Fixed-point convergence
+// traces are span events (package span, FixpointTrace).
 //
 // The hot-path recording operations — Counter.Inc/Add, Gauge.Set/Add,
 // Histogram.Observe/ObserveN, Timer.Observe — are allocation-free and safe
