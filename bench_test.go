@@ -349,6 +349,7 @@ func BenchmarkSolve(b *testing.B) {
 			b.Fatalf("no benchmark spec for registered solver %q — add one", name)
 		}
 		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := kncube.Solve(name, spec, kncube.ModelOptions{}); err != nil {
 					b.Fatal(err)
@@ -378,6 +379,7 @@ func BenchmarkSolveNearSat(b *testing.B) {
 			b.Run(name+"/"+sc.label, func(b *testing.B) {
 				var o kncube.ModelOptions
 				o.FixPoint.Acceleration = sc.accel
+				b.ReportAllocs()
 				var iters int64
 				for i := 0; i < b.N; i++ {
 					res, err := kncube.Solve(name, spec, o)
@@ -408,6 +410,7 @@ func BenchmarkSolveBatch(b *testing.B) {
 		specs[i].Lambda = lo + float64(i)*(hi-lo)/(points-1)
 	}
 	b.Run("single", func(b *testing.B) {
+		b.ReportAllocs()
 		var iters int64
 		for i := 0; i < b.N; i++ {
 			for _, sp := range specs {
@@ -426,6 +429,7 @@ func BenchmarkSolveBatch(b *testing.B) {
 			label = "batch-warm"
 		}
 		b.Run(label, func(b *testing.B) {
+			b.ReportAllocs()
 			var iters int64
 			for i := 0; i < b.N; i++ {
 				items, err := kncube.SolveBatch(model, specs, kncube.BatchOptions{WarmStart: warm})

@@ -10,8 +10,9 @@ import (
 // for a new offered load costs only SetLambda (a rate recomputation) and
 // the iteration itself, skipping the topology/layout construction and the
 // state allocation that Solve pays per call. SolveBatch runs many specs of
-// one variant through a map of prepared solvers keyed by topology shape —
-// exactly the load profile of sweeps, surface builds, and batch requests.
+// one variant through a PreparedSet, prepared solvers keyed by topology
+// shape — exactly the load profile of sweeps, surface builds, and batch
+// requests.
 
 // PreparedSolver is a reusable solver instance: validated and prepared
 // once, re-solvable for many offered loads. It is not safe for concurrent
@@ -73,6 +74,50 @@ func (ps *PreparedSolver) solve(lambda float64, warm bool) (*SolveResult, error)
 	// warm solve.
 	ps.warm = err == nil
 	return res, err
+}
+
+// PreparedSet holds the prepared solvers of one variant keyed by topology
+// shape (every Spec field but Lambda), so the specs that share a shape
+// share one preparation. It is bounded by state size: when preparing a
+// shape would take the summed fixed-point state of the solvers held past
+// maxStateSize variables, the set first drops every solver it holds, so a
+// batch of many large distinct shapes never pins them all. The bound counts
+// state variables; each model's round scratch is of the same order again.
+// A PreparedSet is not safe for concurrent use.
+type PreparedSet struct {
+	name  string
+	o     Options
+	held  map[Spec]*PreparedSolver
+	state int // summed state size of the solvers held
+}
+
+// NewPreparedSet returns an empty set preparing the named variant with o.
+func NewPreparedSet(name string, o Options) *PreparedSet {
+	return &PreparedSet{name: name, o: o, held: map[Spec]*PreparedSolver{}}
+}
+
+// Lookup returns the prepared solver held for s's shape, or nil.
+func (p *PreparedSet) Lookup(s Spec) *PreparedSolver {
+	s.Lambda = 0
+	return p.held[s]
+}
+
+// Prepare prepares s's shape and adds it to the set. A failed preparation
+// is not held: like independent Solve calls, each bad spec reports its own
+// error.
+func (p *PreparedSet) Prepare(s Spec) (*PreparedSolver, error) {
+	ps, err := Prepare(p.name, s, p.o)
+	if err != nil {
+		return nil, err
+	}
+	if p.state+len(ps.x) > maxStateSize {
+		clear(p.held)
+		p.state = 0
+	}
+	s.Lambda = 0
+	p.held[s] = ps
+	p.state += len(ps.x)
+	return ps, nil
 }
 
 // BatchOptions configure SolveBatch.
@@ -147,8 +192,9 @@ func SolveLambdas(name string, shape Spec, lambdas []float64, o GridOptions) ([]
 
 // SolveBatch solves many specs of one model variant, validating and
 // preparing once per distinct topology shape (all Spec fields except
-// Lambda) and reusing that preparation across the specs that share it.
-// Items are solved in input order; per-spec failures (validation,
+// Lambda) and reusing that preparation across the specs that share it;
+// a shape the PreparedSet bound dropped is prepared again when it comes
+// back. Items are solved in input order; per-spec failures (validation,
 // saturation, cancellation) land in the item's Err and the batch
 // continues. Only an unknown model name fails the whole batch.
 func SolveBatch(name string, specs []Spec, o BatchOptions) ([]BatchItem, error) {
@@ -156,22 +202,18 @@ func SolveBatch(name string, specs []Spec, o BatchOptions) ([]BatchItem, error) 
 		return nil, err
 	}
 	items := make([]BatchItem, len(specs))
-	prepared := map[Spec]*PreparedSolver{}
+	prepared := NewPreparedSet(name, o.Options)
 	for i, sp := range specs {
-		key := sp
-		key.Lambda = 0
-		ps := prepared[key]
+		ps := prepared.Lookup(sp)
 		if ps == nil {
 			var err error
-			ps, err = Prepare(name, sp, o.Options)
+			ps, err = prepared.Prepare(sp)
 			if err != nil {
 				// A per-spec failure (bad shape or bad λ): record it and move
-				// on. Failures are not cached — like independent Solve calls,
-				// each bad spec reports its own error.
+				// on.
 				items[i].Err = err
 				continue
 			}
-			prepared[key] = ps
 		}
 		if o.WarmStart {
 			items[i].Result, items[i].Err = ps.SolveWarm(sp.Lambda)

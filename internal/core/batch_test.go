@@ -88,6 +88,48 @@ func TestSolveBatchMixedShapes(t *testing.T) {
 	}
 }
 
+// TestPreparedSetBound: shapes stay prepared while their summed state fits
+// maxStateSize; the shape that would overflow it drops every solver held
+// before it is added, and revisiting a held shape prepares nothing.
+func TestPreparedSetBound(t *testing.T) {
+	set := NewPreparedSet("hotspot-2d", Options{})
+	shape := func(k int) Spec { return Spec{K: k, Dims: 2, V: 2, Lm: 32, H: 0.2, Lambda: 1e-6} }
+	var fit []int // K of the shapes held before the overflow
+	state := 0
+	for k := 600; ; k++ {
+		ps, err := set.Prepare(shape(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if state+len(ps.x) > maxStateSize {
+			break
+		}
+		state += len(ps.x)
+		fit = append(fit, k)
+		if set.Lookup(shape(fit[0])) == nil {
+			t.Fatalf("K=%d evicted after %d shapes holding %d variables", fit[0], len(fit), state)
+		}
+	}
+	if len(fit) < 2 {
+		t.Fatalf("only %d shapes fit the bound; the test needs at least 2", len(fit))
+	}
+	overflow := fit[len(fit)-1] + 1
+	for _, k := range fit {
+		if set.Lookup(shape(k)) != nil {
+			t.Errorf("K=%d still held after K=%d overflowed the bound", k, overflow)
+		}
+	}
+	held := set.Lookup(shape(overflow))
+	if held == nil {
+		t.Fatalf("overflowing shape K=%d not held", overflow)
+	}
+	probe := shape(overflow)
+	probe.Lambda = 2e-6
+	if set.Lookup(probe) != held {
+		t.Errorf("Lookup at a new load did not return the held solver of its shape")
+	}
+}
+
 // TestSolveBatchPerItemErrors pins that bad items fail individually — an
 // invalid shape, an invalid load, and a saturated load each land in their
 // own item's Err while the surrounding items solve normally.

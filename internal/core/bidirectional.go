@@ -73,6 +73,13 @@ type biModel struct {
 	pHy, pHyB, pX   float64
 	cXo, cXHy, cXHb float64
 	rows            []biRow // the k x-rings classified by y direction/distance
+
+	// Round scratch, built at Prepare: the unpacked input state and the
+	// per-channel blocking delays of the hot column ([dir][l]) and of the
+	// x-rings ([dir][row][l]), l = 1..d[dir].
+	in  biView
+	bHy [2][]float64
+	bX  [2][][]float64
 }
 
 // biRow classifies one x-ring relative to the hot node: dir/dist of the
@@ -142,6 +149,14 @@ func (m *biModel) Prepare() {
 		}
 	}
 	m.n = b.Size()
+	m.in = m.newView()
+	for i := 0; i < 2; i++ {
+		m.bHy[i] = make([]float64, m.d[i]+1)
+		m.bX[i] = make([][]float64, len(m.rows))
+		for r := range m.rows {
+			m.bX[i][r] = make([]float64, m.d[i]+1)
+		}
+	}
 	m.prepared = true
 	m.SetLambda(m.s.Lambda)
 }
@@ -176,22 +191,37 @@ func (m *biModel) SetLambda(lambda float64) {
 func (m *biModel) Validate() error { return validateTorus(m.s) }
 func (m *biModel) StateSize() int  { return m.n }
 
-// view unpacks a flat state into 1-indexed vectors.
-func (m *biModel) view(x []float64) *biView {
-	st := &biView{} //lint:ignore hotalloc per-round view unpacking, an accepted solver cost (the 0-alloc contract covers sim and telemetry)
+// newView allocates the buffers of a biView.
+func (m *biModel) newView() biView {
+	var st biView
 	for i := 0; i < 2; i++ {
-		st.shybar[i] = m.l.shybar[i].padded(x)
-		st.shy[i] = m.l.shy[i].padded(x)
-		st.sx[i] = m.l.sx[i].padded(x)
-		st.sxhy[i] = m.l.sxhy[i].padded(x)
-		st.sxhybar[i] = m.l.sxhybar[i].padded(x)
-		st.shoty[i] = m.l.shoty[i].padded(x)
-		st.shotx[i] = make([][]float64, len(m.rows)) //lint:ignore hotalloc per-round view unpacking, an accepted solver cost
+		st.shybar[i] = m.l.shybar[i].buf()
+		st.shy[i] = m.l.shy[i].buf()
+		st.sx[i] = m.l.sx[i].buf()
+		st.sxhy[i] = m.l.sxhy[i].buf()
+		st.sxhybar[i] = m.l.sxhybar[i].buf()
+		st.shoty[i] = m.l.shoty[i].buf()
+		st.shotx[i] = make([][]float64, len(m.rows))
 		for r := range m.rows {
-			st.shotx[i][r] = m.l.shotx[i][r].padded(x)
+			st.shotx[i][r] = m.l.shotx[i][r].buf()
 		}
 	}
 	return st
+}
+
+// unpack copies the flat state x into st.
+func (m *biModel) unpack(x []float64, st *biView) {
+	for i := 0; i < 2; i++ {
+		m.l.shybar[i].unpack(x, st.shybar[i])
+		m.l.shy[i].unpack(x, st.shy[i])
+		m.l.sx[i].unpack(x, st.sx[i])
+		m.l.sxhy[i].unpack(x, st.sxhy[i])
+		m.l.sxhybar[i].unpack(x, st.sxhybar[i])
+		m.l.shoty[i].unpack(x, st.shoty[i])
+		for r := range m.rows {
+			m.l.shotx[i][r].unpack(x, st.shotx[i][r])
+		}
+	}
 }
 
 // InitState writes the zero-load starting point.
@@ -245,7 +275,8 @@ func (m *biModel) yNext(st *biView, r int) float64 {
 //khs:hotpath
 func (m *biModel) Iterate(in, out []float64) error {
 	k := m.s.K
-	st := m.view(in)
+	st := &m.in
+	m.unpack(in, st)
 
 	entHyB := m.entrance(st.shybar)
 	entHy := m.entrance(st.shy)
@@ -260,12 +291,15 @@ func (m *biModel) Iterate(in, out []float64) error {
 		bHyB[i] = b
 		// Hot-column blocking averaged over the ring's k channels of this
 		// direction (positions beyond d[i] carry regular traffic only).
+		// The per-channel delays are kept for the hot-spot recursions,
+		// which see the same channels with the same arguments.
 		sum := 0.0
 		for l := 1; l <= m.d[i]; l++ {
 			b, err := m.blocking(m.r[i], entHy, m.hy[i][l], st.shoty[i][l])
 			if err != nil {
 				return fmt.Errorf("%w (bi hot column, dir %d ch %d)", ErrSaturated, i, l)
 			}
+			m.bHy[i][l] = b
 			sum += b
 		}
 		bQuiet, err := m.blocking(m.r[i], entHy, 0, 0)
@@ -281,6 +315,7 @@ func (m *biModel) Iterate(in, out []float64) error {
 				if err != nil {
 					return fmt.Errorf("%w (bi x, dir %d row %d ch %d)", ErrSaturated, i, r, l)
 				}
+				m.bX[i][r][l] = b
 				sum += b
 			}
 		}
@@ -293,35 +328,25 @@ func (m *biModel) Iterate(in, out []float64) error {
 
 	for i := 0; i < 2; i++ {
 		for j := 1; j <= m.d[i]; j++ {
-			prev := func(v []float64, base float64) float64 { //lint:ignore hotalloc non-escaping recursion helper, inlined
-				if j == 1 {
-					return base
-				}
-				return v[j-1]
+			hyb, hy, x, xhy, xhyb, hot := m.lm, m.lm, m.lm, entHy, entHyB, m.lm
+			if j > 1 {
+				hyb, hy, x = st.shybar[i][j-1], st.shy[i][j-1], st.sx[i][j-1]
+				xhy, xhyb, hot = st.sxhy[i][j-1], st.sxhybar[i][j-1], st.shoty[i][j-1]
 			}
-			m.l.shybar[i].put(out, j, 1+bHyB[i]+prev(st.shybar[i], m.lm))
-			m.l.shy[i].put(out, j, 1+bHy[i]+prev(st.shy[i], m.lm))
-			m.l.sx[i].put(out, j, 1+bX[i]+prev(st.sx[i], m.lm))
-			m.l.sxhy[i].put(out, j, 1+bX[i]+prev(st.sxhy[i], entHy))
-			m.l.sxhybar[i].put(out, j, 1+bX[i]+prev(st.sxhybar[i], entHyB))
-
-			b, err := m.blocking(m.r[i], entHy, m.hy[i][j], st.shoty[i][j])
-			if err != nil {
-				return fmt.Errorf("%w (bi hot y recursion, dir %d ch %d)", ErrSaturated, i, j)
-			}
-			m.l.shoty[i].put(out, j, 1+b+prev(st.shoty[i], m.lm))
+			m.l.shybar[i].put(out, j, 1+bHyB[i]+hyb)
+			m.l.shy[i].put(out, j, 1+bHy[i]+hy)
+			m.l.sx[i].put(out, j, 1+bX[i]+x)
+			m.l.sxhy[i].put(out, j, 1+bX[i]+xhy)
+			m.l.sxhybar[i].put(out, j, 1+bX[i]+xhyb)
+			m.l.shoty[i].put(out, j, 1+m.bHy[i][j]+hot)
 		}
 		for r := range m.rows {
 			for j := 1; j <= m.d[i]; j++ {
-				b, err := m.blocking(m.r[i], entXmix, m.hx[i][j], st.shotx[i][r][j])
-				if err != nil {
-					return fmt.Errorf("%w (bi hot x recursion, dir %d row %d ch %d)", ErrSaturated, i, r, j)
-				}
 				base := m.yNext(st, r)
 				if j > 1 {
 					base = st.shotx[i][r][j-1]
 				}
-				m.l.shotx[i][r].put(out, j, 1+b+base)
+				m.l.shotx[i][r].put(out, j, 1+m.bX[i][r][j]+base)
 			}
 		}
 	}
@@ -339,7 +364,8 @@ func init() {
 
 // Assemble computes the latency decomposition from the converged state.
 func (m *biModel) Assemble(x []float64, conv Convergence) (*SolveResult, error) {
-	st := m.view(x)
+	st := &m.in
+	m.unpack(x, st)
 	p, k := m.s, m.s.K
 	entHyB := m.entrance(st.shybar)
 	entHy := m.entrance(st.shy)

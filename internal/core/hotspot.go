@@ -213,6 +213,13 @@ type model struct {
 	cXo      float64 // P(x only | via x)
 	cXHy     float64 // P(x then hot y | via x)
 	cXHb     float64 // P(x then non-hot y | via x)
+
+	// Round scratch, built at Prepare: the unpacked input state and the
+	// per-channel blocking delays of the hot y-ring ([l], l = 1..k) and of
+	// the x-rings ([t][l], l = 1..k-1).
+	in  view
+	bHy []float64
+	bX  [][]float64
 }
 
 func newModel(s Spec, o Options) *model {
@@ -241,6 +248,12 @@ func (m *model) Prepare() {
 	m.cXo = 1 / kf
 	m.cXHy = (kf - 1) / (kf * kf)
 	m.cXHb = (kf - 1) * (kf - 1) / (kf * kf)
+	m.in = m.newView()
+	m.bHy = make([]float64, k+1)
+	m.bX = make([][]float64, k+1)
+	for t := 1; t <= k; t++ {
+		m.bX[t] = make([]float64, k)
+	}
 	m.prepared = true
 	m.SetLambda(m.s.Lambda)
 }
@@ -287,7 +300,7 @@ func (m *model) entrance(s []float64) float64 {
 
 // serviceVariance returns the service-time variance for the waiting-time
 // formulas under the configured VarianceForm.
-func serviceVariance(o Options, lm, sBar float64) float64 {
+func serviceVariance(o *Options, lm, sBar float64) float64 {
 	if o.Variance == VarianceZero {
 		return 0
 	}
@@ -300,8 +313,9 @@ func serviceVariance(o Options, lm, sBar float64) float64 {
 // hot-spot traffic (lh, sh), message length lm. For the per-VC M/G/1 forms
 // the class rates are divided by V unless NoVCSplit is set: the header
 // competes for one of the V virtual channels, each seeing 1/V of the
-// channel's traffic.
-func blockingDelay(o Options, v int, lm, lr, sr, lh, sh float64) (float64, error) {
+// channel's traffic. o is read-only; it is passed by pointer because the
+// struct is large and this runs for every channel of every round.
+func blockingDelay(o *Options, v int, lm, lr, sr, lh, sh float64) (float64, error) {
 	// The physical channel moves at most one flit per cycle; beyond that
 	// flit capacity no queueing treatment is meaningful.
 	if (lr+lh)*lm >= 1 {
@@ -331,8 +345,7 @@ func blockingDelay(o Options, v int, lm, lr, sr, lh, sh float64) (float64, error
 		if rho > 1 {
 			rho = 1
 		}
-		occ := vcmodel.Occupancy(v, rho*(1-1e-12)) // Eqs. 33-34
-		return occ[v] * w, nil
+		return vcmodel.AllBusy(v, rho*(1-1e-12)) * w, nil // Eqs. 33-34
 	case BlockingWaitOnly:
 		if !o.NoVCSplit {
 			total /= float64(v)
@@ -353,27 +366,41 @@ func blockingDelay(o Options, v int, lm, lr, sr, lh, sh float64) (float64, error
 	}
 }
 
-// unpack gives named 1-indexed views (position 0 unused) over the state.
+// view holds named 1-indexed copies (position 0 unused) of the state's
+// segments.
 type view struct {
 	shybar, shy, sx, sxhy, sxhybar, shoty []float64
 	shotx                                 [][]float64 // [t][j], 1-indexed
 }
 
-func (m *model) view(x []float64) view {
-	k := m.s.K
+// newView allocates the buffers of a view.
+func (m *model) newView() view {
 	v := view{
-		shybar:  m.l.shybar.padded(x),
-		shy:     m.l.shy.padded(x),
-		sx:      m.l.sx.padded(x),
-		sxhy:    m.l.sxhy.padded(x),
-		sxhybar: m.l.sxhybar.padded(x),
-		shoty:   m.l.shoty.padded(x),
+		shybar:  m.l.shybar.buf(),
+		shy:     m.l.shy.buf(),
+		sx:      m.l.sx.buf(),
+		sxhy:    m.l.sxhy.buf(),
+		sxhybar: m.l.sxhybar.buf(),
+		shoty:   m.l.shoty.buf(),
 	}
-	v.shotx = make([][]float64, k+1) //lint:ignore hotalloc per-round view unpacking, an accepted solver cost (the 0-alloc contract covers sim and telemetry)
-	for t := 1; t <= k; t++ {
-		v.shotx[t] = m.l.shotx[t].padded(x)
+	v.shotx = make([][]float64, m.l.k+1)
+	for t := 1; t <= m.l.k; t++ {
+		v.shotx[t] = m.l.shotx[t].buf()
 	}
 	return v
+}
+
+// unpack copies the flat state x into v.
+func (m *model) unpack(x []float64, v *view) {
+	m.l.shybar.unpack(x, v.shybar)
+	m.l.shy.unpack(x, v.shy)
+	m.l.sx.unpack(x, v.sx)
+	m.l.sxhy.unpack(x, v.sxhy)
+	m.l.sxhybar.unpack(x, v.sxhybar)
+	m.l.shoty.unpack(x, v.shoty)
+	for t := 1; t <= m.l.k; t++ {
+		m.l.shotx[t].unpack(x, v.shotx[t])
+	}
 }
 
 // Iterate is the fixed-point map: out = F(in), the simultaneous
@@ -382,7 +409,8 @@ func (m *model) view(x []float64) view {
 //khs:hotpath
 func (m *model) Iterate(in, out []float64) error {
 	k := m.s.K
-	v := m.view(in)
+	v := &m.in
+	m.unpack(in, v)
 
 	entHyB := m.entrance(v.shybar)
 	entHy := m.entrance(v.shy)
@@ -396,7 +424,9 @@ func (m *model) Iterate(in, out []float64) error {
 		return fmt.Errorf("%w (non-hot y-ring)", ErrSaturated)
 	}
 	// Blocking seen by a regular message on the hot y-ring (Eq. 17):
-	// position-averaged over the k channels of the ring.
+	// position-averaged over the k channels of the ring. The per-channel
+	// delays are kept for the hot-spot recursion of Eq. 23, which sees the
+	// same channels with the same arguments.
 	bHy := 0.0
 	for l := 1; l <= k; l++ {
 		sh := 0.0
@@ -407,71 +437,60 @@ func (m *model) Iterate(in, out []float64) error {
 		if err != nil {
 			return fmt.Errorf("%w (hot y-ring, channel %d)", ErrSaturated, l)
 		}
+		m.bHy[l] = b
 		bHy += b
 	}
 	bHy /= float64(k)
 	// Blocking seen by a regular message on an x-channel (Eqs. 18-20):
-	// averaged over the k x-rings and k channel positions.
+	// averaged over the k x-rings and k channel positions, the per-channel
+	// delays kept for Eq. 25. Channel k carries no hot-spot traffic, so its
+	// delay is the same on every ring.
+	bQuiet, errQuiet := m.blocking(m.lr, entXmix, m.lhx[k], 0)
 	bX := 0.0
 	for t := 1; t <= k; t++ {
-		for l := 1; l <= k; l++ {
-			sh := 0.0
-			if l <= k-1 {
-				sh = v.shotx[t][l]
-			}
-			b, err := m.blocking(m.lr, entXmix, m.lhx[l], sh)
+		for l := 1; l <= k-1; l++ {
+			b, err := m.blocking(m.lr, entXmix, m.lhx[l], v.shotx[t][l])
 			if err != nil {
 				return fmt.Errorf("%w (x-ring %d, channel %d)", ErrSaturated, t, l)
 			}
+			m.bX[t][l] = b
 			bX += b
 		}
+		if errQuiet != nil {
+			return fmt.Errorf("%w (x-ring %d, channel %d)", ErrSaturated, t, k)
+		}
+		bX += bQuiet
 	}
 	bX /= float64(k * k)
 
-	put := func(s seg, j int, val float64) { s.put(out, j, val) } //lint:ignore hotalloc non-escaping store helper, inlined
 	// Regular recursions. Terminal value Lm is the body drain through the
 	// ejection channel; each hop adds 1 cycle of header transfer plus the
-	// class blocking delay.
+	// class blocking delay. Eq. 19: after the last x hop the message
+	// enters the hot or non-hot y-ring.
 	for j := 1; j <= k-1; j++ {
-		prev := func(s []float64) float64 { //lint:ignore hotalloc non-escaping recursion helper, inlined
-			if j == 1 {
-				return m.lm
-			}
-			return s[j-1]
+		hyb, hy, x, xhy, xhyb := m.lm, m.lm, m.lm, entHy, entHyB
+		if j > 1 {
+			hyb, hy, x, xhy, xhyb = v.shybar[j-1], v.shy[j-1], v.sx[j-1], v.sxhy[j-1], v.sxhybar[j-1]
 		}
-		put(m.l.shybar, j, 1+bHyB+prev(v.shybar))
-		put(m.l.shy, j, 1+bHy+prev(v.shy))
-		put(m.l.sx, j, 1+bX+prev(v.sx))
-		// Eq. 19: after the last x hop the message enters the hot y-ring.
-		if j == 1 {
-			put(m.l.sxhy, j, 1+bX+entHy)
-			put(m.l.sxhybar, j, 1+bX+entHyB)
-		} else {
-			put(m.l.sxhy, j, 1+bX+v.sxhy[j-1])
-			put(m.l.sxhybar, j, 1+bX+v.sxhybar[j-1])
-		}
+		m.l.shybar.put(out, j, 1+bHyB+hyb)
+		m.l.shy.put(out, j, 1+bHy+hy)
+		m.l.sx.put(out, j, 1+bX+x)
+		m.l.sxhy.put(out, j, 1+bX+xhy)
+		m.l.sxhybar.put(out, j, 1+bX+xhyb)
 	}
 
 	// Hot-spot recursion in the hot ring (Eq. 23): position j is also the
 	// remaining hop count, so the blocking uses the position's own rates.
 	for j := 1; j <= k-1; j++ {
-		b, err := m.blocking(m.lr, entHy, m.lhy[j], v.shoty[j])
-		if err != nil {
-			return fmt.Errorf("%w (hot message, hot ring channel %d)", ErrSaturated, j)
-		}
 		next := m.lm
 		if j > 1 {
 			next = v.shoty[j-1]
 		}
-		put(m.l.shoty, j, 1+b+next)
+		m.l.shoty.put(out, j, 1+m.bHy[j]+next)
 	}
 	// Hot-spot recursion on x-rings (Eq. 25).
 	for t := 1; t <= k; t++ {
 		for j := 1; j <= k-1; j++ {
-			b, err := m.blocking(m.lr, entXmix, m.lhx[j], v.shotx[t][j])
-			if err != nil {
-				return fmt.Errorf("%w (hot message, x-ring %d channel %d)", ErrSaturated, t, j)
-			}
 			var next float64
 			switch {
 			case j > 1:
@@ -481,7 +500,7 @@ func (m *model) Iterate(in, out []float64) error {
 			default: // enter the hot ring t hops from the hot node
 				next = v.shoty[t]
 			}
-			m.l.shotx[t].put(out, j, 1+b+next)
+			m.l.shotx[t].put(out, j, 1+m.bX[t][j]+next)
 		}
 	}
 	return nil
@@ -573,7 +592,8 @@ func (m *model) Assemble(x []float64, conv Convergence) (*SolveResult, error) {
 // assemble computes the typed Result from the converged service times.
 func (m *model) assemble(x []float64, conv Convergence) (*Result, error) {
 	p, k := m.s, m.s.K
-	v := m.view(x)
+	v := m.newView() // owned by the result: a prepared solver reuses m.in
+	m.unpack(x, &v)
 	kf := float64(k)
 	n := kf * kf
 

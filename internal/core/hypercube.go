@@ -57,6 +57,7 @@ type hyperModel struct {
 	// pHotChan[d] = fraction of dim-d channels that are hot channels,
 	// 2^(n-1-d) of 2^n.
 	pHotChan []float64
+	next     []float64 // round scratch for nextWeights, [d2]
 }
 
 func newHyperModel(s Spec, o Options) *hyperModel {
@@ -73,6 +74,7 @@ func (m *hyperModel) Prepare() {
 		}
 		m.lh = make([]float64, n)
 		m.pHotChan = make([]float64, n)
+		m.next = make([]float64, n)
 		for d := 0; d < n; d++ {
 			m.pHotChan[d] = math.Pow(2, float64(-1-d))
 		}
@@ -124,19 +126,18 @@ func (m *hyperModel) InitState(x []float64) {
 	}
 }
 
-// nextWeights gives, for a message at dimension d (having just crossed it),
-// the probability that the next crossed dimension is d2 > d, and the
-// probability that d was the last: each higher dimension differs
-// independently with probability 1/2 for uniform (and hot) destinations.
-func (m *hyperModel) nextWeights(d int) (next []float64, done float64) {
-	n := m.s.Dims
-	next = make([]float64, n) //lint:ignore hotalloc per-hop weight vector of length n, an accepted solver cost
+// nextWeights writes into m.next, for a message at dimension d (having
+// just crossed it), the probability that the next crossed dimension is
+// d2 > d, and returns the probability that d was the last: each higher
+// dimension differs independently with probability 1/2 for uniform (and
+// hot) destinations.
+func (m *hyperModel) nextWeights(d int) (done float64) {
 	rem := 1.0
-	for d2 := d + 1; d2 < n; d2++ {
-		next[d2] = rem / 2
+	for d2 := d + 1; d2 < len(m.next); d2++ {
+		m.next[d2] = rem / 2
 		rem /= 2
 	}
-	return next, rem
+	return rem
 }
 
 //khs:hotpath
@@ -153,14 +154,17 @@ func (m *hyperModel) Iterate(in, out []float64) error {
 	}
 	srMean /= float64(n)
 
+	// A channel off the hot tree carries regular traffic only; its delay
+	// is the same in every dimension.
+	bQuiet, errQuiet := m.blocking(m.lu, srMean, 0, 0)
 	for d := 0; d < n; d++ {
-		next, done := m.nextWeights(d)
+		done := m.nextWeights(d)
 		// Continuation after crossing dimension d.
 		contHot := done * m.lm
 		contReg := done * m.lm
 		for d2 := d + 1; d2 < n; d2++ {
-			contHot += next[d2] * sh[d2]
-			contReg += next[d2] * sr[d2]
+			contHot += m.next[d2] * sh[d2]
+			contReg += m.next[d2] * sr[d2]
 		}
 		// Hot channel of dimension d: regular competitors plus the
 		// aggregated hot flow.
@@ -172,15 +176,10 @@ func (m *hyperModel) Iterate(in, out []float64) error {
 		// A regular message crosses a hot channel of dim d with
 		// probability pHotChan[d]; otherwise the channel carries regular
 		// traffic only.
-		bShared, err := m.blocking(m.lu, srMean, m.lh[d], sh[d])
-		if err != nil {
-			return fmt.Errorf("%w (hypercube shared channel, dim %d)", ErrSaturated, d)
-		}
-		bQuiet, err := m.blocking(m.lu, srMean, 0, 0)
-		if err != nil {
+		if errQuiet != nil {
 			return fmt.Errorf("%w (hypercube quiet channel, dim %d)", ErrSaturated, d)
 		}
-		bReg := m.pHotChan[d]*bShared + (1-m.pHotChan[d])*bQuiet
+		bReg := m.pHotChan[d]*bHot + (1-m.pHotChan[d])*bQuiet
 		out[n+d] = 1 + bReg + contReg
 	}
 	return nil

@@ -57,6 +57,7 @@ type ndimModel struct {
 	prepared bool
 	lr       float64     // Eq. 3
 	lh       [][]float64 // lh[d][j] = lambda·h·k^d·(k-j)
+	bHot     []float64   // round scratch: one dimension's hot-channel delays, [j]
 }
 
 func newNDimModel(s Spec, o Options) *ndimModel {
@@ -78,6 +79,7 @@ func (m *ndimModel) Prepare() {
 		for d := 0; d < n; d++ {
 			m.lh[d] = make([]float64, k+1)
 		}
+		m.bHot = make([]float64, k)
 		m.prepared = true
 	}
 	m.SetLambda(m.s.Lambda)
@@ -187,13 +189,17 @@ func (m *ndimModel) Iterate(in, out []float64) error {
 	k, n := m.s.K, m.s.Dims
 	for d := 0; d < n; d++ {
 		entReg := m.regEntrance(in, d)
-		// Hot recursion.
+		// Hot recursion. The per-channel delays are kept for the regular
+		// average below, which sees the same channels with the same
+		// arguments.
+		contHot := m.cont(in, d, true)
 		for j := 1; j <= k-1; j++ {
 			b, err := m.blocking(m.lr, entReg, m.lh[d][j], in[m.hotIdx(d, j)])
 			if err != nil {
 				return fmt.Errorf("%w (ndim hot, dim %d ch %d)", ErrSaturated, d, j)
 			}
-			next := m.cont(in, d, true)
+			m.bHot[j] = b
+			next := contHot
 			if j > 1 {
 				next = in[m.hotIdx(d, j-1)]
 			}
@@ -205,19 +211,16 @@ func (m *ndimModel) Iterate(in, out []float64) error {
 		pHot := math.Pow(float64(k), -float64(d+1))
 		bAvg := 0.0
 		for j := 1; j <= k-1; j++ {
-			b, err := m.blocking(m.lr, entReg, m.lh[d][j], in[m.hotIdx(d, j)])
-			if err != nil {
-				return fmt.Errorf("%w (ndim shared, dim %d ch %d)", ErrSaturated, d, j)
-			}
-			bAvg += pHot * b
+			bAvg += pHot * m.bHot[j]
 		}
 		bQuiet, err := m.blocking(m.lr, entReg, 0, 0)
 		if err != nil {
 			return fmt.Errorf("%w (ndim quiet, dim %d)", ErrSaturated, d)
 		}
 		bAvg += (1 - float64(k-1)*pHot) * bQuiet
+		contReg := m.cont(in, d, false)
 		for b := 1; b <= k-1; b++ {
-			next := m.cont(in, d, false)
+			next := contReg
 			if b > 1 {
 				next = in[m.regIdx(d, b-1)]
 			}

@@ -27,10 +27,14 @@ type Spec struct {
 	Lambda float64
 }
 
-// maxV and maxStateSize bound a spec's cost before anything is allocated:
-// each blocking evaluation allocates V+1 floats, and a solve holds several
-// fixed-point state vectors.
-const maxV, maxStateSize = 1024, 1 << 21
+// maxV bounds a spec's cost before anything is allocated: each blocking
+// evaluation takes O(V) work.
+const maxV = 1024
+
+// maxStateSize bounds the fixed-point state one spec may need, in
+// variables: a prepared solver holds several state-sized buffers, and a
+// solve a few more. It also bounds what a PreparedSet retains.
+const maxStateSize = 1 << 21
 
 // checkRanges reports the first out-of-range V, Lm, H or Lambda: the range
 // rules every variant shares, checked after the variant's own topology

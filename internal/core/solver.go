@@ -157,10 +157,10 @@ func newSolverBase(o Options, v, lm int) solverBase {
 // blocking composes Eqs. 26-30 for a channel carrying regular traffic
 // (lr, sr) and hot-spot traffic (lh, sh) under the configured form.
 func (b *solverBase) blocking(lr, sr, lh, sh float64) (float64, error) {
-	return blockingDelay(b.o, b.v, b.lm, lr, sr, lh, sh)
+	return blockingDelay(&b.o, b.v, b.lm, lr, sr, lh, sh)
 }
 
 // variance is the service-time variance under the configured VarianceForm.
 func (b *solverBase) variance(sBar float64) float64 {
-	return serviceVariance(b.o, b.lm, sBar)
+	return serviceVariance(&b.o, b.lm, sBar)
 }

@@ -24,13 +24,14 @@ func (b *vecBuilder) seg(n int) seg {
 
 func (b *vecBuilder) Size() int { return b.size }
 
-// padded returns a 1-indexed copy of the segment (index 0 unused), the
-// shape the service-time recursions are written in.
-func (s seg) padded(x []float64) []float64 {
-	out := make([]float64, s.n+1) //lint:ignore hotalloc 1-indexed copies are the view representation, an accepted solver cost
-	copy(out[1:], x[s.off:s.off+s.n])
-	return out
-}
+// buf returns a fresh buffer for the segment's 1-indexed view.
+func (s seg) buf() []float64 { return make([]float64, s.n+1) }
+
+// unpack copies the segment into dst's 1-indexed positions 1..n (dst[0]
+// is unused), the shape the service-time recursions are written in. dst
+// comes from buf: solvers build one per segment at Prepare, so a round
+// unpacks its input without allocating.
+func (s seg) unpack(x, dst []float64) { copy(dst[1:], x[s.off:s.off+s.n]) }
 
 // put stores v at the segment's 1-indexed position j.
 func (s seg) put(x []float64, j int, v float64) { x[s.off+j-1] = v }

@@ -367,8 +367,10 @@ func Solve(state []float64, f Map, opts Options) (Convergence, error) {
 }
 
 // accelState carries the history an extrapolation scheme keeps between
-// rounds: recent iterates and map values for Anderson, the last two damped
-// iterates for Aitken, and the previous round's residual for the safeguard.
+// rounds, and all of its scratch: newAccelState sizes everything but the
+// Anderson difference columns, which record allocates as the history first
+// grows into each slot. Once the history is full, accelerated rounds
+// allocate nothing.
 type accelState struct {
 	mode Acceleration
 	beta float64 // mixing/damping factor
@@ -379,35 +381,56 @@ type accelState struct {
 	prevRes float64
 	hasPrev bool
 
-	// Anderson history: the most recent iterates and their map values,
-	// oldest first, at most window+1 entries. Backing storage is recycled.
-	window int
-	xs, fs [][]float64
-	spare  [][]float64
+	// Anderson history, held as differences: the last recorded iterate
+	// xLast and its residual gLast = F(xLast) - xLast, and up to window
+	// difference columns Δx_j = x_{j+1} - x_j, Δg_j = g_{j+1} - g_j. The
+	// columns live in a ring of window slots; logical column j (0 the
+	// oldest) is slot (head+j) % window. gramAll holds <Δg, Δg> for every
+	// pair of live slots (window × window, by slot): each inner product is
+	// computed once, when the newer of its two columns arrives, and reused
+	// until one of them is evicted.
+	window       int
+	hasLast      bool
+	xLast, gLast []float64
+	dx, dg       [][]float64 // [slot][i]
+	head, cols   int
+	gramAll      []float64
 
 	// Aitken chain: the last one or two consecutive post-damped-step
-	// states (p1, p2 with p2 = G(p1)); an accelerated round or a safeguard
-	// rejection breaks the chain.
-	chain [][]float64
+	// states (chain[0], chain[1] with chain[1] = G(chain[0])); an
+	// accelerated round or a safeguard rejection breaks the chain.
+	chain    [2][]float64
+	chainLen int
 
 	// cand receives the extrapolated candidate state; keeping it separate
 	// from the caller's buffers leaves F(x) intact for rollback.
 	cand []float64
 
-	// Anderson normal-equation scratch.
+	// Anderson normal equations for the current m columns, rebuilt from
+	// gramAll each round (solveSPD factors gram in place).
 	gram []float64
 	rhs  []float64
 }
 
 func newAccelState(mode Acceleration, window int, beta float64, n int) *accelState {
-	return &accelState{ //lint:ignore hotalloc accelerator state is built once per Solve
-		mode:   mode,
-		beta:   beta,
-		window: window,
-		cand:   make([]float64, n),             //lint:ignore hotalloc accelerator state is built once per Solve
-		gram:   make([]float64, window*window), //lint:ignore hotalloc accelerator state is built once per Solve
-		rhs:    make([]float64, window),        //lint:ignore hotalloc accelerator state is built once per Solve
+	a := &accelState{mode: mode, beta: beta, window: window} //lint:ignore hotalloc accelerator state is built once per Solve
+	switch mode {
+	case AccelAnderson:
+		buf := make([]float64, 3*n) //lint:ignore hotalloc accelerator state is built once per Solve
+		a.cand, a.xLast, a.gLast = buf[:n:n], buf[n:2*n:2*n], buf[2*n:]
+		// The difference columns get their buffers in record, as the
+		// history first grows into each slot.
+		a.dx = make([][]float64, window)           //lint:ignore hotalloc accelerator state is built once per Solve
+		a.dg = make([][]float64, window)           //lint:ignore hotalloc accelerator state is built once per Solve
+		a.gramAll = make([]float64, window*window) //lint:ignore hotalloc accelerator state is built once per Solve
+		a.gram = make([]float64, window*window)    //lint:ignore hotalloc accelerator state is built once per Solve
+		a.rhs = make([]float64, window)            //lint:ignore hotalloc accelerator state is built once per Solve
+	case AccelAitken:
+		buf := make([]float64, 3*n) //lint:ignore hotalloc accelerator state is built once per Solve
+		a.cand = buf[:n:n]
+		a.chain[0], a.chain[1] = buf[n:2*n:2*n], buf[2*n:]
 	}
+	return a
 }
 
 // resNorm is the residual measure used by the safeguard: the maximum
@@ -474,49 +497,55 @@ func (a *accelState) observeDamped(state []float64) {
 	if a.mode != AccelAitken {
 		return
 	}
-	if len(a.chain) == 2 {
+	if a.chainLen == 2 {
 		a.chain[0], a.chain[1] = a.chain[1], a.chain[0]
 		copy(a.chain[1], state)
 		return
 	}
-	a.chain = append(a.chain, append(a.take(len(state))[:0], state...)) //lint:ignore hotalloc window-bounded history entry drawn from the recycled spare pool
+	copy(a.chain[a.chainLen], state)
+	a.chainLen++
 }
 
 // reset drops all extrapolation history (safeguard rejection).
 func (a *accelState) reset() {
-	for _, v := range a.xs {
-		a.spare = append(a.spare, v) //lint:ignore hotalloc spare pool growth is bounded by window+1 recycled vectors
-	}
-	for _, v := range a.fs {
-		a.spare = append(a.spare, v) //lint:ignore hotalloc spare pool growth is bounded by window+1 recycled vectors
-	}
-	for _, v := range a.chain {
-		a.spare = append(a.spare, v) //lint:ignore hotalloc spare pool growth is bounded by window+1 recycled vectors
-	}
-	a.xs, a.fs, a.chain = a.xs[:0], a.fs[:0], a.chain[:0]
+	a.hasLast, a.head, a.cols = false, 0, 0
+	a.chainLen = 0
 }
 
-// take returns a recycled or fresh length-n vector.
-func (a *accelState) take(n int) []float64 {
-	if k := len(a.spare); k > 0 {
-		v := a.spare[k-1]
-		a.spare = a.spare[:k-1]
-		return v[:n]
+// record appends the iterate x with map value fx to the Anderson history:
+// the difference column against the previous iterate, evicting the oldest
+// column once window are held.
+func (a *accelState) record(x, fx []float64) {
+	if !a.hasLast {
+		for i := range x {
+			a.xLast[i] = x[i]
+			a.gLast[i] = fx[i] - x[i]
+		}
+		a.hasLast = true
+		return
 	}
-	return make([]float64, n) //lint:ignore hotalloc fresh vector only until the spare pool warms up
-}
-
-// push appends copies of (x, fx) to the Anderson history, trimming it to
-// window+1 entries.
-func (a *accelState) push(x, fx []float64) {
-	a.xs = append(a.xs, append(a.take(len(x))[:0], x...))   //lint:ignore hotalloc window-bounded history entry drawn from the recycled spare pool
-	a.fs = append(a.fs, append(a.take(len(fx))[:0], fx...)) //lint:ignore hotalloc window-bounded history entry drawn from the recycled spare pool
-	if len(a.xs) > a.window+1 {
-		a.spare = append(a.spare, a.xs[0], a.fs[0]) //lint:ignore hotalloc evicted history entries return to the spare pool
-		copy(a.xs, a.xs[1:])
-		copy(a.fs, a.fs[1:])
-		a.xs = a.xs[:len(a.xs)-1]
-		a.fs = a.fs[:len(a.fs)-1]
+	slot := (a.head + a.cols) % a.window
+	if a.cols == a.window {
+		a.head = (a.head + 1) % a.window
+	} else {
+		a.cols++
+	}
+	if a.dx[slot] == nil {
+		// A slot's buffers are allocated the first time a column lands in
+		// it and reused after, so a solve that stops early never holds the
+		// whole window, and rounds allocate nothing once window columns
+		// have been recorded.
+		n := len(x)
+		buf := make([]float64, 2*n) //lint:ignore hotalloc each history slot is allocated once per Solve, on first use
+		a.dx[slot], a.dg[slot] = buf[:n:n], buf[n:]
+	}
+	dx, dg := a.dx[slot], a.dg[slot]
+	for i := range x {
+		g := fx[i] - x[i]
+		dx[i] = x[i] - a.xLast[i]
+		dg[i] = g - a.gLast[i]
+		a.xLast[i] = x[i]
+		a.gLast[i] = g
 	}
 }
 
@@ -528,38 +557,40 @@ func (a *accelState) push(x, fx []float64) {
 // Δg_j that best cancels the current residual. The candidate is written to
 // a.cand; a singular system or non-finite candidate rejects the round.
 func (a *accelState) anderson(state, fx []float64) bool {
-	a.push(state, fx)
-	m := len(a.xs) - 1 // number of difference columns
+	a.record(state, fx)
+	m := a.cols
 	if m < 1 {
 		return false
 	}
-	n := len(state)
-	//lint:ignore hotalloc non-escaping difference helper, inlined into the normal-equation loops
-	dg := func(j, i int) float64 { // Δg_j at component i
-		return (a.fs[j+1][i] - a.xs[j+1][i]) - (a.fs[j][i] - a.xs[j][i])
-	}
-	//lint:ignore hotalloc non-escaping residual helper, inlined into the normal-equation loops
-	gcur := func(i int) float64 { // current residual g at component i
-		return a.fs[m][i] - a.xs[m][i]
+	// A history with columns has just gained its newest, logical column
+	// m-1. One pass per column computes both its inner product with the
+	// newest (the only Gram entries not already held) and the right-hand
+	// side entry against the current residual g = F(state) - state.
+	g, w := a.gLast, a.window
+	newest := (a.head + m - 1) % w
+	dgNew := a.dg[newest]
+	rhs := a.rhs[:m]
+	for j := 0; j < m; j++ {
+		sj := (a.head + j) % w
+		col := a.dg[sj]
+		s, r := 0.0, 0.0
+		for i := range g {
+			s += col[i] * dgNew[i]
+			r += col[i] * g[i]
+		}
+		a.gramAll[sj*w+newest], a.gramAll[newest*w+sj] = s, s
+		rhs[j] = r
 	}
 	// Normal equations Aγ = b with Tikhonov regularisation scaled to the
 	// Gram diagonal, so near-collinear histories stay solvable.
-	gram, rhs := a.gram[:m*m], a.rhs[:m]
+	gram := a.gram[:m*m]
 	diag := 0.0
 	for j := 0; j < m; j++ {
-		for k := j; k < m; k++ {
-			s := 0.0
-			for i := 0; i < n; i++ {
-				s += dg(j, i) * dg(k, i)
-			}
-			gram[j*m+k], gram[k*m+j] = s, s
+		sj := (a.head + j) % w
+		for k := 0; k < m; k++ {
+			gram[j*m+k] = a.gramAll[sj*w+(a.head+k)%w]
 		}
 		diag += gram[j*m+j]
-		s := 0.0
-		for i := 0; i < n; i++ {
-			s += dg(j, i) * gcur(i)
-		}
-		rhs[j] = s
 	}
 	reg := 1e-12 * diag / float64(m)
 	if reg <= 0 || math.IsNaN(reg) || math.IsInf(reg, 0) {
@@ -574,17 +605,24 @@ func (a *accelState) anderson(state, fx []float64) bool {
 		a.reset()
 		return false
 	}
-	for i := 0; i < n; i++ {
-		v := a.xs[m][i] + a.beta*gcur(i)
-		for j := 0; j < m; j++ {
-			dx := a.xs[j+1][i] - a.xs[j][i]
-			v -= gamma[j] * (dx + a.beta*dg(j, i))
+	// Column by column: each component still subtracts the columns' terms
+	// oldest first, so the arithmetic per component is unchanged.
+	cand := a.cand
+	for i := range cand {
+		cand[i] = state[i] + a.beta*g[i]
+	}
+	for j := 0; j < m; j++ {
+		sj := (a.head + j) % a.window
+		dx, dg, gj := a.dx[sj], a.dg[sj], gamma[j]
+		for i := range cand {
+			cand[i] -= gj * (dx[i] + a.beta*dg[i])
 		}
+	}
+	for _, v := range cand {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			a.reset()
 			return false
 		}
-		a.cand[i] = v
 	}
 	return true
 }
@@ -596,7 +634,7 @@ func (a *accelState) anderson(state, fx []float64) bool {
 // the correction would be ill-conditioned — keep the damped value. The
 // candidate is written to a.cand.
 func (a *accelState) aitken(state, fx []float64) bool {
-	if len(a.chain) < 2 {
+	if a.chainLen < 2 {
 		return false
 	}
 	p1 := a.chain[0]

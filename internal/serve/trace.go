@@ -36,29 +36,24 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 	}
 }
 
-// solveRunner owns the solver side of one request: prepared solvers keyed
-// by topology shape (λ excluded), plus the tracing of each cache-miss
-// leader solve through one span.FixpointTrace. Leaders run sequentially
-// per request (singleflight calls fn synchronously), so one bridge serves
-// every solve of the request.
+// solveRunner owns the solver side of one request: a core.PreparedSet of
+// prepared solvers keyed by topology shape (λ excluded, bounded by state
+// size), plus the tracing of each cache-miss leader solve through one
+// span.FixpointTrace. Leaders run sequentially per request (singleflight
+// calls fn synchronously), so one bridge serves every solve of the
+// request.
 type solveRunner struct {
 	model    string
-	opts     core.Options
-	prepared map[core.Spec]*core.PreparedSolver
+	prepared *core.PreparedSet
 	fp       *span.FixpointTrace
 }
 
 // newSolveRunner builds a runner whose solves are cancelled by ctx.
 func newSolveRunner(ctx context.Context, model string, opts core.Options) *solveRunner {
-	r := &solveRunner{
-		model:    model,
-		opts:     opts,
-		prepared: map[core.Spec]*core.PreparedSolver{},
-		fp:       span.NewFixpointTrace(opts.FixPoint.Trace),
-	}
-	r.opts.FixPoint.Ctx = ctx
-	r.opts.FixPoint.Trace = r.fp.Hook()
-	return r
+	fp := span.NewFixpointTrace(opts.FixPoint.Trace)
+	opts.FixPoint.Ctx = ctx
+	opts.FixPoint.Trace = fp.Hook()
+	return &solveRunner{model: model, prepared: core.NewPreparedSet(model, opts), fp: fp}
 }
 
 // solve runs one cache-miss solve as the singleflight leader: preparation
@@ -72,18 +67,15 @@ func (r *solveRunner) solve(ctx context.Context, spec core.Spec) (*core.SolveRes
 		span.Float64("lambda", spec.Lambda))
 	defer sp.End()
 
-	shape := spec
-	shape.Lambda = 0
-	ps := r.prepared[shape]
+	ps := r.prepared.Lookup(spec)
 	if ps == nil {
 		_, prep := span.StartChild(ctx, "core.prepare")
 		var err error
-		ps, err = core.Prepare(r.model, spec, r.opts)
+		ps, err = r.prepared.Prepare(spec)
 		prep.End()
 		if err != nil {
 			return nil, err
 		}
-		r.prepared[shape] = ps
 	}
 
 	r.fp.Start(ctx)

@@ -62,7 +62,7 @@ func Degree(v int, lambda, s float64) (float64, error) {
 // Occupancy returns the stationary distribution P_0..P_V of the number of
 // busy virtual channels for utilisation rho = lambda*s in [0, 1).
 func Occupancy(v int, rho float64) []float64 {
-	q := make([]float64, v+1) //lint:ignore hotalloc occupancy vector per blocking evaluation, an accepted solver cost
+	q := make([]float64, v+1)
 	q[0] = 1
 	for i := 1; i < v; i++ {
 		q[i] = q[i-1] * rho
@@ -82,6 +82,24 @@ func Occupancy(v int, rho float64) []float64 {
 		q[i] /= sum
 	}
 	return q
+}
+
+// AllBusy returns P_V, the probability that all v virtual channels are
+// busy at utilisation rho in [0, 1): Occupancy(v, rho)[v], computed with
+// the same products in the same summation order (so bit-identical) but
+// without materialising the distribution.
+func AllBusy(v int, rho float64) float64 {
+	if v < 1 {
+		return 1
+	}
+	q, sum := 1.0, 1.0
+	for i := 1; i < v; i++ {
+		q *= rho
+		sum += q
+	}
+	top := q * rho / (1 - rho)
+	sum += top
+	return top / sum
 }
 
 // ScaleLatency multiplies a latency by the multiplexing degree, the way the

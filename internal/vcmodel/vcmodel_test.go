@@ -158,3 +158,20 @@ func TestScaleLatency(t *testing.T) {
 		t.Errorf("ScaleLatency = %v", got)
 	}
 }
+
+// TestAllBusyMatchesOccupancy pins AllBusy to the last entry of the
+// materialised distribution bit for bit, across V and the whole [0, 1)
+// utilisation range the blocking composition feeds it.
+func TestAllBusyMatchesOccupancy(t *testing.T) {
+	for v := 1; v <= 40; v++ {
+		for _, rho := range []float64{0, 1e-9, 0.01, 0.3, 0.5, 0.7, 0.99, 1 - 1e-12} {
+			want := Occupancy(v, rho)[v]
+			if got := AllBusy(v, rho); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("AllBusy(%d, %v) = %.17g, Occupancy gives %.17g", v, rho, got, want)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { AllBusy(16, 0.4) }); n > 0 {
+		t.Errorf("AllBusy allocates %v times per call, want 0", n)
+	}
+}
