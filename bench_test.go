@@ -529,6 +529,34 @@ func BenchmarkSimulatorStep(b *testing.B) {
 	}
 }
 
+// BenchmarkSimulatorStepSaturated measures the cost of one cycle past the
+// knee: the fig1-h20 shape (K = 16, V = 2, Lm = 32, h = 0.2, hot node at
+// the centre) at λ = 6e-4, where the khs-figures sweep runs to its cycle
+// cap. After the 200 000-cycle warm-up most held virtual channels are
+// blocked, so the number measures what a cycle pays for the flits that
+// wait.
+func BenchmarkSimulatorStepSaturated(b *testing.B) {
+	cube := topology.MustNew(16, 2)
+	hs, err := traffic.NewHotSpot(cube, cube.FromCoords([]int{8, 8}), 0.2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	nw, err := kncube.NewSimulator(kncube.SimConfig{
+		K: 16, Dims: 2, VCs: 2, MsgLen: 32, Lambda: 6e-4,
+		Pattern: hs, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 200000; i++ {
+		nw.Step()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nw.Step()
+	}
+}
+
 // summarise renders a model curve as a compact latency sequence with "sat"
 // marking saturated points.
 func summarise(pts []experiments.Point) string {

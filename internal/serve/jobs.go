@@ -37,8 +37,8 @@ var (
 
 // job is one async unit of work — a sweep or a surface build: identity,
 // live progress, and — once terminal — the results or the failure. All
-// mutable fields are guarded by mu; finished closes exactly once when the
-// job goroutine exits.
+// mutable fields are guarded by mu; finished closes exactly once, after
+// the job goroutine has recorded the terminal state and its metrics.
 type job struct {
 	id    string
 	kind  string
@@ -249,7 +249,6 @@ func (st *jobStore) launchJob(parent context.Context, j *job, link span.Parent, 
 		}
 		state := j.state
 		j.mu.Unlock()
-		close(j.finished)
 		cancel()
 
 		jspan.SetAttr("state", state)
@@ -261,12 +260,15 @@ func (st *jobStore) launchJob(parent context.Context, j *job, link span.Parent, 
 			j.kind+"_id", j.id, subjectKey, subject, "model", j.model, "state", state,
 			"trace_id", jspan.TraceID().String(), "span_id", jspan.SpanID().String())
 
+		// Account for the job before signalling, so that a waiter on
+		// finished reads the counter and gauge already updated.
 		st.mu.Lock()
 		st.active[j.kind]--
 		st.activeJobs(j.kind).Set(float64(st.active[j.kind]))
 		st.prune()
 		st.mu.Unlock()
 		st.jobsTotal(j.kind, state).Inc()
+		close(j.finished)
 	}()
 	return j, nil
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"kncube/internal/core"
 	"kncube/internal/experiments"
 	"kncube/internal/fixpoint"
+	"kncube/internal/stats"
 	"kncube/internal/telemetry"
 )
 
@@ -500,6 +502,76 @@ func TestSweepCancellation(t *testing.T) {
 	if n := s.Registry().Counter("khs_serve_sweep_jobs_total", "",
 		telemetry.Labels{"state": JobCancelled}).Value(); n != 1 {
 		t.Errorf("cancelled-jobs counter = %d, want 1", n)
+	}
+}
+
+// TestSweepMetricsBeforeFinished: a job's terminal counter and the
+// active-jobs gauge are updated before its finished channel closes, so a
+// waiter reads them without a race. Run it with -count=50 to check.
+func TestSweepMetricsBeforeFinished(t *testing.T) {
+	s := New(Config{})
+	h := s.Handler()
+	rr := postJSON(t, h, "/v1/sweeps", SweepRequest{Panel: "fig1-h20", Points: 1,
+		Budget: &SweepBudget{WarmupCycles: 100, MaxCycles: 1000, MinMeasured: 10}})
+	if rr.Code != http.StatusAccepted {
+		t.Fatalf("status = %d, body %s", rr.Code, rr.Body.String())
+	}
+	j, ok := s.jobs.get(decodeBody[SweepStatus](t, rr).ID)
+	if !ok {
+		t.Fatal("job not in store")
+	}
+	<-j.finished
+	if n := s.Registry().Counter("khs_serve_sweep_jobs_total", "",
+		telemetry.Labels{"state": JobDone}).Value(); n != 1 {
+		t.Errorf("done-jobs counter = %d right after finished, want 1", n)
+	}
+	if g := s.Registry().Gauge("khs_serve_active_sweeps", "", nil).Value(); !stats.IsZero(g) {
+		t.Errorf("active sweeps = %v right after finished, want 0", g)
+	}
+}
+
+// TestSweepLimits: requests beyond the sweep limits, or with a negative
+// budget, are 400s naming the field, refused before a job exists or any
+// request-sized allocation is made. The reps row once killed the server:
+// it asked RunPanels for a 15.2 GB result slice.
+func TestSweepLimits(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		body  string
+		field string
+	}{
+		{"reps crash", `{"panel":"fig1-h20","points":1,"reps":100000000}`, "reps"},
+		{"reps", `{"panel":"fig1-h20","reps":101}`, "reps"},
+		{"jobs", `{"panel":"fig1-h20","jobs":33}`, "jobs"},
+		{"max cycles", `{"panel":"fig1-h20","budget":{"max_cycles":2400001}}`, "budget.max_cycles"},
+		{"warmup cycles", `{"panel":"fig1-h20","budget":{"warmup_cycles":2400001}}`, "budget.warmup_cycles"},
+		{"negative max cycles", `{"panel":"fig1-h20","budget":{"max_cycles":-1}}`, "budget.max_cycles"},
+		{"negative warmup", `{"panel":"fig1-h20","budget":{"warmup_cycles":-5}}`, "budget.warmup_cycles"},
+		{"negative min measured", `{"panel":"fig1-h20","budget":{"min_measured":-1}}`, "budget.min_measured"},
+		{"warmup past cap", `{"panel":"fig1-h20","budget":{"warmup_cycles":2000,"max_cycles":2000}}`, "budget.warmup_cycles"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(Config{})
+			h := s.Handler()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			rr := httptest.NewRecorder()
+			h.ServeHTTP(rr, httptest.NewRequest("POST", "/v1/sweeps", strings.NewReader(tc.body)))
+			runtime.ReadMemStats(&after)
+			if rr.Code != http.StatusBadRequest {
+				t.Fatalf("status = %d, want 400 (body %s)", rr.Code, rr.Body.String())
+			}
+			resp := decodeBody[ErrorResponse](t, rr)
+			if len(resp.Fields) != 1 || resp.Fields[0].Field != tc.field {
+				t.Errorf("fields = %+v, want one issue on %q", resp.Fields, tc.field)
+			}
+			if len(s.jobs.jobs) != 0 {
+				t.Errorf("%d jobs launched for a refused request", len(s.jobs.jobs))
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+				t.Errorf("refusing the request allocated %d bytes, want under 1 MiB", grew)
+			}
+		})
 	}
 }
 

@@ -433,6 +433,50 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 // would starve interactive solves.
 const maxBatchItems = 256
 
+// Limits on one POST /v1/sweeps request, checked before anything is
+// allocated or run. reps sizes a per-point result slice and multiplies the
+// simulations; jobs sizes the worker pool; the cycle budgets bound the
+// work of each replication and, past saturation, its source-queue backlog.
+// The cycle cap is four times the default budget's MaxCycles.
+const (
+	maxSweepReps   = 100
+	maxSweepJobs   = 32
+	maxSweepCycles = 2_400_000
+)
+
+// sweepLimitIssue reports the first reps, jobs or budget field of req that
+// is negative or above its limit, or whose resolved warm-up does not end
+// before the cycle cap; nil when the request is within bounds.
+func sweepLimitIssue(req *SweepRequest, budget experiments.SimBudget) *FieldIssue {
+	if req.Reps > maxSweepReps {
+		return &FieldIssue{Field: "reps", Reason: fmt.Sprintf("reps = %d, want <= %d", req.Reps, maxSweepReps)}
+	}
+	if req.Jobs > maxSweepJobs {
+		return &FieldIssue{Field: "jobs", Reason: fmt.Sprintf("jobs = %d, want <= %d", req.Jobs, maxSweepJobs)}
+	}
+	if b := req.Budget; b != nil {
+		for _, f := range []struct {
+			name  string
+			value int64
+		}{
+			{"budget.warmup_cycles", b.WarmupCycles},
+			{"budget.max_cycles", b.MaxCycles},
+		} {
+			if f.value < 0 || f.value > maxSweepCycles {
+				return &FieldIssue{Field: f.name, Reason: fmt.Sprintf("%s = %d, want 0..%d", f.name, f.value, maxSweepCycles)}
+			}
+		}
+		if b.MinMeasured < 0 {
+			return &FieldIssue{Field: "budget.min_measured", Reason: fmt.Sprintf("budget.min_measured = %d, want >= 0", b.MinMeasured)}
+		}
+	}
+	if budget.WarmupCycles >= budget.MaxCycles {
+		return &FieldIssue{Field: "budget.warmup_cycles", Reason: fmt.Sprintf(
+			"warm-up %d cycles leaves no measurement before the %d-cycle cap", budget.WarmupCycles, budget.MaxCycles)}
+	}
+	return nil
+}
+
 // handleSolveBatch is POST /v1/solve:batch: many specs of one model through
 // one admission slot. Request-level validation (model, options, item count)
 // happens before admission; per-item spec validation and solves run inside
@@ -607,6 +651,10 @@ func (s *Server) handleSweepCreate(w http.ResponseWriter, r *http.Request) {
 		if b.Seed != 0 {
 			budget.Seed = b.Seed
 		}
+	}
+	if issue := sweepLimitIssue(&req, budget); issue != nil {
+		writeFieldIssues(w, *issue)
+		return
 	}
 	jobs := req.Jobs
 	if jobs == 0 {

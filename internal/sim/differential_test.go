@@ -17,11 +17,22 @@ import (
 	"kncube/internal/traffic"
 )
 
-// diffConfigs returns the routing × pattern matrix the ISSUE pins:
+// diffCase is one row of the differential matrix. Saturated rows must
+// report Result.Saturated on both twins.
+type diffCase struct {
+	name      string
+	cfg       Config
+	saturated bool
+}
+
+// diffConfigs returns the routing × pattern matrix:
 // unidirectional/bidirectional/adaptive crossed with uniform/hot-spot/
-// transpose traffic. Hot-spot rows also exercise the contended ejection
-// channel.
-func diffConfigs(t *testing.T) []Config {
+// transpose traffic at λ = 0.008, plus a saturated hot-spot row per
+// routing at λ = 0.04. There, on the 4×4 torus with the contended
+// ejection channel, every routing saturates, most held VCs spend most
+// cycles parked, and a lost wake-up would strand flits or shift a Blocked
+// count. Hot-spot rows exercise the contended ejection channel.
+func diffConfigs(t *testing.T) []diffCase {
 	t.Helper()
 	type routingRow struct {
 		name string
@@ -34,35 +45,44 @@ func diffConfigs(t *testing.T) []Config {
 		{"bidirectional", 2, true, RoutingDimensionOrder},
 		{"adaptive", 4, true, RoutingAdaptive},
 	}
-	patterns := []string{"uniform", "hotspot", "transpose"}
+	patterns := []string{"uniform", "hotspot", "transpose", "hotspot-saturated"}
 
 	cube := topology.MustNew(4, 2)
 	hot := cube.FromCoords([]int{2, 2})
-	var cfgs []Config
+	var cases []diffCase
 	for _, rr := range routings {
 		for _, pat := range patterns {
 			var p traffic.Pattern
+			lambda := 0.008
 			switch pat {
 			case "uniform":
 				p = traffic.Uniform{Cube: cube}
-			case "hotspot":
+			case "hotspot", "hotspot-saturated":
 				hs, err := traffic.NewHotSpot(cube, hot, 0.25)
 				if err != nil {
 					t.Fatal(err)
 				}
 				p = hs
+				if pat == "hotspot-saturated" {
+					lambda = 0.04
+				}
 			case "transpose":
 				p = traffic.Transpose{Cube: cube}
 			}
-			cfgs = append(cfgs, Config{
+			cfg := Config{
 				K: 4, Dims: 2, VCs: rr.vcs, BufDepth: 2, MsgLen: 8,
-				Lambda: 0.008, Pattern: p, Seed: 77,
+				Lambda: lambda, Pattern: p, Seed: 77,
 				Bidirectional: rr.bi, Routing: rr.mode,
-				EjectionContention: pat == "hotspot",
-			})
+				EjectionContention: pat != "uniform" && pat != "transpose",
+			}
+			dc := diffCase{name: diffConfigName(cfg), cfg: cfg, saturated: pat == "hotspot-saturated"}
+			if dc.saturated {
+				dc.name += "/saturated"
+			}
+			cases = append(cases, dc)
 		}
 	}
-	return cfgs
+	return cases
 }
 
 func diffConfigName(cfg Config) string {
@@ -81,9 +101,9 @@ func diffConfigName(cfg Config) string {
 // compares the complete Result plus the raw flit counters.
 func TestStepMatchesReferenceRun(t *testing.T) {
 	opts := RunOptions{WarmupCycles: 500, MaxCycles: 30000, MinMeasured: 400}
-	for _, cfg := range diffConfigs(t) {
-		cfg := cfg
-		t.Run(diffConfigName(cfg), func(t *testing.T) {
+	for _, dc := range diffConfigs(t) {
+		cfg := dc.cfg
+		t.Run(dc.name, func(t *testing.T) {
 			fast, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -104,6 +124,9 @@ func TestStepMatchesReferenceRun(t *testing.T) {
 			}
 			if !reflect.DeepEqual(fastRes, refRes) {
 				t.Errorf("Result diverged:\n fast: %+v\n ref:  %+v", fastRes, refRes)
+			}
+			if dc.saturated && !(fastRes.Saturated && refRes.Saturated) {
+				t.Errorf("saturated row did not saturate: fast %v ref %v", fastRes.Saturated, refRes.Saturated)
 			}
 			if fast.cycle != ref.cycle {
 				t.Errorf("cycle diverged: fast %d ref %d", fast.cycle, ref.cycle)
@@ -128,9 +151,9 @@ func TestStepMatchesReferenceLockstep(t *testing.T) {
 	if testing.Short() {
 		cycles = 1000
 	}
-	for _, cfg := range diffConfigs(t) {
-		cfg := cfg
-		t.Run(diffConfigName(cfg), func(t *testing.T) {
+	for _, dc := range diffConfigs(t) {
+		cfg := dc.cfg
+		t.Run(dc.name, func(t *testing.T) {
 			fast, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -75,6 +75,25 @@ type vc struct {
 	routeCh int8
 	wrapped int8
 
+	// port is the input port this VC belongs to (fixed at construction).
+	port int8
+
+	// park says why this VC's scheduling entry (its pending header or
+	// channel candidate) is off its list, and so which event puts it
+	// back: parkIn waits for its own moveIn (buffer empty), parkDown for
+	// the moveOut of its downstream VC (that buffer full), parkClass for
+	// the release of a VC of its header's Dally-Seitz class. parkedAt is
+	// the cycle a parkClass header parked, so that Blocked can be
+	// credited with the cycles it spent parked.
+	park     int8
+	parkedAt int64
+
+	// feedParked marks that this VC's one feeder — the upstream VC from
+	// (network ports; valid while msg is held) or, for an injection VC,
+	// the PE — is parked until this VC's next moveOut frees a slot.
+	feedParked bool
+	from       int16
+
 	// in/out count flits that entered/left during cycle; touch() lazily
 	// resets them at each new cycle so that conservative eligibility can be
 	// computed without a global per-cycle sweep:
@@ -90,11 +109,20 @@ const (
 	routeUnknown = int8(-1)
 )
 
+// Values of vc.park.
+const (
+	parkNone = int8(iota)
+	parkIn
+	parkDown
+	parkClass
+)
+
 func (v *vc) reset() {
 	v.msg = nil
 	v.occ, v.recvd, v.sent = 0, 0, 0
 	v.outPort, v.outVC = noPort, noPort
 	v.routeCh, v.wrapped = routeUnknown, 0
+	v.park, v.feedParked = parkNone, false
 }
 
 func (v *vc) touch(cycle int64) {

@@ -16,21 +16,35 @@ import (
 // been allocated to this channel, so per-cycle arbitration touches only
 // VCs that can actually move a flit instead of scanning every input VC.
 type outChannel struct {
-	// down is the router this channel feeds; base is the offset of the
-	// channel's VC group in down.in (input port index equals the output
-	// channel index, so base = ch*VCs).
-	down *router
-	base int
+	// id is the channel's index in Network.chans and Network.chanFlits
+	// (node*outputs + ch). in and dvc are the offsets in Network.vcs of
+	// the owning router's input VCs and of the VC group this channel
+	// feeds, so arbitration reaches both without loading either router;
+	// base is the offset of that group in down.in (input port index
+	// equals the output channel index, so base = ch*VCs).
+	id, in, dvc, base int
 
 	// cand lists the flattened input-VC indices of the owning router
-	// currently routed to this channel, in ascending order. Maintained
-	// incrementally: allocate inserts on a successful claim, forward
-	// removes when the tail flit leaves.
+	// currently routed to this channel and not parked, in ascending order.
+	// Maintained incrementally: allocate inserts on a successful claim,
+	// forward removes when the tail flit leaves or the candidate parks,
+	// and a wake re-inserts a parked candidate.
 	cand []int16
 
 	// rr is the round-robin arbitration pointer (flattened port*VCs+vc),
 	// advanced past the last grant.
 	rr int
+
+	// src is the owning router and down the router this channel feeds.
+	// The fields above fit one cache line; arbitration reaches these
+	// only to wake or release.
+	src, down *router
+
+	// waiting[c] lists the owning router's headers routed to this channel
+	// that found every downstream VC of their Dally-Seitz class held and
+	// parked (c = 0 for VCs [0, V/2), 1 for [V/2, V)). Releasing one of
+	// those VCs moves the whole list back to pending.
+	waiting [2][]int16
 }
 
 // router holds the per-node state: input ports (one per dimension plus the
@@ -74,23 +88,27 @@ type router struct {
 	busyVCs int
 
 	// pending lists (ascending, flattened) the held VCs whose header has
-	// no output allocated yet — the only VCs the allocation phase must
-	// visit. ejectQ lists the VCs allocated to the ejection channel.
+	// arrived, has no output allocated yet and is not parked — the only
+	// VCs the allocation phase must visit. ejectQ lists the VCs allocated
+	// to the ejection channel.
 	pending []int16
 	ejectQ  []int16
 
 	// busyIn[p] counts held VCs on network input port p (msg != nil),
 	// maintained incrementally so multiplexing-degree sampling needs no
 	// VC scan. injLive counts injection VCs still receiving flits from
-	// the PE (msg held, recvd < MsgLen), gating the injection phase;
-	// candLive counts candidates across all output channels, gating the
-	// forwarding phase.
-	busyIn   []int32
-	injLive  int
-	candLive int
+	// the PE (msg held, recvd < MsgLen) whose PE is not parked on a full
+	// buffer, gating the injection phase.
+	busyIn  []int32
+	injLive int
 
-	// flitBase is node*outputs, the router's offset into Network.chanFlits.
-	flitBase int
+	// up[p] is the router whose output channel p feeds network input port
+	// p, where a moveOut or a release wakes the entry parked on it.
+	up []*router
+
+	// srcParked is set while the non-empty source queue found no free
+	// injection VC; releasing an injection VC clears it.
+	srcParked bool
 }
 
 func (r *router) queueLen() int { return len(r.srcQ) - r.qHead }
@@ -140,8 +158,12 @@ type Network struct {
 	pattern traffic.Pattern
 	rng     *rand.Rand
 	routers []router
-	cycle   int64
-	nextID  int64
+	// vcs and chans hold every router's input VCs and output channels,
+	// router by router; router.in and router.out are windows onto them.
+	vcs    []vc
+	chans  []outChannel
+	cycle  int64
+	nextID int64
 
 	dirs    int   // ring directions per dimension: 1 or 2
 	outputs int   // network output channels per node: Dims*dirs
@@ -219,16 +241,20 @@ func New(cfg Config) (*Network, error) {
 	}
 	nw.chanFlits = make([]int64, cube.Nodes()*outputs)
 	nw.chanFlitsStart = make([]int64, cube.Nodes()*outputs)
+	perRouter := (outputs + 1) * cfg.VCs
+	nw.vcs = make([]vc, cube.Nodes()*perRouter)
+	nw.chans = make([]outChannel, cube.Nodes()*outputs)
 	for i := range nw.routers {
 		r := &nw.routers[i]
 		r.node = topology.NodeID(i)
-		r.flitBase = i * outputs
-		r.in = make([]vc, (outputs+1)*cfg.VCs)
+		r.in = nw.vcs[i*perRouter : (i+1)*perRouter : (i+1)*perRouter]
 		for v := range r.in {
 			r.in[v].reset()
+			r.in[v].port = int8(v / cfg.VCs)
 		}
-		r.out = make([]outChannel, outputs)
+		r.out = nw.chans[i*outputs : (i+1)*outputs : (i+1)*outputs]
 		r.busyIn = make([]int32, outputs)
+		r.up = make([]*router, outputs)
 		if cfg.ArrivalsFactory != nil {
 			r.arr = cfg.ArrivalsFactory(r.node)
 		} else {
@@ -245,8 +271,13 @@ func New(cfg Config) (*Network, error) {
 	for i := range nw.routers {
 		r := &nw.routers[i]
 		for ch := 0; ch < outputs; ch++ {
-			r.out[ch].down = nw.downRouter(r.node, ch)
-			r.out[ch].base = ch * cfg.VCs
+			oc := &r.out[ch]
+			oc.src, oc.down = r, nw.downRouter(r.node, ch)
+			oc.base = ch * cfg.VCs
+			oc.id = i*outputs + ch
+			oc.in = i * perRouter
+			oc.dvc = int(oc.down.node)*perRouter + oc.base
+			oc.down.up[ch] = r
 		}
 	}
 	return nw, nil

@@ -33,15 +33,77 @@ func (h *genHeap) Pop() any {
 // stepState holds the per-Network mutable scheduling structures that Step
 // uses; it is initialised lazily on the first Step call.
 type stepState struct {
-	gen      genHeap
+	gen genHeap
+	// active lists the active routers in activation order. A router that
+	// empties is retired in place — isActive cleared, its slot left stale
+	// — and pos[i], router i's slot while it is active, orders only live
+	// routers; dead counts the stale slots, and the list is compacted
+	// once they are half of it. idle collects the routers a release may
+	// have emptied this cycle.
 	active   []int32
 	isActive []bool
-	scratch  []int16 // per-phase snapshot of a router's scheduling list
-	inited   bool
+	pos      []int32
+	dead     int
+	idle     []int32
+
+	// Per-phase worklists: the routers with an unparked entry for that
+	// phase (pending header, eject-queue VC, injection VC the PE can
+	// fill, source queue that may bind), and for forwarding the output
+	// channels (Network.chans indices) with an unparked candidate.
+	alloc, eject, fwd, inj, bind workList
+
+	scratch []int16 // per-phase snapshot of a router's scheduling list
+	inited  bool
+}
+
+// workList is a phase worklist of router or channel indices, each listed
+// at most once.
+type workList struct {
+	ids []int32
+	on  []bool
+}
+
+func (l *workList) add(i int32) {
+	if !l.on[i] {
+		l.on[i] = true
+		l.ids = append(l.ids, i) //lint:ignore hotalloc worklist grows to its router or channel count once, then settle filters it in place
+	}
+}
+
+// settle files the outcome of visiting entry id while the list is
+// filtered in place: id stays, at position k, if it has work left, and is
+// unlisted otherwise. It returns the next keep position.
+func (l *workList) settle(k int, id int32, more bool) int {
+	if more {
+		l.ids[k] = id
+		return k + 1
+	}
+	l.on[id] = false
+	return k
+}
+
+// sortActive orders a worklist by active-list position. The lists are
+// nearly sorted from the previous cycle, so insertion sort is linear.
+func (st *stepState) sortActive(ids []int32) {
+	for i := 1; i < len(ids); i++ {
+		x := ids[i]
+		j := i
+		for j > 0 && st.pos[ids[j-1]] > st.pos[x] {
+			ids[j] = ids[j-1]
+			j--
+		}
+		ids[j] = x
+	}
 }
 
 func (nw *Network) initStep() {
 	st := &nw.step
+	n := len(nw.routers)
+	st.pos = make([]int32, n) //lint:ignore hotalloc one-time lazy init on the first Step
+	for _, l := range []*workList{&st.alloc, &st.eject, &st.inj, &st.bind} {
+		l.on = make([]bool, n) //lint:ignore hotalloc one-time lazy init on the first Step
+	}
+	st.fwd.on = make([]bool, len(nw.chans))         //lint:ignore hotalloc one-time lazy init on the first Step
 	st.isActive = make([]bool, len(nw.routers))     //lint:ignore hotalloc one-time lazy init on the first Step
 	st.gen.when = make([]int64, 0, len(nw.routers)) //lint:ignore hotalloc one-time lazy init on the first Step
 	st.gen.node = make([]int32, 0, len(nw.routers)) //lint:ignore hotalloc one-time lazy init on the first Step
@@ -53,11 +115,18 @@ func (nw *Network) initStep() {
 	st.inited = true
 }
 
+// live reports whether slot i of the active list, holding router ri, is
+// that router's current slot.
+func (st *stepState) live(i int, ri int32) bool {
+	return st.isActive[ri] && int(st.pos[ri]) == i
+}
+
 func (nw *Network) activate(i int32) {
 	st := &nw.step
 	if !st.isActive[i] {
 		st.isActive[i] = true
-		st.active = append(st.active, i) //lint:ignore hotalloc active list grows to router count once, then compaction reslices in place
+		st.pos[i] = int32(len(st.active))
+		st.active = append(st.active, i) //lint:ignore hotalloc active list grows to at most about twice the router count (stale slots are compacted once they are half of it), then reslices in place
 	}
 }
 
@@ -68,16 +137,21 @@ func (nw *Network) activate(i int32) {
 // Eligibility uses start-of-cycle buffer state, so a flit crosses at most
 // one channel per cycle.
 //
-// The loop is event-driven at two levels. Routers join the active list
+// The loop is event-driven throughout. Routers join the active list
 // only when a buffer or credit of theirs changes (a downstream claim, a
 // generated message) and leave it when they hold nothing; within an active
 // router every phase consults an incrementally-maintained list (pending
 // headers, per-channel candidates, eject queue, live injection VCs) instead
-// of scanning the full (ports+1)×VCs input array, so per-cycle work is
-// proportional to the flits that can actually move. Arbitration visits the
-// lists in the same rotating flattened-index order a full scan would use,
-// which keeps every statistic bit-identical to the scan-based loop (the
-// differential suite in differential_test.go pins this).
+// of scanning the full (ports+1)×VCs input array. An entry that cannot make
+// progress parks off its list and is put back by the one event that
+// unblocks it (see wakeIn, wakeOut and release), and each phase visits
+// only the routers on its worklist, so per-cycle work is proportional to
+// the flits that move plus the wake events, not to the virtual channels
+// held. Arbitration visits the lists in the same rotating flattened-index
+// order a full scan would use, and allocation and ejection visit routers
+// in active-list order, which keeps every statistic bit-identical to the
+// scan-based loop (the differential suite in differential_test.go pins
+// this).
 //
 //khs:hotpath
 func (nw *Network) Step() {
@@ -87,34 +161,49 @@ func (nw *Network) Step() {
 	st := &nw.step
 	cyc := nw.cycle
 
-	// Snapshot of currently active routers; routers activated during this
-	// cycle (downstream claims, new messages) join from the next cycle.
-	snapshot := st.active
-
 	// Phase 1: route computation and output virtual-channel allocation.
-	for _, ri := range snapshot {
-		if r := &nw.routers[ri]; len(r.pending) > 0 {
-			nw.allocate(r, cyc)
-		}
+	// Claims activate downstream routers, which fixes the active-list
+	// order, so routers are visited in that order.
+	st.sortActive(st.alloc.ids)
+	k := 0
+	for _, ri := range st.alloc.ids {
+		r := &nw.routers[ri]
+		nw.allocate(r, cyc)
+		k = st.alloc.settle(k, ri, len(r.pending) > 0)
 	}
-	// Phase 2: ejection.
-	for _, ri := range snapshot {
-		if r := &nw.routers[ri]; len(r.ejectQ) > 0 {
-			nw.eject(r, cyc)
-		}
+	st.alloc.ids = st.alloc.ids[:k]
+	// Phase 2: ejection, in active-list order too: deliveries feed the
+	// order-dependent latency accumulators.
+	st.sortActive(st.eject.ids)
+	k = 0
+	for _, ri := range st.eject.ids {
+		r := &nw.routers[ri]
+		nw.eject(r, cyc)
+		k = st.eject.settle(k, ri, len(r.ejectQ) > 0)
 	}
+	st.eject.ids = st.eject.ids[:k]
 	// Phase 3: network channel arbitration (one flit per output channel).
-	for _, ri := range snapshot {
-		if r := &nw.routers[ri]; r.candLive > 0 {
-			nw.forward(r, cyc)
-		}
+	// Channels are independent and eligibility is start-of-cycle state,
+	// so their order does not matter. Channels a wake lists during this
+	// phase are appended and skipped: a woken candidate can move only
+	// from the next cycle.
+	k = 0
+	n := len(st.fwd.ids)
+	for i := 0; i < n; i++ {
+		id := st.fwd.ids[i]
+		oc := &nw.chans[id]
+		nw.forward(oc, cyc)
+		k = st.fwd.settle(k, id, len(oc.cand) > 0)
 	}
+	st.fwd.ids = append(st.fwd.ids[:k], st.fwd.ids[n:]...) //lint:ignore hotalloc shifts the channels listed during the phase down in place; never grows
 	// Phase 4: injection channel arbitration (one flit from the PE).
-	for _, ri := range snapshot {
-		if r := &nw.routers[ri]; r.injLive > 0 {
-			nw.inject(r, cyc)
-		}
+	k = 0
+	for _, ri := range st.inj.ids {
+		r := &nw.routers[ri]
+		nw.inject(r, cyc)
+		k = st.inj.settle(k, ri, r.injLive > 0)
 	}
+	st.inj.ids = st.inj.ids[:k]
 	// Phase 5: message generation.
 	for st.gen.Len() > 0 && st.gen.when[0] <= cyc {
 		node := st.gen.node[0]
@@ -123,25 +212,37 @@ func (nw *Network) Step() {
 		st.gen.when[0] = r.nextGen
 		heap.Fix(&st.gen, 0)
 		nw.activate(node)
+		if !r.srcParked {
+			st.bind.add(node)
+		}
 	}
 	// Phase 6: bind queued messages to free injection virtual channels.
-	for _, ri := range st.active {
-		if r := &nw.routers[ri]; r.queueLen() > 0 {
-			nw.bind(r, cyc)
-		}
+	// Each listed queue either empties or parks, so the list empties.
+	for _, ri := range st.bind.ids {
+		nw.bind(&nw.routers[ri], cyc)
+		st.bind.on[ri] = false
 	}
+	st.bind.ids = st.bind.ids[:0]
 
-	// Compact the active list.
-	keep := st.active[:0]
-	for _, ri := range st.active {
-		r := &nw.routers[ri]
-		if r.busyVCs > 0 || r.queueLen() > 0 {
-			keep = append(keep, ri) //lint:ignore hotalloc filter-in-place over st.active[:0]; never outgrows its capacity
-		} else {
+	// Retire the routers that emptied this cycle.
+	for _, ri := range st.idle {
+		if r := &nw.routers[ri]; st.isActive[ri] && r.busyVCs == 0 && r.queueLen() == 0 {
 			st.isActive[ri] = false
+			st.dead++
 		}
 	}
-	st.active = keep
+	st.idle = st.idle[:0]
+	if st.dead > len(st.active)/2 {
+		keep := st.active[:0]
+		for i, ri := range st.active {
+			if st.live(i, ri) {
+				st.pos[ri] = int32(len(keep))
+				keep = append(keep, ri) //lint:ignore hotalloc filter-in-place over st.active[:0]; never outgrows its capacity
+			}
+		}
+		st.active = keep
+		st.dead = 0
+	}
 
 	if nw.cycle%64 == 0 {
 		nw.sampleMultiplexing()
@@ -170,7 +271,9 @@ func (nw *Network) rotate(list []int16, start int) []int16 {
 // for every input VC whose header flit is ready. Only the pending-header
 // list is visited, rotated at rrAlloc and advanced past the last grant, so
 // headers competing for the same scarce downstream virtual channel take
-// turns exactly as under the full scan.
+// turns exactly as under the full scan. Every pending header has arrived
+// (a claimed VC parks until its header's moveIn), and a dimension-order
+// header that finds its whole class held parks until a release.
 func (nw *Network) allocate(r *router, cyc int64) {
 	nVC := nw.nVC
 	total := (nw.outputs + 1) * nVC
@@ -179,9 +282,6 @@ func (nw *Network) allocate(r *router, cyc int64) {
 	for _, idx16 := range nw.rotate(r.pending, r.rrAlloc) {
 		idx := int(idx16)
 		in := &r.in[idx]
-		if in.avail(cyc) <= 0 {
-			continue // claimed downstream VC, header not arrived yet
-		}
 		msg := in.msg
 		if in.routeCh == routeUnknown {
 			in.routeCh = nw.route(msg, r.node)
@@ -193,6 +293,7 @@ func (nw *Network) allocate(r *router, cyc int64) {
 			in.outPort = in.routeCh
 			r.pending = removeSorted(r.pending, idx16)
 			r.ejectQ = insertSorted(r.ejectQ, idx16)
+			nw.step.eject.add(int32(r.node))
 			continue
 		}
 		claim := func(ch, dv int) { //lint:ignore hotalloc non-escaping grant helper, inlined into the allocation loop
@@ -201,14 +302,13 @@ func (nw *Network) allocate(r *router, cyc int64) {
 			dvc := &down.in[oc.base+dv]
 			dvc.msg = msg
 			dvc.outPort, dvc.outVC = noPort, noPort
+			dvc.park, dvc.from = parkIn, idx16 // joins pending when the header arrives
 			down.busyVCs++
 			down.busyIn[ch]++
-			down.pending = insertSorted(down.pending, int16(oc.base+dv))
 			nw.activate(int32(down.node))
 			in.outPort, in.outVC = int8(ch), int8(dv)
 			r.pending = removeSorted(r.pending, idx16)
-			oc.cand = insertSorted(oc.cand, idx16)
-			r.candLive++
+			nw.listCand(oc, idx16)
 			lastGrant = idx
 		}
 		ch := int(in.routeCh)
@@ -254,7 +354,12 @@ func (nw *Network) allocate(r *router, cyc int64) {
 			}
 		}
 		if in.outPort == noPort {
+			// The whole class is held and only a release frees a VC of
+			// it: park until then; release credits the cycles parked.
 			msg.Blocked++
+			in.park, in.parkedAt = parkClass, cyc
+			r.pending = removeSorted(r.pending, idx16)
+			oc.waiting[in.wrapped] = append(oc.waiting[in.wrapped], idx16) //lint:ignore hotalloc parked-header lists reuse capacity; len is bounded by VCs per router
 		}
 	}
 	if lastGrant >= 0 {
@@ -300,98 +405,193 @@ func (nw *Network) consume(r *router, idx int, in *vc, cyc int64, n int32) {
 		nw.invariant(in.occ >= 0, "negative occupancy at node %d", r.node) //lint:ignore hotalloc debug-only: boxing happens inside the CheckInvariants guard
 	}
 	if in.sent == nw.msgLen {
-		in.reset()
-		r.busyVCs--
-		if p := idx / nw.nVC; p < nw.injPort {
-			r.busyIn[p]--
-		}
 		r.ejectQ = removeSorted(r.ejectQ, int16(idx))
+		nw.release(r, idx, in, cyc)
 		nw.deliver(msg, cyc)
+	} else if in.feedParked {
+		nw.wakeOut(r, in)
 	}
 }
 
-// forward arbitrates each outgoing network channel of r and moves at most
-// one flit across it. Arbitration consults only the channel's candidate
-// list; the common uncontended case (one message holding the channel) is a
-// single eligibility check — the arbitration decision made at allocation
-// time carries the whole message across, flit by flit, with no rescan.
-func (nw *Network) forward(r *router, cyc int64) {
-	total := (nw.outputs + 1) * nw.nVC
-	for ch := 0; ch < nw.outputs; ch++ {
-		oc := &r.out[ch]
-		var granted, dvc *vc
-		var grantIdx int
-		switch n := len(oc.cand); {
-		case n == 0:
-			continue
-		case n == 1:
-			// Sole candidate: the rotated scan can only pick it.
-			grantIdx = int(oc.cand[0])
-			in := &r.in[grantIdx]
-			if in.avail(cyc) <= 0 {
-				continue
-			}
-			d := &oc.down.in[oc.base+int(in.outVC)]
-			if d.space(cyc, nw.depth) <= 0 {
-				continue
-			}
-			granted, dvc = in, d
-		default:
-			for _, idx16 := range nw.rotate(oc.cand, oc.rr) {
-				in := &r.in[idx16]
-				if in.avail(cyc) <= 0 {
-					continue
-				}
-				d := &oc.down.in[oc.base+int(in.outVC)]
-				if d.space(cyc, nw.depth) <= 0 {
-					continue
-				}
-				granted, grantIdx, dvc = in, int(idx16), d
+// release frees r.in[idx] once its tail has left and wakes what waited for
+// a free VC there: the headers upstream parked on its class, or for an
+// injection VC the parked source queue. Each woken header is credited the
+// Blocked cycles it would have counted had it been polled: one per cycle
+// after the one it parked in, up to this one.
+func (nw *Network) release(r *router, idx int, in *vc, cyc int64) {
+	in.reset()
+	r.busyVCs--
+	if r.busyVCs == 0 && r.queueLen() == 0 {
+		nw.step.idle = append(nw.step.idle, int32(r.node)) //lint:ignore hotalloc idle list reuses capacity; a router joins at most once per cycle
+	}
+	p := int(in.port)
+	if p == nw.injPort {
+		r.srcParked = false
+		if r.queueLen() > 0 {
+			nw.step.bind.add(int32(r.node))
+		}
+		return
+	}
+	r.busyIn[p]--
+	c := 0
+	if idx-p*nw.nVC >= nw.nVC/2 {
+		c = 1
+	}
+	up := r.up[p]
+	oc := &up.out[p]
+	if len(oc.waiting[c]) == 0 {
+		return
+	}
+	for _, h := range oc.waiting[c] {
+		hv := &up.in[h]
+		hv.park = parkNone
+		hv.msg.Blocked += int32(cyc - hv.parkedAt)
+		up.pending = insertSorted(up.pending, h)
+	}
+	oc.waiting[c] = oc.waiting[c][:0]
+	nw.step.alloc.add(int32(up.node))
+}
+
+// wakeIn runs after a flit entered r.in[idx] while its entry was parked on
+// the empty buffer (park == parkIn): the entry rejoins its list — an
+// arriving header pending, a candidate its channel's list.
+func (nw *Network) wakeIn(r *router, idx int, in *vc) {
+	in.park = parkNone
+	if in.outPort == noPort {
+		r.pending = insertSorted(r.pending, int16(idx))
+		nw.step.alloc.add(int32(r.node))
+		return
+	}
+	nw.listCand(&r.out[in.outPort], int16(idx))
+}
+
+// wakeOut runs after flits (not the tail) left VC in of r while its feeder
+// was parked on the full buffer (feedParked): the feeder — the PE for an
+// injection VC, the upstream VC otherwise — is put back.
+func (nw *Network) wakeOut(r *router, in *vc) {
+	in.feedParked = false
+	p := int(in.port)
+	if p == nw.injPort {
+		r.injLive++
+		nw.step.inj.add(int32(r.node))
+		return
+	}
+	up := r.up[p]
+	up.in[in.from].park = parkNone
+	nw.listCand(&up.out[p], in.from)
+}
+
+// listCand puts candidate idx on channel oc's list and the channel on the
+// forwarding worklist.
+func (nw *Network) listCand(oc *outChannel, idx int16) {
+	oc.cand = insertSorted(oc.cand, idx)
+	nw.step.fwd.add(int32(oc.id))
+}
+
+// ready returns candidate idx of channel oc and the downstream VC it feeds
+// when a flit can cross this cycle. A candidate that cannot, and that only
+// a later event can unblock, parks: an empty buffer until its own moveIn, a
+// full downstream buffer until that buffer's moveOut. A buffer that
+// changed earlier in this cycle is unblocked by the next one, so its
+// candidate stays listed.
+func (nw *Network) ready(oc *outChannel, idx int, cyc int64) (in, dvc *vc) {
+	in = &nw.vcs[oc.in+idx]
+	if in.avail(cyc) <= 0 {
+		if in.occ == 0 {
+			in.park = parkIn
+			oc.cand = removeSorted(oc.cand, int16(idx))
+		}
+		return nil, nil
+	}
+	dvc = &nw.vcs[oc.dvc+int(in.outVC)]
+	if dvc.space(cyc, nw.depth) <= 0 {
+		if dvc.occ >= nw.depth {
+			in.park = parkDown
+			oc.cand = removeSorted(oc.cand, int16(idx))
+			dvc.feedParked = true
+		}
+		return nil, nil
+	}
+	return in, dvc
+}
+
+// forward arbitrates output channel oc and moves at most one flit across
+// it. Arbitration consults only the channel's candidate list; the common
+// uncontended case (one message holding the channel) is a single
+// eligibility check — the arbitration decision made at allocation time
+// carries the whole message across, flit by flit, with no rescan.
+func (nw *Network) forward(oc *outChannel, cyc int64) {
+	var granted, dvc *vc
+	var grantIdx int
+	if len(oc.cand) == 1 {
+		// Sole candidate: the rotated scan can only pick it.
+		grantIdx = int(oc.cand[0])
+		if granted, dvc = nw.ready(oc, grantIdx, cyc); granted == nil {
+			return
+		}
+	} else {
+		// Iterate a snapshot: parking removes entries from oc.cand.
+		for _, idx16 := range nw.rotate(oc.cand, oc.rr) {
+			if granted, dvc = nw.ready(oc, int(idx16), cyc); granted != nil {
+				grantIdx = int(idx16)
 				break
 			}
-			if granted == nil {
-				continue
-			}
 		}
-		oc.rr = (grantIdx + 1) % total
-		if nw.cfg.CheckInvariants {
-			nw.invariant(dvc.msg == granted.msg, "downstream VC stolen at node %d channel %d", r.node, ch) //lint:ignore hotalloc debug-only: boxing happens inside the CheckInvariants guard
+		if granted == nil {
+			return
 		}
-		granted.moveOut(cyc)
-		dvc.moveIn(cyc)
-		nw.chanFlits[r.flitBase+ch]++
-		msg := granted.msg
-		if dvc.recvd == 1 { // header crossed this channel
-			msg.Hops++
-			if nw.cfg.RecordPaths {
-				msg.Path = append(msg.Path, oc.down.node) //lint:ignore hotalloc debug-only: RecordPaths tracing
-			}
+	}
+	if oc.rr = grantIdx + 1; oc.rr == (nw.injPort+1)*nw.nVC {
+		oc.rr = 0
+	}
+	if nw.cfg.CheckInvariants {
+		nw.invariant(dvc.msg == granted.msg, "downstream VC stolen on channel %d", oc.id) //lint:ignore hotalloc debug-only: boxing happens inside the CheckInvariants guard
+	}
+	granted.moveOut(cyc)
+	dvc.moveIn(cyc)
+	nw.chanFlits[oc.id]++
+	msg := granted.msg
+	if dvc.recvd == 1 { // header crossed this channel
+		msg.Hops++
+		if nw.cfg.RecordPaths {
+			msg.Path = append(msg.Path, oc.down.node) //lint:ignore hotalloc debug-only: RecordPaths tracing
 		}
-		if granted.sent == nw.msgLen { // tail left: release this VC
-			granted.reset()
-			r.busyVCs--
-			if p := grantIdx / nw.nVC; p < nw.injPort {
-				r.busyIn[p]--
-			}
-			oc.cand = removeSorted(oc.cand, int16(grantIdx))
-			r.candLive--
-		}
+	}
+	if dvc.park == parkIn {
+		nw.wakeIn(oc.down, oc.base+int(granted.outVC), dvc)
+	}
+	if granted.sent == nw.msgLen { // tail left: release this VC
+		oc.cand = removeSorted(oc.cand, int16(grantIdx))
+		nw.release(oc.src, grantIdx, granted, cyc)
+	} else if granted.feedParked {
+		nw.wakeOut(oc.src, granted)
 	}
 }
 
-// inject moves at most one flit from the PE into a bound injection VC.
+// inject moves at most one flit from the PE into a bound injection VC. A
+// full VC parks the PE's feed (feedParked) until its own moveOut.
 func (nw *Network) inject(r *router, cyc int64) {
 	nVC := nw.nVC
 	base := nw.injPort * nVC
 	for off := 0; off < nVC; off++ {
 		v := (r.rrInj + off) % nVC
 		in := &r.in[base+v]
-		if in.msg == nil || in.recvd >= nw.msgLen || in.space(cyc, nw.depth) <= 0 {
+		if in.msg == nil || in.recvd >= nw.msgLen || in.feedParked {
+			continue
+		}
+		if in.space(cyc, nw.depth) <= 0 {
+			if in.occ >= nw.depth {
+				in.feedParked = true
+				r.injLive--
+			}
 			continue
 		}
 		in.moveIn(cyc)
 		if in.recvd == nw.msgLen {
 			r.injLive--
+		}
+		if in.park == parkIn {
+			nw.wakeIn(r, base+v, in)
 		}
 		r.rrInj = (v + 1) % nVC
 		return
@@ -446,15 +646,17 @@ func (nw *Network) bind(r *router, cyc int64) {
 			}
 		}
 		if free < 0 {
+			r.srcParked = true // until an injection VC is released
 			return
 		}
 		msg := r.popQueue()
 		in := &r.in[base+free]
 		in.reset()
 		in.msg = msg
+		in.park = parkIn // joins pending when the PE injects the header
 		r.busyVCs++
 		r.injLive++
-		r.pending = insertSorted(r.pending, int16(base+free))
+		nw.step.inj.add(int32(r.node))
 		msg.InjectCycle = cyc
 	}
 }
@@ -499,9 +701,9 @@ func (nw *Network) deliver(msg *Message, cyc int64) {
 // maintained incrementally, so the sample costs one counter read per
 // network port per busy router.
 func (nw *Network) sampleMultiplexing() {
-	for _, ri := range nw.step.active {
+	for i, ri := range nw.step.active {
 		r := &nw.routers[ri]
-		if r.busyVCs == 0 {
+		if !nw.step.live(i, ri) || r.busyVCs == 0 {
 			continue
 		}
 		for d := 0; d < nw.outputs; d++ {
