@@ -96,7 +96,6 @@ func BenchmarkAblationEntrance(b *testing.B) {
 	panel, _ := experiments.PanelByID("fig1-h20")
 	policies := map[string]core.EntrancePolicy{
 		"mean-distance": core.EntranceMeanDistance,
-		"kbar":          core.EntranceKBar,
 		"worst-case":    core.EntranceWorstCase,
 	}
 	for i := 0; i < b.N; i++ {
@@ -111,15 +110,13 @@ func BenchmarkAblationEntrance(b *testing.B) {
 
 // BenchmarkAblationBlocking compares the blocking-delay compositions
 // (DESIGN.md §4.7): the calibrated VC-occupancy form against the literal
-// Eq. 26 readings and the multi-server pool.
+// Eq. 26 reading and the multi-server pool.
 func BenchmarkAblationBlocking(b *testing.B) {
 	panel, _ := experiments.PanelByID("fig1-h40")
 	forms := map[string]core.BlockingForm{
 		"vc-occupancy": core.BlockingVCOccupancy,
 		"paper-eq26":   core.BlockingPaper,
-		"wait-only":    core.BlockingWaitOnly,
 		"multi-server": core.BlockingMultiServer,
-		"bandwidth":    core.BlockingBandwidth,
 	}
 	for i := 0; i < b.N; i++ {
 		for name, form := range forms {

@@ -72,7 +72,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		quiet   = fs.Bool("quiet", false, "suppress per-point progress lines")
 		// Fixed-point iteration knobs (DESIGN.md §10). "none" keeps the
 		// damped baseline bit-identical to an unset flag.
-		accel    = fs.String("accel", "none", "fixed-point acceleration scheme for the model solves: none, anderson, aitken")
+		accel    = fs.String("accel", "none", "fixed-point acceleration scheme for the model solves: none, anderson")
 		accelWin = fs.Int("accel-window", 0, "Anderson mixing window, past residual differences combined per round (0 = solver default; requires -accel anderson)")
 		// Observability (DESIGN.md §7).
 		logFormat  = fs.String("log-format", "text", "structured log format for progress/status lines: text or json")

@@ -28,6 +28,7 @@ func TestAccelFlagValidation(t *testing.T) {
 		want string
 	}{
 		{"unknown scheme", []string{"-accel", "psychic"}, "acceleration"},
+		{"retired scheme", []string{"-accel", "aitken"}, "acceleration"},
 		{"negative window", []string{"-accel", "anderson", "-accel-window", "-1"}, "non-negative"},
 		{"window without anderson", []string{"-accel-window", "3"}, "anderson"},
 	} {

@@ -67,11 +67,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		sweep  = fs.Float64("sweep", 0, "sweep lambda from 0 to this value instead of a single point")
 		points = fs.Int("points", 10, "number of sweep points")
 		sat    = fs.Bool("saturation", false, "locate the saturation rate by bisection")
-		worst  = fs.Bool("worst-case-entrance", false, "use the worst-case entrance policy (ablation A)")
+		worst  = fs.Bool("worst-case-entrance", false, "use the worst-case entrance policy (ablation A; hotspot-2d only)")
 		paperB = fs.Bool("paper-blocking", false, "use the per-VC M/G/1 blocking form of Eq. 26 (ablation B)")
 		// Fixed-point iteration knobs (DESIGN.md §10). "none" keeps the
 		// damped baseline bit-identical to an unset flag.
-		accel    = fs.String("accel", "none", "fixed-point acceleration scheme: none, anderson, aitken")
+		accel    = fs.String("accel", "none", "fixed-point acceleration scheme: none, anderson")
 		accelWin = fs.Int("accel-window", 0, "Anderson mixing window, past residual differences combined per round (0 = solver default; requires -accel anderson)")
 		// Observability (DESIGN.md §7).
 		spanOut    = fs.String("span-out", "", "write kept traces as JSONL span records to this file (truncated if it exists)")

@@ -48,8 +48,8 @@ func bitIdentityLambdas() []float64 {
 // convergence summary, or the error text of a refused point.
 func bitIdentityDigest(t *testing.T) []string {
 	t.Helper()
-	forms := []BlockingForm{BlockingVCOccupancy, BlockingPaper, BlockingWaitOnly, BlockingMultiServer, BlockingBandwidth}
-	accels := []fixpoint.Acceleration{fixpoint.AccelNone, fixpoint.AccelAnderson, fixpoint.AccelAitken}
+	forms := []BlockingForm{BlockingVCOccupancy, BlockingPaper, BlockingMultiServer}
+	accels := []fixpoint.Acceleration{fixpoint.AccelNone, fixpoint.AccelAnderson}
 	var lines []string
 	for _, name := range Solvers() {
 		for _, form := range forms {

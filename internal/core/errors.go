@@ -9,7 +9,9 @@ import "fmt"
 // through this type; errors.As extracts it anywhere downstream.
 //
 // Field is the canonical lower-case JSON/flag name of the offending
-// parameter: "model", "k", "dims", "v", "lm", "h", "lambda".
+// parameter: "model", "k", "dims", "v", "lm", "h", "lambda", or, for an
+// option, its path in a request: "options.entrance", "options.blocking",
+// "options.variance".
 type FieldError struct {
 	Field  string
 	Reason string

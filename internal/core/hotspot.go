@@ -26,7 +26,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"kncube/internal/fixpoint"
 	"kncube/internal/queueing"
@@ -52,11 +51,9 @@ const (
 	// distance b in {1..k-1} — the default, reducing to the classic uniform
 	// treatment at H = 0.
 	EntranceMeanDistance EntrancePolicy = iota
-	// EntranceKBar evaluates the recursion at round(k̄) hops.
-	EntranceKBar
 	// EntranceWorstCase evaluates the recursion at k-1 hops (the literal
 	// OCR reading).
-	EntranceWorstCase
+	EntranceWorstCase EntrancePolicy = 2 // .khsf defs and shape keys store the number; 1 is retired
 )
 
 // BlockingForm selects the blocking-delay composition (ablation B).
@@ -81,18 +78,13 @@ const (
 	// superlinear, so it saturates at roughly half the simulator's knee
 	// (ablation B).
 	BlockingPaper
-	// BlockingWaitOnly uses B = wc (plain M/G/1 waiting, no extra Pb
-	// factor).
-	BlockingWaitOnly
 	// BlockingMultiServer treats the V virtual channels as an M/G/V
 	// server pool: a header waits for any free virtual channel, so the
 	// blocking delay is the Erlang-C (Lee-Longton) M/G/c waiting time at
 	// the aggregate channel rate. The most accurate form at light and
-	// moderate load, but it too loses its fixed point early.
-	BlockingMultiServer
-	// BlockingBandwidth is BlockingVCOccupancy with the cruder Eq. 27
-	// utilisation as the blocking probability.
-	BlockingBandwidth
+	// moderate load, but it too loses its fixed point early: it is the
+	// light-load reference a change to the default must match.
+	BlockingMultiServer BlockingForm = 3 // .khsf defs, shape keys and goldens store the number; 2 is retired
 )
 
 // VarianceForm selects the service-time variance used in the waiting-time
@@ -130,6 +122,28 @@ type Options struct {
 	// FixPoint configures the iteration; zero values use
 	// fixpoint.Defaults().
 	FixPoint fixpoint.Options
+}
+
+// Validate refuses option values no solver implements, and a non-default
+// entrance policy on a variant other than hotspot-2d, the only one whose
+// recursions have an entrance to choose. NewSolver applies it, and
+// surface.Def.Validate applies it to persisted surface definitions.
+func (o Options) Validate(model string) error {
+	if o.Entrance != EntranceMeanDistance && o.Entrance != EntranceWorstCase {
+		return fieldErrf("options.entrance", "core: unknown entrance policy %d (mean-distance 0, worst-case 2)", o.Entrance)
+	}
+	if o.Entrance != EntranceMeanDistance && model != "hotspot-2d" {
+		return fieldErrf("options.entrance", "core: %s has no entrance policy to set (only hotspot-2d)", model)
+	}
+	switch o.Blocking {
+	case BlockingVCOccupancy, BlockingPaper, BlockingMultiServer:
+	default:
+		return fieldErrf("options.blocking", "core: unknown blocking form %d (vc-occupancy 0, paper 1, multi-server 3)", o.Blocking)
+	}
+	if o.Variance != VarianceZero && o.Variance != VariancePaper {
+		return fieldErrf("options.variance", "core: unknown variance form %d (zero 0, paper 1)", o.Variance)
+	}
+	return nil
 }
 
 // Result is the solved model.
@@ -277,25 +291,14 @@ func (m *model) SetLambda(lambda float64) {
 // the mean service time seen at ring entry, per the configured policy.
 func (m *model) entrance(s []float64) float64 {
 	k := m.s.K
-	switch m.o.Entrance {
-	case EntranceKBar:
-		j := int(math.Round(kBar(k)))
-		if j < 1 {
-			j = 1
-		}
-		if j > k-1 {
-			j = k - 1
-		}
-		return s[j]
-	case EntranceWorstCase:
+	if m.o.Entrance == EntranceWorstCase {
 		return s[k-1]
-	default: // EntranceMeanDistance
-		sum := 0.0
-		for j := 1; j <= k-1; j++ {
-			sum += s[j]
-		}
-		return sum / float64(k-1)
 	}
+	sum := 0.0 // EntranceMeanDistance
+	for j := 1; j <= k-1; j++ {
+		sum += s[j]
+	}
+	return sum / float64(k-1)
 }
 
 // serviceVariance returns the service-time variance for the waiting-time
@@ -330,12 +333,6 @@ func blockingDelay(o *Options, v int, lm, lr, sr, lh, sh float64) (float64, erro
 	switch o.Blocking {
 	case BlockingMultiServer:
 		return queueing.MGcWait(total, sBar, variance, v)
-	case BlockingBandwidth:
-		w, err := queueing.MG1Wait(total, lm+1, variance)
-		if err != nil {
-			return 0, err
-		}
-		return queueing.BlockingProbability(lr, sr, lh, sh) * w, nil
 	case BlockingVCOccupancy:
 		w, err := queueing.MG1Wait(total, lm+1, variance)
 		if err != nil {
@@ -346,11 +343,6 @@ func blockingDelay(o *Options, v int, lm, lr, sr, lh, sh float64) (float64, erro
 			rho = 1
 		}
 		return vcmodel.AllBusy(v, rho*(1-1e-12)) * w, nil // Eqs. 33-34
-	case BlockingWaitOnly:
-		if !o.NoVCSplit {
-			total /= float64(v)
-		}
-		return queueing.MG1Wait(total, sBar, variance)
 	default: // BlockingPaper, Eq. 26: B = Pb·wc
 		if !o.NoVCSplit {
 			vf := float64(v)
@@ -534,14 +526,9 @@ func (m *model) InitState(x []float64) {
 		m.l.shoty.put(x, j, base)
 	}
 	// x-then-y classes terminate into the entrance of a y-ring.
-	var entY float64
-	switch m.o.Entrance {
-	case EntranceWorstCase:
+	entY := m.lm + float64(k)/2
+	if m.o.Entrance == EntranceWorstCase {
 		entY = m.lm + float64(k-1)
-	case EntranceKBar:
-		entY = m.lm + math.Round(kBar(k))
-	default:
-		entY = m.lm + float64(k)/2
 	}
 	for j := 1; j <= k-1; j++ {
 		m.l.sxhy.put(x, j, entY+float64(j))

@@ -140,10 +140,14 @@ func Canonical(name string, s Spec) Spec {
 }
 
 // NewSolver builds the named variant's Solver for the canonical form of
-// the given spec.
+// the given spec, refusing options the variant does not implement (see
+// Options.Validate).
 func NewSolver(name string, s Spec, o Options) (Solver, error) {
 	v, err := lookup(name)
 	if err != nil {
+		return nil, err
+	}
+	if err := o.Validate(name); err != nil {
 		return nil, err
 	}
 	return v.factory(v.canonical(s), o)

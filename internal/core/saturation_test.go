@@ -34,8 +34,7 @@ func TestSolversWrapErrSaturated(t *testing.T) {
 			// Every ablation's blocking form must uphold the contract too
 			// (they take different error paths through the iterate step).
 			if tc.name == "hotspot-2d" {
-				for _, form := range []BlockingForm{BlockingPaper, BlockingWaitOnly,
-					BlockingMultiServer, BlockingBandwidth, BlockingVCOccupancy} {
+				for _, form := range []BlockingForm{BlockingPaper, BlockingMultiServer, BlockingVCOccupancy} {
 					_, err := Solve(tc.name, tc.spec, Options{Blocking: form})
 					if err == nil {
 						t.Fatalf("blocking form %v: no error at an absurd load", form)

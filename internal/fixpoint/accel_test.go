@@ -7,7 +7,7 @@ import (
 )
 
 // slowContraction is a coupled linear system with contraction ratio ~0.95:
-// slow enough under damped substitution that both schemes get to show an
+// slow enough under damped substitution that Anderson gets to show an
 // iteration-count win.
 func slowContraction(in, out []float64) error {
 	out[0] = 0.95*in[0] + 0.02*in[1] + 1
@@ -31,24 +31,22 @@ func TestAccelerationReachesSameFixedPoint(t *testing.T) {
 	// The system's exact fixed point: (0.09, 0.12)/0.0021.
 	want := []float64{0.09 / 0.0021, 0.12 / 0.0021}
 	_, dres := solveSlow(t, AccelNone)
-	for _, accel := range []Acceleration{AccelAnderson, AccelAitken} {
-		state, res := solveSlow(t, accel)
-		for i := range state {
-			if math.Abs(state[i]-want[i]) > 1e-5 {
-				t.Errorf("accel %d: state[%d] = %v, want %v", accel, i, state[i], want[i])
-			}
+	state, res := solveSlow(t, AccelAnderson)
+	for i := range state {
+		if math.Abs(state[i]-want[i]) > 1e-5 {
+			t.Errorf("state[%d] = %v, want %v", i, state[i], want[i])
 		}
-		if res.Iterations >= dres.Iterations {
-			t.Errorf("accel %d took %d iterations, damped %d", accel, res.Iterations, dres.Iterations)
-		}
-		if res.AcceleratedRounds == 0 {
-			t.Errorf("accel %d reported no accelerated rounds", accel)
-		}
+	}
+	if res.Iterations >= dres.Iterations {
+		t.Errorf("Anderson took %d iterations, damped %d", res.Iterations, dres.Iterations)
+	}
+	if res.AcceleratedRounds == 0 {
+		t.Error("Anderson reported no accelerated rounds")
 	}
 }
 
 func TestAcceleratedRoundCountersSumToIterations(t *testing.T) {
-	for _, accel := range []Acceleration{AccelNone, AccelAnderson, AccelAitken} {
+	for _, accel := range []Acceleration{AccelNone, AccelAnderson} {
 		_, res := solveSlow(t, accel)
 		if res.AcceleratedRounds+res.DampedRounds != res.Iterations {
 			t.Errorf("accel %d: %d accelerated + %d damped != %d iterations",
@@ -82,42 +80,53 @@ func TestTraceMarksAcceleratedRounds(t *testing.T) {
 	}
 }
 
-func TestAitkenRewindsOvershootIntoErrorDomain(t *testing.T) {
-	// A map whose early iterates (0 -> 1 -> 1.9 -> 2.75) are shaped so the
-	// Aitken Δ² extrapolation from the first chain overshoots to ~17, well
-	// inside the map's error domain (> 10). The solver must rewind the
-	// overshoot and still converge to the true fixed point at 3 instead of
-	// propagating the domain error.
+func TestAndersonRollsBackExtrapolationOutsideDomain(t *testing.T) {
+	// The iterates 0 -> 1 -> 1.95 make the first Anderson step (one
+	// difference column: the secant through them) extrapolate to 20, past
+	// the map's domain (> 10). There the map either errors or overflows
+	// the next damped update. Either way the solver must restore the
+	// pre-step state, redo the round damped, and still converge to the
+	// fixed point at 3 instead of reporting the failure.
 	errDomain := errors.New("outside model domain")
-	f := func(in, out []float64) error {
-		x := in[0]
-		if x > 10 {
-			return errDomain
+	for _, tc := range []struct {
+		name    string
+		outside func(out []float64) error
+	}{
+		{"map error", func([]float64) error { return errDomain }},
+		{"overflow", func(out []float64) error { out[0] = math.Inf(1); return nil }},
+	} {
+		f := func(in, out []float64) error {
+			x := in[0]
+			switch {
+			case x > 10:
+				return tc.outside(out)
+			case x < 0.5:
+				out[0] = 1
+			case x < 1.5:
+				out[0] = 1.95
+			default:
+				out[0] = x + 0.8*(3-x)
+			}
+			return nil
 		}
-		switch {
-		case x < 0.5:
-			out[0] = 1
-		case x < 1.5:
-			out[0] = 1.9
-		case x < 2.3:
-			out[0] = 2.75
-		default:
-			out[0] = x + 0.8*(3-x)
+		var maxSeen float64
+		state := []float64{0}
+		res, err := Solve(state, f, Options{
+			Tolerance: 1e-10, MaxIterations: 1000, Damping: 1, Acceleration: AccelAnderson,
+			Trace: func(TraceRecord) { maxSeen = math.Max(maxSeen, state[0]) },
+		})
+		if err != nil {
+			t.Fatalf("%s: rollback failed, error escaped: %v", tc.name, err)
 		}
-		return nil
-	}
-	state := []float64{0}
-	res, err := Solve(state, f, Options{
-		Tolerance: 1e-10, MaxIterations: 1000, Damping: 1, Acceleration: AccelAitken,
-	})
-	if err != nil {
-		t.Fatalf("rewind failed, error escaped: %v", err)
-	}
-	if math.Abs(state[0]-3) > 1e-8 {
-		t.Errorf("fixed point %v, want 3", state[0])
-	}
-	if res.AcceleratedRounds == 0 {
-		t.Error("expected at least one accelerated round before the rewind")
+		if math.Abs(state[0]-3) > 1e-8 {
+			t.Errorf("%s: fixed point %v, want 3", tc.name, state[0])
+		}
+		if maxSeen <= 10 {
+			t.Errorf("%s: no iterate left the domain (max %v); the rollback was not exercised", tc.name, maxSeen)
+		}
+		if res.AcceleratedRounds == 0 {
+			t.Errorf("%s: expected at least one accelerated round", tc.name)
+		}
 	}
 }
 
@@ -140,18 +149,20 @@ func TestAccelerationOptionValidation(t *testing.T) {
 func TestParseAcceleration(t *testing.T) {
 	for name, want := range map[string]Acceleration{
 		"": AccelNone, "none": AccelNone,
-		"anderson": AccelAnderson, "aitken": AccelAitken,
+		"anderson": AccelAnderson,
 	} {
 		got, err := ParseAcceleration(name)
 		if err != nil || got != want {
 			t.Errorf("ParseAcceleration(%q) = %v, %v; want %v", name, got, err, want)
 		}
 	}
-	if _, err := ParseAcceleration("psychic"); err == nil {
-		t.Error("ParseAcceleration accepted an unknown scheme")
+	for _, name := range []string{"psychic", "aitken"} {
+		if _, err := ParseAcceleration(name); err == nil {
+			t.Errorf("ParseAcceleration accepted the unknown scheme %q", name)
+		}
 	}
 	// Parse and String round-trip so flag defaults and diagnostics agree.
-	for _, a := range []Acceleration{AccelNone, AccelAnderson, AccelAitken} {
+	for _, a := range []Acceleration{AccelNone, AccelAnderson} {
 		if got, err := ParseAcceleration(a.String()); err != nil || got != a {
 			t.Errorf("round-trip %v: got %v, %v", a, got, err)
 		}
@@ -159,14 +170,12 @@ func TestParseAcceleration(t *testing.T) {
 }
 
 func TestAccelerationPreservesCancellation(t *testing.T) {
-	// The accelerated paths must not swallow map errors unrelated to
+	// The accelerated path must not swallow map errors unrelated to
 	// extrapolation: an error on a round that did not follow an accelerated
 	// step propagates unchanged.
 	sentinel := errors.New("saturated")
 	f := func(in, out []float64) error { return sentinel }
-	for _, accel := range []Acceleration{AccelAnderson, AccelAitken} {
-		if _, err := Solve([]float64{0}, f, Options{Acceleration: accel}); !errors.Is(err, sentinel) {
-			t.Errorf("accel %d: err = %v, want sentinel", accel, err)
-		}
+	if _, err := Solve([]float64{0}, f, Options{Acceleration: AccelAnderson}); !errors.Is(err, sentinel) {
+		t.Errorf("err = %v, want sentinel", err)
 	}
 }

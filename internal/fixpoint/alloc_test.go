@@ -14,39 +14,37 @@ import (
 // point drifts slightly every round, so neither solve converges early and
 // both keep taking accelerated steps.
 func TestAndersonRoundsAllocFree(t *testing.T) {
-	for _, accel := range []Acceleration{AccelAnderson, AccelAitken} {
-		round := 0
-		f := func(in, out []float64) error {
-			round++
-			drift := 1e-6 * math.Sin(float64(round))
-			for i := range in {
-				out[i] = math.Cos(in[(i+1)%len(in)]) + 0.1*float64(i) + drift
+	round := 0
+	f := func(in, out []float64) error {
+		round++
+		drift := 1e-6 * math.Sin(float64(round))
+		for i := range in {
+			out[i] = math.Cos(in[(i+1)%len(in)]) + 0.1*float64(i) + drift
+		}
+		return nil
+	}
+	state := make([]float64, 16)
+	solve := func(rounds int) (float64, Convergence) {
+		var conv Convergence
+		n := testing.AllocsPerRun(10, func() {
+			for i := range state {
+				state[i] = 0
 			}
-			return nil
-		}
-		state := make([]float64, 16)
-		solve := func(rounds int) (float64, Convergence) {
-			var conv Convergence
-			n := testing.AllocsPerRun(10, func() {
-				for i := range state {
-					state[i] = 0
-				}
-				conv, _ = Solve(state, f, Options{
-					Tolerance: 1e-300, MaxIterations: rounds, Damping: 0.5, Acceleration: accel,
-				})
+			conv, _ = Solve(state, f, Options{
+				Tolerance: 1e-300, MaxIterations: rounds, Damping: 0.5, Acceleration: AccelAnderson,
 			})
-			return n, conv
-		}
-		short, _ := solve(20)
-		long, conv := solve(400)
-		if conv.Iterations != 400 || conv.AcceleratedRounds < 50 {
-			t.Fatalf("%s: long solve ran %d rounds, %d accelerated; want 400 with >= 50 accelerated",
-				accel, conv.Iterations, conv.AcceleratedRounds)
-		}
-		if long > short {
-			t.Errorf("%s: Solve allocates %v times over 400 rounds, %v over 20: rounds allocate",
-				accel, long, short)
-		}
+		})
+		return n, conv
+	}
+	short, _ := solve(20)
+	long, conv := solve(400)
+	if conv.Iterations != 400 || conv.AcceleratedRounds < 50 {
+		t.Fatalf("long solve ran %d rounds, %d accelerated; want 400 with >= 50 accelerated",
+			conv.Iterations, conv.AcceleratedRounds)
+	}
+	if long > short {
+		t.Errorf("Solve allocates %v times over 400 rounds, %v over 20: rounds allocate",
+			long, short)
 	}
 }
 

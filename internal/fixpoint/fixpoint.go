@@ -3,8 +3,8 @@
 // 3, final paragraph) notes that a closed-form solution of the
 // interdependencies is intractable and resorts to iterative techniques;
 // this package provides that machinery: damped successive substitution with
-// convergence and divergence detection, optional Anderson/Aitken
-// acceleration for the slow-convergence regime near saturation, and an
+// convergence and divergence detection, optional Anderson acceleration
+// for the slow-convergence regime near saturation, and an
 // observability layer (a per-iteration trace hook and a Convergence summary)
 // so saturation and slow-convergence diagnostics are data rather than opaque
 // errors.
@@ -40,22 +40,16 @@ const (
 	// count by an order of magnitude near saturation where the damped
 	// contraction rate approaches 1.
 	AccelAnderson
-	// AccelAitken is componentwise Aitken Δ² extrapolation over triples of
-	// successive damped iterates — a cheap fallback needing no linear
-	// algebra: two damped rounds, then one extrapolated round.
-	AccelAitken
 )
 
 // String returns the scheme's canonical name as accepted by
-// ParseAcceleration ("none", "anderson", "aitken").
+// ParseAcceleration ("none", "anderson").
 func (a Acceleration) String() string {
 	switch a {
 	case AccelNone:
 		return "none"
 	case AccelAnderson:
 		return "anderson"
-	case AccelAitken:
-		return "aitken"
 	default:
 		return fmt.Sprintf("acceleration(%d)", int(a))
 	}
@@ -70,10 +64,8 @@ func ParseAcceleration(name string) (Acceleration, error) {
 		return AccelNone, nil
 	case "anderson":
 		return AccelAnderson, nil
-	case "aitken":
-		return AccelAitken, nil
 	default:
-		return AccelNone, fmt.Errorf("fixpoint: unknown acceleration scheme %q (none, anderson, aitken)", name)
+		return AccelNone, fmt.Errorf("fixpoint: unknown acceleration scheme %q (none, anderson)", name)
 	}
 }
 
@@ -171,7 +163,7 @@ func (o Options) withDefaults() (Options, error) {
 	if o.Damping < 0 || o.Damping > 1 {
 		return o, fmt.Errorf("fixpoint: damping %v outside (0, 1]", o.Damping)
 	}
-	if o.Acceleration < AccelNone || o.Acceleration > AccelAitken {
+	if o.Acceleration < AccelNone || o.Acceleration > AccelAnderson {
 		return o, fmt.Errorf("fixpoint: unknown acceleration scheme %d", o.Acceleration)
 	}
 	if o.Window < 1 || o.Window > MaxWindow {
@@ -255,7 +247,7 @@ func Solve(state []float64, f Map, opts Options) (Convergence, error) {
 	// damped instead of reporting divergence.
 	lastAccel := false
 	if o.Acceleration != AccelNone && len(state) > 0 {
-		acc = newAccelState(o.Acceleration, o.Window, o.Damping, len(state))
+		acc = newAccelState(o.Window, o.Damping, len(state))
 		rollback = make([]float64, len(state))  //lint:ignore hotalloc one-time solve-entry scratch, sized once per Solve
 		rollbackF = make([]float64, len(state)) //lint:ignore hotalloc one-time solve-entry scratch, sized once per Solve
 	}
@@ -281,15 +273,7 @@ func Solve(state []float64, f Map, opts Options) (Convergence, error) {
 			redo = true
 		}
 		if acc != nil && !redo {
-			cand, undo := acc.step(state, next, lastAccel)
-			if undo {
-				// The previous round's accelerated step increased the
-				// residual: rewind it and take the damped step from the
-				// pre-acceleration state instead.
-				copy(state, rollback)
-				copy(next, rollbackF)
-				lastAccel = false
-			} else if cand != nil {
+			if cand := acc.step(state, next); cand != nil {
 				// acc.step has verified the candidate finite. state still
 				// holds the pre-step iterate: snapshot it for rollback before
 				// applying the update.
@@ -354,9 +338,6 @@ func Solve(state []float64, f Map, opts Options) (Convergence, error) {
 		lastAccel = false
 		conv.Residual = maxRel
 		conv.DampedRounds++
-		if acc != nil {
-			acc.observeDamped(state)
-		}
 		trace(maxRel, -1, false)
 		if maxRel <= o.Tolerance {
 			conv.Converged = true
@@ -366,13 +347,11 @@ func Solve(state []float64, f Map, opts Options) (Convergence, error) {
 	return conv, ErrMaxIterations
 }
 
-// accelState carries the history an extrapolation scheme keeps between
-// rounds, and all of its scratch: newAccelState sizes everything but the
-// Anderson difference columns, which record allocates as the history first
-// grows into each slot. Once the history is full, accelerated rounds
-// allocate nothing.
+// accelState carries the Anderson history kept between rounds, and all
+// of its scratch: newAccelState sizes everything but the difference
+// columns, which record allocates as the history first grows into each
+// slot. Once the history is full, accelerated rounds allocate nothing.
 type accelState struct {
-	mode Acceleration
 	beta float64 // mixing/damping factor
 
 	// Safeguard: the residual norm observed on the previous round. A round
@@ -396,12 +375,6 @@ type accelState struct {
 	head, cols   int
 	gramAll      []float64
 
-	// Aitken chain: the last one or two consecutive post-damped-step
-	// states (chain[0], chain[1] with chain[1] = G(chain[0])); an
-	// accelerated round or a safeguard rejection breaks the chain.
-	chain    [2][]float64
-	chainLen int
-
 	// cand receives the extrapolated candidate state; keeping it separate
 	// from the caller's buffers leaves F(x) intact for rollback.
 	cand []float64
@@ -412,25 +385,22 @@ type accelState struct {
 	rhs  []float64
 }
 
-func newAccelState(mode Acceleration, window int, beta float64, n int) *accelState {
-	a := &accelState{mode: mode, beta: beta, window: window} //lint:ignore hotalloc accelerator state is built once per Solve
-	switch mode {
-	case AccelAnderson:
-		buf := make([]float64, 3*n) //lint:ignore hotalloc accelerator state is built once per Solve
-		a.cand, a.xLast, a.gLast = buf[:n:n], buf[n:2*n:2*n], buf[2*n:]
+func newAccelState(window int, beta float64, n int) *accelState {
+	buf := make([]float64, 3*n) //lint:ignore hotalloc accelerator state is built once per Solve
+	return &accelState{         //lint:ignore hotalloc accelerator state is built once per Solve
+		beta:   beta,
+		window: window,
+		cand:   buf[:n:n],
+		xLast:  buf[n : 2*n : 2*n],
+		gLast:  buf[2*n:],
 		// The difference columns get their buffers in record, as the
 		// history first grows into each slot.
-		a.dx = make([][]float64, window)           //lint:ignore hotalloc accelerator state is built once per Solve
-		a.dg = make([][]float64, window)           //lint:ignore hotalloc accelerator state is built once per Solve
-		a.gramAll = make([]float64, window*window) //lint:ignore hotalloc accelerator state is built once per Solve
-		a.gram = make([]float64, window*window)    //lint:ignore hotalloc accelerator state is built once per Solve
-		a.rhs = make([]float64, window)            //lint:ignore hotalloc accelerator state is built once per Solve
-	case AccelAitken:
-		buf := make([]float64, 3*n) //lint:ignore hotalloc accelerator state is built once per Solve
-		a.cand = buf[:n:n]
-		a.chain[0], a.chain[1] = buf[n:2*n:2*n], buf[2*n:]
+		dx:      make([][]float64, window),      //lint:ignore hotalloc accelerator state is built once per Solve
+		dg:      make([][]float64, window),      //lint:ignore hotalloc accelerator state is built once per Solve
+		gramAll: make([]float64, window*window), //lint:ignore hotalloc accelerator state is built once per Solve
+		gram:    make([]float64, window*window), //lint:ignore hotalloc accelerator state is built once per Solve
+		rhs:     make([]float64, window),        //lint:ignore hotalloc accelerator state is built once per Solve
 	}
-	return a
 }
 
 // resNorm is the residual measure used by the safeguard: the maximum
@@ -451,65 +421,32 @@ func resNorm(x, fx []float64) float64 {
 	return max
 }
 
-// step decides this round's update. state is the current iterate, fx its map
-// value (left untouched), and lastAccel whether the previous round's update
-// was an accelerated step. A non-nil cand is the accelerated, finite
-// candidate state; undo asks the caller to rewind the previous accelerated
-// step (its residual grew) before taking a damped step. cand == nil && !undo
-// means a plain damped step from the current state.
-func (a *accelState) step(state, fx []float64, lastAccel bool) (cand []float64, undo bool) {
+// step decides this round's update. state is the current iterate and fx
+// its map value (left untouched). A non-nil result is the accelerated,
+// finite candidate state; nil means a plain damped step from the current
+// state.
+func (a *accelState) step(state, fx []float64) []float64 {
 	res := resNorm(state, fx)
 	if a.hasPrev && res > a.prevRes {
-		// Safeguard: the previous round's update made things worse. Both
-		// schemes discard the extrapolation history and fall back to a
-		// damped step; Aitken additionally rewinds the offending step —
-		// its componentwise extrapolations can overshoot so far that
-		// continuing from the bad iterate wastes many rounds undoing it,
-		// whereas Anderson's rejected least-squares candidates are still
-		// reasonable iterates worth keeping.
+		// Safeguard: the previous round's update made things worse. Discard
+		// the extrapolation history and fall back to a damped step; a
+		// rejected least-squares candidate is still a reasonable iterate to
+		// continue from.
 		a.reset()
-		if a.mode == AccelAitken && lastAccel {
-			// prevRes still describes the restored state, keeping the
-			// comparison anchored there.
-			return nil, true
-		}
 		a.prevRes = res
-		return nil, false
+		return nil
 	}
 	a.prevRes = res
 	a.hasPrev = true
-	ok := false
-	switch a.mode {
-	case AccelAnderson:
-		ok = a.anderson(state, fx)
-	case AccelAitken:
-		ok = a.aitken(state, fx)
+	if !a.anderson(state, fx) {
+		return nil
 	}
-	if !ok {
-		return nil, false
-	}
-	return a.cand, false
-}
-
-// observeDamped records the state produced by a damped round (the Aitken
-// chain needs consecutive damped iterates; Anderson records at step time).
-func (a *accelState) observeDamped(state []float64) {
-	if a.mode != AccelAitken {
-		return
-	}
-	if a.chainLen == 2 {
-		a.chain[0], a.chain[1] = a.chain[1], a.chain[0]
-		copy(a.chain[1], state)
-		return
-	}
-	copy(a.chain[a.chainLen], state)
-	a.chainLen++
+	return a.cand
 }
 
 // reset drops all extrapolation history (safeguard rejection).
 func (a *accelState) reset() {
 	a.hasLast, a.head, a.cols = false, 0, 0
-	a.chainLen = 0
 }
 
 // record appends the iterate x with map value fx to the Anderson history:
@@ -624,40 +561,6 @@ func (a *accelState) anderson(state, fx []float64) bool {
 			return false
 		}
 	}
-	return true
-}
-
-// aitken extrapolates componentwise from three successive damped iterates
-// (p1, p2 = G(p1), p3 = G(p2), where p2 is the current state and p3 the
-// damped candidate computed here): x' = p3 - (p3-p2)² / ((p3-p2)-(p2-p1)).
-// Components with a vanishing or near-cancelling second difference — where
-// the correction would be ill-conditioned — keep the damped value. The
-// candidate is written to a.cand.
-func (a *accelState) aitken(state, fx []float64) bool {
-	if a.chainLen < 2 {
-		return false
-	}
-	p1 := a.chain[0]
-	for i := range state {
-		p3 := (1-a.beta)*state[i] + a.beta*fx[i]
-		d2 := state[i] - p1[i]
-		d3 := p3 - state[i]
-		den := d3 - d2
-		v := p3
-		// Extrapolate only when the denominator is well away from
-		// cancellation: a tiny second difference means a near-unit (or
-		// noisy) contraction ratio, where Δ² overshoots wildly.
-		if math.Abs(den) > 1e-3*(math.Abs(d3)+math.Abs(d2)) {
-			v = p3 - d3*d3/den
-		}
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			a.reset()
-			return false
-		}
-		a.cand[i] = v
-	}
-	// The extrapolated point is not a damped iterate: restart the chain.
-	a.reset()
 	return true
 }
 

@@ -141,26 +141,18 @@ func TestMGcWaitMonotoneInLoad(t *testing.T) {
 	}
 }
 
-func TestPaperWaitMulti(t *testing.T) {
-	// Equals MGcWait with variance (s-lm)^2.
-	w1, err1 := PaperWaitMulti(0.01, 50, 32, 2)
-	w2, err2 := MGcWait(0.01, 50, 18*18, 2)
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	if !stats.ApproxEqual(w1, w2, 0, 0) {
-		t.Errorf("PaperWaitMulti %v != MGcWait %v", w1, w2)
-	}
-	if w, err := PaperWaitMulti(0.01, 0, 32, 2); err != nil || !stats.IsZero(w) {
-		t.Error("zero service should wait 0")
-	}
-}
-
 func TestBlockingMulti(t *testing.T) {
-	if b, err := BlockingMulti(0, 0, 0, 0, 32, 2); err != nil || !stats.IsZero(b) {
+	// internal/core's BlockingMultiServer form under VariancePaper: the
+	// M/G/c wait at the aggregate rate and weighted service time, with
+	// the paper's (s-Lm)² variance.
+	multi := func(lr, sr, lh, sh, lm float64, c int) (float64, error) {
+		s := WeightedService(lr, sr, lh, sh)
+		return MGcWait(lr+lh, s, (s-lm)*(s-lm), c)
+	}
+	if b, err := multi(0, 0, 0, 0, 32, 2); err != nil || !stats.IsZero(b) {
 		t.Error("idle channel should block 0")
 	}
-	b, err := BlockingMulti(0.001, 40, 0.004, 50, 32, 2)
+	b, err := multi(0.001, 40, 0.004, 50, 32, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,36 +160,11 @@ func TestBlockingMulti(t *testing.T) {
 		t.Errorf("blocking %v, want > 0", b)
 	}
 	// Symmetric in class order.
-	b2, err := BlockingMulti(0.004, 50, 0.001, 40, 32, 2)
+	b2, err := multi(0.004, 50, 0.001, 40, 32, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(b-b2) > 1e-12 {
 		t.Errorf("not symmetric: %v vs %v", b, b2)
-	}
-}
-
-func TestBlockingBandwidthStableToFlitCapacity(t *testing.T) {
-	// Holding-time utilisation may exceed 1 while the flit load stays
-	// below capacity: the bandwidth form must remain finite there.
-	lm := 32.0
-	lr, sr := 0.0, 0.0
-	lh, sh := 0.025, 200.0 // holding utilisation 5, flit load 0.83
-	b, err := BlockingBandwidth(lr, sr, lh, sh, lm)
-	if err != nil {
-		t.Fatalf("unexpected saturation: %v", err)
-	}
-	if b <= 0 {
-		t.Errorf("blocking %v", b)
-	}
-	// Beyond flit capacity it must fail.
-	if _, err := BlockingBandwidth(0, 0, 0.031, 200, lm); !errors.Is(err, ErrUnstable) {
-		t.Errorf("err = %v, want ErrUnstable beyond capacity", err)
-	}
-}
-
-func TestBlockingBandwidthIdle(t *testing.T) {
-	if b, err := BlockingBandwidth(0, 0, 0, 0, 32); err != nil || !stats.IsZero(b) {
-		t.Error("idle channel should block 0")
 	}
 }

@@ -1,8 +1,10 @@
 // Package queueing provides the queueing-theoretic building blocks of the
 // analytical model: the M/G/1 waiting-time formula with the service-time
 // variance approximation used throughout the wormhole-modelling literature
-// (Draper-Ghosh 1994), and the channel blocking-delay composition of
-// Eqs. 26-30 of Loucif, Ould-Khaoua, Min (IPDPS 2005).
+// (Draper-Ghosh 1994), the M/G/c pool waiting time, and the blocking
+// probability and weighted service time that Eqs. 26-30 of Loucif,
+// Ould-Khaoua, Min (IPDPS 2005) compose into a channel blocking delay
+// (the composition itself lives in internal/core).
 //
 // All times are in network cycles and all rates in messages/cycle.
 package queueing
@@ -10,7 +12,6 @@ package queueing
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"kncube/internal/stats"
 )
@@ -39,18 +40,6 @@ func MG1Wait(lambda, s, variance float64) (float64, error) {
 		return 0, ErrUnstable
 	}
 	return lambda * (s*s + variance) / (2 * (1 - rho)), nil
-}
-
-// MM1Wait returns the mean waiting time of an M/M/1 queue (service-time
-// variance = s^2). Used as a cross-check for MG1Wait in tests.
-func MM1Wait(lambda, s float64) (float64, error) {
-	return MG1Wait(lambda, s, s*s)
-}
-
-// MD1Wait returns the mean waiting time of an M/D/1 queue (deterministic
-// service, variance 0).
-func MD1Wait(lambda, s float64) (float64, error) {
-	return MG1Wait(lambda, s, 0)
 }
 
 // PaperWait returns the waiting-time approximation of Eq. 28 of the paper:
@@ -92,50 +81,6 @@ func BlockingProbability(lr, sr, lh, sh float64) float64 {
 		return 1
 	}
 	return p
-}
-
-// Blocking returns the mean blocking delay B(lr, sr, lh, sh) of Eq. 26: the
-// product of the blocking probability (Eq. 27) and the mean time to acquire
-// the channel (Eqs. 28-30), where the channel is treated as an M/G/1 server
-// with the aggregate rate and the weighted service time, and lm is the
-// message length used by the variance approximation.
-//
-// It returns ErrUnstable when the aggregate utilisation reaches 1.
-func Blocking(lr, sr, lh, sh, lm float64) (float64, error) {
-	total := lr + lh
-	if stats.IsZero(total) {
-		return 0, nil
-	}
-	sBar := WeightedService(lr, sr, lh, sh)
-	w, err := PaperWait(total, sBar, lm)
-	if err != nil {
-		return 0, err
-	}
-	return BlockingProbability(lr, sr, lh, sh) * w, nil
-}
-
-// BlockingBandwidth is the bandwidth-centric channel blocking delay: the
-// blocking probability is the channel occupancy computed from the full
-// wormhole holding times (Eq. 27, rates lr/lh with remaining-path service
-// times sr/sh), while the waiting time treats the physical channel as an
-// M/G/1 server whose per-message service is the flit transmission time
-// lm + 1 — during a header stall the link serves other virtual channels, so
-// link bandwidth, not holding time, bounds throughput. The service-time
-// variance keeps the paper's (S̄ - lm)² approximation with S̄ the weighted
-// holding time, so path-length variability still widens the wait. The queue
-// destabilises exactly at the physical flit capacity (lr+lh)(lm+1) -> 1.
-func BlockingBandwidth(lr, sr, lh, sh, lm float64) (float64, error) {
-	total := lr + lh
-	if stats.IsZero(total) {
-		return 0, nil
-	}
-	sBar := WeightedService(lr, sr, lh, sh)
-	dev := sBar - lm
-	w, err := MG1Wait(total, lm+1, dev*dev)
-	if err != nil {
-		return 0, err
-	}
-	return BlockingProbability(lr, sr, lh, sh) * w, nil
 }
 
 // ErlangB returns the Erlang-B blocking probability for offered load a
@@ -190,45 +135,4 @@ func MGcWait(lambda, s, variance float64, c int) (float64, error) {
 	rho := a / float64(c)
 	scv := variance / (s * s)
 	return ErlangC(c, a) * s / (float64(c) * (1 - rho)) * (1 + scv) / 2, nil
-}
-
-// PaperWaitMulti is PaperWait generalised to a c-server virtual-channel
-// pool, keeping the paper's (s-Lm)² variance approximation.
-func PaperWaitMulti(lambda, s, lm float64, c int) (float64, error) {
-	if stats.IsZero(s) {
-		return 0, nil
-	}
-	dev := s - lm
-	return MGcWait(lambda, s, dev*dev, c)
-}
-
-// BlockingMulti is the channel blocking delay with the two traffic classes
-// of Blocking but treating the c virtual channels as a server pool: the
-// blocking delay is the unconditional M/G/c waiting time at the aggregate
-// rate and weighted service time.
-func BlockingMulti(lr, sr, lh, sh, lm float64, c int) (float64, error) {
-	total := lr + lh
-	if stats.IsZero(total) {
-		return 0, nil
-	}
-	sBar := WeightedService(lr, sr, lh, sh)
-	return PaperWaitMulti(total, sBar, lm, c)
-}
-
-// Utilisation returns lambda*s, the offered load of a single-server queue.
-func Utilisation(lambda, s float64) float64 { return lambda * s }
-
-// Stable reports whether a queue with the given arrival rate and mean
-// service time has utilisation strictly below 1 - margin.
-func Stable(lambda, s, margin float64) bool {
-	return lambda*s < 1-margin
-}
-
-// SquaredCoefficientOfVariation returns Var/S^2, the SCV used to sanity-check
-// the variance approximation in tests. Returns NaN for s == 0.
-func SquaredCoefficientOfVariation(s, variance float64) float64 {
-	if stats.IsZero(s) {
-		return math.NaN()
-	}
-	return variance / (s * s)
 }

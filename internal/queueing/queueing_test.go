@@ -49,27 +49,28 @@ func TestMG1WaitUnstable(t *testing.T) {
 }
 
 func TestMM1ClosedForm(t *testing.T) {
-	// M/M/1: W = rho*s/(1-rho).
+	// M/M/1 (variance s²): W = rho*s/(1-rho).
 	for _, c := range []struct{ lambda, s float64 }{
 		{0.1, 2}, {0.05, 10}, {0.009, 100},
 	} {
 		rho := c.lambda * c.s
 		want := rho * c.s / (1 - rho)
-		got, err := MM1Wait(c.lambda, c.s)
+		got, err := MG1Wait(c.lambda, c.s, c.s*c.s)
 		if err != nil {
-			t.Fatalf("MM1Wait(%v,%v): %v", c.lambda, c.s, err)
+			t.Fatalf("MG1Wait(%v,%v,s²): %v", c.lambda, c.s, err)
 		}
 		if math.Abs(got-want) > 1e-12*want {
-			t.Errorf("MM1Wait(%v,%v) = %v, want %v", c.lambda, c.s, got, want)
+			t.Errorf("MG1Wait(%v,%v,s²) = %v, want %v", c.lambda, c.s, got, want)
 		}
 	}
 }
 
 func TestMD1HalfOfMM1(t *testing.T) {
-	// M/D/1 waiting is exactly half the M/M/1 waiting.
+	// M/D/1 (variance 0) waiting is exactly half the M/M/1 (variance s²)
+	// waiting.
 	lambda, s := 0.04, 20.0
-	wd, err1 := MD1Wait(lambda, s)
-	wm, err2 := MM1Wait(lambda, s)
+	wd, err1 := MG1Wait(lambda, s, 0)
+	wm, err2 := MG1Wait(lambda, s, s*s)
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
@@ -79,10 +80,11 @@ func TestMD1HalfOfMM1(t *testing.T) {
 }
 
 func TestPaperWaitReducesToMD1WhenServiceEqualsLm(t *testing.T) {
-	// When s == Lm the approximated variance is 0, so PaperWait == MD1Wait.
+	// When s == Lm the approximated variance is 0, so PaperWait is the
+	// M/D/1 wait.
 	lambda, s := 0.02, 32.0
 	wp, err1 := PaperWait(lambda, s, 32)
-	wd, err2 := MD1Wait(lambda, s)
+	wd, err2 := MG1Wait(lambda, s, 0)
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
@@ -194,33 +196,45 @@ func TestBlockingProbabilityClamped(t *testing.T) {
 	}
 }
 
+// eq26 is the blocking delay of Eq. 26 as internal/core's BlockingPaper
+// form composes it from this package's primitives (under VariancePaper and
+// NoVCSplit): the blocking probability of Eq. 27 times the M/G/1 wait at
+// the aggregate rate and weighted service time, with the (s-Lm)² variance.
+func eq26(lr, sr, lh, sh, lm float64) (float64, error) {
+	w, err := PaperWait(lr+lh, WeightedService(lr, sr, lh, sh), lm)
+	if err != nil {
+		return 0, err
+	}
+	return BlockingProbability(lr, sr, lh, sh) * w, nil
+}
+
 func TestBlockingZeroTraffic(t *testing.T) {
-	b, err := Blocking(0, 50, 0, 60, 32)
+	b, err := eq26(0, 50, 0, 60, 32)
 	if err != nil || !stats.IsZero(b) {
 		t.Errorf("idle channel blocking: %v %v", b, err)
 	}
 }
 
 func TestBlockingSingleClassMatchesComposition(t *testing.T) {
-	// With only one class, Blocking = (l*s) * PaperWait(l, s, lm).
+	// With only one class, the blocking is (l*s) * PaperWait(l, s, lm).
 	l, s, lm := 0.004, 45.0, 32.0
 	w, err := PaperWait(l, s, lm)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := l * s * w
-	got, err := Blocking(l, s, 0, 0, lm)
+	got, err := eq26(l, s, 0, 0, lm)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("Blocking = %v, want %v", got, want)
+		t.Errorf("blocking = %v, want %v", got, want)
 	}
 }
 
 func TestBlockingSymmetricInClasses(t *testing.T) {
-	b1, err1 := Blocking(0.001, 40, 0.003, 55, 32)
-	b2, err2 := Blocking(0.003, 55, 0.001, 40, 32)
+	b1, err1 := eq26(0.001, 40, 0.003, 55, 32)
+	b2, err2 := eq26(0.003, 55, 0.001, 40, 32)
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
@@ -230,7 +244,7 @@ func TestBlockingSymmetricInClasses(t *testing.T) {
 }
 
 func TestBlockingUnstable(t *testing.T) {
-	_, err := Blocking(0.02, 40, 0.01, 30, 32)
+	_, err := eq26(0.02, 40, 0.01, 30, 32)
 	if !errors.Is(err, ErrUnstable) {
 		t.Errorf("err = %v, want ErrUnstable", err)
 	}
@@ -239,7 +253,7 @@ func TestBlockingUnstable(t *testing.T) {
 func TestBlockingMonotoneInHotRate(t *testing.T) {
 	prev := -1.0
 	for lh := 0.0; lh*60+0.001*40 < 0.95; lh += 0.001 {
-		b, err := Blocking(0.001, 40, lh, 60, 32)
+		b, err := eq26(0.001, 40, lh, 60, 32)
 		if err != nil {
 			t.Fatalf("lh=%v: %v", lh, err)
 		}
@@ -247,35 +261,5 @@ func TestBlockingMonotoneInHotRate(t *testing.T) {
 			t.Fatalf("blocking decreased at lh=%v", lh)
 		}
 		prev = b
-	}
-}
-
-func TestStable(t *testing.T) {
-	if !Stable(0.01, 50, 0.05) {
-		t.Error("rho=0.5 with margin 0.05 should be stable")
-	}
-	if Stable(0.02, 50, 0.05) {
-		t.Error("rho=1.0 should be unstable")
-	}
-	if Stable(0.0191, 50, 0.05) {
-		t.Error("rho=0.955 with margin 0.05 should be unstable")
-	}
-}
-
-func TestUtilisation(t *testing.T) {
-	if got := Utilisation(0.004, 50); math.Abs(got-0.2) > 1e-15 {
-		t.Errorf("Utilisation = %v", got)
-	}
-}
-
-func TestSCV(t *testing.T) {
-	if got := SquaredCoefficientOfVariation(10, 100); !stats.ApproxEqual(got, 1, 0, 0) {
-		t.Errorf("SCV exponential = %v, want 1", got)
-	}
-	if got := SquaredCoefficientOfVariation(10, 0); !stats.IsZero(got) {
-		t.Errorf("SCV deterministic = %v, want 0", got)
-	}
-	if !math.IsNaN(SquaredCoefficientOfVariation(0, 1)) {
-		t.Error("SCV with zero mean should be NaN")
 	}
 }

@@ -63,15 +63,15 @@ type SolveRequest struct {
 // SolveOptions is the JSON form of core.Options' reconstruction knobs.
 // Empty strings select the calibrated defaults.
 type SolveOptions struct {
-	Entrance  string `json:"entrance,omitempty"` // mean-distance | kbar | worst-case
-	Blocking  string `json:"blocking,omitempty"` // vc-occupancy | paper | wait-only | multi-server | bandwidth
+	Entrance  string `json:"entrance,omitempty"` // mean-distance | worst-case (hotspot-2d only)
+	Blocking  string `json:"blocking,omitempty"` // vc-occupancy | paper | multi-server
 	Variance  string `json:"variance,omitempty"` // zero | paper
 	NoVCSplit bool   `json:"no_vc_split,omitempty"`
 	// Acceleration selects the fixed-point extrapolation scheme: "none"
-	// (damped successive substitution, bit-identical to the default),
-	// "anderson" (windowed Anderson mixing), or "aitken" (componentwise
-	// Δ²). Accelerated solves converge to the same tolerance in fewer
-	// iterations but along a different trajectory.
+	// (damped successive substitution, bit-identical to the default) or
+	// "anderson" (windowed Anderson mixing), parsed by
+	// fixpoint.ParseAcceleration. Accelerated solves converge to the same
+	// tolerance in fewer iterations but along a different trajectory.
 	Acceleration string `json:"acceleration,omitempty"`
 	// AndersonWindow is the Anderson mixing depth, at most
 	// fixpoint.MaxWindow (0 selects the library default). Only meaningful
@@ -120,28 +120,22 @@ func (o *SolveOptions) toCore() (core.Options, *FieldIssue) {
 	switch o.Entrance {
 	case "", "mean-distance":
 		opts.Entrance = core.EntranceMeanDistance
-	case "kbar":
-		opts.Entrance = core.EntranceKBar
 	case "worst-case":
 		opts.Entrance = core.EntranceWorstCase
 	default:
 		return opts, &FieldIssue{Field: "options.entrance",
-			Reason: fmt.Sprintf("unknown entrance policy %q (mean-distance, kbar, worst-case)", o.Entrance)}
+			Reason: fmt.Sprintf("unknown entrance policy %q (mean-distance, worst-case)", o.Entrance)}
 	}
 	switch o.Blocking {
 	case "", "vc-occupancy":
 		opts.Blocking = core.BlockingVCOccupancy
 	case "paper":
 		opts.Blocking = core.BlockingPaper
-	case "wait-only":
-		opts.Blocking = core.BlockingWaitOnly
 	case "multi-server":
 		opts.Blocking = core.BlockingMultiServer
-	case "bandwidth":
-		opts.Blocking = core.BlockingBandwidth
 	default:
 		return opts, &FieldIssue{Field: "options.blocking",
-			Reason: fmt.Sprintf("unknown blocking form %q (vc-occupancy, paper, wait-only, multi-server, bandwidth)", o.Blocking)}
+			Reason: fmt.Sprintf("unknown blocking form %q (vc-occupancy, paper, multi-server)", o.Blocking)}
 	}
 	switch o.Variance {
 	case "", "zero":
@@ -153,17 +147,11 @@ func (o *SolveOptions) toCore() (core.Options, *FieldIssue) {
 			Reason: fmt.Sprintf("unknown variance form %q (zero, paper)", o.Variance)}
 	}
 	opts.NoVCSplit = o.NoVCSplit
-	switch o.Acceleration {
-	case "", "none":
-		opts.FixPoint.Acceleration = fixpoint.AccelNone
-	case "anderson":
-		opts.FixPoint.Acceleration = fixpoint.AccelAnderson
-	case "aitken":
-		opts.FixPoint.Acceleration = fixpoint.AccelAitken
-	default:
-		return opts, &FieldIssue{Field: "options.acceleration",
-			Reason: fmt.Sprintf("unknown acceleration scheme %q (none, anderson, aitken)", o.Acceleration)}
+	accel, err := fixpoint.ParseAcceleration(o.Acceleration)
+	if err != nil {
+		return opts, &FieldIssue{Field: "options.acceleration", Reason: err.Error()}
 	}
+	opts.FixPoint.Acceleration = accel
 	if o.AndersonWindow < 0 || o.AndersonWindow > fixpoint.MaxWindow {
 		return opts, &FieldIssue{Field: "options.anderson_window",
 			Reason: fmt.Sprintf("anderson window must be in 0..%d, got %d", fixpoint.MaxWindow, o.AndersonWindow)}

@@ -216,9 +216,19 @@ func TestSolveValidationIsStructured(t *testing.T) {
 			Options: &SolveOptions{Entrance: "psychic"}}, "options.entrance"},
 		{"unknown blocking option", SolveRequest{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4,
 			Options: &SolveOptions{Blocking: "none"}}, "options.blocking"},
+		{"retired wait-only blocking", SolveRequest{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4,
+			Options: &SolveOptions{Blocking: "wait-only"}}, "options.blocking"},
+		{"retired bandwidth blocking", SolveRequest{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4,
+			Options: &SolveOptions{Blocking: "bandwidth"}}, "options.blocking"},
+		{"retired kbar entrance", SolveRequest{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4,
+			Options: &SolveOptions{Entrance: "kbar"}}, "options.entrance"},
+		{"entrance on a variant without one", SolveRequest{Model: "uniform", K: 16, V: 2, Lm: 32, Lambda: 1e-4,
+			Options: &SolveOptions{Entrance: "worst-case"}}, "options.entrance"},
 		{"negative timeout", SolveRequest{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4, TimeoutMS: -5}, "timeout_ms"},
 		{"unknown acceleration", SolveRequest{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4,
 			Options: &SolveOptions{Acceleration: "psychic"}}, "options.acceleration"},
+		{"retired aitken acceleration", SolveRequest{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4,
+			Options: &SolveOptions{Acceleration: "aitken"}}, "options.acceleration"},
 		{"negative anderson window", SolveRequest{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4,
 			Options: &SolveOptions{Acceleration: "anderson", AndersonWindow: -1}}, "options.anderson_window"},
 		{"window without anderson", SolveRequest{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4,

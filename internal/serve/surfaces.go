@@ -178,7 +178,11 @@ func (s *Server) handleSurfaceCreate(w http.ResponseWriter, r *http.Request) {
 		Hs: req.Hs, Lambdas: req.Lambdas,
 	}
 	if err := def.Validate(); err != nil {
-		writeFieldIssues(w, FieldIssue{Field: "grid", Reason: err.Error()})
+		issues := fieldIssues(err) // an option the model does not take
+		if issues == nil {
+			issues = []FieldIssue{{Field: "grid", Reason: err.Error()}}
+		}
+		writeFieldIssues(w, issues...)
 		return
 	}
 	if cells := len(req.Hs) * len(req.Lambdas); cells > maxSurfaceCells {

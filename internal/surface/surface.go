@@ -47,12 +47,17 @@ type Def struct {
 	Lambdas []float64 `json:"lambdas"`
 }
 
-// Validate reports the first structural problem with the definition.
-// Solver-side parameter validation (radix range, V floor, ...) happens
-// when Build prepares the first grid row.
+// Validate reports the first structural problem with the definition,
+// including option values no solver implements (core.Options.Validate),
+// so a file written with a retired form is refused at load. Solver-side
+// parameter validation (radix range, V floor, ...) happens when Build
+// prepares the first grid row.
 func (d Def) Validate() error {
 	if d.Model == "" {
 		return fmt.Errorf("surface: Def.Model is empty")
+	}
+	if err := d.options().Validate(d.Model); err != nil {
+		return fmt.Errorf("surface: %w", err)
 	}
 	if len(d.Hs) == 0 {
 		return fmt.Errorf("surface: Def.Hs is empty")

@@ -322,3 +322,68 @@ func TestDefKeyIgnoresAxes(t *testing.T) {
 		t.Errorf("Variance must split the shape key")
 	}
 }
+
+// TestOptionValuesNoSolverImplementsAreRefused: an entrance, blocking or
+// variance value outside the kept forms — an unknown number or one of the
+// retired ones (k̄ entrance 1, wait-only blocking 2, bandwidth blocking
+// 4) — and an entrance policy on a variant without one are refused with a
+// field error by core.Solve, by Def.Validate, and when a surface file
+// carrying them is loaded. The kept values pass all three.
+func TestOptionValuesNoSolverImplementsAreRefused(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		model string
+		opts  core.Options
+		field string // "" when the options are valid
+	}{
+		{"default", "hotspot-2d", core.Options{}, ""},
+		{"worst-case entrance", "hotspot-2d", core.Options{Entrance: core.EntranceWorstCase}, ""},
+		{"multi-server blocking", "hotspot-2d", core.Options{Blocking: core.BlockingMultiServer}, ""},
+		{"paper variance", "uniform", core.Options{Variance: core.VariancePaper}, ""},
+		{"retired k̄ entrance", "hotspot-2d", core.Options{Entrance: 1}, "options.entrance"},
+		{"unknown entrance", "hotspot-2d", core.Options{Entrance: 9}, "options.entrance"},
+		{"entrance on uniform", "uniform", core.Options{Entrance: core.EntranceWorstCase}, "options.entrance"},
+		{"entrance on ndim", "ndim", core.Options{Entrance: core.EntranceWorstCase}, "options.entrance"},
+		{"retired wait-only blocking", "hotspot-2d", core.Options{Blocking: 2}, "options.blocking"},
+		{"retired bandwidth blocking", "hotspot-2d", core.Options{Blocking: 4}, "options.blocking"},
+		{"unknown blocking", "hotspot-2d", core.Options{Blocking: 7}, "options.blocking"},
+		{"negative blocking", "bidirectional-2d", core.Options{Blocking: -1}, "options.blocking"},
+		{"unknown variance", "hypercube", core.Options{Variance: 5}, "options.variance"},
+	} {
+		spec := core.Spec{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1.5e-4}
+		switch tc.model {
+		case "uniform":
+			spec.H = 0
+		case "hypercube":
+			spec.K, spec.Dims = 2, 6
+		}
+		_, err := core.Solve(tc.model, spec, tc.opts)
+		var fe *core.FieldError
+		switch {
+		case tc.field == "" && err != nil:
+			t.Errorf("%s: core.Solve refused valid options: %v", tc.name, err)
+		case tc.field != "" && (!errors.As(err, &fe) || fe.Field != tc.field):
+			t.Errorf("%s: core.Solve err = %v, want a FieldError on %q", tc.name, err, tc.field)
+		}
+
+		// A surface file whose header carries the options: the grids come
+		// from a valid build, only the definition is swapped.
+		sfc := *smallSurface(t)
+		sfc.Def.Model = tc.model
+		sfc.Def.Entrance, sfc.Def.Blocking, sfc.Def.Variance = tc.opts.Entrance, tc.opts.Blocking, tc.opts.Variance
+		if err := sfc.Def.Validate(); (err != nil) != (tc.field != "") {
+			t.Errorf("%s: Def.Validate = %v, want refusal %t", tc.name, err, tc.field != "")
+		}
+		data, err := surface.Encode(&sfc)
+		if err != nil {
+			t.Fatalf("%s: Encode: %v", tc.name, err)
+		}
+		_, err = surface.Decode(data)
+		if tc.field == "" && err != nil {
+			t.Errorf("%s: Decode refused valid options: %v", tc.name, err)
+		}
+		if tc.field != "" && !errors.Is(err, surface.ErrBadHeader) {
+			t.Errorf("%s: Decode err = %v, want ErrBadHeader", tc.name, err)
+		}
+	}
+}

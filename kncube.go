@@ -77,17 +77,16 @@ func Solve(model string, s ModelSpec, o ModelOptions) (*SolveResult, error) {
 // set through ModelOptions.FixPoint.Acceleration.
 type Acceleration = fixpoint.Acceleration
 
-// Acceleration schemes: the damped baseline (default), safeguarded
-// Anderson mixing, and componentwise Aitken Δ². AccelNone is bit-identical
-// to the historical iteration; the accelerated schemes agree with it to
-// within the convergence tolerance and cut the round count near saturation.
+// Acceleration schemes: the damped baseline (default) and safeguarded
+// Anderson mixing. AccelNone is bit-identical to the historical iteration;
+// Anderson agrees with it to within the convergence tolerance and cuts the
+// round count near saturation.
 const (
 	AccelNone     = fixpoint.AccelNone
 	AccelAnderson = fixpoint.AccelAnderson
-	AccelAitken   = fixpoint.AccelAitken
 )
 
-// ParseAcceleration maps a scheme name ("", "none", "anderson", "aitken")
+// ParseAcceleration maps a scheme name ("", "none", "anderson")
 // to its Acceleration value; the CLIs use it for their -accel flags.
 func ParseAcceleration(name string) (Acceleration, error) {
 	return fixpoint.ParseAcceleration(name)
@@ -131,7 +130,6 @@ type ModelResult = core.Result
 // Entrance policies for the service-time recursions (ablation A).
 const (
 	EntranceMeanDistance = core.EntranceMeanDistance
-	EntranceKBar         = core.EntranceKBar
 	EntranceWorstCase    = core.EntranceWorstCase
 )
 
@@ -141,9 +139,7 @@ const (
 // documented ablations.
 const (
 	BlockingPaper       = core.BlockingPaper
-	BlockingWaitOnly    = core.BlockingWaitOnly
 	BlockingMultiServer = core.BlockingMultiServer
-	BlockingBandwidth   = core.BlockingBandwidth
 	BlockingVCOccupancy = core.BlockingVCOccupancy
 )
 
