@@ -80,9 +80,9 @@ func TestSpanOutTracesModelSolves(t *testing.T) {
 		}
 		idx := fmt.Sprint(r.Attrs["lambda_idx"])
 		if r.Attrs["panel"] != p.ID || seen[idx] || r.DroppedEvents != 0 ||
-			fmt.Sprint(r.Attrs["iterations"]) != fmt.Sprint(len(r.Events)) {
-			t.Errorf("fixpoint.solve span %s: attrs %v, %d events (%d dropped)",
-				idx, r.Attrs, len(r.Events), r.DroppedEvents)
+			fmt.Sprint(r.Attrs["iterations"]) != fmt.Sprint(len(r.Rounds)) {
+			t.Errorf("fixpoint.solve span %s: attrs %v, %d rounds (%d dropped)",
+				idx, r.Attrs, len(r.Rounds), r.DroppedEvents)
 		}
 		seen[idx] = true
 	}

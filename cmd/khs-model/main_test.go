@@ -272,19 +272,14 @@ func readSpans(t *testing.T, args ...string) (out string, solves []span.Record) 
 	return out, solves
 }
 
-// rounds returns a span's round events, failing on any other event or
-// any dropped one.
-func rounds(t *testing.T, r span.Record) []span.EventRecord {
+// rounds returns a span's round events, failing on any dropped one (an
+// event of another kind already failed span.ReadRecords).
+func rounds(t *testing.T, r span.Record) []span.Round {
 	t.Helper()
 	if r.DroppedEvents != 0 {
 		t.Fatalf("%s dropped %d round events", r.Name, r.DroppedEvents)
 	}
-	for _, ev := range r.Events {
-		if ev.Name != "round" {
-			t.Fatalf("%s event %q, want round", r.Name, ev.Name)
-		}
-	}
-	return r.Events
+	return r.Rounds
 }
 
 // TestSpanOutSweep: -span-out on a sweep writes one fixpoint.solve span per

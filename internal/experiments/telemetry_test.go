@@ -223,11 +223,11 @@ func TestSweepRoundEventsMatchConvergence(t *testing.T) {
 			continue
 		}
 		sp := solves[r.LambdaIdx]
-		if len(sp.Events) == 0 {
+		if len(sp.Rounds) == 0 {
 			t.Fatalf("lambda_idx %d: no round events", r.LambdaIdx)
 		}
-		last := sp.Events[len(sp.Events)-1]
-		iter, _ := last.Attrs["iteration"].(int64)
+		last := sp.Rounds[len(sp.Rounds)-1]
+		iter := last.Iteration
 		if int(iter) != r.ModelIterations || r.ModelIterations == 0 {
 			t.Errorf("lambda_idx %d: last round %d, manifest model_iterations %d",
 				r.LambdaIdx, iter, r.ModelIterations)
@@ -250,7 +250,7 @@ func TestSweepRoundEventsMatchConvergence(t *testing.T) {
 			t.Errorf("lambda_idx %d: last round %d != Convergence.Iterations %d",
 				r.LambdaIdx, iter, res.Convergence.Iterations)
 		}
-		resid, _ := last.Attrs["max_rel_delta"].(float64)
+		resid := last.MaxRelDelta
 		spanResid, _ := sp.Attrs["residual"].(float64)
 		if !stats.ApproxEqual(resid, res.Convergence.Residual, 1e-12, 0) ||
 			!stats.ApproxEqual(spanResid, resid, 1e-12, 0) {
@@ -276,7 +276,7 @@ func TestSweepFixpointTracePreservesCallerTrace(t *testing.T) {
 	if callerRecords == 0 {
 		t.Fatalf("caller trace was dropped")
 	}
-	if n := len(solves[0].Events); callerRecords != n {
+	if n := len(solves[0].Rounds); callerRecords != n {
 		t.Errorf("caller saw %d rounds, span recorded %d", callerRecords, n)
 	}
 }

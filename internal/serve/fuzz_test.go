@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -68,22 +69,116 @@ func FuzzSolveRequest(f *testing.F) {
 		if batch {
 			into = &BatchSolveResponse{}
 		}
-		switch code := rr.Code; {
-		case code == http.StatusOK:
-		case code >= 400 && code < 500, code == http.StatusGatewayTimeout:
-			into = &ErrorResponse{}
-		default:
-			t.Fatalf("%s answered %d for %q: %s", path, code, body, rr.Body.String())
-		}
-		dec := json.NewDecoder(strings.NewReader(rr.Body.String()))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(into); err != nil {
-			t.Fatalf("%s %d: body does not decode as %T: %v\n%s", path, rr.Code, into, err, rr.Body.String())
-		}
-		if e, ok := into.(*ErrorResponse); ok && e.Error == "" {
-			t.Errorf("%s %d: error body without a message: %s", path, rr.Code, rr.Body.String())
+		checkStructured(t, path, body, rr, http.StatusOK, into, http.StatusGatewayTimeout)
+	})
+}
+
+// FuzzSweepRequest drives POST /v1/sweeps with arbitrary bodies under the
+// FuzzSolveRequest invariants: no panic, no 500, every 4xx a structured
+// ErrorResponse, and a 202 carrying the job's SweepStatus. An accepted job
+// is cancelled and waited for, so no simulation outlives its input.
+func FuzzSweepRequest(f *testing.F) {
+	for _, seed := range []string{
+		`{"panel":"fig1-h20","points":1,"budget":{"warmup_cycles":100,"max_cycles":2000,"min_measured":10}}`,
+		`{"panel":"fig2-h70","model":"hotspot-2d","points":2,"reps":2,"jobs":2}`,
+		`{"panel":"fig1-h20","jobs":33}`,
+		`{"panel":"fig1-h20","budget":{"max_cycles":2400001}}`,
+		`{"panel":"fig1-h20","budget":{"warmup_cycles":2000,"max_cycles":2000}}`,
+		`{"panel":"fig1-h20","budget":{"min_measured":-1}}`,
+		`{"panel":"fig1-h20","points":-1}`,
+		`{"panel":"fig1-h20","model":"no-such-model"}`,
+		`{"panel":"fig9-h99"}`,
+		`{"panel":""}`,
+		`{"panel":"fig1-h20","nope":1}`,
+		`{"panel":1}`,
+		`{"panel":"fig1-h20"`,
+		`null`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	s := New(Config{RuntimeMetricsInterval: -1})
+	h := s.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest("POST", "/v1/sweeps", bytes.NewReader(body)))
+		var st SweepStatus
+		checkStructured(t, "/v1/sweeps", body, rr, http.StatusAccepted, &st)
+		if rr.Code == http.StatusAccepted {
+			cancelJob(t, s, st.ID)
 		}
 	})
+}
+
+// FuzzSurfaceRequest drives POST /v1/surfaces with arbitrary bodies under
+// the FuzzSolveRequest invariants; an accepted build is cancelled and
+// waited for.
+func FuzzSurfaceRequest(f *testing.F) {
+	for _, seed := range []string{
+		`{"k":16,"v":2,"lm":32,"hs":[0.1,0.2,0.3],"lambdas":[5e-05,0.0001,0.00015,0.0002,0.00025,0.0003]}`,
+		`{"model":"uniform","k":8,"v":2,"lm":16,"hs":[0],"lambdas":[0.001,0.002]}`,
+		`{"model":"ndim","k":4,"dims":3,"v":2,"lm":8,"hs":[0.1],"lambdas":[0.001,0.002],"options":{"acceleration":"anderson"}}`,
+		`{"k":16,"v":2,"lm":32,"hs":[0.2,0.1],"lambdas":[0.0001,0.0002]}`,
+		`{"k":16,"v":2,"lm":32,"hs":[0.2],"lambdas":[0.0001]}`,
+		`{"k":16,"v":2,"lm":32,"hs":[1.5],"lambdas":[-1,0]}`,
+		`{"k":16,"v":2,"lm":32,"hs":[0.2],"lambdas":[0.0001,0.0002],"options":{"mode":"auto"}}`,
+		`{"k":16,"v":2,"lm":32,"hs":[0.2],"lambdas":[0.0001,0.0002],"options":{"blocking":"wait-only"}}`,
+		`{"model":"uniform","k":8,"lm":16,"hs":[0],"lambdas":[0.001,0.002],"options":{"entrance":"worst-case"}}`,
+		`{"k":888816,"v":2,"lm":32,"hs":[0.2],"lambdas":[0.0001,0.0002]}`,
+		`{"k":1,"hs":[],"lambdas":[]}`,
+		`{"model":"no-such-model","hs":[0.1],"lambdas":[0.1,0.2]}`,
+		`{"k":"16"}`,
+		`{"k":16,"nope":1}`,
+		`[]`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	s := New(Config{RuntimeMetricsInterval: -1})
+	h := s.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest("POST", "/v1/surfaces", bytes.NewReader(body)))
+		var st SurfaceStatus
+		checkStructured(t, "/v1/surfaces", body, rr, http.StatusAccepted, &st)
+		if rr.Code == http.StatusAccepted {
+			cancelJob(t, s, st.ID)
+		}
+	})
+}
+
+// checkStructured enforces the decoder fuzz invariants on one response: a
+// success status ok whose body decodes as into, or a 4xx (or one of the
+// documented also codes) whose body is the API's ErrorResponse with a
+// message. Anything else — a 500 above all — fails the test.
+func checkStructured(t *testing.T, path string, body []byte, rr *httptest.ResponseRecorder, ok int, into any, also ...int) {
+	t.Helper()
+	switch code := rr.Code; {
+	case code == ok:
+	case code >= 400 && code < 500, slices.Contains(also, code):
+		into = &ErrorResponse{}
+	default:
+		t.Fatalf("%s answered %d for %q: %s", path, code, body, rr.Body.String())
+	}
+	dec := json.NewDecoder(strings.NewReader(rr.Body.String()))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(into); err != nil {
+		t.Fatalf("%s %d: body does not decode as %T: %v\n%s", path, rr.Code, into, err, rr.Body.String())
+	}
+	if e, isErr := into.(*ErrorResponse); isErr && e.Error == "" {
+		t.Errorf("%s %d: error body without a message: %s", path, rr.Code, rr.Body.String())
+	}
+}
+
+// cancelJob cancels an accepted async job and waits for it to finish.
+func cancelJob(t *testing.T, s *Server, id string) {
+	t.Helper()
+	j, ok := s.jobs.get(id)
+	if !ok {
+		t.Fatalf("accepted job %q is not in the store", id)
+	}
+	j.cancel()
+	<-j.finished
 }
 
 // TestRequestTimeoutCannotOverflow: a timeout_ms too large for

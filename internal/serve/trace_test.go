@@ -129,18 +129,19 @@ func TestTraceparentJoinsCallerTrace(t *testing.T) {
 		t.Errorf("admission outcome = %q, want admitted", got)
 	}
 
-	// The fixpoint span records the iteration: one event per substitution
-	// round, and the convergence tallies as attributes.
-	if len(fixp.Events) == 0 {
-		t.Error("fixpoint.solve span has no round events")
+	// The fixpoint span records the iteration: one round per substitution
+	// round, numbered in order, and the convergence tallies as attributes.
+	if len(fixp.Rounds) == 0 {
+		t.Error("fixpoint.solve span has no rounds")
 	}
-	for _, ev := range fixp.Events {
-		if ev.Name != "round" {
-			t.Errorf("fixpoint event %q, want round", ev.Name)
+	for i, r := range fixp.Rounds {
+		if r.Iteration != int64(i+1) {
+			t.Errorf("fixpoint round %d has iteration %d", i+1, r.Iteration)
 		}
 	}
-	if _, ok := fixp.Attrs["iterations"]; !ok {
-		t.Errorf("fixpoint.solve span missing iterations attr: %v", fixp.Attrs)
+	if got := fmt.Sprint(fixp.Attrs["iterations"]); got != fmt.Sprint(len(fixp.Rounds)+fixp.DroppedEvents) {
+		t.Errorf("fixpoint.solve iterations attr %v, %d rounds kept and %d dropped",
+			got, len(fixp.Rounds), fixp.DroppedEvents)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"sync"
@@ -26,17 +27,70 @@ type Record struct {
 	Duration     int64  `json:"duration_nano"`
 	// Attrs holds span attributes. Numeric values decode as json.Number
 	// kinds (float64) after a round-trip; tests compare via fmt rendering.
-	Attrs         map[string]any `json:"attrs,omitempty"`
-	Events        []EventRecord  `json:"events,omitempty"`
-	DroppedEvents int            `json:"dropped_events,omitempty"`
+	Attrs map[string]any `json:"attrs,omitempty"`
+	// Rounds are the span's fixed-point round events, exported under the
+	// generic "events" key.
+	Rounds        []Round `json:"events,omitempty"`
+	DroppedEvents int     `json:"dropped_events,omitempty"`
 }
 
-// EventRecord is one span event in export form; Offset is nanoseconds from
-// the span start.
-type EventRecord struct {
-	Name   string         `json:"name"`
-	Offset int64          `json:"offset_nano"`
-	Attrs  map[string]any `json:"attrs,omitempty"`
+// Round is one fixed-point substitution round of a fixpoint.solve span,
+// the only span event kind. It holds no pointers, so a span's rounds slice
+// is never scanned by the garbage collector (TestRoundHoldsNoPointers).
+type Round struct {
+	// OffsetNano is the time of the round in nanoseconds from the span
+	// start.
+	OffsetNano  int64
+	Iteration   int64
+	MaxRelDelta float64
+	Accelerated bool
+}
+
+// roundWire is a Round's JSON form: a "round" event with an attrs object.
+// The attrs fields are declared in sorted key order, so the bytes match an
+// attrs map encoded by encoding/json (testdata/fixpoint_solve.jsonl pins
+// them).
+type roundWire struct {
+	Name       string     `json:"name"`
+	OffsetNano int64      `json:"offset_nano"`
+	Attrs      roundAttrs `json:"attrs"`
+}
+
+type roundAttrs struct {
+	Accelerated bool    `json:"accelerated"`
+	Iteration   int64   `json:"iteration"`
+	MaxRelDelta float64 `json:"max_rel_delta"`
+}
+
+// roundEventName is the event name every exported round carries.
+const roundEventName = "round"
+
+// MarshalJSON encodes r as a "round" event.
+func (r Round) MarshalJSON() ([]byte, error) {
+	return json.Marshal(roundWire{
+		Name:       roundEventName,
+		OffsetNano: r.OffsetNano,
+		Attrs:      roundAttrs{Accelerated: r.Accelerated, Iteration: r.Iteration, MaxRelDelta: r.MaxRelDelta},
+	})
+}
+
+// UnmarshalJSON decodes a "round" event; an event of any other name is an
+// error, not silently dropped.
+func (r *Round) UnmarshalJSON(b []byte) error {
+	var w roundWire
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	if w.Name != roundEventName {
+		return fmt.Errorf("span: event %q is not a %q event", w.Name, roundEventName)
+	}
+	*r = Round{
+		OffsetNano:  w.OffsetNano,
+		Iteration:   w.Attrs.Iteration,
+		MaxRelDelta: w.Attrs.MaxRelDelta,
+		Accelerated: w.Attrs.Accelerated,
+	}
+	return nil
 }
 
 // Exporter receives the record batch of every kept trace, root span last.

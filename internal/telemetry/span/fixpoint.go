@@ -46,10 +46,7 @@ func (f *FixpointTrace) round(tr fixpoint.TraceRecord) {
 		f.caller(tr)
 	}
 	if f.sp != nil {
-		f.sp.Event("round",
-			Int("iteration", tr.Iteration),
-			Float64("max_rel_delta", tr.MaxRelDelta),
-			Bool("accelerated", tr.Accelerated))
+		f.sp.Round(tr.Iteration, tr.MaxRelDelta, tr.Accelerated)
 	}
 }
 

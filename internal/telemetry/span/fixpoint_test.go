@@ -3,6 +3,7 @@ package span
 import (
 	"context"
 	"math"
+	"math/bits"
 	"testing"
 
 	"kncube/internal/fixpoint"
@@ -34,14 +35,14 @@ func solveRounds(ctx context.Context, t testing.TB, f *FixpointTrace, tol float6
 }
 
 // TestFixpointTraceRecordsRounds: under a span, a solve becomes one
-// fixpoint.solve span with one round event per Convergence round (carrying
-// exactly iteration, max_rel_delta and accelerated) and the tallies as
-// attributes; the caller's own hook still sees every round.
+// fixpoint.solve span with one round per Convergence round, numbered in
+// order with the solver's residuals, and the tallies as attributes; the
+// caller's own hook still sees every round.
 func TestFixpointTraceRecordsRounds(t *testing.T) {
 	tr, ring := tracer(t, Config{})
 	ctx, root := tr.Start(context.Background(), "test")
-	callerRounds := 0
-	f := NewFixpointTrace(func(fixpoint.TraceRecord) { callerRounds++ })
+	var callerRounds []fixpoint.TraceRecord
+	f := NewFixpointTrace(func(r fixpoint.TraceRecord) { callerRounds = append(callerRounds, r) })
 	conv := solveRounds(ctx, t, f, 1e-9)
 	root.End()
 
@@ -51,14 +52,14 @@ func TestFixpointTraceRecordsRounds(t *testing.T) {
 			fp = r
 		}
 	}
-	if len(fp.Events) != conv.Iterations || callerRounds != conv.Iterations {
-		t.Fatalf("%d round events, caller saw %d rounds, Convergence.Iterations %d",
-			len(fp.Events), callerRounds, conv.Iterations)
+	if len(fp.Rounds) != conv.Iterations || len(callerRounds) != conv.Iterations {
+		t.Fatalf("%d rounds, caller saw %d rounds, Convergence.Iterations %d",
+			len(fp.Rounds), len(callerRounds), conv.Iterations)
 	}
-	for i, ev := range fp.Events {
-		if ev.Name != "round" || len(ev.Attrs) != 3 || ev.Attrs["iteration"] != int64(i+1) ||
-			ev.Attrs["accelerated"] != false {
-			t.Fatalf("round %d event = %+v", i+1, ev)
+	for i, r := range fp.Rounds {
+		if r.Iteration != int64(i+1) || math.Float64bits(r.MaxRelDelta) != math.Float64bits(callerRounds[i].MaxRelDelta) || r.Accelerated ||
+			(i > 0 && r.OffsetNano < fp.Rounds[i-1].OffsetNano) {
+			t.Fatalf("round %d = %+v", i+1, r)
 		}
 	}
 	want := map[string]any{
@@ -128,5 +129,38 @@ func TestFixpointTraceUntracedAllocs(t *testing.T) {
 	}
 	if n := solveRounds(ctx, t, nil, 1e-12).Iterations; n <= 2*solveRounds(ctx, t, nil, 1e-2).Iterations {
 		t.Fatalf("tolerances do not separate the round counts (%d rounds at tight tolerance)", n)
+	}
+}
+
+// TestFixpointTraceTracedAllocs pins the cost of a traced solve: a round
+// is a few stores into the span's pointer-free rounds slice, so the
+// allocations a trace adds over a bare solve grow with the round count
+// only by the slice's doublings — logarithmically, where boxed attributes
+// and a map per round once added about four per round (77 at 13 rounds,
+// 400 at 93).
+func TestFixpointTraceTracedAllocs(t *testing.T) {
+	f := NewFixpointTrace(nil)
+	tr := New(Config{Seed: 1, MaxEventsPerSpan: 1 << 12})
+	overhead := func(tol float64) (rounds int, allocs float64) {
+		bg := context.Background()
+		bare := testing.AllocsPerRun(50, func() { solveRounds(bg, t, nil, tol) })
+		traced := testing.AllocsPerRun(50, func() {
+			ctx, root := tr.Start(bg, "root")
+			solveRounds(ctx, t, f, tol)
+			root.End()
+		})
+		return solveRounds(bg, t, nil, tol).Iterations, traced - bare
+	}
+	nFew, few := overhead(1e-2)
+	nMany, many := overhead(1e-12)
+	if nMany < 4*nFew {
+		t.Fatalf("tolerances do not separate the round counts (%d and %d rounds)", nFew, nMany)
+	}
+	t.Logf("traced solve adds %v allocs at %d rounds, %v at %d", few, nFew, many, nMany)
+	// Appending n rounds to a nil slice allocates bits.Len(n-1)+1 times.
+	growth := float64(bits.Len(uint(nMany-1)) - bits.Len(uint(nFew-1)))
+	if many-few > growth {
+		t.Errorf("traced solve adds %v allocs at %d rounds and %v at %d: grows by %v, slice growth explains %v",
+			few, nFew, many, nMany, many-few, growth)
 	}
 }

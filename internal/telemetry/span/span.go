@@ -1,12 +1,13 @@
 // Package span is the request-tracing half of the observability layer
 // (DESIGN.md §11): explicit span trees with start/end times, attributes and
-// bounded events, W3C traceparent propagation, tail-based sampling, and a
-// ring-buffered JSONL exporter — dependency-free like the rest of
-// internal/telemetry. Where the metrics registry (DESIGN.md §7) answers
-// "how much", spans answer "why was this request slow": one trace ties a
-// khs-serve request to its admission wait, cache outcome, solver
-// preparation and fixed-point rounds, and an async sweep job's per-(panel,
-// λ, rep) simulation spans link back to the request that launched them.
+// bounded fixed-point round events, W3C traceparent propagation,
+// tail-based sampling, and a ring-buffered JSONL exporter — dependency-free
+// like the rest of internal/telemetry. Where the metrics registry
+// (DESIGN.md §7) answers "how much", spans answer "why was this request
+// slow": one trace ties a khs-serve request to its admission wait, cache
+// outcome, solver preparation and fixed-point rounds, and an async sweep
+// job's per-(panel, λ, rep) simulation spans link back to the request that
+// launched them.
 //
 // The design is deliberately head-samples-everything: every request is
 // recorded, and the tail policy decides at trace completion which finished
@@ -84,27 +85,17 @@ func ParseSpanID(s string) (SpanID, error) {
 	return id, nil
 }
 
-// Attr is one key/value attribute on a span or event. Values should be
+// Attr is one key/value attribute on a span. Values should be
 // strings, bools, or int/float numbers so the JSONL export round-trips.
 type Attr struct {
 	Key   string
 	Value any
 }
 
-// String, Int, Int64, Float64 and Bool build typed attributes.
+// String, Int and Float64 build typed attributes.
 func String(key, value string) Attr      { return Attr{Key: key, Value: value} }
 func Int(key string, value int) Attr     { return Attr{Key: key, Value: int64(value)} }
-func Int64(key string, value int64) Attr { return Attr{Key: key, Value: value} }
 func Float64(key string, v float64) Attr { return Attr{Key: key, Value: v} }
-func Bool(key string, value bool) Attr   { return Attr{Key: key, Value: value} }
-
-// Event is one timestamped point annotation inside a span (e.g. one
-// fixed-point substitution round).
-type Event struct {
-	Name  string
-	Time  time.Time
-	Attrs []Attr
-}
 
 // Parent identifies a span context received from (or handed to) another
 // process, per the W3C traceparent header.
@@ -129,8 +120,8 @@ type Config struct {
 	Exporter Exporter
 	// Tail is the keep policy applied when a trace's root span ends.
 	Tail TailPolicy
-	// MaxEventsPerSpan bounds the events retained per span; further events
-	// are counted as dropped. 0 means 128. The bound is what keeps a
+	// MaxEventsPerSpan bounds the round events retained per span; further
+	// rounds are counted as dropped. 0 means 128. The bound is what keeps a
 	// 10000-round fixed-point solve from inflating one span without limit.
 	MaxEventsPerSpan int
 	// Seed makes span/trace id generation deterministic (tests, replay).
@@ -138,7 +129,7 @@ type Config struct {
 	Seed int64
 }
 
-// defaultMaxEvents bounds per-span events when Config.MaxEventsPerSpan is 0.
+// defaultMaxEvents bounds per-span rounds when Config.MaxEventsPerSpan is 0.
 const defaultMaxEvents = 128
 
 // Tracer builds spans and runs finished traces through the tail policy and
@@ -239,7 +230,7 @@ type Span struct {
 
 	mu      sync.Mutex
 	attrs   []Attr
-	events  []Event
+	rounds  []Round
 	dropped int
 	ended   bool
 }
@@ -392,19 +383,25 @@ func (s *Span) AttrValue(key string) (any, bool) {
 	return nil, false
 }
 
-// Event appends a timestamped event, bounded by the tracer's
-// MaxEventsPerSpan; events beyond the bound are counted, not stored.
-func (s *Span) Event(name string, attrs ...Attr) {
+// Round appends one fixed-point substitution round, the only span event
+// kind, bounded by the tracer's MaxEventsPerSpan; rounds beyond the bound
+// are counted, not stored.
+func (s *Span) Round(iteration int, maxRelDelta float64, accelerated bool) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.events) >= s.tr.tracer.maxEvents {
+	if len(s.rounds) >= s.tr.tracer.maxEvents {
 		s.dropped++
 		return
 	}
-	s.events = append(s.events, Event{Name: name, Time: time.Now(), Attrs: attrs})
+	s.rounds = append(s.rounds, Round{
+		OffsetNano:  time.Since(s.start).Nanoseconds(),
+		Iteration:   int64(iteration),
+		MaxRelDelta: maxRelDelta,
+		Accelerated: accelerated,
+	})
 }
 
 // Keep marks the whole trace as must-export, overriding the ratio rule of
@@ -462,6 +459,8 @@ func (s *Span) End() {
 }
 
 // buildRecord converts the span into its export form; called under s.mu.
+// The record takes the span's rounds slice as is: the span has ended, and a
+// late Round only appends past the record's length.
 func (s *Span) buildRecord(end time.Time) Record {
 	rec := Record{
 		TraceID:       s.tr.id.String(),
@@ -469,6 +468,7 @@ func (s *Span) buildRecord(end time.Time) Record {
 		Name:          s.name,
 		Start:         s.start.UnixNano(),
 		Duration:      end.Sub(s.start).Nanoseconds(),
+		Rounds:        s.rounds,
 		DroppedEvents: s.dropped,
 	}
 	if !s.parentID.IsZero() {
@@ -477,16 +477,6 @@ func (s *Span) buildRecord(end time.Time) Record {
 	rec.RemoteParent = s.remote
 	if len(s.attrs) > 0 {
 		rec.Attrs = attrMap(s.attrs)
-	}
-	if len(s.events) > 0 {
-		rec.Events = make([]EventRecord, len(s.events))
-		for i, ev := range s.events {
-			rec.Events[i] = EventRecord{
-				Name:   ev.Name,
-				Offset: ev.Time.Sub(s.start).Nanoseconds(),
-				Attrs:  attrMap(ev.Attrs),
-			}
-		}
 	}
 	return rec
 }

@@ -3,6 +3,7 @@ package span
 import (
 	"bytes"
 	"context"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -29,7 +30,7 @@ func TestSpanTreeExport(t *testing.T) {
 	ctx2, child := tr.Start(ctx, "solve")
 	_, grand := tr.Start(ctx2, "fixpoint.solve")
 	grand.SetAttr("iterations", int64(17))
-	grand.Event("round", Int("iteration", 1), Float64("max_rel_delta", 0.5))
+	grand.Round(1, 0.5, false)
 	grand.End()
 	child.End()
 	root.SetAttr("http.status", int64(200))
@@ -58,8 +59,8 @@ func TestSpanTreeExport(t *testing.T) {
 	if g.Attrs["iterations"] != int64(17) {
 		t.Fatalf("grandchild attrs = %v", g.Attrs)
 	}
-	if len(g.Events) != 1 || g.Events[0].Name != "round" {
-		t.Fatalf("grandchild events = %v", g.Events)
+	if len(g.Rounds) != 1 || g.Rounds[0].Iteration != 1 || math.Float64bits(g.Rounds[0].MaxRelDelta) != math.Float64bits(0.5) {
+		t.Fatalf("grandchild rounds = %+v", g.Rounds)
 	}
 	if r.Attrs["tail.keep"] == nil {
 		t.Fatalf("root not stamped with tail.keep: %v", r.Attrs)
@@ -119,7 +120,7 @@ func TestStartChildWithoutTracerIsNil(t *testing.T) {
 	}
 	// The full nil-safe surface must not panic.
 	sp.SetAttr("k", 1)
-	sp.Event("e")
+	sp.Round(1, 0.5, false)
 	sp.Keep("r")
 	sp.End()
 	if got := sp.TraceID(); !got.IsZero() {
@@ -163,11 +164,12 @@ func TestEventBound(t *testing.T) {
 	tr, ring := tracer(t, Config{MaxEventsPerSpan: 3})
 	_, sp := tr.Start(context.Background(), "bounded")
 	for i := 0; i < 10; i++ {
-		sp.Event("round", Int("iteration", i))
+		sp.Round(i+1, 0, false)
 	}
 	sp.End()
 	recs := ring.Trace(sp.TraceID().String())
-	if len(recs) != 1 || len(recs[0].Events) != 3 || recs[0].DroppedEvents != 7 {
+	if len(recs) != 1 || len(recs[0].Rounds) != 3 || recs[0].Rounds[2].Iteration != 3 ||
+		recs[0].DroppedEvents != 7 {
 		t.Fatalf("bounded span = %+v", recs[0])
 	}
 }
@@ -207,7 +209,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	tr := New(Config{Exporter: ring, Seed: 42})
 	ctx, root := tr.Start(context.Background(), "http POST /v1/solve")
 	_, child := tr.Start(ctx, "solve", String("cache", "miss"))
-	child.Event("round", Int("iteration", 1))
+	child.Round(1, 0.25, true)
 	child.End()
 	root.End()
 	if err := ring.Err(); err != nil {
@@ -224,8 +226,9 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if got[0].Name != "solve" || got[0].Attrs["cache"] != "miss" {
 		t.Fatalf("child record = %+v", got[0])
 	}
-	if got[0].Events[0].Name != "round" {
-		t.Fatalf("child events = %+v", got[0].Events)
+	if len(got[0].Rounds) != 1 || got[0].Rounds[0].Iteration != 1 ||
+		math.Float64bits(got[0].Rounds[0].MaxRelDelta) != math.Float64bits(0.25) || !got[0].Rounds[0].Accelerated {
+		t.Fatalf("child rounds = %+v", got[0].Rounds)
 	}
 	if got[1].Name != "http POST /v1/solve" || got[1].ParentID != "" {
 		t.Fatalf("root record = %+v", got[1])
@@ -310,7 +313,7 @@ func TestConcurrentSpansOneTrace(t *testing.T) {
 		go func(i int) {
 			defer func() { done <- struct{}{} }()
 			_, sp := tr.Start(ctx, "worker", Int("i", i))
-			sp.Event("tick")
+			sp.Round(i, 0, false)
 			sp.End()
 		}(i)
 	}
