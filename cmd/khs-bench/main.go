@@ -9,7 +9,14 @@
 //	go test -run '^$' -bench '^BenchmarkSolve' . | go run ./cmd/khs-bench -o BENCH_solve.json
 //
 // Each invocation appends (or writes) one labelled entry holding every
-// parsed benchmark: name, iterations, ns/op, B/op, allocs/op, the custom
+// parsed benchmark. Repeated samples of one benchmark (`go test -count N`)
+// collapse into one record: the sample count, the median of each metric
+// and the interquartile range of ns/op, so no stored number is a single
+// noisy sample:
+//
+//	go test -run '^$' -bench '^BenchmarkSolveNearSat$' -count 10 . | go run ./cmd/khs-bench -o BENCH_solve.json -append
+//
+// A record holds the name, iterations, ns/op, B/op, allocs/op, the custom
 // iters/op metric the BenchmarkSolve* family reports (fixed-point rounds
 // per solve — the number the Anderson acceleration work is tracked by),
 // and — for the simulator Step benchmarks — the derived simulated cycles
@@ -24,19 +31,28 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"os"
 	"strconv"
 	"strings"
 	"time"
 
+	"kncube/internal/stats"
 	"kncube/internal/telemetry"
 )
 
-// Benchmark is one parsed `go test -bench` result line.
+// Benchmark is one benchmark's result: a parsed `go test -bench` line, or
+// the medians of every line of one name.
 type Benchmark struct {
-	Name       string  `json:"name"`
-	Iterations int64   `json:"iterations"`
-	NsPerOp    float64 `json:"ns_per_op"`
+	Name       string `json:"name"`
+	Iterations int64  `json:"iterations"`
+	// Samples is the number of result lines the record collapses; the
+	// metrics below are their medians.
+	Samples int     `json:"samples,omitempty"`
+	NsPerOp float64 `json:"ns_per_op"`
+	// NsPerOpIQR is the interquartile range of ns/op over the samples
+	// (0, and omitted, for a single sample).
+	NsPerOpIQR float64 `json:"ns_per_op_iqr,omitempty"`
 	// BytesPerOp and AllocsPerOp are always emitted (no omitempty): zero
 	// allocations is the load-bearing value for the hot-loop benchmarks.
 	BytesPerOp  float64 `json:"bytes_per_op"`
@@ -116,10 +132,13 @@ func fatal(err error) {
 	os.Exit(2)
 }
 
-// parse reads `go test -bench` output and extracts every benchmark line
-// plus the most recent cpu: context line.
+// parse reads `go test -bench` output and extracts every benchmark, in
+// the order each name first appears, plus the most recent cpu: context
+// line. Repeated lines of one name collapse into their medians.
 func parse(r io.Reader) (Entry, error) {
 	var e Entry
+	var order []string
+	samples := map[string][]Benchmark{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	for sc.Scan() {
@@ -135,9 +154,42 @@ func parse(r io.Reader) (Entry, error) {
 		if !ok {
 			continue
 		}
-		e.Benchmarks = append(e.Benchmarks, b)
+		if _, seen := samples[b.Name]; !seen {
+			order = append(order, b.Name)
+		}
+		samples[b.Name] = append(samples[b.Name], b)
+	}
+	for _, name := range order {
+		e.Benchmarks = append(e.Benchmarks, collapse(samples[name]))
 	}
 	return e, sc.Err()
+}
+
+// collapse reduces the samples of one benchmark to a record of their
+// medians, with the interquartile range of ns/op.
+func collapse(bs []Benchmark) Benchmark {
+	field := func(get func(Benchmark) float64) []float64 {
+		xs := make([]float64, len(bs))
+		for i, b := range bs {
+			xs[i] = get(b)
+		}
+		return xs
+	}
+	ns := field(func(b Benchmark) float64 { return b.NsPerOp })
+	out := Benchmark{
+		Name:        bs[0].Name,
+		Iterations:  int64(math.Round(stats.MedianOf(field(func(b Benchmark) float64 { return float64(b.Iterations) })))),
+		Samples:     len(bs),
+		NsPerOp:     stats.MedianOf(ns),
+		NsPerOpIQR:  stats.QuantileOf(ns, 0.75) - stats.QuantileOf(ns, 0.25),
+		BytesPerOp:  stats.MedianOf(field(func(b Benchmark) float64 { return b.BytesPerOp })),
+		AllocsPerOp: stats.MedianOf(field(func(b Benchmark) float64 { return b.AllocsPerOp })),
+		ItersPerOp:  stats.MedianOf(field(func(b Benchmark) float64 { return b.ItersPerOp })),
+	}
+	if strings.Contains(out.Name, "Step") && out.NsPerOp > 0 {
+		out.CyclesPerSec = 1e9 / out.NsPerOp
+	}
+	return out
 }
 
 // parseLine parses one result line of the form
@@ -177,9 +229,6 @@ func parseLine(line string) (Benchmark, bool) {
 	}
 	if !sawNs {
 		return Benchmark{}, false
-	}
-	if strings.Contains(b.Name, "Step") && b.NsPerOp > 0 {
-		b.CyclesPerSec = 1e9 / b.NsPerOp
 	}
 	return b, true
 }

@@ -70,3 +70,43 @@ func TestParseIgnoresNonResultLines(t *testing.T) {
 		t.Fatalf("parsed %d benchmarks from junk, want 0", len(e.Benchmarks))
 	}
 }
+
+// TestParseCollapsesRepeatedSamples pins the -count handling: the lines
+// of one benchmark become one record of their medians, with the sample
+// count and the interquartile range of ns/op, in first-seen order.
+func TestParseCollapsesRepeatedSamples(t *testing.T) {
+	in := `cpu: test
+BenchmarkRound/ndim/iterate-2 	 2000	 1500 ns/op	 0 B/op	 0 allocs/op
+BenchmarkSolveNearSat/ndim/damped-2 	 200	 30000 ns/op	 35.00 iters/op
+BenchmarkRound/ndim/iterate-2 	 2000	 1400 ns/op	 0 B/op	 0 allocs/op
+BenchmarkRound/ndim/iterate-2 	 2000	 1900 ns/op	 0 B/op	 0 allocs/op
+BenchmarkRound/ndim/iterate-2 	 2000	 1600 ns/op	 0 B/op	 0 allocs/op
+BenchmarkSimulatorStep-2 	 1000	 1000 ns/op
+BenchmarkSimulatorStep-2 	 1000	 3000 ns/op
+`
+	e, err := parse(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(e.Benchmarks) != 3 {
+		t.Fatalf("parsed %d records, want 3: %+v", len(e.Benchmarks), e.Benchmarks)
+	}
+	round, near, step := e.Benchmarks[0], e.Benchmarks[1], e.Benchmarks[2]
+	if round.Name != "BenchmarkRound/ndim/iterate-2" || near.Name != "BenchmarkSolveNearSat/ndim/damped-2" {
+		t.Fatalf("records out of first-seen order: %q, %q", round.Name, near.Name)
+	}
+	// ns/op samples 1400, 1500, 1600, 1900: median 1550, quartiles 1475
+	// and 1675.
+	//lint:ignore floateq medians and quartiles of these integers are exact
+	if round.Samples != 4 || round.NsPerOp != 1550 || round.NsPerOpIQR != 200 || round.Iterations != 2000 {
+		t.Errorf("collapsed record = %+v, want 4 samples, 1550 ns/op, IQR 200", round)
+	}
+	//lint:ignore floateq a single sample passes through unchanged
+	if near.Samples != 1 || near.NsPerOp != 30000 || near.NsPerOpIQR != 0 || near.ItersPerOp != 35 {
+		t.Errorf("single-sample record = %+v", near)
+	}
+	// The derived simulator rate follows the median.
+	if got, want := step.CyclesPerSec, 1e9/2000; got < want*0.999 || got > want*1.001 {
+		t.Errorf("cycles/sec = %v, want ~%v from the median ns/op", got, want)
+	}
+}

@@ -132,7 +132,7 @@ mean latency           20.16 cycles
   hot-spot             20.24 cycles
 source waiting          0.01 cycles
 multiplexing      V̄=1.004
-convergence       37 iterations, residual 6.67e-10
+convergence       24 iterations, residual 8.83e-10
 detail            Vx=1.004 Vhy=1.006, mean path 4.00 hops
 `
 	if out != want {

@@ -261,16 +261,18 @@ func (m *biModel) entrance(v [2][]float64) float64 {
 }
 
 // yNext returns the service continuation after the final x hop for a hot
-// message generated in row r.
-func (m *biModel) yNext(st *biView, r int) float64 {
+// message generated in row r, read from the flat state x.
+func (m *biModel) yNext(x []float64, r int) float64 {
 	row := m.rows[r]
 	if row.hotRow {
 		return m.lm
 	}
-	return st.shoty[row.dir][row.dist]
+	return m.l.shoty[row.dir].at(x, row.dist)
 }
 
-// Iterate re-evaluates the direction-split recursions.
+// Iterate re-evaluates the direction-split recursions. Every blocking
+// delay is taken from in; the position recursions read only the entries
+// of out written earlier in the same call.
 //
 //khs:hotpath
 func (m *biModel) Iterate(in, out []float64) error {
@@ -326,27 +328,29 @@ func (m *biModel) Iterate(in, out []float64) error {
 		bX[i] = (sum + float64(len(m.rows)*(k-m.d[i]))*bQuietX) / float64(len(m.rows)*k)
 	}
 
+	// The position recursions substitute forward: each position builds on
+	// the value this call just wrote for the position before it. A row's
+	// hot-spot path enters the hot column of either direction, so both
+	// directions' column recursions come before any x-ring recursion.
 	for i := 0; i < 2; i++ {
+		hyb, hy, x, xhy, xhyb, hot := m.lm, m.lm, m.lm, entHy, entHyB, m.lm
 		for j := 1; j <= m.d[i]; j++ {
-			hyb, hy, x, xhy, xhyb, hot := m.lm, m.lm, m.lm, entHy, entHyB, m.lm
-			if j > 1 {
-				hyb, hy, x = st.shybar[i][j-1], st.shy[i][j-1], st.sx[i][j-1]
-				xhy, xhyb, hot = st.sxhy[i][j-1], st.sxhybar[i][j-1], st.shoty[i][j-1]
-			}
-			m.l.shybar[i].put(out, j, 1+bHyB[i]+hyb)
-			m.l.shy[i].put(out, j, 1+bHy[i]+hy)
-			m.l.sx[i].put(out, j, 1+bX[i]+x)
-			m.l.sxhy[i].put(out, j, 1+bX[i]+xhy)
-			m.l.sxhybar[i].put(out, j, 1+bX[i]+xhyb)
-			m.l.shoty[i].put(out, j, 1+m.bHy[i][j]+hot)
+			hyb, hy, x = 1+bHyB[i]+hyb, 1+bHy[i]+hy, 1+bX[i]+x
+			xhy, xhyb, hot = 1+bX[i]+xhy, 1+bX[i]+xhyb, 1+m.bHy[i][j]+hot
+			m.l.shybar[i].put(out, j, hyb)
+			m.l.shy[i].put(out, j, hy)
+			m.l.sx[i].put(out, j, x)
+			m.l.sxhy[i].put(out, j, xhy)
+			m.l.sxhybar[i].put(out, j, xhyb)
+			m.l.shoty[i].put(out, j, hot)
 		}
+	}
+	for i := 0; i < 2; i++ {
 		for r := range m.rows {
+			hot := m.yNext(out, r)
 			for j := 1; j <= m.d[i]; j++ {
-				base := m.yNext(st, r)
-				if j > 1 {
-					base = st.shotx[i][r][j-1]
-				}
-				m.l.shotx[i][r].put(out, j, 1+m.bX[i][r][j]+base)
+				hot = 1 + m.bX[i][r][j] + hot
+				m.l.shotx[i][r].put(out, j, hot)
 			}
 		}
 	}

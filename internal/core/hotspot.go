@@ -395,8 +395,10 @@ func (m *model) unpack(x []float64, v *view) {
 	}
 }
 
-// Iterate is the fixed-point map: out = F(in), the simultaneous
-// re-evaluation of Eqs. 16-20, 23 and 25.
+// Iterate is the fixed-point map: out = F(in), the re-evaluation of
+// Eqs. 16-20, 23 and 25. Every blocking delay is taken from in; the
+// position recursions read only the entries of out written earlier in the
+// same call.
 //
 //khs:hotpath
 func (m *model) Iterate(in, out []float64) error {
@@ -458,41 +460,37 @@ func (m *model) Iterate(in, out []float64) error {
 	// Regular recursions. Terminal value Lm is the body drain through the
 	// ejection channel; each hop adds 1 cycle of header transfer plus the
 	// class blocking delay. Eq. 19: after the last x hop the message
-	// enters the hot or non-hot y-ring.
+	// enters the hot or non-hot y-ring. Each position builds on the
+	// value this call just wrote for the position before it (forward
+	// substitution), so a change travels the whole ring in one round.
+	hyb, hy, x, xhy, xhyb := m.lm, m.lm, m.lm, entHy, entHyB
 	for j := 1; j <= k-1; j++ {
-		hyb, hy, x, xhy, xhyb := m.lm, m.lm, m.lm, entHy, entHyB
-		if j > 1 {
-			hyb, hy, x, xhy, xhyb = v.shybar[j-1], v.shy[j-1], v.sx[j-1], v.sxhy[j-1], v.sxhybar[j-1]
-		}
-		m.l.shybar.put(out, j, 1+bHyB+hyb)
-		m.l.shy.put(out, j, 1+bHy+hy)
-		m.l.sx.put(out, j, 1+bX+x)
-		m.l.sxhy.put(out, j, 1+bX+xhy)
-		m.l.sxhybar.put(out, j, 1+bX+xhyb)
+		hyb, hy, x = 1+bHyB+hyb, 1+bHy+hy, 1+bX+x
+		xhy, xhyb = 1+bX+xhy, 1+bX+xhyb
+		m.l.shybar.put(out, j, hyb)
+		m.l.shy.put(out, j, hy)
+		m.l.sx.put(out, j, x)
+		m.l.sxhy.put(out, j, xhy)
+		m.l.sxhybar.put(out, j, xhyb)
 	}
 
 	// Hot-spot recursion in the hot ring (Eq. 23): position j is also the
 	// remaining hop count, so the blocking uses the position's own rates.
+	hot := m.lm
 	for j := 1; j <= k-1; j++ {
-		next := m.lm
-		if j > 1 {
-			next = v.shoty[j-1]
-		}
-		m.l.shoty.put(out, j, 1+m.bHy[j]+next)
+		hot = 1 + m.bHy[j] + hot
+		m.l.shoty.put(out, j, hot)
 	}
-	// Hot-spot recursion on x-rings (Eq. 25).
+	// Hot-spot recursion on x-rings (Eq. 25), entering the hot ring
+	// through the value just written for it.
 	for t := 1; t <= k; t++ {
+		hot = m.lm // hot row: the last x hop arrives at the hot node
+		if t < k {
+			hot = m.l.shoty.at(out, t) // enter the hot ring t hops from the hot node
+		}
 		for j := 1; j <= k-1; j++ {
-			var next float64
-			switch {
-			case j > 1:
-				next = v.shotx[t][j-1]
-			case t == k: // hot row: the last x hop arrives at the hot node
-				next = m.lm
-			default: // enter the hot ring t hops from the hot node
-				next = v.shoty[t]
-			}
-			m.l.shotx[t].put(out, j, 1+m.bX[t][j]+next)
+			hot = 1 + m.bX[t][j] + hot
+			m.l.shotx[t].put(out, j, hot)
 		}
 	}
 	return nil

@@ -58,6 +58,7 @@ type hyperModel struct {
 	// 2^(n-1-d) of 2^n.
 	pHotChan []float64
 	next     []float64 // round scratch for nextWeights, [d2]
+	bHot     []float64 // round scratch: the hot-channel delays, [d]
 }
 
 func newHyperModel(s Spec, o Options) *hyperModel {
@@ -75,6 +76,7 @@ func (m *hyperModel) Prepare() {
 		m.lh = make([]float64, n)
 		m.pHotChan = make([]float64, n)
 		m.next = make([]float64, n)
+		m.bHot = make([]float64, n)
 		for d := 0; d < n; d++ {
 			m.pHotChan[d] = math.Pow(2, float64(-1-d))
 		}
@@ -140,11 +142,19 @@ func (m *hyperModel) nextWeights(d int) (done float64) {
 	return rem
 }
 
+// Iterate evaluates the per-dimension services in two passes. The first
+// computes every blocking delay from in, dimensions in increasing order
+// so a refusal names the channel it always named. The second runs from
+// the highest dimension to the lowest, so the continuation after
+// dimension d reads the values this call has just written for the higher
+// dimensions (forward substitution).
+//
 //khs:hotpath
 func (m *hyperModel) Iterate(in, out []float64) error {
 	n := m.s.Dims
 	sh := in[:n]
 	sr := in[n : 2*n]
+	shOut, srOut := out[:n], out[n:2*n]
 
 	// Mean regular service over dimensions (used as the competing-class
 	// service on every channel).
@@ -158,29 +168,32 @@ func (m *hyperModel) Iterate(in, out []float64) error {
 	// is the same in every dimension.
 	bQuiet, errQuiet := m.blocking(m.lu, srMean, 0, 0)
 	for d := 0; d < n; d++ {
+		// Hot channel of dimension d: regular competitors plus the
+		// aggregated hot flow.
+		b, err := m.blocking(m.lu, srMean, m.lh[d], sh[d])
+		if err != nil {
+			return fmt.Errorf("%w (hypercube hot channel, dim %d)", ErrSaturated, d)
+		}
+		if errQuiet != nil {
+			return fmt.Errorf("%w (hypercube quiet channel, dim %d)", ErrSaturated, d)
+		}
+		m.bHot[d] = b
+	}
+	for d := n - 1; d >= 0; d-- {
 		done := m.nextWeights(d)
 		// Continuation after crossing dimension d.
 		contHot := done * m.lm
 		contReg := done * m.lm
 		for d2 := d + 1; d2 < n; d2++ {
-			contHot += m.next[d2] * sh[d2]
-			contReg += m.next[d2] * sr[d2]
+			contHot += m.next[d2] * shOut[d2]
+			contReg += m.next[d2] * srOut[d2]
 		}
-		// Hot channel of dimension d: regular competitors plus the
-		// aggregated hot flow.
-		bHot, err := m.blocking(m.lu, srMean, m.lh[d], sh[d])
-		if err != nil {
-			return fmt.Errorf("%w (hypercube hot channel, dim %d)", ErrSaturated, d)
-		}
-		out[d] = 1 + bHot + contHot
+		shOut[d] = 1 + m.bHot[d] + contHot
 		// A regular message crosses a hot channel of dim d with
 		// probability pHotChan[d]; otherwise the channel carries regular
 		// traffic only.
-		if errQuiet != nil {
-			return fmt.Errorf("%w (hypercube quiet channel, dim %d)", ErrSaturated, d)
-		}
-		bReg := m.pHotChan[d]*bHot + (1-m.pHotChan[d])*bQuiet
-		out[n+d] = 1 + bReg + contReg
+		bReg := m.pHotChan[d]*m.bHot[d] + (1-m.pHotChan[d])*bQuiet
+		srOut[d] = 1 + bReg + contReg
 	}
 	return nil
 }

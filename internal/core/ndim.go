@@ -57,7 +57,10 @@ type ndimModel struct {
 	prepared bool
 	lr       float64     // Eq. 3
 	lh       [][]float64 // lh[d][j] = lambda·h·k^d·(k-j)
-	bHot     []float64   // round scratch: one dimension's hot-channel delays, [j]
+	// Round scratch: the hot-channel delays, [d][j], and each
+	// dimension's averaged regular delay, [d].
+	bHot [][]float64
+	bAvg []float64
 }
 
 func newNDimModel(s Spec, o Options) *ndimModel {
@@ -76,10 +79,12 @@ func (m *ndimModel) Prepare() {
 			k = 0
 		}
 		m.lh = make([][]float64, n)
+		m.bHot = make([][]float64, n)
 		for d := 0; d < n; d++ {
 			m.lh[d] = make([]float64, k+1)
+			m.bHot[d] = make([]float64, k)
 		}
-		m.bHot = make([]float64, k)
+		m.bAvg = make([]float64, n)
 		m.prepared = true
 	}
 	m.SetLambda(m.s.Lambda)
@@ -149,9 +154,9 @@ func (m *ndimModel) InitState(x []float64) {
 }
 
 // cont returns the expected continuation service after finishing
-// dimension d for a hot-spot (hot = true) or regular message, given the
-// current state.
-func (m *ndimModel) cont(in []float64, d int, hot bool) float64 {
+// dimension d for a hot-spot (hot = true) or regular message, read from
+// the entries of x for the dimensions above d.
+func (m *ndimModel) cont(x []float64, d int, hot bool) float64 {
 	k, n := m.s.K, m.s.Dims
 	// The message's remaining address digits are uniform; the next crossed
 	// dimension is the first one among d+1..n-1 with a nonzero offset.
@@ -163,9 +168,9 @@ func (m *ndimModel) cont(in []float64, d int, hot bool) float64 {
 		for t := 1; t <= k-1; t++ {
 			var s float64
 			if hot {
-				s = in[m.hotIdx(d2, t)]
+				s = x[m.hotIdx(d2, t)]
 			} else {
-				s = in[m.regIdx(d2, t)]
+				s = x[m.regIdx(d2, t)]
 			}
 			val += pSame * (1.0 / float64(k)) * s
 		}
@@ -184,47 +189,52 @@ func (m *ndimModel) regEntrance(in []float64, d int) float64 {
 	return sum / float64(m.s.K-1)
 }
 
+// Iterate evaluates the per-dimension recursions in two passes. The
+// first computes every blocking delay from in, dimensions in increasing
+// order so a refusal names the channel it always named. The second runs
+// the recursions by forward substitution, reading only the entries of out
+// written earlier in the same call: a position builds on the one before
+// it, and dimensions run from highest to lowest so the continuation after
+// dimension d reads this call's values of the higher dimensions.
+//
 //khs:hotpath
 func (m *ndimModel) Iterate(in, out []float64) error {
 	k, n := m.s.K, m.s.Dims
 	for d := 0; d < n; d++ {
 		entReg := m.regEntrance(in, d)
-		// Hot recursion. The per-channel delays are kept for the regular
-		// average below, which sees the same channels with the same
-		// arguments.
-		contHot := m.cont(in, d, true)
+		// Hot channels. Their delays also enter the regular average
+		// below, which sees the same channels with the same arguments.
 		for j := 1; j <= k-1; j++ {
 			b, err := m.blocking(m.lr, entReg, m.lh[d][j], in[m.hotIdx(d, j)])
 			if err != nil {
 				return fmt.Errorf("%w (ndim hot, dim %d ch %d)", ErrSaturated, d, j)
 			}
-			m.bHot[j] = b
-			next := contHot
-			if j > 1 {
-				next = in[m.hotIdx(d, j-1)]
-			}
-			out[m.hotIdx(d, j)] = 1 + b + next
+			m.bHot[d][j] = b
 		}
-		// Regular recursion: the blocking is the hot-tree-weighted average
-		// over the dimension's channels (a fraction k^-(d+1) of them sit
-		// at each hot position j).
+		// Regular blocking: the hot-tree-weighted average over the
+		// dimension's channels (a fraction k^-(d+1) of them sit at each
+		// hot position j).
 		pHot := math.Pow(float64(k), -float64(d+1))
 		bAvg := 0.0
 		for j := 1; j <= k-1; j++ {
-			bAvg += pHot * m.bHot[j]
+			bAvg += pHot * m.bHot[d][j]
 		}
 		bQuiet, err := m.blocking(m.lr, entReg, 0, 0)
 		if err != nil {
 			return fmt.Errorf("%w (ndim quiet, dim %d)", ErrSaturated, d)
 		}
-		bAvg += (1 - float64(k-1)*pHot) * bQuiet
-		contReg := m.cont(in, d, false)
+		m.bAvg[d] = bAvg + (1-float64(k-1)*pHot)*bQuiet
+	}
+	for d := n - 1; d >= 0; d-- {
+		next := m.cont(out, d, true)
+		for j := 1; j <= k-1; j++ {
+			next = 1 + m.bHot[d][j] + next
+			out[m.hotIdx(d, j)] = next
+		}
+		next = m.cont(out, d, false)
 		for b := 1; b <= k-1; b++ {
-			next := contReg
-			if b > 1 {
-				next = in[m.regIdx(d, b-1)]
-			}
-			out[m.regIdx(d, b)] = 1 + bAvg + next
+			next = 1 + m.bAvg[d] + next
+			out[m.regIdx(d, b)] = next
 		}
 	}
 	return nil

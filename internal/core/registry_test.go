@@ -86,11 +86,11 @@ func goldenSpec(name string) Spec {
 // update these constants (and, for hotspot-2d, regenerate results/*.csv).
 func TestGoldenLatencies(t *testing.T) {
 	golden := map[string]float64{
-		"hotspot-2d":       50.27906133459399,
-		"bidirectional-2d": 40.892751665896398,
+		"hotspot-2d":       50.279061333373619,
+		"bidirectional-2d": 40.892751654238204,
 		"uniform":          49.472803116714566,
-		"hypercube":        36.134133208947404,
-		"ndim":             49.374738343198075,
+		"hypercube":        36.134133213199313,
+		"ndim":             49.374738316941915,
 	}
 	for _, name := range Solvers() {
 		want, ok := golden[name]

@@ -105,7 +105,8 @@ type Options struct {
 	// rounds are safeguarded: a round whose residual increased relative to
 	// the previous round discards the acceleration history and falls back
 	// to a plain damped step, so a wild extrapolation can slow convergence
-	// but never destabilise it.
+	// but never destabilise it; an attempt that fails or stalls hands over
+	// to the damped iteration from the initial state (see Solve).
 	Acceleration Acceleration
 	// Window is the Anderson mixing depth — how many past residual
 	// differences the least-squares extrapolation combines. 0 means 5.
@@ -130,6 +131,17 @@ func Defaults() Options {
 
 // defaultWindow is the Anderson mixing depth when Options.Window is 0.
 const defaultWindow = 5
+
+// andersonBeta is the Anderson mixing factor: the weight of the residual
+// in the extrapolated candidate. The candidate replaces the damped step
+// rather than following it, so it takes the whole residual.
+const andersonBeta = 1.0
+
+// An accelerated attempt is abandoned for the damped iteration once its
+// residual has gone stallRounds rounds without falling below half its
+// lowest value so far: it is cycling or creeping, and the damped
+// iteration from the initial state will do better.
+const stallRounds = 25
 
 // MaxWindow caps Options.Window: the least-squares system is built
 // Window × Window up front, and deeper histories stop paying off long
@@ -195,8 +207,8 @@ type Convergence struct {
 	NonFiniteIndex int
 	// AcceleratedRounds counts rounds whose update came from the configured
 	// extrapolation scheme; DampedRounds counts plain damped-substitution
-	// rounds, including warm-up rounds and safeguard fallbacks. The two sum
-	// to Iterations.
+	// rounds, including warm-up rounds, safeguard fallbacks and the round
+	// that abandons an accelerated attempt. The two sum to Iterations.
 	AcceleratedRounds int
 	DampedRounds      int
 }
@@ -212,6 +224,17 @@ type Map func(in, out []float64) error
 // rounds per Options.Acceleration. The state slice is modified in place and
 // also returned. The returned Convergence summary is populated on every exit
 // path, including errors.
+//
+// An accelerated solve refuses only where the damped one refuses. It
+// starts as an accelerated attempt, which ends early when a map error or
+// a non-finite update follows a path the damped iteration did not take,
+// or when its residual goes stallRounds rounds without halving. The state
+// is then reset to the initial one and the same loop carries on damped
+// for the rest of the budget: those rounds are the AccelNone iteration's,
+// so they reach its answer or its refusal, provided the damped solve fits
+// in the rounds the attempt left. The stall rule keeps that share small
+// (about stallRounds rounds per halving of the residual), and Iterations
+// counts every round, the abandoned attempt's included.
 //
 //khs:hotpath
 func Solve(state []float64, f Map, opts Options) (Convergence, error) {
@@ -237,7 +260,7 @@ func Solve(state []float64, f Map, opts Options) (Convergence, error) {
 		}
 	}
 	var acc *accelState
-	var rollback, rollbackF []float64
+	var rollback, rollbackF, initial []float64
 	// lastAccel marks that the most recent state update was an accelerated
 	// step whose pre-step state (and its map value) are held in
 	// rollback/rollbackF. An extrapolation can land outside the model's
@@ -247,10 +270,26 @@ func Solve(state []float64, f Map, opts Options) (Convergence, error) {
 	// damped instead of reporting divergence.
 	lastAccel := false
 	if o.Acceleration != AccelNone && len(state) > 0 {
-		acc = newAccelState(o.Window, o.Damping, len(state))
-		rollback = make([]float64, len(state))  //lint:ignore hotalloc one-time solve-entry scratch, sized once per Solve
-		rollbackF = make([]float64, len(state)) //lint:ignore hotalloc one-time solve-entry scratch, sized once per Solve
+		acc = newAccelState(o.Window, len(state))
+		buf := make([]float64, 3*len(state)) //lint:ignore hotalloc one-time solve-entry scratch, sized once per Solve
+		rollback, rollbackF, initial = buf[:len(state):len(state)], buf[len(state):2*len(state):2*len(state)], buf[2*len(state):]
+		copy(initial, state)
 	}
+	// restart abandons the accelerated attempt: the state goes back to the
+	// initial one and the rounds that follow are the damped iteration's.
+	// It returns the relative change of the reset, the measure a round
+	// that ends in one reports.
+	restart := func() float64 { //lint:ignore hotalloc restart closure bound once per Solve, before the rounds
+		maxRel := relChange(state, initial)
+		copy(state, initial)
+		acc, lastAccel = nil, false
+		return maxRel
+	}
+	// diverted reports that the attempt has left the damped iteration's
+	// path. Until its first accelerated step the attempt is the damped
+	// iteration itself, so a failure there is the damped refusal.
+	diverted := func() bool { return acc != nil && conv.AcceleratedRounds > 0 } //lint:ignore hotalloc closure bound once per Solve, before the rounds
+rounds:
 	for iter := 1; iter <= o.MaxIterations; iter++ {
 		if o.Ctx != nil {
 			if cerr := o.Ctx.Err(); cerr != nil {
@@ -258,11 +297,19 @@ func Solve(state []float64, f Map, opts Options) (Convergence, error) {
 					conv.Iterations, cerr)
 			}
 		}
+		if acc != nil && acc.stalled() {
+			restart()
+		}
 		conv.Iterations = iter
 		redo := false
 		if err := f(state, next); err != nil {
 			if !lastAccel {
-				return conv, err
+				if !diverted() {
+					return conv, err
+				}
+				conv.DampedRounds++
+				trace(restart(), -1, false)
+				continue
 			}
 			// Rejected extrapolation: restore the pre-acceleration state and
 			// its (already evaluated) map value, then take a damped step.
@@ -279,19 +326,8 @@ func Solve(state []float64, f Map, opts Options) (Convergence, error) {
 				// applying the update.
 				copy(rollback, state)
 				copy(rollbackF, next)
-				maxRel := 0.0
-				for i := range state {
-					nv := cand[i]
-					den := math.Abs(state[i])
-					if den < 1 {
-						den = 1
-					}
-					rel := math.Abs(nv-state[i]) / den
-					if rel > maxRel {
-						maxRel = rel
-					}
-					state[i] = nv
-				}
+				maxRel := relChange(state, cand)
+				copy(state, cand)
 				lastAccel = true
 				conv.Residual = maxRel
 				conv.AcceleratedRounds++
@@ -318,6 +354,11 @@ func Solve(state []float64, f Map, opts Options) (Convergence, error) {
 					acc.reset()
 					lastAccel = false
 					goto damped
+				}
+				if diverted() {
+					conv.DampedRounds++
+					trace(restart(), -1, false)
+					continue rounds
 				}
 				conv.Residual = maxRel
 				conv.Diverged = true
@@ -347,18 +388,37 @@ func Solve(state []float64, f Map, opts Options) (Convergence, error) {
 	return conv, ErrMaxIterations
 }
 
+// relChange is the convergence measure of moving from x to y: the maximum
+// change relative to max(|x_i|, 1).
+func relChange(x, y []float64) float64 {
+	maxRel := 0.0
+	for i := range x {
+		den := math.Abs(x[i])
+		if den < 1 {
+			den = 1
+		}
+		if rel := math.Abs(y[i]-x[i]) / den; rel > maxRel {
+			maxRel = rel
+		}
+	}
+	return maxRel
+}
+
 // accelState carries the Anderson history kept between rounds, and all
 // of its scratch: newAccelState sizes everything but the difference
 // columns, which record allocates as the history first grows into each
 // slot. Once the history is full, accelerated rounds allocate nothing.
 type accelState struct {
-	beta float64 // mixing/damping factor
-
 	// Safeguard: the residual norm observed on the previous round. A round
 	// whose residual grew rejects acceleration, clears the history and
 	// falls back to a damped step.
 	prevRes float64
 	hasPrev bool
+
+	// Stall detection: the residual norm the attempt last halved to, and
+	// the rounds since.
+	best      float64
+	sinceBest int
 
 	// Anderson history, held as differences: the last recorded iterate
 	// xLast and its residual gLast = F(xLast) - xLast, and up to window
@@ -385,10 +445,10 @@ type accelState struct {
 	rhs  []float64
 }
 
-func newAccelState(window int, beta float64, n int) *accelState {
+func newAccelState(window int, n int) *accelState {
 	buf := make([]float64, 3*n) //lint:ignore hotalloc accelerator state is built once per Solve
 	return &accelState{         //lint:ignore hotalloc accelerator state is built once per Solve
-		beta:   beta,
+		best:   math.Inf(1),
 		window: window,
 		cand:   buf[:n:n],
 		xLast:  buf[n : 2*n : 2*n],
@@ -403,30 +463,19 @@ func newAccelState(window int, beta float64, n int) *accelState {
 	}
 }
 
-// resNorm is the residual measure used by the safeguard: the maximum
-// relative magnitude of g = F(x) - x, consistent with the convergence
-// measure up to the damping factor.
-func resNorm(x, fx []float64) float64 {
-	max := 0.0
-	for i := range x {
-		den := math.Abs(x[i])
-		if den < 1 {
-			den = 1
-		}
-		r := math.Abs(fx[i]-x[i]) / den
-		if r > max {
-			max = r
-		}
-	}
-	return max
-}
-
 // step decides this round's update. state is the current iterate and fx
 // its map value (left untouched). A non-nil result is the accelerated,
 // finite candidate state; nil means a plain damped step from the current
 // state.
 func (a *accelState) step(state, fx []float64) []float64 {
-	res := resNorm(state, fx)
+	// The residual measure g = F(x) - x, consistent with the convergence
+	// measure up to the damping factor.
+	res := relChange(state, fx)
+	if res < a.best/2 {
+		a.best, a.sinceBest = res, 0
+	} else {
+		a.sinceBest++
+	}
 	if a.hasPrev && res > a.prevRes {
 		// Safeguard: the previous round's update made things worse. Discard
 		// the extrapolation history and fall back to a damped step; a
@@ -443,6 +492,10 @@ func (a *accelState) step(state, fx []float64) []float64 {
 	}
 	return a.cand
 }
+
+// stalled reports that the residual has gone stallRounds rounds without
+// halving.
+func (a *accelState) stalled() bool { return a.sinceBest >= stallRounds }
 
 // reset drops all extrapolation history (safeguard rejection).
 func (a *accelState) reset() {
@@ -546,13 +599,13 @@ func (a *accelState) anderson(state, fx []float64) bool {
 	// oldest first, so the arithmetic per component is unchanged.
 	cand := a.cand
 	for i := range cand {
-		cand[i] = state[i] + a.beta*g[i]
+		cand[i] = state[i] + andersonBeta*g[i]
 	}
 	for j := 0; j < m; j++ {
 		sj := (a.head + j) % a.window
 		dx, dg, gj := a.dx[sj], a.dg[sj], gamma[j]
 		for i := range cand {
-			cand[i] -= gj * (dx[i] + a.beta*dg[i])
+			cand[i] -= gj * (dx[i] + andersonBeta*dg[i])
 		}
 	}
 	for _, v := range cand {

@@ -371,3 +371,21 @@ func MedianOf(xs []float64) float64 {
 	}
 	return (c[m-1] + c[m]) / 2
 }
+
+// QuantileOf returns the q-quantile of xs (0 <= q <= 1, 0 for an empty
+// slice), interpolating linearly between the order statistics around
+// position q·(n-1); xs is not modified.
+func QuantileOf(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	c := make([]float64, len(xs))
+	copy(c, xs)
+	sort.Float64s(c)
+	pos := q * float64(len(c)-1)
+	lo := int(math.Floor(pos))
+	if lo >= len(c)-1 {
+		return c[len(c)-1]
+	}
+	return c[lo] + (pos-float64(lo))*(c[lo+1]-c[lo])
+}

@@ -423,3 +423,24 @@ func TestIsZero(t *testing.T) {
 		}
 	}
 }
+
+func TestQuantileOf(t *testing.T) {
+	if !IsZero(QuantileOf(nil, 0.5)) {
+		t.Error("empty QuantileOf not zero")
+	}
+	xs := []float64{40, 10, 30, 20, 50}
+	for _, c := range []struct{ q, want float64 }{
+		{0, 10}, {0.25, 20}, {0.5, 30}, {0.75, 40}, {1, 50}, {0.1, 14},
+	} {
+		if got := QuantileOf(xs, c.q); !ApproxEqual(got, c.want, 1e-12, 0) {
+			t.Errorf("QuantileOf(q=%v) = %v, want %v", c.q, got, c.want)
+		}
+	}
+	if !ApproxEqual(xs[0], 40, 0, 0) {
+		t.Error("QuantileOf sorted its input in place")
+	}
+	// The quartiles of four samples interpolate between order statistics.
+	if got := QuantileOf([]float64{4, 1, 3, 2}, 0.75) - QuantileOf([]float64{4, 1, 3, 2}, 0.25); !ApproxEqual(got, 1.5, 1e-12, 0) {
+		t.Errorf("IQR of 1..4 = %v, want 1.5", got)
+	}
+}

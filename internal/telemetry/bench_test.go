@@ -72,3 +72,38 @@ func TestRecordingAllocFree(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkRegistryLookup times resolving an existing series, the way the
+// server resolves its request counters and histograms on every request:
+// by name and labels, not through a kept handle.
+func BenchmarkRegistryLookup(b *testing.B) {
+	r := NewRegistry()
+	labels := Labels{"route": "POST /v1/solve", "code": "200"}
+	bounds := ExponentialBuckets(1e-5, 4, 12)
+	r.Counter("khs_bench_requests_total", "", labels)
+	r.Histogram("khs_bench_solve_seconds", "", nil, bounds)
+	b.Run("counter-2-labels", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			r.Counter("khs_bench_requests_total", "", labels).Inc()
+		}
+	})
+	b.Run("histogram-no-labels", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			r.Histogram("khs_bench_solve_seconds", "", nil, bounds).Observe(1e-3)
+		}
+	})
+}
+
+// TestRegistryLookupAllocFree pins that resolving an existing series
+// allocates nothing: names and labels are checked when a series is
+// created, not on every lookup.
+func TestRegistryLookupAllocFree(t *testing.T) {
+	r := NewRegistry()
+	labels := Labels{"route": "POST /v1/solve", "code": "200", "model": "hotspot-2d"}
+	r.Counter("khs_lookup_total", "", labels)
+	if n := testing.AllocsPerRun(100, func() { r.Counter("khs_lookup_total", "", labels).Inc() }); !stats.IsZero(n) {
+		t.Errorf("looking up an existing counter allocates %v objects, want 0", n)
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"regexp"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -82,56 +81,77 @@ func (r *Registry) Timer(name, help string, labels Labels, bounds []float64) Tim
 	return NewTimer(r.Histogram(name, help, labels, bounds))
 }
 
+// metric resolves (name, labels) to its series. A lookup of an existing
+// series only canonicalises the labels into stack buffers and reads two
+// maps; the name and label checks run when a family or series is created,
+// the only time an invalid one could enter the registry.
 func (r *Registry) metric(name, help string, typ MetricType, labels Labels, bounds []float64) *metric {
-	if !nameRe.MatchString(name) {
-		panic(fmt.Sprintf("telemetry: invalid metric name %q", name))
-	}
-	pairs := make([]labelPair, 0, len(labels))
-	for k, v := range labels {
-		if !labelRe.MatchString(k) {
-			panic(fmt.Sprintf("telemetry: invalid label name %q on metric %q", k, name))
-		}
-		pairs = append(pairs, labelPair{key: k, value: v})
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].key < pairs[j].key })
-	var sb strings.Builder
-	for _, p := range pairs {
-		sb.WriteString(p.key)
-		sb.WriteByte(1)
-		sb.WriteString(p.value)
-		sb.WriteByte(2)
-	}
-	sig := sb.String()
+	var pairBuf [8]labelPair
+	pairs := sortedPairs(pairBuf[:0], labels)
+	var sigBuf [128]byte
+	sig := appendSig(sigBuf[:0], pairs)
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f := r.families[name]
 	if f == nil {
+		if !nameRe.MatchString(name) {
+			panic(fmt.Sprintf("telemetry: invalid metric name %q", name))
+		}
 		f = &family{name: name, help: help, typ: typ, bySig: make(map[string]*metric)}
 		r.families[name] = f
 	}
 	if f.typ != typ {
 		panic(fmt.Sprintf("telemetry: metric %q registered as %s, requested as %s", name, f.typ, typ))
 	}
-	m := f.bySig[sig]
-	if m == nil {
-		m = &metric{labels: pairs, sig: sig}
-		switch typ {
-		case TypeCounter:
-			m.c = &Counter{}
-		case TypeGauge:
-			m.g = &Gauge{}
-		case TypeHistogram:
-			// Every series of a family shares the family's bucket layout so
-			// the exposition stays comparable across label values.
-			if existing := f.anyHistogram(); existing != nil {
-				bounds = existing.Bounds()
-			}
-			m.h = NewHistogram(bounds)
-		}
-		f.bySig[sig] = m
+	if m := f.bySig[string(sig)]; m != nil {
+		return m
 	}
+	for _, p := range pairs {
+		if !labelRe.MatchString(p.key) {
+			panic(fmt.Sprintf("telemetry: invalid label name %q on metric %q", p.key, name))
+		}
+	}
+	m := &metric{labels: append([]labelPair(nil), pairs...), sig: string(sig)}
+	switch typ {
+	case TypeCounter:
+		m.c = &Counter{}
+	case TypeGauge:
+		m.g = &Gauge{}
+	case TypeHistogram:
+		// Every series of a family shares the family's bucket layout so
+		// the exposition stays comparable across label values.
+		if existing := f.anyHistogram(); existing != nil {
+			bounds = existing.Bounds()
+		}
+		m.h = NewHistogram(bounds)
+	}
+	f.bySig[m.sig] = m
 	return m
+}
+
+// sortedPairs appends labels to dst sorted by key. Label sets are small,
+// so an insertion sort does, without sort.Slice's allocations.
+func sortedPairs(dst []labelPair, labels Labels) []labelPair {
+	for k, v := range labels {
+		dst = append(dst, labelPair{key: k, value: v})
+		for i := len(dst) - 1; i > 0 && dst[i].key < dst[i-1].key; i-- {
+			dst[i], dst[i-1] = dst[i-1], dst[i]
+		}
+	}
+	return dst
+}
+
+// appendSig appends the canonical signature of sorted label pairs: each
+// key and value closed by a separator byte no label name contains.
+func appendSig(dst []byte, pairs []labelPair) []byte {
+	for _, p := range pairs {
+		dst = append(dst, p.key...)
+		dst = append(dst, 1)
+		dst = append(dst, p.value...)
+		dst = append(dst, 2)
+	}
+	return dst
 }
 
 func (f *family) anyHistogram() *Histogram {
