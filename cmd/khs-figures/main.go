@@ -141,7 +141,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		sweep.Manifest = telemetry.NewManifestWriter(f)
 	}
 	ctx, finishSpans, err := span.StartFile(ctx, *spanOut, "khs-figures",
-		core.RoundBudget(*model, opts))
+		core.RoundBudget(opts))
 	if err != nil {
 		return err
 	}

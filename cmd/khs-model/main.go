@@ -125,7 +125,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 
 	// One root span per run; each solve is a fixpoint.solve child.
 	ctx, finishSpans, err := span.StartFile(ctx, *spanOut, "khs-model",
-		core.RoundBudget(name, opts))
+		core.RoundBudget(opts))
 	if err != nil {
 		return err
 	}

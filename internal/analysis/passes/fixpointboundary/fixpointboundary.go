@@ -1,6 +1,7 @@
 // Package fixpointboundary defines an analyzer enforcing the solver.go
-// layering contract: fixpoint.Solve is called only by the shared driver in
-// internal/core (and by the fixpoint package itself). Every model variant
+// layering contract: fixpoint.Solve and its reusable form, the
+// (*fixpoint.Workspace).Solve method, are called only by the shared driver
+// in internal/core (and by the fixpoint package itself). Every model variant
 // and every solve entry point — the one-shot core.Solve, the prepared
 // path (core.Prepare / PreparedSolver), and the batch driver
 // (core.SolveBatch) — must funnel through that driver (core.finishSolve),
@@ -20,7 +21,8 @@ var Analyzer = &analysis.Analyzer{
 	Name: "fixpointboundary",
 	Doc: `restrict fixpoint.Solve calls to the shared driver in internal/core
 
-Nothing below internal/core may call fixpoint.Solve directly: the driver
+Nothing below internal/core may call fixpoint.Solve, or the Solve method of
+a fixpoint.Workspace (the same iteration on reused scratch), directly: the driver
 (core.finishSolve, shared by core.Solve, the PreparedSolver re-solve path,
 and core.SolveBatch) owns option defaulting, saturation classification, and
 convergence reporting. Batch or prepared callers in higher layers
@@ -48,15 +50,35 @@ func run(pass *analysis.Pass) error {
 				return true
 			}
 			fn, ok := pass.TypesInfo.Uses[id].(*types.Func)
-			if !ok || fn.Name() != "Solve" || fn.Pkg() == nil || fn.Pkg().Path() != "kncube/internal/fixpoint" {
+			if !ok || pass.InTestFile(id.Pos()) {
 				return true
 			}
-			if pass.InTestFile(id.Pos()) {
-				return true
+			if name := boundary(fn); name != "" {
+				pass.Reportf(id.Pos(), "%s outside the internal/core driver; route solvers through core.Solve so saturation classification and convergence reporting apply", name)
 			}
-			pass.Reportf(id.Pos(), "fixpoint.Solve outside the internal/core driver; route solvers through core.Solve so saturation classification and convergence reporting apply")
 			return true
 		})
 	}
 	return nil
+}
+
+// boundary names fn when it is one of the two entries into the
+// fixed-point iteration, the package-level fixpoint.Solve and the
+// (*fixpoint.Workspace).Solve method, and returns "" otherwise.
+func boundary(fn *types.Func) string {
+	if fn.Name() != "Solve" || fn.Pkg() == nil || fn.Pkg().Path() != "kncube/internal/fixpoint" {
+		return ""
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return "fixpoint.Solve"
+	}
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); ok && n.Obj().Name() == "Workspace" {
+		return "fixpoint.Workspace.Solve"
+	}
+	return ""
 }

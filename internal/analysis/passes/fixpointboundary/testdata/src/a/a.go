@@ -1,5 +1,6 @@
 // Package a exercises the fixpointboundary analyzer: direct fixpoint.Solve
-// use outside internal/core is flagged; other fixpoint API stays free.
+// use outside internal/core is flagged, through the package function or a
+// Workspace; other fixpoint API stays free.
 package a
 
 import "kncube/internal/fixpoint"
@@ -10,6 +11,16 @@ func direct() {
 }
 
 var solveRef = fixpoint.Solve // want `fixpoint\.Solve outside the internal/core driver`
+
+func reused(ws *fixpoint.Workspace) {
+	_, _ = ws.Solve([]float64{1}, nil, fixpoint.Options{}) // want `fixpoint\.Workspace\.Solve outside the internal/core driver`
+}
+
+var methodExpr = (*fixpoint.Workspace).Solve // want `fixpoint\.Workspace\.Solve outside the internal/core driver`
+
+func sizing() int { // the workspace's sizing stays free
+	return fixpoint.WorkspaceSize(4, fixpoint.Options{})
+}
 
 func options() fixpoint.Options { // the rest of the fixpoint API: allowed
 	return fixpoint.Defaults()

@@ -3,25 +3,30 @@ package core
 import (
 	"errors"
 	"fmt"
+
+	"kncube/internal/fixpoint"
 )
 
 // Prepared solves and the batch driver. A PreparedSolver is a validated,
-// Prepare()d solver instance plus a reusable state buffer: re-solving it
-// for a new offered load costs only SetLambda (a rate recomputation) and
-// the iteration itself, skipping the topology/layout construction and the
-// state allocation that Solve pays per call. SolveBatch runs many specs of
-// one variant through a PreparedSet, prepared solvers keyed by topology
-// shape — exactly the load profile of sweeps, surface builds, and batch
-// requests.
+// Prepare()d solver instance plus a reusable state buffer and fixed-point
+// workspace: re-solving it for a new offered load costs only SetLambda (a
+// rate recomputation), the iteration itself and the result, skipping the
+// topology/layout construction and the scratch allocation that Solve pays
+// per call. SolveBatch runs many specs of one variant through a
+// PreparedSet, prepared solvers keyed by topology shape — exactly the load
+// profile of sweeps, surface builds, and batch requests.
 
 // PreparedSolver is a reusable solver instance: validated and prepared
 // once, re-solvable for many offered loads. It is not safe for concurrent
-// use — the state buffer is shared across solves.
+// use — the state buffer and the workspace are shared across solves.
 type PreparedSolver struct {
 	name string
 	s    Solver
 	o    Options
 	x    []float64
+	// ws is the fixed-point scratch every solve of this shape reuses; the
+	// first solve grows it, and each solve resets what it carries over.
+	ws   fixpoint.Workspace
 	warm bool // previous solve converged; its state seeds SolveWarm
 }
 
@@ -68,7 +73,7 @@ func (ps *PreparedSolver) solve(lambda float64, warm bool) (*SolveResult, error)
 	if !warm || !ps.warm {
 		ps.s.InitState(ps.x)
 	}
-	res, err := finishSolve(ps.s, ps.x, ps.o)
+	res, err := finishSolve(ps.s, ps.x, ps.o, &ps.ws)
 	// A failed iteration (saturation, cancellation) leaves the buffer
 	// mid-flight or non-finite; only a converged state may seed the next
 	// warm solve.
@@ -76,19 +81,28 @@ func (ps *PreparedSolver) solve(lambda float64, warm bool) (*SolveResult, error)
 	return res, err
 }
 
+// footprint is the most float64 values the solver holds between solves:
+// its state vector and its fixed-point workspace once a solve has grown
+// it. The model's own round scratch, sized by Prepare, is of the order of
+// the state again and not counted.
+func (ps *PreparedSolver) footprint() int {
+	return len(ps.x) + fixpoint.WorkspaceSize(len(ps.x), defaultFixPoint(ps.o.FixPoint))
+}
+
 // PreparedSet holds the prepared solvers of one variant keyed by topology
 // shape (every Spec field but Lambda), so the specs that share a shape
-// share one preparation. It is bounded by state size: when preparing a
-// shape would take the summed fixed-point state of the solvers held past
-// maxStateSize variables, the set first drops every solver it holds, so a
-// batch of many large distinct shapes never pins them all. The bound counts
-// state variables; each model's round scratch is of the same order again.
+// share one preparation. It is bounded by footprint: when preparing a
+// shape would take the summed state and workspace variables of the solvers
+// held past maxStateSize, the set first drops every solver it holds, so a
+// batch of many large distinct shapes never pins them all. An Anderson
+// workspace is the larger share: (7 + 2·Window) state-sized vectors, so
+// at Window 64 a solver counts 136 times its state.
 // A PreparedSet is not safe for concurrent use.
 type PreparedSet struct {
-	name  string
-	o     Options
-	held  map[Spec]*PreparedSolver
-	state int // summed state size of the solvers held
+	name string
+	o    Options
+	held map[Spec]*PreparedSolver
+	size int // summed footprint of the solvers held
 }
 
 // NewPreparedSet returns an empty set preparing the named variant with o.
@@ -110,13 +124,14 @@ func (p *PreparedSet) Prepare(s Spec) (*PreparedSolver, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.state+len(ps.x) > maxStateSize {
+	size := ps.footprint()
+	if p.size+size > maxStateSize {
 		clear(p.held)
-		p.state = 0
+		p.size = 0
 	}
 	s.Lambda = 0
 	p.held[s] = ps
-	p.state += len(ps.x)
+	p.size += size
 	return ps, nil
 }
 

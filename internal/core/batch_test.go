@@ -88,9 +88,10 @@ func TestSolveBatchMixedShapes(t *testing.T) {
 	}
 }
 
-// TestPreparedSetBound: shapes stay prepared while their summed state fits
-// maxStateSize; the shape that would overflow it drops every solver held
-// before it is added, and revisiting a held shape prepares nothing.
+// TestPreparedSetBound: shapes stay prepared while their summed footprint
+// (state plus fixed-point workspace) fits maxStateSize; the shape that
+// would overflow it drops every solver held before it is added, and
+// revisiting a held shape prepares nothing.
 func TestPreparedSetBound(t *testing.T) {
 	set := NewPreparedSet("hotspot-2d", Options{})
 	shape := func(k int) Spec { return Spec{K: k, Dims: 2, V: 2, Lm: 32, H: 0.2, Lambda: 1e-6} }
@@ -101,10 +102,10 @@ func TestPreparedSetBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if state+len(ps.x) > maxStateSize {
+		if state+ps.footprint() > maxStateSize {
 			break
 		}
-		state += len(ps.x)
+		state += ps.footprint()
 		fit = append(fit, k)
 		if set.Lookup(shape(fit[0])) == nil {
 			t.Fatalf("K=%d evicted after %d shapes holding %d variables", fit[0], len(fit), state)

@@ -5,11 +5,11 @@ package core
 // hypercube, general k-ary n-cube) are all the same pipeline — traffic
 // rates → service-time recursions → M/G/1 blocking → source queue → Dally's
 // V̄ — solved by damped fixed-point iteration; this file holds the single
-// copy of everything that pipeline shares: the driver around
-// fixpoint.Solve, the blocking/variance composition, and the saturation
-// classification of iteration failures. Variant files implement Solver and
-// register a factory (registry.go); nothing below this layer calls
-// fixpoint.Solve directly.
+// copy of everything that pipeline shares: the driver around the
+// fixed-point iteration, the blocking/variance composition, and the
+// saturation classification of iteration failures. Variant files implement
+// Solver and register a factory (registry.go); nothing below this layer
+// calls fixpoint.Solve or a fixpoint.Workspace directly.
 
 import (
 	"errors"
@@ -95,12 +95,9 @@ func defaultFixPoint(o fixpoint.Options) fixpoint.Options {
 }
 
 // RoundBudget returns the fixed-point round budget (the defaulted
-// MaxIterations) a solve of the named model under o runs with — the most
-// trace rounds one solve can produce.
-func RoundBudget(model string, o Options) int {
-	if model == "uniform" {
-		o = uniformFixPoint(o)
-	}
+// MaxIterations) a solve of any model under o runs with — the most trace
+// rounds one solve can produce.
+func RoundBudget(o Options) int {
 	if n := defaultFixPoint(o.FixPoint).MaxIterations; n > 0 {
 		return n
 	}
@@ -109,7 +106,8 @@ func RoundBudget(model string, o Options) int {
 
 // solveWith is the shared driver: validate, build the zero-load state, run
 // the damped fixed-point iteration, classify failures, assemble. It is the
-// single entry point into fixpoint.Solve for every model variant.
+// single entry point into the fixed-point iteration for every model
+// variant; a one-shot solve runs it on a fresh workspace.
 func solveWith(s Solver, o Options) (*SolveResult, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -117,15 +115,15 @@ func solveWith(s Solver, o Options) (*SolveResult, error) {
 	s.Prepare()
 	x := make([]float64, s.StateSize())
 	s.InitState(x)
-	return finishSolve(s, x, o)
+	return finishSolve(s, x, o, new(fixpoint.Workspace))
 }
 
 // finishSolve runs the fixed-point iteration on a prepared solver over an
-// initialised state vector, classifies failures, and assembles the result.
-// It is shared by solveWith and the prepared/batch path, so both follow the
-// same arithmetic bit-for-bit.
-func finishSolve(s Solver, x []float64, o Options) (*SolveResult, error) {
-	conv, err := fixpoint.Solve(x, s.Iterate, defaultFixPoint(o.FixPoint))
+// initialised state vector, with ws as its scratch, classifies failures,
+// and assembles the result. It is shared by solveWith and the
+// prepared/batch path, so both follow the same arithmetic bit-for-bit.
+func finishSolve(s Solver, x []float64, o Options, ws *fixpoint.Workspace) (*SolveResult, error) {
+	conv, err := ws.Solve(x, s.Iterate, defaultFixPoint(o.FixPoint))
 	if err != nil {
 		// Divergence and budget exhaustion are how an analytical latency
 		// model expresses operation beyond its saturation point; anything

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"kncube/internal/fixpoint"
 	"kncube/internal/queueing"
 	"kncube/internal/stats"
 	"kncube/internal/vcmodel"
@@ -129,25 +128,12 @@ func (m *uniformModel) Assemble(x []float64, conv Convergence) (*SolveResult, er
 	}, nil
 }
 
-// uniformFixPoint preserves the baseline's historical solver settings (a
-// tighter tolerance and a larger budget than the multi-variable models)
-// when the caller left the configuration zero.
-func uniformFixPoint(o Options) Options {
-	fp := o.FixPoint
-	if stats.IsZero(fp.Tolerance) && fp.MaxIterations == 0 && stats.IsZero(fp.Damping) {
-		o.FixPoint = fixpoint.Options{
-			Tolerance: 1e-10, MaxIterations: 100000, Damping: 0.5, Trace: fp.Trace,
-		}
-	}
-	return o
-}
-
 func init() {
 	Register("uniform", Spec{Dims: 2}, func(s Spec, o Options) (Solver, error) {
 		if !stats.IsZero(s.H) {
 			return nil, fieldErrf("h", "core: the uniform baseline models no hot-spot class, got H = %v", s.H)
 		}
-		return newUniformModel(s, uniformFixPoint(o)), nil
+		return newUniformModel(s, o), nil
 	})
 }
 

@@ -174,7 +174,7 @@ func tracedSweep(t *testing.T, s Sweep, p Panel) ([]RunManifest, map[int]span.Re
 	t.Helper()
 	ring := span.NewRingExporter(1, nil)
 	tr := span.New(span.Config{Exporter: ring, Seed: 7,
-		MaxEventsPerSpan: core.RoundBudget(DefaultModel, s.Opts)})
+		MaxEventsPerSpan: core.RoundBudget(s.Opts)})
 	ctx, root := tr.Start(context.Background(), "test.sweep")
 	var buf bytes.Buffer
 	s.Manifest = telemetry.NewManifestWriter(&buf)

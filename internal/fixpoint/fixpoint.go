@@ -219,11 +219,56 @@ type Convergence struct {
 // signal saturation).
 type Map func(in, out []float64) error
 
-// Solve iterates x <- (1-d)x + d F(x) from the given initial state until the
-// maximum relative change falls below the tolerance, optionally accelerating
-// rounds per Options.Acceleration. The state slice is modified in place and
-// also returned. The returned Convergence summary is populated on every exit
-// path, including errors.
+// Workspace is the scratch of a fixed-point solve: the map's output
+// vector, the accelerated attempt's rollback and restart vectors, and the
+// Anderson history. A solve grows the buffers to the state size and window
+// it needs and leaves them in place, so a later solve of the same shape
+// allocates nothing. Every per-solve field (the safeguard residual, the
+// stall counter, the history's length and position) is reset on entry;
+// only the buffers carry over, and each is written before it is read. The
+// zero value is ready to use. A Workspace is not safe for concurrent use.
+type Workspace struct {
+	next []float64
+	// rollback and rollbackF hold the iterate before the latest accelerated
+	// step and its map value; initial holds the state the solve started
+	// from, for the restart.
+	rollback, rollbackF, initial []float64
+	acc                          accelState
+}
+
+// WorkspaceSize returns the most float64 values a Workspace holds after a
+// solve of an n-variable state under o: the map's output vector, and with
+// Anderson acceleration the rollback, rollbackF and initial vectors, the
+// candidate, the last iterate and residual, Window difference-column
+// pairs and the Window × Window normal equations. Options Solve rejects
+// size nothing.
+func WorkspaceSize(n int, o Options) int {
+	o, err := o.withDefaults()
+	if err != nil {
+		return 0
+	}
+	if o.Acceleration == AccelNone || n == 0 {
+		return n
+	}
+	w := o.Window
+	return (7+2*w)*n + 2*w*w + w
+}
+
+// Solve iterates x <- (1-d)x + d F(x) from the given initial state on a
+// fresh Workspace; see (*Workspace).Solve. Its scratch is allocated as the
+// solve first needs it and dropped afterwards.
+//
+//khs:hotpath
+func Solve(state []float64, f Map, opts Options) (Convergence, error) {
+	var w Workspace
+	return w.Solve(state, f, opts)
+}
+
+// Solve iterates x <- (1-d)x + d F(x) from the given initial state until
+// the maximum relative change falls below the tolerance, optionally
+// accelerating rounds per Options.Acceleration, with w as its scratch. The
+// state slice is modified in place and also returned. The returned
+// Convergence summary is populated on every exit path, including errors.
 //
 // An accelerated solve refuses only where the damped one refuses. It
 // starts as an accelerated attempt, which ends early when a map error or
@@ -237,12 +282,14 @@ type Map func(in, out []float64) error
 // counts every round, the abandoned attempt's included.
 //
 //khs:hotpath
-func Solve(state []float64, f Map, opts Options) (Convergence, error) {
+func (w *Workspace) Solve(state []float64, f Map, opts Options) (Convergence, error) {
 	o, err := opts.withDefaults()
 	if err != nil {
 		return Convergence{NonFiniteIndex: -1}, err
 	}
-	next := make([]float64, len(state)) //lint:ignore hotalloc one-time solve-entry scratch, sized once per Solve
+	n := len(state)
+	carve(n, &w.next)
+	next := w.next
 	conv := Convergence{
 		Tolerance:      o.Tolerance,
 		Damping:        o.Damping,
@@ -260,28 +307,35 @@ func Solve(state []float64, f Map, opts Options) (Convergence, error) {
 		}
 	}
 	var acc *accelState
-	var rollback, rollbackF, initial []float64
 	// lastAccel marks that the most recent state update was an accelerated
 	// step whose pre-step state (and its map value) are held in
-	// rollback/rollbackF. An extrapolation can land outside the model's
+	// w.rollback/w.rollbackF. An extrapolation can land outside the model's
 	// domain — the map then errors or the next update goes non-finite even
 	// though the fixed point exists — so any failure in the round after an
 	// accelerated step restores the pre-step state and redoes the round
 	// damped instead of reporting divergence.
 	lastAccel := false
-	if o.Acceleration != AccelNone && len(state) > 0 {
-		acc = newAccelState(o.Window, len(state))
-		buf := make([]float64, 3*len(state)) //lint:ignore hotalloc one-time solve-entry scratch, sized once per Solve
-		rollback, rollbackF, initial = buf[:len(state):len(state)], buf[len(state):2*len(state):2*len(state)], buf[2*len(state):]
-		copy(initial, state)
+	if o.Acceleration != AccelNone && n > 0 {
+		carve(n, &w.rollback, &w.rollbackF, &w.initial)
+		copy(w.initial, state)
+		acc = &w.acc
+		acc.begin(o.Window, n)
+	}
+	// rollBack restores the iterate from before the latest accelerated step
+	// and its (already evaluated) map value, and drops the history.
+	rollBack := func() { //lint:ignore hotalloc closure bound once per Solve, before the rounds
+		copy(state, w.rollback)
+		copy(next, w.rollbackF)
+		acc.reset()
+		lastAccel = false
 	}
 	// restart abandons the accelerated attempt: the state goes back to the
 	// initial one and the rounds that follow are the damped iteration's.
 	// It returns the relative change of the reset, the measure a round
 	// that ends in one reports.
 	restart := func() float64 { //lint:ignore hotalloc restart closure bound once per Solve, before the rounds
-		maxRel := relChange(state, initial)
-		copy(state, initial)
+		maxRel := relChange(state, w.initial)
+		copy(state, w.initial)
 		acc, lastAccel = nil, false
 		return maxRel
 	}
@@ -311,32 +365,32 @@ rounds:
 				trace(restart(), -1, false)
 				continue
 			}
-			// Rejected extrapolation: restore the pre-acceleration state and
-			// its (already evaluated) map value, then take a damped step.
-			copy(state, rollback)
-			copy(next, rollbackF)
-			acc.reset()
-			lastAccel = false
+			// Rejected extrapolation: take a damped step from the
+			// pre-acceleration state instead.
+			rollBack()
 			redo = true
 		}
 		if acc != nil && !redo {
 			if cand := acc.step(state, next); cand != nil {
-				// acc.step has verified the candidate finite. state still
-				// holds the pre-step iterate: snapshot it for rollback before
-				// applying the update.
-				copy(rollback, state)
-				copy(rollbackF, next)
-				maxRel := relChange(state, cand)
-				copy(state, cand)
-				lastAccel = true
-				conv.Residual = maxRel
-				conv.AcceleratedRounds++
-				trace(maxRel, -1, true)
-				if maxRel <= o.Tolerance {
-					conv.Converged = true
-					return conv, nil
+				// One pass checks the candidate finite, measures the move and
+				// makes it, leaving the pre-step iterate in cand; that buffer
+				// becomes the rollback, the old rollback the next candidate.
+				if maxRel, ok := exchange(state, cand); ok {
+					w.rollback, acc.cand = cand, w.rollback
+					copy(w.rollbackF, next)
+					lastAccel = true
+					conv.Residual = maxRel
+					conv.AcceleratedRounds++
+					trace(maxRel, -1, true)
+					if maxRel <= o.Tolerance {
+						conv.Converged = true
+						return conv, nil
+					}
+					continue
 				}
-				continue
+				// A non-finite candidate rejects the round: the history goes
+				// and the round is damped.
+				acc.reset()
 			}
 		}
 		// Damped round: the exact baseline arithmetic (golden results pin
@@ -349,10 +403,7 @@ rounds:
 				if lastAccel {
 					// Overflow downstream of an extrapolation, not genuine
 					// divergence: restore and redo the round damped.
-					copy(state, rollback)
-					copy(next, rollbackF)
-					acc.reset()
-					lastAccel = false
+					rollBack()
 					goto damped
 				}
 				if diverted() {
@@ -388,26 +439,74 @@ rounds:
 	return conv, ErrMaxIterations
 }
 
+// carve resizes each of the vectors vs to n. When any is short of
+// capacity it allocates them all as one block, so a fresh workspace pays
+// one allocation per group of same-sized vectors rather than one each.
+func carve(n int, vs ...*[]float64) {
+	short := false
+	for _, v := range vs {
+		short = short || cap(*v) < n
+	}
+	if !short {
+		for _, v := range vs {
+			*v = (*v)[:n]
+		}
+		return
+	}
+	buf := make([]float64, len(vs)*n) //lint:ignore hotalloc a workspace's buffers grow once, a group as one block, and are reused by later solves of that shape
+	for i, v := range vs {
+		*v = buf[i*n : (i+1)*n : (i+1)*n]
+	}
+}
+
 // relChange is the convergence measure of moving from x to y: the maximum
 // change relative to max(|x_i|, 1).
 func relChange(x, y []float64) float64 {
 	maxRel := 0.0
 	for i := range x {
-		den := math.Abs(x[i])
-		if den < 1 {
-			den = 1
-		}
-		if rel := math.Abs(y[i]-x[i]) / den; rel > maxRel {
+		if rel := relStep(x[i], y[i]-x[i]); rel > maxRel {
 			maxRel = rel
 		}
 	}
 	return maxRel
 }
 
+// relStep is one component's term of relChange: the change d of a
+// variable at x, relative to max(|x|, 1).
+func relStep(x, d float64) float64 {
+	den := math.Abs(x)
+	if den < 1 {
+		den = 1
+	}
+	return math.Abs(d) / den
+}
+
+// exchange moves the state to the candidate y and returns relChange(x, y),
+// in one pass that swaps the two vectors' contents, so y is left holding
+// the iterate x moved from. A non-finite component of y rejects the move:
+// the components already swapped are swapped back and ok is false.
+func exchange(x, y []float64) (maxRel float64, ok bool) {
+	for i, v := range y {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			for j := range i {
+				x[j], y[j] = y[j], x[j]
+			}
+			return 0, false
+		}
+		xi := x[i]
+		if rel := relStep(xi, v-xi); rel > maxRel {
+			maxRel = rel
+		}
+		x[i], y[i] = v, xi
+	}
+	return maxRel, true
+}
+
 // accelState carries the Anderson history kept between rounds, and all
-// of its scratch: newAccelState sizes everything but the difference
-// columns, which record allocates as the history first grows into each
-// slot. Once the history is full, accelerated rounds allocate nothing.
+// of its scratch. begin sizes everything but the difference columns,
+// which record allocates as the history first grows into each slot; a
+// workspace keeps them for its later solves. Once the history is full,
+// accelerated rounds allocate nothing.
 type accelState struct {
 	// Safeguard: the residual norm observed on the previous round. A round
 	// whose residual grew rejects acceleration, clears the history and
@@ -445,32 +544,39 @@ type accelState struct {
 	rhs  []float64
 }
 
-func newAccelState(window int, n int) *accelState {
-	buf := make([]float64, 3*n) //lint:ignore hotalloc accelerator state is built once per Solve
-	return &accelState{         //lint:ignore hotalloc accelerator state is built once per Solve
-		best:   math.Inf(1),
-		window: window,
-		cand:   buf[:n:n],
-		xLast:  buf[n : 2*n : 2*n],
-		gLast:  buf[2*n:],
-		// The difference columns get their buffers in record, as the
-		// history first grows into each slot.
-		dx:      make([][]float64, window),      //lint:ignore hotalloc accelerator state is built once per Solve
-		dg:      make([][]float64, window),      //lint:ignore hotalloc accelerator state is built once per Solve
-		gramAll: make([]float64, window*window), //lint:ignore hotalloc accelerator state is built once per Solve
-		gram:    make([]float64, window*window), //lint:ignore hotalloc accelerator state is built once per Solve
-		rhs:     make([]float64, window),        //lint:ignore hotalloc accelerator state is built once per Solve
+// begin readies the history for a solve of an n-variable state with the
+// given window: it resets every per-solve field and sizes the buffers,
+// keeping those a previous solve of the same size left.
+func (a *accelState) begin(window, n int) {
+	a.prevRes, a.hasPrev = 0, false
+	a.best, a.sinceBest = math.Inf(1), 0
+	a.reset()
+	if len(a.cand) != n {
+		// Difference columns cut for another state size are dropped;
+		// record allocates them again as the history grows.
+		clear(a.dx[:cap(a.dx)])
+		clear(a.dg[:cap(a.dg)])
 	}
+	a.window = window
+	carve(n, &a.cand, &a.xLast, &a.gLast)
+	if cap(a.dx) < window {
+		a.dx = make([][]float64, window) //lint:ignore hotalloc the window's slot table is built once per workspace
+		a.dg = make([][]float64, window) //lint:ignore hotalloc the window's slot table is built once per workspace
+	}
+	a.dx, a.dg = a.dx[:window], a.dg[:window]
+	carve(window*window, &a.gramAll, &a.gram)
+	carve(window, &a.rhs)
 }
 
 // step decides this round's update. state is the current iterate and fx
-// its map value (left untouched). A non-nil result is the accelerated,
-// finite candidate state; nil means a plain damped step from the current
-// state.
+// its map value (left untouched). A non-nil result is the accelerated
+// candidate state, not yet checked finite; nil means a plain damped step
+// from the current state.
 func (a *accelState) step(state, fx []float64) []float64 {
 	// The residual measure g = F(x) - x, consistent with the convergence
-	// measure up to the damping factor.
-	res := relChange(state, fx)
+	// measure up to the damping factor. record takes it in the pass that
+	// stores the iterate; a safeguard rejection below drops what it stored.
+	res := a.record(state, fx)
 	if res < a.best/2 {
 		a.best, a.sinceBest = res, 0
 	} else {
@@ -487,7 +593,7 @@ func (a *accelState) step(state, fx []float64) []float64 {
 	}
 	a.prevRes = res
 	a.hasPrev = true
-	if !a.anderson(state, fx) {
+	if !a.anderson(state) {
 		return nil
 	}
 	return a.cand
@@ -504,15 +610,21 @@ func (a *accelState) reset() {
 
 // record appends the iterate x with map value fx to the Anderson history:
 // the difference column against the previous iterate, evicting the oldest
-// column once window are held.
-func (a *accelState) record(x, fx []float64) {
+// column once window are held. It returns relChange(x, fx), measured in
+// the same pass.
+func (a *accelState) record(x, fx []float64) float64 {
+	maxRel := 0.0
 	if !a.hasLast {
 		for i := range x {
+			g := fx[i] - x[i]
 			a.xLast[i] = x[i]
-			a.gLast[i] = fx[i] - x[i]
+			a.gLast[i] = g
+			if rel := relStep(x[i], g); rel > maxRel {
+				maxRel = rel
+			}
 		}
 		a.hasLast = true
-		return
+		return maxRel
 	}
 	slot := (a.head + a.cols) % a.window
 	if a.cols == a.window {
@@ -526,7 +638,7 @@ func (a *accelState) record(x, fx []float64) {
 		// whole window, and rounds allocate nothing once window columns
 		// have been recorded.
 		n := len(x)
-		buf := make([]float64, 2*n) //lint:ignore hotalloc each history slot is allocated once per Solve, on first use
+		buf := make([]float64, 2*n) //lint:ignore hotalloc each history slot is allocated once per workspace, on first use
 		a.dx[slot], a.dg[slot] = buf[:n:n], buf[n:]
 	}
 	dx, dg := a.dx[slot], a.dg[slot]
@@ -536,7 +648,11 @@ func (a *accelState) record(x, fx []float64) {
 		dg[i] = g - a.gLast[i]
 		a.xLast[i] = x[i]
 		a.gLast[i] = g
+		if rel := relStep(x[i], g); rel > maxRel {
+			maxRel = rel
+		}
 	}
+	return maxRel
 }
 
 // anderson computes the type-II Anderson-mixing candidate
@@ -544,10 +660,10 @@ func (a *accelState) record(x, fx []float64) {
 //	x' = x + β g - Σ_j γ_j (Δx_j + β Δg_j),  g_j = F(x_j) - x_j,
 //
 // with γ the least-squares combination of the stored residual differences
-// Δg_j that best cancels the current residual. The candidate is written to
-// a.cand; a singular system or non-finite candidate rejects the round.
-func (a *accelState) anderson(state, fx []float64) bool {
-	a.record(state, fx)
+// Δg_j that best cancels the current residual, from the history record
+// has just extended with the current iterate. The candidate is written to
+// a.cand; a singular system rejects the round.
+func (a *accelState) anderson(state []float64) bool {
 	m := a.cols
 	if m < 1 {
 		return false
@@ -606,12 +722,6 @@ func (a *accelState) anderson(state, fx []float64) bool {
 		dx, dg, gj := a.dx[sj], a.dg[sj], gamma[j]
 		for i := range cand {
 			cand[i] -= gj * (dx[i] + andersonBeta*dg[i])
-		}
-	}
-	for _, v := range cand {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			a.reset()
-			return false
 		}
 	}
 	return true

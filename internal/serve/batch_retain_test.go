@@ -59,18 +59,20 @@ func TestBatchRepeatedShapesPrepareOnce(t *testing.T) {
 
 // TestBatchRetainedStateIsBounded: a batch of many large distinct shapes
 // keeps only as many prepared solvers as fit the core.PreparedSet bound of
-// 2²¹ state variables. Eight 600-radix tori hold about 2.9M state variables
-// between them, so the sixth drops the five before it; by the time the
-// first shape comes back (at a new load, a cache miss) it is prepared
-// again, while the last shape is still held and is not.
+// 2²¹ variables, counting each solver's state and its fixed-point
+// workspace. A 600-radix torus holds about 0.36M state variables and as
+// many again in its damped workspace, so every third shape drops the two
+// before it; when the last shape comes back (at a new load, a cache miss)
+// it is still held and is not prepared again, while the first shape has
+// been dropped and is.
 func TestBatchRetainedStateIsBounded(t *testing.T) {
 	var req BatchSolveRequest
 	for k := 600; k < 608; k++ {
 		req.Items = append(req.Items, BatchSpec{K: k, V: 2, Lm: 32, H: 0.2, Lambda: 0.01})
 	}
 	req.Items = append(req.Items,
-		BatchSpec{K: 600, V: 2, Lm: 32, H: 0.2, Lambda: 0.02},
-		BatchSpec{K: 607, V: 2, Lm: 32, H: 0.2, Lambda: 0.02})
+		BatchSpec{K: 607, V: 2, Lm: 32, H: 0.2, Lambda: 0.02},
+		BatchSpec{K: 600, V: 2, Lm: 32, H: 0.2, Lambda: 0.02})
 	statuses, prepares := batchPrepares(t, req)
 	for i, st := range statuses {
 		if st != "saturated" {

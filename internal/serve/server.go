@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"slices"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -138,6 +139,13 @@ type Server struct {
 	inflight *telemetry.Gauge
 	draining atomic.Bool
 
+	// Metric handles resolved once: the histograms in New, the counters
+	// per label values on first use, so recording a request builds no
+	// bucket slice or label map.
+	solveSeconds, batchSeconds, batchSize *telemetry.Histogram
+	shedTotal                             *counterCache[string]
+	solvesTotal, batchItemsTotal          *counterCache[[2]string]
+
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
@@ -168,6 +176,24 @@ func New(cfg Config) *Server {
 	s.surfaces = surface.NewStore(cfg.Registry)
 	s.ring = shard.New(cfg.ShardID, cfg.ShardPeers, 0)
 	s.inflight = s.reg.Gauge("khs_serve_inflight_solves", "solves currently admitted", nil)
+	s.solveSeconds = s.reg.Histogram("khs_serve_solve_seconds", "end-to-end solve time (cache included)",
+		nil, telemetry.ExponentialBuckets(1e-5, 4, 12))
+	s.batchSeconds = s.reg.Histogram("khs_serve_batch_seconds", "end-to-end batch solve time (cache included)",
+		nil, telemetry.ExponentialBuckets(1e-5, 4, 12))
+	s.batchSize = s.reg.Histogram("khs_serve_batch_size", "specs per batch solve request",
+		nil, telemetry.ExponentialBuckets(1, 2, 9))
+	s.shedTotal = newCounterCache(func(reason string) *telemetry.Counter {
+		return s.reg.Counter("khs_serve_shed_total", "requests shed by admission control",
+			telemetry.Labels{"reason": reason})
+	})
+	s.solvesTotal = newCounterCache(func(k [2]string) *telemetry.Counter {
+		return s.reg.Counter("khs_serve_solves_total", "solve requests by model and outcome",
+			telemetry.Labels{"model": k[0], "outcome": k[1]})
+	})
+	s.batchItemsTotal = newCounterCache(func(k [2]string) *telemetry.Counter {
+		return s.reg.Counter("khs_serve_batch_items_total", "batch solve items by model and outcome",
+			telemetry.Labels{"model": k[0], "outcome": k[1]})
+	})
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	registerBuildInfo(s.reg)
 	startRuntimeSampler(s.baseCtx, s.reg, cfg.RuntimeMetricsInterval)
@@ -217,6 +243,10 @@ func (s *Server) route(pattern string, h http.HandlerFunc) {
 	seconds := s.reg.Histogram("khs_serve_request_seconds",
 		"request latency by route", telemetry.Labels{"route": pattern},
 		telemetry.ExponentialBuckets(1e-4, 4, 10))
+	requests := newCounterCache(func(code int) *telemetry.Counter {
+		return s.reg.Counter("khs_serve_requests_total", "requests by route and status code",
+			telemetry.Labels{"route": pattern, "code": strconv.Itoa(code)})
+	})
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		ctx := r.Context()
@@ -260,9 +290,40 @@ func (s *Server) route(pattern string, h http.HandlerFunc) {
 		sp.End()
 		s.log.Info("request", logAttrs...)
 		seconds.Observe(elapsed.Seconds())
-		s.reg.Counter("khs_serve_requests_total", "requests by route and status code",
-			telemetry.Labels{"route": pattern, "code": strconv.Itoa(rec.status)}).Inc()
+		requests.get(rec.status).Inc()
 	})
+}
+
+// counterCache holds the counters of one metric family by their label
+// values. The registry lookup takes a telemetry.Labels map, so resolving a
+// series on every request would build one per request; the cache builds
+// it once per series, on the series' first use. resolve is the family's
+// one registration site.
+type counterCache[K comparable] struct {
+	resolve func(K) *telemetry.Counter
+	mu      sync.RWMutex
+	held    map[K]*telemetry.Counter
+}
+
+func newCounterCache[K comparable](resolve func(K) *telemetry.Counter) *counterCache[K] {
+	return &counterCache[K]{resolve: resolve, held: map[K]*telemetry.Counter{}}
+}
+
+// get returns the counter of the series labelled by k.
+func (c *counterCache[K]) get(k K) *telemetry.Counter {
+	c.mu.RLock()
+	ctr := c.held[k]
+	c.mu.RUnlock()
+	if ctr != nil {
+		return ctr
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if ctr = c.held[k]; ctr == nil {
+		ctr = c.resolve(k)
+		c.held[k] = ctr
+	}
+	return ctr
 }
 
 // statusRecorder captures the response status for the request counter.
@@ -278,8 +339,7 @@ func (r *statusRecorder) WriteHeader(code int) {
 
 // shed refuses a request under overload or drain, counting the shed.
 func (s *Server) shed(w http.ResponseWriter, status int, reason string) {
-	s.reg.Counter("khs_serve_shed_total", "requests shed by admission control",
-		telemetry.Labels{"reason": reason}).Inc()
+	s.shedTotal.get(reason).Inc()
 	writeJSON(w, status, ErrorResponse{Error: "overloaded: " + reason})
 }
 
@@ -312,8 +372,7 @@ func decodeStrict(r *http.Request, v any) error {
 // registration site for khs_serve_solves_total: exact solves and
 // interpolated surface hits both count here.
 func (s *Server) countSolve(model, outcome string) {
-	s.reg.Counter("khs_serve_solves_total", "solve requests by model and outcome",
-		telemetry.Labels{"model": model, "outcome": outcome}).Inc()
+	s.solvesTotal.get([2]string{model, outcome}).Inc()
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
@@ -390,8 +449,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	csp.End()
 	span.FromContext(r.Context()).SetAttr("cache", how)
-	s.reg.Histogram("khs_serve_solve_seconds", "end-to-end solve time (cache included)",
-		nil, telemetry.ExponentialBuckets(1e-5, 4, 12)).Observe(time.Since(start).Seconds())
+	s.solveSeconds.Observe(time.Since(start).Seconds())
 
 	outcome := "ok"
 	switch {
@@ -534,16 +592,11 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
-	s.reg.Histogram("khs_serve_batch_size", "specs per batch solve request",
-		nil, telemetry.ExponentialBuckets(1, 2, 9)).Observe(float64(len(req.Items)))
+	s.batchSize.Observe(float64(len(req.Items)))
 	start := time.Now()
-	defer func() {
-		s.reg.Histogram("khs_serve_batch_seconds", "end-to-end batch solve time (cache included)",
-			nil, telemetry.ExponentialBuckets(1e-5, 4, 12)).Observe(time.Since(start).Seconds())
-	}()
+	defer func() { s.batchSeconds.Observe(time.Since(start).Seconds()) }()
 	itemOutcome := func(outcome string) {
-		s.reg.Counter("khs_serve_batch_items_total", "batch solve items by model and outcome",
-			telemetry.Labels{"model": model, "outcome": outcome}).Inc()
+		s.batchItemsTotal.get([2]string{model, outcome}).Inc()
 	}
 
 	runner := newSolveRunner(ctx, model, opts)

@@ -47,11 +47,21 @@ func Degree(v int, lambda, s float64) (float64, error) {
 	if rho >= 1 {
 		return float64(v), nil
 	}
-	p := Occupancy(v, rho)
+	// Occupancy(v, rho) without the slice: chain forms the occupancies'
+	// sum, the loop forms them again (the same products) and divides each
+	// by it, so every term and both sums are Occupancy's bit for bit.
+	top, sum := chain(v, rho)
 	var num, den float64
+	q := 1.0
 	for i := 1; i <= v; i++ {
-		num += float64(i*i) * p[i]
-		den += float64(i) * p[i]
+		if i < v {
+			q *= rho
+		} else {
+			q = top
+		}
+		p := q / sum
+		num += float64(i*i) * p
+		den += float64(i) * p
 	}
 	if stats.IsZero(den) {
 		return 1, nil
@@ -60,7 +70,9 @@ func Degree(v int, lambda, s float64) (float64, error) {
 }
 
 // Occupancy returns the stationary distribution P_0..P_V of the number of
-// busy virtual channels for utilisation rho = lambda*s in [0, 1).
+// busy virtual channels for utilisation rho = lambda*s in [0, 1). Degree
+// and AllBusy compute from it without building it; it stays the reference
+// their tests compare against.
 func Occupancy(v int, rho float64) []float64 {
 	q := make([]float64, v+1)
 	q[0] = 1
@@ -92,14 +104,23 @@ func AllBusy(v int, rho float64) float64 {
 	if v < 1 {
 		return 1
 	}
-	q, sum := 1.0, 1.0
+	top, sum := chain(v, rho)
+	return top / sum
+}
+
+// chain runs Dally's occupancy chain for v >= 1 virtual channels at
+// utilisation rho, as Occupancy does before normalising: it returns the
+// unnormalised top occupancy q_V and the sum q_0 + … + q_V, formed with
+// Occupancy's products in its order.
+func chain(v int, rho float64) (top, sum float64) {
+	q := 1.0
+	sum = 1
 	for i := 1; i < v; i++ {
 		q *= rho
 		sum += q
 	}
-	top := q * rho / (1 - rho)
-	sum += top
-	return top / sum
+	top = q * rho / (1 - rho)
+	return top, sum + top
 }
 
 // ScaleLatency multiplies a latency by the multiplexing degree, the way the

@@ -175,3 +175,31 @@ func TestAllBusyMatchesOccupancy(t *testing.T) {
 		t.Errorf("AllBusy allocates %v times per call, want 0", n)
 	}
 }
+
+// TestDegreeMatchesOccupancy pins Degree to Eq. 35 evaluated over the
+// materialised distribution, bit for bit, across V and the utilisations
+// below saturation, and pins that it builds no distribution to get there.
+func TestDegreeMatchesOccupancy(t *testing.T) {
+	for v := 1; v <= 40; v++ {
+		for _, rho := range []float64{1e-9, 0.01, 0.3, 0.5, 0.7, 0.99, 1 - 1e-12} {
+			p := Occupancy(v, rho)
+			var num, den float64
+			for i := 1; i <= v; i++ {
+				num += float64(i*i) * p[i]
+				den += float64(i) * p[i]
+			}
+			want := num / den
+			// lambda·s = rho exactly with s = 1.
+			got, err := Degree(v, rho, 1)
+			if err != nil {
+				t.Fatalf("Degree(%d, %v, 1): %v", v, rho, err)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("Degree(%d, %v, 1) = %.17g, Occupancy gives %.17g", v, rho, got, want)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = Degree(16, 0.004, 100) }); n > 0 {
+		t.Errorf("Degree allocates %v times per call, want 0", n)
+	}
+}
