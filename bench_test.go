@@ -100,7 +100,10 @@ func BenchmarkAblationEntrance(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		for name, pol := range policies {
-			pts := experiments.ModelCurve(experiments.DefaultModel, panel, core.Options{Entrance: pol})
+			pts, err := experiments.ModelCurve(experiments.DefaultModel, panel, core.Options{Entrance: pol})
+			if err != nil {
+				b.Fatal(err)
+			}
 			if i == 0 {
 				b.Logf("entrance=%s: %s", name, summarise(pts))
 			}
@@ -120,7 +123,10 @@ func BenchmarkAblationBlocking(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		for name, form := range forms {
-			pts := experiments.ModelCurve(experiments.DefaultModel, panel, core.Options{Blocking: form})
+			pts, err := experiments.ModelCurve(experiments.DefaultModel, panel, core.Options{Blocking: form})
+			if err != nil {
+				b.Fatal(err)
+			}
 			if i == 0 {
 				b.Logf("blocking=%s: %s", name, summarise(pts))
 			}
@@ -138,7 +144,10 @@ func BenchmarkAblationVariance(b *testing.B) {
 			"zero":  core.VarianceZero,
 			"paper": core.VariancePaper,
 		} {
-			pts := experiments.ModelCurve(experiments.DefaultModel, panel, core.Options{Variance: v})
+			pts, err := experiments.ModelCurve(experiments.DefaultModel, panel, core.Options{Variance: v})
+			if err != nil {
+				b.Fatal(err)
+			}
 			if i == 0 {
 				b.Logf("variance=%s: %s", name, summarise(pts))
 			}

@@ -86,7 +86,7 @@ func (ps *PreparedSolver) solve(lambda float64, warm bool) (*SolveResult, error)
 // it. The model's own round scratch, sized by Prepare, is of the order of
 // the state again and not counted.
 func (ps *PreparedSolver) footprint() int {
-	return len(ps.x) + fixpoint.WorkspaceSize(len(ps.x), defaultFixPoint(ps.o.FixPoint))
+	return len(ps.x) + fixpoint.WorkspaceSize(len(ps.x), ps.o.FixPoint)
 }
 
 // PreparedSet holds the prepared solvers of one variant keyed by topology
@@ -153,26 +153,23 @@ type BatchItem struct {
 	Err    error
 }
 
-// GridOptions configure SolveLambdas.
-type GridOptions struct {
-	BatchOptions
-	// StopAtSaturation marks every load beyond the first saturated one as
-	// saturated without solving it. The models' latency is monotone in the
-	// offered load, so once a λ saturates every larger λ of the same shape
-	// saturates too; skipping them avoids paying the full iteration budget
-	// (the most expensive failure mode — up to MaxIterations rounds) once
-	// per point beyond the frontier. The skipped items' Err wraps
-	// ErrSaturated like a solved saturation would.
-	StopAtSaturation bool
-}
-
 // SolveLambdas solves one topology shape across an ascending grid of
-// offered loads — the access pattern of sweeps and latency-surface builds.
-// The shape (every Spec field but Lambda) is validated and prepared once;
+// offered loads — the access pattern of latency-surface builds. The shape
+// (every Spec field but Lambda) is validated and prepared once;
 // shape.Lambda is ignored. Items map 1:1 onto lambdas, in order. A shape
 // that fails validation fails the call (there is nothing per-item about
 // it); per-load failures land in their item like SolveBatch.
-func SolveLambdas(name string, shape Spec, lambdas []float64, o GridOptions) ([]BatchItem, error) {
+//
+// Each load is warm-started from the previous converged one
+// (PreparedSolver.SolveWarm), so its answer agrees with an independent
+// Solve only to within the solve tolerance. Every load beyond the first
+// saturated one is marked saturated without being solved: the models'
+// latency is monotone in the offered load, so once a λ saturates every
+// larger λ of the shape saturates too, and skipping them avoids paying the
+// full iteration budget — the most expensive failure — once per point
+// beyond the frontier. The skipped items' Err wraps ErrSaturated like a
+// solved saturation would.
+func SolveLambdas(name string, shape Spec, lambdas []float64, o Options) ([]BatchItem, error) {
 	if len(lambdas) == 0 {
 		return nil, fieldErrf("lambda", "core: SolveLambdas needs at least one load")
 	}
@@ -183,18 +180,14 @@ func SolveLambdas(name string, shape Spec, lambdas []float64, o GridOptions) ([]
 		}
 	}
 	shape.Lambda = lambdas[0]
-	ps, err := Prepare(name, shape, o.Options)
+	ps, err := Prepare(name, shape, o)
 	if err != nil {
 		return nil, err
 	}
 	items := make([]BatchItem, len(lambdas))
 	for i, lam := range lambdas {
-		if o.WarmStart {
-			items[i].Result, items[i].Err = ps.SolveWarm(lam)
-		} else {
-			items[i].Result, items[i].Err = ps.Solve(lam)
-		}
-		if o.StopAtSaturation && errors.Is(items[i].Err, ErrSaturated) {
+		items[i].Result, items[i].Err = ps.SolveWarm(lam)
+		if errors.Is(items[i].Err, ErrSaturated) {
 			for j := i + 1; j < len(lambdas); j++ {
 				items[j].Err = fmt.Errorf("%w: beyond the saturation frontier (lambda %v saturated)",
 					ErrSaturated, lam)

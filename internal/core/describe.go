@@ -63,7 +63,7 @@ func Constraints(name string) ([]Constraint, error) {
 	for _, p := range probes {
 		sp := base
 		p.mutate(&sp)
-		err := validateSpec(name, sp)
+		err := ValidateSpec(name, sp, Options{})
 		var fe *FieldError
 		if errors.As(err, &fe) {
 			out = append(out, Constraint{Field: fe.Field, Reason: fe.Reason})
@@ -75,18 +75,21 @@ func Constraints(name string) ([]Constraint, error) {
 // validBase returns the first probe base the variant accepts.
 func validBase(name string) (Spec, bool) {
 	for _, b := range probeBases {
-		if validateSpec(name, b) == nil {
+		if ValidateSpec(name, b, Options{}) == nil {
 			return b, true
 		}
 	}
 	return Spec{}, false
 }
 
-// validateSpec runs the variant's full validation path — factory checks
-// (which reject variant-contradicting fields) and Solver.Validate (which
-// range-checks) — without preparing or solving anything.
-func validateSpec(name string, s Spec) error {
-	sol, err := NewSolver(name, s, Options{})
+// ValidateSpec runs the named variant's full validation path for s under
+// o — the registry lookup, the option checks (Options.Validate), the
+// factory checks (which reject variant-contradicting fields) and
+// Solver.Validate (which range-checks) — without preparing or solving
+// anything. Its error is the one a Solve of the same arguments would
+// return before iterating.
+func ValidateSpec(name string, s Spec, o Options) error {
+	sol, err := NewSolver(name, s, o)
 	if err != nil {
 		return err
 	}

@@ -15,66 +15,34 @@ func gridLambdas(name string) []float64 {
 	return []float64{goldenSpec(name).Lambda, top / 2, 0.75 * top, top}
 }
 
-// TestSolveLambdasBitIdenticalToIndependentSolves: the grid helper's core
-// contract mirrors SolveBatch's — with warm starts off, each load's result
-// is bit-for-bit an independent Solve at that λ.
-func TestSolveLambdasBitIdenticalToIndependentSolves(t *testing.T) {
-	for _, name := range Solvers() {
-		shape := goldenSpec(name)
-		lams := gridLambdas(name)
-		items, err := SolveLambdas(name, shape, lams, GridOptions{})
-		if err != nil {
-			t.Fatalf("SolveLambdas(%q): %v", name, err)
-		}
-		if len(items) != len(lams) {
-			t.Fatalf("SolveLambdas(%q): %d items for %d loads", name, len(items), len(lams))
-		}
-		for i, lam := range lams {
-			sp := shape
-			sp.Lambda = lam
-			want, err := Solve(name, sp, Options{})
-			if err != nil {
-				t.Fatalf("Solve(%q, λ=%g): %v", name, lam, err)
-			}
-			if items[i].Err != nil {
-				t.Errorf("%q load %d: %v", name, i, items[i].Err)
-				continue
-			}
-			if math.Float64bits(items[i].Result.Latency) != math.Float64bits(want.Latency) {
-				t.Errorf("%q λ=%g: grid latency %.17g, independent %.17g",
-					name, lam, items[i].Result.Latency, want.Latency)
-			}
-		}
-	}
-}
-
-// TestSolveLambdasWarmStart: warm-started grid solves agree with cold
-// results to within the solve tolerance and never take more iterations.
+// TestSolveLambdasWarmStart: the warm-started grid solves agree with
+// independent cold solves to within the solve tolerance and never take
+// more iterations in total.
 func TestSolveLambdasWarmStart(t *testing.T) {
 	for _, name := range Solvers() {
 		shape := goldenSpec(name)
 		lams := gridLambdas(name)
-		cold, err := SolveLambdas(name, shape, lams, GridOptions{})
+		warm, err := SolveLambdas(name, shape, lams, Options{})
 		if err != nil {
-			t.Fatalf("cold SolveLambdas(%q): %v", name, err)
+			t.Fatalf("SolveLambdas(%q): %v", name, err)
 		}
-		warm, err := SolveLambdas(name, shape, lams, GridOptions{
-			BatchOptions: BatchOptions{WarmStart: true},
-		})
-		if err != nil {
-			t.Fatalf("warm SolveLambdas(%q): %v", name, err)
+		if len(warm) != len(lams) {
+			t.Fatalf("SolveLambdas(%q): %d items for %d loads", name, len(warm), len(lams))
 		}
 		totalCold, totalWarm := 0, 0
-		for i := range lams {
-			if cold[i].Err != nil || warm[i].Err != nil {
-				t.Fatalf("%q load %d: cold err %v, warm err %v", name, i, cold[i].Err, warm[i].Err)
+		for i, lam := range lams {
+			sp := shape
+			sp.Lambda = lam
+			cold, err := Solve(name, sp, Options{})
+			if err != nil || warm[i].Err != nil {
+				t.Fatalf("%q load %d: cold err %v, warm err %v", name, i, err, warm[i].Err)
 			}
-			rel := math.Abs(warm[i].Result.Latency-cold[i].Result.Latency) / cold[i].Result.Latency
+			rel := math.Abs(warm[i].Result.Latency-cold.Latency) / cold.Latency
 			if rel > 1e-6 {
 				t.Errorf("%q λ=%g: warm latency %.12g vs cold %.12g (rel %.3g)",
-					name, lams[i], warm[i].Result.Latency, cold[i].Result.Latency, rel)
+					name, lam, warm[i].Result.Latency, cold.Latency, rel)
 			}
-			totalCold += cold[i].Result.Convergence.Iterations
+			totalCold += cold.Convergence.Iterations
 			totalWarm += warm[i].Result.Convergence.Iterations
 		}
 		if totalWarm > totalCold {
@@ -91,10 +59,7 @@ func TestSolveLambdasStopAtSaturation(t *testing.T) {
 	shape := goldenSpec(name)
 	sat := 10 * nearSatLambda(name)
 	lams := []float64{goldenSpec(name).Lambda, nearSatLambda(name), sat, 2 * sat, 4 * sat}
-	items, err := SolveLambdas(name, shape, lams, GridOptions{
-		BatchOptions:     BatchOptions{WarmStart: true},
-		StopAtSaturation: true,
-	})
+	items, err := SolveLambdas(name, shape, lams, Options{})
 	if err != nil {
 		t.Fatalf("SolveLambdas: %v", err)
 	}
@@ -135,7 +100,7 @@ func TestSolveLambdasRejectsBadAxis(t *testing.T) {
 		{"descending", []float64{2e-4, 1e-4}},
 		{"duplicate", []float64{1e-4, 1e-4}},
 	} {
-		_, err := SolveLambdas("hotspot-2d", shape, tc.lams, GridOptions{})
+		_, err := SolveLambdas("hotspot-2d", shape, tc.lams, Options{})
 		var fe *FieldError
 		if !errors.As(err, &fe) || fe.Field != "lambda" {
 			t.Errorf("%s axis: want lambda FieldError, got %v", tc.name, err)

@@ -119,8 +119,9 @@ type Options struct {
 	// whole-channel M/G/1 (ablation C), which saturates several times
 	// earlier.
 	NoVCSplit bool
-	// FixPoint configures the iteration; zero values use
-	// fixpoint.Defaults().
+	// FixPoint configures the iteration; each zero Tolerance,
+	// MaxIterations or Damping takes its fixpoint.Defaults() value, the
+	// tolerances the models were calibrated with.
 	FixPoint fixpoint.Options
 }
 

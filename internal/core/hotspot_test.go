@@ -26,7 +26,7 @@ func solveDetail[T any](t *testing.T, name string, s Spec, o Options) *T {
 func TestParamsValidate(t *testing.T) {
 	good := Spec{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4}
 	for _, name := range []string{"hotspot-2d", "bidirectional-2d"} {
-		if err := validateSpec(name, good); err != nil {
+		if err := ValidateSpec(name, good, Options{}); err != nil {
 			t.Fatalf("%s: good spec rejected: %v", name, err)
 		}
 	}
@@ -47,7 +47,7 @@ func TestParamsValidate(t *testing.T) {
 	}
 	for _, name := range []string{"hotspot-2d", "bidirectional-2d"} {
 		for i, tc := range bad {
-			if f := fieldOf(validateSpec(name, tc.s)); f != tc.field {
+			if f := fieldOf(ValidateSpec(name, tc.s, Options{})); f != tc.field {
 				t.Errorf("%s: bad spec %d (%+v) rejected on field %q, want %q", name, i, tc.s, f, tc.field)
 			}
 		}

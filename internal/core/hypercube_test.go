@@ -14,7 +14,7 @@ func TestHypercubeParamsValidate(t *testing.T) {
 		{K: 2, Dims: 6, V: 2, Lm: 16, H: 0.2, Lambda: 1e-3},
 		{Dims: 6, V: 1, Lm: 16, H: 0.2, Lambda: 1e-3},
 	} {
-		if err := validateSpec("hypercube", good); err != nil {
+		if err := ValidateSpec("hypercube", good, Options{}); err != nil {
 			t.Fatalf("good spec %+v rejected: %v", good, err)
 		}
 	}
@@ -32,7 +32,7 @@ func TestHypercubeParamsValidate(t *testing.T) {
 		{Spec{Dims: 6, V: 2, Lm: 16, H: 0.2, Lambda: 0}, "lambda"},
 	}
 	for i, tc := range bad {
-		if f := fieldOf(validateSpec("hypercube", tc.s)); f != tc.field {
+		if f := fieldOf(ValidateSpec("hypercube", tc.s, Options{})); f != tc.field {
 			t.Errorf("bad spec %d (%+v) rejected on field %q, want %q", i, tc.s, f, tc.field)
 		}
 	}

@@ -14,7 +14,7 @@ func TestNDimParamsValidate(t *testing.T) {
 		{K: 8, Dims: 3, V: 2, Lm: 16, H: 0.2, Lambda: 1e-4},
 		{K: 8, V: 2, Lm: 16, H: 0.2, Lambda: 1e-4},
 	} {
-		if err := validateSpec("ndim", good); err != nil {
+		if err := ValidateSpec("ndim", good, Options{}); err != nil {
 			t.Fatalf("good spec %+v rejected: %v", good, err)
 		}
 	}
@@ -31,7 +31,7 @@ func TestNDimParamsValidate(t *testing.T) {
 		{Spec{K: 1000, Dims: 30, V: 2, Lm: 16, H: 0.2, Lambda: 1e-4}, "k"},
 	}
 	for i, tc := range bad {
-		if f := fieldOf(validateSpec("ndim", tc.s)); f != tc.field {
+		if f := fieldOf(ValidateSpec("ndim", tc.s, Options{})); f != tc.field {
 			t.Errorf("bad spec %d (%+v) rejected on field %q, want %q", i, tc.s, f, tc.field)
 		}
 	}

@@ -16,7 +16,6 @@ import (
 	"fmt"
 
 	"kncube/internal/fixpoint"
-	"kncube/internal/stats"
 )
 
 // Convergence re-exports the fixed-point diagnostic summary carried by
@@ -82,23 +81,11 @@ type SolveResult struct {
 	Detail any
 }
 
-// defaultFixPoint is the solver-facing defaulting rule: a wholly-zero
-// numeric configuration selects the tight tolerances the models were
-// calibrated with (stricter than fixpoint.Defaults); a partially-set one
-// is passed through for fixpoint's own per-field defaulting. The Trace
-// hook is orthogonal and preserved either way.
-func defaultFixPoint(o fixpoint.Options) fixpoint.Options {
-	if stats.IsZero(o.Tolerance) && o.MaxIterations == 0 && stats.IsZero(o.Damping) {
-		o.Tolerance, o.MaxIterations, o.Damping = 1e-9, 20000, 0.5
-	}
-	return o
-}
-
 // RoundBudget returns the fixed-point round budget (the defaulted
 // MaxIterations) a solve of any model under o runs with — the most trace
 // rounds one solve can produce.
 func RoundBudget(o Options) int {
-	if n := defaultFixPoint(o.FixPoint).MaxIterations; n > 0 {
+	if n := o.FixPoint.MaxIterations; n > 0 {
 		return n
 	}
 	return fixpoint.Defaults().MaxIterations
@@ -123,7 +110,7 @@ func solveWith(s Solver, o Options) (*SolveResult, error) {
 // and assembles the result. It is shared by solveWith and the
 // prepared/batch path, so both follow the same arithmetic bit-for-bit.
 func finishSolve(s Solver, x []float64, o Options, ws *fixpoint.Workspace) (*SolveResult, error) {
-	conv, err := ws.Solve(x, s.Iterate, defaultFixPoint(o.FixPoint))
+	conv, err := ws.Solve(x, s.Iterate, o.FixPoint)
 	if err != nil {
 		// Divergence and budget exhaustion are how an analytical latency
 		// model expresses operation beyond its saturation point; anything

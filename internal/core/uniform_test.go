@@ -14,7 +14,7 @@ func TestUniformParamsValidate(t *testing.T) {
 		{K: 16, Dims: 2, V: 2, Lm: 32, Lambda: 1e-3},
 		{K: 16, V: 1, Lm: 32, Lambda: 1e-3},
 	} {
-		if err := validateSpec("uniform", good); err != nil {
+		if err := ValidateSpec("uniform", good, Options{}); err != nil {
 			t.Fatalf("good spec %+v rejected: %v", good, err)
 		}
 	}
@@ -31,7 +31,7 @@ func TestUniformParamsValidate(t *testing.T) {
 		{Spec{K: 16, Dims: 2, V: 2, Lm: 32, Lambda: math.NaN()}, "lambda"},
 	}
 	for i, tc := range bad {
-		if f := fieldOf(validateSpec("uniform", tc.s)); f != tc.field {
+		if f := fieldOf(ValidateSpec("uniform", tc.s, Options{})); f != tc.field {
 			t.Errorf("bad spec %d (%+v) rejected on field %q, want %q", i, tc.s, f, tc.field)
 		}
 	}

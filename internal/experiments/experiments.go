@@ -5,6 +5,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -153,21 +154,26 @@ func RunSim(ctx context.Context, model string, p Panel, lambda float64, budget S
 }
 
 // ModelCurve evaluates only the analytical side of a panel under the named
-// model variant (cheap; used by examples and the saturation studies).
-func ModelCurve(model string, p Panel, opts core.Options) []Point {
+// model variant (cheap; used by the ablation benchmarks). A saturated load
+// is a NaN, ModelSaturated point; any other solve error (an unknown model,
+// a bad option, a spec the variant rejects) fails the curve.
+func ModelCurve(model string, p Panel, opts core.Options) ([]Point, error) {
 	points := make([]Point, 0, len(p.Lambdas))
 	for _, lam := range p.Lambdas {
 		pt := Point{Lambda: lam}
 		res, err := core.Solve(model, p.Spec(lam), opts)
-		if err != nil {
+		switch {
+		case errors.Is(err, core.ErrSaturated):
 			pt.Model = math.NaN()
 			pt.ModelSaturated = true
-		} else {
+		case err != nil:
+			return nil, fmt.Errorf("experiments: %s model at lambda %v: %w", p.ID, lam, err)
+		default:
 			pt.Model = res.Latency
 		}
 		points = append(points, pt)
 	}
-	return points
+	return points, nil
 }
 
 // SaturationPoint locates the named model variant's saturation load for a

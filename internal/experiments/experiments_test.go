@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -83,9 +84,16 @@ func TestRunModelAndSaturation(t *testing.T) {
 	}
 }
 
+// TestModelCurveMarksSaturation: saturated loads become NaN,
+// ModelSaturated points, while an error that is not saturation — here a
+// retired blocking form, which core.Solve refuses as a field error —
+// fails the curve instead of masquerading as a saturated one.
 func TestModelCurveMarksSaturation(t *testing.T) {
 	p, _ := PanelByID("fig1-h70")
-	pts := ModelCurve(DefaultModel, p, core.Options{})
+	pts, err := ModelCurve(DefaultModel, p, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pts) != len(p.Lambdas) {
 		t.Fatalf("%d points", len(pts))
 	}
@@ -101,6 +109,12 @@ func TestModelCurveMarksSaturation(t *testing.T) {
 	}
 	if finite == 0 {
 		t.Error("no finite model points on the h=70% panel")
+	}
+
+	retired, err := ModelCurve(DefaultModel, p, core.Options{Blocking: 2})
+	var fe *core.FieldError
+	if !errors.As(err, &fe) || fe.Field != "options.blocking" || retired != nil {
+		t.Errorf("retired blocking form 2: points %v, err %v, want no curve and an options.blocking field error", retired, err)
 	}
 }
 

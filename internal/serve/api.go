@@ -244,8 +244,10 @@ type BatchSolveResponse struct {
 // BatchSolveItem is one spec's outcome. Status is "ok" (Result set),
 // "saturated" (the model's real answer at this load — Detail explains),
 // "invalid" (the spec failed validation — Fields name the bad field), or
-// "error" (the solver failed). Cache mirrors SolveResponse.Cache for the
-// statuses that reached the cache.
+// "error" (the solver failed, or surface mode found no surface for the
+// shape — Detail then names the replica that owns it, when another one
+// does). Cache mirrors SolveResponse.Cache for the statuses that reached
+// the cache.
 type BatchSolveItem struct {
 	Status    string       `json:"status"`
 	Cache     string       `json:"cache,omitempty"`

@@ -1,14 +1,19 @@
 package serve
 
 import (
+	"fmt"
 	"math"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"kncube/internal/core"
 	"kncube/internal/experiments"
 	"kncube/internal/stats"
+	"kncube/internal/surface"
 	"kncube/internal/telemetry"
 )
 
@@ -61,59 +66,164 @@ func TestBatchSolveAccelerationSharesSingleSolveKeys(t *testing.T) {
 	}
 }
 
+// singleClass is the outcome class of a /v1/solve response in the batch
+// item vocabulary: ok, saturated, invalid (a 400) or error (any other
+// refusal or failure).
+func singleClass(t *testing.T, rr *httptest.ResponseRecorder) string {
+	t.Helper()
+	switch rr.Code {
+	case http.StatusOK:
+		if decodeBody[SolveResponse](t, rr).Saturated {
+			return "saturated"
+		}
+		return "ok"
+	case http.StatusBadRequest:
+		return "invalid"
+	}
+	return "error"
+}
+
+// sameResult reports whether two results carry the same numbers, bit for
+// bit (both nil counts as the same).
+func sameResult(a, b *SolveResult) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	bits := math.Float64bits
+	return bits(a.Latency) == bits(b.Latency) && bits(a.Regular) == bits(b.Regular) &&
+		bits(a.Hot) == bits(b.Hot) && bits(a.SourceWait) == bits(b.SourceWait) &&
+		bits(a.VBar) == bits(b.VBar) && a.Iterations == b.Iterations &&
+		bits(a.Residual) == bits(b.Residual)
+}
+
 // TestBatchSolveMatchesSingleSolves is the batch endpoint's core contract:
-// each item of a POST /v1/solve:batch answer is bit-for-bit the response the
-// same spec gets from POST /v1/solve — the shared preparation is a cost
-// optimisation, never an arithmetic change.
+// each item of a POST /v1/solve:batch answer is the answer the same spec
+// gets from POST /v1/solve — bit for bit in its numbers, and the same in
+// cache, source, surface id, error estimate and outcome class — whichever
+// way the pipeline answers it: a clean exact solve, a saturation, an
+// invalid spec, an auto-mode surface hit, an auto-mode fallback to the
+// exact solver, or a surface-mode spec with no surface. The batch and the
+// single solves each run on a cold server holding the same surface; on
+// the batch's server, the single solves then hit the entries the items
+// populated (one cache, one key space).
 func TestBatchSolveMatchesSingleSolves(t *testing.T) {
-	h := New(Config{}).Handler()
-	req := batchRequest()
+	sfc, err := surface.Build(surface.Def{
+		Model: experiments.DefaultModel, K: 8, V: 2, Lm: 16,
+		Hs:      []float64{0.1, 0.2},
+		Lambdas: []float64{5e-5, 1e-4, 1.5e-4, 2e-4, 2.5e-4, 3e-4},
+	}, surface.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	newHandler := func() http.Handler {
+		s := New(Config{RuntimeMetricsInterval: -1})
+		s.surfaces.Add(sfc, "")
+		return s.Handler()
+	}
+	batched, single := newHandler(), newHandler()
 
-	rr := postJSON(t, h, "/v1/solve:batch", req)
-	if rr.Code != http.StatusOK {
-		t.Fatalf("status = %d, body %s, want 200", rr.Code, rr.Body.String())
-	}
-	resp := decodeBody[BatchSolveResponse](t, rr)
-	if resp.Model != experiments.DefaultModel {
-		t.Errorf("model = %q, want the default", resp.Model)
-	}
-	if len(resp.Items) != len(req.Items) {
-		t.Fatalf("%d items for %d specs", len(resp.Items), len(req.Items))
-	}
-	for i, bs := range req.Items {
-		it := resp.Items[i]
-		if it.Status != "ok" || it.Result == nil {
-			t.Fatalf("item %d: status %q, detail %q — want ok with a result", i, it.Status, it.Detail)
-		}
-		if it.Cache != cacheMiss {
-			t.Errorf("item %d: cache %q on a cold server, want miss", i, it.Cache)
-		}
-		single := decodeBody[SolveResponse](t, postJSON(t, h, "/v1/solve", SolveRequest{
-			K: bs.K, Dims: bs.Dims, V: bs.V, Lm: bs.Lm, H: bs.H, Lambda: bs.Lambda,
-		}))
-		if single.Result == nil {
-			t.Fatalf("item %d: single solve returned no result", i)
-		}
-		// The single solve must have been served from the entry the batch
-		// item populated: one cache, one key space.
-		if single.Cache != cacheHit {
-			t.Errorf("item %d: single solve after batch: cache %q, want hit", i, single.Cache)
-		}
-		if math.Float64bits(it.Result.Latency) != math.Float64bits(single.Result.Latency) {
-			t.Errorf("item %d: batch latency %.17g, single %.17g — not bit-identical",
-				i, it.Result.Latency, single.Result.Latency)
-		}
-		if it.Result.Iterations != single.Result.Iterations {
-			t.Errorf("item %d: batch iterations %d, single %d", i, it.Result.Iterations, single.Result.Iterations)
-		}
-	}
+	exact := batchRequest()
+	exact.Items = append(exact.Items,
+		BatchSpec{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 0.01}, // far beyond saturation
+		BatchSpec{K: 1, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4})  // radix below the 2D minimum
+	auto := BatchSolveRequest{Options: &SolveOptions{Mode: ModeAuto}, Items: []BatchSpec{
+		{K: 8, V: 2, Lm: 16, H: 0.15, Lambda: 1.25e-4}, // inside the grid: interpolated
+		{K: 8, V: 2, Lm: 16, H: 0.15, Lambda: 2.5e-5},  // below the λ axis: exact fallback
+	}}
+	noSurface := BatchSolveRequest{Options: &SolveOptions{Mode: ModeSurface}, Items: []BatchSpec{
+		{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4},
+	}}
+	want := map[string]int{"ok": 6, "saturated": 1, "invalid": 1, "error": 1}
+	got := map[string]int{}
+	surfaceHits := 0
 
-	// A repeat batch is served wholly from the cache.
-	again := decodeBody[BatchSolveResponse](t, postJSON(t, h, "/v1/solve:batch", req))
-	for i, it := range again.Items {
-		if it.Cache != cacheHit {
-			t.Errorf("repeat batch item %d: cache %q, want hit", i, it.Cache)
+	for _, req := range []BatchSolveRequest{exact, auto, noSurface} {
+		rr := postJSON(t, batched, "/v1/solve:batch", req)
+		if rr.Code != http.StatusOK {
+			t.Fatalf("batch status = %d, body %s, want 200", rr.Code, rr.Body.String())
 		}
+		resp := decodeBody[BatchSolveResponse](t, rr)
+		if resp.Model != experiments.DefaultModel {
+			t.Errorf("model = %q, want the default", resp.Model)
+		}
+		if len(resp.Items) != len(req.Items) {
+			t.Fatalf("%d items for %d specs", len(resp.Items), len(req.Items))
+		}
+		for i, bs := range req.Items {
+			it := resp.Items[i]
+			got[it.Status]++
+			name := fmt.Sprintf("mode %v item %+v", req.Options, bs)
+			sreq := SolveRequest{K: bs.K, Dims: bs.Dims, V: bs.V, Lm: bs.Lm, H: bs.H, Lambda: bs.Lambda,
+				Options: req.Options}
+			srr := postJSON(t, single, "/v1/solve", sreq)
+			if class := singleClass(t, srr); it.Status != class {
+				t.Errorf("%s: batch status %q, single %d (%s)", name, it.Status, srr.Code, class)
+				continue
+			}
+			switch it.Status {
+			case "ok", "saturated":
+				one := decodeBody[SolveResponse](t, srr)
+				// An item carries cache only where the cache was consulted.
+				cache := one.Cache
+				if one.Source == ModeSurface {
+					cache = ""
+					surfaceHits++
+				}
+				if !sameResult(it.Result, one.Result) {
+					t.Errorf("%s: batch result %+v, single %+v — not bit-identical", name, it.Result, one.Result)
+				}
+				if it.Cache != cache || it.Source != one.Source || it.SurfaceID != one.SurfaceID ||
+					math.Float64bits(it.ErrorEstimate) != math.Float64bits(one.ErrorEstimate) {
+					t.Errorf("%s: batch cache %q source %q surface %q estimate %v, single %q %q %q %v", name,
+						it.Cache, it.Source, it.SurfaceID, it.ErrorEstimate,
+						one.Cache, one.Source, one.SurfaceID, one.ErrorEstimate)
+				}
+				if it.Saturated != one.Saturated || it.Detail != one.Detail {
+					t.Errorf("%s: batch saturated %v detail %q, single %v %q", name,
+						it.Saturated, it.Detail, one.Saturated, one.Detail)
+				}
+				if it.Cache == "" {
+					continue
+				}
+				// The single solve on the batch's server is served from the
+				// entry the item populated.
+				again := decodeBody[SolveResponse](t, postJSON(t, batched, "/v1/solve", sreq))
+				if again.Cache != cacheHit || !sameResult(again.Result, it.Result) {
+					t.Errorf("%s: single solve after the batch: cache %q, result %+v, want a hit of %+v",
+						name, again.Cache, again.Result, it.Result)
+				}
+			case "invalid":
+				one := decodeBody[ErrorResponse](t, srr)
+				if it.Detail != one.Error || !reflect.DeepEqual(it.Fields, one.Fields) {
+					t.Errorf("%s: batch detail %q fields %+v, single %q %+v", name, it.Detail, it.Fields, one.Error, one.Fields)
+				}
+				if it.Cache != "" || it.Source != "" || it.Result != nil {
+					t.Errorf("%s: invalid item carries cache/source/result: %+v", name, it)
+				}
+			case "error":
+				one := decodeBody[ErrorResponse](t, srr)
+				key := surface.ShapeKey(experiments.DefaultModel,
+					core.Spec{K: bs.K, Dims: bs.Dims, V: bs.V, Lm: bs.Lm, H: bs.H}, core.Options{})
+				if srr.Code != http.StatusConflict || !strings.Contains(it.Detail, key) || !strings.Contains(one.Error, key) {
+					t.Errorf("%s: single %d %q, batch detail %q — want both to name shape %s",
+						name, srr.Code, one.Error, it.Detail, key)
+				}
+				if it.Cache != "" || it.Source != "" || it.Result != nil {
+					t.Errorf("%s: no-surface item carries cache/source/result: %+v", name, it)
+				}
+			}
+		}
+
+		// A repeat batch is served wholly from the cache where it reached it.
+		again := decodeBody[BatchSolveResponse](t, postJSON(t, batched, "/v1/solve:batch", req))
+		for i, it := range again.Items {
+			if resp.Items[i].Cache != "" && it.Cache != cacheHit {
+				t.Errorf("repeat batch item %d: cache %q, want hit", i, it.Cache)
+			}
+		}
+	}
+	if !reflect.DeepEqual(got, want) || surfaceHits != 1 {
+		t.Errorf("batch statuses %v with %d surface hits, want %v with 1", got, surfaceHits, want)
 	}
 }
 

@@ -12,8 +12,9 @@ import (
 // land in the registry's series under the same names and labels.
 func TestMetricHandlesResolvedOnce(t *testing.T) {
 	s := New(Config{RuntimeMetricsInterval: -1})
+	solves := solveCall{model: "hotspot-2d", counts: s.solvesTotal}
 	record := func() {
-		s.countSolve("hotspot-2d", "ok")
+		solves.count("ok")
 		s.shedTotal.get("draining").Inc()
 		s.batchItemsTotal.get([2]string{"uniform", "saturated"}).Inc()
 		s.solveSeconds.Observe(1e-3)
@@ -51,13 +52,14 @@ func TestCounterCacheConcurrentFirstUse(t *testing.T) {
 	s := New(Config{RuntimeMetricsInterval: -1})
 	const goroutines, each = 8, 50
 	outcomes := []string{"ok", "saturated", "cancelled"}
+	solves := solveCall{model: "ndim", counts: s.solvesTotal}
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				s.countSolve("ndim", outcomes[i%len(outcomes)])
+				solves.count(outcomes[i%len(outcomes)])
 			}
 		}()
 	}

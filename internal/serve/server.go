@@ -9,7 +9,6 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -343,17 +342,6 @@ func (s *Server) shed(w http.ResponseWriter, status int, reason string) {
 	writeJSON(w, status, ErrorResponse{Error: "overloaded: " + reason})
 }
 
-// deadline is the solve timeout for a request asking for timeoutMS: the
-// server's RequestTimeout, shortened (never lengthened) by a positive
-// request value. The comparison runs in milliseconds so a huge request
-// value cannot overflow time.Duration.
-func (s *Server) deadline(timeoutMS int64) time.Duration {
-	if timeoutMS > 0 && timeoutMS < s.cfg.RequestTimeout.Milliseconds() {
-		return time.Duration(timeoutMS) * time.Millisecond
-	}
-	return s.cfg.RequestTimeout
-}
-
 // decodeStrict decodes a JSON body rejecting unknown fields, so client
 // typos surface as 400s instead of silently-defaulted parameters.
 func decodeStrict(r *http.Request, v any) error {
@@ -365,124 +353,76 @@ func decodeStrict(r *http.Request, v any) error {
 	return nil
 }
 
-// handleSolve is POST /v1/solve: validate (reusing Solver.Validate through
-// the registry factory), admit, and answer through the solve cache with
-// the request deadline plumbed into the fixed-point iteration.
-// countSolve records one answered /v1/solve outcome. It is the single
-// registration site for khs_serve_solves_total: exact solves and
-// interpolated surface hits both count here.
-func (s *Server) countSolve(model, outcome string) {
-	s.solvesTotal.get([2]string{model, outcome}).Inc()
-}
-
+// handleSolve is POST /v1/solve: the preamble and spec validation, then
+// the surface step before admission (a hit answers in microseconds
+// without a slot, a cache entry or a solver iteration), then admission and
+// the exact step under the request deadline, plumbed into the fixed-point
+// iteration.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	var req SolveRequest
 	if err := decodeStrict(r, &req); err != nil {
 		writeFieldIssues(w, FieldIssue{Field: "body", Reason: err.Error()})
 		return
 	}
-	model := req.Model
-	if model == "" {
-		model = experiments.DefaultModel
-	}
-	opts, issue := req.Options.toCore()
-	if issue != nil {
-		writeFieldIssues(w, *issue)
-		return
-	}
-	mode, issue := req.Options.mode()
+	c, issue := s.preamble(req.Model, req.Options, req.TimeoutMS, s.solvesTotal)
 	if issue != nil {
 		writeFieldIssues(w, *issue)
 		return
 	}
 	spec := core.Spec{K: req.K, Dims: req.Dims, V: req.V, Lm: req.Lm, H: req.H, Lambda: req.Lambda}
-	if req.TimeoutMS < 0 {
-		writeFieldIssues(w, FieldIssue{Field: "timeout_ms", Reason: "must be >= 0"})
-		return
-	}
 	// Validation before admission: rejecting a bad spec is cheap and must
 	// never consume a solve slot or reach the cache.
-	sol, err := core.NewSolver(model, spec, opts)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := sol.Validate(); err != nil {
+	if err := core.ValidateSpec(c.model, spec, c.opts); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 
-	// Surface modes try the interpolated path first — a hit answers in
-	// microseconds without an admission slot, a cache entry, or a solver
-	// iteration. A refusal (no surface, near-frontier, out-of-grid, or an
-	// estimate above threshold) falls through to the exact path below.
-	if mode != ModeExact {
-		if s.answerFromSurface(w, r, mode, model, spec, opts) {
+	if c.mode != ModeExact {
+		_, sp := span.StartChild(r.Context(), "surface.lookup",
+			span.String("mode", c.mode),
+			span.String("model", c.model),
+			span.Float64("lambda", spec.Lambda))
+		a, done := c.fromSurface(spec)
+		switch {
+		case !done:
+			sp.SetAttr("outcome", "fallback")
+			sp.SetAttr("reason", fallbackReason(a.err))
+		case a.shape != "":
+			sp.SetAttr("outcome", "no-surface")
+		default:
+			sp.SetAttr("outcome", "hit")
+			sp.SetAttr("surface_id", a.surfaceID)
+			sp.SetAttr("err_estimate", a.errEstimate)
+		}
+		sp.End()
+		if done {
+			c.writeSolve(w, a)
 			return
 		}
 	}
 
-	if !s.admit(w, r) {
+	release := s.admit(w, r)
+	if release == nil {
 		return
 	}
-	defer func() {
-		<-s.slots
-		s.inflight.Add(-1)
-	}()
+	defer release()
 
-	timeout := s.deadline(req.TimeoutMS)
 	cctx, csp := span.StartChild(r.Context(), "cache")
-	ctx, cancel := context.WithTimeout(cctx, timeout)
+	ctx, cancel := context.WithTimeout(cctx, c.timeout)
 	defer cancel()
-
-	runner := newSolveRunner(ctx, model, opts)
+	runner := newSolveRunner(ctx, c.model, c.opts)
 	start := time.Now()
-	res, how, err := s.cache.do(ctx, solveKey(model, spec, opts),
-		func(ctx context.Context) (*core.SolveResult, error) {
-			return runner.solve(ctx, spec)
-		})
-	csp.SetAttr("outcome", how)
-	if how == cacheMiss {
+	a := c.exact(ctx, runner, spec)
+	csp.SetAttr("outcome", a.cache)
+	if a.cache == cacheMiss {
 		// Miss leaders carry the full solver span tree — the interesting
 		// traces; hits and coalesced followers are ratio-sampled.
 		csp.Keep("cache-miss")
 	}
 	csp.End()
-	span.FromContext(r.Context()).SetAttr("cache", how)
+	span.FromContext(r.Context()).SetAttr("cache", a.cache)
 	s.solveSeconds.Observe(time.Since(start).Seconds())
-
-	outcome := "ok"
-	switch {
-	case errors.Is(err, core.ErrSaturated):
-		outcome = "saturated"
-	case isCancellation(err):
-		outcome = "cancelled"
-	case err != nil:
-		outcome = "error"
-	}
-	s.countSolve(model, outcome)
-
-	switch {
-	case err == nil:
-		writeJSON(w, http.StatusOK, SolveResponse{
-			Model: model, Cache: how, Source: ModeExact, Result: toAPIResult(res),
-		})
-	case errors.Is(err, core.ErrSaturated):
-		// Saturation is the model's answer, not a failure: the configuration
-		// has no finite latency at this load.
-		writeJSON(w, http.StatusOK, SolveResponse{
-			Model: model, Cache: how, Source: ModeExact, Saturated: true, Detail: err.Error(),
-		})
-	case errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusGatewayTimeout,
-			fmt.Errorf("solve exceeded its deadline (%s): %w", timeout, err))
-	case errors.Is(err, context.Canceled):
-		// The client went away; nobody reads this, but close the exchange
-		// coherently.
-		writeError(w, http.StatusServiceUnavailable, err)
-	default:
-		writeError(w, http.StatusInternalServerError, err)
-	}
+	c.writeSolve(w, a)
 }
 
 // maxBatchItems bounds one POST /v1/solve:batch request. Larger workloads
@@ -536,125 +476,70 @@ func sweepLimitIssue(req *SweepRequest, budget experiments.SimBudget) *FieldIssu
 }
 
 // handleSolveBatch is POST /v1/solve:batch: many specs of one model through
-// one admission slot. Request-level validation (model, options, item count)
-// happens before admission; per-item spec validation and solves run inside
-// it, reusing one prepared solver per distinct topology shape across the
-// cache misses. Per-item failures never fail the batch — only a deadline or
-// client hang-up aborts it.
+// one admission slot. The preamble and the item count are checked before
+// admission; each item then runs the per-spec pipeline inside it, reusing
+// one prepared solver per distinct topology shape across the cache misses.
+// Per-item failures never fail the batch — only a deadline or client
+// hang-up aborts it.
 func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchSolveRequest
 	if err := decodeStrict(r, &req); err != nil {
 		writeFieldIssues(w, FieldIssue{Field: "body", Reason: err.Error()})
 		return
 	}
-	model := req.Model
-	if model == "" {
-		model = experiments.DefaultModel
+	c, issue := s.preamble(req.Model, req.Options, req.TimeoutMS, s.batchItemsTotal)
+	if issue == nil && len(req.Items) == 0 {
+		issue = &FieldIssue{Field: "items", Reason: "required: at least one spec"}
 	}
-	if !slices.Contains(core.Solvers(), model) {
-		writeFieldIssues(w, FieldIssue{Field: "model",
-			Reason: fmt.Sprintf("unknown model %q (registered: %v)", model, core.Solvers())})
-		return
+	if issue == nil && len(req.Items) > maxBatchItems {
+		issue = &FieldIssue{Field: "items",
+			Reason: fmt.Sprintf("batch of %d items exceeds the %d-item cap", len(req.Items), maxBatchItems)}
 	}
-	opts, issue := req.Options.toCore()
 	if issue != nil {
 		writeFieldIssues(w, *issue)
 		return
 	}
-	mode, issue := req.Options.mode()
-	if issue != nil {
-		writeFieldIssues(w, *issue)
-		return
-	}
-	if req.TimeoutMS < 0 {
-		writeFieldIssues(w, FieldIssue{Field: "timeout_ms", Reason: "must be >= 0"})
-		return
-	}
-	if len(req.Items) == 0 {
-		writeFieldIssues(w, FieldIssue{Field: "items", Reason: "required: at least one spec"})
-		return
-	}
-	if len(req.Items) > maxBatchItems {
-		writeFieldIssues(w, FieldIssue{Field: "items",
-			Reason: fmt.Sprintf("batch of %d items exceeds the %d-item cap", len(req.Items), maxBatchItems)})
-		return
-	}
 
-	if !s.admit(w, r) {
+	release := s.admit(w, r)
+	if release == nil {
 		return
 	}
-	defer func() {
-		<-s.slots
-		s.inflight.Add(-1)
-	}()
-
-	timeout := s.deadline(req.TimeoutMS)
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	defer release()
+	ctx, cancel := context.WithTimeout(r.Context(), c.timeout)
 	defer cancel()
 
 	s.batchSize.Observe(float64(len(req.Items)))
 	start := time.Now()
 	defer func() { s.batchSeconds.Observe(time.Since(start).Seconds()) }()
-	itemOutcome := func(outcome string) {
-		s.batchItemsTotal.get([2]string{model, outcome}).Inc()
-	}
 
-	runner := newSolveRunner(ctx, model, opts)
+	// Every item is counted by its status: invalid specs and surface-mode
+	// items without a surface here, answered ones by the pipeline steps.
+	runner := newSolveRunner(ctx, c.model, c.opts)
 	items := make([]BatchSolveItem, len(req.Items))
 	for i, bs := range req.Items {
 		spec := core.Spec{K: bs.K, Dims: bs.Dims, V: bs.V, Lm: bs.Lm, H: bs.H, Lambda: bs.Lambda}
-		item := &items[i]
-		sol, err := core.NewSolver(model, spec, opts)
-		if err == nil {
-			err = sol.Validate()
-		}
-		if err != nil {
-			item.Status = "invalid"
-			item.Detail = err.Error()
-			item.Fields = fieldIssues(err)
-			itemOutcome("invalid")
+		if err := core.ValidateSpec(c.model, spec, c.opts); err != nil {
+			items[i] = BatchSolveItem{Status: "invalid", Detail: err.Error(), Fields: fieldIssues(err)}
+			c.count("invalid")
 			continue
 		}
-		// Surface modes answer covered items by interpolation; refusals
-		// fall through to the exact path (except a surface-mode item whose
-		// shape has no surface at all, which is the item's error).
-		if mode != ModeExact {
-			if done := s.batchItemFromSurface(item, mode, model, spec, opts, itemOutcome); done {
-				continue
-			}
+		a, done := answer{}, false
+		if c.mode != ModeExact {
+			a, done = c.fromSurface(spec)
 		}
-		res, how, err := s.cache.do(ctx, solveKey(model, spec, opts),
-			func(ctx context.Context) (*core.SolveResult, error) {
-				return runner.solve(ctx, spec)
-			})
-		item.Cache = how
-		item.Source = ModeExact
 		switch {
-		case err == nil:
-			item.Status = "ok"
-			item.Result = toAPIResult(res)
-			itemOutcome("ok")
-		case errors.Is(err, core.ErrSaturated):
-			item.Status = "saturated"
-			item.Saturated = true
-			item.Detail = err.Error()
-			itemOutcome("saturated")
-		case errors.Is(err, context.DeadlineExceeded):
-			itemOutcome("cancelled")
-			writeError(w, http.StatusGatewayTimeout,
-				fmt.Errorf("batch item %d exceeded the request deadline (%s): %w", i, timeout, err))
-			return
-		case errors.Is(err, context.Canceled):
-			itemOutcome("cancelled")
-			writeError(w, http.StatusServiceUnavailable, err)
-			return
-		default:
-			item.Status = "error"
-			item.Detail = err.Error()
-			itemOutcome("error")
+		case !done:
+			a = c.exact(ctx, runner, spec)
+		case a.shape != "":
+			c.count("error") // surface mode, and no surface for the shape
 		}
+		if a.outcome == "cancelled" {
+			writeCancelled(w, a.err, fmt.Sprintf("batch item %d exceeded the request deadline", i), c.timeout)
+			return
+		}
+		items[i] = c.batchItem(a)
 	}
-	writeJSON(w, http.StatusOK, BatchSolveResponse{Model: model, Items: items})
+	writeJSON(w, http.StatusOK, BatchSolveResponse{Model: c.model, Items: items})
 }
 
 // handleSweepCreate is POST /v1/sweeps: resolve the panel, build a Sweep
@@ -674,13 +559,9 @@ func (s *Server) handleSweepCreate(w http.ResponseWriter, r *http.Request) {
 		writeFieldIssues(w, FieldIssue{Field: "panel", Reason: err.Error()})
 		return
 	}
-	model := req.Model
-	if model == "" {
-		model = experiments.DefaultModel
-	}
-	if !slices.Contains(core.Solvers(), model) {
-		writeFieldIssues(w, FieldIssue{Field: "model",
-			Reason: fmt.Sprintf("unknown model %q (registered: %v)", model, core.Solvers())})
+	model, issue := checkModel(req.Model)
+	if issue != nil {
+		writeFieldIssues(w, *issue)
 		return
 	}
 	if req.Points < 0 || req.Reps < 0 || req.Jobs < 0 {

@@ -5,11 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"slices"
 	"time"
 
 	"kncube/internal/core"
-	"kncube/internal/experiments"
 	"kncube/internal/surface"
 	"kncube/internal/telemetry/span"
 )
@@ -37,84 +35,6 @@ func (s *Server) LoadSurfaces() (int, error) {
 	return len(entries), nil
 }
 
-// lookupOptions maps the serving mode onto store lookup bounds: auto
-// enforces the configured error-estimate threshold, surface mode serves
-// any covering interpolation (its bound is the grid itself).
-func (s *Server) lookupOptions(mode string) surface.LookupOptions {
-	if mode == ModeAuto {
-		return surface.LookupOptions{MaxErrEstimate: s.cfg.SurfaceMaxError}
-	}
-	return surface.LookupOptions{}
-}
-
-// answerFromSurface tries to serve one /v1/solve request from the surface
-// store under a "surface.lookup" child span. It returns true when the
-// request has been fully answered: an interpolated hit, or a surface-mode
-// request whose shape has no surface at all (409 — the client asked for a
-// surface answer that cannot exist until one is built). Range, frontier,
-// and estimate refusals return false so the caller falls back to the
-// exact solver.
-func (s *Server) answerFromSurface(w http.ResponseWriter, r *http.Request, mode, model string, spec core.Spec, opts core.Options) bool {
-	_, sp := span.StartChild(r.Context(), "surface.lookup",
-		span.String("mode", mode),
-		span.String("model", model),
-		span.Float64("lambda", spec.Lambda))
-	defer sp.End()
-
-	lk, e, err := s.surfaces.Lookup(model, spec, opts, s.lookupOptions(mode))
-	if err == nil {
-		sp.SetAttr("outcome", "hit")
-		sp.SetAttr("surface_id", e.ID)
-		sp.SetAttr("err_estimate", lk.ErrEstimate)
-		s.countSolve(model, "ok")
-		writeJSON(w, http.StatusOK, SolveResponse{
-			Model: model, Cache: "bypass", Source: ModeSurface,
-			SurfaceID: e.ID, ErrorEstimate: lk.ErrEstimate,
-			Result: lookupResult(lk),
-		})
-		return true
-	}
-	if mode == ModeSurface && errors.Is(err, surface.ErrNoSurface) {
-		sp.SetAttr("outcome", "no-surface")
-		key := surface.ShapeKey(model, spec, opts)
-		if owner := s.ring.Owner(key); owner != s.ring.Self() {
-			writeError(w, http.StatusMisdirectedRequest,
-				fmt.Errorf("serve: shape %s is owned by replica %q, not %q: %w", key, owner, s.ring.Self(), err))
-			return true
-		}
-		writeError(w, http.StatusConflict,
-			fmt.Errorf("serve: mode \"surface\" but no surface covers shape %s (build one via POST /v1/surfaces): %w", key, err))
-		return true
-	}
-	sp.SetAttr("outcome", "fallback")
-	sp.SetAttr("reason", fallbackReason(err))
-	return false
-}
-
-// batchItemFromSurface is answerFromSurface's per-batch-item twin: it
-// fills item and reports done on an interpolated hit or a surface-mode
-// no-surface error; false means the item proceeds to the exact path.
-func (s *Server) batchItemFromSurface(item *BatchSolveItem, mode, model string, spec core.Spec, opts core.Options, itemOutcome func(string)) bool {
-	lk, e, err := s.surfaces.Lookup(model, spec, opts, s.lookupOptions(mode))
-	if err == nil {
-		item.Status = "ok"
-		item.Source = ModeSurface
-		item.SurfaceID = e.ID
-		item.ErrorEstimate = lk.ErrEstimate
-		item.Result = lookupResult(lk)
-		itemOutcome("ok")
-		return true
-	}
-	if mode == ModeSurface && errors.Is(err, surface.ErrNoSurface) {
-		item.Status = "error"
-		item.Detail = fmt.Sprintf("mode %q but no surface covers shape %s: %v",
-			mode, surface.ShapeKey(model, spec, opts), err)
-		itemOutcome("error")
-		return true
-	}
-	return false
-}
-
 // fallbackReason classifies a lookup refusal for span attributes, keeping
 // attribute cardinality to the three structured causes.
 func fallbackReason(err error) string {
@@ -130,18 +50,6 @@ func fallbackReason(err error) string {
 	}
 }
 
-// lookupResult maps an interpolated lookup onto the shared JSON result
-// shape. Iterations and Residual stay zero: no iteration ran.
-func lookupResult(lk surface.Lookup) *SolveResult {
-	return &SolveResult{
-		Latency:    lk.Latency,
-		Regular:    lk.Regular,
-		Hot:        lk.Hot,
-		SourceWait: lk.SourceWait,
-		VBar:       lk.VBar,
-	}
-}
-
 // handleSurfaceCreate is POST /v1/surfaces: validate the definition,
 // check shard ownership, and launch the grid build as an async job. On
 // completion the surface enters the inventory (and SurfaceDir, when
@@ -152,13 +60,9 @@ func (s *Server) handleSurfaceCreate(w http.ResponseWriter, r *http.Request) {
 		writeFieldIssues(w, FieldIssue{Field: "body", Reason: err.Error()})
 		return
 	}
-	model := req.Model
-	if model == "" {
-		model = experiments.DefaultModel
-	}
-	if !slices.Contains(core.Solvers(), model) {
-		writeFieldIssues(w, FieldIssue{Field: "model",
-			Reason: fmt.Sprintf("unknown model %q (registered: %v)", model, core.Solvers())})
+	model, issue := checkModel(req.Model)
+	if issue != nil {
+		writeFieldIssues(w, *issue)
 		return
 	}
 	opts, issue := req.Options.toCore()
@@ -193,11 +97,7 @@ func (s *Server) handleSurfaceCreate(w http.ResponseWriter, r *http.Request) {
 	// The shape itself must validate before we commit a job slot to it;
 	// probe it at the first grid point.
 	probe := core.Spec{K: req.K, Dims: req.Dims, V: req.V, Lm: req.Lm, H: req.Hs[0], Lambda: req.Lambdas[0]}
-	sol, err := core.NewSolver(model, probe, opts)
-	if err == nil {
-		err = sol.Validate()
-	}
-	if err != nil {
+	if err := core.ValidateSpec(model, probe, opts); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -217,7 +117,7 @@ func (s *Server) handleSurfaceCreate(w http.ResponseWriter, r *http.Request) {
 	link := span.Parent{TraceID: rs.TraceID(), SpanID: rs.SpanID()}
 	fp := opts.FixPoint
 	j := &job{kind: jobKindSurface, key: key, model: model, total: len(req.Hs) * len(req.Lambdas)}
-	j, err = s.jobs.launchJob(s.baseCtx, j, link, func(ctx context.Context, j *job) error {
+	j, err := s.jobs.launchJob(s.baseCtx, j, link, func(ctx context.Context, j *job) error {
 		bo := surface.BuildOptions{
 			FixPoint: fp,
 			Progress: func(done, total int) {

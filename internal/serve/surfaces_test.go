@@ -309,6 +309,32 @@ func TestSurfaceSharding(t *testing.T) {
 	solve.Dims = 2
 	if rr := postJSON(t, h, "/v1/solve", solve); rr.Code != http.StatusMisdirectedRequest {
 		t.Errorf("foreign-shape surface solve with Dims 2: %d, want 421", rr.Code)
+	} else if resp := decodeBody[ErrorResponse](t, rr); !strings.Contains(resp.Error, "replica-b") {
+		t.Errorf("421 body %q does not name the owning replica", resp.Error)
+	}
+	owned := solve
+	owned.K = ownedK
+	if rr := postJSON(t, h, "/v1/solve", owned); rr.Code != http.StatusConflict {
+		t.Errorf("owned-shape surface solve with no surface: %d, want 409", rr.Code)
+	}
+
+	// The same two specs as surface-mode batch items: per-item errors
+	// inside a 200, the foreign one naming its owner, the owned one not.
+	batch := BatchSolveRequest{Options: solve.Options, Items: []BatchSpec{
+		{K: foreignK, V: 2, Lm: 16, H: 0.2, Lambda: 1e-4},
+		{K: ownedK, V: 2, Lm: 16, H: 0.2, Lambda: 1e-4},
+	}}
+	rr = postJSON(t, h, "/v1/solve:batch", batch)
+	if rr.Code != http.StatusOK {
+		t.Fatalf("surface-mode batch: %d, body %s, want 200", rr.Code, rr.Body.String())
+	}
+	items := decodeBody[BatchSolveResponse](t, rr).Items
+	if it := items[0]; it.Status != "error" || !strings.Contains(it.Detail, `owned by replica "replica-b"`) {
+		t.Errorf("foreign-shape surface-mode batch item %+v, want an error naming replica-b", it)
+	}
+	if it := items[1]; it.Status != "error" || strings.Contains(it.Detail, "replica") ||
+		!strings.Contains(it.Detail, "no surface covers") {
+		t.Errorf("owned-shape surface-mode batch item %+v, want a no-surface error naming no replica", it)
 	}
 
 	list := decodeBody[SurfaceList](t, getPath(h, "/v1/surfaces"))

@@ -13,26 +13,30 @@ import (
 // admit runs admission control for a solve-family request under an
 // "admission" child span: the drain check, then the non-blocking slot
 // grab (requests beyond MaxInflight shed rather than queue, so the span
-// is a decision record, not a wait). On false the request has already
-// been answered (503/429) and the caller holds no slot.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
+// is a decision record, not a wait). It returns the function that gives
+// the slot back; nil means the request has already been answered
+// (503/429) and holds no slot.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request) (release func()) {
 	_, adm := span.StartChild(r.Context(), "admission",
 		span.Int("max_inflight", s.cfg.MaxInflight))
 	defer adm.End()
 	if s.draining.Load() {
 		adm.SetAttr("outcome", "shed-draining")
 		s.shed(w, http.StatusServiceUnavailable, "draining")
-		return false
+		return nil
 	}
 	select {
 	case s.slots <- struct{}{}:
 		s.inflight.Add(1)
 		adm.SetAttr("outcome", "admitted")
-		return true
+		return func() {
+			<-s.slots
+			s.inflight.Add(-1)
+		}
 	default:
 		adm.SetAttr("outcome", "shed-inflight")
 		s.shed(w, http.StatusTooManyRequests, "inflight-cap")
-		return false
+		return nil
 	}
 }
 

@@ -211,10 +211,7 @@ func Build(d Def, bo BuildOptions) (*Surface, error) {
 	done := 0
 	for hi, h := range d.Hs {
 		shape := core.Spec{K: d.K, Dims: d.Dims, V: d.V, Lm: d.Lm, H: h}
-		items, err := core.SolveLambdas(d.Model, shape, d.Lambdas, core.GridOptions{
-			BatchOptions:     core.BatchOptions{Options: opts, WarmStart: true},
-			StopAtSaturation: true,
-		})
+		items, err := core.SolveLambdas(d.Model, shape, d.Lambdas, opts)
 		if err != nil {
 			return nil, fmt.Errorf("surface: row h=%v: %w", h, err)
 		}
