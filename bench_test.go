@@ -21,6 +21,7 @@ import (
 	"kncube"
 	"kncube/internal/core"
 	"kncube/internal/experiments"
+	"kncube/internal/fixpoint"
 	"kncube/internal/topology"
 	"kncube/internal/traffic"
 )
@@ -508,6 +509,47 @@ func BenchmarkSurfaceLookup(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkSurfaceBuild times the surface builds a khs-serve warm-up
+// runs: one op builds the six Figure-panel surfaces, each a single h row
+// of four λ knots per panel load point (32 knots), under the default
+// Anderson scheme and under the damped opt-out. iters/op is the summed
+// fixed-point round count of the build solves.
+func BenchmarkSurfaceBuild(b *testing.B) {
+	var defs []kncube.SurfaceDef
+	for _, p := range experiments.Figures() {
+		top := p.Lambdas[len(p.Lambdas)-1]
+		lams := make([]float64, 4*len(p.Lambdas))
+		for i := range lams {
+			lams[i] = top * float64(i+1) / float64(len(lams))
+		}
+		defs = append(defs, kncube.SurfaceDef{Model: experiments.DefaultModel,
+			K: p.K, Dims: 2, V: p.V, Lm: p.Lm, Hs: []float64{p.H}, Lambdas: lams})
+	}
+	for _, sc := range []struct {
+		label string
+		accel kncube.Acceleration
+	}{
+		{"anderson", kncube.AccelAnderson},
+		{"damped", kncube.AccelNone},
+	} {
+		b.Run(sc.label, func(b *testing.B) {
+			var o kncube.SurfaceBuildOptions
+			o.FixPoint.Acceleration = sc.accel
+			iters := 0
+			o.FixPoint.Trace = func(fixpoint.TraceRecord) { iters++ }
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, d := range defs {
+					if _, err := kncube.BuildSurface(d, o); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(iters)/float64(b.N), "iters/op")
+		})
+	}
 }
 
 // BenchmarkSimulatorStep measures the simulator's cycle throughput on the

@@ -18,7 +18,8 @@
 //	khs-figures -timeout 2m            # per-point simulation timeout
 //	khs-figures -model bidirectional-2d  # sweep another model variant
 //	                                     # (simulator channels follow the model)
-//	khs-figures -accel anderson        # accelerate the model solves
+//	khs-figures -accel none            # damped model solves (the default
+//	                                     # is Anderson-accelerated)
 package main
 
 import (
@@ -70,9 +71,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		reps    = fs.Int("reps", 1, "independent replications pooled per point")
 		timeout = fs.Duration("timeout", 0, "per-point simulation timeout (0 = none)")
 		quiet   = fs.Bool("quiet", false, "suppress per-point progress lines")
-		// Fixed-point iteration knobs (DESIGN.md §10). "none" keeps the
-		// damped baseline bit-identical to an unset flag.
-		accel    = fs.String("accel", "none", "fixed-point acceleration scheme for the model solves: none, anderson")
+		// Fixed-point iteration knobs (DESIGN.md §10). "anderson" is the
+		// default; "none" opts out to the damped baseline.
+		accel    = fs.String("accel", "anderson", "fixed-point acceleration scheme for the model solves: anderson, or none for damped substitution")
 		accelWin = fs.Int("accel-window", 0, "Anderson mixing window, past residual differences combined per round (0 = solver default; requires -accel anderson)")
 		// Observability (DESIGN.md §7).
 		logFormat  = fs.String("log-format", "text", "structured log format for progress/status lines: text or json")

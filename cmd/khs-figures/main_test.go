@@ -3,12 +3,15 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"strings"
 	"testing"
 
+	"kncube/internal/core"
 	"kncube/internal/experiments"
+	"kncube/internal/fixpoint"
 	"kncube/internal/telemetry/span"
 )
 
@@ -30,7 +33,7 @@ func TestAccelFlagValidation(t *testing.T) {
 		{"unknown scheme", []string{"-accel", "psychic"}, "acceleration"},
 		{"retired scheme", []string{"-accel", "aitken"}, "acceleration"},
 		{"negative window", []string{"-accel", "anderson", "-accel-window", "-1"}, "non-negative"},
-		{"window without anderson", []string{"-accel-window", "3"}, "anderson"},
+		{"window without anderson", []string{"-accel", "none", "-accel-window", "3"}, "anderson"},
 	} {
 		_, _, err := runFigures(t, tc.args...)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -91,5 +94,73 @@ func TestSpanOutTracesModelSolves(t *testing.T) {
 	}
 	if root := recs[len(recs)-1]; root.Name != "khs-figures" || root.ParentID != "" {
 		t.Errorf("last record %q (parent %q), want the khs-figures root", root.Name, root.ParentID)
+	}
+}
+
+// TestAccelFlagSelectsScheme: the model curve of an unflagged run is
+// solved exactly as under -accel anderson, and -accel none solves it
+// damped, as core.Solve does under AccelNone — every point's rounds and
+// residual agree. The 1ms simulation timeout stops each run right after
+// its model curve; the fixpoint.solve spans carry the convergence
+// summaries.
+func TestAccelFlagSelectsScheme(t *testing.T) {
+	p, err := experiments.PanelByID("fig1-h20")
+	if err != nil {
+		t.Fatal(err)
+	}
+	curve := func(extra ...string) []map[string]any {
+		t.Helper()
+		path := t.TempDir() + "/spans.jsonl"
+		args := append([]string{"-fast", "-panel", p.ID, "-jobs", "1", "-timeout", "1ms", "-quiet", "-span-out", path}, extra...)
+		if _, _, err := runFigures(t, args...); err == nil || !strings.Contains(err.Error(), "deadline") {
+			t.Fatalf("%v: want the per-point timeout error, got %v", extra, err)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		recs, err := span.ReadRecords(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		attrs := make([]map[string]any, len(p.Lambdas))
+		for _, r := range recs {
+			if r.Name == "fixpoint.solve" {
+				idx, _ := r.Attrs["lambda_idx"].(float64)
+				attrs[int(idx)] = r.Attrs
+			}
+		}
+		return attrs
+	}
+	summary := func(a map[string]any) string {
+		return fmt.Sprint(a["iterations"], a["accelerated_rounds"], a["damped_rounds"], a["residual"])
+	}
+	def, anderson, none := curve(), curve("-accel", "anderson"), curve("-accel", "none")
+	for j, lam := range p.Lambdas {
+		if def[j] == nil || anderson[j] == nil || none[j] == nil {
+			t.Fatalf("point %d: a run left no fixpoint.solve span", j)
+		}
+		if got, want := summary(def[j]), summary(anderson[j]); got != want {
+			t.Errorf("λ=%g: unflagged solve %s, -accel anderson %s", lam, got, want)
+		}
+		var o core.Options
+		o.FixPoint.Acceleration = fixpoint.AccelNone
+		r, err := core.Solve(experiments.DefaultModel, p.Spec(lam), o)
+		if errors.Is(err, core.ErrSaturated) {
+			// A refusal carries no summary to compare; the damped run
+			// still takes no accelerated round.
+			if fmt.Sprint(none[j]["accelerated_rounds"]) != "0" {
+				t.Errorf("λ=%g: -accel none took accelerated rounds: %v", lam, none[j])
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("λ=%g: damped core.Solve: %v", lam, err)
+		}
+		c := r.Convergence
+		if got, want := summary(none[j]), fmt.Sprint(c.Iterations, 0, c.DampedRounds, c.Residual); got != want {
+			t.Errorf("λ=%g: -accel none solve %s, damped core.Solve %s", lam, got, want)
+		}
 	}
 }

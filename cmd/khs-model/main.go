@@ -11,7 +11,8 @@
 //	khs-model -model bidirectional-2d -k 16 -h 0.2 -sweep 0.0006 -points 12
 //	khs-model -model uniform -k 16 -saturation
 //	khs-model -model hypercube -k 2 -n 10 -h 0.1 -lambda 0.001
-//	khs-model -k 16 -h 0.2 -sweep 0.0006 -accel anderson -accel-window 4
+//	khs-model -k 16 -h 0.2 -sweep 0.0006 -accel-window 4
+//	khs-model -k 16 -h 0.2 -sweep 0.0006 -accel none
 package main
 
 import (
@@ -69,9 +70,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		sat    = fs.Bool("saturation", false, "locate the saturation rate by bisection")
 		worst  = fs.Bool("worst-case-entrance", false, "use the worst-case entrance policy (ablation A; hotspot-2d only)")
 		paperB = fs.Bool("paper-blocking", false, "use the per-VC M/G/1 blocking form of Eq. 26 (ablation B)")
-		// Fixed-point iteration knobs (DESIGN.md §10). "none" keeps the
-		// damped baseline bit-identical to an unset flag.
-		accel    = fs.String("accel", "none", "fixed-point acceleration scheme: none, anderson")
+		// Fixed-point iteration knobs (DESIGN.md §10). "anderson" is the
+		// default; "none" opts out to the damped baseline.
+		accel    = fs.String("accel", "anderson", "fixed-point acceleration scheme: anderson, or none for damped substitution")
 		accelWin = fs.Int("accel-window", 0, "Anderson mixing window, past residual differences combined per round (0 = solver default; requires -accel anderson)")
 		// Observability (DESIGN.md §7).
 		spanOut    = fs.String("span-out", "", "write kept traces as JSONL span records to this file (truncated if it exists)")

@@ -132,7 +132,7 @@ mean latency           20.16 cycles
   hot-spot             20.24 cycles
 source waiting          0.01 cycles
 multiplexing      V̄=1.004
-convergence       24 iterations, residual 8.83e-10
+convergence       3 iterations, residual 1.57e-12
 detail            Vx=1.004 Vhy=1.006, mean path 4.00 hops
 `
 	if out != want {
@@ -143,21 +143,38 @@ detail            Vx=1.004 Vhy=1.006, mean path 4.00 hops
 	}
 }
 
-// TestAccelFlagBitIdentity: -accel none selects the damped baseline, whose
-// arithmetic is exactly the historical iteration — output must be
-// bit-identical to not passing the flag at all.
+// TestAccelFlagBitIdentity: an unset -accel is -accel anderson, output for
+// output, and -accel none selects the damped baseline, whose arithmetic is
+// exactly the historical iteration: its sweep, round counts included, is
+// what the unflagged run printed while damped substitution was the
+// default.
 func TestAccelFlagBitIdentity(t *testing.T) {
 	args := []string{"-k", "8", "-lm", "16", "-h", "0.2", "-sweep", "4e-4", "-points", "6"}
 	base, _, err := runCLI(t, args...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	anderson, _, err := runCLI(t, append([]string{"-accel", "anderson"}, args...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if anderson != base {
+		t.Fatalf("-accel anderson output differs from the unflagged run:\n%s\nvs\n%s", anderson, base)
+	}
 	none, _, err := runCLI(t, append([]string{"-accel", "none"}, args...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if none != base {
-		t.Fatalf("-accel none output differs from the unflagged run:\n%s\nvs\n%s", none, base)
+	const damped = `lambda,latency,regular,hot,ws,vbar,iterations
+6.66667e-05,23.41,23.37,23.57,0.01,1.010,16
+0.000133333,23.70,23.62,24.02,0.02,1.020,19
+0.0002,23.99,23.87,24.46,0.03,1.030,21
+0.000266667,24.27,24.12,24.90,0.04,1.039,22
+0.000333333,24.56,24.36,25.32,0.04,1.049,23
+0.0004,24.84,24.61,25.75,0.05,1.058,24
+`
+	if none != damped {
+		t.Fatalf("-accel none output differs from the damped default:\n%s\nvs\n%s", none, damped)
 	}
 }
 
@@ -213,7 +230,7 @@ func TestAccelFlagValidation(t *testing.T) {
 		{"unknown scheme", []string{"-accel", "psychic"}},
 		{"retired scheme", []string{"-accel", "aitken"}},
 		{"negative window", []string{"-accel", "anderson", "-accel-window", "-1"}},
-		{"window without anderson", []string{"-accel-window", "3"}},
+		{"window without anderson", []string{"-accel", "none", "-accel-window", "3"}},
 	} {
 		if _, _, err := runCLI(t, append(tc.extra, point...)...); err == nil {
 			t.Errorf("%s (%v) accepted", tc.name, tc.extra)

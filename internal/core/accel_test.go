@@ -34,7 +34,9 @@ func TestAcceleratedMatchesDampedGoldens(t *testing.T) {
 		for _, lambda := range []float64{goldenSpec(name).Lambda, nearSatLambda(name)} {
 			spec := goldenSpec(name)
 			spec.Lambda = lambda
-			damped, err := Solve(name, spec, Options{FixPoint: tight})
+			fd := tight
+			fd.Acceleration = fixpoint.AccelNone
+			damped, err := Solve(name, spec, Options{FixPoint: fd})
 			if err != nil {
 				t.Errorf("Solve(%q, λ=%g) damped: %v", name, lambda, err)
 				continue
@@ -54,21 +56,53 @@ func TestAcceleratedMatchesDampedGoldens(t *testing.T) {
 	}
 }
 
-// TestAccelNoneIsBitIdenticalToDefault pins that requesting AccelNone
-// explicitly changes nothing: the damped baseline arithmetic is untouched by
-// the acceleration layer.
+// TestAccelNoneIsBitIdenticalToDefault pins the opt-out: AccelNone
+// reproduces, bit for bit, the golden latencies the solver answered by
+// default while damped substitution was the default, so the damped
+// baseline arithmetic is untouched by the acceleration layer.
 func TestAccelNoneIsBitIdenticalToDefault(t *testing.T) {
+	dampedDefault := map[string]float64{
+		"hotspot-2d":       50.279061333373619,
+		"bidirectional-2d": 40.892751654238204,
+		"uniform":          49.472803116714566,
+		"hypercube":        36.134133213199313,
+		"ndim":             49.374738316941915,
+	}
 	for _, name := range Solvers() {
-		def, err := Solve(name, goldenSpec(name), Options{})
-		if err != nil {
-			t.Fatalf("Solve(%q): %v", name, err)
-		}
 		none, err := Solve(name, goldenSpec(name), Options{FixPoint: fixpoint.Options{Acceleration: fixpoint.AccelNone}})
 		if err != nil {
 			t.Fatalf("Solve(%q) AccelNone: %v", name, err)
 		}
-		if math.Float64bits(def.Latency) != math.Float64bits(none.Latency) {
-			t.Errorf("%q: AccelNone latency %.17g differs from default %.17g", name, none.Latency, def.Latency)
+		if want := dampedDefault[name]; math.Float64bits(none.Latency) != math.Float64bits(want) {
+			t.Errorf("%q: AccelNone latency %.17g differs from the damped default %.17g", name, none.Latency, want)
+		}
+	}
+}
+
+// TestZeroOptionsSolveIsAnderson pins the default: a zero-value Options
+// solves exactly as an explicit AccelAnderson request does, bit for bit
+// and round for round, at the golden load and near saturation.
+func TestZeroOptionsSolveIsAnderson(t *testing.T) {
+	explicit := Options{FixPoint: fixpoint.Options{Acceleration: fixpoint.AccelAnderson}}
+	for _, name := range Solvers() {
+		for _, lambda := range []float64{goldenSpec(name).Lambda, nearSatLambda(name)} {
+			spec := goldenSpec(name)
+			spec.Lambda = lambda
+			def, err := Solve(name, spec, Options{})
+			if err != nil {
+				t.Fatalf("Solve(%q, λ=%g): %v", name, lambda, err)
+			}
+			acc, err := Solve(name, spec, explicit)
+			if err != nil {
+				t.Fatalf("Solve(%q, λ=%g) Anderson: %v", name, lambda, err)
+			}
+			if math.Float64bits(def.Latency) != math.Float64bits(acc.Latency) || def.Convergence != acc.Convergence {
+				t.Errorf("%q λ=%g: default %.17g %+v, explicit Anderson %.17g %+v",
+					name, lambda, def.Latency, def.Convergence, acc.Latency, acc.Convergence)
+			}
+			if def.Convergence.AcceleratedRounds == 0 {
+				t.Errorf("%q λ=%g: the default solve took no accelerated round", name, lambda)
+			}
 		}
 	}
 }
@@ -81,7 +115,7 @@ func TestAndersonReducesIterationsNearSaturation(t *testing.T) {
 	for _, name := range Solvers() {
 		spec := goldenSpec(name)
 		spec.Lambda = nearSatLambda(name)
-		damped, err := Solve(name, spec, Options{})
+		damped, err := Solve(name, spec, Options{FixPoint: fixpoint.Options{Acceleration: fixpoint.AccelNone}})
 		if err != nil {
 			t.Fatalf("Solve(%q) damped: %v", name, err)
 		}

@@ -91,13 +91,15 @@ func TestSolveBatchMixedShapes(t *testing.T) {
 // TestPreparedSetBound: shapes stay prepared while their summed footprint
 // (state plus fixed-point workspace) fits maxStateSize; the shape that
 // would overflow it drops every solver held before it is added, and
-// revisiting a held shape prepares nothing.
+// revisiting a held shape prepares nothing. Under the default Anderson
+// scheme a solver counts 18 times its state (the state and a Window-5
+// workspace), so two K ≈ 200 tori fit and the third overflows.
 func TestPreparedSetBound(t *testing.T) {
 	set := NewPreparedSet("hotspot-2d", Options{})
 	shape := func(k int) Spec { return Spec{K: k, Dims: 2, V: 2, Lm: 32, H: 0.2, Lambda: 1e-6} }
 	var fit []int // K of the shapes held before the overflow
 	state := 0
-	for k := 600; ; k++ {
+	for k := 200; ; k++ {
 		ps, err := set.Prepare(shape(k))
 		if err != nil {
 			t.Fatal(err)

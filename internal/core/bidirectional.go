@@ -69,6 +69,11 @@ type biModel struct {
 	r        [2]float64   // regular per-channel rate per direction class
 	hx       [2][]float64 // hot rate on x-channels, [dir][1..d[dir]]
 	hy       [2][]float64 // hot rate on hot-column channels, [dir][1..d[dir]]
+	// Channel classes per direction, rebuilt by SetLambda: a channel with
+	// regular traffic only, the hot-column channels and the x-channels,
+	// [dir][1..d[dir]].
+	cQuiet  [2]channel
+	cHy, cX [2][]channel
 
 	pHy, pHyB, pX   float64
 	cXo, cXHy, cXHb float64
@@ -115,6 +120,8 @@ func (m *biModel) Prepare() {
 	for i := 0; i < 2; i++ {
 		m.hx[i] = make([]float64, m.d[i]+1)
 		m.hy[i] = make([]float64, m.d[i]+1)
+		m.cHy[i] = make([]channel, m.d[i]+1)
+		m.cX[i] = make([]channel, m.d[i]+1)
 	}
 	kf := float64(k)
 	if k > 0 {
@@ -161,7 +168,8 @@ func (m *biModel) Prepare() {
 	m.SetLambda(m.s.Lambda)
 }
 
-// SetLambda recomputes the direction-split traffic rates in place.
+// SetLambda recomputes the direction-split traffic rates and the channel
+// classes they load in place.
 //
 //khs:hotpath
 func (m *biModel) SetLambda(lambda float64) {
@@ -179,11 +187,14 @@ func (m *biModel) SetLambda(lambda float64) {
 		if k > 0 {
 			m.r[i] = p.Lambda * (1 - p.H) * float64(sum) / float64(k)
 		}
+		m.cQuiet[i] = m.channel(m.r[i], 0)
 		for j := 1; j <= m.d[i]; j++ {
 			// Sources at direction-i distance >= j cross channel j.
 			count := float64(m.d[i] - j + 1)
 			m.hx[i][j] = p.Lambda * p.H * count
 			m.hy[i][j] = p.Lambda * p.H * float64(k) * count
+			m.cHy[i][j] = m.channel(m.r[i], m.hy[i][j])
+			m.cX[i][j] = m.channel(m.r[i], m.hx[i][j])
 		}
 	}
 }
@@ -286,7 +297,7 @@ func (m *biModel) Iterate(in, out []float64) error {
 
 	var bHyB, bHy, bX [2]float64
 	for i := 0; i < 2; i++ {
-		b, err := m.blocking(m.r[i], entHyB, 0, 0)
+		b, err := m.blocking(&m.cQuiet[i], entHyB, 0)
 		if err != nil {
 			return fmt.Errorf("%w (bi non-hot y, dir %d)", ErrSaturated, i)
 		}
@@ -297,14 +308,14 @@ func (m *biModel) Iterate(in, out []float64) error {
 		// which see the same channels with the same arguments.
 		sum := 0.0
 		for l := 1; l <= m.d[i]; l++ {
-			b, err := m.blocking(m.r[i], entHy, m.hy[i][l], st.shoty[i][l])
+			b, err := m.blocking(&m.cHy[i][l], entHy, st.shoty[i][l])
 			if err != nil {
 				return fmt.Errorf("%w (bi hot column, dir %d ch %d)", ErrSaturated, i, l)
 			}
 			m.bHy[i][l] = b
 			sum += b
 		}
-		bQuiet, err := m.blocking(m.r[i], entHy, 0, 0)
+		bQuiet, err := m.blocking(&m.cQuiet[i], entHy, 0)
 		if err != nil {
 			return fmt.Errorf("%w (bi hot column quiet, dir %d)", ErrSaturated, i)
 		}
@@ -313,7 +324,7 @@ func (m *biModel) Iterate(in, out []float64) error {
 		sum = 0.0
 		for r := range m.rows {
 			for l := 1; l <= m.d[i]; l++ {
-				b, err := m.blocking(m.r[i], entXmix, m.hx[i][l], st.shotx[i][r][l])
+				b, err := m.blocking(&m.cX[i][l], entXmix, st.shotx[i][r][l])
 				if err != nil {
 					return fmt.Errorf("%w (bi x, dir %d row %d ch %d)", ErrSaturated, i, r, l)
 				}
@@ -321,7 +332,7 @@ func (m *biModel) Iterate(in, out []float64) error {
 				sum += b
 			}
 		}
-		bQuietX, err := m.blocking(m.r[i], entXmix, 0, 0)
+		bQuietX, err := m.blocking(&m.cQuiet[i], entXmix, 0)
 		if err != nil {
 			return fmt.Errorf("%w (bi x quiet, dir %d)", ErrSaturated, i)
 		}

@@ -169,11 +169,11 @@ func TestIteratePure(t *testing.T) {
 
 // TestDefaultAnswersNearTightFixedPoint proves the default-options
 // answers against the fixed point itself: at the golden load and near
-// saturation, every variant's answer lies within 1e-8 relative of a solve
-// run to a 1e-14 tolerance. Moving the iteration path moves the default
-// answers only inside this bound.
+// saturation, every variant's answer lies within 1e-8 relative of a
+// damped solve run to a 1e-14 tolerance. Moving the iteration path moves
+// the default answers only inside this bound.
 func TestDefaultAnswersNearTightFixedPoint(t *testing.T) {
-	tight := Options{FixPoint: fixpoint.Options{Tolerance: 1e-14}}
+	tight := Options{FixPoint: fixpoint.Options{Tolerance: 1e-14, Acceleration: fixpoint.AccelNone}}
 	for _, name := range Solvers() {
 		for _, lambda := range []float64{goldenSpec(name).Lambda, nearSatLambda(name)} {
 			t.Run(fmt.Sprintf("%s/%g", name, lambda), func(t *testing.T) {
@@ -206,7 +206,7 @@ func TestDampedRoundsNearSaturation(t *testing.T) {
 	} {
 		spec := goldenSpec(name)
 		spec.Lambda = nearSatLambda(name)
-		r, err := Solve(name, spec, Options{})
+		r, err := Solve(name, spec, Options{FixPoint: fixpoint.Options{Acceleration: fixpoint.AccelNone}})
 		if err != nil {
 			t.Fatalf("Solve(%q, λ=%g): %v", name, spec.Lambda, err)
 		}

@@ -19,8 +19,9 @@
 //     dependent service time (Eqs. 31-32);
 //   - virtual channels: Dally's multiplexing degree V̄ scales the final
 //     latencies (Eqs. 33-37);
-//   - the interdependent equations are solved by damped fixed-point
-//     iteration (the paper's "iterative techniques").
+//   - the interdependent equations are solved by fixed-point iteration
+//     (the paper's "iterative techniques"), damped substitution with
+//     Anderson acceleration by default.
 package core
 
 import (
@@ -29,7 +30,6 @@ import (
 
 	"kncube/internal/fixpoint"
 	"kncube/internal/queueing"
-	"kncube/internal/stats"
 	"kncube/internal/vcmodel"
 )
 
@@ -121,7 +121,8 @@ type Options struct {
 	NoVCSplit bool
 	// FixPoint configures the iteration; each zero Tolerance,
 	// MaxIterations or Damping takes its fixpoint.Defaults() value, the
-	// tolerances the models were calibrated with.
+	// tolerances the models were calibrated with, and the zero
+	// Acceleration is Anderson (fixpoint.AccelNone opts out).
 	FixPoint fixpoint.Options
 }
 
@@ -229,6 +230,12 @@ type model struct {
 	cXHy     float64 // P(x then hot y | via x)
 	cXHb     float64 // P(x then non-hot y | via x)
 
+	// Channel classes, rebuilt by SetLambda: the non-hot y-ring channel,
+	// the hot y-ring channels ([l], l = 1..k) and the x-channels ([l],
+	// l = 1..k, the same on every x-ring).
+	cHyB    channel
+	cHy, cX []channel
+
 	// Round scratch, built at Prepare: the unpacked input state and the
 	// per-channel blocking delays of the hot y-ring ([l], l = 1..k) and of
 	// the x-rings ([t][l], l = 1..k-1).
@@ -256,6 +263,8 @@ func (m *model) Prepare() {
 	m.l = newLayout(k)
 	m.lhy = make([]float64, k+1)
 	m.lhx = make([]float64, k+1)
+	m.cHy = make([]channel, k+1)
+	m.cX = make([]channel, k+1)
 	kf := float64(k)
 	m.pHy = 1 / (kf * (kf + 1))
 	m.pHyB = (kf - 1) / (kf * (kf + 1))
@@ -273,8 +282,9 @@ func (m *model) Prepare() {
 	m.SetLambda(m.s.Lambda)
 }
 
-// SetLambda recomputes the λ-dependent traffic rates (Eqs. 3, 6-7) in
-// place; everything else is load-invariant.
+// SetLambda recomputes the λ-dependent traffic rates (Eqs. 3, 6-7) and
+// the channel classes they load in place; everything else is
+// load-invariant.
 //
 //khs:hotpath
 func (m *model) SetLambda(lambda float64) {
@@ -282,9 +292,12 @@ func (m *model) SetLambda(lambda float64) {
 	s := m.s
 	k := len(m.lhy) - 1
 	m.lr = s.Lambda * (1 - s.H) * kBar(s.K)
+	m.cHyB = m.channel(m.lr, 0)
 	for j := 1; j <= k; j++ {
 		m.lhy[j] = s.Lambda * s.H * float64(k) * float64(k-j)
 		m.lhx[j] = s.Lambda * s.H * float64(k-j)
+		m.cHy[j] = m.channel(m.lr, m.lhy[j])
+		m.cX[j] = m.channel(m.lr, m.lhx[j])
 	}
 }
 
@@ -300,63 +313,6 @@ func (m *model) entrance(s []float64) float64 {
 		sum += s[j]
 	}
 	return sum / float64(k-1)
-}
-
-// serviceVariance returns the service-time variance for the waiting-time
-// formulas under the configured VarianceForm.
-func serviceVariance(o *Options, lm, sBar float64) float64 {
-	if o.Variance == VarianceZero {
-		return 0
-	}
-	dev := sBar - lm
-	return dev * dev
-}
-
-// blockingDelay composes Eqs. 26-30 under the configured form, for a
-// channel with v virtual channels carrying regular traffic (lr, sr) and
-// hot-spot traffic (lh, sh), message length lm. For the per-VC M/G/1 forms
-// the class rates are divided by V unless NoVCSplit is set: the header
-// competes for one of the V virtual channels, each seeing 1/V of the
-// channel's traffic. o is read-only; it is passed by pointer because the
-// struct is large and this runs for every channel of every round.
-func blockingDelay(o *Options, v int, lm, lr, sr, lh, sh float64) (float64, error) {
-	// The physical channel moves at most one flit per cycle; beyond that
-	// flit capacity no queueing treatment is meaningful.
-	if (lr+lh)*lm >= 1 {
-		return 0, queueing.ErrUnstable
-	}
-	total := lr + lh
-	if stats.IsZero(total) {
-		return 0, nil
-	}
-	sBar := queueing.WeightedService(lr, sr, lh, sh)
-	variance := serviceVariance(o, lm, sBar)
-	switch o.Blocking {
-	case BlockingMultiServer:
-		return queueing.MGcWait(total, sBar, variance, v)
-	case BlockingVCOccupancy:
-		w, err := queueing.MG1Wait(total, lm+1, variance)
-		if err != nil {
-			return 0, err
-		}
-		rho := lr*sr + lh*sh // holding-time utilisation (Eq. 27)
-		if rho > 1 {
-			rho = 1
-		}
-		return vcmodel.AllBusy(v, rho*(1-1e-12)) * w, nil // Eqs. 33-34
-	default: // BlockingPaper, Eq. 26: B = Pb·wc
-		if !o.NoVCSplit {
-			vf := float64(v)
-			lr /= vf
-			lh /= vf
-			total /= vf
-		}
-		w, err := queueing.MG1Wait(total, sBar, variance)
-		if err != nil {
-			return 0, err
-		}
-		return queueing.BlockingProbability(lr, sr, lh, sh) * w, nil
-	}
 }
 
 // view holds named 1-indexed copies (position 0 unused) of the state's
@@ -414,7 +370,7 @@ func (m *model) Iterate(in, out []float64) error {
 	entXmix := m.cXo*m.entrance(v.sx) + m.cXHy*m.entrance(v.sxhy) + m.cXHb*m.entrance(v.sxhybar)
 
 	// Blocking on non-hot y-ring channels (Eq. 16): regular traffic only.
-	bHyB, err := m.blocking(m.lr, entHyB, 0, 0)
+	bHyB, err := m.blocking(&m.cHyB, entHyB, 0)
 	if err != nil {
 		return fmt.Errorf("%w (non-hot y-ring)", ErrSaturated)
 	}
@@ -428,7 +384,7 @@ func (m *model) Iterate(in, out []float64) error {
 		if l <= k-1 {
 			sh = v.shoty[l]
 		}
-		b, err := m.blocking(m.lr, entHy, m.lhy[l], sh)
+		b, err := m.blocking(&m.cHy[l], entHy, sh)
 		if err != nil {
 			return fmt.Errorf("%w (hot y-ring, channel %d)", ErrSaturated, l)
 		}
@@ -440,11 +396,11 @@ func (m *model) Iterate(in, out []float64) error {
 	// averaged over the k x-rings and k channel positions, the per-channel
 	// delays kept for Eq. 25. Channel k carries no hot-spot traffic, so its
 	// delay is the same on every ring.
-	bQuiet, errQuiet := m.blocking(m.lr, entXmix, m.lhx[k], 0)
+	bQuiet, errQuiet := m.blocking(&m.cX[k], entXmix, 0)
 	bX := 0.0
 	for t := 1; t <= k; t++ {
 		for l := 1; l <= k-1; l++ {
-			b, err := m.blocking(m.lr, entXmix, m.lhx[l], v.shotx[t][l])
+			b, err := m.blocking(&m.cX[l], entXmix, v.shotx[t][l])
 			if err != nil {
 				return fmt.Errorf("%w (x-ring %d, channel %d)", ErrSaturated, t, l)
 			}

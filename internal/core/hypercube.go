@@ -57,8 +57,12 @@ type hyperModel struct {
 	// pHotChan[d] = fraction of dim-d channels that are hot channels,
 	// 2^(n-1-d) of 2^n.
 	pHotChan []float64
-	next     []float64 // round scratch for nextWeights, [d2]
-	bHot     []float64 // round scratch: the hot-channel delays, [d]
+	// Channel classes, rebuilt by SetLambda: a channel off the hot tree,
+	// and the hot channel of each dimension, [d].
+	cQuiet channel
+	cHot   []channel
+	next   []float64 // round scratch for nextWeights, [d2]
+	bHot   []float64 // round scratch: the hot-channel delays, [d]
 }
 
 func newHyperModel(s Spec, o Options) *hyperModel {
@@ -74,6 +78,7 @@ func (m *hyperModel) Prepare() {
 			n = 0
 		}
 		m.lh = make([]float64, n)
+		m.cHot = make([]channel, n)
 		m.pHotChan = make([]float64, n)
 		m.next = make([]float64, n)
 		m.bHot = make([]float64, n)
@@ -85,15 +90,18 @@ func (m *hyperModel) Prepare() {
 	m.SetLambda(m.s.Lambda)
 }
 
-// SetLambda recomputes the per-dimension traffic rates in place.
+// SetLambda recomputes the per-dimension traffic rates and the channel
+// classes they load in place.
 //
 //khs:hotpath
 func (m *hyperModel) SetLambda(lambda float64) {
 	m.s.Lambda = lambda
 	p := m.s
 	m.lu = p.Lambda * (1 - p.H) / 2
+	m.cQuiet = m.channel(m.lu, 0)
 	for d := range m.lh {
 		m.lh[d] = p.Lambda * p.H * float64(int64(1)<<d)
+		m.cHot[d] = m.channel(m.lu, m.lh[d])
 	}
 }
 
@@ -166,11 +174,11 @@ func (m *hyperModel) Iterate(in, out []float64) error {
 
 	// A channel off the hot tree carries regular traffic only; its delay
 	// is the same in every dimension.
-	bQuiet, errQuiet := m.blocking(m.lu, srMean, 0, 0)
+	bQuiet, errQuiet := m.blocking(&m.cQuiet, srMean, 0)
 	for d := 0; d < n; d++ {
 		// Hot channel of dimension d: regular competitors plus the
 		// aggregated hot flow.
-		b, err := m.blocking(m.lu, srMean, m.lh[d], sh[d])
+		b, err := m.blocking(&m.cHot[d], srMean, sh[d])
 		if err != nil {
 			return fmt.Errorf("%w (hypercube hot channel, dim %d)", ErrSaturated, d)
 		}

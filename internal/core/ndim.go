@@ -57,6 +57,10 @@ type ndimModel struct {
 	prepared bool
 	lr       float64     // Eq. 3
 	lh       [][]float64 // lh[d][j] = lambda·h·k^d·(k-j)
+	// Channel classes, rebuilt by SetLambda: a channel off the hot tree,
+	// and the hot channels, [d][j].
+	cQuiet channel
+	cHot   [][]channel
 	// Round scratch: the hot-channel delays, [d][j], and each
 	// dimension's averaged regular delay, [d].
 	bHot [][]float64
@@ -79,9 +83,11 @@ func (m *ndimModel) Prepare() {
 			k = 0
 		}
 		m.lh = make([][]float64, n)
+		m.cHot = make([][]channel, n)
 		m.bHot = make([][]float64, n)
 		for d := 0; d < n; d++ {
 			m.lh[d] = make([]float64, k+1)
+			m.cHot[d] = make([]channel, k+1)
 			m.bHot[d] = make([]float64, k)
 		}
 		m.bAvg = make([]float64, n)
@@ -90,13 +96,15 @@ func (m *ndimModel) Prepare() {
 	m.SetLambda(m.s.Lambda)
 }
 
-// SetLambda recomputes the λ-dependent traffic rates in place.
+// SetLambda recomputes the λ-dependent traffic rates and the channel
+// classes they load in place.
 //
 //khs:hotpath
 func (m *ndimModel) SetLambda(lambda float64) {
 	m.s.Lambda = lambda
 	p := m.s
 	m.lr = p.Lambda * (1 - p.H) * float64(p.K-1) / 2
+	m.cQuiet = m.channel(m.lr, 0)
 	k := p.K
 	if k < 0 {
 		k = 0
@@ -105,6 +113,7 @@ func (m *ndimModel) SetLambda(lambda float64) {
 	for d := range m.lh {
 		for j := 1; j <= k; j++ {
 			m.lh[d][j] = p.Lambda * p.H * kd * float64(k-j)
+			m.cHot[d][j] = m.channel(m.lr, m.lh[d][j])
 		}
 		kd *= float64(k)
 	}
@@ -205,7 +214,7 @@ func (m *ndimModel) Iterate(in, out []float64) error {
 		// Hot channels. Their delays also enter the regular average
 		// below, which sees the same channels with the same arguments.
 		for j := 1; j <= k-1; j++ {
-			b, err := m.blocking(m.lr, entReg, m.lh[d][j], in[m.hotIdx(d, j)])
+			b, err := m.blocking(&m.cHot[d][j], entReg, in[m.hotIdx(d, j)])
 			if err != nil {
 				return fmt.Errorf("%w (ndim hot, dim %d ch %d)", ErrSaturated, d, j)
 			}
@@ -219,7 +228,7 @@ func (m *ndimModel) Iterate(in, out []float64) error {
 		for j := 1; j <= k-1; j++ {
 			bAvg += pHot * m.bHot[d][j]
 		}
-		bQuiet, err := m.blocking(m.lr, entReg, 0, 0)
+		bQuiet, err := m.blocking(&m.cQuiet, entReg, 0)
 		if err != nil {
 			return fmt.Errorf("%w (ndim quiet, dim %d)", ErrSaturated, d)
 		}

@@ -86,11 +86,11 @@ func goldenSpec(name string) Spec {
 // update these constants (and, for hotspot-2d, regenerate results/*.csv).
 func TestGoldenLatencies(t *testing.T) {
 	golden := map[string]float64{
-		"hotspot-2d":       50.279061333373619,
-		"bidirectional-2d": 40.892751654238204,
-		"uniform":          49.472803116714566,
-		"hypercube":        36.134133213199313,
-		"ndim":             49.374738316941915,
+		"hotspot-2d":       50.279061335354442,
+		"bidirectional-2d": 40.892751666105696,
+		"uniform":          49.472803144346962,
+		"hypercube":        36.134133215339766,
+		"ndim":             49.374738345732801,
 	}
 	for _, name := range Solvers() {
 		want, ok := golden[name]
@@ -197,18 +197,18 @@ func TestTraceFiresOncePerIteration(t *testing.T) {
 func TestTraceSurvivesSaturation(t *testing.T) {
 	calls := 0
 	opts := Options{FixPoint: fixpoint.Options{
-		Tolerance: 1e-9, MaxIterations: 25, Damping: 0.5,
+		Tolerance: 1e-9, MaxIterations: 5, Damping: 0.5,
 		Trace: func(fixpoint.TraceRecord) { calls++ },
 	}}
-	// 3e-4 converges in ~200 rounds under the default budget, so 25 rounds
+	// 3e-4 converges in 13 rounds under the default scheme, so 5 rounds
 	// exhaust the budget and classify as saturation.
 	s := Spec{K: 16, Dims: 2, V: 2, Lm: 32, H: 0.2, Lambda: 3e-4}
 	_, err := Solve("hotspot-2d", s, opts)
 	if !errors.Is(err, ErrSaturated) {
 		t.Fatalf("exhausted iteration budget should classify as saturation, got %v", err)
 	}
-	if calls != 25 {
-		t.Errorf("got %d trace records, want one per round (25)", calls)
+	if calls != 5 {
+		t.Errorf("got %d trace records, want one per round (5)", calls)
 	}
 }
 

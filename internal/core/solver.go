@@ -4,7 +4,7 @@ package core
 // variants (hot-spot torus, bidirectional torus, uniform baseline,
 // hypercube, general k-ary n-cube) are all the same pipeline — traffic
 // rates → service-time recursions → M/G/1 blocking → source queue → Dally's
-// V̄ — solved by damped fixed-point iteration; this file holds the single
+// V̄ — solved by fixed-point iteration; this file holds the single
 // copy of everything that pipeline shares: the driver around the
 // fixed-point iteration, the blocking/variance composition, and the
 // saturation classification of iteration failures. Variant files implement
@@ -16,6 +16,9 @@ import (
 	"fmt"
 
 	"kncube/internal/fixpoint"
+	"kncube/internal/queueing"
+	"kncube/internal/stats"
+	"kncube/internal/vcmodel"
 )
 
 // Convergence re-exports the fixed-point diagnostic summary carried by
@@ -92,7 +95,7 @@ func RoundBudget(o Options) int {
 }
 
 // solveWith is the shared driver: validate, build the zero-load state, run
-// the damped fixed-point iteration, classify failures, assemble. It is the
+// the fixed-point iteration, classify failures, assemble. It is the
 // single entry point into the fixed-point iteration for every model
 // variant; a one-shot solve runs it on a fresh workspace.
 func solveWith(s Solver, o Options) (*SolveResult, error) {
@@ -139,13 +142,95 @@ func newSolverBase(o Options, v, lm int) solverBase {
 	return solverBase{o: o, v: v, lm: float64(lm)}
 }
 
-// blocking composes Eqs. 26-30 for a channel carrying regular traffic
-// (lr, sr) and hot-spot traffic (lh, sh) under the configured form.
-func (b *solverBase) blocking(lr, sr, lh, sh float64) (float64, error) {
-	return blockingDelay(&b.o, b.v, b.lm, lr, sr, lh, sh)
+// variance is the service-time variance for the waiting-time formulas
+// under the configured VarianceForm.
+func (b *solverBase) variance(sBar float64) float64 {
+	if b.o.Variance == VarianceZero {
+		return 0
+	}
+	dev := sBar - b.lm
+	return dev * dev
 }
 
-// variance is the service-time variance under the configured VarianceForm.
-func (b *solverBase) variance(sBar float64) float64 {
-	return serviceVariance(&b.o, b.lm, sBar)
+// channel is one channel class of a model: a channel carrying regular
+// traffic at rate lr and hot-spot traffic at rate lh, with the part of its
+// blocking delay that depends on those rates alone. SetLambda builds each
+// class once per load (solverBase.channel), and blocking completes the
+// delay every round from the round's service times.
+type channel struct {
+	lr, lh float64
+	// err is the class's load-only refusal: beyond the flit capacity or,
+	// under the default form, past the stability of the link's M/G/1. idle
+	// marks a class that carries no traffic.
+	err  error
+	idle bool
+	// wait is the waiting time wc of BlockingVCOccupancy with VarianceZero,
+	// an M/G/1 with the link's flit transmission time Lm+1 as deterministic
+	// service; preset marks it computed. Other forms compute their waits
+	// each round, since the service times enter them.
+	wait   float64
+	preset bool
+}
+
+// channel computes the load-only part of the blocking delay of a channel
+// carrying regular traffic at rate lr and hot-spot traffic at rate lh.
+func (b *solverBase) channel(lr, lh float64) channel {
+	c := channel{lr: lr, lh: lh}
+	switch {
+	case (lr+lh)*b.lm >= 1:
+		// The physical channel moves at most one flit per cycle; beyond that
+		// flit capacity no queueing treatment is meaningful.
+		c.err = queueing.ErrUnstable
+	case stats.IsZero(lr + lh):
+		c.idle = true
+	case b.o.Blocking == BlockingVCOccupancy && b.o.Variance == VarianceZero:
+		c.wait, c.err = queueing.MG1Wait(lr+lh, b.lm+1, 0)
+		c.preset = true
+	}
+	return c
+}
+
+// blocking composes Eqs. 26-30 under the configured form, for channel
+// class c carrying regular traffic with service time sr and hot-spot
+// traffic with service time sh. For the per-VC M/G/1 forms the class
+// rates are divided by V unless NoVCSplit is set: the header competes for
+// one of the V virtual channels, each seeing 1/V of the channel's traffic.
+func (b *solverBase) blocking(c *channel, sr, sh float64) (float64, error) {
+	if c.err != nil || c.idle {
+		return 0, c.err
+	}
+	lr, lh := c.lr, c.lh
+	total := lr + lh
+	w := c.wait
+	if !c.preset {
+		sBar := queueing.WeightedService(lr, sr, lh, sh)
+		variance := b.variance(sBar)
+		switch b.o.Blocking {
+		case BlockingMultiServer:
+			return queueing.MGcWait(total, sBar, variance, b.v)
+		case BlockingPaper: // Eq. 26: B = Pb·wc
+			if !b.o.NoVCSplit {
+				vf := float64(b.v)
+				lr /= vf
+				lh /= vf
+				total /= vf
+			}
+			wc, err := queueing.MG1Wait(total, sBar, variance)
+			if err != nil {
+				return 0, err
+			}
+			return queueing.BlockingProbability(lr, sr, lh, sh) * wc, nil
+		}
+		var err error
+		if w, err = queueing.MG1Wait(total, b.lm+1, variance); err != nil {
+			return 0, err
+		}
+	}
+	// BlockingVCOccupancy: Pb is the chance all V virtual channels are held
+	// (Eqs. 33-34) at the holding-time utilisation of Eq. 27.
+	rho := lr*sr + lh*sh
+	if rho > 1 {
+		rho = 1
+	}
+	return vcmodel.AllBusy(b.v, rho*(1-1e-12)) * w, nil
 }

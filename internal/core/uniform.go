@@ -43,6 +43,7 @@ type uniformModel struct {
 	s        Spec
 	prepared bool
 	lc       float64 // per-channel message rate lambda·k̄
+	c        channel // the channel class lc loads
 	dbar     float64 // mean path length n(k-1)/2
 }
 
@@ -60,12 +61,14 @@ func (m *uniformModel) Prepare() {
 	m.SetLambda(m.s.Lambda)
 }
 
-// SetLambda recomputes the per-channel message rate λ·k̄ in place.
+// SetLambda recomputes the per-channel message rate λ·k̄ and its channel
+// class in place.
 //
 //khs:hotpath
 func (m *uniformModel) SetLambda(lambda float64) {
 	m.s.Lambda = lambda
 	m.lc = lambda * (float64(m.s.K-1) / 2)
+	m.c = m.channel(m.lc, 0)
 }
 
 // Validate checks the uniform baseline's topology rules, then the shared
@@ -85,7 +88,7 @@ func (m *uniformModel) InitState(x []float64) { x[0] = m.lm + m.dbar }
 
 //khs:hotpath
 func (m *uniformModel) Iterate(in, out []float64) error {
-	b, err := m.blocking(m.lc, in[0], 0, 0)
+	b, err := m.blocking(&m.c, in[0], 0)
 	if err != nil {
 		return fmt.Errorf("%w (uniform channel)", ErrSaturated)
 	}
@@ -95,7 +98,7 @@ func (m *uniformModel) Iterate(in, out []float64) error {
 
 func (m *uniformModel) Assemble(x []float64, conv Convergence) (*SolveResult, error) {
 	s := x[0]
-	b, err := m.blocking(m.lc, s, 0, 0)
+	b, err := m.blocking(&m.c, s, 0)
 	if err != nil {
 		return nil, fmt.Errorf("%w (uniform channel)", ErrSaturated)
 	}

@@ -5,6 +5,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"kncube/internal/core"
 )
 
 // TestSweepReproducesPublishedCSV regenerates the fig1-h20 reference table
@@ -36,5 +38,38 @@ func TestSweepReproducesPublishedCSV(t *testing.T) {
 	if sb.String() != string(want) {
 		t.Errorf("regenerated fig1-h20.csv differs from the published file:\ngot:\n%s\nwant:\n%s",
 			sb.String(), want)
+	}
+}
+
+// TestModelColumnsMatchPublishedCSV checks the model columns of every
+// committed results/*.csv, without the simulator: each panel's
+// default-option model curve, rendered as WriteCSV renders it, must give
+// every row's model and model_saturated fields. A change to the default
+// solver that moves a published cell shows up here in about a second.
+func TestModelColumnsMatchPublishedCSV(t *testing.T) {
+	for _, p := range Figures() {
+		raw, err := os.ReadFile("../../results/" + p.ID + ".csv")
+		if err != nil {
+			t.Skipf("published CSV not available: %v", err)
+		}
+		rows := strings.Split(strings.TrimSpace(string(raw)), "\n")[1:]
+		points, err := ModelCurve(DefaultModel, p, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != len(points) {
+			t.Fatalf("%s: %d published rows, %d load points", p.ID, len(rows), len(points))
+		}
+		var sb strings.Builder
+		if err := WriteCSV(&sb, points); err != nil {
+			t.Fatal(err)
+		}
+		for i, got := range strings.Split(strings.TrimSpace(sb.String()), "\n")[1:] {
+			g, w := strings.Split(got, ","), strings.Split(rows[i], ",")
+			if g[0] != w[0] || g[1] != w[1] || g[2] != w[2] {
+				t.Errorf("%s row %d: model %s, published %s", p.ID, i+1,
+					strings.Join(g[:3], ","), strings.Join(w[:3], ","))
+			}
+		}
 	}
 }

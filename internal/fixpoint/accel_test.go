@@ -45,6 +45,25 @@ func TestAccelerationReachesSameFixedPoint(t *testing.T) {
 	}
 }
 
+// TestZeroOptionsAreAnderson: a zero Acceleration is AccelAnderson — the
+// same rounds, state and summary as an explicit request — and its
+// workspace is sized for Anderson at the default window of 5.
+func TestZeroOptionsAreAnderson(t *testing.T) {
+	state := []float64{0, 0}
+	res, err := Solve(state, slowContraction, Options{Tolerance: 1e-10, MaxIterations: 100000, Damping: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantRes := solveSlow(t, AccelAnderson)
+	if res != wantRes || math.Float64bits(state[0]) != math.Float64bits(want[0]) ||
+		math.Float64bits(state[1]) != math.Float64bits(want[1]) {
+		t.Errorf("zero Acceleration: %v %+v, explicit Anderson: %v %+v", state, res, want, wantRes)
+	}
+	if got, want := WorkspaceSize(16, Options{}), (7+2*5)*16+2*5*5+5; got != want {
+		t.Errorf("WorkspaceSize(16, Options{}) = %d, want %d", got, want)
+	}
+}
+
 func TestAcceleratedRoundCountersSumToIterations(t *testing.T) {
 	for _, accel := range []Acceleration{AccelNone, AccelAnderson} {
 		_, res := solveSlow(t, accel)
@@ -148,8 +167,8 @@ func TestAccelerationOptionValidation(t *testing.T) {
 
 func TestParseAcceleration(t *testing.T) {
 	for name, want := range map[string]Acceleration{
-		"": AccelNone, "none": AccelNone,
-		"anderson": AccelAnderson,
+		"": AccelAnderson, "anderson": AccelAnderson,
+		"none": AccelNone,
 	} {
 		got, err := ParseAcceleration(name)
 		if err != nil || got != want {

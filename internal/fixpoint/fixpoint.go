@@ -3,8 +3,8 @@
 // 3, final paragraph) notes that a closed-form solution of the
 // interdependencies is intractable and resorts to iterative techniques;
 // this package provides that machinery: damped successive substitution with
-// convergence and divergence detection, optional Anderson acceleration
-// for the slow-convergence regime near saturation, and an
+// convergence and divergence detection, Anderson acceleration (the
+// default) for the slow-convergence regime near saturation, and an
 // observability layer (a per-iteration trace hook and a Convergence summary)
 // so saturation and slow-convergence diagnostics are data rather than opaque
 // errors.
@@ -30,16 +30,18 @@ var ErrMaxIterations = errors.New("fixpoint: maximum iterations exceeded")
 type Acceleration int
 
 const (
-	// AccelNone is plain damped successive substitution (the default). Its
-	// arithmetic is exactly the historical iteration: existing golden
-	// results are reproduced bit-for-bit.
-	AccelNone Acceleration = iota
-	// AccelAnderson is windowed Anderson mixing (type II): each round
-	// combines the last Window residual differences by least squares to
-	// extrapolate toward the fixed point, typically cutting the iteration
-	// count by an order of magnitude near saturation where the damped
-	// contraction rate approaches 1.
-	AccelAnderson
+	// AccelAnderson is windowed Anderson mixing (type II), the zero-value
+	// default: each round combines the last Window residual differences by
+	// least squares to extrapolate toward the fixed point, typically
+	// cutting the iteration count by an order of magnitude near saturation
+	// where the damped contraction rate approaches 1. It refuses only
+	// where AccelNone refuses (see Solve).
+	AccelAnderson Acceleration = iota
+	// AccelNone is plain damped successive substitution, the explicit
+	// opt-out. Its arithmetic is exactly the historical iteration: the
+	// answers of the solver before Anderson became the default are
+	// reproduced bit-for-bit.
+	AccelNone
 )
 
 // String returns the scheme's canonical name as accepted by
@@ -56,16 +58,16 @@ func (a Acceleration) String() string {
 }
 
 // ParseAcceleration maps a scheme name to its Acceleration value. The
-// empty string and "none" both select AccelNone, so an unset flag or
-// API field means the bit-identical damped baseline.
+// empty string and "anderson" both select AccelAnderson, so an unset flag
+// or API field means the default; "none" selects the damped baseline.
 func ParseAcceleration(name string) (Acceleration, error) {
 	switch name {
-	case "", "none":
-		return AccelNone, nil
-	case "anderson":
+	case "", "anderson":
 		return AccelAnderson, nil
+	case "none":
+		return AccelNone, nil
 	default:
-		return AccelNone, fmt.Errorf("fixpoint: unknown acceleration scheme %q (none, anderson)", name)
+		return AccelAnderson, fmt.Errorf("fixpoint: unknown acceleration scheme %q (anderson, none)", name)
 	}
 }
 
@@ -101,12 +103,13 @@ type Options struct {
 	// values trade speed for robustness near saturation.
 	Damping float64
 	// Acceleration selects an extrapolation scheme on top of the damped
-	// baseline (AccelNone leaves the iteration untouched). Accelerated
-	// rounds are safeguarded: a round whose residual increased relative to
-	// the previous round discards the acceleration history and falls back
-	// to a plain damped step, so a wild extrapolation can slow convergence
-	// but never destabilise it; an attempt that fails or stalls hands over
-	// to the damped iteration from the initial state (see Solve).
+	// baseline: the zero value is AccelAnderson, and AccelNone leaves the
+	// iteration untouched. Accelerated rounds are safeguarded: a round
+	// whose residual increased relative to the previous round discards
+	// the acceleration history and falls back to a plain damped step, so
+	// a wild extrapolation can slow convergence but never destabilise it;
+	// an attempt that fails or stalls hands over to the damped iteration
+	// from the initial state (see Solve).
 	Acceleration Acceleration
 	// Window is the Anderson mixing depth — how many past residual
 	// differences the least-squares extrapolation combines. 0 means 5.
@@ -177,7 +180,7 @@ func (o Options) withDefaults() (Options, error) {
 	if o.Damping < 0 || o.Damping > 1 {
 		return o, fmt.Errorf("fixpoint: damping %v outside (0, 1]", o.Damping)
 	}
-	if o.Acceleration < AccelNone || o.Acceleration > AccelAnderson {
+	if o.Acceleration < AccelAnderson || o.Acceleration > AccelNone {
 		return o, fmt.Errorf("fixpoint: unknown acceleration scheme %d", o.Acceleration)
 	}
 	if o.Window < 1 || o.Window > MaxWindow {

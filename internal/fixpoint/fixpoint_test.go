@@ -221,7 +221,7 @@ func TestConvergenceSummaryPopulated(t *testing.T) {
 		out[0] = 0.5*in[0] + 3
 		return nil
 	}
-	res, err := Solve([]float64{0}, f, Options{})
+	res, err := Solve([]float64{0}, f, Options{Acceleration: AccelNone})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,7 +115,7 @@ func TestWorkspaceReuseMatchesFreshSolve(t *testing.T) {
 		{"narrower window", 16, coupled, anderson(1e-13, 2000, 3), 0},
 		{"smaller state", 7, drifting, anderson(1e-300, 80, 5), 0},
 		{"larger state", 24, coupled, anderson(1e-13, 2000, 5), 0},
-		{"damped", 24, coupled, Options{Tolerance: 1e-13, MaxIterations: 2000, Damping: 0.5}, 0},
+		{"damped", 24, coupled, Options{Tolerance: 1e-13, MaxIterations: 2000, Damping: 0.5, Acceleration: AccelNone}, 0},
 		{"accelerated after damped", 24, drifting, anderson(1e-300, 80, 5), 0},
 	}
 	var w Workspace
@@ -145,7 +145,7 @@ func TestWorkspaceReuseMatchesFreshSolve(t *testing.T) {
 func TestWorkspaceSecondSolveAllocatesNothing(t *testing.T) {
 	for _, o := range []Options{
 		{Tolerance: 1e-300, MaxIterations: 200, Damping: 0.5, Acceleration: AccelAnderson},
-		{Tolerance: 1e-13, MaxIterations: 2000, Damping: 0.5},
+		{Tolerance: 1e-13, MaxIterations: 2000, Damping: 0.5, Acceleration: AccelNone},
 	} {
 		var w Workspace
 		state := make([]float64, 16)

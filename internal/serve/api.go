@@ -67,15 +67,16 @@ type SolveOptions struct {
 	Blocking  string `json:"blocking,omitempty"` // vc-occupancy | paper | multi-server
 	Variance  string `json:"variance,omitempty"` // zero | paper
 	NoVCSplit bool   `json:"no_vc_split,omitempty"`
-	// Acceleration selects the fixed-point extrapolation scheme: "none"
-	// (damped successive substitution, bit-identical to the default) or
-	// "anderson" (windowed Anderson mixing), parsed by
-	// fixpoint.ParseAcceleration. Accelerated solves converge to the same
-	// tolerance in fewer iterations but along a different trajectory.
+	// Acceleration selects the fixed-point extrapolation scheme:
+	// "anderson" (windowed Anderson mixing, the default, so "" and
+	// "anderson" share one cache entry) or "none" (damped successive
+	// substitution, the historical iteration bit for bit), parsed by
+	// fixpoint.ParseAcceleration. Both converge to the same tolerance, the
+	// damped one in more iterations and along another trajectory.
 	Acceleration string `json:"acceleration,omitempty"`
 	// AndersonWindow is the Anderson mixing depth, at most
-	// fixpoint.MaxWindow (0 selects the library default). Only meaningful
-	// with acceleration "anderson".
+	// fixpoint.MaxWindow (0 selects the library default). Refused with
+	// acceleration "none".
 	AndersonWindow int `json:"anderson_window,omitempty"`
 	// Mode selects how the answer is produced: "exact" (the solver, today's
 	// default), "surface" (interpolate from a precomputed latency surface,
@@ -464,14 +465,13 @@ type VersionResponse struct {
 	GoVersion string `json:"go_version"`
 }
 
-// writeJSON writes v with the given status; encoding failures are beyond
-// recovery once the header is out, so they are ignored.
+// writeJSON writes v, compact and newline-terminated, with the given
+// status; encoding failures are beyond recovery once the header is out,
+// so they are ignored.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // writeError writes a structured error response. When err (or any error it

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"net/http"
 	"sync"
 	"testing"
 
@@ -71,5 +72,43 @@ func TestCounterCacheConcurrentFirstUse(t *testing.T) {
 	}
 	if total != goroutines*each {
 		t.Errorf("counted %d solves, want %d", total, goroutines*each)
+	}
+}
+
+// TestSurfaceModeRefusalsCountedAlike: a surface-mode spec with no surface
+// counts the same outcome whether it is sent to /v1/solve (409 for a shape
+// this replica owns, 421 for a foreign one) or as a /v1/solve:batch item,
+// so the khs_serve_solves_total and khs_serve_batch_items_total families
+// agree outcome for outcome.
+func TestSurfaceModeRefusalsCountedAlike(t *testing.T) {
+	self, peers := "replica-a", []string{"replica-a", "replica-b"}
+	ownedK, foreignK := splitShapes(t, self, peers)
+	s := New(Config{ShardID: self, ShardPeers: peers, RuntimeMetricsInterval: -1})
+	h := s.Handler()
+	opts := &SolveOptions{Mode: ModeSurface}
+	for k, code := range map[int]int{ownedK: http.StatusConflict, foreignK: http.StatusMisdirectedRequest} {
+		spec := BatchSpec{K: k, V: 2, Lm: 16, H: 0.2, Lambda: 1e-4}
+		solve := SolveRequest{K: spec.K, V: spec.V, Lm: spec.Lm, H: spec.H, Lambda: spec.Lambda, Options: opts}
+		if rr := postJSON(t, h, "/v1/solve", solve); rr.Code != code {
+			t.Errorf("K=%d: /v1/solve status %d, want %d", k, rr.Code, code)
+		}
+		resp := decodeBody[BatchSolveResponse](t, postJSON(t, h, "/v1/solve:batch",
+			BatchSolveRequest{Options: opts, Items: []BatchSpec{spec}}))
+		if len(resp.Items) != 1 || resp.Items[0].Status != "error" {
+			t.Errorf("K=%d: batch items %+v, want one error", k, resp.Items)
+		}
+	}
+	reg := s.Registry()
+	for _, outcome := range []string{"ok", "saturated", "cancelled", "invalid", "error"} {
+		labels := telemetry.Labels{"model": "hotspot-2d", "outcome": outcome}
+		solves := reg.Counter("khs_serve_solves_total", "", labels).Value()
+		items := reg.Counter("khs_serve_batch_items_total", "", labels).Value()
+		want := int64(0)
+		if outcome == "error" {
+			want = 2
+		}
+		if solves != want || items != want {
+			t.Errorf("outcome %s: %d solves, %d batch items, want %d of each", outcome, solves, items, want)
+		}
 	}
 }

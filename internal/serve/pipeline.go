@@ -97,9 +97,10 @@ type answer struct {
 // fromSurface is the surface step. done reports that the spec is answered
 // here: by an interpolated hit (counted ok), or, in surface mode, by the
 // absence of any surface for its shape (an error answer carrying shape and
-// owner). Otherwise the answer's err is the lookup refusal — no surface,
-// out of range, near the saturation frontier, or an estimate above the
-// threshold — and the spec falls through to the exact step.
+// owner, counted error). Otherwise the answer's err is the lookup refusal
+// — no surface, out of range, near the saturation frontier, or an
+// estimate above the threshold — and the spec falls through to the exact
+// step.
 func (c *solveCall) fromSurface(spec core.Spec) (a answer, done bool) {
 	// Auto mode holds interpolations to the configured error-estimate
 	// threshold; surface mode takes any covering one (the grid bounds it).
@@ -115,6 +116,7 @@ func (c *solveCall) fromSurface(spec core.Spec) (a answer, done bool) {
 		return answer{outcome: "ok", cache: "bypass", source: ModeSurface, surfaceID: e.ID, errEstimate: lk.ErrEstimate,
 			result: &SolveResult{Latency: lk.Latency, Regular: lk.Regular, Hot: lk.Hot, SourceWait: lk.SourceWait, VBar: lk.VBar}}, true
 	case c.mode == ModeSurface && errors.Is(err, surface.ErrNoSurface):
+		c.count("error")
 		a = answer{outcome: "error", err: err, shape: surface.ShapeKey(c.model, spec, c.opts)}
 		if owner := c.s.ring.Owner(a.shape); owner != c.s.ring.Self() {
 			a.owner = owner

@@ -127,10 +127,11 @@ func TestSolveCacheKeysCanonicalSpec(t *testing.T) {
 }
 
 // TestSolveAcceleration pins the acceleration options end to end:
-// "none" is bit-identical to the default (and shares its cache entry),
-// "anderson" reproduces the library's accelerated solve — same answer
-// within tolerance, same iteration count in the convergence metadata —
-// and each acceleration setting keys its own cache entry.
+// "anderson" is the default (and shares its cache entry), "none" keys its
+// own entry and reproduces the library's damped solve bit for bit, an
+// explicit Anderson window reproduces the library's accelerated solve —
+// same answer, same iteration count in the convergence metadata — and
+// each acceleration setting keys its own cache entry.
 func TestSolveAcceleration(t *testing.T) {
 	s := New(Config{})
 	h := s.Handler()
@@ -141,23 +142,49 @@ func TestSolveAcceleration(t *testing.T) {
 		t.Fatalf("baseline solve failed: %+v", base)
 	}
 
-	// Explicit "none" must not just match bit for bit — it must hit the
-	// very cache entry the default solve populated, proving the key does
-	// not distinguish them.
+	// Explicit "anderson" must not just match bit for bit — it must hit
+	// the very cache entry the default solve populated, proving the key
+	// does not distinguish them.
 	req := figureRequest()
+	req.Options = &SolveOptions{Acceleration: "anderson"}
+	explicit := decodeBody[SolveResponse](t, postJSON(t, h, "/v1/solve", req))
+	if explicit.Cache != cacheHit {
+		t.Errorf(`acceleration "anderson": cache=%q, want hit on the default entry`, explicit.Cache)
+	}
+	if math.Float64bits(explicit.Result.Latency) != math.Float64bits(base.Result.Latency) {
+		t.Errorf(`acceleration "anderson" latency %v is not bit-identical to default %v`,
+			explicit.Result.Latency, base.Result.Latency)
+	}
+
+	// "none" is the damped opt-out: its own entry, the damped core.Solve
+	// to the last bit, and the same fixed point as the default.
 	req.Options = &SolveOptions{Acceleration: "none"}
 	none := decodeBody[SolveResponse](t, postJSON(t, h, "/v1/solve", req))
-	if none.Cache != cacheHit {
-		t.Errorf(`acceleration "none": cache=%q, want hit on the default entry`, none.Cache)
+	if none.Cache != cacheMiss || none.Result == nil {
+		t.Fatalf(`acceleration "none": cache=%q result=%v, want a fresh miss`, none.Cache, none.Result)
 	}
-	if math.Float64bits(none.Result.Latency) != math.Float64bits(base.Result.Latency) {
-		t.Errorf(`acceleration "none" latency %v is not bit-identical to default %v`,
+	var dampedOpts core.Options
+	dampedOpts.FixPoint.Acceleration = fixpoint.AccelNone
+	damped, err := core.Solve(experiments.DefaultModel, spec, dampedOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 53.74328771872527 is what /v1/solve answered for this spec while
+	// damped substitution was the default.
+	if math.Float64bits(none.Result.Latency) != math.Float64bits(53.74328771872527) ||
+		math.Float64bits(none.Result.Latency) != math.Float64bits(damped.Latency) ||
+		none.Result.Iterations != damped.Convergence.Iterations {
+		t.Errorf(`acceleration "none": latency %v in %d rounds, damped core.Solve %v in %d`,
+			none.Result.Latency, none.Result.Iterations, damped.Latency, damped.Convergence.Iterations)
+	}
+	if math.Abs(none.Result.Latency-base.Result.Latency) > 1e-6 {
+		t.Errorf("damped latency %v and default latency %v disagree beyond tolerance — not the same fixed point",
 			none.Result.Latency, base.Result.Latency)
 	}
 
-	// Anderson: distinct cache entry, answer matches a direct accelerated
-	// core.Solve, and the convergence metadata reflects the accelerated
-	// trajectory rather than the damped one.
+	// An explicit window: distinct cache entry, answer matches a direct
+	// accelerated core.Solve, and the convergence metadata reflects that
+	// trajectory.
 	req.Options = &SolveOptions{Acceleration: "anderson", AndersonWindow: 4}
 	and := decodeBody[SolveResponse](t, postJSON(t, h, "/v1/solve", req))
 	if and.Cache != cacheMiss || and.Result == nil {
@@ -177,10 +204,6 @@ func TestSolveAcceleration(t *testing.T) {
 	if and.Result.Iterations != want.Convergence.Iterations {
 		t.Errorf("anderson iterations = %d over the API, %d from core.Solve",
 			and.Result.Iterations, want.Convergence.Iterations)
-	}
-	if math.Abs(and.Result.Latency-base.Result.Latency) > 1e-6 {
-		t.Errorf("anderson latency %v and damped latency %v disagree beyond tolerance — not the same fixed point",
-			and.Result.Latency, base.Result.Latency)
 	}
 
 	again := decodeBody[SolveResponse](t, postJSON(t, h, "/v1/solve", req))
@@ -232,7 +255,7 @@ func TestSolveValidationIsStructured(t *testing.T) {
 		{"negative anderson window", SolveRequest{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4,
 			Options: &SolveOptions{Acceleration: "anderson", AndersonWindow: -1}}, "options.anderson_window"},
 		{"window without anderson", SolveRequest{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4,
-			Options: &SolveOptions{AndersonWindow: 3}}, "options.anderson_window"},
+			Options: &SolveOptions{Acceleration: "none", AndersonWindow: 3}}, "options.anderson_window"},
 		{"unknown json field", map[string]any{"k": 16, "v": 2, "lm": 32, "h": 0.2, "lambda": 1e-4, "kk": 1}, "body"},
 	}
 	for _, tc := range cases {

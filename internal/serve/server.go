@@ -512,8 +512,8 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer func() { s.batchSeconds.Observe(time.Since(start).Seconds()) }()
 
-	// Every item is counted by its status: invalid specs and surface-mode
-	// items without a surface here, answered ones by the pipeline steps.
+	// Every item is counted by its status: invalid specs here, the rest by
+	// the pipeline steps.
 	runner := newSolveRunner(ctx, c.model, c.opts)
 	items := make([]BatchSolveItem, len(req.Items))
 	for i, bs := range req.Items {
@@ -527,11 +527,8 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 		if c.mode != ModeExact {
 			a, done = c.fromSurface(spec)
 		}
-		switch {
-		case !done:
+		if !done {
 			a = c.exact(ctx, runner, spec)
-		case a.shape != "":
-			c.count("error") // surface mode, and no surface for the shape
 		}
 		if a.outcome == "cancelled" {
 			writeCancelled(w, a.err, fmt.Sprintf("batch item %d exceeded the request deadline", i), c.timeout)

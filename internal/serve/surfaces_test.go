@@ -256,17 +256,14 @@ func TestSurfaceValidation(t *testing.T) {
 	}
 }
 
-// TestSurfaceSharding: with a configured ring, builds for shapes another
-// replica owns are refused with 421 naming the owner, and the inventory
-// reports the membership.
-func TestSurfaceSharding(t *testing.T) {
-	self, peers := "replica-a", []string{"replica-a", "replica-b"}
+// splitShapes finds, by walking the radix, the K of one hotspot-2d
+// (V 2, Lm 16) shape the replica self owns on the ring of peers and one
+// another replica owns. Shape keys are canonical, like solve-cache keys:
+// Dims omitted and Dims 2 are one key, so both spellings have the same
+// owner.
+func splitShapes(t *testing.T, self string, peers []string) (ownedK, foreignK int) {
+	t.Helper()
 	ring := shard.New(self, peers, 0)
-
-	// Find one shape each replica owns by walking the radix. Shape keys
-	// are canonical, like solve-cache keys: Dims omitted and Dims 2 are
-	// one key, so both spellings have the same owner.
-	ownedK, foreignK := 0, 0
 	for k := 4; k <= 40 && (ownedK == 0 || foreignK == 0); k += 2 {
 		d := surface.Def{Model: "hotspot-2d", K: k, V: 2, Lm: 16}
 		spelled := d
@@ -285,6 +282,15 @@ func TestSurfaceSharding(t *testing.T) {
 	if ownedK == 0 || foreignK == 0 {
 		t.Fatalf("ring never split ownership across the probed shapes")
 	}
+	return ownedK, foreignK
+}
+
+// TestSurfaceSharding: with a configured ring, builds for shapes another
+// replica owns are refused with 421 naming the owner, and the inventory
+// reports the membership.
+func TestSurfaceSharding(t *testing.T) {
+	self, peers := "replica-a", []string{"replica-a", "replica-b"}
+	ownedK, foreignK := splitShapes(t, self, peers)
 
 	s := New(Config{ShardID: self, ShardPeers: peers})
 	h := s.Handler()

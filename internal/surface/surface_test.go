@@ -1,11 +1,14 @@
 package surface_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"testing"
 
 	"kncube/internal/core"
+	"kncube/internal/fixpoint"
 	"kncube/internal/surface"
 )
 
@@ -275,6 +278,44 @@ func TestBuildProgress(t *testing.T) {
 	total, _ := s.Points()
 	if calls != total || lastDone != total {
 		t.Errorf("Progress called %d times, last done %d; want %d", calls, lastDone, total)
+	}
+}
+
+// TestBuildAccelerationDefault pins the build solves' scheme on every
+// variant: zero BuildOptions build, bit for bit, the surface an explicit
+// AccelAnderson build does, and an explicit AccelNone build is, bit for
+// bit, the surface zero BuildOptions built while damped substitution was
+// the default. Each surface is compared through its encoded file, whose
+// trailing checksum covers every knot and the saturation mask.
+func TestBuildAccelerationDefault(t *testing.T) {
+	dampedChecksum := map[string]uint64{
+		"bidirectional-2d": 0x37e74e4683157a3c,
+		"hotspot-2d":       0x3d071e8d00991b54,
+		"hypercube":        0x96443af25995b4d7,
+		"ndim":             0x4eccab183c6857cf,
+		"uniform":          0xd2b1d6378ac44022,
+	}
+	encode := func(name string, fo fixpoint.Options) []byte {
+		t.Helper()
+		s, err := surface.Build(testDef(name), surface.BuildOptions{FixPoint: fo})
+		if err != nil {
+			t.Fatalf("Build(%q, %v): %v", name, fo.Acceleration, err)
+		}
+		enc, err := surface.Encode(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return enc
+	}
+	for _, name := range core.Solvers() {
+		def := encode(name, fixpoint.Options{})
+		if acc := encode(name, fixpoint.Options{Acceleration: fixpoint.AccelAnderson}); !bytes.Equal(def, acc) {
+			t.Errorf("%s: the default build differs from an explicit Anderson build", name)
+		}
+		none := encode(name, fixpoint.Options{Acceleration: fixpoint.AccelNone})
+		if got := binary.LittleEndian.Uint64(none[len(none)-8:]); got != dampedChecksum[name] {
+			t.Errorf("%s: AccelNone build checksum %#016x, the damped default built %#016x", name, got, dampedChecksum[name])
+		}
 	}
 }
 

@@ -18,10 +18,12 @@ func contraction(in, out []float64) error {
 	return nil
 }
 
-// solveRounds runs one solve of contraction through f (nil: untraced,
-// no hook installed) and returns its convergence summary.
+// solveRounds runs one damped solve of contraction through f (nil:
+// untraced, no hook installed) and returns its convergence summary.
+// Anderson would solve the linear map in a few rounds whatever the
+// tolerance, so the solve opts out of it.
 func solveRounds(ctx context.Context, t testing.TB, f *FixpointTrace, tol float64) fixpoint.Convergence {
-	opts := fixpoint.Options{Tolerance: tol}
+	opts := fixpoint.Options{Tolerance: tol, Acceleration: fixpoint.AccelNone}
 	if f != nil {
 		opts.Trace = f.Hook()
 		f.Start(ctx)

@@ -77,17 +77,18 @@ func Solve(model string, s ModelSpec, o ModelOptions) (*SolveResult, error) {
 // set through ModelOptions.FixPoint.Acceleration.
 type Acceleration = fixpoint.Acceleration
 
-// Acceleration schemes: the damped baseline (default) and safeguarded
-// Anderson mixing. AccelNone is bit-identical to the historical iteration;
-// Anderson agrees with it to within the convergence tolerance and cuts the
-// round count near saturation.
+// Acceleration schemes: safeguarded Anderson mixing (the default, the zero
+// value) and the damped baseline. AccelNone is bit-identical to the
+// historical iteration; Anderson agrees with it to within the convergence
+// tolerance, refuses only the loads it refuses, and cuts the round count
+// near saturation.
 const (
-	AccelNone     = fixpoint.AccelNone
 	AccelAnderson = fixpoint.AccelAnderson
+	AccelNone     = fixpoint.AccelNone
 )
 
-// ParseAcceleration maps a scheme name ("", "none", "anderson")
-// to its Acceleration value; the CLIs use it for their -accel flags.
+// ParseAcceleration maps a scheme name ("" or "anderson", "none") to its
+// Acceleration value; the CLIs use it for their -accel flags.
 func ParseAcceleration(name string) (Acceleration, error) {
 	return fixpoint.ParseAcceleration(name)
 }
