@@ -73,8 +73,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		quiet   = fs.Bool("quiet", false, "suppress per-point progress lines")
 		// Fixed-point iteration knobs (DESIGN.md §10). "anderson" is the
 		// default; "none" opts out to the damped baseline.
-		accel    = fs.String("accel", "anderson", "fixed-point acceleration scheme for the model solves: anderson, or none for damped substitution")
-		accelWin = fs.Int("accel-window", 0, "Anderson mixing window, past residual differences combined per round (0 = solver default; requires -accel anderson)")
+		accel = fs.String("accel", "anderson", "fixed-point acceleration scheme for the model solves: anderson, or none for damped substitution")
 		// Observability (DESIGN.md §7).
 		logFormat  = fs.String("log-format", "text", "structured log format for progress/status lines: text or json")
 		manifest   = fs.String("manifest", "", "write one JSONL run-manifest record per simulation job to this file")
@@ -106,14 +105,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("-accel: %w", err)
 	}
-	if *accelWin < 0 {
-		return fmt.Errorf("-accel-window must be non-negative, got %d", *accelWin)
-	}
-	if *accelWin > 0 && scheme != fixpoint.AccelAnderson {
-		return fmt.Errorf("-accel-window is only meaningful with -accel anderson")
-	}
 	opts.FixPoint.Acceleration = scheme
-	opts.FixPoint.Window = *accelWin
 
 	panels := experiments.Figures()
 	if *panelID != "" {

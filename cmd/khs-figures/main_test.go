@@ -22,8 +22,9 @@ func runFigures(t *testing.T, args ...string) (stdout, stderr string, err error)
 	return out.String(), errb.String(), err
 }
 
-// TestAccelFlagValidation: the fixed-point acceleration flags must be
-// rejected before any simulation starts — these runs finish instantly.
+// TestAccelFlagValidation: bad fixed-point acceleration flags, and the
+// retired -accel-window, must be rejected before any simulation starts —
+// these runs finish instantly.
 func TestAccelFlagValidation(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -32,8 +33,7 @@ func TestAccelFlagValidation(t *testing.T) {
 	}{
 		{"unknown scheme", []string{"-accel", "psychic"}, "acceleration"},
 		{"retired scheme", []string{"-accel", "aitken"}, "acceleration"},
-		{"negative window", []string{"-accel", "anderson", "-accel-window", "-1"}, "non-negative"},
-		{"window without anderson", []string{"-accel", "none", "-accel-window", "3"}, "anderson"},
+		{"retired window", []string{"-accel", "anderson", "-accel-window", "5"}, "flag provided but not defined: -accel-window"},
 	} {
 		_, _, err := runFigures(t, tc.args...)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -11,7 +11,6 @@
 //	khs-model -model bidirectional-2d -k 16 -h 0.2 -sweep 0.0006 -points 12
 //	khs-model -model uniform -k 16 -saturation
 //	khs-model -model hypercube -k 2 -n 10 -h 0.1 -lambda 0.001
-//	khs-model -k 16 -h 0.2 -sweep 0.0006 -accel-window 4
 //	khs-model -k 16 -h 0.2 -sweep 0.0006 -accel none
 package main
 
@@ -72,8 +71,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		paperB = fs.Bool("paper-blocking", false, "use the per-VC M/G/1 blocking form of Eq. 26 (ablation B)")
 		// Fixed-point iteration knobs (DESIGN.md §10). "anderson" is the
 		// default; "none" opts out to the damped baseline.
-		accel    = fs.String("accel", "anderson", "fixed-point acceleration scheme: anderson, or none for damped substitution")
-		accelWin = fs.Int("accel-window", 0, "Anderson mixing window, past residual differences combined per round (0 = solver default; requires -accel anderson)")
+		accel = fs.String("accel", "anderson", "fixed-point acceleration scheme: anderson, or none for damped substitution")
 		// Observability (DESIGN.md §7).
 		spanOut    = fs.String("span-out", "", "write kept traces as JSONL span records to this file (truncated if it exists)")
 		metricsOut = fs.String("metrics-out", "", "write solver metrics to this file (.json = JSON snapshot, anything else = Prometheus text)")
@@ -112,14 +110,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 	if err != nil {
 		return fmt.Errorf("-accel: %w", err)
 	}
-	if *accelWin < 0 {
-		return fmt.Errorf("-accel-window must be non-negative, got %d", *accelWin)
-	}
-	if *accelWin > 0 && scheme != kncube.AccelAnderson {
-		return fmt.Errorf("-accel-window is only meaningful with -accel anderson")
-	}
 	opts.FixPoint.Acceleration = scheme
-	opts.FixPoint.Window = *accelWin
 	spec := func(lam float64) kncube.ModelSpec {
 		return kncube.ModelSpec{K: *k, Dims: *n, V: *v, Lm: *lm, H: *h, Lambda: lam}
 	}
@@ -130,7 +121,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 	if err != nil {
 		return err
 	}
-	fp := span.NewFixpointTrace(nil)
+	fp := span.NewFixpointTrace()
 	opts.FixPoint.Trace = fp.Hook()
 	var reg *telemetry.Registry
 	if *metricsOut != "" {

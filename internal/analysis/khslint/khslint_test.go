@@ -139,7 +139,6 @@ func TestHotPathRootsArePinned(t *testing.T) {
 		"telemetry.(*Counter).Inc",
 		"telemetry.(*Gauge).Set",
 		"telemetry.(*Histogram).Observe",
-		"telemetry.(Timer).Observe",
 		"core.(*model).Iterate",
 		"core.(*biModel).Iterate",
 		"core.(*hyperModel).Iterate",

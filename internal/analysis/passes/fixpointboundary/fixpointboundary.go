@@ -2,12 +2,13 @@
 // layering contract: fixpoint.Solve and its reusable form, the
 // (*fixpoint.Workspace).Solve method, are called only by the shared driver
 // in internal/core (and by the fixpoint package itself). Every model variant
-// and every solve entry point — the one-shot core.Solve, the prepared
-// path (core.Prepare / PreparedSolver), and the batch driver
-// (core.SolveBatch) — must funnel through that driver (core.finishSolve),
-// because it is the single place where defaulted tolerances, ErrSaturated
-// classification of divergence, and the Convergence summary are produced;
-// a direct fixpoint.Solve call would ship a result missing all three.
+// and every solve entry point — the one-shot core.Solve (a core.Prepare
+// followed by one PreparedSolver.Solve), the prepared path, and the batch
+// driver (core.SolveBatch) — must funnel through that driver
+// (core.finishSolve, reached through PreparedSolver), because it is the
+// single place where defaulted tolerances, ErrSaturated classification of
+// divergence, and the Convergence summary are produced; a direct
+// fixpoint.Solve call would ship a result missing all three.
 package fixpointboundary
 
 import (
@@ -23,8 +24,8 @@ var Analyzer = &analysis.Analyzer{
 
 Nothing below internal/core may call fixpoint.Solve, or the Solve method of
 a fixpoint.Workspace (the same iteration on reused scratch), directly: the driver
-(core.finishSolve, shared by core.Solve, the PreparedSolver re-solve path,
-and core.SolveBatch) owns option defaulting, saturation classification, and
+(core.finishSolve, reached through PreparedSolver by core.Solve, the
+prepared re-solve path and core.SolveBatch) owns option defaulting, saturation classification, and
 convergence reporting. Batch or prepared callers in higher layers
 (experiments, serve) must go through those core entry points. Test files
 are exempt — the fixpoint package's own tests exercise Solve directly by

@@ -26,7 +26,7 @@ var Analyzer = &analysis.Analyzer{
 	Doc: `enforce khs_<layer>_<name>_<unit> metric names, constant and registered once
 
 Names passed to telemetry Registry constructors (Counter, Gauge,
-Histogram, Timer) must be compile-time constant strings matching
+Histogram) must be compile-time constant strings matching
 khs_<layer>_..._<unit> with a known layer (sim, model, sweep, serve,
 surface, fixpoint, runtime) and a known unit suffix (total, seconds, second,
 cycles, ratio, size, entries, solves, sweeps, surfaces, depth, channel,
@@ -82,7 +82,6 @@ var constructors = map[string]bool{
 	"Counter":   true,
 	"Gauge":     true,
 	"Histogram": true,
-	"Timer":     true,
 }
 
 const telemetryPkg = "kncube/internal/telemetry"
@@ -96,12 +95,6 @@ type site struct {
 func run(pass *analysis.ProgramPass) error {
 	seen := map[string][]site{}
 	for _, u := range pass.Program.Units {
-		if u.Pkg != nil && u.Pkg.Path() == telemetryPkg {
-			// The registry's own constructors forward parameter names to
-			// each other (Timer wraps Histogram); those are plumbing, not
-			// registrations.
-			continue
-		}
 		for _, f := range u.Files {
 			ast.Inspect(f, func(nd ast.Node) bool {
 				call, ok := nd.(*ast.CallExpr)

@@ -95,9 +95,8 @@ func (ps *PreparedSolver) footprint() int {
 // shape would take the summed state and workspace variables of the solvers
 // held past maxStateSize, the set first drops every solver it holds, so a
 // batch of many large distinct shapes never pins them all. An Anderson
-// workspace, the default, is the larger share: (7 + 2·Window) state-sized
-// vectors, so a solver counts 18 times its state at the default Window 5
-// and 136 times at Window 64.
+// workspace, the default, is the larger share: 17 state-sized vectors and
+// 55 floats of normal equations, so a solver counts 18 times its state.
 // A PreparedSet is not safe for concurrent use.
 type PreparedSet struct {
 	name string

@@ -92,7 +92,7 @@ func TestSolveBatchMixedShapes(t *testing.T) {
 // (state plus fixed-point workspace) fits maxStateSize; the shape that
 // would overflow it drops every solver held before it is added, and
 // revisiting a held shape prepares nothing. Under the default Anderson
-// scheme a solver counts 18 times its state (the state and a Window-5
+// scheme a solver counts 18 times its state (the state and its
 // workspace), so two K ≈ 200 tori fit and the third overflows.
 func TestPreparedSetBound(t *testing.T) {
 	set := NewPreparedSet("hotspot-2d", Options{})

@@ -159,9 +159,9 @@ func NewSolver(name string, s Spec, o Options) (Solver, error) {
 // Prepare, SolveBatch and SolveLambdas; SolveResult.Detail carries the
 // variant's typed result.
 func Solve(name string, s Spec, o Options) (*SolveResult, error) {
-	sol, err := NewSolver(name, s, o)
+	ps, err := Prepare(name, s, o)
 	if err != nil {
 		return nil, err
 	}
-	return solveWith(sol, o)
+	return ps.Solve(s.Lambda)
 }

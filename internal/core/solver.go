@@ -94,24 +94,12 @@ func RoundBudget(o Options) int {
 	return fixpoint.Defaults().MaxIterations
 }
 
-// solveWith is the shared driver: validate, build the zero-load state, run
-// the fixed-point iteration, classify failures, assemble. It is the
-// single entry point into the fixed-point iteration for every model
-// variant; a one-shot solve runs it on a fresh workspace.
-func solveWith(s Solver, o Options) (*SolveResult, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	s.Prepare()
-	x := make([]float64, s.StateSize())
-	s.InitState(x)
-	return finishSolve(s, x, o, new(fixpoint.Workspace))
-}
-
-// finishSolve runs the fixed-point iteration on a prepared solver over an
-// initialised state vector, with ws as its scratch, classifies failures,
-// and assembles the result. It is shared by solveWith and the
-// prepared/batch path, so both follow the same arithmetic bit-for-bit.
+// finishSolve is the shared driver: it runs the fixed-point iteration on
+// a prepared solver over an initialised state vector, with ws as its
+// scratch, classifies failures, and assembles the result. It is the single
+// entry point into the fixed-point iteration for every model variant;
+// every solve, one-shot, prepared or batched, is a PreparedSolver's and
+// reaches it through PreparedSolver.Solve or SolveWarm.
 func finishSolve(s Solver, x []float64, o Options, ws *fixpoint.Workspace) (*SolveResult, error) {
 	conv, err := ws.Solve(x, s.Iterate, o.FixPoint)
 	if err != nil {

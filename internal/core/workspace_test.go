@@ -216,36 +216,45 @@ func TestRoundBudgetIsTheBudgetSolved(t *testing.T) {
 	}
 }
 
-// TestPreparedSetBoundCountsWorkspaces: with a Window-64 Anderson workspace
-// a solver counts 136 times its state, so the set drops what it holds
-// long before the states alone would reach maxStateSize.
+// TestPreparedSetBoundCountsWorkspaces: a solver counts its state plus
+// its workspace — 18 times its state and the 5 × 5 normal equations with
+// Anderson, twice its state damped — and the set drops what it holds
+// exactly when that summed footprint would pass maxStateSize.
 func TestPreparedSetBoundCountsWorkspaces(t *testing.T) {
-	var o Options
-	o.FixPoint.Acceleration = fixpoint.AccelAnderson
-	o.FixPoint.Window = fixpoint.MaxWindow
-	set := NewPreparedSet("hotspot-2d", o)
-	shape := func(k int) Spec { return Spec{K: k, Dims: 2, V: 2, Lm: 32, H: 0.2, Lambda: 1e-6} }
-	var held []int
-	state := 0
-	for k := 60; ; k++ {
-		ps, err := set.Prepare(shape(k))
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		accel     fixpoint.Acceleration
+		k0        int
+		footprint func(n int) int
+	}{
+		{fixpoint.AccelAnderson, 200, func(n int) int { return 18*n + 55 }},
+		{fixpoint.AccelNone, 400, func(n int) int { return 2 * n }},
+	} {
+		var o Options
+		o.FixPoint.Acceleration = tc.accel
+		set := NewPreparedSet("hotspot-2d", o)
+		shape := func(k int) Spec { return Spec{K: k, Dims: 2, V: 2, Lm: 32, H: 0.2, Lambda: 1e-6} }
+		held := 0 // summed footprint of the shapes K0..k-1
+		for k := tc.k0; ; k++ {
+			ps, err := set.Prepare(shape(k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fp := ps.footprint()
+			if want := tc.footprint(len(ps.x)); fp != want {
+				t.Fatalf("%v K=%d: footprint %d, want %d", tc.accel, k, fp, want)
+			}
+			dropped := set.Lookup(shape(tc.k0)) == nil
+			if over := held+fp > maxStateSize; dropped != over {
+				t.Fatalf("%v K=%d: %d held + %d new against bound %d, dropped %v",
+					tc.accel, k, held, fp, maxStateSize, dropped)
+			}
+			if dropped {
+				if k == tc.k0+1 {
+					t.Fatalf("%v: only one shape fit the bound; the test needs at least 2", tc.accel)
+				}
+				break
+			}
+			held += fp
 		}
-		if got, want := ps.footprint(), 136*len(ps.x)+2*64*64+64; got != want {
-			t.Fatalf("K=%d: footprint %d, want %d", k, got, want)
-		}
-		if set.Lookup(shape(60)) == nil {
-			break
-		}
-		held = append(held, k)
-		state += len(ps.x)
-	}
-	if len(held) < 2 {
-		t.Fatalf("only %d shapes held before the drop; the test needs at least 2", len(held))
-	}
-	if 2*state > maxStateSize/10 {
-		t.Errorf("the set dropped its solvers at %d state variables, not well below maxStateSize %d",
-			state, maxStateSize)
 	}
 }

@@ -82,7 +82,9 @@ type Sweep struct {
 	// core.Solvers); empty means DefaultModel. The simulator is configured
 	// to match the variant (bidirectional channels for "bidirectional-2d").
 	Model string
-	// Opts are the analytical model options.
+	// Opts are the analytical model options. The sweep installs its own
+	// FixPoint.Trace, which records each round on the point's
+	// fixpoint.solve span.
 	Opts core.Options
 	// Progress, when non-nil, is called serially after every completed
 	// simulation job (from worker goroutines, under the engine's lock —
@@ -429,7 +431,7 @@ func (s Sweep) solvePanelModels(ctx context.Context, model string, p Panel) ([]m
 		span.Int("points", len(p.Lambdas)))
 	defer msp.End()
 	opts := s.Opts
-	fp := span.NewFixpointTrace(opts.FixPoint.Trace)
+	fp := span.NewFixpointTrace()
 	opts.FixPoint.Trace = fp.Hook()
 	var ps *core.PreparedSolver
 	out := make([]modelPoint, len(p.Lambdas))

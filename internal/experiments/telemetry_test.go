@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"kncube/internal/core"
-	"kncube/internal/fixpoint"
 	"kncube/internal/stats"
 	"kncube/internal/telemetry"
 	"kncube/internal/telemetry/span"
@@ -260,23 +259,5 @@ func TestSweepRoundEventsMatchConvergence(t *testing.T) {
 	}
 	if saturated != 1 {
 		t.Errorf("%d saturated model points, want 1", saturated)
-	}
-}
-
-// TestSweepFixpointTracePreservesCallerTrace checks the sweep chains, rather
-// than replaces, a caller-supplied fixpoint trace callback: the caller sees
-// exactly the rounds the span records.
-func TestSweepFixpointTracePreservesCallerTrace(t *testing.T) {
-	p := sweepTestPanel()
-	p.Lambdas = p.Lambdas[:1]
-	callerRecords := 0
-	opts := core.Options{}
-	opts.FixPoint.Trace = func(fixpoint.TraceRecord) { callerRecords++ }
-	_, solves := tracedSweep(t, Sweep{Jobs: 1, Budget: sweepTestBudget(), Opts: opts}, p)
-	if callerRecords == 0 {
-		t.Fatalf("caller trace was dropped")
-	}
-	if n := len(solves[0].Rounds); callerRecords != n {
-		t.Errorf("caller saw %d rounds, span recorded %d", callerRecords, n)
 	}
 }

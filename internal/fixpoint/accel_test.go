@@ -47,7 +47,7 @@ func TestAccelerationReachesSameFixedPoint(t *testing.T) {
 
 // TestZeroOptionsAreAnderson: a zero Acceleration is AccelAnderson — the
 // same rounds, state and summary as an explicit request — and its
-// workspace is sized for Anderson at the default window of 5.
+// workspace is sized for Anderson.
 func TestZeroOptionsAreAnderson(t *testing.T) {
 	state := []float64{0, 0}
 	res, err := Solve(state, slowContraction, Options{Tolerance: 1e-10, MaxIterations: 100000, Damping: 1})
@@ -153,15 +153,6 @@ func TestAccelerationOptionValidation(t *testing.T) {
 	ok := func(in, out []float64) error { copy(out, in); return nil }
 	if _, err := Solve([]float64{0}, ok, Options{Acceleration: Acceleration(7)}); err == nil {
 		t.Error("unknown acceleration scheme accepted")
-	}
-	if _, err := Solve([]float64{0}, ok, Options{Acceleration: AccelAnderson, Window: -1}); err == nil {
-		t.Error("negative Window accepted")
-	}
-	if _, err := Solve([]float64{0}, ok, Options{Acceleration: AccelAnderson, Window: MaxWindow + 1}); err == nil {
-		t.Error("Window above MaxWindow accepted")
-	}
-	if _, err := Solve([]float64{0}, ok, Options{Acceleration: AccelAnderson, Window: 2}); err != nil {
-		t.Errorf("explicit Window rejected: %v", err)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 
 // TestAndersonRoundsAllocFree pins the accelerated-round contract: Solve
 // allocates its scratch at entry and each Anderson history slot once, as
-// the history first fills, so past the first Window columns its allocation
+// the history first fills, so past the first window columns its allocation
 // count does not grow with the number of rounds it runs. The map's fixed
 // point drifts slightly every round, so neither solve converges early and
 // both keep taking accelerated steps.
@@ -50,8 +50,8 @@ func TestAndersonRoundsAllocFree(t *testing.T) {
 
 // TestAndersonEarlyFailureAllocatesState pins what a solve that fails on
 // its first round costs: the Anderson history grows with the rounds run,
-// so a deep window over a large state allocates O(n), not O(Window·n),
-// before the map has been evaluated once.
+// so a large state allocates O(n), not O(window·n), before the map has
+// been evaluated once.
 func TestAndersonEarlyFailureAllocatesState(t *testing.T) {
 	const n = 1 << 16
 	state := make([]float64, n)
@@ -59,13 +59,13 @@ func TestAndersonEarlyFailureAllocatesState(t *testing.T) {
 	f := func(in, out []float64) error { return fail }
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := Solve(state, f, Options{Acceleration: AccelAnderson, Window: MaxWindow})
+	_, err := Solve(state, f, Options{Acceleration: AccelAnderson})
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, fail) {
 		t.Fatalf("Solve error %v, want the map's", err)
 	}
-	// next, rollback, rollbackF, cand, xLast and gLast: six state-sized
-	// buffers. The full window would be 2·MaxWindow more.
+	// next, rollback, rollbackF, initial, cand, xLast and gLast: seven
+	// state-sized buffers. The full window would be 2·window more.
 	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(8*8*n); got > limit {
 		t.Errorf("Solve allocated %d bytes before failing on round 1 of a %d-variable state, want <= %d",
 			got, n, limit)

@@ -31,7 +31,7 @@ type Acceleration int
 
 const (
 	// AccelAnderson is windowed Anderson mixing (type II), the zero-value
-	// default: each round combines the last Window residual differences by
+	// default: each round combines the last five residual differences by
 	// least squares to extrapolate toward the fixed point, typically
 	// cutting the iteration count by an order of magnitude near saturation
 	// where the damped contraction rate approaches 1. It refuses only
@@ -111,10 +111,6 @@ type Options struct {
 	// an attempt that fails or stalls hands over to the damped iteration
 	// from the initial state (see Solve).
 	Acceleration Acceleration
-	// Window is the Anderson mixing depth — how many past residual
-	// differences the least-squares extrapolation combines. 0 means 5.
-	// Ignored unless Acceleration is AccelAnderson.
-	Window int
 	// Trace, when non-nil, is called once per substitution round after the
 	// state update (and once more, with NonFiniteIndex set, when a round
 	// diverges). It must not retain the record past the call.
@@ -134,8 +130,9 @@ func Defaults() Options {
 	return Options{Tolerance: 1e-9, MaxIterations: 20000, Damping: 0.5}
 }
 
-// defaultWindow is the Anderson mixing depth when Options.Window is 0.
-const defaultWindow = 5
+// window is the Anderson mixing depth: how many past residual
+// differences the least-squares extrapolation combines.
+const window = 5
 
 // andersonBeta is the Anderson mixing factor: the weight of the residual
 // in the extrapolated candidate. The candidate replaces the damped step
@@ -147,11 +144,6 @@ const andersonBeta = 1.0
 // lowest value so far: it is cycling or creeping, and the damped
 // iteration from the initial state will do better.
 const stallRounds = 25
-
-// MaxWindow caps Options.Window: the least-squares system is built
-// Window × Window up front, and deeper histories stop paying off long
-// before this.
-const MaxWindow = 64
 
 func (o Options) withDefaults() (Options, error) {
 	d := Defaults()
@@ -168,9 +160,6 @@ func (o Options) withDefaults() (Options, error) {
 	if o.Damping == 0 {
 		o.Damping = d.Damping
 	}
-	if o.Window == 0 {
-		o.Window = defaultWindow
-	}
 	if o.Tolerance < 0 {
 		return o, fmt.Errorf("fixpoint: negative tolerance %v", o.Tolerance)
 	}
@@ -182,9 +171,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.Acceleration < AccelAnderson || o.Acceleration > AccelNone {
 		return o, fmt.Errorf("fixpoint: unknown acceleration scheme %d", o.Acceleration)
-	}
-	if o.Window < 1 || o.Window > MaxWindow {
-		return o, fmt.Errorf("fixpoint: Window %d outside 1..%d", o.Window, MaxWindow)
 	}
 	return o, nil
 }
@@ -226,8 +212,8 @@ type Map func(in, out []float64) error
 
 // Workspace is the scratch of a fixed-point solve: the map's output
 // vector, the accelerated attempt's rollback and restart vectors, and the
-// Anderson history. A solve grows the buffers to the state size and window
-// it needs and leaves them in place, so a later solve of the same shape
+// Anderson history. A solve grows the buffers to the state size it
+// needs and leaves them in place, so a later solve of the same shape
 // allocates nothing. Every per-solve field (the safeguard residual, the
 // stall counter, the history's length and position) is reset on entry;
 // only the buffers carry over, and each is written before it is read. The
@@ -244,8 +230,8 @@ type Workspace struct {
 // WorkspaceSize returns the most float64 values a Workspace holds after a
 // solve of an n-variable state under o: the map's output vector, and with
 // Anderson acceleration the rollback, rollbackF and initial vectors, the
-// candidate, the last iterate and residual, Window difference-column
-// pairs and the Window × Window normal equations. Options Solve rejects
+// candidate, the last iterate and residual, window difference-column
+// pairs and the window × window normal equations. Options Solve rejects
 // size nothing.
 func WorkspaceSize(n int, o Options) int {
 	o, err := o.withDefaults()
@@ -255,8 +241,7 @@ func WorkspaceSize(n int, o Options) int {
 	if o.Acceleration == AccelNone || n == 0 {
 		return n
 	}
-	w := o.Window
-	return (7+2*w)*n + 2*w*w + w
+	return (7+2*window)*n + 2*window*window + window
 }
 
 // Solve iterates x <- (1-d)x + d F(x) from the given initial state on a
@@ -324,7 +309,7 @@ func (w *Workspace) Solve(state []float64, f Map, opts Options) (Convergence, er
 		carve(n, &w.rollback, &w.rollbackF, &w.initial)
 		copy(w.initial, state)
 		acc = &w.acc
-		acc.begin(o.Window, n)
+		acc.begin(n)
 	}
 	// rollBack restores the iterate from before the latest accelerated step
 	// and its (already evaluated) map value, and drops the history.
@@ -532,10 +517,9 @@ type accelState struct {
 	// pair of live slots (window × window, by slot): each inner product is
 	// computed once, when the newer of its two columns arrives, and reused
 	// until one of them is evicted.
-	window       int
 	hasLast      bool
 	xLast, gLast []float64
-	dx, dg       [][]float64 // [slot][i]
+	dx, dg       [window][]float64 // [slot][i]
 	head, cols   int
 	gramAll      []float64
 
@@ -549,26 +533,20 @@ type accelState struct {
 	rhs  []float64
 }
 
-// begin readies the history for a solve of an n-variable state with the
-// given window: it resets every per-solve field and sizes the buffers,
-// keeping those a previous solve of the same size left.
-func (a *accelState) begin(window, n int) {
+// begin readies the history for a solve of an n-variable state: it resets
+// every per-solve field and sizes the buffers, keeping those a previous
+// solve of the same size left.
+func (a *accelState) begin(n int) {
 	a.prevRes, a.hasPrev = 0, false
 	a.best, a.sinceBest = math.Inf(1), 0
 	a.reset()
 	if len(a.cand) != n {
 		// Difference columns cut for another state size are dropped;
 		// record allocates them again as the history grows.
-		clear(a.dx[:cap(a.dx)])
-		clear(a.dg[:cap(a.dg)])
+		clear(a.dx[:])
+		clear(a.dg[:])
 	}
-	a.window = window
 	carve(n, &a.cand, &a.xLast, &a.gLast)
-	if cap(a.dx) < window {
-		a.dx = make([][]float64, window) //lint:ignore hotalloc the window's slot table is built once per workspace
-		a.dg = make([][]float64, window) //lint:ignore hotalloc the window's slot table is built once per workspace
-	}
-	a.dx, a.dg = a.dx[:window], a.dg[:window]
 	carve(window*window, &a.gramAll, &a.gram)
 	carve(window, &a.rhs)
 }
@@ -631,9 +609,9 @@ func (a *accelState) record(x, fx []float64) float64 {
 		a.hasLast = true
 		return maxRel
 	}
-	slot := (a.head + a.cols) % a.window
-	if a.cols == a.window {
-		a.head = (a.head + 1) % a.window
+	slot := (a.head + a.cols) % window
+	if a.cols == window {
+		a.head = (a.head + 1) % window
 	} else {
 		a.cols++
 	}
@@ -677,19 +655,19 @@ func (a *accelState) anderson(state []float64) bool {
 	// m-1. One pass per column computes both its inner product with the
 	// newest (the only Gram entries not already held) and the right-hand
 	// side entry against the current residual g = F(state) - state.
-	g, w := a.gLast, a.window
-	newest := (a.head + m - 1) % w
+	g := a.gLast
+	newest := (a.head + m - 1) % window
 	dgNew := a.dg[newest]
 	rhs := a.rhs[:m]
 	for j := 0; j < m; j++ {
-		sj := (a.head + j) % w
+		sj := (a.head + j) % window
 		col := a.dg[sj]
 		s, r := 0.0, 0.0
 		for i := range g {
 			s += col[i] * dgNew[i]
 			r += col[i] * g[i]
 		}
-		a.gramAll[sj*w+newest], a.gramAll[newest*w+sj] = s, s
+		a.gramAll[sj*window+newest], a.gramAll[newest*window+sj] = s, s
 		rhs[j] = r
 	}
 	// Normal equations Aγ = b with Tikhonov regularisation scaled to the
@@ -697,9 +675,9 @@ func (a *accelState) anderson(state []float64) bool {
 	gram := a.gram[:m*m]
 	diag := 0.0
 	for j := 0; j < m; j++ {
-		sj := (a.head + j) % w
+		sj := (a.head + j) % window
 		for k := 0; k < m; k++ {
-			gram[j*m+k] = a.gramAll[sj*w+(a.head+k)%w]
+			gram[j*m+k] = a.gramAll[sj*window+(a.head+k)%window]
 		}
 		diag += gram[j*m+j]
 	}
@@ -723,7 +701,7 @@ func (a *accelState) anderson(state []float64) bool {
 		cand[i] = state[i] + andersonBeta*g[i]
 	}
 	for j := 0; j < m; j++ {
-		sj := (a.head + j) % a.window
+		sj := (a.head + j) % window
 		dx, dg, gj := a.dx[sj], a.dg[sj], gamma[j]
 		for i := range cand {
 			cand[i] -= gj * (dx[i] + andersonBeta*dg[i])

@@ -93,30 +93,28 @@ func solveOn(w *Workspace, r wsRun, start float64) (state []float64, conv Conver
 }
 
 // TestWorkspaceReuseMatchesFreshSolve runs one Workspace through solves
-// that converge, stall and restart, fail mid-iteration, are cancelled,
-// change the Anderson window and change the state size, and holds each to
+// that converge, stall and restart, fail mid-iteration, are cancelled and
+// change the state size, and holds each to
 // a fresh Solve: the same final state bit for bit, the same summary, error
 // and round-by-round trace. A workspace that carried the safeguard
 // residual, the stall count or the history from one solve into the next
 // would diverge from the fresh solve here.
 func TestWorkspaceReuseMatchesFreshSolve(t *testing.T) {
-	anderson := func(tol float64, rounds, window int) Options {
-		return Options{Tolerance: tol, MaxIterations: rounds, Damping: 0.5, Acceleration: AccelAnderson, Window: window}
+	anderson := func(tol float64, rounds int) Options {
+		return Options{Tolerance: tol, MaxIterations: rounds, Damping: 0.5, Acceleration: AccelAnderson}
 	}
 	runs := []wsRun{
-		{"converging", 16, coupled, anderson(1e-13, 2000, 5), 0},
-		{"converging again", 16, coupled, anderson(1e-13, 2000, 5), 0},
-		{"stalling", 16, drifting, anderson(1e-300, 80, 5), 0},
-		{"converging after a stall", 16, coupled, anderson(1e-13, 2000, 5), 0},
-		{"failing mid-iteration", 16, failingAt(9), anderson(1e-13, 2000, 5), 0},
-		{"cancelled", 16, drifting, anderson(1e-300, 80, 5), 30},
-		{"stalling after a cancel", 16, drifting, anderson(1e-300, 80, 5), 0},
-		{"wider window", 16, drifting, anderson(1e-300, 80, 9), 0},
-		{"narrower window", 16, coupled, anderson(1e-13, 2000, 3), 0},
-		{"smaller state", 7, drifting, anderson(1e-300, 80, 5), 0},
-		{"larger state", 24, coupled, anderson(1e-13, 2000, 5), 0},
+		{"converging", 16, coupled, anderson(1e-13, 2000), 0},
+		{"converging again", 16, coupled, anderson(1e-13, 2000), 0},
+		{"stalling", 16, drifting, anderson(1e-300, 80), 0},
+		{"converging after a stall", 16, coupled, anderson(1e-13, 2000), 0},
+		{"failing mid-iteration", 16, failingAt(9), anderson(1e-13, 2000), 0},
+		{"cancelled", 16, drifting, anderson(1e-300, 80), 30},
+		{"stalling after a cancel", 16, drifting, anderson(1e-300, 80), 0},
+		{"smaller state", 7, drifting, anderson(1e-300, 80), 0},
+		{"larger state", 24, coupled, anderson(1e-13, 2000), 0},
 		{"damped", 24, coupled, Options{Tolerance: 1e-13, MaxIterations: 2000, Damping: 0.5, Acceleration: AccelNone}, 0},
-		{"accelerated after damped", 24, drifting, anderson(1e-300, 80, 5), 0},
+		{"accelerated after damped", 24, drifting, anderson(1e-300, 80), 0},
 	}
 	var w Workspace
 	for k, r := range runs {

@@ -74,10 +74,6 @@ type SolveOptions struct {
 	// fixpoint.ParseAcceleration. Both converge to the same tolerance, the
 	// damped one in more iterations and along another trajectory.
 	Acceleration string `json:"acceleration,omitempty"`
-	// AndersonWindow is the Anderson mixing depth, at most
-	// fixpoint.MaxWindow (0 selects the library default). Refused with
-	// acceleration "none".
-	AndersonWindow int `json:"anderson_window,omitempty"`
 	// Mode selects how the answer is produced: "exact" (the solver, today's
 	// default), "surface" (interpolate from a precomputed latency surface,
 	// falling back to the exact solver only near the saturation frontier or
@@ -153,15 +149,6 @@ func (o *SolveOptions) toCore() (core.Options, *FieldIssue) {
 		return opts, &FieldIssue{Field: "options.acceleration", Reason: err.Error()}
 	}
 	opts.FixPoint.Acceleration = accel
-	if o.AndersonWindow < 0 || o.AndersonWindow > fixpoint.MaxWindow {
-		return opts, &FieldIssue{Field: "options.anderson_window",
-			Reason: fmt.Sprintf("anderson window must be in 0..%d, got %d", fixpoint.MaxWindow, o.AndersonWindow)}
-	}
-	if o.AndersonWindow > 0 && opts.FixPoint.Acceleration != fixpoint.AccelAnderson {
-		return opts, &FieldIssue{Field: "options.anderson_window",
-			Reason: "anderson_window is only meaningful with acceleration \"anderson\""}
-	}
-	opts.FixPoint.Window = o.AndersonWindow
 	return opts, nil
 }
 

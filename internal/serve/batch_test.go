@@ -32,11 +32,12 @@ func batchRequest() BatchSolveRequest {
 // TestBatchSolveAccelerationSharesSingleSolveKeys: batch items solved with
 // acceleration options interact with the cache under exactly the keys their
 // /v1/solve equivalents use — an accelerated single solve afterwards is a
-// hit, and the accelerated entries are distinct from the damped ones.
+// hit, with the explicit scheme or the default, and the accelerated
+// entries are distinct from the damped ones.
 func TestBatchSolveAccelerationSharesSingleSolveKeys(t *testing.T) {
 	h := New(Config{}).Handler()
 	req := batchRequest()
-	req.Options = &SolveOptions{Acceleration: "anderson", AndersonWindow: 4}
+	req.Options = &SolveOptions{Acceleration: "anderson"}
 
 	resp := decodeBody[BatchSolveResponse](t, postJSON(t, h, "/v1/solve:batch", req))
 	for i, it := range resp.Items {
@@ -58,8 +59,16 @@ func TestBatchSolveAccelerationSharesSingleSolveKeys(t *testing.T) {
 			single.Result.Latency, resp.Items[0].Result.Latency)
 	}
 
+	deflt := decodeBody[SolveResponse](t, postJSON(t, h, "/v1/solve", SolveRequest{
+		K: bs.K, V: bs.V, Lm: bs.Lm, H: bs.H, Lambda: bs.Lambda,
+	}))
+	if deflt.Cache != cacheHit {
+		t.Errorf("default-options solve after the batch: cache=%q, want hit (the default is anderson)", deflt.Cache)
+	}
+
 	damped := decodeBody[SolveResponse](t, postJSON(t, h, "/v1/solve", SolveRequest{
 		K: bs.K, V: bs.V, Lm: bs.Lm, H: bs.H, Lambda: bs.Lambda,
+		Options: &SolveOptions{Acceleration: "none"},
 	}))
 	if damped.Cache != cacheMiss {
 		t.Errorf("damped solve of the same spec: cache=%q, want miss (acceleration keys its own entry)", damped.Cache)
@@ -292,6 +301,8 @@ func TestBatchSolveRequestValidation(t *testing.T) {
 		{"negative timeout", BatchSolveRequest{TimeoutMS: -1,
 			Items: []BatchSpec{{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4}}}, "timeout_ms"},
 		{"unknown json field", map[string]any{"items": []map[string]any{{"k": 16}}, "modell": "x"}, "body"},
+		{"retired anderson window", map[string]any{"options": map[string]any{"anderson_window": 5},
+			"items": []map[string]any{{"k": 16, "v": 2, "lm": 32, "h": 0.2, "lambda": 1e-4}}}, "body"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -26,7 +26,7 @@ func FuzzSolveRequest(f *testing.F) {
 		body  string
 	}{
 		{false, `{"k":16,"v":2,"lm":32,"h":0.2,"lambda":0.00015}`},
-		{false, `{"model":"uniform","k":8,"lm":16,"lambda":0.001,"options":{"acceleration":"anderson","anderson_window":3}}`},
+		{false, `{"model":"uniform","k":8,"lm":16,"lambda":0.001,"options":{"acceleration":"anderson"}}`},
 		{false, `{"model":"ndim","k":4,"dims":3,"v":2,"lm":8,"h":0.1,"lambda":0.001,"options":{"mode":"auto"}}`},
 		{false, `{"k":16,"v":2,"lm":32,"h":0.2,"lambda":0.01}`}, // saturated
 		{false, `{"k":1,"v":2,"lm":32,"h":0.2,"lambda":0.00015}`},
@@ -45,8 +45,9 @@ func FuzzSolveRequest(f *testing.F) {
 		{true, `{"items":null,"timeout_ms":-1}`},
 		{true, `{"model":"hypercube","items":[{"k":2,"dims":40,"v":1,"lm":8,"lambda":0.001}]}`},
 		{true, `{"items":[{"k":16}],"options":{"variance":"loud"}}`},
-		// Specs whose cost validation must refuse before any allocation:
-		// each of these once exhausted memory inside the solver.
+		// Specs that must be refused before any allocation: each of these
+		// once exhausted memory inside the solver. The retired
+		// anderson_window is now an unknown field.
 		{false, `{"k":888816,"v":2,"lm":32,"h":0.2,"lambda":0.00015}`},
 		{false, `{"k":16,"v":1000000000,"lm":32,"h":0.2,"lambda":0.00015}`},
 		{false, `{"k":16,"v":2,"lm":32,"h":0.2,"lambda":0.00015,"options":{"acceleration":"anderson","anderson_window":1000000000}}`},

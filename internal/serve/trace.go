@@ -54,7 +54,7 @@ type solveRunner struct {
 
 // newSolveRunner builds a runner whose solves are cancelled by ctx.
 func newSolveRunner(ctx context.Context, model string, opts core.Options) *solveRunner {
-	fp := span.NewFixpointTrace(opts.FixPoint.Trace)
+	fp := span.NewFixpointTrace()
 	opts.FixPoint.Ctx = ctx
 	opts.FixPoint.Trace = fp.Hook()
 	return &solveRunner{model: model, prepared: core.NewPreparedSet(model, opts), fp: fp}

@@ -24,7 +24,6 @@ import (
 	"context"
 	"fmt"
 
-	"kncube/internal/stats"
 	"kncube/internal/topology"
 	"kncube/internal/traffic"
 )
@@ -160,25 +159,11 @@ type RunOptions struct {
 	// MinMeasured is the number of measured message deliveries to collect
 	// before steady-state detection may stop the run; 0 means 10000.
 	MinMeasured int64
-	// BatchSize, Window, RelTol parameterise the batch-means steady-state
-	// detector (zero values use the stats package defaults).
-	BatchSize int
-	Window    int
-	RelTol    float64
 }
 
 func (o RunOptions) withDefaults() RunOptions {
 	if o.MinMeasured == 0 {
 		o.MinMeasured = 10000
-	}
-	if o.BatchSize == 0 {
-		o.BatchSize = 500
-	}
-	if o.Window == 0 {
-		o.Window = 4
-	}
-	if stats.IsZero(o.RelTol) {
-		o.RelTol = 0.05
 	}
 	return o
 }

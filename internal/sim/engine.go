@@ -74,7 +74,9 @@ func (nw *Network) Run(opts RunOptions) (Result, error) {
 	cyclesAtStart := nw.cycle
 	nw.measureFrom = nw.cycle + opts.WarmupCycles
 	nw.measuring = false
-	nw.batch = stats.NewBatchMeans(opts.BatchSize, opts.Window, opts.RelTol)
+	// Steady state: the last 4 batch means of 500 latencies each agree to
+	// within 5% of their average.
+	nw.batch = stats.NewBatchMeans(500, 4, 0.05)
 	// Reset the per-run measurement accumulators so a reused network
 	// starts a fresh window instead of averaging in the previous run's
 	// samples, and snapshot the per-channel flit counters so utilisation

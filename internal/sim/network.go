@@ -236,7 +236,6 @@ func New(cfg Config) (*Network, error) {
 		depth:   int32(cfg.BufDepth),
 		msgLen:  int32(cfg.MsgLen),
 		latHist: stats.NewHistogram(1),
-		batch:   stats.NewBatchMeans(500, 4, 0.05),
 		coll:    cfg.Collector,
 	}
 	nw.chanFlits = make([]int64, cube.Nodes()*outputs)

@@ -158,17 +158,11 @@ type BatchMeans struct {
 	means []float64
 }
 
-// NewBatchMeans returns a detector with the given parameters; zero values
-// fall back to BatchSize 1000, Window 5, RelTol 0.05.
+// NewBatchMeans returns a detector with the given parameters, each of
+// which must be positive.
 func NewBatchMeans(batchSize, window int, relTol float64) *BatchMeans {
-	if batchSize <= 0 {
-		batchSize = 1000
-	}
-	if window <= 0 {
-		window = 5
-	}
-	if relTol <= 0 {
-		relTol = 0.05
+	if batchSize < 1 || window < 1 || !(relTol > 0) {
+		panic(fmt.Sprintf("stats: NewBatchMeans(%d, %d, %v): parameters must be positive", batchSize, window, relTol))
 	}
 	return &BatchMeans{BatchSize: batchSize, Window: window, RelTol: relTol}
 }

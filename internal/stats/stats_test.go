@@ -172,10 +172,21 @@ func TestBatchMeansNeedsWindow(t *testing.T) {
 	}
 }
 
-func TestBatchMeansDefaults(t *testing.T) {
-	b := NewBatchMeans(0, 0, 0)
-	if b.BatchSize != 1000 || b.Window != 5 || !ApproxEqual(b.RelTol, 0.05, 0, 0) {
-		t.Errorf("defaults: %+v", b)
+// TestBatchMeansRejectsNonPositiveParameters: a zero or negative
+// parameter is a caller's bug and panics; nothing falls back to a default.
+func TestBatchMeansRejectsNonPositiveParameters(t *testing.T) {
+	for _, p := range []struct {
+		batchSize, window int
+		relTol            float64
+	}{{0, 4, 0.05}, {500, 0, 0.05}, {500, 4, 0}, {-1, 4, 0.05}, {500, 4, math.NaN()}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewBatchMeans(%d, %d, %v) did not panic", p.batchSize, p.window, p.relTol)
+				}
+			}()
+			NewBatchMeans(p.batchSize, p.window, p.relTol)
+		}()
 	}
 }
 

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"kncube/internal/stats"
 	"testing"
-	"time"
 )
 
 // BenchmarkTelemetryOverhead measures — and asserts — the cost of hot-path
@@ -15,7 +14,6 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	c := r.Counter("khs_bench_total", "", nil)
 	g := r.Gauge("khs_bench_ratio", "", nil)
 	h := r.Histogram("khs_bench_cycles", "", nil, ExponentialBuckets(1, 2, 16))
-	tm := r.Timer("khs_bench_seconds", "", nil, ExponentialBuckets(1e-6, 10, 8))
 
 	assertAllocFree := func(b *testing.B, op func()) {
 		b.Helper()
@@ -43,13 +41,6 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			h.Observe(float64(i & 4095))
-		}
-	})
-	b.Run("timer", func(b *testing.B) {
-		assertAllocFree(b, func() { tm.Observe(3 * time.Millisecond) })
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tm.Observe(time.Duration(i) * time.Microsecond)
 		}
 	})
 }

@@ -76,11 +76,6 @@ func (r *Registry) Histogram(name, help string, labels Labels, bounds []float64)
 	return m.h
 }
 
-// Timer returns a timer over a histogram of seconds registered under name.
-func (r *Registry) Timer(name, help string, labels Labels, bounds []float64) Timer {
-	return NewTimer(r.Histogram(name, help, labels, bounds))
-}
-
 // metric resolves (name, labels) to its series. A lookup of an existing
 // series only canonicalises the labels into stack buffers and reads two
 // maps; the name and label checks run when a family or series is created,

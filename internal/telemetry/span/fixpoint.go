@@ -17,18 +17,16 @@ import (
 // no allocation (TestFixpointTraceUntracedAllocs). A FixpointTrace serves
 // one solve at a time; owners that solve concurrently need one each.
 type FixpointTrace struct {
-	caller func(fixpoint.TraceRecord)
-	sp     *Span
+	sp *Span
 	// last is the current solve's most recent round; accelerated and
 	// damped tally its rounds the way fixpoint.Convergence does.
 	last                fixpoint.TraceRecord
 	accelerated, damped int
 }
 
-// NewFixpointTrace returns a bridge whose hook also forwards every round
-// to caller (nil for none).
-func NewFixpointTrace(caller func(fixpoint.TraceRecord)) *FixpointTrace {
-	return &FixpointTrace{caller: caller}
+// NewFixpointTrace returns a bridge with no solve started.
+func NewFixpointTrace() *FixpointTrace {
+	return &FixpointTrace{}
 }
 
 // Hook returns the callback to install as fixpoint.Options.Trace.
@@ -41,9 +39,6 @@ func (f *FixpointTrace) round(tr fixpoint.TraceRecord) {
 		f.accelerated++
 	case tr.NonFiniteIndex < 0:
 		f.damped++
-	}
-	if f.caller != nil {
-		f.caller(tr)
 	}
 	if f.sp != nil {
 		f.sp.Round(tr.Iteration, tr.MaxRelDelta, tr.Accelerated)

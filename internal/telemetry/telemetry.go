@@ -1,14 +1,14 @@
 // Package telemetry is the project's dependency-free observability toolkit:
-// atomic counters, gauges, fixed-bucket histograms and timers behind a named
+// atomic counters, gauges and fixed-bucket histograms behind a named
 // Registry with label support, exposed as Prometheus text or a JSON snapshot
 // (expose.go); JSONL run manifests for the sweep engine (manifest.go); and
 // pprof profiling hooks for the CLIs (profile.go). Fixed-point convergence
 // traces are span events (package span, FixpointTrace).
 //
 // The hot-path recording operations — Counter.Inc/Add, Gauge.Set/Add,
-// Histogram.Observe/ObserveN, Timer.Observe — are allocation-free and safe
-// for concurrent use; metric handles are resolved once through the Registry
-// and then recorded against directly. Metric names follow the repo
+// Histogram.Observe/ObserveN — are allocation-free and safe for concurrent
+// use; metric handles are resolved once through the Registry and then
+// recorded against directly. Metric names follow the repo
 // convention khs_<layer>_<name>_<unit> (DESIGN.md §7).
 package telemetry
 
@@ -16,7 +16,6 @@ import (
 	"math"
 	"sort"
 	"sync/atomic"
-	"time"
 )
 
 // MetricType distinguishes the exposition behaviour of a metric.
@@ -147,24 +146,6 @@ func (h *Histogram) Cumulative() []int64 {
 	}
 	return out
 }
-
-// Timer records durations, in seconds, into a histogram.
-type Timer struct {
-	h *Histogram
-}
-
-// NewTimer wraps a histogram whose bounds are in seconds.
-func NewTimer(h *Histogram) Timer { return Timer{h: h} }
-
-// Observe records one duration.
-//
-//khs:hotpath
-func (t Timer) Observe(d time.Duration) { t.h.Observe(d.Seconds()) }
-
-// ObserveSince records the time elapsed since start.
-//
-//khs:hotpath
-func (t Timer) ObserveSince(start time.Time) { t.Observe(time.Since(start)) }
 
 // atomicFloat is a lock-free float64 accumulator.
 type atomicFloat struct {
