@@ -90,36 +90,14 @@ func BenchmarkFiguresSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationEntrance compares the entrance-index policies for the
-// service-time recursions (DESIGN.md §4.6): how the OCR-ambiguous S_{·,k}
-// subscript is resolved.
-func BenchmarkAblationEntrance(b *testing.B) {
-	panel, _ := experiments.PanelByID("fig1-h20")
-	policies := map[string]core.EntrancePolicy{
-		"mean-distance": core.EntranceMeanDistance,
-		"worst-case":    core.EntranceWorstCase,
-	}
-	for i := 0; i < b.N; i++ {
-		for name, pol := range policies {
-			pts, err := experiments.ModelCurve(experiments.DefaultModel, panel, core.Options{Entrance: pol})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i == 0 {
-				b.Logf("entrance=%s: %s", name, summarise(pts))
-			}
-		}
-	}
-}
-
 // BenchmarkAblationBlocking compares the blocking-delay compositions
-// (DESIGN.md §4.7): the calibrated VC-occupancy form against the literal
-// Eq. 26 reading and the multi-server pool.
+// (DESIGN.md §4.7): the calibrated VC-occupancy form against the
+// multi-server pool. The retired literal readings are frozen in
+// results/ablations.csv.
 func BenchmarkAblationBlocking(b *testing.B) {
 	panel, _ := experiments.PanelByID("fig1-h40")
 	forms := map[string]core.BlockingForm{
 		"vc-occupancy": core.BlockingVCOccupancy,
-		"paper-eq26":   core.BlockingPaper,
 		"multi-server": core.BlockingMultiServer,
 	}
 	for i := 0; i < b.N; i++ {
@@ -130,27 +108,6 @@ func BenchmarkAblationBlocking(b *testing.B) {
 			}
 			if i == 0 {
 				b.Logf("blocking=%s: %s", name, summarise(pts))
-			}
-		}
-	}
-}
-
-// BenchmarkAblationVariance compares the service-time variance treatments
-// (DESIGN.md §4.7): the paper's (S-Lm)² approximation against
-// deterministic service.
-func BenchmarkAblationVariance(b *testing.B) {
-	panel, _ := experiments.PanelByID("fig1-h70")
-	for i := 0; i < b.N; i++ {
-		for name, v := range map[string]core.VarianceForm{
-			"zero":  core.VarianceZero,
-			"paper": core.VariancePaper,
-		} {
-			pts, err := experiments.ModelCurve(experiments.DefaultModel, panel, core.Options{Variance: v})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i == 0 {
-				b.Logf("variance=%s: %s", name, summarise(pts))
 			}
 		}
 	}

@@ -67,8 +67,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		sweep  = fs.Float64("sweep", 0, "sweep lambda from 0 to this value instead of a single point")
 		points = fs.Int("points", 10, "number of sweep points")
 		sat    = fs.Bool("saturation", false, "locate the saturation rate by bisection")
-		worst  = fs.Bool("worst-case-entrance", false, "use the worst-case entrance policy (ablation A; hotspot-2d only)")
-		paperB = fs.Bool("paper-blocking", false, "use the per-VC M/G/1 blocking form of Eq. 26 (ablation B)")
 		// Fixed-point iteration knobs (DESIGN.md §10). "anderson" is the
 		// default; "none" opts out to the damped baseline.
 		accel = fs.String("accel", "anderson", "fixed-point acceleration scheme: anderson, or none for damped substitution")
@@ -100,12 +98,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 	}
 
 	opts := kncube.ModelOptions{}
-	if *worst {
-		opts.Entrance = kncube.EntranceWorstCase
-	}
-	if *paperB {
-		opts.Blocking = kncube.BlockingPaper
-	}
 	scheme, err := kncube.ParseAcceleration(*accel)
 	if err != nil {
 		return fmt.Errorf("-accel: %w", err)

@@ -359,10 +359,17 @@ func TestSpanOutPointAndSaturation(t *testing.T) {
 	}
 }
 
-// TestRemovedFlags: -trace-out (superseded by -span-out) and -log-format
-// (khs-model never logged) are unknown flags, a usage error.
+// TestRemovedFlags: -trace-out (superseded by -span-out), -log-format
+// (khs-model never logged), and the retired ablation switches
+// -worst-case-entrance and -paper-blocking (results/ablations.csv freezes
+// their curves) are unknown flags, a usage error.
 func TestRemovedFlags(t *testing.T) {
-	for _, args := range [][]string{{"-trace-out", t.TempDir()}, {"-log-format", "json"}} {
+	for _, args := range [][]string{
+		{"-trace-out", t.TempDir()},
+		{"-log-format", "json"},
+		{"-worst-case-entrance"},
+		{"-paper-blocking"},
+	} {
 		_, _, err := runCLI(t, append(args, "-lambda", "1e-4")...)
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Fatalf("%s: want an unknown-flag error, got %v", args[0], err)

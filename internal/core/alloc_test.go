@@ -7,7 +7,7 @@ import "testing"
 // registered variant under every blocking form. khs-lint's hotalloc pass
 // proves the same over the call graph; this samples it at run time.
 func TestIterateAllocFree(t *testing.T) {
-	forms := []BlockingForm{BlockingVCOccupancy, BlockingPaper, BlockingMultiServer}
+	forms := []BlockingForm{BlockingVCOccupancy, BlockingMultiServer}
 	for _, name := range Solvers() {
 		for _, form := range forms {
 			spec := goldenSpec(name)

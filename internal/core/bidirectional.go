@@ -389,7 +389,7 @@ func (m *biModel) Assemble(x []float64, conv Convergence) (*SolveResult, error) 
 
 	lv := p.Lambda / float64(p.V)
 	wait := func(s float64) (float64, error) {
-		return queueing.MG1Wait(lv, s, m.variance(s))
+		return queueing.MG1Wait(lv, s, 0)
 	}
 
 	// Source waits: hot node, hot-column nodes, and the rest.

@@ -48,7 +48,7 @@ func bitIdentityLambdas() []float64 {
 // convergence summary, or the error text of a refused point.
 func bitIdentityDigest(t *testing.T) []string {
 	t.Helper()
-	forms := []BlockingForm{BlockingVCOccupancy, BlockingPaper, BlockingMultiServer}
+	forms := []BlockingForm{BlockingVCOccupancy, BlockingMultiServer}
 	accels := []fixpoint.Acceleration{fixpoint.AccelNone, fixpoint.AccelAnderson}
 	var lines []string
 	for _, name := range Solvers() {

@@ -10,8 +10,7 @@ import "fmt"
 //
 // Field is the canonical lower-case JSON/flag name of the offending
 // parameter: "model", "k", "dims", "v", "lm", "h", "lambda", or, for an
-// option, its path in a request: "options.entrance", "options.blocking",
-// "options.variance".
+// option, its path in a request: "options.blocking".
 type FieldError struct {
 	Field  string
 	Reason string

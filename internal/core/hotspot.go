@@ -13,8 +13,9 @@
 //   - service times: position-indexed recursions S_j = 1 + B_j + S_{j-1}
 //     with terminal value Lm (body drain), for five regular-message path
 //     classes (Eqs. 11-20) and two hot-spot path classes (Eqs. 21-25);
-//   - blocking: B = Pb * wc with Pb the channel utilisation and wc an
-//     M/G/1 waiting time with variance approximation (S-Lm)^2 (Eqs. 26-30);
+//   - blocking: B = Pb * wc (Eqs. 26-30), with Pb the chance that all V
+//     virtual channels are held and wc the wait of an M/G/1 whose service
+//     is the link's deterministic flit time Lm+1 (DESIGN.md §4.7);
 //   - source queue: M/G/1 with arrival rate lambda/V and node-position-
 //     dependent service time (Eqs. 31-32);
 //   - virtual channels: Dally's multiplexing degree V̄ scales the final
@@ -41,21 +42,6 @@ var ErrSaturated = errors.New("core: network saturated at this load")
 // kBar returns k̄ = (K-1)/2, the mean unidirectional ring distance (Eq. 1).
 func kBar(k int) float64 { return float64(k-1) / 2 }
 
-// EntrancePolicy selects how the entrance service time of a regular message
-// (the OCR-ambiguous S_{·,k} subscript of Eqs. 12-20) is computed from the
-// per-position recursion; see DESIGN.md §4.6.
-type EntrancePolicy int
-
-const (
-	// EntranceMeanDistance averages S(b) over the uniform destination ring
-	// distance b in {1..k-1} — the default, reducing to the classic uniform
-	// treatment at H = 0.
-	EntranceMeanDistance EntrancePolicy = iota
-	// EntranceWorstCase evaluates the recursion at k-1 hops (the literal
-	// OCR reading).
-	EntranceWorstCase EntrancePolicy = 2 // .khsf defs and shape keys store the number; 1 is retired
-)
-
 // BlockingForm selects the blocking-delay composition (ablation B).
 type BlockingForm int
 
@@ -72,53 +58,18 @@ const (
 	// DESIGN.md §4.7 and EXPERIMENTS.md for the calibration against the
 	// simulator.
 	BlockingVCOccupancy BlockingForm = iota
-	// BlockingPaper is the literal reading of Eq. 26: B = Pb·wc on a
-	// per-virtual-channel M/G/1 (rates divided by V unless NoVCSplit),
-	// with Pb the channel utilisation. Its blocking feedback is strongly
-	// superlinear, so it saturates at roughly half the simulator's knee
-	// (ablation B).
-	BlockingPaper
 	// BlockingMultiServer treats the V virtual channels as an M/G/V
 	// server pool: a header waits for any free virtual channel, so the
 	// blocking delay is the Erlang-C (Lee-Longton) M/G/c waiting time at
 	// the aggregate channel rate. The most accurate form at light and
 	// moderate load, but it too loses its fixed point early: it is the
 	// light-load reference a change to the default must match.
-	BlockingMultiServer BlockingForm = 3 // .khsf defs, shape keys and goldens store the number; 2 is retired
-)
-
-// VarianceForm selects the service-time variance used in the waiting-time
-// formulas (ablation D).
-type VarianceForm int
-
-const (
-	// VarianceZero (the zero-value default) treats service as
-	// deterministic (M/D/·). The quadratic (S-Lm)² term of Eq. 28 is a
-	// dominant superlinearity in the blocking feedback; disabling it
-	// keeps the model finite across the paper's plotted load ranges.
-	VarianceZero VarianceForm = iota
-	// VariancePaper approximates Var[S] = (S - Lm)² (Eq. 28, after
-	// Draper-Ghosh; ablation D).
-	VariancePaper
+	BlockingMultiServer BlockingForm = 3 // .khsf defs, shape keys and goldens store the number; 1, 2 and 4 are retired
 )
 
 // Options tune the model's reconstruction knobs and its solver.
 type Options struct {
-	Entrance EntrancePolicy
 	Blocking BlockingForm
-	Variance VarianceForm
-	// NoVCSplit disables dividing channel arrival rates by V in the
-	// per-channel M/G/1 blocking treatment. The paper splits the source
-	// queue's rate by V "since the physical channel is split into V
-	// virtual channels" (Eq. 32); applying the same split at network
-	// channels — a message competes for one virtual channel, and the
-	// bandwidth sharing between busy virtual channels is charged
-	// separately through the V̄ scaling of Eqs. 33-37 — is what lets the
-	// model remain finite up to near the physical flit capacity, as the
-	// paper's figures do. Setting NoVCSplit recovers the serialised
-	// whole-channel M/G/1 (ablation C), which saturates several times
-	// earlier.
-	NoVCSplit bool
 	// FixPoint configures the iteration; each zero Tolerance,
 	// MaxIterations or Damping takes its fixpoint.Defaults() value, the
 	// tolerances the models were calibrated with, and the zero
@@ -126,24 +77,15 @@ type Options struct {
 	FixPoint fixpoint.Options
 }
 
-// Validate refuses option values no solver implements, and a non-default
-// entrance policy on a variant other than hotspot-2d, the only one whose
-// recursions have an entrance to choose. NewSolver applies it, and
-// surface.Def.Validate applies it to persisted surface definitions.
-func (o Options) Validate(model string) error {
-	if o.Entrance != EntranceMeanDistance && o.Entrance != EntranceWorstCase {
-		return fieldErrf("options.entrance", "core: unknown entrance policy %d (mean-distance 0, worst-case 2)", o.Entrance)
-	}
-	if o.Entrance != EntranceMeanDistance && model != "hotspot-2d" {
-		return fieldErrf("options.entrance", "core: %s has no entrance policy to set (only hotspot-2d)", model)
-	}
+// Validate refuses blocking forms no solver implements, among them the
+// retired numbers (paper 1, wait-only 2, bandwidth 4; DESIGN.md §4.7).
+// NewSolver applies it, and surface.Def.Validate applies it to persisted
+// surface definitions.
+func (o Options) Validate() error {
 	switch o.Blocking {
-	case BlockingVCOccupancy, BlockingPaper, BlockingMultiServer:
+	case BlockingVCOccupancy, BlockingMultiServer:
 	default:
-		return fieldErrf("options.blocking", "core: unknown blocking form %d (vc-occupancy 0, paper 1, multi-server 3)", o.Blocking)
-	}
-	if o.Variance != VarianceZero && o.Variance != VariancePaper {
-		return fieldErrf("options.variance", "core: unknown variance form %d (zero 0, paper 1)", o.Variance)
+		return fieldErrf("options.blocking", "core: unknown blocking form %d (vc-occupancy 0, multi-server 3)", o.Blocking)
 	}
 	return nil
 }
@@ -302,13 +244,11 @@ func (m *model) SetLambda(lambda float64) {
 }
 
 // entrance reduces a 1-indexed service vector (remaining hops 1..k-1) to
-// the mean service time seen at ring entry, per the configured policy.
+// the mean service time seen at ring entry: the average of S(b) over the
+// uniform destination ring distance b (DESIGN.md §4.6).
 func (m *model) entrance(s []float64) float64 {
 	k := m.s.K
-	if m.o.Entrance == EntranceWorstCase {
-		return s[k-1]
-	}
-	sum := 0.0 // EntranceMeanDistance
+	sum := 0.0
 	for j := 1; j <= k-1; j++ {
 		sum += s[j]
 	}
@@ -482,9 +422,6 @@ func (m *model) InitState(x []float64) {
 	}
 	// x-then-y classes terminate into the entrance of a y-ring.
 	entY := m.lm + float64(k)/2
-	if m.o.Entrance == EntranceWorstCase {
-		entY = m.lm + float64(k-1)
-	}
 	for j := 1; j <= k-1; j++ {
 		m.l.sxhy.put(x, j, entY+float64(j))
 		m.l.sxhybar.put(x, j, entY+float64(j))
@@ -550,7 +487,7 @@ func (m *model) assemble(x []float64, conv Convergence) (*Result, error) {
 	// per-VC arrival rate is lambda/V.
 	lv := p.Lambda / float64(p.V)
 	wait := func(s float64) (float64, error) {
-		return queueing.MG1Wait(lv, s, m.variance(s))
+		return queueing.MG1Wait(lv, s, 0)
 	}
 	wsHot := func(sHot float64) (float64, error) {
 		return wait((1-p.H)*sr + p.H*sHot)

@@ -278,21 +278,12 @@ func TestHZeroMatchesUniformBaseline(t *testing.T) {
 	}
 }
 
-func TestEntrancePolicyOrdering(t *testing.T) {
-	p := Spec{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 2e-4}
-	mean := solveDetail[Result](t, "hotspot-2d", p, Options{Entrance: EntranceMeanDistance})
-	worst := solveDetail[Result](t, "hotspot-2d", p, Options{Entrance: EntranceWorstCase})
-	if worst.Latency <= mean.Latency {
-		t.Errorf("worst-case entrance %v not above mean %v", worst.Latency, mean.Latency)
-	}
-}
-
 func TestBlockingFormsFiniteAtLightLoad(t *testing.T) {
 	// Every blocking form must solve well below saturation and agree with
 	// the others within a few percent there.
 	p := Spec{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 5e-5}
 	var lats []float64
-	for _, form := range []BlockingForm{BlockingVCOccupancy, BlockingPaper, BlockingMultiServer} {
+	for _, form := range []BlockingForm{BlockingVCOccupancy, BlockingMultiServer} {
 		r := solveDetail[Result](t, "hotspot-2d", p, Options{Blocking: form})
 		lats = append(lats, r.Latency)
 	}

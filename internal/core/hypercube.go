@@ -246,7 +246,7 @@ func (m *hyperModel) Assemble(state []float64, conv Convergence) (*SolveResult, 
 	// Source queue: rate lambda/V, service = class mix of entrances.
 	lv := m.s.Lambda / float64(m.s.V)
 	mix := (1-m.s.H)*entReg + m.s.H*entHot
-	ws, err := queueing.MG1Wait(lv, mix, m.variance(mix))
+	ws, err := queueing.MG1Wait(lv, mix, 0)
 	if err != nil {
 		return nil, fmt.Errorf("%w (hypercube source queue)", ErrSaturated)
 	}

@@ -277,7 +277,7 @@ func (m *ndimModel) Assemble(state []float64, conv Convergence) (*SolveResult, e
 	// Source queue.
 	lv := m.s.Lambda / float64(m.s.V)
 	mix := (1-m.s.H)*entReg + m.s.H*entHot
-	ws, err := queueing.MG1Wait(lv, mix, m.variance(mix))
+	ws, err := queueing.MG1Wait(lv, mix, 0)
 	if err != nil {
 		return nil, fmt.Errorf("%w (ndim source queue)", ErrSaturated)
 	}

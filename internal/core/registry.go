@@ -147,7 +147,7 @@ func NewSolver(name string, s Spec, o Options) (Solver, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := o.Validate(name); err != nil {
+	if err := o.Validate(); err != nil {
 		return nil, err
 	}
 	return v.factory(v.canonical(s), o)

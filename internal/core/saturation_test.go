@@ -31,10 +31,10 @@ func TestSolversWrapErrSaturated(t *testing.T) {
 			if !errors.Is(err, ErrSaturated) {
 				t.Errorf("error does not wrap ErrSaturated: %v", err)
 			}
-			// Every ablation's blocking form must uphold the contract too
-			// (they take different error paths through the iterate step).
+			// The multi-server form must uphold the contract too (it takes
+			// a different error path through the iterate step).
 			if tc.name == "hotspot-2d" {
-				for _, form := range []BlockingForm{BlockingPaper, BlockingMultiServer, BlockingVCOccupancy} {
+				for _, form := range []BlockingForm{BlockingMultiServer, BlockingVCOccupancy} {
 					_, err := Solve(tc.name, tc.spec, Options{Blocking: form})
 					if err == nil {
 						t.Fatalf("blocking form %v: no error at an absurd load", form)

@@ -6,7 +6,7 @@ package core
 // rates → service-time recursions → M/G/1 blocking → source queue → Dally's
 // V̄ — solved by fixed-point iteration; this file holds the single
 // copy of everything that pipeline shares: the driver around the
-// fixed-point iteration, the blocking/variance composition, and the
+// fixed-point iteration, the blocking composition, and the
 // saturation classification of iteration failures. Variant files implement
 // Solver and register a factory (registry.go); nothing below this layer
 // calls fixpoint.Solve or a fixpoint.Workspace directly.
@@ -117,9 +117,9 @@ func finishSolve(s Solver, x []float64, o Options, ws *fixpoint.Workspace) (*Sol
 	return s.Assemble(x, conv)
 }
 
-// solverBase carries the knobs every variant's blocking and variance
-// compositions share; embedding it is what keeps the per-variant models
-// free of their own copies of these methods.
+// solverBase carries the knobs every variant's blocking composition
+// shares; embedding it is what keeps the per-variant models free of their
+// own copies of these methods.
 type solverBase struct {
 	o  Options
 	v  int     // virtual channels per physical channel
@@ -128,16 +128,6 @@ type solverBase struct {
 
 func newSolverBase(o Options, v, lm int) solverBase {
 	return solverBase{o: o, v: v, lm: float64(lm)}
-}
-
-// variance is the service-time variance for the waiting-time formulas
-// under the configured VarianceForm.
-func (b *solverBase) variance(sBar float64) float64 {
-	if b.o.Variance == VarianceZero {
-		return 0
-	}
-	dev := sBar - b.lm
-	return dev * dev
 }
 
 // channel is one channel class of a model: a channel carrying regular
@@ -152,12 +142,11 @@ type channel struct {
 	// marks a class that carries no traffic.
 	err  error
 	idle bool
-	// wait is the waiting time wc of BlockingVCOccupancy with VarianceZero,
-	// an M/G/1 with the link's flit transmission time Lm+1 as deterministic
-	// service; preset marks it computed. Other forms compute their waits
-	// each round, since the service times enter them.
-	wait   float64
-	preset bool
+	// wait is the waiting time wc of BlockingVCOccupancy, an M/G/1 with the
+	// link's flit transmission time Lm+1 as deterministic service.
+	// BlockingMultiServer computes its wait each round instead, since the
+	// service times enter it.
+	wait float64
 }
 
 // channel computes the load-only part of the blocking delay of a channel
@@ -171,54 +160,28 @@ func (b *solverBase) channel(lr, lh float64) channel {
 		c.err = queueing.ErrUnstable
 	case stats.IsZero(lr + lh):
 		c.idle = true
-	case b.o.Blocking == BlockingVCOccupancy && b.o.Variance == VarianceZero:
+	case b.o.Blocking == BlockingVCOccupancy:
 		c.wait, c.err = queueing.MG1Wait(lr+lh, b.lm+1, 0)
-		c.preset = true
 	}
 	return c
 }
 
 // blocking composes Eqs. 26-30 under the configured form, for channel
 // class c carrying regular traffic with service time sr and hot-spot
-// traffic with service time sh. For the per-VC M/G/1 forms the class
-// rates are divided by V unless NoVCSplit is set: the header competes for
-// one of the V virtual channels, each seeing 1/V of the channel's traffic.
+// traffic with service time sh. Service is taken as deterministic (zero
+// variance) in both forms.
 func (b *solverBase) blocking(c *channel, sr, sh float64) (float64, error) {
 	if c.err != nil || c.idle {
 		return 0, c.err
 	}
-	lr, lh := c.lr, c.lh
-	total := lr + lh
-	w := c.wait
-	if !c.preset {
-		sBar := queueing.WeightedService(lr, sr, lh, sh)
-		variance := b.variance(sBar)
-		switch b.o.Blocking {
-		case BlockingMultiServer:
-			return queueing.MGcWait(total, sBar, variance, b.v)
-		case BlockingPaper: // Eq. 26: B = Pb·wc
-			if !b.o.NoVCSplit {
-				vf := float64(b.v)
-				lr /= vf
-				lh /= vf
-				total /= vf
-			}
-			wc, err := queueing.MG1Wait(total, sBar, variance)
-			if err != nil {
-				return 0, err
-			}
-			return queueing.BlockingProbability(lr, sr, lh, sh) * wc, nil
-		}
-		var err error
-		if w, err = queueing.MG1Wait(total, b.lm+1, variance); err != nil {
-			return 0, err
-		}
+	if b.o.Blocking == BlockingMultiServer {
+		return queueing.MGcWait(c.lr+c.lh, queueing.WeightedService(c.lr, sr, c.lh, sh), 0, b.v)
 	}
 	// BlockingVCOccupancy: Pb is the chance all V virtual channels are held
 	// (Eqs. 33-34) at the holding-time utilisation of Eq. 27.
-	rho := lr*sr + lh*sh
+	rho := c.lr*sr + c.lh*sh
 	if rho > 1 {
 		rho = 1
 	}
-	return vcmodel.AllBusy(b.v, rho*(1-1e-12)) * w, nil
+	return vcmodel.AllBusy(b.v, rho*(1-1e-12)) * c.wait, nil
 }

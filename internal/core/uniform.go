@@ -30,14 +30,16 @@ type UniformResult struct {
 
 // uniformModel is the classic uniform-traffic baseline
 // (Dally-1990/Draper-Ghosh style, adapted to the unidirectional torus with
-// the same blocking and variance compositions as the hot-spot model): the
-// mean network latency satisfies the scalar fixed point
+// the same blocking composition as the hot-spot model): the mean network
+// latency satisfies the scalar fixed point
 //
 //	S = Lm + d̄ + d̄·B(λc, S)
 //
 // with d̄ = n(k-1)/2 the mean path length and λc = λ·k̄ the uniform
 // per-channel rate; the final latency is (S + Ws)·V̄ exactly as in the
-// hot-spot model's assembly.
+// hot-spot model's assembly. Unlike the other four variants, whose queues
+// all take service as deterministic, its source queue keeps Eq. 28's
+// (S−Lm)² variance (queueing.PaperWait).
 type uniformModel struct {
 	solverBase
 	s        Spec

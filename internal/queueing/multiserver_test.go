@@ -142,17 +142,12 @@ func TestMGcWaitMonotoneInLoad(t *testing.T) {
 }
 
 func TestBlockingMulti(t *testing.T) {
-	// internal/core's BlockingMultiServer form under VariancePaper: the
-	// M/G/c wait at the aggregate rate and weighted service time, with
-	// the paper's (s-Lm)² variance.
-	multi := func(lr, sr, lh, sh, lm float64, c int) (float64, error) {
-		s := WeightedService(lr, sr, lh, sh)
-		return MGcWait(lr+lh, s, (s-lm)*(s-lm), c)
-	}
-	if b, err := multi(0, 0, 0, 0, 32, 2); err != nil || !stats.IsZero(b) {
+	// internal/core's BlockingMultiServer form (multiServer): the M/G/c
+	// wait at the aggregate rate and weighted service time.
+	if b, err := multiServer(0, 0, 0, 0, 2); err != nil || !stats.IsZero(b) {
 		t.Error("idle channel should block 0")
 	}
-	b, err := multi(0.001, 40, 0.004, 50, 32, 2)
+	b, err := multiServer(0.001, 40, 0.004, 50, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +155,7 @@ func TestBlockingMulti(t *testing.T) {
 		t.Errorf("blocking %v, want > 0", b)
 	}
 	// Symmetric in class order.
-	b2, err := multi(0.004, 50, 0.001, 40, 32, 2)
+	b2, err := multiServer(0.004, 50, 0.001, 40, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,10 @@
 // Package queueing provides the queueing-theoretic building blocks of the
 // analytical model: the M/G/1 waiting-time formula with the service-time
 // variance approximation used throughout the wormhole-modelling literature
-// (Draper-Ghosh 1994), the M/G/c pool waiting time, and the blocking
-// probability and weighted service time that Eqs. 26-30 of Loucif,
-// Ould-Khaoua, Min (IPDPS 2005) compose into a channel blocking delay
-// (the composition itself lives in internal/core).
+// (Draper-Ghosh 1994), the M/G/c pool waiting time, and the weighted
+// service time that Eqs. 26-30 of Loucif, Ould-Khaoua, Min (IPDPS 2005)
+// compose into a channel blocking delay (the composition itself lives in
+// internal/core).
 //
 // All times are in network cycles and all rates in messages/cycle.
 package queueing
@@ -50,6 +50,9 @@ func MG1Wait(lambda, s, variance float64) (float64, error) {
 // inherits from Draper-Ghosh:
 //
 //	W = lambda s^2 (1 + (s-Lm)^2/s^2) / (2 (1 - lambda s)).
+//
+// Only the uniform baseline's source queue uses it; every other queue of
+// the models takes service as deterministic.
 func PaperWait(lambda, s, lm float64) (float64, error) {
 	if stats.IsZero(s) {
 		return 0, nil
@@ -67,20 +70,6 @@ func WeightedService(lr, sr, lh, sh float64) float64 {
 		return 0
 	}
 	return (lr*sr + lh*sh) / total
-}
-
-// BlockingProbability returns Eq. 27: the probability that an arriving
-// header finds the channel busy, taken as the channel utilisation
-// lr*sr + lh*sh, clamped to [0, 1].
-func BlockingProbability(lr, sr, lh, sh float64) float64 {
-	p := lr*sr + lh*sh
-	if p < 0 {
-		return 0
-	}
-	if p > 1 {
-		return 1
-	}
-	return p
 }
 
 // ErlangB returns the Erlang-B blocking probability for offered load a

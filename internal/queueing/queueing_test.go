@@ -184,57 +184,43 @@ func TestWeightedServiceBounds(t *testing.T) {
 	}
 }
 
-func TestBlockingProbabilityClamped(t *testing.T) {
-	if p := BlockingProbability(10, 10, 10, 10); !stats.ApproxEqual(p, 1, 0, 0) {
-		t.Errorf("overloaded channel probability = %v, want clamp to 1", p)
-	}
-	if p := BlockingProbability(0, 0, 0, 0); !stats.IsZero(p) {
-		t.Errorf("idle channel probability = %v, want 0", p)
-	}
-	if p := BlockingProbability(0.001, 40, 0.002, 50); math.Abs(p-0.14) > 1e-12 {
-		t.Errorf("probability = %v, want 0.14", p)
-	}
-}
-
-// eq26 is the blocking delay of Eq. 26 as internal/core's BlockingPaper
-// form composes it from this package's primitives (under VariancePaper and
-// NoVCSplit): the blocking probability of Eq. 27 times the M/G/1 wait at
-// the aggregate rate and weighted service time, with the (s-Lm)² variance.
-func eq26(lr, sr, lh, sh, lm float64) (float64, error) {
-	w, err := PaperWait(lr+lh, WeightedService(lr, sr, lh, sh), lm)
-	if err != nil {
-		return 0, err
-	}
-	return BlockingProbability(lr, sr, lh, sh) * w, nil
+// multiServer is the blocking delay of a channel class as internal/core's
+// BlockingMultiServer form composes it from this package's primitives: the
+// M/G/c wait at the aggregate rate and the rate-weighted service time
+// (Eq. 30), with deterministic service, over c virtual channels.
+func multiServer(lr, sr, lh, sh float64, c int) (float64, error) {
+	return MGcWait(lr+lh, WeightedService(lr, sr, lh, sh), 0, c)
 }
 
 func TestBlockingZeroTraffic(t *testing.T) {
-	b, err := eq26(0, 50, 0, 60, 32)
+	b, err := multiServer(0, 50, 0, 60, 2)
 	if err != nil || !stats.IsZero(b) {
 		t.Errorf("idle channel blocking: %v %v", b, err)
 	}
 }
 
 func TestBlockingSingleClassMatchesComposition(t *testing.T) {
-	// With only one class, the blocking is (l*s) * PaperWait(l, s, lm).
-	l, s, lm := 0.004, 45.0, 32.0
-	w, err := PaperWait(l, s, lm)
+	// With only one class, the weighted service is that class's service,
+	// whichever class carries the traffic.
+	l, s := 0.004, 45.0
+	want, err := MGcWait(l, s, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := l * s * w
-	got, err := eq26(l, s, 0, 0, lm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("blocking = %v, want %v", got, want)
+	for _, c := range [][4]float64{{l, s, 0, 0}, {0, 0, l, s}} {
+		b, err := multiServer(c[0], c[1], c[2], c[3], 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(b-want) > 1e-12 {
+			t.Errorf("blocking = %v, want %v", b, want)
+		}
 	}
 }
 
 func TestBlockingSymmetricInClasses(t *testing.T) {
-	b1, err1 := eq26(0.001, 40, 0.003, 55, 32)
-	b2, err2 := eq26(0.003, 55, 0.001, 40, 32)
+	b1, err1 := multiServer(0.001, 40, 0.003, 55, 2)
+	b2, err2 := multiServer(0.003, 55, 0.001, 40, 2)
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
@@ -244,7 +230,8 @@ func TestBlockingSymmetricInClasses(t *testing.T) {
 }
 
 func TestBlockingUnstable(t *testing.T) {
-	_, err := eq26(0.02, 40, 0.01, 30, 32)
+	// 0.02·40 + 0.01·30 = 1.1 erlangs on one virtual channel.
+	_, err := multiServer(0.02, 40, 0.01, 30, 1)
 	if !errors.Is(err, ErrUnstable) {
 		t.Errorf("err = %v, want ErrUnstable", err)
 	}
@@ -252,8 +239,8 @@ func TestBlockingUnstable(t *testing.T) {
 
 func TestBlockingMonotoneInHotRate(t *testing.T) {
 	prev := -1.0
-	for lh := 0.0; lh*60+0.001*40 < 0.95; lh += 0.001 {
-		b, err := eq26(0.001, 40, lh, 60, 32)
+	for lh := 0.0; lh*60+0.001*40 < 1.9; lh += 0.001 {
+		b, err := multiServer(0.001, 40, lh, 60, 2)
 		if err != nil {
 			t.Fatalf("lh=%v: %v", lh, err)
 		}

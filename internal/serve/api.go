@@ -52,21 +52,21 @@ type SolveRequest struct {
 	Lm     int     `json:"lm,omitempty"`
 	H      float64 `json:"h,omitempty"`
 	Lambda float64 `json:"lambda,omitempty"`
-	// Options select the model's reconstruction knobs (ablations); the
-	// zero value is the calibrated default used by all harness tooling.
+	// Options select the blocking form, the fixed-point scheme and the
+	// serving mode; the zero value is the calibrated default used by all
+	// harness tooling. A field the struct does not name (the retired
+	// "entrance", "variance" and "no_vc_split" among them) is a 400 on
+	// "body".
 	Options *SolveOptions `json:"options,omitempty"`
 	// TimeoutMS bounds this solve; it is capped by the server's configured
 	// per-request timeout. 0 means the server default.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
-// SolveOptions is the JSON form of core.Options' reconstruction knobs.
+// SolveOptions is the JSON form of core.Options plus the serving mode.
 // Empty strings select the calibrated defaults.
 type SolveOptions struct {
-	Entrance  string `json:"entrance,omitempty"` // mean-distance | worst-case (hotspot-2d only)
-	Blocking  string `json:"blocking,omitempty"` // vc-occupancy | paper | multi-server
-	Variance  string `json:"variance,omitempty"` // zero | paper
-	NoVCSplit bool   `json:"no_vc_split,omitempty"`
+	Blocking string `json:"blocking,omitempty"` // vc-occupancy | multi-server
 	// Acceleration selects the fixed-point extrapolation scheme:
 	// "anderson" (windowed Anderson mixing, the default, so "" and
 	// "anderson" share one cache entry) or "none" (damped successive
@@ -114,36 +114,15 @@ func (o *SolveOptions) toCore() (core.Options, *FieldIssue) {
 	if o == nil {
 		return opts, nil
 	}
-	switch o.Entrance {
-	case "", "mean-distance":
-		opts.Entrance = core.EntranceMeanDistance
-	case "worst-case":
-		opts.Entrance = core.EntranceWorstCase
-	default:
-		return opts, &FieldIssue{Field: "options.entrance",
-			Reason: fmt.Sprintf("unknown entrance policy %q (mean-distance, worst-case)", o.Entrance)}
-	}
 	switch o.Blocking {
 	case "", "vc-occupancy":
 		opts.Blocking = core.BlockingVCOccupancy
-	case "paper":
-		opts.Blocking = core.BlockingPaper
 	case "multi-server":
 		opts.Blocking = core.BlockingMultiServer
 	default:
 		return opts, &FieldIssue{Field: "options.blocking",
-			Reason: fmt.Sprintf("unknown blocking form %q (vc-occupancy, paper, multi-server)", o.Blocking)}
+			Reason: fmt.Sprintf("unknown blocking form %q (vc-occupancy, multi-server)", o.Blocking)}
 	}
-	switch o.Variance {
-	case "", "zero":
-		opts.Variance = core.VarianceZero
-	case "paper":
-		opts.Variance = core.VariancePaper
-	default:
-		return opts, &FieldIssue{Field: "options.variance",
-			Reason: fmt.Sprintf("unknown variance form %q (zero, paper)", o.Variance)}
-	}
-	opts.NoVCSplit = o.NoVCSplit
 	accel, err := fixpoint.ParseAcceleration(o.Acceleration)
 	if err != nil {
 		return opts, &FieldIssue{Field: "options.acceleration", Reason: err.Error()}

@@ -296,8 +296,16 @@ func TestBatchSolveRequestValidation(t *testing.T) {
 		{"too many items", BatchSolveRequest{Items: huge}, "items"},
 		{"unknown model", BatchSolveRequest{Model: "no-such-model",
 			Items: []BatchSpec{{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4}}}, "model"},
-		{"unknown option", BatchSolveRequest{Options: &SolveOptions{Variance: "psychic"},
-			Items: []BatchSpec{{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4}}}, "options.variance"},
+		{"unknown option", BatchSolveRequest{Options: &SolveOptions{Blocking: "psychic"},
+			Items: []BatchSpec{{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4}}}, "options.blocking"},
+		{"retired paper blocking", BatchSolveRequest{Options: &SolveOptions{Blocking: "paper"},
+			Items: []BatchSpec{{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4}}}, "options.blocking"},
+		{"retired entrance", map[string]any{"options": map[string]any{"entrance": "worst-case"},
+			"items": []map[string]any{{"k": 16, "v": 2, "lm": 32, "h": 0.2, "lambda": 1e-4}}}, "body"},
+		{"retired variance", map[string]any{"options": map[string]any{"variance": "paper"},
+			"items": []map[string]any{{"k": 16, "v": 2, "lm": 32, "h": 0.2, "lambda": 1e-4}}}, "body"},
+		{"retired no-vc-split", map[string]any{"options": map[string]any{"no_vc_split": true},
+			"items": []map[string]any{{"k": 16, "v": 2, "lm": 32, "h": 0.2, "lambda": 1e-4}}}, "body"},
 		{"negative timeout", BatchSolveRequest{TimeoutMS: -1,
 			Items: []BatchSpec{{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4}}}, "timeout_ms"},
 		{"unknown json field", map[string]any{"items": []map[string]any{{"k": 16}}, "modell": "x"}, "body"},

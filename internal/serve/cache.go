@@ -21,11 +21,10 @@ import (
 // bit-for-bit identical — no epsilon, no float equality.
 func solveKey(model string, spec core.Spec, o core.Options) string {
 	spec = core.Canonical(model, spec)
-	return fmt.Sprintf("%s|%d|%d|%d|%d|%016x|%016x|%d|%d|%d|%t|%d",
+	return fmt.Sprintf("%s|%d|%d|%d|%d|%016x|%016x|%d|%d",
 		model, spec.K, spec.Dims, spec.V, spec.Lm,
 		math.Float64bits(spec.H), math.Float64bits(spec.Lambda),
-		o.Entrance, o.Blocking, o.Variance, o.NoVCSplit,
-		o.FixPoint.Acceleration)
+		o.Blocking, o.FixPoint.Acceleration)
 }
 
 // cacheEntry is a completed solve outcome. err is nil or wraps

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"kncube/internal/core"
+	"kncube/internal/fixpoint"
 	"kncube/internal/telemetry"
 )
 
@@ -109,10 +110,8 @@ func TestSolveKeyDistinctSpecsNeverCollide(t *testing.T) {
 	add("h-ulp", func(v *variant) { v.spec.H = math.Nextafter(0.2, 1) })
 	add("lambda", func(v *variant) { v.spec.Lambda = 2e-4 })
 	add("lambda-ulp", func(v *variant) { v.spec.Lambda = math.Nextafter(1e-4, 1) })
-	add("entrance", func(v *variant) { v.opts.Entrance = core.EntranceWorstCase })
-	add("blocking", func(v *variant) { v.opts.Blocking = core.BlockingPaper })
-	add("variance", func(v *variant) { v.opts.Variance = core.VariancePaper })
-	add("novcsplit", func(v *variant) { v.opts.NoVCSplit = true })
+	add("blocking", func(v *variant) { v.opts.Blocking = core.BlockingMultiServer })
+	add("acceleration", func(v *variant) { v.opts.FixPoint.Acceleration = fixpoint.AccelNone })
 
 	seen := map[string]string{}
 	for _, v := range variants {

@@ -209,18 +209,29 @@ func TestSolveValidationIsStructured(t *testing.T) {
 		{"negative load", SolveRequest{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: -1}, "lambda"},
 		{"unknown model", SolveRequest{Model: "no-such-model", K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4}, "model"},
 		{"wrong dims for 2d variant", SolveRequest{K: 16, Dims: 3, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4}, "dims"},
-		{"unknown entrance option", SolveRequest{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4,
-			Options: &SolveOptions{Entrance: "psychic"}}, "options.entrance"},
 		{"unknown blocking option", SolveRequest{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4,
 			Options: &SolveOptions{Blocking: "none"}}, "options.blocking"},
 		{"retired wait-only blocking", SolveRequest{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4,
 			Options: &SolveOptions{Blocking: "wait-only"}}, "options.blocking"},
 		{"retired bandwidth blocking", SolveRequest{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4,
 			Options: &SolveOptions{Blocking: "bandwidth"}}, "options.blocking"},
-		{"retired kbar entrance", SolveRequest{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4,
-			Options: &SolveOptions{Entrance: "kbar"}}, "options.entrance"},
-		{"entrance on a variant without one", SolveRequest{Model: "uniform", K: 16, V: 2, Lm: 32, Lambda: 1e-4,
-			Options: &SolveOptions{Entrance: "worst-case"}}, "options.entrance"},
+		{"retired paper blocking", SolveRequest{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4,
+			Options: &SolveOptions{Blocking: "paper"}}, "options.blocking"},
+		// The entrance policy, the variance form and the no-VC-split
+		// switch are retired (results/ablations.csv freezes their curves):
+		// the strict decoder refuses each field, whatever its value.
+		{"unknown entrance option", map[string]any{"k": 16, "v": 2, "lm": 32, "h": 0.2, "lambda": 1e-4,
+			"options": map[string]any{"entrance": "psychic"}}, "body"},
+		{"retired kbar entrance", map[string]any{"k": 16, "v": 2, "lm": 32, "h": 0.2, "lambda": 1e-4,
+			"options": map[string]any{"entrance": "kbar"}}, "body"},
+		{"entrance on a variant without one", map[string]any{"model": "uniform", "k": 16, "v": 2, "lm": 32, "lambda": 1e-4,
+			"options": map[string]any{"entrance": "worst-case"}}, "body"},
+		{"retired default entrance", map[string]any{"k": 16, "v": 2, "lm": 32, "h": 0.2, "lambda": 1e-4,
+			"options": map[string]any{"entrance": "mean-distance"}}, "body"},
+		{"retired paper variance", map[string]any{"k": 16, "v": 2, "lm": 32, "h": 0.2, "lambda": 1e-4,
+			"options": map[string]any{"variance": "paper"}}, "body"},
+		{"retired no-vc-split", map[string]any{"k": 16, "v": 2, "lm": 32, "h": 0.2, "lambda": 1e-4,
+			"options": map[string]any{"no_vc_split": true}}, "body"},
 		{"negative timeout", SolveRequest{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4, TimeoutMS: -5}, "timeout_ms"},
 		{"unknown acceleration", SolveRequest{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4,
 			Options: &SolveOptions{Acceleration: "psychic"}}, "options.acceleration"},

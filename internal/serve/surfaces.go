@@ -77,9 +77,7 @@ func (s *Server) handleSurfaceCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	def := surface.Def{
 		Model: model, K: req.K, Dims: req.Dims, V: req.V, Lm: req.Lm,
-		Entrance: opts.Entrance, Blocking: opts.Blocking,
-		Variance: opts.Variance, NoVCSplit: opts.NoVCSplit,
-		Hs: req.Hs, Lambdas: req.Lambdas,
+		Blocking: opts.Blocking, Hs: req.Hs, Lambdas: req.Lambdas,
 	}
 	if err := def.Validate(); err != nil {
 		issues := fieldIssues(err) // an option the model does not take

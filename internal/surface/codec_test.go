@@ -165,6 +165,34 @@ func TestDecodeChecksumCannotMaskStructure(t *testing.T) {
 	}
 }
 
+// TestDecodeRefusesRetiredOptionFields: a version-1 header that names a
+// retired option field (the entrance policy, the variance form, or the
+// no-VC-split switch, whose forms are frozen in results/ablations.csv) is
+// ErrBadHeader, even under a valid checksum: the strict header decoder
+// never drops such a field and answers with the default form instead.
+func TestDecodeRefusesRetiredOptionFields(t *testing.T) {
+	data, err := surface.Encode(smallSurface(t))
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	hdrLen := int(binary.LittleEndian.Uint32(data[8:12]))
+	hdr := data[12 : 12+hdrLen]
+	if !bytes.HasPrefix(hdr, []byte("{")) {
+		t.Fatalf("header %q is not a JSON object", hdr)
+	}
+	for _, field := range []string{`"entrance":2`, `"variance":1`, `"no_vc_split":true`} {
+		newHdr := append([]byte("{"+field+","), hdr[1:]...)
+		buf := append([]byte(nil), data[:8]...)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(newHdr)))
+		buf = append(buf, newHdr...)
+		buf = append(buf, data[12+hdrLen:]...)
+		reseal(buf)
+		if _, err := surface.Decode(buf); !errors.Is(err, surface.ErrBadHeader) {
+			t.Errorf("header naming %s: got %v, want ErrBadHeader", field, err)
+		}
+	}
+}
+
 // reseal recomputes the trailing FNV-64a checksum after a deliberate
 // payload edit.
 func reseal(buf []byte) {

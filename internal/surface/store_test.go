@@ -51,7 +51,7 @@ func TestStoreLookupOutcomes(t *testing.T) {
 		t.Errorf("other-model lookup: want ErrNoSurface, got %v", err)
 	}
 	// Miss: same shape, different result-affecting options.
-	if _, _, err := st.Lookup(d.Model, spec, core.Options{NoVCSplit: true}, surface.LookupOptions{}); !errors.Is(err, surface.ErrNoSurface) {
+	if _, _, err := st.Lookup(d.Model, spec, core.Options{Blocking: core.BlockingMultiServer}, surface.LookupOptions{}); !errors.Is(err, surface.ErrNoSurface) {
 		t.Errorf("other-options lookup: want ErrNoSurface, got %v", err)
 	}
 

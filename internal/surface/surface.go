@@ -35,12 +35,9 @@ type Def struct {
 	Dims int `json:"dims"`
 	V    int `json:"v"`
 	Lm   int `json:"lm"`
-	// Entrance, Blocking, Variance and NoVCSplit are the result-affecting
-	// solver options (core.Options ablation knobs).
-	Entrance  core.EntrancePolicy `json:"entrance,omitempty"`
-	Blocking  core.BlockingForm   `json:"blocking,omitempty"`
-	Variance  core.VarianceForm   `json:"variance,omitempty"`
-	NoVCSplit bool                `json:"no_vc_split,omitempty"`
+	// Blocking is the one result-affecting solver option
+	// (core.Options.Blocking).
+	Blocking core.BlockingForm `json:"blocking,omitempty"`
 	// Hs is the ascending hot-spot-fraction axis, each in [0, 1).
 	Hs []float64 `json:"hs"`
 	// Lambdas is the ascending offered-load axis, each > 0.
@@ -56,7 +53,7 @@ func (d Def) Validate() error {
 	if d.Model == "" {
 		return fmt.Errorf("surface: Def.Model is empty")
 	}
-	if err := d.options().Validate(d.Model); err != nil {
+	if err := d.options().Validate(); err != nil {
 		return fmt.Errorf("surface: %w", err)
 	}
 	if len(d.Hs) == 0 {
@@ -102,14 +99,13 @@ func (d Def) Key() string {
 // the same shard owner.
 func ShapeKey(model string, s core.Spec, o core.Options) string {
 	s = core.Canonical(model, s)
-	return fmt.Sprintf("%s|%d|%d|%d|%d|%d|%d|%d|%t",
-		model, s.K, s.Dims, s.V, s.Lm, o.Entrance, o.Blocking, o.Variance, o.NoVCSplit)
+	return fmt.Sprintf("%s|%d|%d|%d|%d|%d", model, s.K, s.Dims, s.V, s.Lm, o.Blocking)
 }
 
 // options rebuilds the core.Options the surface was (or will be) solved
 // with, minus iteration knobs.
 func (d Def) options() core.Options {
-	return core.Options{Entrance: d.Entrance, Blocking: d.Blocking, Variance: d.Variance, NoVCSplit: d.NoVCSplit}
+	return core.Options{Blocking: d.Blocking}
 }
 
 // Surface is a solved latency surface: the Def plus row-major

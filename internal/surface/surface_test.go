@@ -353,23 +353,17 @@ func TestDefKeyIgnoresAxes(t *testing.T) {
 		t.Errorf("same shape, different grids: keys differ (%q vs %q)", a.Key(), b.Key())
 	}
 	c := a
-	c.NoVCSplit = true
+	c.Blocking = core.BlockingMultiServer
 	if a.Key() == c.Key() {
-		t.Errorf("NoVCSplit must split the shape key")
-	}
-	e := a
-	e.Variance = core.VariancePaper
-	if a.Key() == e.Key() {
-		t.Errorf("Variance must split the shape key")
+		t.Errorf("Blocking must split the shape key")
 	}
 }
 
-// TestOptionValuesNoSolverImplementsAreRefused: an entrance, blocking or
-// variance value outside the kept forms — an unknown number or one of the
-// retired ones (k̄ entrance 1, wait-only blocking 2, bandwidth blocking
-// 4) — and an entrance policy on a variant without one are refused with a
-// field error by core.Solve, by Def.Validate, and when a surface file
-// carrying them is loaded. The kept values pass all three.
+// TestOptionValuesNoSolverImplementsAreRefused: a blocking value outside
+// the kept forms — an unknown number or one of the retired ones (paper 1,
+// wait-only 2, bandwidth 4) — is refused with a field error by
+// core.Solve, by Def.Validate, and when a surface file carrying it is
+// loaded. The kept values pass all three.
 func TestOptionValuesNoSolverImplementsAreRefused(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -378,18 +372,14 @@ func TestOptionValuesNoSolverImplementsAreRefused(t *testing.T) {
 		field string // "" when the options are valid
 	}{
 		{"default", "hotspot-2d", core.Options{}, ""},
-		{"worst-case entrance", "hotspot-2d", core.Options{Entrance: core.EntranceWorstCase}, ""},
 		{"multi-server blocking", "hotspot-2d", core.Options{Blocking: core.BlockingMultiServer}, ""},
-		{"paper variance", "uniform", core.Options{Variance: core.VariancePaper}, ""},
-		{"retired k̄ entrance", "hotspot-2d", core.Options{Entrance: 1}, "options.entrance"},
-		{"unknown entrance", "hotspot-2d", core.Options{Entrance: 9}, "options.entrance"},
-		{"entrance on uniform", "uniform", core.Options{Entrance: core.EntranceWorstCase}, "options.entrance"},
-		{"entrance on ndim", "ndim", core.Options{Entrance: core.EntranceWorstCase}, "options.entrance"},
+		{"multi-server on uniform", "uniform", core.Options{Blocking: core.BlockingMultiServer}, ""},
+		{"retired paper blocking", "hotspot-2d", core.Options{Blocking: 1}, "options.blocking"},
 		{"retired wait-only blocking", "hotspot-2d", core.Options{Blocking: 2}, "options.blocking"},
 		{"retired bandwidth blocking", "hotspot-2d", core.Options{Blocking: 4}, "options.blocking"},
 		{"unknown blocking", "hotspot-2d", core.Options{Blocking: 7}, "options.blocking"},
 		{"negative blocking", "bidirectional-2d", core.Options{Blocking: -1}, "options.blocking"},
-		{"unknown variance", "hypercube", core.Options{Variance: 5}, "options.variance"},
+		{"retired paper blocking on hypercube", "hypercube", core.Options{Blocking: 1}, "options.blocking"},
 	} {
 		spec := core.Spec{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1.5e-4}
 		switch tc.model {
@@ -411,7 +401,7 @@ func TestOptionValuesNoSolverImplementsAreRefused(t *testing.T) {
 		// from a valid build, only the definition is swapped.
 		sfc := *smallSurface(t)
 		sfc.Def.Model = tc.model
-		sfc.Def.Entrance, sfc.Def.Blocking, sfc.Def.Variance = tc.opts.Entrance, tc.opts.Blocking, tc.opts.Variance
+		sfc.Def.Blocking = tc.opts.Blocking
 		if err := sfc.Def.Validate(); (err != nil) != (tc.field != "") {
 			t.Errorf("%s: Def.Validate = %v, want refusal %t", tc.name, err, tc.field != "")
 		}

@@ -121,33 +121,21 @@ func SolveBatch(model string, specs []ModelSpec, o BatchOptions) ([]BatchItem, e
 
 // --- Analytical models -------------------------------------------------------
 
-// ModelOptions select the reconstruction knobs documented in DESIGN.md.
+// ModelOptions select the blocking form and the fixed-point iteration
+// (DESIGN.md §4.7 and §10).
 type ModelOptions = core.Options
 
 // ModelResult is the solved hot-spot model with diagnostics
 // (the Detail of a "hotspot-2d" solve).
 type ModelResult = core.Result
 
-// Entrance policies for the service-time recursions (ablation A).
+// Blocking-delay forms. The zero value of ModelOptions selects
+// BlockingVCOccupancy — the calibrated reconstruction used by all harness
+// tooling; BlockingMultiServer is the light-load reference (DESIGN.md
+// §4.7).
 const (
-	EntranceMeanDistance = core.EntranceMeanDistance
-	EntranceWorstCase    = core.EntranceWorstCase
-)
-
-// Blocking-delay forms (ablations B and C). The zero value of ModelOptions
-// selects BlockingVCOccupancy with VarianceZero — the calibrated
-// reconstruction used by all harness tooling; the other forms are the
-// documented ablations.
-const (
-	BlockingPaper       = core.BlockingPaper
 	BlockingMultiServer = core.BlockingMultiServer
 	BlockingVCOccupancy = core.BlockingVCOccupancy
-)
-
-// Variance forms for the waiting-time formulas (ablation D).
-const (
-	VariancePaper = core.VariancePaper
-	VarianceZero  = core.VarianceZero
 )
 
 // ErrSaturated is returned by the models beyond their saturation load.
