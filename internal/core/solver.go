@@ -175,7 +175,7 @@ func (b *solverBase) blocking(c *channel, sr, sh float64) (float64, error) {
 		return 0, c.err
 	}
 	if b.o.Blocking == BlockingMultiServer {
-		return queueing.MGcWait(c.lr+c.lh, queueing.WeightedService(c.lr, sr, c.lh, sh), 0, b.v)
+		return queueing.MGcWait(c.lr+c.lh, queueing.WeightedService(c.lr, sr, c.lh, sh), b.v)
 	}
 	// BlockingVCOccupancy: Pb is the chance all V virtual channels are held
 	// (Eqs. 33-34) at the holding-time utilisation of Eq. 27.

@@ -109,7 +109,7 @@ func TestSweepManifestCarriesSpanIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spans := ring.Trace(root.TraceID().String())
+	spans := ring.Trace(root.TraceID())
 	if spans == nil {
 		t.Fatal("sweep trace was not exported")
 	}
@@ -186,7 +186,7 @@ func tracedSweep(t *testing.T, s Sweep, p Panel) ([]RunManifest, map[int]span.Re
 		t.Fatal(err)
 	}
 	solves := map[int]span.Record{}
-	for _, r := range ring.Trace(root.TraceID().String()) {
+	for _, r := range ring.Trace(root.TraceID()) {
 		if r.Name != "fixpoint.solve" {
 			continue
 		}

@@ -78,10 +78,12 @@ func TestErlangCBounds(t *testing.T) {
 	}
 }
 
+// TestMGcWaitReducesToMG1: with one server MGcWait is the M/D/1 wait,
+// MG1Wait with zero service variance.
 func TestMGcWaitReducesToMG1(t *testing.T) {
-	lambda, s, v := 0.01, 40.0, 100.0
-	w1, err1 := MG1Wait(lambda, s, v)
-	wc, errc := MGcWait(lambda, s, v, 1)
+	lambda, s := 0.01, 40.0
+	w1, err1 := MG1Wait(lambda, s, 0)
+	wc, errc := MGcWait(lambda, s, 1)
 	if err1 != nil || errc != nil {
 		t.Fatal(err1, errc)
 	}
@@ -91,19 +93,19 @@ func TestMGcWaitReducesToMG1(t *testing.T) {
 }
 
 func TestMGcWaitValidation(t *testing.T) {
-	if _, err := MGcWait(-1, 1, 0, 2); err == nil {
+	if _, err := MGcWait(-1, 1, 2); err == nil {
 		t.Error("negative lambda accepted")
 	}
-	if _, err := MGcWait(0.1, 1, 0, 0); err == nil {
+	if _, err := MGcWait(0.1, 1, 0); err == nil {
 		t.Error("c=0 accepted")
 	}
-	if w, err := MGcWait(0, 5, 0, 2); err != nil || !stats.IsZero(w) {
+	if w, err := MGcWait(0, 5, 2); err != nil || !stats.IsZero(w) {
 		t.Error("idle queue should wait 0")
 	}
 }
 
 func TestMGcWaitUnstable(t *testing.T) {
-	_, err := MGcWait(0.1, 30, 0, 2) // a = 3 > 2
+	_, err := MGcWait(0.1, 30, 2) // a = 3 > 2
 	if !errors.Is(err, ErrUnstable) {
 		t.Errorf("err = %v, want ErrUnstable", err)
 	}
@@ -113,7 +115,7 @@ func TestMGcPoolBeatsSplitQueues(t *testing.T) {
 	// Pooling c servers always beats c separate queues each fed lambda/c.
 	lambda, s := 0.04, 40.0
 	for _, c := range []int{2, 4} {
-		pool, err := MGcWait(lambda, s, 0, c)
+		pool, err := MGcWait(lambda, s, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +132,7 @@ func TestMGcPoolBeatsSplitQueues(t *testing.T) {
 func TestMGcWaitMonotoneInLoad(t *testing.T) {
 	prev := -1.0
 	for lambda := 0.001; lambda*40 < 1.95; lambda += 0.001 {
-		w, err := MGcWait(lambda, 40, 64, 2)
+		w, err := MGcWait(lambda, 40, 2)
 		if err != nil {
 			t.Fatalf("lambda=%v: %v", lambda, err)
 		}

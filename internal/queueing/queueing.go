@@ -101,15 +101,17 @@ func ErlangC(c int, a float64) float64 {
 }
 
 // MGcWait returns the standard approximation of the mean waiting time in an
-// M/G/c queue (Lee-Longton): the M/M/c waiting time scaled by (1+SCV)/2,
+// M/D/c queue (Lee-Longton with deterministic service): the M/M/c waiting
+// time scaled by (1+SCV)/2 with a service-time SCV of 0,
 //
-//	W ≈ ErlangC(c, a) · s/(c(1-rho)) · (1+Var/s²)/2,  a = lambda·s.
+//	W ≈ ErlangC(c, a) · s/(c(1-rho)) · (1+0)/2,  a = lambda·s.
 //
 // This models a header waiting for any free virtual channel of a class of c
-// channels. Returns ErrUnstable when a >= c.
-func MGcWait(lambda, s, variance float64, c int) (float64, error) {
-	if lambda < 0 || s < 0 || variance < 0 {
-		return 0, fmt.Errorf("queueing: negative argument MGcWait(%v,%v,%v)", lambda, s, variance)
+// channels; a message holds a channel for a fixed service time. Returns
+// ErrUnstable when a >= c.
+func MGcWait(lambda, s float64, c int) (float64, error) {
+	if lambda < 0 || s < 0 {
+		return 0, fmt.Errorf("queueing: negative argument MGcWait(%v,%v)", lambda, s)
 	}
 	if c < 1 {
 		return 0, fmt.Errorf("queueing: MGcWait with %d servers", c)
@@ -122,6 +124,5 @@ func MGcWait(lambda, s, variance float64, c int) (float64, error) {
 		return 0, ErrUnstable
 	}
 	rho := a / float64(c)
-	scv := variance / (s * s)
-	return ErlangC(c, a) * s / (float64(c) * (1 - rho)) * (1 + scv) / 2, nil
+	return ErlangC(c, a) * s / (float64(c) * (1 - rho)) / 2, nil
 }

@@ -189,7 +189,7 @@ func TestWeightedServiceBounds(t *testing.T) {
 // M/G/c wait at the aggregate rate and the rate-weighted service time
 // (Eq. 30), with deterministic service, over c virtual channels.
 func multiServer(lr, sr, lh, sh float64, c int) (float64, error) {
-	return MGcWait(lr+lh, WeightedService(lr, sr, lh, sh), 0, c)
+	return MGcWait(lr+lh, WeightedService(lr, sr, lh, sh), c)
 }
 
 func TestBlockingZeroTraffic(t *testing.T) {
@@ -203,7 +203,7 @@ func TestBlockingSingleClassMatchesComposition(t *testing.T) {
 	// With only one class, the weighted service is that class's service,
 	// whichever class carries the traffic.
 	l, s := 0.004, 45.0
-	want, err := MGcWait(l, s, 0, 2)
+	want, err := MGcWait(l, s, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

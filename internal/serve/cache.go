@@ -6,32 +6,42 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
 	"sync"
 
 	"kncube/internal/core"
+	"kncube/internal/fixpoint"
 	"kncube/internal/telemetry"
 )
 
-// solveKey derives the cache key of one solve: the model name, the
-// canonical core.Spec (core.Canonical: a zero K or Dims spelled out as the
-// variant's default, so aliases of one spec share an entry), and every
-// option that changes the result. Floats are keyed by their IEEE-754 bit
-// patterns, so two requests share an entry iff their solves are
-// bit-for-bit identical — no epsilon, no float equality.
-func solveKey(model string, spec core.Spec, o core.Options) string {
-	spec = core.Canonical(model, spec)
-	return fmt.Sprintf("%s|%d|%d|%d|%d|%016x|%016x|%d|%d",
-		model, spec.K, spec.Dims, spec.V, spec.Lm,
-		math.Float64bits(spec.H), math.Float64bits(spec.Lambda),
-		o.Blocking, o.FixPoint.Acceleration)
+// solveKey is the cache key of one solve: the model name, the canonical
+// core.Spec (core.Canonical: a zero K or Dims spelled out as the variant's
+// default, so aliases of one spec share an entry), and every option that
+// changes the result. Floats are keyed by their IEEE-754 bit patterns, so
+// two requests share an entry iff their solves are bit-for-bit identical —
+// no epsilon, no float equality.
+type solveKey struct {
+	model          string
+	k, dims, v, lm int
+	h, lambda      uint64 // math.Float64bits
+	blocking       core.BlockingForm
+	accel          fixpoint.Acceleration
 }
 
-// cacheEntry is a completed solve outcome. err is nil or wraps
+// keyOf derives the cache key of one solve.
+func keyOf(model string, spec core.Spec, o core.Options) solveKey {
+	spec = core.Canonical(model, spec)
+	return solveKey{model: model, k: spec.K, dims: spec.Dims, v: spec.V, lm: spec.Lm,
+		h: math.Float64bits(spec.H), lambda: math.Float64bits(spec.Lambda),
+		blocking: o.Blocking, accel: o.FixPoint.Acceleration}
+}
+
+// cacheEntry is a completed solve outcome: the wire result every route
+// answers with, converted once by the miss leader (the solver's
+// per-channel breakdown is not retained). err is nil or wraps
 // core.ErrSaturated — both are deterministic properties of the key, so both
 // are cacheable; validation and cancellation errors never enter the cache.
 type cacheEntry struct {
-	res *core.SolveResult
+	res *SolveResult
 	err error
 }
 
@@ -45,7 +55,7 @@ type flight struct {
 
 // lruItem is one resident cache entry.
 type lruItem struct {
-	key string
+	key solveKey
 	ent cacheEntry
 }
 
@@ -64,8 +74,8 @@ type solveCache struct {
 	mu       sync.Mutex
 	capacity int
 	ll       *list.List // front = most recently used
-	byKey    map[string]*list.Element
-	inflight map[string]*flight
+	byKey    map[solveKey]*list.Element
+	inflight map[solveKey]*flight
 
 	hits, misses, coalesced, evictions *telemetry.Counter
 	entries                            *telemetry.Gauge
@@ -78,8 +88,8 @@ func newSolveCache(capacity int, reg *telemetry.Registry) *solveCache {
 	c := &solveCache{
 		capacity: capacity,
 		ll:       list.New(),
-		byKey:    make(map[string]*list.Element),
-		inflight: make(map[string]*flight),
+		byKey:    make(map[solveKey]*list.Element),
+		inflight: make(map[solveKey]*flight),
 	}
 	c.hits = reg.Counter("khs_serve_cache_hits_total", "solve cache hits", nil)
 	c.misses = reg.Counter("khs_serve_cache_misses_total", "solve cache misses (solver runs)", nil)
@@ -96,7 +106,7 @@ func newSolveCache(capacity int, reg *telemetry.Registry) *solveCache {
 // fn runs under the leader's context; a follower whose leader was cancelled
 // retries as a new leader if its own context is still live, so one client
 // hanging up never poisons another client's identical request.
-func (c *solveCache) do(ctx context.Context, key string, fn func(context.Context) (*core.SolveResult, error)) (*core.SolveResult, string, error) {
+func (c *solveCache) do(ctx context.Context, key solveKey, fn func(context.Context) (*SolveResult, error)) (*SolveResult, string, error) {
 	for {
 		c.mu.Lock()
 		if el, ok := c.byKey[key]; ok {
@@ -138,7 +148,7 @@ func (c *solveCache) do(ctx context.Context, key string, fn func(context.Context
 }
 
 // add inserts under c.mu, evicting from the LRU tail beyond capacity.
-func (c *solveCache) add(key string, ent cacheEntry) {
+func (c *solveCache) add(key solveKey, ent cacheEntry) {
 	if c.capacity <= 0 {
 		return
 	}

@@ -18,6 +18,11 @@ func testCache(capacity int) *solveCache {
 	return newSolveCache(capacity, telemetry.NewRegistry())
 }
 
+// testKey is the i-th of a family of distinct cache keys.
+func testKey(i int) solveKey {
+	return solveKey{model: "test", k: i}
+}
+
 // TestCacheCollapsesConcurrentIdenticalSolves is the singleflight
 // contract: many concurrent requests for one key run the solver exactly
 // once. Run under -race this also proves the publication of the shared
@@ -28,15 +33,15 @@ func TestCacheCollapsesConcurrentIdenticalSolves(t *testing.T) {
 	var calls atomic.Int64
 	gate := make(chan struct{})
 	var wg sync.WaitGroup
-	results := make([]*core.SolveResult, waiters)
+	results := make([]*SolveResult, waiters)
 	for i := 0; i < waiters; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, _, err := c.do(context.Background(), "key", func(context.Context) (*core.SolveResult, error) {
+			res, _, err := c.do(context.Background(), testKey(0), func(context.Context) (*SolveResult, error) {
 				calls.Add(1)
 				<-gate // hold every other caller in the flight
-				return &core.SolveResult{Latency: 42}, nil
+				return &SolveResult{Latency: 42}, nil
 			})
 			if err != nil {
 				t.Errorf("do: %v", err)
@@ -65,13 +70,13 @@ func TestCacheCollapsesConcurrentIdenticalSolves(t *testing.T) {
 func TestCacheRepeatIsHit(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	c := newSolveCache(8, reg)
-	fn := func(context.Context) (*core.SolveResult, error) {
-		return &core.SolveResult{Latency: 1}, nil
+	fn := func(context.Context) (*SolveResult, error) {
+		return &SolveResult{Latency: 1}, nil
 	}
-	if _, how, _ := c.do(context.Background(), "k", fn); how != cacheMiss {
+	if _, how, _ := c.do(context.Background(), testKey(0), fn); how != cacheMiss {
 		t.Fatalf("first call: %s, want miss", how)
 	}
-	if _, how, _ := c.do(context.Background(), "k", fn); how != cacheHit {
+	if _, how, _ := c.do(context.Background(), testKey(0), fn); how != cacheHit {
 		t.Fatalf("second call: %s, want hit", how)
 	}
 	hits := reg.Counter("khs_serve_cache_hits_total", "", nil).Value()
@@ -84,9 +89,10 @@ func TestCacheRepeatIsHit(t *testing.T) {
 // TestSolveKeyDistinctSpecsNeverCollide enumerates single-field
 // perturbations of a base (model, spec, options) and requires all keys
 // pairwise distinct — including float changes below any printing
-// precision, which a %v-formatted key would collapse. (Dims 0 is not a
-// perturbation of Dims 2 but the same canonical spec; see
-// TestSolveCacheKeysCanonicalSpec.)
+// precision, which a %v-formatted key would collapse. Dims 0 is not a
+// perturbation of Dims 2 on hotspot-2d but the same canonical spec, so the
+// two must key one entry (TestSolveCacheKeysCanonicalSpec checks it
+// through the server).
 func TestSolveKeyDistinctSpecsNeverCollide(t *testing.T) {
 	base := core.Spec{K: 16, Dims: 2, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4}
 	type variant struct {
@@ -113,13 +119,19 @@ func TestSolveKeyDistinctSpecsNeverCollide(t *testing.T) {
 	add("blocking", func(v *variant) { v.opts.Blocking = core.BlockingMultiServer })
 	add("acceleration", func(v *variant) { v.opts.FixPoint.Acceleration = fixpoint.AccelNone })
 
-	seen := map[string]string{}
+	seen := map[solveKey]string{}
 	for _, v := range variants {
-		key := solveKey(v.model, v.spec, v.opts)
+		key := keyOf(v.model, v.spec, v.opts)
 		if prev, dup := seen[key]; dup {
-			t.Errorf("variants %q and %q collide on key %q", prev, v.name, key)
+			t.Errorf("variants %q and %q collide on key %+v", prev, v.name, key)
 		}
 		seen[key] = v.name
+	}
+
+	alias := base
+	alias.Dims = 0
+	if a, b := keyOf("hotspot-2d", alias, core.Options{}), keyOf("hotspot-2d", base, core.Options{}); a != b {
+		t.Errorf("Dims 0 keys %+v, Dims 2 keys %+v; want one entry", a, b)
 	}
 }
 
@@ -136,10 +148,10 @@ func TestCacheConcurrentDistinctSpecs(t *testing.T) {
 			go func(k int) {
 				defer wg.Done()
 				want := float64(k)
-				res, _, err := c.do(context.Background(), fmt.Sprintf("key-%d", k),
-					func(context.Context) (*core.SolveResult, error) {
+				res, _, err := c.do(context.Background(), testKey(k),
+					func(context.Context) (*SolveResult, error) {
 						calls[k].Add(1)
-						return &core.SolveResult{Latency: want}, nil
+						return &SolveResult{Latency: want}, nil
 					})
 				if err != nil {
 					t.Errorf("key %d: %v", k, err)
@@ -165,14 +177,14 @@ func TestCacheConcurrentDistinctSpecs(t *testing.T) {
 func TestCacheEvictionRespectsBound(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	c := newSolveCache(4, reg)
-	solve := func(k string) string {
-		_, how, _ := c.do(context.Background(), k, func(context.Context) (*core.SolveResult, error) {
-			return &core.SolveResult{}, nil
+	solve := func(k int) string {
+		_, how, _ := c.do(context.Background(), testKey(k), func(context.Context) (*SolveResult, error) {
+			return &SolveResult{}, nil
 		})
 		return how
 	}
 	for i := 0; i < 10; i++ {
-		solve(fmt.Sprintf("key-%d", i))
+		solve(i)
 	}
 	if n := c.len(); n != 4 {
 		t.Errorf("resident entries = %d, want capacity 4", n)
@@ -180,10 +192,10 @@ func TestCacheEvictionRespectsBound(t *testing.T) {
 	if ev := reg.Counter("khs_serve_cache_evictions_total", "", nil).Value(); ev != 6 {
 		t.Errorf("evictions = %d, want 6", ev)
 	}
-	if how := solve("key-0"); how != cacheMiss {
+	if how := solve(0); how != cacheMiss {
 		t.Errorf("evicted key-0: %s, want miss (re-solve)", how)
 	}
-	if how := solve("key-9"); how != cacheHit {
+	if how := solve(9); how != cacheHit {
 		t.Errorf("recent key-9: %s, want hit", how)
 	}
 	if g := reg.Gauge("khs_serve_cache_entries", "", nil).Value(); int(g) != c.len() {
@@ -197,12 +209,12 @@ func TestCacheEvictionRespectsBound(t *testing.T) {
 func TestCacheCachesSaturationOutcome(t *testing.T) {
 	c := testCache(8)
 	var calls atomic.Int64
-	fn := func(context.Context) (*core.SolveResult, error) {
+	fn := func(context.Context) (*SolveResult, error) {
 		calls.Add(1)
 		return nil, fmt.Errorf("%w (test)", core.ErrSaturated)
 	}
-	_, _, err1 := c.do(context.Background(), "sat", fn)
-	_, how, err2 := c.do(context.Background(), "sat", fn)
+	_, _, err1 := c.do(context.Background(), testKey(0), fn)
+	_, how, err2 := c.do(context.Background(), testKey(0), fn)
 	if !errors.Is(err1, core.ErrSaturated) || !errors.Is(err2, core.ErrSaturated) {
 		t.Fatalf("errors: %v, %v — want ErrSaturated from both", err1, err2)
 	}
@@ -220,14 +232,14 @@ func TestCacheDoesNotCacheCancellation(t *testing.T) {
 	c := testCache(8)
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := c.do(cancelled, "k", func(ctx context.Context) (*core.SolveResult, error) {
+	_, _, err := c.do(cancelled, testKey(0), func(ctx context.Context) (*SolveResult, error) {
 		return nil, fmt.Errorf("solve: %w", ctx.Err())
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want Canceled", err)
 	}
-	res, how, err := c.do(context.Background(), "k", func(context.Context) (*core.SolveResult, error) {
-		return &core.SolveResult{Latency: 7}, nil
+	res, how, err := c.do(context.Background(), testKey(0), func(context.Context) (*SolveResult, error) {
+		return &SolveResult{Latency: 7}, nil
 	})
 	if err != nil || how != cacheMiss || res == nil {
 		t.Errorf("after cancellation: res=%v how=%s err=%v, want a fresh miss solve", res, how, err)
@@ -247,7 +259,7 @@ func TestCacheFollowerRetriesWhenLeaderCancelled(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, _, err := c.do(leaderCtx, "k", func(ctx context.Context) (*core.SolveResult, error) {
+		_, _, err := c.do(leaderCtx, testKey(0), func(ctx context.Context) (*SolveResult, error) {
 			solves.Add(1)
 			close(leaderIn)
 			<-ctx.Done() // simulate the fixed-point loop noticing cancellation
@@ -260,16 +272,16 @@ func TestCacheFollowerRetriesWhenLeaderCancelled(t *testing.T) {
 
 	<-leaderIn
 	wg.Add(1)
-	var followerRes *core.SolveResult
+	var followerRes *SolveResult
 	var followerErr error
 	followerJoined := make(chan struct{})
 	go func() {
 		defer wg.Done()
 		close(followerJoined)
-		followerRes, _, followerErr = c.do(context.Background(), "k",
-			func(ctx context.Context) (*core.SolveResult, error) {
+		followerRes, _, followerErr = c.do(context.Background(), testKey(0),
+			func(ctx context.Context) (*SolveResult, error) {
 				solves.Add(1)
-				return &core.SolveResult{Latency: 9}, nil
+				return &SolveResult{Latency: 9}, nil
 			})
 	}()
 	<-followerJoined

@@ -129,14 +129,17 @@ func (c *solveCall) fromSurface(spec core.Spec) (a answer, done bool) {
 // exact is the exact step: the solve cache under the key every route
 // shares, the runner on a miss, and the outcome classified and counted.
 func (c *solveCall) exact(ctx context.Context, runner *solveRunner, spec core.Spec) answer {
-	res, how, err := c.s.cache.do(ctx, solveKey(c.model, spec, c.opts),
-		func(ctx context.Context) (*core.SolveResult, error) {
-			return runner.solve(ctx, spec)
+	res, how, err := c.s.cache.do(ctx, keyOf(c.model, spec, c.opts),
+		func(ctx context.Context) (*SolveResult, error) {
+			res, err := runner.solve(ctx, spec)
+			if err != nil {
+				return nil, err
+			}
+			return toAPIResult(res), nil
 		})
-	a := answer{outcome: "ok", err: err, cache: how, source: ModeExact}
+	a := answer{outcome: "ok", err: err, cache: how, source: ModeExact, result: res}
 	switch {
 	case err == nil:
-		a.result = toAPIResult(res)
 	case errors.Is(err, core.ErrSaturated):
 		a.outcome = "saturated"
 	case isCancellation(err):

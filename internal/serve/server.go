@@ -246,6 +246,9 @@ func (s *Server) route(pattern string, h http.HandlerFunc) {
 		return s.reg.Counter("khs_serve_requests_total", "requests by route and status code",
 			telemetry.Labels{"route": pattern, "code": strconv.Itoa(code)})
 	})
+	// The root span's name and route attribute are the same for every
+	// request of the route: built once here, not per request.
+	spanName, routeAttr := "http "+pattern, span.String("http.route", pattern)
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		ctx := r.Context()
@@ -256,9 +259,7 @@ func (s *Server) route(pattern string, h http.HandlerFunc) {
 				ctx = span.ContextWithParent(ctx, p)
 			}
 		}
-		ctx, sp := s.tracer.Start(ctx, "http "+pattern,
-			span.String("http.method", r.Method),
-			span.String("http.route", pattern))
+		ctx, sp := s.tracer.Start(ctx, spanName, span.String("http.method", r.Method), routeAttr)
 		// Hand our context back so the caller (and any downstream hop it
 		// makes) can correlate with this server's spans.
 		w.Header().Set(span.TraceparentHeader, span.FormatTraceparent(span.Parent{

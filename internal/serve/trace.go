@@ -47,9 +47,11 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) (release func()) 
 // calls fn synchronously), so one bridge serves every solve of the
 // request.
 type solveRunner struct {
-	model    string
-	prepared *core.PreparedSet
-	fp       *span.FixpointTrace
+	// modelAttr is the model attribute of every solve span, built once
+	// per request rather than once per solve.
+	modelAttr span.Attr
+	prepared  *core.PreparedSet
+	fp        *span.FixpointTrace
 }
 
 // newSolveRunner builds a runner whose solves are cancelled by ctx.
@@ -57,7 +59,7 @@ func newSolveRunner(ctx context.Context, model string, opts core.Options) *solve
 	fp := span.NewFixpointTrace()
 	opts.FixPoint.Ctx = ctx
 	opts.FixPoint.Trace = fp.Hook()
-	return &solveRunner{model: model, prepared: core.NewPreparedSet(model, opts), fp: fp}
+	return &solveRunner{modelAttr: span.String("model", model), prepared: core.NewPreparedSet(model, opts), fp: fp}
 }
 
 // solve runs one cache-miss solve as the singleflight leader: preparation
@@ -66,9 +68,7 @@ func newSolveRunner(ctx context.Context, model string, opts core.Options) *solve
 // bit-identical to a one-shot core.Solve — tracing observes the
 // iteration, it never alters it.
 func (r *solveRunner) solve(ctx context.Context, spec core.Spec) (*core.SolveResult, error) {
-	ctx, sp := span.StartChild(ctx, "solve",
-		span.String("model", r.model),
-		span.Float64("lambda", spec.Lambda))
+	ctx, sp := span.StartChild(ctx, "solve", r.modelAttr, span.Float64("lambda", spec.Lambda))
 	defer sp.End()
 
 	ps := r.prepared.Lookup(spec)
@@ -99,7 +99,11 @@ func (r *solveRunner) solve(ctx context.Context, spec core.Spec) (*core.SolveRes
 // them.
 func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	recs := s.traces.Trace(id)
+	var recs []span.Record
+	// Only the canonical lowercase rendering names a retained trace.
+	if tid, err := span.ParseTraceID(id); err == nil && tid.String() == id {
+		recs = s.traces.Trace(tid)
+	}
 	if recs == nil {
 		writeError(w, http.StatusNotFound,
 			fmt.Errorf("serve: no retained trace %q (not yet finished, dropped by the tail policy, or evicted)", id))

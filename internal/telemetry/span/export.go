@@ -93,25 +93,21 @@ func (r *Round) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// Exporter receives the record batch of every kept trace, root span last.
-// Export must be safe for concurrent use; it runs on the goroutine that
-// ended the root span, so implementations should be cheap (buffer, not
-// flush-to-disk synchronously on large trees).
-type Exporter interface {
-	Export(recs []Record)
-}
-
-// RingExporter retains the most recent traces in memory (FIFO over
+// RingExporter retains the most recent kept traces in memory (FIFO over
 // distinct trace ids) for the GET /v1/traces/{id} debug endpoint, and
 // optionally tees every kept trace to a JSONL stream (one Record per
-// line).
+// line). Traces are retained in their compact ended form; Records are
+// rendered only for the tee and by Trace.
 type RingExporter struct {
-	mu       sync.Mutex
-	capacity int
-	byID     map[string][]Record
-	order    []string
-	enc      *json.Encoder
-	err      error
+	mu   sync.Mutex
+	byID map[TraceID][]ended
+	// order holds the retained ids in a circular buffer of the ring's
+	// capacity; next is the slot of the next id, which holds the oldest
+	// retained id once the ring is full.
+	order []TraceID
+	next  int
+	enc   *json.Encoder
+	err   error
 }
 
 // defaultRingCapacity bounds retained traces when capacity <= 0.
@@ -125,8 +121,8 @@ func NewRingExporter(capacity int, w io.Writer) *RingExporter {
 		capacity = defaultRingCapacity
 	}
 	e := &RingExporter{
-		capacity: capacity,
-		byID:     make(map[string][]Record, capacity),
+		byID:  make(map[TraceID][]ended, capacity),
+		order: make([]TraceID, capacity),
 	}
 	if w != nil {
 		e.enc = json.NewEncoder(w)
@@ -134,26 +130,24 @@ func NewRingExporter(capacity int, w io.Writer) *RingExporter {
 	return e
 }
 
-// Export retains the trace and tees it to the JSONL stream, evicting the
-// oldest retained trace beyond capacity.
-func (e *RingExporter) Export(recs []Record) {
-	if len(recs) == 0 {
-		return
-	}
-	id := recs[0].TraceID
+// export retains a kept trace (its spans in end order, root last) and tees
+// it to the JSONL stream, evicting the oldest retained trace beyond
+// capacity. It runs on the goroutine that ended the root span.
+func (e *RingExporter) export(id TraceID, spans []ended) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if _, ok := e.byID[id]; !ok {
-		e.order = append(e.order, id)
-		for len(e.order) > e.capacity {
-			delete(e.byID, e.order[0])
-			e.order = e.order[1:]
+		if len(e.byID) == len(e.order) {
+			delete(e.byID, e.order[e.next])
 		}
+		e.order[e.next] = id
+		e.next = (e.next + 1) % len(e.order)
 	}
-	e.byID[id] = recs
+	e.byID[id] = spans
 	if e.enc != nil && e.err == nil {
-		for i := range recs {
-			if err := e.enc.Encode(&recs[i]); err != nil {
+		for i := range spans {
+			rec := spans[i].record(id)
+			if err := e.enc.Encode(&rec); err != nil {
 				e.err = err
 				break
 			}
@@ -161,19 +155,28 @@ func (e *RingExporter) Export(recs []Record) {
 	}
 }
 
-// Trace returns the retained records of one trace id (nil if evicted or
-// never kept). The slice is shared; callers must not mutate it.
-func (e *RingExporter) Trace(id string) []Record {
+// Trace renders the retained spans of one trace id as Records, root last
+// (nil if evicted or never kept). The Records share the retained rounds;
+// callers must not mutate them.
+func (e *RingExporter) Trace(id TraceID) []Record {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.byID[id]
+	spans := e.byID[id]
+	e.mu.Unlock()
+	if spans == nil {
+		return nil
+	}
+	recs := make([]Record, len(spans))
+	for i := range spans {
+		recs[i] = spans[i].record(id)
+	}
+	return recs
 }
 
 // Len reports the number of retained traces (tests).
 func (e *RingExporter) Len() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.order)
+	return len(e.byID)
 }
 
 // Err reports the first JSONL write error, if any.

@@ -47,7 +47,7 @@ func TestFixpointTraceRecordsRounds(t *testing.T) {
 	root.End()
 
 	var fp Record
-	for _, r := range ring.Trace(root.TraceID().String()) {
+	for _, r := range ring.Trace(root.TraceID()) {
 		if r.Name == "fixpoint.solve" {
 			fp = r
 		}
@@ -96,7 +96,7 @@ func TestFixpointTraceNonFiniteIndex(t *testing.T) {
 	if err == nil || !conv.Diverged {
 		t.Fatalf("solve did not diverge: %+v, %v", conv, err)
 	}
-	fp := ring.Trace(root.TraceID().String())[0]
+	fp := ring.Trace(root.TraceID())[0]
 	if fp.Attrs["non_finite_index"] != int64(conv.NonFiniteIndex) ||
 		fp.Attrs["damped_rounds"] != int64(conv.DampedRounds) ||
 		fp.Attrs["iterations"] != int64(conv.Iterations) {

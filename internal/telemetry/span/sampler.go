@@ -1,6 +1,9 @@
 package span
 
-import "time"
+import (
+	"encoding/binary"
+	"time"
+)
 
 // TailPolicy decides, once a trace's root span has ended, whether the
 // finished tree is exported. Head sampling is always-on (every request
@@ -46,16 +49,16 @@ func (p TailPolicy) normalized() TailPolicy {
 	return p
 }
 
-// Decide reports whether a trace with the given root record and keep
+// Decide reports whether a trace with the given id, root duration and keep
 // reasons is exported, and the reason label stamped on the root span as
 // the tail.keep attribute ("" when dropped). Exported for the sampler
 // unit suite; Tracer.finish is the production caller.
-func (p TailPolicy) Decide(root Record, keep []string) (bool, string) {
+func (p TailPolicy) Decide(id TraceID, root time.Duration, keep []string) (bool, string) {
 	p = p.normalized()
 	if len(keep) > 0 {
 		return true, keep[0]
 	}
-	if p.SlowThreshold > 0 && time.Duration(root.Duration) >= p.SlowThreshold {
+	if p.SlowThreshold > 0 && root >= p.SlowThreshold {
 		return true, "slow"
 	}
 	if p.KeepRatio >= 1 {
@@ -64,33 +67,19 @@ func (p TailPolicy) Decide(root Record, keep []string) (bool, string) {
 	if p.KeepRatio <= 0 {
 		return false, ""
 	}
-	if ratioHash(p.Seed, root.TraceID) < p.KeepRatio {
+	if ratioHash(p.Seed, id) < p.KeepRatio {
 		return true, "ratio"
 	}
 	return false, ""
 }
 
 // ratioHash maps (seed, trace id) to a uniform [0, 1) value via the
-// splitmix64 finaliser over the first 8 bytes of the hex trace id. Purely
+// splitmix64 finaliser over the first 8 bytes of the trace id, read big
+// endian (the first 16 hex characters of its rendering). Purely
 // deterministic — no RNG state — so followers of the same trace agree and
 // tests can pick ids on either side of the threshold.
-func ratioHash(seed int64, traceID string) float64 {
-	var x uint64
-	for i := 0; i < len(traceID) && i < 16; i++ {
-		x = x<<4 | uint64(hexVal(traceID[i]))
-	}
+func ratioHash(seed int64, id TraceID) float64 {
+	x := binary.BigEndian.Uint64(id[:8])
 	const scale = 1.0 / (1 << 53)
 	return float64(mix64(uint64(seed)^x)>>11) * scale
-}
-
-// hexVal decodes one lowercase-hex digit (0 for anything else — malformed
-// ids still hash deterministically).
-func hexVal(c byte) byte {
-	switch {
-	case c >= '0' && c <= '9':
-		return c - '0'
-	case c >= 'a' && c <= 'f':
-		return c - 'a' + 10
-	}
-	return 0
 }

@@ -23,6 +23,7 @@ import (
 	"context"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -114,10 +115,10 @@ func (p Parent) IsZero() bool { return p.TraceID.IsZero() || p.SpanID.IsZero() }
 // Config tunes a Tracer. The zero value of any field selects the
 // documented default.
 type Config struct {
-	// Exporter receives the spans of every trace the tail policy keeps,
-	// batched per trace with the root span last. Nil drops all spans
-	// (spans are still built, so Keep marks and attributes stay testable).
-	Exporter Exporter
+	// Exporter retains every trace the tail policy keeps, its spans in end
+	// order with the root last. Nil drops all spans (spans are still
+	// built, so Keep marks and attributes stay testable).
+	Exporter *RingExporter
 	// Tail is the keep policy applied when a trace's root span ends.
 	Tail TailPolicy
 	// MaxEventsPerSpan bounds the round events retained per span; further
@@ -135,7 +136,7 @@ const defaultMaxEvents = 128
 // Tracer builds spans and runs finished traces through the tail policy and
 // exporter. A nil *Tracer is a valid no-op: Start returns a nil span.
 type Tracer struct {
-	exp       Exporter
+	exp       *RingExporter
 	tail      TailPolicy
 	maxEvents int
 	seed      uint64
@@ -205,16 +206,38 @@ func (t *Tracer) newSpanID() SpanID {
 }
 
 // trace is the per-trace collection state shared by all spans of one tree:
-// finished span records accumulate here until the root ends, along with
-// the tail-keep reasons any span raised.
+// finished spans accumulate here until the root ends, along with the
+// tail-keep reasons any span raised.
 type trace struct {
 	tracer *Tracer
 	id     TraceID
 
 	mu       sync.Mutex
-	recs     []Record
+	spans    []ended
 	keep     []string
 	rootDone bool
+}
+
+// ended is the retained form of one finished span: ids as arrays and the
+// span's own attribute slice. The trace id is held once per trace, by the
+// ring. A Record, with hex ids and an attrs map, is rendered from it only
+// where bytes leave the process (RingExporter's JSONL tee and Trace).
+type ended struct {
+	spanID, parentID SpanID
+	name             string
+	start, duration  int64 // Unix nanoseconds; nanoseconds
+	attrs            []Attr
+	events           *events // nil when the span recorded no round
+	remote           bool
+}
+
+// events are the rounds an ended span recorded, clipped to their length,
+// and the count of rounds dropped beyond the bound. Only fixpoint.solve
+// spans record rounds, so ended holds them behind a pointer rather than
+// giving every span a slice header and a count.
+type events struct {
+	rounds  []round
+	dropped int
 }
 
 // Span is one timed operation in a trace. All methods are safe on a nil
@@ -230,7 +253,7 @@ type Span struct {
 
 	mu      sync.Mutex
 	attrs   []Attr
-	rounds  []Round
+	rounds  []round
 	dropped int
 	ended   bool
 }
@@ -351,13 +374,17 @@ func (s *Span) SpanID() SpanID {
 	return s.spanID
 }
 
-// SetAttr sets one attribute, overwriting an existing key.
+// SetAttr sets one attribute, overwriting an existing key. Attributes set
+// after End are not recorded: the ended span shares its attribute slice.
 func (s *Span) SetAttr(key string, value any) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.ended {
+		return
+	}
 	for i := range s.attrs {
 		if s.attrs[i].Key == key {
 			s.attrs[i].Value = value
@@ -396,12 +423,26 @@ func (s *Span) Round(iteration int, maxRelDelta float64, accelerated bool) {
 		s.dropped++
 		return
 	}
-	s.rounds = append(s.rounds, Round{
-		OffsetNano:  time.Since(s.start).Nanoseconds(),
-		Iteration:   int64(iteration),
-		MaxRelDelta: maxRelDelta,
-		Accelerated: accelerated,
-	})
+	r := round{offsetNano: time.Since(s.start).Nanoseconds(), maxRelDelta: maxRelDelta, iterAccel: int64(iteration) << 1}
+	if accelerated {
+		r.iterAccel |= 1
+	}
+	s.rounds = append(s.rounds, r)
+}
+
+// round is a Round as a span holds it: 24 bytes rather than 32, the
+// accelerated flag packed into the low bit of the iteration index. Like
+// Round it holds no pointers.
+type round struct {
+	offsetNano  int64
+	maxRelDelta float64
+	iterAccel   int64 // iteration<<1 | accelerated
+}
+
+// export renders the round as a Round.
+func (r round) export() Round {
+	return Round{OffsetNano: r.offsetNano, Iteration: r.iterAccel >> 1,
+		MaxRelDelta: r.maxRelDelta, Accelerated: r.iterAccel&1 != 0}
 }
 
 // Keep marks the whole trace as must-export, overriding the ratio rule of
@@ -437,7 +478,24 @@ func (s *Span) End() {
 		return
 	}
 	s.ended = true
-	rec := s.buildRecord(now)
+	e := ended{
+		spanID:   s.spanID,
+		parentID: s.parentID,
+		remote:   s.remote,
+		name:     s.name,
+		start:    s.start.UnixNano(),
+		duration: now.Sub(s.start).Nanoseconds(),
+		attrs:    s.attrs,
+	}
+	if len(s.rounds) > 0 || s.dropped > 0 {
+		rounds := s.rounds
+		if cap(rounds) > len(rounds) {
+			// Clipped by a copy: the slack is not retained, and a late
+			// Round appends to the span's slice, not this one.
+			rounds = slices.Clone(rounds)
+		}
+		e.events = &events{rounds: rounds, dropped: s.dropped}
+	}
 	s.mu.Unlock()
 
 	tr := s.tr
@@ -446,60 +504,59 @@ func (s *Span) End() {
 		tr.mu.Unlock()
 		return
 	}
-	tr.recs = append(tr.recs, rec)
+	tr.spans = append(tr.spans, e)
 	if !s.isRoot {
 		tr.mu.Unlock()
 		return
 	}
 	tr.rootDone = true
-	recs, keep := tr.recs, tr.keep
-	tr.recs = nil
+	spans, keep := tr.spans, tr.keep
+	tr.spans = nil
 	tr.mu.Unlock()
-	tr.tracer.finish(recs, rec, keep)
+	tr.tracer.finish(tr.id, spans, keep)
 }
 
-// buildRecord converts the span into its export form; called under s.mu.
-// The record takes the span's rounds slice as is: the span has ended, and a
-// late Round only appends past the record's length.
-func (s *Span) buildRecord(end time.Time) Record {
-	rec := Record{
-		TraceID:       s.tr.id.String(),
-		SpanID:        s.spanID.String(),
-		Name:          s.name,
-		Start:         s.start.UnixNano(),
-		Duration:      end.Sub(s.start).Nanoseconds(),
-		Rounds:        s.rounds,
-		DroppedEvents: s.dropped,
-	}
-	if !s.parentID.IsZero() {
-		rec.ParentID = s.parentID.String()
-	}
-	rec.RemoteParent = s.remote
-	if len(s.attrs) > 0 {
-		rec.Attrs = attrMap(s.attrs)
-	}
-	return rec
-}
-
-// finish applies the tail policy to a completed trace and exports it when
-// kept, stamping the winning keep reason on the root record.
-func (t *Tracer) finish(recs []Record, root Record, keep []string) {
+// finish applies the tail policy to a completed trace, whose root is the
+// last span, and hands it to the exporter when kept, with the winning keep
+// reason appended to the root's attributes as tail.keep.
+func (t *Tracer) finish(id TraceID, spans []ended, keep []string) {
 	if t.exp == nil {
 		return
 	}
-	ok, reason := t.tail.Decide(root, keep)
+	root := &spans[len(spans)-1]
+	ok, reason := t.tail.Decide(id, time.Duration(root.duration), keep)
 	if !ok {
 		return
 	}
-	for i := range recs {
-		if recs[i].SpanID == root.SpanID {
-			if recs[i].Attrs == nil {
-				recs[i].Attrs = make(map[string]any, 1)
+	root.attrs = append(root.attrs, String("tail.keep", reason))
+	// The ring holds the trace until evicted: drop the growth slack.
+	t.exp.export(id, slices.Clone(spans))
+}
+
+// record renders the span in its export form under the trace id.
+func (e *ended) record(id TraceID) Record {
+	rec := Record{
+		TraceID:      id.String(),
+		SpanID:       e.spanID.String(),
+		RemoteParent: e.remote,
+		Name:         e.name,
+		Start:        e.start,
+		Duration:     e.duration,
+		Attrs:        attrMap(e.attrs),
+	}
+	if ev := e.events; ev != nil {
+		rec.DroppedEvents = ev.dropped
+		if len(ev.rounds) > 0 {
+			rec.Rounds = make([]Round, len(ev.rounds))
+			for i, r := range ev.rounds {
+				rec.Rounds[i] = r.export()
 			}
-			recs[i].Attrs["tail.keep"] = reason
 		}
 	}
-	t.exp.Export(recs)
+	if !e.parentID.IsZero() {
+		rec.ParentID = e.parentID.String()
+	}
+	return rec
 }
 
 // attrMap flattens attributes for export; later keys win, matching

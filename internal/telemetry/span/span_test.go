@@ -36,7 +36,7 @@ func TestSpanTreeExport(t *testing.T) {
 	root.SetAttr("http.status", int64(200))
 	root.End()
 
-	recs := ring.Trace(root.TraceID().String())
+	recs := ring.Trace(root.TraceID())
 	if len(recs) != 3 {
 		t.Fatalf("got %d records, want 3", len(recs))
 	}
@@ -80,7 +80,7 @@ func TestRemoteParentAdopted(t *testing.T) {
 	if got := root.TraceID().String(); got != "4bf92f3577b34da6a3ce929d0e0e4736" {
 		t.Fatalf("trace id %q did not adopt caller's", got)
 	}
-	recs := ring.Trace("4bf92f3577b34da6a3ce929d0e0e4736")
+	recs := ring.Trace(p.TraceID)
 	if len(recs) != 1 {
 		t.Fatalf("got %d records, want 1", len(recs))
 	}
@@ -101,7 +101,7 @@ func TestStartLinkedFreshTraceWithLink(t *testing.T) {
 	req.End()
 	_ = ctx
 
-	recs := ring.Trace(job.TraceID().String())
+	recs := ring.Trace(job.TraceID())
 	if len(recs) != 1 {
 		t.Fatalf("got %d job records, want 1", len(recs))
 	}
@@ -151,7 +151,7 @@ func TestKeepOverridesDrop(t *testing.T) {
 	_, kept := tr.Start(context.Background(), "keep-me")
 	kept.Keep("saturated")
 	kept.End()
-	recs := ring.Trace(kept.TraceID().String())
+	recs := ring.Trace(kept.TraceID())
 	if len(recs) != 1 {
 		t.Fatalf("kept trace not exported: %d records", len(recs))
 	}
@@ -167,7 +167,7 @@ func TestEventBound(t *testing.T) {
 		sp.Round(i+1, 0, false)
 	}
 	sp.End()
-	recs := ring.Trace(sp.TraceID().String())
+	recs := ring.Trace(sp.TraceID())
 	if len(recs) != 1 || len(recs[0].Rounds) != 3 || recs[0].Rounds[2].Iteration != 3 ||
 		recs[0].DroppedEvents != 7 {
 		t.Fatalf("bounded span = %+v", recs[0])
@@ -182,7 +182,7 @@ func TestEndIdempotentAndLateChildDropped(t *testing.T) {
 	root.End() // idempotent
 	child.End()
 
-	recs := ring.Trace(root.TraceID().String())
+	recs := ring.Trace(root.TraceID())
 	if len(recs) != 1 {
 		t.Fatalf("got %d records, want 1 (late child dropped)", len(recs))
 	}
@@ -241,11 +241,11 @@ func TestJSONLRoundTrip(t *testing.T) {
 func TestRingEviction(t *testing.T) {
 	ring := NewRingExporter(2, nil)
 	tr := New(Config{Exporter: ring, Seed: 1})
-	var ids []string
+	var ids []TraceID
 	for i := 0; i < 3; i++ {
 		_, sp := tr.Start(context.Background(), "r")
 		sp.End()
-		ids = append(ids, sp.TraceID().String())
+		ids = append(ids, sp.TraceID())
 	}
 	if ring.Len() != 2 {
 		t.Fatalf("ring retained %d traces, want 2", ring.Len())
@@ -321,7 +321,7 @@ func TestConcurrentSpansOneTrace(t *testing.T) {
 		<-done
 	}
 	root.End()
-	recs := ring.Trace(root.TraceID().String())
+	recs := ring.Trace(root.TraceID())
 	if len(recs) != workers+1 {
 		t.Fatalf("got %d records, want %d", len(recs), workers+1)
 	}
@@ -367,7 +367,7 @@ func TestSlowRootKept(t *testing.T) {
 	_, sp := tr.Start(context.Background(), "slow")
 	time.Sleep(time.Millisecond)
 	sp.End()
-	recs := ring.Trace(sp.TraceID().String())
+	recs := ring.Trace(sp.TraceID())
 	if len(recs) != 1 || recs[0].Attrs["tail.keep"] != "slow" {
 		t.Fatalf("slow trace not kept as slow: %+v", recs)
 	}

@@ -57,3 +57,14 @@ func FormatTraceparent(p Parent) string {
 	}
 	return "00-" + p.TraceID.String() + "-" + p.SpanID.String() + "-" + flags
 }
+
+// hexVal decodes one lowercase-hex digit (0 for anything else).
+func hexVal(c byte) byte {
+	switch {
+	case c >= '0' && c <= '9':
+		return c - '0'
+	case c >= 'a' && c <= 'f':
+		return c - 'a' + 10
+	}
+	return 0
+}
