@@ -25,8 +25,9 @@ starts: func main in a package main, or an allowlisted construction site
 function must thread the context it was given — reaching for
 context.Background() mid-stack detaches callees from cancellation.
 Passing a nil context at a context.Context parameter is always flagged.
-The two sites that deliberately re-root (the RunPanels nil-ctx fallback
-and khs-serve's drain deadline) carry reasoned //lint:ignore directives.
+The three sites that deliberately re-root (the RunPanels nil-ctx
+fallback, experiments.ModelCurve, which takes no context, and
+khs-serve's drain deadline) carry reasoned //lint:ignore directives.
 Test files are exempt.`,
 	Run: run,
 }

@@ -36,3 +36,43 @@ func TestIterateAllocFree(t *testing.T) {
 		}
 	}
 }
+
+// TestAssembleAllocsIndependentOfSize pins the assembly half of the
+// contract: the per-position buffers Assemble works in are scratch that
+// Prepare sizes, and the typed result holds scalars only, so Assemble
+// allocates as many times for a large network as for a small one, for
+// every registered variant.
+func TestAssembleAllocsIndependentOfSize(t *testing.T) {
+	const lambda = 1e-5 // light for every shape below
+	sizes := map[string][2]Spec{
+		"hotspot-2d":       {{K: 8}, {K: 64}},
+		"bidirectional-2d": {{K: 8}, {K: 64}},
+		"uniform":          {{K: 8}, {K: 64}},
+		"hypercube":        {{Dims: 4}, {Dims: 10}},
+		"ndim":             {{K: 8, Dims: 2}, {K: 8, Dims: 4}},
+	}
+	for _, name := range Solvers() {
+		pair, ok := sizes[name]
+		if !ok {
+			t.Fatalf("no sizes for %q: add the variant to this table", name)
+		}
+		var allocs [2]int
+		for i := range pair {
+			s := &pair[i]
+			s.V, s.Lm, s.Lambda = 2, 16, lambda
+			if name != "uniform" {
+				s.H = 0.2
+			}
+			ps := solvedState(t, name, *s)
+			allocs[i] = int(testing.AllocsPerRun(10, func() {
+				if _, err := ps.s.Assemble(ps.x, Convergence{}); err != nil {
+					t.Fatalf("%s %+v: Assemble: %v", name, *s, err)
+				}
+			})) // AllocsPerRun averages whole counts over its runs
+		}
+		if allocs[0] != allocs[1] {
+			t.Errorf("%s: Assemble allocates %v times at %+v, %v times at %+v",
+				name, allocs[0], pair[0], allocs[1], pair[1])
+		}
+	}
+}

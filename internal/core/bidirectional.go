@@ -51,13 +51,6 @@ type biLayout struct {
 	shotx                                 [2][]seg // [dir][row]
 }
 
-// biView is the 1-indexed (by remaining hops) unpacked reading of a flat
-// state vector.
-type biView struct {
-	shybar, shy, sx, sxhy, sxhybar, shoty [2][]float64
-	shotx                                 [2][][]float64 // [dir][row][j]
-}
-
 // biModel carries the direction-split constants.
 type biModel struct {
 	solverBase
@@ -79,12 +72,18 @@ type biModel struct {
 	cXo, cXHy, cXHb float64
 	rows            []biRow // the k x-rings classified by y direction/distance
 
-	// Round scratch, built at Prepare: the unpacked input state and the
-	// per-channel blocking delays of the hot column ([dir][l]) and of the
-	// x-rings ([dir][row][l]), l = 1..d[dir].
-	in  biView
+	// Round scratch, built at Prepare: the per-channel blocking delays of
+	// the hot column ([dir][l]) and of the x-rings ([dir][row][l]),
+	// l = 1..d[dir].
 	bHy [2][]float64
 	bX  [2][][]float64
+	// Assembly scratch, built at Prepare: the source waits of the
+	// hot-column nodes ([dir][t], t = 1..d[dir]) and of the x-ring nodes
+	// ([dir][row][j], j = 1..d[dir]), and the multiplexing degrees of the
+	// hot-column channels ([dir][l]) and of the x-ring channels
+	// ([dir][row][l]), l = 1..k.
+	wsY, vHyAt [2][]float64
+	wsX, vXAt  [2][][]float64
 }
 
 // biRow classifies one x-ring relative to the hot node: dir/dist of the
@@ -156,12 +155,17 @@ func (m *biModel) Prepare() {
 		}
 	}
 	m.n = b.Size()
-	m.in = m.newView()
 	for i := 0; i < 2; i++ {
 		m.bHy[i] = make([]float64, m.d[i]+1)
 		m.bX[i] = make([][]float64, len(m.rows))
+		m.wsY[i] = make([]float64, m.d[i]+1)
+		m.wsX[i] = make([][]float64, len(m.rows))
+		m.vHyAt[i] = make([]float64, k+1)
+		m.vXAt[i] = make([][]float64, len(m.rows))
 		for r := range m.rows {
 			m.bX[i][r] = make([]float64, m.d[i]+1)
+			m.wsX[i][r] = make([]float64, m.d[i]+1)
+			m.vXAt[i][r] = make([]float64, k+1)
 		}
 	}
 	m.prepared = true
@@ -202,39 +206,6 @@ func (m *biModel) SetLambda(lambda float64) {
 func (m *biModel) Validate() error { return validateTorus(m.s) }
 func (m *biModel) StateSize() int  { return m.n }
 
-// newView allocates the buffers of a biView.
-func (m *biModel) newView() biView {
-	var st biView
-	for i := 0; i < 2; i++ {
-		st.shybar[i] = m.l.shybar[i].buf()
-		st.shy[i] = m.l.shy[i].buf()
-		st.sx[i] = m.l.sx[i].buf()
-		st.sxhy[i] = m.l.sxhy[i].buf()
-		st.sxhybar[i] = m.l.sxhybar[i].buf()
-		st.shoty[i] = m.l.shoty[i].buf()
-		st.shotx[i] = make([][]float64, len(m.rows))
-		for r := range m.rows {
-			st.shotx[i][r] = m.l.shotx[i][r].buf()
-		}
-	}
-	return st
-}
-
-// unpack copies the flat state x into st.
-func (m *biModel) unpack(x []float64, st *biView) {
-	for i := 0; i < 2; i++ {
-		m.l.shybar[i].unpack(x, st.shybar[i])
-		m.l.shy[i].unpack(x, st.shy[i])
-		m.l.sx[i].unpack(x, st.sx[i])
-		m.l.sxhy[i].unpack(x, st.sxhy[i])
-		m.l.sxhybar[i].unpack(x, st.sxhybar[i])
-		m.l.shoty[i].unpack(x, st.shoty[i])
-		for r := range m.rows {
-			m.l.shotx[i][r].unpack(x, st.shotx[i][r])
-		}
-	}
-}
-
 // InitState writes the zero-load starting point.
 func (m *biModel) InitState(x []float64) {
 	for i := 0; i < 2; i++ {
@@ -259,13 +230,13 @@ func (m *biModel) InitState(x []float64) {
 	}
 }
 
-// entrance averages a pair of direction-split vectors over the k-1
+// entrance averages a pair of direction-split segments of x over the k-1
 // equally-likely destination offsets.
-func (m *biModel) entrance(v [2][]float64) float64 {
+func (m *biModel) entrance(x []float64, v [2]seg) float64 {
 	sum := 0.0
 	for i := 0; i < 2; i++ {
 		for j := 1; j <= m.d[i]; j++ {
-			sum += v[i][j]
+			sum += v[i].at(x, j)
 		}
 	}
 	return sum / float64(m.s.K-1)
@@ -288,12 +259,9 @@ func (m *biModel) yNext(x []float64, r int) float64 {
 //khs:hotpath
 func (m *biModel) Iterate(in, out []float64) error {
 	k := m.s.K
-	st := &m.in
-	m.unpack(in, st)
-
-	entHyB := m.entrance(st.shybar)
-	entHy := m.entrance(st.shy)
-	entXmix := m.cXo*m.entrance(st.sx) + m.cXHy*m.entrance(st.sxhy) + m.cXHb*m.entrance(st.sxhybar)
+	entHyB := m.entrance(in, m.l.shybar)
+	entHy := m.entrance(in, m.l.shy)
+	entXmix := m.cXo*m.entrance(in, m.l.sx) + m.cXHy*m.entrance(in, m.l.sxhy) + m.cXHb*m.entrance(in, m.l.sxhybar)
 
 	var bHyB, bHy, bX [2]float64
 	for i := 0; i < 2; i++ {
@@ -308,7 +276,7 @@ func (m *biModel) Iterate(in, out []float64) error {
 		// which see the same channels with the same arguments.
 		sum := 0.0
 		for l := 1; l <= m.d[i]; l++ {
-			b, err := m.blocking(&m.cHy[i][l], entHy, st.shoty[i][l])
+			b, err := m.blocking(&m.cHy[i][l], entHy, m.l.shoty[i].at(in, l))
 			if err != nil {
 				return fmt.Errorf("%w (bi hot column, dir %d ch %d)", ErrSaturated, i, l)
 			}
@@ -324,7 +292,7 @@ func (m *biModel) Iterate(in, out []float64) error {
 		sum = 0.0
 		for r := range m.rows {
 			for l := 1; l <= m.d[i]; l++ {
-				b, err := m.blocking(&m.cX[i][l], entXmix, st.shotx[i][r][l])
+				b, err := m.blocking(&m.cX[i][l], entXmix, m.l.shotx[i][r].at(in, l))
 				if err != nil {
 					return fmt.Errorf("%w (bi x, dir %d row %d ch %d)", ErrSaturated, i, r, l)
 				}
@@ -379,12 +347,10 @@ func init() {
 
 // Assemble computes the latency decomposition from the converged state.
 func (m *biModel) Assemble(x []float64, conv Convergence) (*SolveResult, error) {
-	st := &m.in
-	m.unpack(x, st)
 	p, k := m.s, m.s.K
-	entHyB := m.entrance(st.shybar)
-	entHy := m.entrance(st.shy)
-	entXmix := m.cXo*m.entrance(st.sx) + m.cXHy*m.entrance(st.sxhy) + m.cXHb*m.entrance(st.sxhybar)
+	entHyB := m.entrance(x, m.l.shybar)
+	entHy := m.entrance(x, m.l.shy)
+	entXmix := m.cXo*m.entrance(x, m.l.sx) + m.cXHy*m.entrance(x, m.l.sxhy) + m.cXHb*m.entrance(x, m.l.sxhybar)
 	sr := m.pHy*entHy + m.pHyB*entHyB + m.pX*entXmix
 
 	lv := p.Lambda / float64(p.V)
@@ -397,10 +363,10 @@ func (m *biModel) Assemble(x []float64, conv Convergence) (*SolveResult, error) 
 	if err != nil {
 		return nil, fmt.Errorf("%w (bi source queue, hot node)", ErrSaturated)
 	}
-	wsY := [2][]float64{make([]float64, m.d[0]+1), make([]float64, m.d[1]+1)}
+	wsY, wsX := m.wsY, m.wsX
 	for i := 0; i < 2; i++ {
 		for t := 1; t <= m.d[i]; t++ {
-			w, err := wait((1-p.H)*sr + p.H*st.shoty[i][t])
+			w, err := wait((1-p.H)*sr + p.H*m.l.shoty[i].at(x, t))
 			if err != nil {
 				return nil, fmt.Errorf("%w (bi source queue, hot column)", ErrSaturated)
 			}
@@ -408,16 +374,14 @@ func (m *biModel) Assemble(x []float64, conv Convergence) (*SolveResult, error) 
 			wsSum += w
 		}
 	}
-	wsX := make([][2][]float64, len(m.rows))
 	for r := range m.rows {
 		for i := 0; i < 2; i++ {
-			wsX[r][i] = make([]float64, m.d[i]+1)
 			for j := 1; j <= m.d[i]; j++ {
-				w, err := wait((1-p.H)*sr + p.H*st.shotx[i][r][j])
+				w, err := wait((1-p.H)*sr + p.H*m.l.shotx[i][r].at(x, j))
 				if err != nil {
 					return nil, fmt.Errorf("%w (bi source queue, row %d)", ErrSaturated, r)
 				}
-				wsX[r][i][j] = w
+				wsX[i][r][j] = w
 				wsSum += w
 			}
 		}
@@ -426,13 +390,13 @@ func (m *biModel) Assemble(x []float64, conv Convergence) (*SolveResult, error) 
 	wsReg := wsSum / n
 
 	// Multiplexing degrees (Eqs. 33-37, per direction class).
-	vHyAt := [2][]float64{make([]float64, k+1), make([]float64, k+1)}
+	vHyAt, vXAt := m.vHyAt, m.vXAt
 	vHySum := 0.0
 	for i := 0; i < 2; i++ {
 		for l := 1; l <= k; l++ {
 			lh, sh := 0.0, 0.0
 			if l <= m.d[i] {
-				lh, sh = m.hy[i][l], st.shoty[i][l]
+				lh, sh = m.hy[i][l], m.l.shoty[i].at(x, l)
 			}
 			tot := m.r[i] + lh
 			sBar := queueing.WeightedService(m.r[i], entHy, lh, sh)
@@ -446,15 +410,13 @@ func (m *biModel) Assemble(x []float64, conv Convergence) (*SolveResult, error) 
 	}
 	vHy := vHySum / float64(2*k)
 
-	vXAt := make([][2][]float64, len(m.rows))
 	vXSum := 0.0
 	for r := range m.rows {
 		for i := 0; i < 2; i++ {
-			vXAt[r][i] = make([]float64, k+1)
 			for l := 1; l <= k; l++ {
 				lh, sh := 0.0, 0.0
 				if l <= m.d[i] {
-					lh, sh = m.hx[i][l], st.shotx[i][r][l]
+					lh, sh = m.hx[i][l], m.l.shotx[i][r].at(x, l)
 				}
 				tot := m.r[i] + lh
 				sBar := queueing.WeightedService(m.r[i], entXmix, lh, sh)
@@ -462,7 +424,7 @@ func (m *biModel) Assemble(x []float64, conv Convergence) (*SolveResult, error) 
 				if err != nil {
 					return nil, err
 				}
-				vXAt[r][i][l] = deg
+				vXAt[i][r][l] = deg
 				vXSum += deg
 			}
 		}
@@ -492,7 +454,7 @@ func (m *biModel) Assemble(x []float64, conv Convergence) (*SolveResult, error) 
 				vp += vHyAt[i][l]
 			}
 			vp /= float64(t)
-			hotSum += (st.shoty[i][t] + wsY[i][t]) * vp
+			hotSum += (m.l.shoty[i].at(x, t) + wsY[i][t]) * vp
 		}
 	}
 	for r, row := range m.rows {
@@ -500,7 +462,7 @@ func (m *biModel) Assemble(x []float64, conv Convergence) (*SolveResult, error) 
 			for j := 1; j <= m.d[i]; j++ {
 				vsum, cnt := 0.0, 0
 				for l := 1; l <= j; l++ {
-					vsum += vXAt[r][i][l]
+					vsum += vXAt[i][r][l]
 					cnt++
 				}
 				if !row.hotRow {
@@ -509,7 +471,7 @@ func (m *biModel) Assemble(x []float64, conv Convergence) (*SolveResult, error) 
 						cnt++
 					}
 				}
-				hotSum += (st.shotx[i][r][j] + wsX[r][i][j]) * (vsum / float64(cnt))
+				hotSum += (m.l.shotx[i][r].at(x, j) + wsX[i][r][j]) * (vsum / float64(cnt))
 			}
 		}
 	}

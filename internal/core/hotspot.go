@@ -90,7 +90,9 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// Result is the solved model.
+// Result is the solved model: the scalars of the latency decomposition.
+// The position-indexed service times it is assembled from stay in the
+// solver's flat fixed-point state.
 type Result struct {
 	// Latency is the mean message latency in cycles (Eq. 10).
 	Latency float64
@@ -113,20 +115,11 @@ type Result struct {
 	MaxUtilisation float64
 	// Convergence is the fixed-point diagnostic summary.
 	Convergence Convergence
-
-	// Raw service-time vectors (1-indexed by remaining hops; index 0
-	// unused) for inspection and tests.
-	SHotY   []float64   // hot-spot messages in the hot ring (Eq. 23)
-	SHotX   [][]float64 // hot-spot messages starting at (t, j) (Eq. 25)
-	SRegHy  []float64   // regular, hot y-ring only (Eq. 17)
-	SRegHyB []float64   // regular, non-hot y-ring only (Eq. 16)
-	SRegX   []float64   // regular, x only (Eq. 18)
 }
 
 // layout segments the flattened fixed-point vector (see state.go for the
 // shared seg machinery).
 type layout struct {
-	k       int
 	shybar  seg   // k-1 values: regular, non-hot y-ring
 	shy     seg   // k-1: regular, hot y-ring
 	sx      seg   // k-1: regular, x only
@@ -140,7 +133,7 @@ type layout struct {
 func newLayout(k int) layout {
 	m := k - 1
 	var b vecBuilder
-	l := layout{k: k}
+	var l layout
 	l.shybar = b.seg(m)
 	l.shy = b.seg(m)
 	l.sx = b.seg(m)
@@ -178,12 +171,17 @@ type model struct {
 	cHyB    channel
 	cHy, cX []channel
 
-	// Round scratch, built at Prepare: the unpacked input state and the
-	// per-channel blocking delays of the hot y-ring ([l], l = 1..k) and of
-	// the x-rings ([t][l], l = 1..k-1).
-	in  view
+	// Round scratch, built at Prepare: the per-channel blocking delays of
+	// the hot y-ring ([l], l = 1..k) and of the x-rings ([t][l],
+	// l = 1..k-1).
 	bHy []float64
 	bX  [][]float64
+	// Assembly scratch, built at Prepare: the source waits of the hot-ring
+	// nodes ([j], j = 1..k-1) and of the x-ring nodes ([t][j]), and the
+	// multiplexing degrees of the hot-ring channels ([l], l = 1..k) and of
+	// the x-ring channels ([t][l]).
+	wsY, vHyAt []float64
+	wsX, vXAt  [][]float64
 }
 
 func newModel(s Spec, o Options) *model {
@@ -214,11 +212,16 @@ func (m *model) Prepare() {
 	m.cXo = 1 / kf
 	m.cXHy = (kf - 1) / (kf * kf)
 	m.cXHb = (kf - 1) * (kf - 1) / (kf * kf)
-	m.in = m.newView()
 	m.bHy = make([]float64, k+1)
 	m.bX = make([][]float64, k+1)
+	m.wsY = make([]float64, k)
+	m.wsX = make([][]float64, k+1)
+	m.vHyAt = make([]float64, k+1)
+	m.vXAt = make([][]float64, k+1)
 	for t := 1; t <= k; t++ {
 		m.bX[t] = make([]float64, k)
+		m.wsX[t] = make([]float64, k)
+		m.vXAt[t] = make([]float64, k+1)
 	}
 	m.prepared = true
 	m.SetLambda(m.s.Lambda)
@@ -243,53 +246,16 @@ func (m *model) SetLambda(lambda float64) {
 	}
 }
 
-// entrance reduces a 1-indexed service vector (remaining hops 1..k-1) to
-// the mean service time seen at ring entry: the average of S(b) over the
-// uniform destination ring distance b (DESIGN.md §4.6).
-func (m *model) entrance(s []float64) float64 {
+// entrance reduces a service-time segment of x (remaining hops 1..k-1)
+// to the mean service time seen at ring entry: the average of S(b) over
+// the uniform destination ring distance b (DESIGN.md §4.6).
+func (m *model) entrance(x []float64, s seg) float64 {
 	k := m.s.K
 	sum := 0.0
 	for j := 1; j <= k-1; j++ {
-		sum += s[j]
+		sum += s.at(x, j)
 	}
 	return sum / float64(k-1)
-}
-
-// view holds named 1-indexed copies (position 0 unused) of the state's
-// segments.
-type view struct {
-	shybar, shy, sx, sxhy, sxhybar, shoty []float64
-	shotx                                 [][]float64 // [t][j], 1-indexed
-}
-
-// newView allocates the buffers of a view.
-func (m *model) newView() view {
-	v := view{
-		shybar:  m.l.shybar.buf(),
-		shy:     m.l.shy.buf(),
-		sx:      m.l.sx.buf(),
-		sxhy:    m.l.sxhy.buf(),
-		sxhybar: m.l.sxhybar.buf(),
-		shoty:   m.l.shoty.buf(),
-	}
-	v.shotx = make([][]float64, m.l.k+1)
-	for t := 1; t <= m.l.k; t++ {
-		v.shotx[t] = m.l.shotx[t].buf()
-	}
-	return v
-}
-
-// unpack copies the flat state x into v.
-func (m *model) unpack(x []float64, v *view) {
-	m.l.shybar.unpack(x, v.shybar)
-	m.l.shy.unpack(x, v.shy)
-	m.l.sx.unpack(x, v.sx)
-	m.l.sxhy.unpack(x, v.sxhy)
-	m.l.sxhybar.unpack(x, v.sxhybar)
-	m.l.shoty.unpack(x, v.shoty)
-	for t := 1; t <= m.l.k; t++ {
-		m.l.shotx[t].unpack(x, v.shotx[t])
-	}
 }
 
 // Iterate is the fixed-point map: out = F(in), the re-evaluation of
@@ -300,14 +266,11 @@ func (m *model) unpack(x []float64, v *view) {
 //khs:hotpath
 func (m *model) Iterate(in, out []float64) error {
 	k := m.s.K
-	v := &m.in
-	m.unpack(in, v)
-
-	entHyB := m.entrance(v.shybar)
-	entHy := m.entrance(v.shy)
+	entHyB := m.entrance(in, m.l.shybar)
+	entHy := m.entrance(in, m.l.shy)
 	// Mixture service of regular traffic on x-channels (the S^r_{x,k̄} of
 	// Eqs. 18-20): weighted over the three onward-path classes.
-	entXmix := m.cXo*m.entrance(v.sx) + m.cXHy*m.entrance(v.sxhy) + m.cXHb*m.entrance(v.sxhybar)
+	entXmix := m.cXo*m.entrance(in, m.l.sx) + m.cXHy*m.entrance(in, m.l.sxhy) + m.cXHb*m.entrance(in, m.l.sxhybar)
 
 	// Blocking on non-hot y-ring channels (Eq. 16): regular traffic only.
 	bHyB, err := m.blocking(&m.cHyB, entHyB, 0)
@@ -322,7 +285,7 @@ func (m *model) Iterate(in, out []float64) error {
 	for l := 1; l <= k; l++ {
 		sh := 0.0
 		if l <= k-1 {
-			sh = v.shoty[l]
+			sh = m.l.shoty.at(in, l)
 		}
 		b, err := m.blocking(&m.cHy[l], entHy, sh)
 		if err != nil {
@@ -340,7 +303,7 @@ func (m *model) Iterate(in, out []float64) error {
 	bX := 0.0
 	for t := 1; t <= k; t++ {
 		for l := 1; l <= k-1; l++ {
-			b, err := m.blocking(&m.cX[l], entXmix, v.shotx[t][l])
+			b, err := m.blocking(&m.cX[l], entXmix, m.l.shotx[t].at(in, l))
 			if err != nil {
 				return fmt.Errorf("%w (x-ring %d, channel %d)", ErrSaturated, t, l)
 			}
@@ -471,14 +434,12 @@ func (m *model) Assemble(x []float64, conv Convergence) (*SolveResult, error) {
 // assemble computes the typed Result from the converged service times.
 func (m *model) assemble(x []float64, conv Convergence) (*Result, error) {
 	p, k := m.s, m.s.K
-	v := m.newView() // owned by the result: a prepared solver reuses m.in
-	m.unpack(x, &v)
 	kf := float64(k)
 	n := kf * kf
 
-	entHyB := m.entrance(v.shybar)
-	entHy := m.entrance(v.shy)
-	entXmix := m.cXo*m.entrance(v.sx) + m.cXHy*m.entrance(v.sxhy) + m.cXHb*m.entrance(v.sxhybar)
+	entHyB := m.entrance(x, m.l.shybar)
+	entHy := m.entrance(x, m.l.shy)
+	entXmix := m.cXo*m.entrance(x, m.l.sx) + m.cXHy*m.entrance(x, m.l.sxhy) + m.cXHb*m.entrance(x, m.l.sxhybar)
 
 	// Eq. 31: the mean network latency of a regular message.
 	sr := m.pHy*entHy + m.pHyB*entHyB + m.pX*entXmix
@@ -496,20 +457,18 @@ func (m *model) assemble(x []float64, conv Convergence) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w (source queue, hot node)", ErrSaturated)
 	}
-	wsY := make([]float64, k) // 1-indexed source waits in the hot ring
+	wsY, wsX := m.wsY, m.wsX
 	for j := 1; j <= k-1; j++ {
-		w, err := wsHot(v.shoty[j])
+		w, err := wsHot(m.l.shoty.at(x, j))
 		if err != nil {
 			return nil, fmt.Errorf("%w (source queue, hot ring %d)", ErrSaturated, j)
 		}
 		wsY[j] = w
 		wsSum += w
 	}
-	wsX := make([][]float64, k+1) // [t][j]
 	for t := 1; t <= k; t++ {
-		wsX[t] = make([]float64, k)
 		for j := 1; j <= k-1; j++ {
-			w, err := wsHot(v.shotx[t][j])
+			w, err := wsHot(m.l.shotx[t].at(x, j))
 			if err != nil {
 				return nil, fmt.Errorf("%w (source queue, node %d,%d)", ErrSaturated, t, j)
 			}
@@ -524,13 +483,13 @@ func (m *model) assemble(x []float64, conv Convergence) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	vHyAt := make([]float64, k+1) // per hot-ring channel position
+	vHyAt, vXAt := m.vHyAt, m.vXAt
 	vHySum := 0.0
 	maxUtil := 0.0
 	for j := 1; j <= k; j++ {
 		sh := 0.0
 		if j <= k-1 {
-			sh = v.shoty[j]
+			sh = m.l.shoty.at(x, j)
 		}
 		tot := m.lr + m.lhy[j]
 		sBar := queueing.WeightedService(m.lr, entHy, m.lhy[j], sh)
@@ -546,14 +505,12 @@ func (m *model) assemble(x []float64, conv Convergence) (*Result, error) {
 	}
 	vHy := vHySum / kf // Eq. 36
 
-	vXAt := make([][]float64, k+1)
 	vXSum := 0.0
 	for t := 1; t <= k; t++ {
-		vXAt[t] = make([]float64, k+1)
 		for j := 1; j <= k; j++ {
 			sh := 0.0
 			if j <= k-1 {
-				sh = v.shotx[t][j]
+				sh = m.l.shotx[t].at(x, j)
 			}
 			tot := m.lr + m.lhx[j]
 			sBar := queueing.WeightedService(m.lr, entXmix, m.lhx[j], sh)
@@ -587,8 +544,9 @@ func (m *model) assemble(x []float64, conv Convergence) (*Result, error) {
 	}
 	var hotSum, hotNetSum float64
 	for j := 1; j <= k-1; j++ {
-		hotSum += (v.shoty[j] + wsY[j]) * pathVy(j)
-		hotNetSum += v.shoty[j]
+		sh := m.l.shoty.at(x, j)
+		hotSum += (sh + wsY[j]) * pathVy(j)
+		hotNetSum += sh
 	}
 	for t := 1; t <= k; t++ {
 		for j := 1; j <= k-1; j++ {
@@ -604,8 +562,9 @@ func (m *model) assemble(x []float64, conv Convergence) (*Result, error) {
 				}
 			}
 			vp := vsum / float64(cnt)
-			hotSum += (v.shotx[t][j] + wsX[t][j]) * vp
-			hotNetSum += v.shotx[t][j]
+			sh := m.l.shotx[t].at(x, j)
+			hotSum += (sh + wsX[t][j]) * vp
+			hotNetSum += sh
 		}
 	}
 	sHot := hotSum / (n - 1)
@@ -625,11 +584,6 @@ func (m *model) assemble(x []float64, conv Convergence) (*Result, error) {
 		VHyBar:         vHyB,
 		MaxUtilisation: maxUtil,
 		Convergence:    conv,
-		SHotY:          v.shoty,
-		SHotX:          v.shotx[1:],
-		SRegHy:         v.shy,
-		SRegHyB:        v.shybar,
-		SRegX:          v.sx,
 	}
 	return res, nil
 }

@@ -218,12 +218,28 @@ func TestHotLatencyExceedsRegularNearLoad(t *testing.T) {
 	}
 }
 
+// solvedState solves the named variant at s through a prepared solver
+// and returns it: ps.x holds the converged state, laid out as ps.s reads
+// it.
+func solvedState(t *testing.T, name string, s Spec) *PreparedSolver {
+	t.Helper()
+	ps, err := Prepare(name, s, Options{})
+	if err != nil {
+		t.Fatalf("Prepare(%q, %+v): %v", name, s, err)
+	}
+	if _, err := ps.Solve(s.Lambda); err != nil {
+		t.Fatalf("Solve(%q, %+v): %v", name, s, err)
+	}
+	return ps
+}
+
 func TestServiceTimesDecreaseTowardHotNode(t *testing.T) {
 	// S^h_y[j] grows with j (more hops left => longer service).
-	r := solveDetail[Result](t, "hotspot-2d", Spec{K: 8, V: 2, Lm: 16, H: 0.3, Lambda: 5e-4}, Options{})
+	ps := solvedState(t, "hotspot-2d", Spec{K: 8, V: 2, Lm: 16, H: 0.3, Lambda: 5e-4})
+	shoty := func(j int) float64 { return ps.s.(*model).l.shoty.at(ps.x, j) }
 	for j := 2; j <= 7; j++ {
-		if r.SHotY[j] <= r.SHotY[j-1] {
-			t.Errorf("S^h_y not increasing at j=%d: %v <= %v", j, r.SHotY[j], r.SHotY[j-1])
+		if shoty(j) <= shoty(j-1) {
+			t.Errorf("S^h_y not increasing at j=%d: %v <= %v", j, shoty(j), shoty(j-1))
 		}
 	}
 }
@@ -232,18 +248,19 @@ func TestHotXRowsOrdered(t *testing.T) {
 	// For fixed j, a source farther from the hot node in y (larger t < k)
 	// has a longer remaining path and thus a larger service time; the hot
 	// row (t = k) has the shortest.
-	r := solveDetail[Result](t, "hotspot-2d", Spec{K: 8, V: 2, Lm: 16, H: 0.3, Lambda: 5e-4}, Options{})
+	ps := solvedState(t, "hotspot-2d", Spec{K: 8, V: 2, Lm: 16, H: 0.3, Lambda: 5e-4})
 	k := 8
 	j := 3
+	shotx := func(t int) float64 { return ps.s.(*model).l.shotx[t].at(ps.x, j) }
 	for t2 := 2; t2 <= k-1; t2++ {
-		if r.SHotX[t2-1][j] <= r.SHotX[t2-2][j] {
+		if shotx(t2) <= shotx(t2-1) {
 			t.Errorf("S^h_x(t=%d,j=%d)=%v not above t=%d (%v)",
-				t2, j, r.SHotX[t2-1][j], t2-1, r.SHotX[t2-2][j])
+				t2, j, shotx(t2), t2-1, shotx(t2-1))
 		}
 	}
-	if r.SHotX[k-1][j] >= r.SHotX[0][j] {
+	if shotx(k) >= shotx(1) {
 		t.Errorf("hot-row service %v should be smallest (t=1 gives %v)",
-			r.SHotX[k-1][j], r.SHotX[0][j])
+			shotx(k), shotx(1))
 	}
 }
 
@@ -345,9 +362,6 @@ func TestResultDiagnosticsPopulated(t *testing.T) {
 	r := solveDetail[Result](t, "hotspot-2d", Spec{K: 8, V: 2, Lm: 16, H: 0.2, Lambda: 1e-4}, Options{})
 	if r.Convergence.Iterations < 1 {
 		t.Error("no iterations recorded")
-	}
-	if len(r.SHotY) != 8 || len(r.SHotX) != 8 || len(r.SRegHy) != 8 {
-		t.Errorf("diagnostic vectors sized %d/%d/%d", len(r.SHotY), len(r.SHotX), len(r.SRegHy))
 	}
 	if r.NetworkRegular <= 0 || r.NetworkHot <= 0 {
 		t.Error("network latencies missing")

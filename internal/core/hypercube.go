@@ -42,8 +42,6 @@ type HypercubeResult struct {
 	WsRegular float64
 	// V is the mean multiplexing degree over all channels.
 	V float64
-	// SHot[d] is the mean service time at the dimension-d hot channel.
-	SHot []float64
 	// Convergence is the fixed-point diagnostic summary.
 	Convergence Convergence
 }
@@ -224,17 +222,17 @@ func (m *hyperModel) Assemble(state []float64, conv Convergence) (*SolveResult, 
 	// Entrance service times: the first crossed dimension of a uniform (or
 	// hot) destination is dimension d with probability 2^-(d+1),
 	// conditioned on at least one dimension differing.
-	pFirst := make([]float64, n)
 	rem := 1.0
 	for d := 0; d < n; d++ {
-		pFirst[d] = rem / 2
 		rem /= 2
 	}
 	norm := 1 - rem // = P(dst != src)
 	entHot, entReg := 0.0, 0.0
+	pFirst := 1.0
 	for d := 0; d < n; d++ {
-		entHot += pFirst[d] / norm * sh[d]
-		entReg += pFirst[d] / norm * sr[d]
+		pFirst /= 2 // 2^-(d+1)
+		entHot += pFirst / norm * sh[d]
+		entReg += pFirst / norm * sr[d]
 	}
 
 	srMean := 0.0
@@ -277,7 +275,6 @@ func (m *hyperModel) Assemble(state []float64, conv Convergence) (*SolveResult, 
 		Hot:         hot,
 		WsRegular:   ws,
 		V:           vBar,
-		SHot:        append([]float64(nil), sh...),
 		Convergence: conv,
 	}
 	return &SolveResult{

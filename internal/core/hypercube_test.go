@@ -48,9 +48,6 @@ func TestHypercubeZeroLoad(t *testing.T) {
 	if r.WsRegular > 0.01 || r.V > 1.001 {
 		t.Errorf("zero-load ws %v V %v", r.WsRegular, r.V)
 	}
-	if len(r.SHot) != 6 {
-		t.Errorf("SHot has %d entries", len(r.SHot))
-	}
 }
 
 func TestHypercubeMonotoneInLambda(t *testing.T) {
@@ -95,25 +92,26 @@ func TestHypercubeSaturationFallsWithH(t *testing.T) {
 func TestHypercubeHotServiceShape(t *testing.T) {
 	// At vanishing load the dim-d hot service is the zero-load remaining
 	// path: Lm + 1 + (n-1-d)/2.
-	r := solveDetail[HypercubeResult](t, "hypercube", Spec{Dims: 8, V: 2, Lm: 32, H: 0.3, Lambda: 1e-9}, Options{})
+	// The state holds S^h_d at [0, n).
+	sHot := solvedState(t, "hypercube", Spec{Dims: 8, V: 2, Lm: 32, H: 0.3, Lambda: 1e-9}).x
 	for d := 0; d < 8; d++ {
 		want := 32 + 1 + float64(8-1-d)/2
-		if math.Abs(r.SHot[d]-want) > 0.01 {
-			t.Errorf("zero-load SHot[%d] = %v, want %v", d, r.SHot[d], want)
+		if math.Abs(sHot[d]-want) > 0.01 {
+			t.Errorf("zero-load S^h[%d] = %v, want %v", d, sHot[d], want)
 		}
 	}
 	// Under load every hot channel's service grows, and the first-crossed
 	// (dim 0) channel still reflects the longest remaining path among the
 	// low dimensions.
-	r2 := solveDetail[HypercubeResult](t, "hypercube", Spec{Dims: 8, V: 2, Lm: 32, H: 0.3, Lambda: 3e-4}, Options{})
+	loaded := solvedState(t, "hypercube", Spec{Dims: 8, V: 2, Lm: 32, H: 0.3, Lambda: 3e-4}).x
 	for d := 0; d < 8; d++ {
-		if r2.SHot[d] <= r.SHot[d] {
-			t.Errorf("loaded SHot[%d]=%v not above zero-load %v", d, r2.SHot[d], r.SHot[d])
+		if loaded[d] <= sHot[d] {
+			t.Errorf("loaded S^h[%d]=%v not above zero-load %v", d, loaded[d], sHot[d])
 		}
 	}
-	if r2.SHot[0] <= r2.SHot[4] {
-		t.Errorf("SHot[0]=%v should exceed SHot[4]=%v (longer remaining path)",
-			r2.SHot[0], r2.SHot[4])
+	if loaded[0] <= loaded[4] {
+		t.Errorf("S^h[0]=%v should exceed S^h[4]=%v (longer remaining path)",
+			loaded[0], loaded[4])
 	}
 }
 

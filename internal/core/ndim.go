@@ -44,9 +44,6 @@ type NDimResult struct {
 	WsRegular float64
 	// VBar is the channel-averaged multiplexing degree.
 	VBar float64
-	// SHot[d][j] is the hot service time at the dimension-d hot channel j
-	// hops from the hot coordinate (j 1-indexed).
-	SHot [][]float64
 	// Convergence is the fixed-point diagnostic summary.
 	Convergence Convergence
 }
@@ -309,20 +306,12 @@ func (m *ndimModel) Assemble(state []float64, conv Convergence) (*SolveResult, e
 	hot := (entHot + ws) * vBar
 	latency := (1-m.s.H)*regular + m.s.H*hot
 
-	shot := make([][]float64, n)
-	for d := 0; d < n; d++ {
-		shot[d] = make([]float64, k)
-		for j := 1; j <= k-1; j++ {
-			shot[d][j] = state[m.hotIdx(d, j)]
-		}
-	}
 	r := &NDimResult{
 		Latency:     latency,
 		Regular:     regular,
 		Hot:         hot,
 		WsRegular:   ws,
 		VBar:        vBar,
-		SHot:        shot,
 		Convergence: conv,
 	}
 	return &SolveResult{

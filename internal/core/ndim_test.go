@@ -114,7 +114,4 @@ func TestNDimHotAboveRegular(t *testing.T) {
 	if r.Hot <= r.Regular {
 		t.Errorf("hot %v not above regular %v", r.Hot, r.Regular)
 	}
-	if len(r.SHot) != 3 || len(r.SHot[0]) != 8 {
-		t.Errorf("SHot dims %dx%d", len(r.SHot), len(r.SHot[0]))
-	}
 }

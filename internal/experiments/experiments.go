@@ -5,7 +5,6 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -154,24 +153,23 @@ func RunSim(ctx context.Context, model string, p Panel, lambda float64, budget S
 }
 
 // ModelCurve evaluates only the analytical side of a panel under the named
-// model variant (cheap; used by the ablation benchmarks). A saturated load
-// is a NaN, ModelSaturated point; any other solve error (an unknown model,
-// a bad option, a spec the variant rejects) fails the curve.
+// model variant (cheap; used by the ablation benchmarks), through the
+// sweep's one prepared solver per panel. A saturated load is a NaN,
+// ModelSaturated point; any other solve error (an unknown model, a bad
+// option, a spec the variant rejects) fails the curve. Like Sweep.Opts,
+// opts.FixPoint.Trace is replaced by the sweep's own round counter.
 func ModelCurve(model string, p Panel, opts core.Options) ([]Point, error) {
-	points := make([]Point, 0, len(p.Lambdas))
-	for _, lam := range p.Lambdas {
-		pt := Point{Lambda: lam}
-		res, err := core.Solve(model, p.Spec(lam), opts)
-		switch {
-		case errors.Is(err, core.ErrSaturated):
-			pt.Model = math.NaN()
-			pt.ModelSaturated = true
-		case err != nil:
-			return nil, fmt.Errorf("experiments: %s model at lambda %v: %w", p.ID, lam, err)
-		default:
-			pt.Model = res.Latency
+	//lint:ignore ctxflow ModelCurve's signature supplies no context: the curve is uncancellable, as each solve is unless opts.FixPoint.Ctx says otherwise
+	mps, err := Sweep{Opts: opts}.solvePanelModels(context.TODO(), model, p)
+	if err != nil {
+		return nil, err
+	}
+	points := make([]Point, len(mps))
+	for j, mp := range mps {
+		if mp.outcome() == "error" {
+			return nil, fmt.Errorf("experiments: %s model at lambda %v: %w", p.ID, p.Lambdas[j], mp.err)
 		}
-		points = append(points, pt)
+		points[j] = mp.point(p.Lambdas[j])
 	}
 	return points, nil
 }

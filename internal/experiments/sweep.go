@@ -166,16 +166,12 @@ func (s Sweep) RunPanels(ctx context.Context, panels []Panel) ([]PanelResult, er
 
 	total := 0
 	simRes := make([][][]sim.Result, len(panels))
-	modelVal := make([][]float64, len(panels))
-	modelSat := make([][]bool, len(panels))
 	for i, p := range panels {
 		total += len(p.Lambdas) * reps
 		simRes[i] = make([][]sim.Result, len(p.Lambdas))
 		for j := range simRes[i] {
 			simRes[i][j] = make([]sim.Result, reps)
 		}
-		modelVal[i] = make([]float64, len(p.Lambdas))
-		modelSat[i] = make([]bool, len(p.Lambdas))
 	}
 
 	// The analytical curves are evaluated up front, one prepared solver per
@@ -225,7 +221,7 @@ func (s Sweep) RunPanels(ctx context.Context, panels []Panel) ([]PanelResult, er
 				}
 				s.runJob(cctx, model, panels[jb.panel], jb, reps, total,
 					modelPts[jb.panel][jb.point],
-					simRes, modelVal, modelSat, &mu, &done, fail)
+					simRes, &mu, &done, fail)
 			}
 		}()
 	}
@@ -256,11 +252,7 @@ feed:
 	for i, p := range panels {
 		points := make([]Point, len(p.Lambdas))
 		for j, lam := range p.Lambdas {
-			pt := Point{
-				Lambda:         lam,
-				Model:          modelVal[i][j],
-				ModelSaturated: modelSat[i][j],
-			}
+			pt := modelPts[i][j].point(lam)
 			if reps == 1 {
 				r := simRes[i][j][0]
 				pt.Sim = r.MeanLatency
@@ -286,12 +278,11 @@ feed:
 
 // runJob executes one (panel, point, rep) unit: the replication-0 job also
 // records its point's precomputed analytical outcome (the model is
-// deterministic, so the per-panel prepared solve suffices). Each writes only
-// its own result slot; completion counting and the Progress callback
-// serialise on mu.
+// deterministic, so the per-panel prepared solve suffices) and fails the
+// sweep on a model error. Each writes only its own result slot; completion
+// counting and the Progress callback serialise on mu.
 func (s Sweep) runJob(ctx context.Context, model string, p Panel, jb sweepJob, reps, total int,
-	mp modelPoint,
-	simRes [][][]sim.Result, modelVal [][]float64, modelSat [][]bool,
+	mp modelPoint, simRes [][][]sim.Result,
 	mu *sync.Mutex, done *int, fail func(error)) {
 
 	lam := p.Lambdas[jb.point]
@@ -331,13 +322,7 @@ func (s Sweep) runJob(ctx context.Context, model string, p Panel, jb sweepJob, r
 
 	if jb.rep == 0 {
 		mp.fill(&rec)
-		switch {
-		case mp.err == nil:
-			modelVal[jb.panel][jb.point] = mp.res.Latency
-		case errors.Is(mp.err, core.ErrSaturated):
-			modelVal[jb.panel][jb.point] = math.NaN()
-			modelSat[jb.panel][jb.point] = true
-		default:
+		if rec.ModelOutcome == "error" {
 			rec.Outcome = "error"
 			rec.Error = mp.err.Error()
 			jsp.SetAttr("outcome", "error")
@@ -402,20 +387,36 @@ type modelPoint struct {
 	iterations int
 }
 
+// outcome classifies the solve: "ok", "saturated" or "error".
+func (mp modelPoint) outcome() string {
+	switch {
+	case mp.err == nil:
+		return "ok"
+	case errors.Is(mp.err, core.ErrSaturated):
+		return "saturated"
+	}
+	return "error"
+}
+
 // fill copies the solve outcome into a manifest record's model fields.
 func (mp modelPoint) fill(rec *RunManifest) {
 	rec.ModelIterations = mp.iterations
-	switch {
-	case mp.err == nil:
-		rec.ModelOutcome = "ok"
+	rec.ModelOutcome = mp.outcome()
+	if mp.err == nil {
 		rec.ModelLatency = mp.res.Latency
 		return
-	case errors.Is(mp.err, core.ErrSaturated):
-		rec.ModelOutcome = "saturated"
-	default:
-		rec.ModelOutcome = "error"
 	}
 	rec.ModelError = mp.err.Error()
+}
+
+// point is the load point lam with the solve's model fields: its latency,
+// or NaN and ModelSaturated for a saturated load. An "error" outcome has
+// no point; callers fail on it first.
+func (mp modelPoint) point(lam float64) Point {
+	if mp.err != nil {
+		return Point{Lambda: lam, Model: math.NaN(), ModelSaturated: true}
+	}
+	return Point{Lambda: lam, Model: mp.res.Latency}
 }
 
 // solvePanelModels evaluates the panel's analytical curve through one

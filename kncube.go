@@ -125,8 +125,8 @@ func SolveBatch(model string, specs []ModelSpec, o BatchOptions) ([]BatchItem, e
 // (DESIGN.md §4.7 and §10).
 type ModelOptions = core.Options
 
-// ModelResult is the solved hot-spot model with diagnostics
-// (the Detail of a "hotspot-2d" solve).
+// ModelResult is the solved hot-spot model: the latency decomposition and
+// its diagnostics, scalars only (the Detail of a "hotspot-2d" solve).
 type ModelResult = core.Result
 
 // Blocking-delay forms. The zero value of ModelOptions selects
