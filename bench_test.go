@@ -323,6 +323,35 @@ func BenchmarkSolve(b *testing.B) {
 	}
 }
 
+// BenchmarkSolveSize re-solves a prepared 2-D torus at a light load at
+// two network sizes: K = 16, the shape serve traffic names, and K = 512,
+// where the state no longer fits the caches and the assembly's path
+// averages grow as K³. The workspace is grown before the timer starts, so
+// a row times the rounds and the assembly, as a pooled solver pays them.
+func BenchmarkSolveSize(b *testing.B) {
+	for _, name := range []string{"hotspot-2d", "bidirectional-2d"} {
+		for _, k := range []int{16, 512} {
+			b.Run(fmt.Sprintf("%s/K=%d", name, k), func(b *testing.B) {
+				spec := kncube.ModelSpec{K: k, Dims: 2, V: 2, Lm: 32, H: 0.2, Lambda: 1e-7}
+				ps, err := kncube.Prepare(name, spec, kncube.ModelOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := ps.Solve(spec.Lambda); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := ps.Solve(spec.Lambda); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkSolveNearSat compares the damped baseline against safeguarded
 // Anderson mixing at every variant's near-saturation operating point,
 // reporting the fixed-point round count as iters/op alongside ns/op —

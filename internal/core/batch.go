@@ -3,6 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
+	"reflect"
+	"sync"
 
 	"kncube/internal/fixpoint"
 )
@@ -12,9 +15,11 @@ import (
 // workspace: re-solving it for a new offered load costs only SetLambda (a
 // rate recomputation), the iteration itself and the result, skipping the
 // topology/layout construction and the scratch allocation that Solve pays
-// per call. SolveBatch runs many specs of one variant through a
-// PreparedSet, prepared solvers keyed by topology shape — exactly the load
-// profile of sweeps, surface builds, and batch requests.
+// per call. A PreparedSet pools idle prepared solvers, keyed by model,
+// topology shape and options and bounded by the bytes they hold, so
+// callers that meet a shape again — the items of a batch, the requests of
+// a server — reuse its preparation and its grown workspace. SolveBatch
+// runs many specs of one variant through one.
 
 // PreparedSolver is a reusable solver instance: validated and prepared
 // once, re-solvable for many offered loads. It is not safe for concurrent
@@ -28,6 +33,15 @@ type PreparedSolver struct {
 	// first solve grows it, and each solve resets what it carries over.
 	ws   fixpoint.Workspace
 	warm bool // previous solve converged; its state seeds SolveWarm
+
+	// key is what a PreparedSet files the solver under, and modelBytes
+	// what the model's own prepared buffers and struct hold.
+	key        poolKey
+	modelBytes int
+	// While idle in a PreparedSet: the bytes it was counted at, and its
+	// neighbours in the set's return order.
+	bytes        int
+	older, newer *PreparedSolver
 }
 
 // Prepare validates and prepares the named variant once, returning a
@@ -42,7 +56,15 @@ func Prepare(name string, s Spec, o Options) (*PreparedSolver, error) {
 		return nil, err
 	}
 	sol.Prepare()
-	return &PreparedSolver{name: name, s: sol, o: o, x: make([]float64, sol.StateSize())}, nil
+	ps := &PreparedSolver{name: name, s: sol, o: o, x: make([]float64, sol.StateSize()),
+		key: keyOf(name, Canonical(name, s), o)}
+	if t := reflect.TypeOf(sol); t.Kind() == reflect.Pointer {
+		ps.modelBytes = int(t.Elem().Size())
+	}
+	if h, ok := sol.(heldSizer); ok {
+		ps.modelBytes += h.held()
+	}
+	return ps, nil
 }
 
 // Name returns the registry name the solver was prepared for.
@@ -81,58 +103,169 @@ func (ps *PreparedSolver) solve(lambda float64, warm bool) (*SolveResult, error)
 	return res, err
 }
 
-// footprint is the most float64 values the solver holds between solves:
-// its state vector and its fixed-point workspace once a solve has grown
-// it. The model's own round scratch, sized by Prepare, is of the order of
-// the state again and not counted.
+// footprint is the bytes the solver holds between solves: its state
+// vector, its fixed-point workspace as far as solves have grown it, and
+// the model's prepared scratch, each buffer counted by its capacity, plus
+// the solver's and the model's own structs.
 func (ps *PreparedSolver) footprint() int {
-	return len(ps.x) + fixpoint.WorkspaceSize(len(ps.x), ps.o.FixPoint)
+	return preparedSolverBytes + 8*(cap(ps.x)+ps.ws.Size()) + ps.modelBytes
 }
 
-// PreparedSet holds the prepared solvers of one variant keyed by topology
-// shape (every Spec field but Lambda), so the specs that share a shape
-// share one preparation. It is bounded by footprint: when preparing a
-// shape would take the summed state and workspace variables of the solvers
-// held past maxStateSize, the set first drops every solver it holds, so a
-// batch of many large distinct shapes never pins them all. An Anderson
-// workspace, the default, is the larger share: 17 state-sized vectors and
-// 55 floats of normal equations, so a solver counts 18 times its state.
-// A PreparedSet is not safe for concurrent use.
+var preparedSolverBytes = int(reflect.TypeFor[PreparedSolver]().Size())
+
+// heldSizer is a model whose Prepare allocates buffers of its own: held
+// returns the bytes they hold, every slice counted by its capacity.
+type heldSizer interface{ held() int }
+
+// bytesOf is the bytes the backing array of s holds.
+func bytesOf[T any](s []T) int { return cap(s) * int(reflect.TypeFor[T]().Size()) }
+
+// bytesOf2 is the bytes a slice of slices holds: its headers and its rows.
+func bytesOf2[T any](s [][]T) int {
+	n := bytesOf(s)
+	for _, r := range s {
+		n += bytesOf(r)
+	}
+	return n
+}
+
+// poolKey is what makes two prepared solvers interchangeable: the model,
+// the canonical topology shape (every Spec field but Lambda) and the
+// solver options apart from the per-solve hooks FixPoint.Ctx and
+// FixPoint.Trace. Floats are keyed by their bits, so a solver only ever
+// serves the exact settings it was prepared with.
+type poolKey struct {
+	name           string
+	k, dims, v, lm int
+	h              uint64
+	blocking       BlockingForm
+	tolerance      uint64
+	maxIterations  int
+	damping        uint64
+	acceleration   fixpoint.Acceleration
+}
+
+// keyOf files a canonical spec s of the named model, prepared with o.
+func keyOf(name string, s Spec, o Options) poolKey {
+	fp := o.FixPoint
+	return poolKey{name: name, k: s.K, dims: s.Dims, v: s.V, lm: s.Lm, h: math.Float64bits(s.H),
+		blocking: o.Blocking, tolerance: math.Float64bits(fp.Tolerance), maxIterations: fp.MaxIterations,
+		damping: math.Float64bits(fp.Damping), acceleration: fp.Acceleration}
+}
+
+// maxIdleBytes bounds the bytes the idle solvers of one PreparedSet hold,
+// counted by PreparedSolver.footprint. Two Anderson hotspot-2d solvers of
+// K ≈ 300 (about 15 MB each once solved) fit with room to spare, as do
+// hundreds of the K = 16 shapes a typical request names.
+const maxIdleBytes = 64 << 20
+
+// PreparedSet is a bounded pool of idle prepared solvers, safe for
+// concurrent use: Get checks one out, Put returns it. Solvers are filed by
+// model, topology shape and options (see poolKey); the per-solve hooks
+// are bound on Get and cleared on Put, so an idle solver holds no
+// caller's context or trace. A checked-out solver belongs to its caller
+// alone until returned. The idle solvers' footprints never sum past
+// maxIdleBytes: Put evicts the least recently returned until they fit,
+// and drops a solver that cannot fit on its own.
 type PreparedSet struct {
-	name string
-	o    Options
-	held map[Spec]*PreparedSolver
-	size int // summed footprint of the solvers held
+	mu   sync.Mutex
+	idle map[poolKey][]*PreparedSolver // per key, in return order
+	// oldest and newest are the ends of the idle list, in return order
+	// across keys; bytes is the summed footprint of its solvers.
+	oldest, newest *PreparedSolver
+	bytes          int
 }
 
-// NewPreparedSet returns an empty set preparing the named variant with o.
-func NewPreparedSet(name string, o Options) *PreparedSet {
-	return &PreparedSet{name: name, o: o, held: map[Spec]*PreparedSolver{}}
+// NewPreparedSet returns an empty pool.
+func NewPreparedSet() *PreparedSet {
+	return &PreparedSet{idle: map[poolKey][]*PreparedSolver{}}
 }
 
-// Lookup returns the prepared solver held for s's shape, or nil.
-func (p *PreparedSet) Lookup(s Spec) *PreparedSolver {
-	s.Lambda = 0
-	return p.held[s]
-}
-
-// Prepare prepares s's shape and adds it to the set. A failed preparation
-// is not held: like independent Solve calls, each bad spec reports its own
-// error.
-func (p *PreparedSet) Prepare(s Spec) (*PreparedSolver, error) {
-	ps, err := Prepare(p.name, s, p.o)
+// Get checks out the most recently returned idle solver prepared for the
+// named model, s's canonical shape and o, bound to o's hooks; nil when
+// none is idle (the caller then Prepares one). An unknown model is never
+// held.
+func (p *PreparedSet) Get(name string, s Spec, o Options) *PreparedSolver {
+	v, err := lookup(name)
 	if err != nil {
-		return nil, err
+		return nil
 	}
-	size := ps.footprint()
-	if p.size+size > maxStateSize {
-		clear(p.held)
-		p.size = 0
+	key := keyOf(name, v.canonical(s), o)
+	p.mu.Lock()
+	held := p.idle[key]
+	if len(held) == 0 {
+		p.mu.Unlock()
+		return nil
 	}
-	s.Lambda = 0
-	p.held[s] = ps
-	p.size += size
-	return ps, nil
+	ps := held[len(held)-1]
+	held[len(held)-1] = nil
+	p.idle[key] = held[:len(held)-1]
+	p.unlink(ps)
+	p.mu.Unlock()
+	ps.o = o
+	return ps
+}
+
+// Put returns a checked-out solver to the pool, its hooks cleared, and
+// evicts the least recently returned solvers while the idle ones hold
+// more than maxIdleBytes. The solver must not be used after Put.
+func (p *PreparedSet) Put(ps *PreparedSolver) {
+	ps.o.FixPoint.Ctx, ps.o.FixPoint.Trace = nil, nil
+	ps.bytes = ps.footprint()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if ps.bytes > maxIdleBytes {
+		// Dropped; the key its checkout may have emptied goes with it.
+		if held, ok := p.idle[ps.key]; ok && len(held) == 0 {
+			delete(p.idle, ps.key)
+		}
+		return
+	}
+	p.idle[ps.key] = append(p.idle[ps.key], ps)
+	ps.older, ps.newer = p.newest, nil
+	if p.newest != nil {
+		p.newest.newer = ps
+	} else {
+		p.oldest = ps
+	}
+	p.newest = ps
+	p.bytes += ps.bytes
+	for p.bytes > maxIdleBytes {
+		old := p.oldest
+		// The oldest solver of the pool is the oldest of its key.
+		held := p.idle[old.key]
+		copy(held, held[1:])
+		held[len(held)-1] = nil
+		if held = held[:len(held)-1]; len(held) == 0 {
+			delete(p.idle, old.key)
+		} else {
+			p.idle[old.key] = held
+		}
+		p.unlink(old)
+	}
+}
+
+// unlink takes an idle solver off the return-order list.
+func (p *PreparedSet) unlink(ps *PreparedSolver) {
+	if ps.older != nil {
+		ps.older.newer = ps.newer
+	} else {
+		p.oldest = ps.newer
+	}
+	if ps.newer != nil {
+		ps.newer.older = ps.older
+	} else {
+		p.newest = ps.older
+	}
+	ps.older, ps.newer = nil, nil
+	p.bytes -= ps.bytes
+}
+
+// IdleBytes reports the summed footprint of the idle solvers.
+func (p *PreparedSet) IdleBytes() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.bytes
 }
 
 // BatchOptions configure SolveBatch.
@@ -210,12 +343,12 @@ func SolveBatch(name string, specs []Spec, o BatchOptions) ([]BatchItem, error) 
 		return nil, err
 	}
 	items := make([]BatchItem, len(specs))
-	prepared := NewPreparedSet(name, o.Options)
+	prepared := NewPreparedSet()
 	for i, sp := range specs {
-		ps := prepared.Lookup(sp)
+		ps := prepared.Get(name, sp, o.Options)
 		if ps == nil {
 			var err error
-			ps, err = prepared.Prepare(sp)
+			ps, err = Prepare(name, sp, o.Options)
 			if err != nil {
 				// A per-spec failure (bad shape or bad λ): record it and move
 				// on.
@@ -228,6 +361,7 @@ func SolveBatch(name string, specs []Spec, o BatchOptions) ([]BatchItem, error) 
 		} else {
 			items[i].Result, items[i].Err = ps.Solve(sp.Lambda)
 		}
+		prepared.Put(ps)
 	}
 	return items, nil
 }

@@ -88,48 +88,79 @@ func TestSolveBatchMixedShapes(t *testing.T) {
 	}
 }
 
-// TestPreparedSetBound: shapes stay prepared while their summed footprint
-// (state plus fixed-point workspace) fits maxStateSize; the shape that
-// would overflow it drops every solver held before it is added, and
-// revisiting a held shape prepares nothing. Under the default Anderson
-// scheme a solver counts 18 times its state (the state and its
-// workspace), so two K ≈ 200 tori fit and the third overflows.
+// TestPreparedSetBound: returned solvers stay idle while their summed
+// footprint (state, workspace as grown, model scratch) fits maxIdleBytes;
+// the return that overflows it evicts the least recently returned
+// solvers, oldest first and only as many as it must. A held shape checks
+// out the very solver returned for it, at any load, and a returned solver
+// that cannot fit on its own is dropped without evicting anything.
 func TestPreparedSetBound(t *testing.T) {
-	set := NewPreparedSet("hotspot-2d", Options{})
+	set := NewPreparedSet()
 	shape := func(k int) Spec { return Spec{K: k, Dims: 2, V: 2, Lm: 32, H: 0.2, Lambda: 1e-6} }
-	var fit []int // K of the shapes held before the overflow
-	state := 0
-	for k := 200; ; k++ {
-		ps, err := set.Prepare(shape(k))
+	isIdle := func(ps *PreparedSolver) bool {
+		for _, h := range set.idle[ps.key] {
+			if h == ps {
+				return true
+			}
+		}
+		return false
+	}
+	var idle []*PreparedSolver // what the pool should hold, in return order
+	sum, evicted := 0, 0
+	for k := 300; evicted == 0; k++ {
+		ps, err := Prepare("hotspot-2d", shape(k), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if state+ps.footprint() > maxStateSize {
-			break
+		if _, err := ps.Solve(1e-6); err != nil {
+			t.Fatal(err)
 		}
-		state += ps.footprint()
-		fit = append(fit, k)
-		if set.Lookup(shape(fit[0])) == nil {
-			t.Fatalf("K=%d evicted after %d shapes holding %d variables", fit[0], len(fit), state)
+		set.Put(ps)
+		idle = append(idle, ps)
+		sum += ps.footprint()
+		for sum > maxIdleBytes {
+			sum -= idle[0].footprint()
+			idle = idle[1:]
+			evicted++
+		}
+		if got := set.IdleBytes(); got != sum {
+			t.Fatalf("K=%d: %d idle bytes, want %d", k, got, sum)
+		}
+		for _, h := range idle {
+			if !isIdle(h) {
+				t.Fatalf("K=%d: K=%d evicted with %d of %d bytes held", k, h.s.(*model).s.K, sum, maxIdleBytes)
+			}
 		}
 	}
-	if len(fit) < 2 {
-		t.Fatalf("only %d shapes fit the bound; the test needs at least 2", len(fit))
+	if len(idle) < 2 {
+		t.Fatalf("only %d shapes fit the bound; the test needs at least 2", len(idle))
 	}
-	overflow := fit[len(fit)-1] + 1
-	for _, k := range fit {
-		if set.Lookup(shape(k)) != nil {
-			t.Errorf("K=%d still held after K=%d overflowed the bound", k, overflow)
-		}
-	}
-	held := set.Lookup(shape(overflow))
-	if held == nil {
-		t.Fatalf("overflowing shape K=%d not held", overflow)
-	}
-	probe := shape(overflow)
+	newest := idle[len(idle)-1]
+	probe := shape(newest.s.(*model).s.K)
 	probe.Lambda = 2e-6
-	if set.Lookup(probe) != held {
-		t.Errorf("Lookup at a new load did not return the held solver of its shape")
+	if got := set.Get("hotspot-2d", probe, Options{}); got != newest {
+		t.Errorf("Get at a new load did not check out the held solver of its shape")
+	}
+	if got := set.Get("hotspot-2d", probe, Options{}); got != nil {
+		t.Errorf("a checked-out solver was handed out twice")
+	}
+	before := set.IdleBytes()
+	// Saturated at once: the first round refuses, after the Anderson
+	// workspace has grown to seven state vectors.
+	big, err := Prepare("hotspot-2d", shape(maxTorusK), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := big.Solve(0.01); !errors.Is(err, ErrSaturated) {
+		t.Fatalf("K=%d at λ=0.01: %v, want ErrSaturated", maxTorusK, err)
+	}
+	if big.footprint() <= maxIdleBytes {
+		t.Fatalf("K=%d holds %d bytes, within the %d-byte bound", maxTorusK, big.footprint(), maxIdleBytes)
+	}
+	set.Put(big)
+	if isIdle(big) || set.IdleBytes() != before {
+		t.Errorf("a solver larger than the bound was kept or evicted others: %d idle bytes, was %d",
+			set.IdleBytes(), before)
 	}
 }
 

@@ -172,6 +172,17 @@ func (m *biModel) Prepare() {
 	m.SetLambda(m.s.Lambda)
 }
 
+// held is the bytes of the buffers Prepare built (see heldSizer).
+func (m *biModel) held() int {
+	n := bytesOf(m.rows)
+	for i := 0; i < 2; i++ {
+		n += bytesOf(m.l.shotx[i]) + bytesOf(m.hx[i]) + bytesOf(m.hy[i]) + bytesOf(m.cHy[i]) + bytesOf(m.cX[i]) +
+			bytesOf(m.bHy[i]) + bytesOf2(m.bX[i]) + bytesOf(m.wsY[i]) + bytesOf2(m.wsX[i]) +
+			bytesOf(m.vHyAt[i]) + bytesOf2(m.vXAt[i])
+	}
+	return n
+}
+
 // SetLambda recomputes the direction-split traffic rates and the channel
 // classes they load in place.
 //
@@ -459,17 +470,17 @@ func (m *biModel) Assemble(x []float64, conv Convergence) (*SolveResult, error) 
 	}
 	for r, row := range m.rows {
 		for i := 0; i < 2; i++ {
+			// The x-leg's prefix sum runs along the row, in the order a
+			// fresh sum takes; the y-leg's is summed afresh on top of it.
+			xPrefix := 0.0
 			for j := 1; j <= m.d[i]; j++ {
-				vsum, cnt := 0.0, 0
-				for l := 1; l <= j; l++ {
-					vsum += vXAt[i][r][l]
-					cnt++
-				}
+				xPrefix += vXAt[i][r][j]
+				vsum, cnt := xPrefix, j
 				if !row.hotRow {
 					for l := 1; l <= row.dist; l++ {
 						vsum += vHyAt[row.dir][l]
-						cnt++
 					}
+					cnt += row.dist
 				}
 				hotSum += (m.l.shotx[i][r].at(x, j) + wsX[i][r][j]) * (vsum / float64(cnt))
 			}

@@ -227,6 +227,12 @@ func (m *model) Prepare() {
 	m.SetLambda(m.s.Lambda)
 }
 
+// held is the bytes of the buffers Prepare built (see heldSizer).
+func (m *model) held() int {
+	return bytesOf(m.l.shotx) + bytesOf(m.lhy) + bytesOf(m.lhx) + bytesOf(m.cHy) + bytesOf(m.cX) +
+		bytesOf(m.bHy) + bytesOf2(m.bX) + bytesOf(m.wsY) + bytesOf2(m.wsX) + bytesOf(m.vHyAt) + bytesOf2(m.vXAt)
+}
+
 // SetLambda recomputes the λ-dependent traffic rates (Eqs. 3, 6-7) and
 // the channel classes they load in place; everything else is
 // load-invariant.
@@ -549,17 +555,18 @@ func (m *model) assemble(x []float64, conv Convergence) (*Result, error) {
 		hotNetSum += sh
 	}
 	for t := 1; t <= k; t++ {
+		// The x-leg's prefix sum runs along the row, accumulated in the
+		// order a fresh sum over channels 1..j takes; the y-leg's is summed
+		// afresh on top of it, keeping every addition in place.
+		xPrefix := 0.0
 		for j := 1; j <= k-1; j++ {
-			vsum, cnt := 0.0, 0
-			for l := 1; l <= j; l++ {
-				vsum += vXAt[t][l]
-				cnt++
-			}
+			xPrefix += vXAt[t][j]
+			vsum, cnt := xPrefix, j
 			if t < k {
 				for l := 1; l <= t; l++ {
 					vsum += vHyAt[l]
-					cnt++
 				}
+				cnt += t
 			}
 			vp := vsum / float64(cnt)
 			sh := m.l.shotx[t].at(x, j)

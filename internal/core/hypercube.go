@@ -88,6 +88,11 @@ func (m *hyperModel) Prepare() {
 	m.SetLambda(m.s.Lambda)
 }
 
+// held is the bytes of the buffers Prepare built (see heldSizer).
+func (m *hyperModel) held() int {
+	return bytesOf(m.lh) + bytesOf(m.pHotChan) + bytesOf(m.cHot) + bytesOf(m.next) + bytesOf(m.bHot)
+}
+
 // SetLambda recomputes the per-dimension traffic rates and the channel
 // classes they load in place.
 //

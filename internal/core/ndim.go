@@ -93,6 +93,11 @@ func (m *ndimModel) Prepare() {
 	m.SetLambda(m.s.Lambda)
 }
 
+// held is the bytes of the buffers Prepare built (see heldSizer).
+func (m *ndimModel) held() int {
+	return bytesOf2(m.lh) + bytesOf2(m.cHot) + bytesOf2(m.bHot) + bytesOf(m.bAvg)
+}
+
 // SetLambda recomputes the λ-dependent traffic rates and the channel
 // classes they load in place.
 //

@@ -33,7 +33,7 @@ const maxV = 1024
 
 // maxStateSize bounds the fixed-point state one spec may need, in
 // variables: a prepared solver holds several state-sized buffers, and a
-// solve a few more. It also bounds what a PreparedSet retains.
+// solve a few more.
 const maxStateSize = 1 << 21
 
 // checkRanges reports the first out-of-range V, Lm, H or Lambda: the range

@@ -119,15 +119,18 @@ func finishSolve(s Solver, x []float64, o Options, ws *fixpoint.Workspace) (*Sol
 
 // solverBase carries the knobs every variant's blocking composition
 // shares; embedding it is what keeps the per-variant models free of their
-// own copies of these methods.
+// own copies of these methods. Of the Options it was built with it keeps
+// only the blocking form: the fixed-point settings, hooks included, belong
+// to the PreparedSolver that runs the model, so a pooled model holds no
+// caller's context or trace.
 type solverBase struct {
-	o  Options
-	v  int     // virtual channels per physical channel
-	lm float64 // message length in flits
+	form BlockingForm
+	v    int     // virtual channels per physical channel
+	lm   float64 // message length in flits
 }
 
 func newSolverBase(o Options, v, lm int) solverBase {
-	return solverBase{o: o, v: v, lm: float64(lm)}
+	return solverBase{form: o.Blocking, v: v, lm: float64(lm)}
 }
 
 // channel is one channel class of a model: a channel carrying regular
@@ -160,7 +163,7 @@ func (b *solverBase) channel(lr, lh float64) channel {
 		c.err = queueing.ErrUnstable
 	case stats.IsZero(lr + lh):
 		c.idle = true
-	case b.o.Blocking == BlockingVCOccupancy:
+	case b.form == BlockingVCOccupancy:
 		c.wait, c.err = queueing.MG1Wait(lr+lh, b.lm+1, 0)
 	}
 	return c
@@ -174,7 +177,7 @@ func (b *solverBase) blocking(c *channel, sr, sh float64) (float64, error) {
 	if c.err != nil || c.idle {
 		return 0, c.err
 	}
-	if b.o.Blocking == BlockingMultiServer {
+	if b.form == BlockingMultiServer {
 		return queueing.MGcWait(c.lr+c.lh, queueing.WeightedService(c.lr, sr, c.lh, sh), b.v)
 	}
 	// BlockingVCOccupancy: Pb is the chance all V virtual channels are held

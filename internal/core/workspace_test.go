@@ -216,45 +216,69 @@ func TestRoundBudgetIsTheBudgetSolved(t *testing.T) {
 	}
 }
 
-// TestPreparedSetBoundCountsWorkspaces: a solver counts its state plus
-// its workspace — 18 times its state and the 5 × 5 normal equations with
-// Anderson, twice its state damped — and the set drops what it holds
-// exactly when that summed footprint would pass maxStateSize.
+// TestPreparedSetBoundCountsWorkspaces: the footprint a PreparedSet bounds
+// is what a solver holds between solves, whichever model and scheme: its
+// state, its workspace as far as solves have grown it and its model's
+// prepared scratch, counted by capacity, plus the two structs. It is
+// checked against a reflective walk summing the capacity of every slice
+// the solver reaches.
 func TestPreparedSetBoundCountsWorkspaces(t *testing.T) {
-	for _, tc := range []struct {
-		accel     fixpoint.Acceleration
-		k0        int
-		footprint func(n int) int
-	}{
-		{fixpoint.AccelAnderson, 200, func(n int) int { return 18*n + 55 }},
-		{fixpoint.AccelNone, 400, func(n int) int { return 2 * n }},
-	} {
-		var o Options
-		o.FixPoint.Acceleration = tc.accel
-		set := NewPreparedSet("hotspot-2d", o)
-		shape := func(k int) Spec { return Spec{K: k, Dims: 2, V: 2, Lm: 32, H: 0.2, Lambda: 1e-6} }
-		held := 0 // summed footprint of the shapes K0..k-1
-		for k := tc.k0; ; k++ {
-			ps, err := set.Prepare(shape(k))
+	for _, name := range Solvers() {
+		for _, accel := range []fixpoint.Acceleration{fixpoint.AccelAnderson, fixpoint.AccelNone} {
+			var o Options
+			o.FixPoint.Acceleration = accel
+			spec := goldenSpec(name)
+			if spec.K == 16 {
+				spec.K = 24
+			}
+			ps, err := Prepare(name, spec, o)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fp := ps.footprint()
-			if want := tc.footprint(len(ps.x)); fp != want {
-				t.Fatalf("%v K=%d: footprint %d, want %d", tc.accel, k, fp, want)
-			}
-			dropped := set.Lookup(shape(tc.k0)) == nil
-			if over := held+fp > maxStateSize; dropped != over {
-				t.Fatalf("%v K=%d: %d held + %d new against bound %d, dropped %v",
-					tc.accel, k, held, fp, maxStateSize, dropped)
-			}
-			if dropped {
-				if k == tc.k0+1 {
-					t.Fatalf("%v: only one shape fit the bound; the test needs at least 2", tc.accel)
+			for _, lam := range []float64{spec.Lambda, nearSatLambda(name)} {
+				if _, err := ps.Solve(lam); err != nil {
+					t.Fatalf("%s %v λ=%g: %v", name, accel, lam, err)
 				}
-				break
+				walked := sliceBytes(reflect.ValueOf(ps), map[uintptr]bool{})
+				structs := int(reflect.TypeOf(ps).Elem().Size() + reflect.TypeOf(ps.s).Elem().Size())
+				if got := ps.footprint(); got < walked || got != walked+structs {
+					t.Errorf("%s %v λ=%g: footprint %d bytes, the solver holds %d in slices and %d in structs",
+						name, accel, lam, got, walked, structs)
+				}
 			}
-			held += fp
 		}
 	}
+}
+
+// sliceBytes sums the capacity bytes of every slice reachable from v,
+// following each pointer once.
+func sliceBytes(v reflect.Value, seen map[uintptr]bool) int {
+	n := 0
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() && !seen[v.Pointer()] {
+			seen[v.Pointer()] = true
+			n = sliceBytes(v.Elem(), seen)
+		}
+	case reflect.Interface:
+		if !v.IsNil() {
+			n = sliceBytes(v.Elem(), seen)
+		}
+	case reflect.Struct:
+		for i := range v.NumField() {
+			n += sliceBytes(v.Field(i), seen)
+		}
+	case reflect.Array:
+		for i := range v.Len() {
+			n += sliceBytes(v.Index(i), seen)
+		}
+	case reflect.Slice:
+		n = v.Cap() * int(v.Type().Elem().Size())
+		if k := v.Type().Elem().Kind(); k != reflect.Float64 && k != reflect.Int {
+			for i := range v.Len() {
+				n += sliceBytes(v.Index(i), seen)
+			}
+		}
+	}
+	return n
 }

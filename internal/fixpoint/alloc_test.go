@@ -64,7 +64,7 @@ func TestAndersonEarlyFailureAllocatesState(t *testing.T) {
 	if !errors.Is(err, fail) {
 		t.Fatalf("Solve error %v, want the map's", err)
 	}
-	// next, rollback, rollbackF, initial, cand, xLast and gLast: seven
+	// next, rollback, rollbackF, initial, back, xLast and gLast: seven
 	// state-sized buffers. The full window would be 2·window more.
 	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(8*8*n); got > limit {
 		t.Errorf("Solve allocated %d bytes before failing on round 1 of a %d-variable state, want <= %d",

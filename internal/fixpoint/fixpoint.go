@@ -134,6 +134,10 @@ func Defaults() Options {
 // differences the least-squares extrapolation combines.
 const window = 5
 
+// The passes of an accelerated round (record, move) are unrolled for a
+// window of five columns; this fails to compile for any other window.
+var _ = [1]struct{}{}[window-5]
+
 // andersonBeta is the Anderson mixing factor: the weight of the residual
 // in the extrapolated candidate. The candidate replaces the damped step
 // rather than following it, so it takes the whole residual.
@@ -230,9 +234,10 @@ type Workspace struct {
 // WorkspaceSize returns the most float64 values a Workspace holds after a
 // solve of an n-variable state under o: the map's output vector, and with
 // Anderson acceleration the rollback, rollbackF and initial vectors, the
-// candidate, the last iterate and residual, window difference-column
-// pairs and the window × window normal equations. Options Solve rejects
-// size nothing.
+// step's rollback buffer, the last iterate and residual, window column
+// pairs (u_j = Δx_j + βΔg_j, Δg_j) and the window × window normal
+// equations with their right-hand side. Options Solve rejects size
+// nothing.
 func WorkspaceSize(n int, o Options) int {
 	o, err := o.withDefaults()
 	if err != nil {
@@ -242,6 +247,13 @@ func WorkspaceSize(n int, o Options) int {
 		return n
 	}
 	return (7+2*window)*n + 2*window*window + window
+}
+
+// Size returns the float64 values the workspace holds now: the capacity
+// of every buffer it has grown, at most WorkspaceSize of the largest state
+// it has solved.
+func (w *Workspace) Size() int {
+	return cap(w.next) + cap(w.rollback) + cap(w.rollbackF) + cap(w.initial) + w.acc.size()
 }
 
 // Solve iterates x <- (1-d)x + d F(x) from the given initial state on a
@@ -360,28 +372,29 @@ rounds:
 			rollBack()
 			redo = true
 		}
-		if acc != nil && !redo {
-			if cand := acc.step(state, next); cand != nil {
-				// One pass checks the candidate finite, measures the move and
-				// makes it, leaving the pre-step iterate in cand; that buffer
-				// becomes the rollback, the old rollback the next candidate.
-				if maxRel, ok := exchange(state, cand); ok {
-					w.rollback, acc.cand = cand, w.rollback
-					copy(w.rollbackF, next)
-					lastAccel = true
-					conv.Residual = maxRel
-					conv.AcceleratedRounds++
-					trace(maxRel, -1, true)
-					if maxRel <= o.Tolerance {
-						conv.Converged = true
-						return conv, nil
-					}
-					continue
+		if acc != nil && !redo && acc.step(state, next) {
+			// One pass forms the candidate, checks it finite, measures the
+			// move and makes it, leaving the pre-step iterate in acc.back;
+			// that buffer becomes the rollback, the old rollback the next
+			// one. The map value becomes rollbackF the same way, and the old
+			// rollbackF receives the next round's map value.
+			if maxRel, ok := acc.move(state); ok {
+				w.rollback, acc.back = acc.back, w.rollback
+				w.rollbackF, w.next = next, w.rollbackF
+				next = w.next
+				lastAccel = true
+				conv.Residual = maxRel
+				conv.AcceleratedRounds++
+				trace(maxRel, -1, true)
+				if maxRel <= o.Tolerance {
+					conv.Converged = true
+					return conv, nil
 				}
-				// A non-finite candidate rejects the round: the history goes
-				// and the round is damped.
-				acc.reset()
+				continue
 			}
+			// A non-finite candidate rejects the round: the history goes
+			// and the round is damped.
+			acc.reset()
 		}
 		// Damped round: the exact baseline arithmetic (golden results pin
 		// this path bit-for-bit under AccelNone).
@@ -471,32 +484,15 @@ func relStep(x, d float64) float64 {
 	return math.Abs(d) / den
 }
 
-// exchange moves the state to the candidate y and returns relChange(x, y),
-// in one pass that swaps the two vectors' contents, so y is left holding
-// the iterate x moved from. A non-finite component of y rejects the move:
-// the components already swapped are swapped back and ok is false.
-func exchange(x, y []float64) (maxRel float64, ok bool) {
-	for i, v := range y {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			for j := range i {
-				x[j], y[j] = y[j], x[j]
-			}
-			return 0, false
-		}
-		xi := x[i]
-		if rel := relStep(xi, v-xi); rel > maxRel {
-			maxRel = rel
-		}
-		x[i], y[i] = v, xi
-	}
-	return maxRel, true
-}
-
 // accelState carries the Anderson history kept between rounds, and all
 // of its scratch. begin sizes everything but the difference columns,
 // which record allocates as the history first grows into each slot; a
 // workspace keeps them for its later solves. Once the history is full,
 // accelerated rounds allocate nothing.
+//
+// An accelerated round makes two passes over the state besides the map:
+// record extends the history and forms the least-squares system's new
+// entries, and move forms the candidate and takes the step.
 type accelState struct {
 	// Safeguard: the residual norm observed on the previous round. A round
 	// whose residual grew rejects acceleration, clears the history and
@@ -511,24 +507,28 @@ type accelState struct {
 
 	// Anderson history, held as differences: the last recorded iterate
 	// xLast and its residual gLast = F(xLast) - xLast, and up to window
-	// difference columns Δx_j = x_{j+1} - x_j, Δg_j = g_{j+1} - g_j. The
-	// columns live in a ring of window slots; logical column j (0 the
-	// oldest) is slot (head+j) % window. gramAll holds <Δg, Δg> for every
-	// pair of live slots (window × window, by slot): each inner product is
-	// computed once, when the newer of its two columns arrives, and reused
-	// until one of them is evicted.
+	// difference columns Δg_j = g_{j+1} - g_j with their step columns
+	// u_j = Δx_j + βΔg_j, Δx_j = x_{j+1} - x_j, the combination the
+	// candidate subtracts. The columns live in a ring of window slots;
+	// logical column j (0 the oldest) is slot (head+j) % window. gramAll
+	// holds <Δg, Δg> for every pair of live slots (window × window, by
+	// slot): each inner product is computed once, when the newer of its two
+	// columns arrives, and reused until one of them is evicted.
 	hasLast      bool
 	xLast, gLast []float64
-	dx, dg       [window][]float64 // [slot][i]
+	u, dg        [window][]float64 // [slot][i]
 	head, cols   int
 	gramAll      []float64
 
-	// cand receives the extrapolated candidate state; keeping it separate
-	// from the caller's buffers leaves F(x) intact for rollback.
-	cand []float64
+	// back receives the iterate an accelerated step moves from (move),
+	// and then serves as the workspace's rollback vector; the old rollback
+	// vector becomes the next back.
+	back []float64
 
-	// Anderson normal equations for the current m columns, rebuilt from
-	// gramAll each round (solveSPD factors gram in place).
+	// Anderson normal equations for the current m columns: record writes
+	// the right-hand side <Δg_j, g> into rhs, anderson rebuilds gram from
+	// gramAll and solves in place (solveSPD factors gram and leaves γ in
+	// rhs), and move reads γ.
 	gram []float64
 	rhs  []float64
 }
@@ -540,22 +540,31 @@ func (a *accelState) begin(n int) {
 	a.prevRes, a.hasPrev = 0, false
 	a.best, a.sinceBest = math.Inf(1), 0
 	a.reset()
-	if len(a.cand) != n {
+	if len(a.back) != n {
 		// Difference columns cut for another state size are dropped;
 		// record allocates them again as the history grows.
-		clear(a.dx[:])
+		clear(a.u[:])
 		clear(a.dg[:])
 	}
-	carve(n, &a.cand, &a.xLast, &a.gLast)
+	carve(n, &a.back, &a.xLast, &a.gLast)
 	carve(window*window, &a.gramAll, &a.gram)
 	carve(window, &a.rhs)
 }
 
+// size is the float64 values the history's buffers hold.
+func (a *accelState) size() int {
+	n := cap(a.back) + cap(a.xLast) + cap(a.gLast) + cap(a.gramAll) + cap(a.gram) + cap(a.rhs)
+	for i := range a.u {
+		n += cap(a.u[i]) + cap(a.dg[i])
+	}
+	return n
+}
+
 // step decides this round's update. state is the current iterate and fx
-// its map value (left untouched). A non-nil result is the accelerated
-// candidate state, not yet checked finite; nil means a plain damped step
-// from the current state.
-func (a *accelState) step(state, fx []float64) []float64 {
+// its map value (left untouched). It reports whether an accelerated
+// candidate is ready for move; false means a plain damped step from the
+// current state.
+func (a *accelState) step(state, fx []float64) bool {
 	// The residual measure g = F(x) - x, consistent with the convergence
 	// measure up to the damping factor. record takes it in the pass that
 	// stores the iterate; a safeguard rejection below drops what it stored.
@@ -572,14 +581,11 @@ func (a *accelState) step(state, fx []float64) []float64 {
 		// continue from.
 		a.reset()
 		a.prevRes = res
-		return nil
+		return false
 	}
 	a.prevRes = res
 	a.hasPrev = true
-	if !a.anderson(state) {
-		return nil
-	}
-	return a.cand
+	return a.anderson()
 }
 
 // stalled reports that the residual has gone stallRounds rounds without
@@ -592,9 +598,11 @@ func (a *accelState) reset() {
 }
 
 // record appends the iterate x with map value fx to the Anderson history:
-// the difference column against the previous iterate, evicting the oldest
-// column once window are held. It returns relChange(x, fx), measured in
-// the same pass.
+// the difference columns against the previous iterate, evicting the
+// oldest column once window are held. The same pass forms the normal
+// equations' new entries: the inner product of every live Δg column with
+// the newest (into gramAll) and with the current residual g (into rhs),
+// each accumulated in component order. It returns relChange(x, fx).
 func (a *accelState) record(x, fx []float64) float64 {
 	maxRel := 0.0
 	if !a.hasLast {
@@ -615,60 +623,99 @@ func (a *accelState) record(x, fx []float64) float64 {
 	} else {
 		a.cols++
 	}
-	if a.dx[slot] == nil {
+	if a.dg[slot] == nil {
 		// A slot's buffers are allocated the first time a column lands in
 		// it and reused after, so a solve that stops early never holds the
 		// whole window, and rounds allocate nothing once window columns
 		// have been recorded.
 		n := len(x)
 		buf := make([]float64, 2*n) //lint:ignore hotalloc each history slot is allocated once per workspace, on first use
-		a.dx[slot], a.dg[slot] = buf[:n:n], buf[n:]
+		a.u[slot], a.dg[slot] = buf[:n:n], buf[n:]
 	}
-	dx, dg := a.dx[slot], a.dg[slot]
-	for i := range x {
-		g := fx[i] - x[i]
-		dx[i] = x[i] - a.xLast[i]
-		dg[i] = g - a.gLast[i]
-		a.xLast[i] = x[i]
-		a.gLast[i] = g
-		if rel := relStep(x[i], g); rel > maxRel {
-			maxRel = rel
+	u, dg := a.u[slot], a.dg[slot]
+	// The older columns in logical order, and their products with the
+	// newest column (s) and with g (r); the newest's own are sNew, rNew.
+	old := a.cols - 1
+	var cols [window - 1][]float64
+	for j := range old {
+		cols[j] = a.dg[(a.head+j)%window]
+	}
+	var s, r [window - 1]float64
+	sNew, rNew := 0.0, 0.0
+	n := len(x)
+	fx, u, dg = fx[:n], u[:n], dg[:n]
+	xLast, gLast := a.xLast[:n], a.gLast[:n]
+	if old == window-1 {
+		// The full window, the steady state of a long attempt: the
+		// accumulators are locals, the loop unrolled over the columns.
+		c0, c1, c2, c3 := cols[0][:n], cols[1][:n], cols[2][:n], cols[3][:n]
+		s0, s1, s2, s3 := 0.0, 0.0, 0.0, 0.0
+		r0, r1, r2, r3 := 0.0, 0.0, 0.0, 0.0
+		for i, xi := range x {
+			g := fx[i] - xi
+			d := g - gLast[i]
+			u[i] = (xi - xLast[i]) + andersonBeta*d
+			dg[i] = d
+			xLast[i] = xi
+			gLast[i] = g
+			if rel := relStep(xi, g); rel > maxRel {
+				maxRel = rel
+			}
+			s0 += c0[i] * d
+			r0 += c0[i] * g
+			s1 += c1[i] * d
+			r1 += c1[i] * g
+			s2 += c2[i] * d
+			r2 += c2[i] * g
+			s3 += c3[i] * d
+			r3 += c3[i] * g
+			sNew += d * d
+			rNew += d * g
+		}
+		s, r = [window - 1]float64{s0, s1, s2, s3}, [window - 1]float64{r0, r1, r2, r3}
+	} else {
+		for i, xi := range x {
+			g := fx[i] - xi
+			d := g - gLast[i]
+			u[i] = (xi - xLast[i]) + andersonBeta*d
+			dg[i] = d
+			xLast[i] = xi
+			gLast[i] = g
+			if rel := relStep(xi, g); rel > maxRel {
+				maxRel = rel
+			}
+			for j := range old {
+				c := cols[j][i]
+				s[j] += c * d
+				r[j] += c * g
+			}
+			sNew += d * d
+			rNew += d * g
 		}
 	}
+	for j := range old {
+		sj := (a.head + j) % window
+		a.gramAll[sj*window+slot], a.gramAll[slot*window+sj] = s[j], s[j]
+		a.rhs[j] = r[j]
+	}
+	a.gramAll[slot*window+slot] = sNew
+	a.rhs[old] = rNew
 	return maxRel
 }
 
-// anderson computes the type-II Anderson-mixing candidate
+// anderson solves for the type-II Anderson-mixing weights γ of the
+// candidate
 //
 //	x' = x + β g - Σ_j γ_j (Δx_j + β Δg_j),  g_j = F(x_j) - x_j,
 //
-// with γ the least-squares combination of the stored residual differences
-// Δg_j that best cancels the current residual, from the history record
-// has just extended with the current iterate. The candidate is written to
-// a.cand; a singular system rejects the round.
-func (a *accelState) anderson(state []float64) bool {
+// γ being the least-squares combination of the stored residual
+// differences Δg_j that best cancels the current residual, from the
+// history and the normal-equation entries record has just extended. γ
+// is left in rhs for move; a singular system rejects the round.
+func (a *accelState) anderson() bool {
 	m := a.cols
 	if m < 1 {
 		return false
-	}
-	// A history with columns has just gained its newest, logical column
-	// m-1. One pass per column computes both its inner product with the
-	// newest (the only Gram entries not already held) and the right-hand
-	// side entry against the current residual g = F(state) - state.
-	g := a.gLast
-	newest := (a.head + m - 1) % window
-	dgNew := a.dg[newest]
-	rhs := a.rhs[:m]
-	for j := 0; j < m; j++ {
-		sj := (a.head + j) % window
-		col := a.dg[sj]
-		s, r := 0.0, 0.0
-		for i := range g {
-			s += col[i] * dgNew[i]
-			r += col[i] * g[i]
-		}
-		a.gramAll[sj*window+newest], a.gramAll[newest*window+sj] = s, s
-		rhs[j] = r
 	}
 	// Normal equations Aγ = b with Tikhonov regularisation scaled to the
 	// Gram diagonal, so near-collinear histories stay solvable.
@@ -689,25 +736,67 @@ func (a *accelState) anderson(state []float64) bool {
 	for j := 0; j < m; j++ {
 		gram[j*m+j] += reg
 	}
-	gamma, ok := solveSPD(gram, rhs, m)
-	if !ok {
+	if _, ok := solveSPD(gram, a.rhs[:m], m); !ok {
 		a.reset()
 		return false
 	}
-	// Column by column: each component still subtracts the columns' terms
-	// oldest first, so the arithmetic per component is unchanged.
-	cand := a.cand
-	for i := range cand {
-		cand[i] = state[i] + andersonBeta*g[i]
-	}
-	for j := 0; j < m; j++ {
-		sj := (a.head + j) % window
-		dx, dg, gj := a.dx[sj], a.dg[sj], gamma[j]
-		for i := range cand {
-			cand[i] -= gj * (dx[i] + andersonBeta*dg[i])
-		}
-	}
 	return true
+}
+
+// move takes the accelerated step from x to the candidate anderson
+// solved for, in one pass: each component is formed as x + βg less the
+// columns' terms oldest first, checked finite, measured against x, and
+// stored, while a.back keeps the component it replaced. It returns
+// relChange(x, x'). A non-finite component rejects the step: the
+// components already moved are restored from a.back and ok is false.
+func (a *accelState) move(x []float64) (maxRel float64, ok bool) {
+	m := a.cols
+	var cols [window][]float64
+	for j := range m {
+		cols[j] = a.u[(a.head+j)%window]
+	}
+	gamma := a.rhs[:m]
+	n := len(x)
+	g, back := a.gLast[:n], a.back[:n]
+	if m == window {
+		// The full window, unrolled as in record.
+		c0, c1, c2, c3, c4 := cols[0][:n], cols[1][:n], cols[2][:n], cols[3][:n], cols[4][:n]
+		g0, g1, g2, g3, g4 := gamma[0], gamma[1], gamma[2], gamma[3], gamma[4]
+		for i, xi := range x {
+			v := xi + andersonBeta*g[i]
+			v -= g0 * c0[i]
+			v -= g1 * c1[i]
+			v -= g2 * c2[i]
+			v -= g3 * c3[i]
+			v -= g4 * c4[i]
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				copy(x[:i], back)
+				return 0, false
+			}
+			if rel := relStep(xi, v-xi); rel > maxRel {
+				maxRel = rel
+			}
+			back[i] = xi
+			x[i] = v
+		}
+		return maxRel, true
+	}
+	for i, xi := range x {
+		v := xi + andersonBeta*g[i]
+		for j := range m {
+			v -= gamma[j] * cols[j][i]
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			copy(x[:i], back)
+			return 0, false
+		}
+		if rel := relStep(xi, v-xi); rel > maxRel {
+			maxRel = rel
+		}
+		back[i] = xi
+		x[i] = v
+	}
+	return maxRel, true
 }
 
 // solveSPD solves the m×m symmetric positive-definite system given row-major

@@ -157,9 +157,9 @@ func TestWorkspaceSecondSolveAllocatesNothing(t *testing.T) {
 			t.Errorf("accel %v: a second solve on the workspace allocates %v times, want 0", o.Acceleration, n)
 		}
 		held := len(w.next) + len(w.rollback) + len(w.rollbackF) + len(w.initial) +
-			len(w.acc.cand) + len(w.acc.xLast) + len(w.acc.gLast) + len(w.acc.gramAll) + len(w.acc.gram) + len(w.acc.rhs)
-		for i := range w.acc.dx {
-			held += len(w.acc.dx[i]) + len(w.acc.dg[i])
+			len(w.acc.back) + len(w.acc.xLast) + len(w.acc.gLast) + len(w.acc.gramAll) + len(w.acc.gram) + len(w.acc.rhs)
+		for i := range w.acc.u {
+			held += len(w.acc.u[i]) + len(w.acc.dg[i])
 		}
 		if size := WorkspaceSize(len(state), o); held != size {
 			t.Errorf("accel %v: the workspace holds %d values, WorkspaceSize reports %d", o.Acceleration, held, size)

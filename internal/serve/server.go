@@ -125,12 +125,15 @@ func (c Config) withDefaults() Config {
 // control, and the sweep job store. Build with New, mount Handler, and
 // call Shutdown to drain.
 type Server struct {
-	cfg      Config
-	reg      *telemetry.Registry
-	log      *slog.Logger
-	tracer   *span.Tracer
-	traces   *span.RingExporter
-	cache    *solveCache
+	cfg    Config
+	reg    *telemetry.Registry
+	log    *slog.Logger
+	tracer *span.Tracer
+	traces *span.RingExporter
+	cache  *solveCache
+	// prepared pools the idle prepared solvers every request's cache
+	// misses check out, bounded by the bytes they hold.
+	prepared *core.PreparedSet
 	jobs     *jobStore
 	surfaces *surface.Store
 	ring     *shard.Ring
@@ -155,12 +158,13 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:    cfg,
-		reg:    cfg.Registry,
-		log:    cfg.Logger,
-		traces: span.NewRingExporter(cfg.TraceBuffer, cfg.TraceExport),
-		cache:  newSolveCache(cfg.CacheSize, cfg.Registry),
-		slots:  make(chan struct{}, cfg.MaxInflight),
+		cfg:      cfg,
+		reg:      cfg.Registry,
+		log:      cfg.Logger,
+		traces:   span.NewRingExporter(cfg.TraceBuffer, cfg.TraceExport),
+		cache:    newSolveCache(cfg.CacheSize, cfg.Registry),
+		prepared: core.NewPreparedSet(),
+		slots:    make(chan struct{}, cfg.MaxInflight),
 	}
 	s.tracer = span.New(span.Config{
 		Exporter: s.traces,
@@ -411,7 +415,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	cctx, csp := span.StartChild(r.Context(), "cache")
 	ctx, cancel := context.WithTimeout(cctx, c.timeout)
 	defer cancel()
-	runner := newSolveRunner(ctx, c.model, c.opts)
+	runner := newSolveRunner(ctx, s.prepared, c.model, c.opts)
 	start := time.Now()
 	a := c.exact(ctx, runner, spec)
 	csp.SetAttr("outcome", a.cache)
@@ -515,7 +519,7 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 
 	// Every item is counted by its status: invalid specs here, the rest by
 	// the pipeline steps.
-	runner := newSolveRunner(ctx, c.model, c.opts)
+	runner := newSolveRunner(ctx, s.prepared, c.model, c.opts)
 	items := make([]BatchSolveItem, len(req.Items))
 	for i, bs := range req.Items {
 		spec := core.Spec{K: bs.K, Dims: bs.Dims, V: bs.V, Lm: bs.Lm, H: bs.H, Lambda: bs.Lambda}

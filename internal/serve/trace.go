@@ -40,42 +40,47 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) (release func()) 
 	}
 }
 
-// solveRunner owns the solver side of one request: a core.PreparedSet of
-// prepared solvers keyed by topology shape (λ excluded, bounded by state
-// size), plus the tracing of each cache-miss leader solve through one
-// span.FixpointTrace. Leaders run sequentially per request (singleflight
-// calls fn synchronously), so one bridge serves every solve of the
-// request.
+// solveRunner owns the solver side of one request: it checks the
+// prepared solver of each cache-miss leader solve out of the server's
+// core.PreparedSet (preparing one when none is idle) bound to the
+// request's context and trace hook, and returns it after the solve. Each
+// solve is traced through one span.FixpointTrace. Leaders run
+// sequentially per request (singleflight calls fn synchronously), so one
+// bridge serves every solve of the request.
 type solveRunner struct {
 	// modelAttr is the model attribute of every solve span, built once
 	// per request rather than once per solve.
 	modelAttr span.Attr
+	model     string
+	opts      core.Options
 	prepared  *core.PreparedSet
 	fp        *span.FixpointTrace
 }
 
-// newSolveRunner builds a runner whose solves are cancelled by ctx.
-func newSolveRunner(ctx context.Context, model string, opts core.Options) *solveRunner {
+// newSolveRunner builds a runner whose solves are cancelled by ctx and
+// check their solvers out of prepared.
+func newSolveRunner(ctx context.Context, prepared *core.PreparedSet, model string, opts core.Options) *solveRunner {
 	fp := span.NewFixpointTrace()
 	opts.FixPoint.Ctx = ctx
 	opts.FixPoint.Trace = fp.Hook()
-	return &solveRunner{modelAttr: span.String("model", model), prepared: core.NewPreparedSet(model, opts), fp: fp}
+	return &solveRunner{modelAttr: span.String("model", model), model: model, opts: opts, prepared: prepared, fp: fp}
 }
 
 // solve runs one cache-miss solve as the singleflight leader: preparation
-// and the fixed-point iteration become child spans, and each substitution
-// round an event on the fixpoint span. A cold prepared solve is
-// bit-identical to a one-shot core.Solve — tracing observes the
-// iteration, it never alters it.
+// (when the pool holds no idle solver of the shape) and the fixed-point
+// iteration become child spans, and each substitution round an event on
+// the fixpoint span. A cold prepared solve is bit-identical to a one-shot
+// core.Solve, whichever request prepared the solver — tracing observes
+// the iteration, it never alters it.
 func (r *solveRunner) solve(ctx context.Context, spec core.Spec) (*core.SolveResult, error) {
 	ctx, sp := span.StartChild(ctx, "solve", r.modelAttr, span.Float64("lambda", spec.Lambda))
 	defer sp.End()
 
-	ps := r.prepared.Lookup(spec)
+	ps := r.prepared.Get(r.model, spec, r.opts)
 	if ps == nil {
 		_, prep := span.StartChild(ctx, "core.prepare")
 		var err error
-		ps, err = r.prepared.Prepare(spec)
+		ps, err = core.Prepare(r.model, spec, r.opts)
 		prep.End()
 		if err != nil {
 			return nil, err
@@ -85,6 +90,7 @@ func (r *solveRunner) solve(ctx context.Context, spec core.Spec) (*core.SolveRes
 	r.fp.Start(ctx)
 	res, err := ps.Solve(spec.Lambda)
 	r.fp.End()
+	r.prepared.Put(ps)
 	if errors.Is(err, core.ErrSaturated) {
 		sp.SetAttr("saturated", true)
 		sp.Keep("saturated")

@@ -48,7 +48,7 @@ func TestUntracedSolveAllocBound(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		runner := newSolveRunner(context.Background(), experiments.DefaultModel, core.Options{})
+		runner := newSolveRunner(context.Background(), core.NewPreparedSet(), experiments.DefaultModel, core.Options{})
 		if _, err := runner.solve(context.Background(), spec); err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func BenchmarkSolveTracing(b *testing.B) {
 		}
 	})
 	b.Run("untraced", func(b *testing.B) {
-		runner := newSolveRunner(context.Background(), experiments.DefaultModel, core.Options{})
+		runner := newSolveRunner(context.Background(), core.NewPreparedSet(), experiments.DefaultModel, core.Options{})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := runner.solve(context.Background(), benchSpec); err != nil {
@@ -115,7 +115,7 @@ func BenchmarkSolveTracing(b *testing.B) {
 	b.Run("traced", func(b *testing.B) {
 		ring := span.NewRingExporter(4, nil)
 		tr := span.New(span.Config{Exporter: ring, Seed: 1})
-		runner := newSolveRunner(context.Background(), experiments.DefaultModel, core.Options{})
+		runner := newSolveRunner(context.Background(), core.NewPreparedSet(), experiments.DefaultModel, core.Options{})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			ctx, root := tr.Start(context.Background(), "bench.solve")

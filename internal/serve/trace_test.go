@@ -143,6 +143,36 @@ func TestTraceparentJoinsCallerTrace(t *testing.T) {
 		t.Errorf("fixpoint.solve iterations attr %v, %d rounds kept and %d dropped",
 			got, len(fixp.Rounds), fixp.DroppedEvents)
 	}
+
+	// The server had not met the shape before, so the miss above prepared
+	// its solver. A later miss on the shape (a new load) checks that solver
+	// out of the server's pool: its trace has the solve and its rounds,
+	// bound to this request's hook, but no core.prepare.
+	later := figureRequest()
+	later.Lambda *= 0.9
+	raw, _ = json.Marshal(later)
+	req = httptest.NewRequest("POST", "/v1/solve", strings.NewReader(string(raw)))
+	req.Header.Set("traceparent", "00-"+laterTraceID+"-"+callerSpanID+"-01")
+	rr = httptest.NewRecorder()
+	h.ServeHTTP(rr, req)
+	if rr.Code != http.StatusOK {
+		t.Fatalf("later solve status = %d, body %s", rr.Code, rr.Body.String())
+	}
+	code, spans = getTrace(t, h, laterTraceID)
+	if code != http.StatusOK {
+		t.Fatalf("GET /v1/traces/%s = %d", laterTraceID, code)
+	}
+	solve = spanByName(t, spans, "solve")
+	fixp = spanByName(t, spans, "fixpoint.solve")
+	if fixp.ParentID != solve.SpanID || len(fixp.Rounds) == 0 {
+		t.Errorf("later fixpoint.solve: parent %q (solve %s), %d rounds; want a child of solve with rounds",
+			fixp.ParentID, solve.SpanID, len(fixp.Rounds))
+	}
+	for _, sp := range spans {
+		if sp.Name == "core.prepare" {
+			t.Errorf("a later miss on a pooled shape prepared again")
+		}
+	}
 }
 
 // TestTraceTailDropAndKeep pins the tail policy end to end: with the ratio

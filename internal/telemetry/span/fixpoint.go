@@ -10,14 +10,20 @@ import (
 // each solve becomes a "fixpoint.solve" span carrying one "round" event
 // per substitution round and the convergence tallies as attributes.
 //
-// A prepared solver captures its Trace callback once, at Prepare time,
-// while a span exists only per solve, so Hook's callback routes every
-// round through the span the latest Start opened. Without a span in the
-// Start context the route is nil and a round costs a few field stores —
-// no allocation (TestFixpointTraceUntracedAllocs). A FixpointTrace serves
-// one solve at a time; owners that solve concurrently need one each.
+// A prepared solver holds its Trace callback across solves (installed at
+// Prepare, or on checkout from a core.PreparedSet), while a span exists
+// only per solve, so Hook's callback routes every round through the span
+// the latest Start opened. Without a span in the Start context the route
+// is nil and a round costs a few field stores — no allocation
+// (TestFixpointTraceUntracedAllocs). A FixpointTrace serves one solve at
+// a time; owners that solve concurrently need one each.
 type FixpointTrace struct {
 	sp *Span
+	// rounds is the buffer the current solve's span records its rounds
+	// in: drawn from the tracer's pool at Start, sized to its per-span
+	// bound, and given back at End, so a traced solve's rounds allocate
+	// only the clipped copy the span keeps.
+	rounds *[]round
 	// last is the current solve's most recent round; accelerated and
 	// damped tally its rounds the way fixpoint.Convergence does.
 	last                fixpoint.TraceRecord
@@ -52,6 +58,10 @@ func (f *FixpointTrace) Start(ctx context.Context, attrs ...Attr) {
 	f.last = fixpoint.TraceRecord{NonFiniteIndex: -1}
 	f.accelerated, f.damped = 0, 0
 	_, f.sp = StartChild(ctx, "fixpoint.solve", attrs...)
+	if f.sp != nil {
+		f.rounds = f.sp.tr.tracer.roundBuffer()
+		f.sp.lendRounds(*f.rounds)
+	}
 }
 
 // Iterations returns the index of the current solve's last traced round.
@@ -76,4 +86,6 @@ func (f *FixpointTrace) End() {
 		sp.SetAttr("non_finite_index", int64(f.last.NonFiniteIndex))
 	}
 	sp.End()
+	sp.tr.tracer.rounds.Put(f.rounds)
+	f.rounds = nil
 }

@@ -163,3 +163,41 @@ func TestFixpointTraceTracedAllocs(t *testing.T) {
 			few, nFew, many, nMany, many-few, growth)
 	}
 }
+
+// TestFixpointSpanRoundsAllocateOnce: a FixpointTrace lends each solve's
+// span a rounds buffer from the tracer's pool, sized to its bound, so a
+// traced solve's allocations do not grow with its round count, and its
+// rounds cost the span two allocations over a traced solve that records
+// none: the clipped copy End retains and the header that holds it.
+func TestFixpointSpanRoundsAllocateOnce(t *testing.T) {
+	f := NewFixpointTrace()
+	tr := New(Config{Seed: 1, MaxEventsPerSpan: 1 << 12})
+	bg := context.Background()
+	traced := func(f *FixpointTrace, tol float64) int {
+		return int(testing.AllocsPerRun(50, func() {
+			ctx, root := tr.Start(bg, "root")
+			solveRounds(ctx, t, f, tol)
+			root.End()
+		}))
+	}
+	nFew, nMany := solveRounds(bg, t, nil, 1e-2).Iterations, solveRounds(bg, t, nil, 1e-12).Iterations
+	few, many := traced(f, 1e-2), traced(f, 1e-12)
+	if many != few {
+		t.Errorf("a traced solve allocates %d times at %d rounds and %d at %d; want no growth", few, nFew, many, nMany)
+	}
+	// The rounds alone, fed through the hook: none against some.
+	rounds := func(n int) int {
+		return int(testing.AllocsPerRun(50, func() {
+			ctx, root := tr.Start(bg, "root")
+			f.Start(ctx)
+			for i := 1; i <= n; i++ {
+				f.round(fixpoint.TraceRecord{Iteration: i, NonFiniteIndex: -1})
+			}
+			f.End()
+			root.End()
+		}))
+	}
+	if none, some := rounds(0), rounds(nMany); some-none != 2 {
+		t.Errorf("%d rounds cost their span %d allocations, want 2 (the retained copy and its header)", nMany, some-none)
+	}
+}

@@ -141,6 +141,19 @@ type Tracer struct {
 	maxEvents int
 	seed      uint64
 	seq       atomic.Uint64
+	// rounds pools the *[]round buffers, of capacity maxEvents, that
+	// FixpointTraces lend their spans (see lendRounds).
+	rounds sync.Pool
+}
+
+// roundBuffer returns an empty rounds buffer of capacity maxEvents, from
+// the pool when one is free; its borrower puts it back in t.rounds.
+func (t *Tracer) roundBuffer() *[]round {
+	if b, ok := t.rounds.Get().(*[]round); ok {
+		return b
+	}
+	b := make([]round, 0, t.maxEvents)
+	return &b
 }
 
 // New builds a Tracer from cfg (zero fields defaulted).
@@ -256,6 +269,9 @@ type Span struct {
 	rounds  []round
 	dropped int
 	ended   bool
+	// lent marks rounds as a buffer the span records into but does not
+	// own (see lendRounds).
+	lent bool
 }
 
 // ctxKey carries the current *Span; parentKey carries a remote Parent
@@ -430,6 +446,22 @@ func (s *Span) Round(iteration int, maxRelDelta float64, accelerated bool) {
 	s.rounds = append(s.rounds, r)
 }
 
+// lendRounds hands the span buf, emptied, to record its rounds in. The
+// span does not keep it: End copies the rounds out clipped to their
+// length, so the owner may lend buf to its next span once this one ended,
+// and a buffer sized to the tracer's bound makes the rounds of a span cost
+// that one copy.
+func (s *Span) lendRounds(buf []round) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.ended {
+		s.rounds, s.lent = buf[:0], true
+	}
+}
+
 // round is a Round as a span holds it: 24 bytes rather than 32, the
 // accelerated flag packed into the low bit of the iteration index. Like
 // Round it holds no pointers.
@@ -489,12 +521,16 @@ func (s *Span) End() {
 	}
 	if len(s.rounds) > 0 || s.dropped > 0 {
 		rounds := s.rounds
-		if cap(rounds) > len(rounds) {
-			// Clipped by a copy: the slack is not retained, and a late
-			// Round appends to the span's slice, not this one.
+		if cap(rounds) > len(rounds) || s.lent {
+			// Clipped by a copy: neither the slack nor a lent buffer is
+			// retained, and a late Round appends to the span's slice, not
+			// this one.
 			rounds = slices.Clone(rounds)
 		}
 		e.events = &events{rounds: rounds, dropped: s.dropped}
+	}
+	if s.lent {
+		s.rounds, s.lent = nil, false
 	}
 	s.mu.Unlock()
 
