@@ -18,8 +18,8 @@ func reused(ws *fixpoint.Workspace) {
 
 var methodExpr = (*fixpoint.Workspace).Solve // want `fixpoint\.Workspace\.Solve outside the internal/core driver`
 
-func sizing() int { // the workspace's sizing stays free
-	return fixpoint.WorkspaceSize(4, fixpoint.Options{})
+func sizing(ws *fixpoint.Workspace) int { // the workspace's sizing stays free
+	return ws.Size()
 }
 
 func options() fixpoint.Options { // the rest of the fixpoint API: allowed

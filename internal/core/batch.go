@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 
 	"kncube/internal/fixpoint"
@@ -38,10 +39,6 @@ type PreparedSolver struct {
 	// what the model's own prepared buffers and struct hold.
 	key        poolKey
 	modelBytes int
-	// While idle in a PreparedSet: the bytes it was counted at, and its
-	// neighbours in the set's return order.
-	bytes        int
-	older, newer *PreparedSolver
 }
 
 // Prepare validates and prepares the named variant once, returning a
@@ -154,32 +151,33 @@ func keyOf(name string, s Spec, o Options) poolKey {
 }
 
 // maxIdleBytes bounds the bytes the idle solvers of one PreparedSet hold,
-// counted by PreparedSolver.footprint. Two Anderson hotspot-2d solvers of
-// K ≈ 300 (about 15 MB each once solved) fit with room to spare, as do
-// hundreds of the K = 16 shapes a typical request names.
-const maxIdleBytes = 64 << 20
+// counted by PreparedSolver.footprint: two Anderson hotspot-2d solvers of
+// K ≈ 300 (about 16 MB each once solved) fit with room to spare.
+// maxIdleSolvers bounds their number, so traffic whose shapes never
+// repeat keeps at most that many small solvers (a K = 16 torus holds
+// about 65 kB) rather than filling the byte bound with them.
+const (
+	maxIdleBytes   = 64 << 20
+	maxIdleSolvers = 32
+)
 
 // PreparedSet is a bounded pool of idle prepared solvers, safe for
 // concurrent use: Get checks one out, Put returns it. Solvers are filed by
 // model, topology shape and options (see poolKey); the per-solve hooks
 // are bound on Get and cleared on Put, so an idle solver holds no
 // caller's context or trace. A checked-out solver belongs to its caller
-// alone until returned. The idle solvers' footprints never sum past
-// maxIdleBytes: Put evicts the least recently returned until they fit,
-// and drops a solver that cannot fit on its own.
+// alone until returned. The idle solvers never number more than
+// maxIdleSolvers nor hold more than maxIdleBytes: Put evicts the least
+// recently returned until they fit, and drops a solver that cannot fit on
+// its own.
 type PreparedSet struct {
-	mu   sync.Mutex
-	idle map[poolKey][]*PreparedSolver // per key, in return order
-	// oldest and newest are the ends of the idle list, in return order
-	// across keys; bytes is the summed footprint of its solvers.
-	oldest, newest *PreparedSolver
-	bytes          int
+	mu    sync.Mutex
+	idle  []*PreparedSolver // in return order, the oldest first
+	bytes int               // the summed footprint of idle (a solver's does not change while idle)
 }
 
 // NewPreparedSet returns an empty pool.
-func NewPreparedSet() *PreparedSet {
-	return &PreparedSet{idle: map[poolKey][]*PreparedSolver{}}
-}
+func NewPreparedSet() *PreparedSet { return &PreparedSet{} }
 
 // Get checks out the most recently returned idle solver prepared for the
 // named model, s's canonical shape and o, bound to o's hooks; nil when
@@ -192,73 +190,36 @@ func (p *PreparedSet) Get(name string, s Spec, o Options) *PreparedSolver {
 	}
 	key := keyOf(name, v.canonical(s), o)
 	p.mu.Lock()
-	held := p.idle[key]
-	if len(held) == 0 {
-		p.mu.Unlock()
-		return nil
+	defer p.mu.Unlock()
+	for i := len(p.idle) - 1; i >= 0; i-- {
+		if ps := p.idle[i]; ps.key == key {
+			p.idle = slices.Delete(p.idle, i, i+1)
+			p.bytes -= ps.footprint()
+			ps.o = o
+			return ps
+		}
 	}
-	ps := held[len(held)-1]
-	held[len(held)-1] = nil
-	p.idle[key] = held[:len(held)-1]
-	p.unlink(ps)
-	p.mu.Unlock()
-	ps.o = o
-	return ps
+	return nil
 }
 
 // Put returns a checked-out solver to the pool, its hooks cleared, and
-// evicts the least recently returned solvers while the idle ones hold
-// more than maxIdleBytes. The solver must not be used after Put.
+// evicts the least recently returned solvers while the idle ones number
+// more than maxIdleSolvers or hold more than maxIdleBytes. The solver
+// must not be used after Put.
 func (p *PreparedSet) Put(ps *PreparedSolver) {
 	ps.o.FixPoint.Ctx, ps.o.FixPoint.Trace = nil, nil
-	ps.bytes = ps.footprint()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if ps.bytes > maxIdleBytes {
-		// Dropped; the key its checkout may have emptied goes with it.
-		if held, ok := p.idle[ps.key]; ok && len(held) == 0 {
-			delete(p.idle, ps.key)
-		}
+	bytes := ps.footprint()
+	if bytes > maxIdleBytes {
 		return
 	}
-	p.idle[ps.key] = append(p.idle[ps.key], ps)
-	ps.older, ps.newer = p.newest, nil
-	if p.newest != nil {
-		p.newest.newer = ps
-	} else {
-		p.oldest = ps
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.idle = append(p.idle, ps)
+	p.bytes += bytes
+	for len(p.idle) > maxIdleSolvers || p.bytes > maxIdleBytes {
+		p.bytes -= p.idle[0].footprint()
+		p.idle = slices.Delete(p.idle, 0, 1)
 	}
-	p.newest = ps
-	p.bytes += ps.bytes
-	for p.bytes > maxIdleBytes {
-		old := p.oldest
-		// The oldest solver of the pool is the oldest of its key.
-		held := p.idle[old.key]
-		copy(held, held[1:])
-		held[len(held)-1] = nil
-		if held = held[:len(held)-1]; len(held) == 0 {
-			delete(p.idle, old.key)
-		} else {
-			p.idle[old.key] = held
-		}
-		p.unlink(old)
-	}
-}
-
-// unlink takes an idle solver off the return-order list.
-func (p *PreparedSet) unlink(ps *PreparedSolver) {
-	if ps.older != nil {
-		ps.older.newer = ps.newer
-	} else {
-		p.oldest = ps.newer
-	}
-	if ps.newer != nil {
-		ps.newer.older = ps.older
-	} else {
-		p.newest = ps.older
-	}
-	ps.older, ps.newer = nil, nil
-	p.bytes -= ps.bytes
 }
 
 // IdleBytes reports the summed footprint of the idle solvers.

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -97,14 +98,7 @@ func TestSolveBatchMixedShapes(t *testing.T) {
 func TestPreparedSetBound(t *testing.T) {
 	set := NewPreparedSet()
 	shape := func(k int) Spec { return Spec{K: k, Dims: 2, V: 2, Lm: 32, H: 0.2, Lambda: 1e-6} }
-	isIdle := func(ps *PreparedSolver) bool {
-		for _, h := range set.idle[ps.key] {
-			if h == ps {
-				return true
-			}
-		}
-		return false
-	}
+	isIdle := func(ps *PreparedSolver) bool { return slices.Contains(set.idle, ps) }
 	var idle []*PreparedSolver // what the pool should hold, in return order
 	sum, evicted := 0, 0
 	for k := 300; evicted == 0; k++ {
@@ -161,6 +155,31 @@ func TestPreparedSetBound(t *testing.T) {
 	if isIdle(big) || set.IdleBytes() != before {
 		t.Errorf("a solver larger than the bound was kept or evicted others: %d idle bytes, was %d",
 			set.IdleBytes(), before)
+	}
+}
+
+// TestPreparedSetCountBound: returned solvers of shapes that never
+// repeat stay idle up to maxIdleSolvers however little they hold; each
+// return past that evicts the least recently returned.
+func TestPreparedSetCountBound(t *testing.T) {
+	set := NewPreparedSet()
+	var returned []*PreparedSolver
+	for lm := 32; lm < 32+maxIdleSolvers+3; lm++ {
+		ps, err := Prepare("uniform", Spec{K: 4, Dims: 2, V: 2, Lm: lm, Lambda: 1e-4}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ps.Solve(1e-4); err != nil {
+			t.Fatal(err)
+		}
+		set.Put(ps)
+		returned = append(returned, ps)
+	}
+	if want := returned[3:]; !slices.Equal(set.idle, want) {
+		t.Errorf("%d solvers idle, want the %d most recently returned in return order", len(set.idle), len(want))
+	}
+	if set.IdleBytes() > maxIdleBytes/100 {
+		t.Errorf("%d idle bytes: the count bound, not the byte bound, should have evicted", set.IdleBytes())
 	}
 }
 

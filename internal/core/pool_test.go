@@ -51,11 +51,9 @@ func TestPreparedSetSoak(t *testing.T) {
 		if set.bytes > maxIdleBytes {
 			return fmt.Errorf("%d idle bytes, over the %d-byte bound", set.bytes, maxIdleBytes)
 		}
-		for _, held := range set.idle {
-			for _, ps := range held {
-				if ps.o.FixPoint.Ctx != nil || ps.o.FixPoint.Trace != nil {
-					return fmt.Errorf("idle %s K=%d solver keeps a request's hooks", ps.name, ps.key.k)
-				}
+		for _, ps := range set.idle {
+			if ps.o.FixPoint.Ctx != nil || ps.o.FixPoint.Trace != nil {
+				return fmt.Errorf("idle %s K=%d solver keeps a request's hooks", ps.name, ps.key.k)
 			}
 		}
 		return nil

@@ -47,10 +47,12 @@ func TestAccelerationReachesSameFixedPoint(t *testing.T) {
 
 // TestZeroOptionsAreAnderson: a zero Acceleration is AccelAnderson — the
 // same rounds, state and summary as an explicit request — and its
-// workspace is sized for Anderson.
+// workspace grows to what the explicit request's does, past the damped
+// solve's single state vector.
 func TestZeroOptionsAreAnderson(t *testing.T) {
 	state := []float64{0, 0}
-	res, err := Solve(state, slowContraction, Options{Tolerance: 1e-10, MaxIterations: 100000, Damping: 1})
+	var w Workspace
+	res, err := w.Solve(state, slowContraction, Options{Tolerance: 1e-10, MaxIterations: 100000, Damping: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,8 +61,14 @@ func TestZeroOptionsAreAnderson(t *testing.T) {
 		math.Float64bits(state[1]) != math.Float64bits(want[1]) {
 		t.Errorf("zero Acceleration: %v %+v, explicit Anderson: %v %+v", state, res, want, wantRes)
 	}
-	if got, want := WorkspaceSize(16, Options{}), (7+2*5)*16+2*5*5+5; got != want {
-		t.Errorf("WorkspaceSize(16, Options{}) = %d, want %d", got, want)
+	var explicit Workspace
+	if _, err := explicit.Solve([]float64{0, 0}, slowContraction,
+		Options{Tolerance: 1e-10, MaxIterations: 100000, Damping: 1, Acceleration: AccelAnderson}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := w.Size(), explicit.Size(); got != want || got <= len(state) {
+		t.Errorf("the workspace holds %d values, an explicit Anderson solve's %d, a damped solve's %d",
+			got, want, len(state))
 	}
 }
 

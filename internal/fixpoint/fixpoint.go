@@ -134,8 +134,8 @@ func Defaults() Options {
 // differences the least-squares extrapolation combines.
 const window = 5
 
-// The passes of an accelerated round (record, move) are unrolled for a
-// window of five columns; this fails to compile for any other window.
+// The passes of an accelerated round (record, move) name the window's
+// five columns one by one; this fails to compile for any other window.
 var _ = [1]struct{}{}[window-5]
 
 // andersonBeta is the Anderson mixing factor: the weight of the residual
@@ -231,27 +231,12 @@ type Workspace struct {
 	acc                          accelState
 }
 
-// WorkspaceSize returns the most float64 values a Workspace holds after a
-// solve of an n-variable state under o: the map's output vector, and with
-// Anderson acceleration the rollback, rollbackF and initial vectors, the
-// step's rollback buffer, the last iterate and residual, window column
-// pairs (u_j = Δx_j + βΔg_j, Δg_j) and the window × window normal
-// equations with their right-hand side. Options Solve rejects size
-// nothing.
-func WorkspaceSize(n int, o Options) int {
-	o, err := o.withDefaults()
-	if err != nil {
-		return 0
-	}
-	if o.Acceleration == AccelNone || n == 0 {
-		return n
-	}
-	return (7+2*window)*n + 2*window*window + window
-}
-
 // Size returns the float64 values the workspace holds now: the capacity
-// of every buffer it has grown, at most WorkspaceSize of the largest state
-// it has solved.
+// of every buffer it has grown. After a damped solve of an n-variable
+// state that is n; an Anderson solve adds six more state vectors and the
+// window × window normal equations with their right-hand side as it
+// starts, then the zero column and a column pair per window slot as the
+// history first fills it.
 func (w *Workspace) Size() int {
 	return cap(w.next) + cap(w.rollback) + cap(w.rollbackF) + cap(w.initial) + w.acc.size()
 }
@@ -485,10 +470,10 @@ func relStep(x, d float64) float64 {
 }
 
 // accelState carries the Anderson history kept between rounds, and all
-// of its scratch. begin sizes everything but the difference columns,
-// which record allocates as the history first grows into each slot; a
-// workspace keeps them for its later solves. Once the history is full,
-// accelerated rounds allocate nothing.
+// of its scratch. begin sizes everything but the difference columns and
+// the zero column, which record allocates as the history first grows
+// into each slot; a workspace keeps them for its later solves. Once the
+// history is full, accelerated rounds allocate nothing.
 //
 // An accelerated round makes two passes over the state besides the map:
 // record extends the history and forms the least-squares system's new
@@ -519,6 +504,11 @@ type accelState struct {
 	u, dg        [window][]float64 // [slot][i]
 	head, cols   int
 	gramAll      []float64
+
+	// zero is an all-zero vector, the padding column of record and move
+	// while the history holds fewer than window columns; record allocates
+	// it with the first column, and nothing writes it.
+	zero []float64
 
 	// back receives the iterate an accelerated step moves from (move),
 	// and then serves as the workspace's rollback vector; the old rollback
@@ -553,7 +543,7 @@ func (a *accelState) begin(n int) {
 
 // size is the float64 values the history's buffers hold.
 func (a *accelState) size() int {
-	n := cap(a.back) + cap(a.xLast) + cap(a.gLast) + cap(a.gramAll) + cap(a.gram) + cap(a.rhs)
+	n := cap(a.back) + cap(a.xLast) + cap(a.gLast) + cap(a.zero) + cap(a.gramAll) + cap(a.gram) + cap(a.rhs)
 	for i := range a.u {
 		n += cap(a.u[i]) + cap(a.dg[i])
 	}
@@ -623,76 +613,59 @@ func (a *accelState) record(x, fx []float64) float64 {
 	} else {
 		a.cols++
 	}
+	n := len(x)
 	if a.dg[slot] == nil {
 		// A slot's buffers are allocated the first time a column lands in
 		// it and reused after, so a solve that stops early never holds the
 		// whole window, and rounds allocate nothing once window columns
 		// have been recorded.
-		n := len(x)
 		buf := make([]float64, 2*n) //lint:ignore hotalloc each history slot is allocated once per workspace, on first use
 		a.u[slot], a.dg[slot] = buf[:n:n], buf[n:]
 	}
+	if cap(a.zero) < n {
+		a.zero = make([]float64, n) //lint:ignore hotalloc the zero column is allocated once per workspace, with the first history slot
+	}
+	a.zero = a.zero[:n]
 	u, dg := a.u[slot], a.dg[slot]
-	// The older columns in logical order, and their products with the
-	// newest column (s) and with g (r); the newest's own are sNew, rNew.
+	// The older columns in logical order, padded with the zero column to
+	// the window's four, and their products with the newest column (s)
+	// and with g (r); a padding column's products are dropped. The
+	// newest's own are sNew, rNew.
 	old := a.cols - 1
 	var cols [window - 1][]float64
-	for j := range old {
-		cols[j] = a.dg[(a.head+j)%window]
+	for j := range cols {
+		cols[j] = a.zero
+		if j < old {
+			cols[j] = a.dg[(a.head+j)%window]
+		}
 	}
-	var s, r [window - 1]float64
-	sNew, rNew := 0.0, 0.0
-	n := len(x)
+	c0, c1, c2, c3 := cols[0][:n], cols[1][:n], cols[2][:n], cols[3][:n]
 	fx, u, dg = fx[:n], u[:n], dg[:n]
 	xLast, gLast := a.xLast[:n], a.gLast[:n]
-	if old == window-1 {
-		// The full window, the steady state of a long attempt: the
-		// accumulators are locals, the loop unrolled over the columns.
-		c0, c1, c2, c3 := cols[0][:n], cols[1][:n], cols[2][:n], cols[3][:n]
-		s0, s1, s2, s3 := 0.0, 0.0, 0.0, 0.0
-		r0, r1, r2, r3 := 0.0, 0.0, 0.0, 0.0
-		for i, xi := range x {
-			g := fx[i] - xi
-			d := g - gLast[i]
-			u[i] = (xi - xLast[i]) + andersonBeta*d
-			dg[i] = d
-			xLast[i] = xi
-			gLast[i] = g
-			if rel := relStep(xi, g); rel > maxRel {
-				maxRel = rel
-			}
-			s0 += c0[i] * d
-			r0 += c0[i] * g
-			s1 += c1[i] * d
-			r1 += c1[i] * g
-			s2 += c2[i] * d
-			r2 += c2[i] * g
-			s3 += c3[i] * d
-			r3 += c3[i] * g
-			sNew += d * d
-			rNew += d * g
+	s0, s1, s2, s3, sNew := 0.0, 0.0, 0.0, 0.0, 0.0
+	r0, r1, r2, r3, rNew := 0.0, 0.0, 0.0, 0.0, 0.0
+	for i, xi := range x {
+		g := fx[i] - xi
+		d := g - gLast[i]
+		u[i] = (xi - xLast[i]) + andersonBeta*d
+		dg[i] = d
+		xLast[i] = xi
+		gLast[i] = g
+		if rel := relStep(xi, g); rel > maxRel {
+			maxRel = rel
 		}
-		s, r = [window - 1]float64{s0, s1, s2, s3}, [window - 1]float64{r0, r1, r2, r3}
-	} else {
-		for i, xi := range x {
-			g := fx[i] - xi
-			d := g - gLast[i]
-			u[i] = (xi - xLast[i]) + andersonBeta*d
-			dg[i] = d
-			xLast[i] = xi
-			gLast[i] = g
-			if rel := relStep(xi, g); rel > maxRel {
-				maxRel = rel
-			}
-			for j := range old {
-				c := cols[j][i]
-				s[j] += c * d
-				r[j] += c * g
-			}
-			sNew += d * d
-			rNew += d * g
-		}
+		s0 += c0[i] * d
+		r0 += c0[i] * g
+		s1 += c1[i] * d
+		r1 += c1[i] * g
+		s2 += c2[i] * d
+		r2 += c2[i] * g
+		s3 += c3[i] * d
+		r3 += c3[i] * g
+		sNew += d * d
+		rNew += d * g
 	}
+	s, r := [window - 1]float64{s0, s1, s2, s3}, [window - 1]float64{r0, r1, r2, r3}
 	for j := range old {
 		sj := (a.head + j) % window
 		a.gramAll[sj*window+slot], a.gramAll[slot*window+sj] = s[j], s[j]
@@ -750,42 +723,29 @@ func (a *accelState) anderson() bool {
 // relChange(x, x'). A non-finite component rejects the step: the
 // components already moved are restored from a.back and ok is false.
 func (a *accelState) move(x []float64) (maxRel float64, ok bool) {
+	// The columns oldest first, padded with the zero column under a zero
+	// weight: a padding term subtracts +0, which leaves every value as it
+	// is.
 	m := a.cols
 	var cols [window][]float64
-	for j := range m {
-		cols[j] = a.u[(a.head+j)%window]
+	var gamma [window]float64
+	for j := range cols {
+		cols[j] = a.zero
+		if j < m {
+			cols[j], gamma[j] = a.u[(a.head+j)%window], a.rhs[j]
+		}
 	}
-	gamma := a.rhs[:m]
 	n := len(x)
 	g, back := a.gLast[:n], a.back[:n]
-	if m == window {
-		// The full window, unrolled as in record.
-		c0, c1, c2, c3, c4 := cols[0][:n], cols[1][:n], cols[2][:n], cols[3][:n], cols[4][:n]
-		g0, g1, g2, g3, g4 := gamma[0], gamma[1], gamma[2], gamma[3], gamma[4]
-		for i, xi := range x {
-			v := xi + andersonBeta*g[i]
-			v -= g0 * c0[i]
-			v -= g1 * c1[i]
-			v -= g2 * c2[i]
-			v -= g3 * c3[i]
-			v -= g4 * c4[i]
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				copy(x[:i], back)
-				return 0, false
-			}
-			if rel := relStep(xi, v-xi); rel > maxRel {
-				maxRel = rel
-			}
-			back[i] = xi
-			x[i] = v
-		}
-		return maxRel, true
-	}
+	c0, c1, c2, c3, c4 := cols[0][:n], cols[1][:n], cols[2][:n], cols[3][:n], cols[4][:n]
+	g0, g1, g2, g3, g4 := gamma[0], gamma[1], gamma[2], gamma[3], gamma[4]
 	for i, xi := range x {
 		v := xi + andersonBeta*g[i]
-		for j := range m {
-			v -= gamma[j] * cols[j][i]
-		}
+		v -= g0 * c0[i]
+		v -= g1 * c1[i]
+		v -= g2 * c2[i]
+		v -= g3 * c3[i]
+		v -= g4 * c4[i]
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			copy(x[:i], back)
 			return 0, false

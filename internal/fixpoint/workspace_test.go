@@ -139,14 +139,21 @@ func TestWorkspaceReuseMatchesFreshSolve(t *testing.T) {
 
 // TestWorkspaceSecondSolveAllocatesNothing: once a workspace has grown to
 // a shape, solving that shape again allocates nothing, damped or
-// accelerated, and WorkspaceSize covers what it grew to.
+// accelerated, and Size counts what it grew to: the map's output alone
+// when damped; with Anderson eight state vectors, a column pair per
+// window slot and the normal equations.
 func TestWorkspaceSecondSolveAllocatesNothing(t *testing.T) {
-	for _, o := range []Options{
-		{Tolerance: 1e-300, MaxIterations: 200, Damping: 0.5, Acceleration: AccelAnderson},
-		{Tolerance: 1e-13, MaxIterations: 2000, Damping: 0.5, Acceleration: AccelNone},
+	const n = 16
+	for _, c := range []struct {
+		o    Options
+		size int
+	}{
+		{Options{Tolerance: 1e-300, MaxIterations: 200, Damping: 0.5, Acceleration: AccelAnderson}, (8+2*window)*n + 2*window*window + window},
+		{Options{Tolerance: 1e-13, MaxIterations: 2000, Damping: 0.5, Acceleration: AccelNone}, n},
 	} {
+		o := c.o
 		var w Workspace
-		state := make([]float64, 16)
+		state := make([]float64, n)
 		f := drifting()
 		solve := func() {
 			clear(state)
@@ -157,12 +164,13 @@ func TestWorkspaceSecondSolveAllocatesNothing(t *testing.T) {
 			t.Errorf("accel %v: a second solve on the workspace allocates %v times, want 0", o.Acceleration, n)
 		}
 		held := len(w.next) + len(w.rollback) + len(w.rollbackF) + len(w.initial) +
-			len(w.acc.back) + len(w.acc.xLast) + len(w.acc.gLast) + len(w.acc.gramAll) + len(w.acc.gram) + len(w.acc.rhs)
+			len(w.acc.back) + len(w.acc.xLast) + len(w.acc.gLast) + len(w.acc.zero) +
+			len(w.acc.gramAll) + len(w.acc.gram) + len(w.acc.rhs)
 		for i := range w.acc.u {
 			held += len(w.acc.u[i]) + len(w.acc.dg[i])
 		}
-		if size := WorkspaceSize(len(state), o); held != size {
-			t.Errorf("accel %v: the workspace holds %d values, WorkspaceSize reports %d", o.Acceleration, held, size)
+		if size := w.Size(); held != c.size || size != c.size {
+			t.Errorf("accel %v: the workspace holds %d values and Size reports %d, want %d", o.Acceleration, held, size, c.size)
 		}
 	}
 }
