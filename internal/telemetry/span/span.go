@@ -144,6 +144,11 @@ type Tracer struct {
 	// rounds pools the *[]round buffers, of capacity maxEvents, that
 	// FixpointTraces lend their spans (see lendRounds).
 	rounds sync.Pool
+	// lastSpans is the span count of the most recently finished trace: a
+	// new trace sizes its span list to it, so traces of one shape, such
+	// as the requests of one workload, fill their list without growing it
+	// and hand it to the exporter without a clipping copy.
+	lastSpans atomic.Int64
 }
 
 // roundBuffer returns an empty rounds buffer of capacity maxEvents, from
@@ -336,7 +341,7 @@ func (t *Tracer) Start(ctx context.Context, name string, attrs ...Attr) (context
 // newRoot begins a trace's root span under the given trace id.
 func (t *Tracer) newRoot(id TraceID, name string, attrs []Attr) *Span {
 	return &Span{
-		tr:     &trace{tracer: t, id: id},
+		tr:     &trace{tracer: t, id: id, spans: make([]ended, 0, t.lastSpans.Load())},
 		name:   name,
 		spanID: t.newSpanID(),
 		isRoot: true,
@@ -556,6 +561,7 @@ func (s *Span) End() {
 // last span, and hands it to the exporter when kept, with the winning keep
 // reason appended to the root's attributes as tail.keep.
 func (t *Tracer) finish(id TraceID, spans []ended, keep []string) {
+	t.lastSpans.Store(int64(len(spans)))
 	if t.exp == nil {
 		return
 	}
@@ -565,8 +571,11 @@ func (t *Tracer) finish(id TraceID, spans []ended, keep []string) {
 		return
 	}
 	root.attrs = append(root.attrs, String("tail.keep", reason))
-	// The ring holds the trace until evicted: drop the growth slack.
-	t.exp.export(id, slices.Clone(spans))
+	// The ring holds the trace until evicted: drop any slack.
+	if cap(spans) > len(spans) {
+		spans = slices.Clone(spans)
+	}
+	t.exp.export(id, spans)
 }
 
 // record renders the span in its export form under the trace id.

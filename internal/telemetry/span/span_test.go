@@ -24,6 +24,31 @@ func tracer(t *testing.T, cfg Config) (*Tracer, *RingExporter) {
 	return New(cfg), ring
 }
 
+// TestTraceSpanListSizedOnce: a trace sizes its span list to the span
+// count of the tracer's last finished trace, so a trace of the same shape
+// allocates its list once, and the ring keeps it without a clipping copy:
+// its allocations grow with its span count by exactly the spans' own.
+func TestTraceSpanListSizedOnce(t *testing.T) {
+	tr, _ := tracer(t, Config{Exporter: NewRingExporter(1, nil)})
+	allocs := func(children int) int {
+		run := func() {
+			ctx, root := tr.Start(context.Background(), "root")
+			root.Keep("test")
+			for range children {
+				_, sp := tr.Start(ctx, "child")
+				sp.End()
+			}
+			root.End()
+		}
+		run() // the tracer learns the shape
+		return int(testing.AllocsPerRun(20, run))
+	}
+	perSpan := allocs(41) - allocs(40)
+	if got, want := allocs(80)-allocs(40), 40*perSpan; got != want {
+		t.Errorf("40 more spans cost %v allocations, want %v (%v per span)", got, want, perSpan)
+	}
+}
+
 func TestSpanTreeExport(t *testing.T) {
 	tr, ring := tracer(t, Config{})
 	ctx, root := tr.Start(context.Background(), "http POST /v1/solve", String("http.method", "POST"))
