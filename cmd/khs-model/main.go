@@ -201,19 +201,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		fmt.Fprintf(stdout, "  hot-spot        %10.2f cycles\n", r.Hot)
 		fmt.Fprintf(stdout, "source waiting    %10.2f cycles\n", r.SourceWait)
 		fmt.Fprintf(stdout, "multiplexing      V̄=%.3f\n", r.VBar)
+		fmt.Fprintf(stdout, "max utilisation   %.3f\n", r.MaxUtilisation)
 		fmt.Fprintf(stdout, "convergence       %d iterations, residual %.3g\n",
 			r.Convergence.Iterations, r.Convergence.Residual)
-		switch d := r.Detail.(type) {
-		case *kncube.ModelResult:
-			fmt.Fprintf(stdout, "detail            Vx=%.3f Vhy=%.3f Vhybar=%.3f, max util %.3f\n",
-				d.VX, d.VHy, d.VHyBar, d.MaxUtilisation)
-		case *kncube.BiModelResult:
-			fmt.Fprintf(stdout, "detail            Vx=%.3f Vhy=%.3f, mean path %.2f hops\n",
-				d.VX, d.VHy, d.MeanDistance)
-		case *kncube.UniformResult:
-			fmt.Fprintf(stdout, "detail            network %.2f cycles, channel rate %.6g\n",
-				d.Network, d.ChannelRate)
-		}
 	}
 	return nil
 }

@@ -132,8 +132,8 @@ mean latency           20.16 cycles
   hot-spot             20.24 cycles
 source waiting          0.01 cycles
 multiplexing      V̄=1.004
+max utilisation   0.007
 convergence       3 iterations, residual 1.57e-12
-detail            Vx=1.004 Vhy=1.006, mean path 4.00 hops
 `
 	if out != want {
 		t.Fatalf("-model bidirectional-2d output changed:\n%s\nwant:\n%s", out, want)

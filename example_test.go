@@ -41,10 +41,10 @@ func ExampleSolve_uniform() {
 		fmt.Println(err)
 		return
 	}
-	u := res.Detail.(*kncube.UniformResult)
-	fmt.Printf("latency %.0f cycles at channel rate %.4f\n", res.Latency, u.ChannelRate)
+	fmt.Printf("latency %.0f cycles (source wait %.1f, V̄ %.2f, max utilisation %.2f)\n",
+		res.Latency, res.SourceWait, res.VBar, res.MaxUtilisation)
 	// Output:
-	// latency 118 cycles at channel rate 0.0075
+	// latency 118 cycles (source wait 1.6, V̄ 1.68, max utilisation 0.51)
 }
 
 func ExampleNewSimulator() {

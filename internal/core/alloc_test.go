@@ -39,8 +39,8 @@ func TestIterateAllocFree(t *testing.T) {
 
 // TestAssembleAllocsIndependentOfSize pins the assembly half of the
 // contract: the per-position buffers Assemble works in are scratch that
-// Prepare sizes, and the typed result holds scalars only, so Assemble
-// allocates as many times for a large network as for a small one, for
+// Prepare sizes, and the result holds scalars only, so Assemble allocates
+// once, for its SolveResult, for a large network as for a small one, for
 // every registered variant.
 func TestAssembleAllocsIndependentOfSize(t *testing.T) {
 	const lambda = 1e-5 // light for every shape below
@@ -69,6 +69,9 @@ func TestAssembleAllocsIndependentOfSize(t *testing.T) {
 					t.Fatalf("%s %+v: Assemble: %v", name, *s, err)
 				}
 			})) // AllocsPerRun averages whole counts over its runs
+			if allocs[i] != 1 {
+				t.Errorf("%s %+v: Assemble allocates %v times, want 1 (its SolveResult)", name, *s, allocs[i])
+			}
 		}
 		if allocs[0] != allocs[1] {
 			t.Errorf("%s: Assemble allocates %v times at %+v, %v times at %+v",

@@ -27,23 +27,6 @@ import (
 	"kncube/internal/vcmodel"
 )
 
-// BiResult is the solved bidirectional model.
-type BiResult struct {
-	// Latency is the mean message latency (Eq. 10).
-	Latency float64
-	// Regular and Hot are the class-conditional latencies.
-	Regular, Hot float64
-	// WsRegular is the mean source-queue waiting time.
-	WsRegular float64
-	// VX and VHy are the mean multiplexing degrees over x-channels and
-	// hot-column channels (both directions pooled).
-	VX, VHy float64
-	// MeanDistance is the mean minimal path length of uniform traffic.
-	MeanDistance float64
-	// Convergence is the fixed-point diagnostic summary.
-	Convergence Convergence
-}
-
 // biLayout assigns each direction-split service-time vector its segment of
 // the flat fixed-point state.
 type biLayout struct {
@@ -403,6 +386,7 @@ func (m *biModel) Assemble(x []float64, conv Convergence) (*SolveResult, error) 
 	// Multiplexing degrees (Eqs. 33-37, per direction class).
 	vHyAt, vXAt := m.vHyAt, m.vXAt
 	vHySum := 0.0
+	maxUtil := 0.0
 	for i := 0; i < 2; i++ {
 		for l := 1; l <= k; l++ {
 			lh, sh := 0.0, 0.0
@@ -411,6 +395,9 @@ func (m *biModel) Assemble(x []float64, conv Convergence) (*SolveResult, error) 
 			}
 			tot := m.r[i] + lh
 			sBar := queueing.WeightedService(m.r[i], entHy, lh, sh)
+			if u := tot * sBar; u > maxUtil {
+				maxUtil = u
+			}
 			deg, err := vcmodel.Degree(p.V, tot, sBar)
 			if err != nil {
 				return nil, err
@@ -431,6 +418,9 @@ func (m *biModel) Assemble(x []float64, conv Convergence) (*SolveResult, error) 
 				}
 				tot := m.r[i] + lh
 				sBar := queueing.WeightedService(m.r[i], entXmix, lh, sh)
+				if u := tot * sBar; u > maxUtil {
+					maxUtil = u
+				}
 				deg, err := vcmodel.Degree(p.V, tot, sBar)
 				if err != nil {
 					return nil, err
@@ -442,15 +432,18 @@ func (m *biModel) Assemble(x []float64, conv Convergence) (*SolveResult, error) 
 	}
 	vX := vXSum / float64(len(m.rows)*2*k)
 
-	vHyB0, err := vcmodel.Degree(p.V, m.r[0], entHyB)
-	if err != nil {
-		return nil, err
+	var vHyB float64
+	for i := 0; i < 2; i++ {
+		if u := m.r[i] * entHyB; u > maxUtil {
+			maxUtil = u
+		}
+		deg, err := vcmodel.Degree(p.V, m.r[i], entHyB)
+		if err != nil {
+			return nil, err
+		}
+		vHyB += deg
 	}
-	vHyB1, err := vcmodel.Degree(p.V, m.r[1], entHyB)
-	if err != nil {
-		return nil, err
-	}
-	vHyB := (vHyB0 + vHyB1) / 2
+	vHyB /= 2
 
 	sRegular := m.pHy*(entHy+wsReg)*vHy +
 		m.pHyB*(entHyB+wsReg)*vHyB +
@@ -488,38 +481,17 @@ func (m *biModel) Assemble(x []float64, conv Convergence) (*SolveResult, error) 
 	}
 	sHot := hotSum / (n - 1)
 
-	// Mean minimal distance of uniform traffic for diagnostics.
-	sumMin := 0
-	for i := 0; i < k; i++ {
-		d := i
-		if k-i < d {
-			d = k - i
-		}
-		sumMin += d
-	}
-	meanDist := 2 * float64(sumMin) / float64(k)
-
 	kf := float64(k)
-	r := &BiResult{
-		Latency:      (1-p.H)*sRegular + p.H*sHot,
-		Regular:      sRegular,
-		Hot:          sHot,
-		WsRegular:    wsReg,
-		VX:           vX,
-		VHy:          vHy,
-		MeanDistance: meanDist,
-		Convergence:  conv,
-	}
 	// Channel-population-weighted mean multiplexing degree: 2k^2 x-channels,
 	// 2k hot-column channels, 2k(k-1) non-hot-column channels.
 	vbar := (2*kf*kf*vX + 2*kf*vHy + 2*kf*(kf-1)*vHyB) / (4 * kf * kf)
 	return &SolveResult{
-		Latency:     r.Latency,
-		Regular:     r.Regular,
-		Hot:         r.Hot,
-		SourceWait:  wsReg,
-		VBar:        vbar,
-		Convergence: conv,
-		Detail:      r,
+		Latency:        (1-p.H)*sRegular + p.H*sHot,
+		Regular:        sRegular,
+		Hot:            sHot,
+		SourceWait:     wsReg,
+		VBar:           vbar,
+		MaxUtilisation: maxUtil,
+		Convergence:    conv,
 	}, nil
 }

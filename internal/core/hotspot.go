@@ -90,33 +90,6 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// Result is the solved model: the scalars of the latency decomposition.
-// The position-indexed service times it is assembled from stay in the
-// solver's flat fixed-point state.
-type Result struct {
-	// Latency is the mean message latency in cycles (Eq. 10).
-	Latency float64
-	// Regular and Hot are the class-conditional mean latencies (the S̄r
-	// and S̄h of Eqs. 11 and 21, including source waiting and virtual-
-	// channel multiplexing).
-	Regular, Hot float64
-	// NetworkRegular and NetworkHot are the corresponding mean network
-	// latencies without source waiting or multiplexing scaling.
-	NetworkRegular, NetworkHot float64
-	// WsRegular is the mean source-queue waiting time of Eq. 32.
-	WsRegular float64
-	// VX, VHy, VHyBar are the mean multiplexing degrees of x-channels, hot
-	// y-ring channels and non-hot y-ring channels (Eqs. 36-37).
-	VX, VHy, VHyBar float64
-	// MaxUtilisation is the highest channel holding-time utilisation in
-	// the network (the hot ring's last channel, at j = 1, unless H = 0).
-	// Because wormhole holding times include stalls, this can exceed 1
-	// near saturation; the flit-capacity bound is enforced separately.
-	MaxUtilisation float64
-	// Convergence is the fixed-point diagnostic summary.
-	Convergence Convergence
-}
-
 // layout segments the flattened fixed-point vector (see state.go for the
 // shared seg machinery).
 type layout struct {
@@ -416,29 +389,8 @@ func init() {
 }
 
 // Assemble computes Eqs. 10-15, 21-24 and 31-37 from the converged service
-// times and wraps them in the variant-independent SolveResult.
+// times.
 func (m *model) Assemble(x []float64, conv Convergence) (*SolveResult, error) {
-	r, err := m.assemble(x, conv)
-	if err != nil {
-		return nil, err
-	}
-	// Channel-count-weighted mean multiplexing degree: k² x-channels, k hot
-	// y-ring channels, k(k-1) non-hot y-ring channels.
-	kf := float64(m.s.K)
-	vbar := (kf*kf*r.VX + kf*r.VHy + kf*(kf-1)*r.VHyBar) / (2 * kf * kf)
-	return &SolveResult{
-		Latency:     r.Latency,
-		Regular:     r.Regular,
-		Hot:         r.Hot,
-		SourceWait:  r.WsRegular,
-		VBar:        vbar,
-		Convergence: conv,
-		Detail:      r,
-	}, nil
-}
-
-// assemble computes the typed Result from the converged service times.
-func (m *model) assemble(x []float64, conv Convergence) (*Result, error) {
 	p, k := m.s, m.s.K
 	kf := float64(k)
 	n := kf * kf
@@ -548,11 +500,9 @@ func (m *model) assemble(x []float64, conv Convergence) (*Result, error) {
 		}
 		return s / float64(j)
 	}
-	var hotSum, hotNetSum float64
+	hotSum := 0.0
 	for j := 1; j <= k-1; j++ {
-		sh := m.l.shoty.at(x, j)
-		hotSum += (sh + wsY[j]) * pathVy(j)
-		hotNetSum += sh
+		hotSum += (m.l.shoty.at(x, j) + wsY[j]) * pathVy(j)
 	}
 	for t := 1; t <= k; t++ {
 		// The x-leg's prefix sum runs along the row, accumulated in the
@@ -569,28 +519,21 @@ func (m *model) assemble(x []float64, conv Convergence) (*Result, error) {
 				cnt += t
 			}
 			vp := vsum / float64(cnt)
-			sh := m.l.shotx[t].at(x, j)
-			hotSum += (sh + wsX[t][j]) * vp
-			hotNetSum += sh
+			hotSum += (m.l.shotx[t].at(x, j) + wsX[t][j]) * vp
 		}
 	}
 	sHot := hotSum / (n - 1)
-	netHot := hotNetSum / (n - 1)
 
-	latency := (1-p.H)*sRegular + p.H*sHot // Eq. 10
-
-	res := &Result{
-		Latency:        latency,
+	// Channel-count-weighted mean multiplexing degree: k² x-channels, k hot
+	// y-ring channels, k(k-1) non-hot y-ring channels.
+	vbar := (kf*kf*vX + kf*vHy + kf*(kf-1)*vHyB) / (2 * kf * kf)
+	return &SolveResult{
+		Latency:        (1-p.H)*sRegular + p.H*sHot, // Eq. 10
 		Regular:        sRegular,
 		Hot:            sHot,
-		NetworkRegular: sr,
-		NetworkHot:     netHot,
-		WsRegular:      wsReg,
-		VX:             vX,
-		VHy:            vHy,
-		VHyBar:         vHyB,
+		SourceWait:     wsReg,
+		VBar:           vbar,
 		MaxUtilisation: maxUtil,
 		Convergence:    conv,
-	}
-	return res, nil
+	}, nil
 }

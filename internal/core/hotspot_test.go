@@ -4,21 +4,19 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"kncube/internal/vcmodel"
 )
 
-// solveDetail solves spec through the registry and returns the variant's
-// typed result (SolveResult.Detail), failing the test on any error.
-func solveDetail[T any](t *testing.T, name string, s Spec, o Options) *T {
+// mustSolve solves spec through the registry, failing the test on any
+// error.
+func mustSolve(t *testing.T, name string, s Spec, o Options) *SolveResult {
 	t.Helper()
 	r, err := Solve(name, s, o)
 	if err != nil {
 		t.Fatalf("Solve(%q, %+v): %v", name, s, err)
 	}
-	d, ok := r.Detail.(*T)
-	if !ok {
-		t.Fatalf("Solve(%q) Detail is %T", name, r.Detail)
-	}
-	return d
+	return r
 }
 
 // TestParamsValidate pins the 2-D torus rules (the shared range check
@@ -88,7 +86,7 @@ func TestZeroLoadLatencyMatchesGeometry(t *testing.T) {
 	// approach the traffic-weighted zero-load value: Lm + mean path length
 	// for each class.
 	p := Spec{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-9}
-	r := solveDetail[Result](t, "hotspot-2d", p, Options{})
+	r := mustSolve(t, "hotspot-2d", p, Options{})
 
 	// Regular zero-load: uniform destinations, mean distance 2·k̄ = 15.
 	wantReg := float64(p.Lm) + 15
@@ -120,18 +118,18 @@ func TestZeroLoadLatencyMatchesGeometry(t *testing.T) {
 	if math.Abs(r.Latency-want) > 0.75 {
 		t.Errorf("zero-load latency %v, want ~%v", r.Latency, want)
 	}
-	if r.WsRegular > 0.01 {
-		t.Errorf("zero-load source wait %v, want ~0", r.WsRegular)
+	if r.SourceWait > 0.01 {
+		t.Errorf("zero-load source wait %v, want ~0", r.SourceWait)
 	}
-	if r.VX > 1.001 || r.VHy > 1.001 || r.VHyBar > 1.001 {
-		t.Errorf("zero-load multiplexing degrees %v %v %v, want ~1", r.VX, r.VHy, r.VHyBar)
+	if vX, vHy, vHyB := classDegrees(solvedState(t, "hotspot-2d", p)); vX > 1.001 || vHy > 1.001 || vHyB > 1.001 {
+		t.Errorf("zero-load multiplexing degrees %v %v %v, want ~1", vX, vHy, vHyB)
 	}
 }
 
 func TestLatencyMonotoneInLambda(t *testing.T) {
 	prev := 0.0
 	for _, lam := range []float64{1e-5, 5e-5, 1e-4, 2e-4, 3e-4, 4e-4} {
-		r := solveDetail[Result](t, "hotspot-2d", Spec{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: lam}, Options{})
+		r := mustSolve(t, "hotspot-2d", Spec{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: lam}, Options{})
 		if r.Latency <= prev {
 			t.Fatalf("latency not increasing at lambda=%v: %v <= %v", lam, r.Latency, prev)
 		}
@@ -143,7 +141,7 @@ func TestLatencyMonotoneInH(t *testing.T) {
 	lam := 1e-4
 	prev := 0.0
 	for _, h := range []float64{0, 0.1, 0.2, 0.4, 0.6} {
-		r := solveDetail[Result](t, "hotspot-2d", Spec{K: 16, V: 2, Lm: 32, H: h, Lambda: lam}, Options{})
+		r := mustSolve(t, "hotspot-2d", Spec{K: 16, V: 2, Lm: 32, H: h, Lambda: lam}, Options{})
 		if r.Latency < prev {
 			t.Fatalf("latency decreased at h=%v: %v < %v", h, r.Latency, prev)
 		}
@@ -154,7 +152,7 @@ func TestLatencyMonotoneInH(t *testing.T) {
 func TestLatencyMonotoneInLm(t *testing.T) {
 	prev := 0.0
 	for _, lm := range []int{8, 16, 32, 64, 100} {
-		r := solveDetail[Result](t, "hotspot-2d", Spec{K: 16, V: 2, Lm: lm, H: 0.2, Lambda: 5e-5}, Options{})
+		r := mustSolve(t, "hotspot-2d", Spec{K: 16, V: 2, Lm: lm, H: 0.2, Lambda: 5e-5}, Options{})
 		if r.Latency <= prev {
 			t.Fatalf("latency not increasing at Lm=%d: %v <= %v", lm, r.Latency, prev)
 		}
@@ -212,7 +210,7 @@ func TestSaturationOrderedInLm(t *testing.T) {
 func TestHotLatencyExceedsRegularNearLoad(t *testing.T) {
 	// Hot-spot messages funnel through congested channels; under load
 	// their latency must exceed the regular-message latency.
-	r := solveDetail[Result](t, "hotspot-2d", Spec{K: 16, V: 2, Lm: 32, H: 0.4, Lambda: 2e-4}, Options{})
+	r := mustSolve(t, "hotspot-2d", Spec{K: 16, V: 2, Lm: 32, H: 0.4, Lambda: 2e-4}, Options{})
 	if r.Hot <= r.Regular {
 		t.Errorf("hot latency %v not above regular %v", r.Hot, r.Regular)
 	}
@@ -231,6 +229,23 @@ func solvedState(t *testing.T, name string, s Spec) *PreparedSolver {
 		t.Fatalf("Solve(%q, %+v): %v", name, s, err)
 	}
 	return ps
+}
+
+// classDegrees returns a solved hotspot-2d solver's class-mean
+// multiplexing degrees (Eqs. 36-37): over the x-channels, the hot y-ring
+// channels and the non-hot y-ring channels. The first two are read from
+// the assembly's per-channel scratch.
+func classDegrees(ps *PreparedSolver) (vX, vHy, vHyB float64) {
+	m := ps.s.(*model)
+	k := m.s.K
+	for l := 1; l <= k; l++ {
+		vHy += m.vHyAt[l]
+		for t := 1; t <= k; t++ {
+			vX += m.vXAt[t][l]
+		}
+	}
+	vHyB, _ = vcmodel.Degree(m.s.V, m.lr, m.entrance(ps.x, m.l.shybar))
+	return vX / float64(k*k), vHy / float64(k), vHyB
 }
 
 func TestServiceTimesDecreaseTowardHotNode(t *testing.T) {
@@ -265,15 +280,15 @@ func TestHotXRowsOrdered(t *testing.T) {
 }
 
 func TestMultiplexingDegreeBounds(t *testing.T) {
-	r := solveDetail[Result](t, "hotspot-2d", Spec{K: 16, V: 3, Lm: 32, H: 0.4, Lambda: 2e-4}, Options{})
-	for _, v := range []float64{r.VX, r.VHy, r.VHyBar} {
+	vX, vHy, vHyB := classDegrees(solvedState(t, "hotspot-2d", Spec{K: 16, V: 3, Lm: 32, H: 0.4, Lambda: 2e-4}))
+	for _, v := range []float64{vX, vHy, vHyB} {
 		if v < 1 || v > 3 {
 			t.Errorf("multiplexing degree %v outside [1, V]", v)
 		}
 	}
 	// The hot ring is the busiest: its multiplexing degree dominates.
-	if r.VHy < r.VHyBar {
-		t.Errorf("hot-ring multiplexing %v below non-hot %v", r.VHy, r.VHyBar)
+	if vHy < vHyB {
+		t.Errorf("hot-ring multiplexing %v below non-hot %v", vHy, vHyB)
 	}
 }
 
@@ -285,8 +300,8 @@ func TestHZeroMatchesUniformBaseline(t *testing.T) {
 	for _, c := range []struct{ lam, tol float64 }{
 		{1e-4, 0.03}, {1e-3, 0.20}, {2e-3, 0.20},
 	} {
-		hs := solveDetail[Result](t, "hotspot-2d", Spec{K: 16, V: 2, Lm: 32, H: 0, Lambda: c.lam}, Options{})
-		u := solveDetail[UniformResult](t, "uniform", Spec{K: 16, Dims: 2, V: 2, Lm: 32, Lambda: c.lam}, Options{})
+		hs := mustSolve(t, "hotspot-2d", Spec{K: 16, V: 2, Lm: 32, H: 0, Lambda: c.lam}, Options{})
+		u := mustSolve(t, "uniform", Spec{K: 16, Dims: 2, V: 2, Lm: 32, Lambda: c.lam}, Options{})
 		rel := math.Abs(hs.Latency-u.Latency) / u.Latency
 		if rel > c.tol {
 			t.Errorf("lambda=%v: h=0 model %v vs uniform baseline %v (rel %v > %v)",
@@ -301,7 +316,7 @@ func TestBlockingFormsFiniteAtLightLoad(t *testing.T) {
 	p := Spec{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 5e-5}
 	var lats []float64
 	for _, form := range []BlockingForm{BlockingVCOccupancy, BlockingMultiServer} {
-		r := solveDetail[Result](t, "hotspot-2d", p, Options{Blocking: form})
+		r := mustSolve(t, "hotspot-2d", p, Options{Blocking: form})
 		lats = append(lats, r.Latency)
 	}
 	for i := 1; i < len(lats); i++ {
@@ -336,7 +351,7 @@ func TestModelCoversLoadRangeUpToCapacity(t *testing.T) {
 
 func TestMaxUtilisationTracksHotChannel(t *testing.T) {
 	p := Spec{K: 16, V: 2, Lm: 32, H: 0.4, Lambda: 2e-4}
-	r := solveDetail[Result](t, "hotspot-2d", p, Options{})
+	r := mustSolve(t, "hotspot-2d", p, Options{})
 	// Holding-time utilisation: can exceed 1 (the flit-capacity bound is
 	// enforced separately) but must stay finite and positive.
 	if r.MaxUtilisation <= 0 || r.MaxUtilisation > 10 || math.IsNaN(r.MaxUtilisation) {
@@ -352,21 +367,18 @@ func TestMaxUtilisationTracksHotChannel(t *testing.T) {
 
 func TestSmallRadixK2(t *testing.T) {
 	// k = 2 is the smallest torus; the model must stay finite and sane.
-	r := solveDetail[Result](t, "hotspot-2d", Spec{K: 2, V: 2, Lm: 8, H: 0.3, Lambda: 1e-3}, Options{})
+	r := mustSolve(t, "hotspot-2d", Spec{K: 2, V: 2, Lm: 8, H: 0.3, Lambda: 1e-3}, Options{})
 	if r.Latency < 8 || math.IsNaN(r.Latency) {
 		t.Errorf("k=2 latency %v", r.Latency)
 	}
 }
 
 func TestResultDiagnosticsPopulated(t *testing.T) {
-	r := solveDetail[Result](t, "hotspot-2d", Spec{K: 8, V: 2, Lm: 16, H: 0.2, Lambda: 1e-4}, Options{})
+	r := mustSolve(t, "hotspot-2d", Spec{K: 8, V: 2, Lm: 16, H: 0.2, Lambda: 1e-4}, Options{})
 	if r.Convergence.Iterations < 1 {
 		t.Error("no iterations recorded")
 	}
-	if r.NetworkRegular <= 0 || r.NetworkHot <= 0 {
-		t.Error("network latencies missing")
-	}
-	if r.Regular < r.NetworkRegular {
-		t.Errorf("scaled regular %v below network %v", r.Regular, r.NetworkRegular)
+	if r.SourceWait <= 0 || r.VBar < 1 || r.MaxUtilisation <= 0 {
+		t.Errorf("diagnostics missing: source wait %v, V̄ %v, max utilisation %v", r.SourceWait, r.VBar, r.MaxUtilisation)
 	}
 }

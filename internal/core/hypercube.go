@@ -32,20 +32,6 @@ import (
 	"kncube/internal/vcmodel"
 )
 
-// HypercubeResult is the solved hypercube model.
-type HypercubeResult struct {
-	// Latency is the mean message latency (the analogue of Eq. 10).
-	Latency float64
-	// Regular and Hot are the class-conditional latencies.
-	Regular, Hot float64
-	// WsRegular is the mean source-queue waiting time.
-	WsRegular float64
-	// V is the mean multiplexing degree over all channels.
-	V float64
-	// Convergence is the fixed-point diagnostic summary.
-	Convergence Convergence
-}
-
 type hyperModel struct {
 	solverBase
 	s        Spec // s.Dims is the cube dimension n; the network has 2^n nodes
@@ -256,8 +242,12 @@ func (m *hyperModel) Assemble(state []float64, conv Convergence) (*SolveResult, 
 
 	// Multiplexing degree averaged over all channels.
 	vSum := 0.0
+	maxUtil := m.lu * srMean // a channel off the hot tree
 	for d := 0; d < n; d++ {
 		sBarHot := queueing.WeightedService(m.lu, srMean, m.lh[d], sh[d])
+		if u := (m.lu + m.lh[d]) * sBarHot; u > maxUtil {
+			maxUtil = u
+		}
 		vHot, err := vcmodel.Degree(m.s.V, m.lu+m.lh[d], sBarHot)
 		if err != nil {
 			return nil, err
@@ -274,21 +264,13 @@ func (m *hyperModel) Assemble(state []float64, conv Convergence) (*SolveResult, 
 	hot := (entHot + ws) * vBar
 	latency := (1-m.s.H)*regular + m.s.H*hot
 
-	r := &HypercubeResult{
-		Latency:     latency,
-		Regular:     regular,
-		Hot:         hot,
-		WsRegular:   ws,
-		V:           vBar,
-		Convergence: conv,
-	}
 	return &SolveResult{
-		Latency:     latency,
-		Regular:     regular,
-		Hot:         hot,
-		SourceWait:  ws,
-		VBar:        vBar,
-		Convergence: conv,
-		Detail:      r,
+		Latency:        latency,
+		Regular:        regular,
+		Hot:            hot,
+		SourceWait:     ws,
+		VBar:           vBar,
+		MaxUtilisation: maxUtil,
+		Convergence:    conv,
 	}, nil
 }

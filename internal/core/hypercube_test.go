@@ -39,14 +39,14 @@ func TestHypercubeParamsValidate(t *testing.T) {
 }
 
 func TestHypercubeZeroLoad(t *testing.T) {
-	r := solveDetail[HypercubeResult](t, "hypercube", Spec{Dims: 6, V: 2, Lm: 16, H: 0.2, Lambda: 1e-9}, Options{})
+	r := mustSolve(t, "hypercube", Spec{Dims: 6, V: 2, Lm: 16, H: 0.2, Lambda: 1e-9}, Options{})
 	// Mean hops of a uniform non-self destination: (n/2)/(1-2^-n).
 	wantReg := 16 + 3.0/(1-math.Pow(2, -6))
 	if math.Abs(r.Regular-wantReg) > 0.2 {
 		t.Errorf("zero-load regular %v, want ~%v", r.Regular, wantReg)
 	}
-	if r.WsRegular > 0.01 || r.V > 1.001 {
-		t.Errorf("zero-load ws %v V %v", r.WsRegular, r.V)
+	if r.SourceWait > 0.01 || r.VBar > 1.001 {
+		t.Errorf("zero-load ws %v V %v", r.SourceWait, r.VBar)
 	}
 }
 
@@ -116,7 +116,7 @@ func TestHypercubeHotServiceShape(t *testing.T) {
 }
 
 func TestHypercubeHotAboveRegular(t *testing.T) {
-	r := solveDetail[HypercubeResult](t, "hypercube", Spec{Dims: 8, V: 2, Lm: 32, H: 0.3, Lambda: 5e-4}, Options{})
+	r := mustSolve(t, "hypercube", Spec{Dims: 8, V: 2, Lm: 32, H: 0.3, Lambda: 5e-4}, Options{})
 	if r.Hot <= r.Regular {
 		t.Errorf("hot %v not above regular %v", r.Hot, r.Regular)
 	}

@@ -36,18 +36,6 @@ import (
 // dimension averages over the geometric first-differing-dimension
 // distribution of a uniform address suffix.
 
-// NDimResult is the solved general model.
-type NDimResult struct {
-	// Latency, Regular, Hot as in Result.
-	Latency, Regular, Hot float64
-	// WsRegular is the mean source waiting time.
-	WsRegular float64
-	// VBar is the channel-averaged multiplexing degree.
-	VBar float64
-	// Convergence is the fixed-point diagnostic summary.
-	Convergence Convergence
-}
-
 type ndimModel struct {
 	solverBase
 	s        Spec // s.Dims is the dimension count n; the network has K^n nodes
@@ -286,17 +274,24 @@ func (m *ndimModel) Assemble(state []float64, conv Convergence) (*SolveResult, e
 
 	// Channel-averaged multiplexing degree.
 	vSum := 0.0
+	maxUtil := 0.0
 	for d := 0; d < n; d++ {
 		entRegD := m.regEntrance(state, d)
 		pHot := math.Pow(float64(k), -float64(d+1))
 		acc := 0.0
 		for j := 1; j <= k-1; j++ {
 			sBar := queueing.WeightedService(m.lr, entRegD, m.lh[d][j], state[m.hotIdx(d, j)])
+			if u := (m.lr + m.lh[d][j]) * sBar; u > maxUtil {
+				maxUtil = u
+			}
 			deg, err := vcmodel.Degree(m.s.V, m.lr+m.lh[d][j], sBar)
 			if err != nil {
 				return nil, err
 			}
 			acc += pHot * deg
+		}
+		if u := m.lr * entRegD; u > maxUtil {
+			maxUtil = u
 		}
 		quiet, err := vcmodel.Degree(m.s.V, m.lr, entRegD)
 		if err != nil {
@@ -311,21 +306,13 @@ func (m *ndimModel) Assemble(state []float64, conv Convergence) (*SolveResult, e
 	hot := (entHot + ws) * vBar
 	latency := (1-m.s.H)*regular + m.s.H*hot
 
-	r := &NDimResult{
-		Latency:     latency,
-		Regular:     regular,
-		Hot:         hot,
-		WsRegular:   ws,
-		VBar:        vBar,
-		Convergence: conv,
-	}
 	return &SolveResult{
-		Latency:     latency,
-		Regular:     regular,
-		Hot:         hot,
-		SourceWait:  ws,
-		VBar:        vBar,
-		Convergence: conv,
-		Detail:      r,
+		Latency:        latency,
+		Regular:        regular,
+		Hot:            hot,
+		SourceWait:     ws,
+		VBar:           vBar,
+		MaxUtilisation: maxUtil,
+		Convergence:    conv,
 	}, nil
 }

@@ -38,15 +38,15 @@ func TestNDimParamsValidate(t *testing.T) {
 }
 
 func TestNDimZeroLoad(t *testing.T) {
-	r := solveDetail[NDimResult](t, "ndim", Spec{K: 8, Dims: 3, V: 2, Lm: 16, H: 0.2, Lambda: 1e-9}, Options{})
+	r := mustSolve(t, "ndim", Spec{K: 8, Dims: 3, V: 2, Lm: 16, H: 0.2, Lambda: 1e-9}, Options{})
 	// Mean hops of a uniform non-self destination in a k-ary n-cube:
 	// n·(k-1)/2 normalised for the self-exclusion.
 	wantHops := 3 * 3.5 / (1 - math.Pow(8, -3))
 	if math.Abs(r.Regular-(16+wantHops)) > 0.3 {
 		t.Errorf("zero-load regular %v, want ~%v", r.Regular, 16+wantHops)
 	}
-	if r.WsRegular > 0.01 || r.VBar > 1.001 {
-		t.Errorf("zero-load ws %v VBar %v", r.WsRegular, r.VBar)
+	if r.SourceWait > 0.01 || r.VBar > 1.001 {
+		t.Errorf("zero-load ws %v VBar %v", r.SourceWait, r.VBar)
 	}
 }
 
@@ -58,7 +58,7 @@ func TestNDimMatchesTwoDimModelAtLightLoad(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ndim: %v", err)
 		}
-		td := solveDetail[Result](t, "hotspot-2d", Spec{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: lam}, Options{})
+		td := mustSolve(t, "hotspot-2d", Spec{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: lam}, Options{})
 		rel := math.Abs(nd.Latency-td.Latency) / td.Latency
 		if rel > 0.05 {
 			t.Errorf("lambda=%v: ndim %v vs 2-D %v (rel %.3f)", lam, nd.Latency, td.Latency, rel)
@@ -110,7 +110,7 @@ func TestNDimSaturationFallsWithN(t *testing.T) {
 }
 
 func TestNDimHotAboveRegular(t *testing.T) {
-	r := solveDetail[NDimResult](t, "ndim", Spec{K: 8, Dims: 3, V: 2, Lm: 32, H: 0.3, Lambda: 1.5e-4}, Options{})
+	r := mustSolve(t, "ndim", Spec{K: 8, Dims: 3, V: 2, Lm: 32, H: 0.3, Lambda: 1.5e-4}, Options{})
 	if r.Hot <= r.Regular {
 		t.Errorf("hot %v not above regular %v", r.Hot, r.Regular)
 	}

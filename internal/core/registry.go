@@ -156,8 +156,8 @@ func NewSolver(name string, s Spec, o Options) (Solver, error) {
 // Solve evaluates the named model variant through the shared fixed-point
 // driver. Every registered variant — "hotspot-2d", "bidirectional-2d",
 // "uniform", "hypercube", "ndim" — is reachable only through Solve,
-// Prepare, SolveBatch and SolveLambdas; SolveResult.Detail carries the
-// variant's typed result.
+// Prepare, SolveBatch and SolveLambdas, and each answers with the same
+// SolveResult.
 func Solve(name string, s Spec, o Options) (*SolveResult, error) {
 	ps, err := Prepare(name, s, o)
 	if err != nil {

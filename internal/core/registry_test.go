@@ -110,8 +110,48 @@ func TestGoldenLatencies(t *testing.T) {
 		if r.Convergence.Iterations <= 0 || !r.Convergence.Converged {
 			t.Errorf("Solve(%q) convergence not populated: %+v", name, r.Convergence)
 		}
-		if r.Detail == nil {
-			t.Errorf("Solve(%q) missing Detail", name)
+		if u := r.MaxUtilisation; !(u > 0) || math.IsInf(u, 0) {
+			t.Errorf("Solve(%q) max utilisation %v, want finite and > 0", name, u)
+		}
+	}
+}
+
+// TestMaxUtilisationEveryVariant: every variant reports the busiest
+// channel's holding-time utilisation, finite, positive and strictly
+// rising with the load; hotspot-2d's is pinned bit for bit on either side
+// of the fig1-h20 knee, where it crosses 1.
+func TestMaxUtilisationEveryVariant(t *testing.T) {
+	loads := map[string][3]float64{
+		"hotspot-2d":       {2.5e-5, 5e-5, 1e-4},
+		"bidirectional-2d": {2.5e-5, 5e-5, 1e-4},
+		"uniform":          {1e-4, 2e-4, 4e-4},
+		"hypercube":        {2.5e-5, 5e-5, 1e-4},
+		"ndim":             {2.5e-5, 5e-5, 1e-4},
+	}
+	for _, name := range Solvers() {
+		lams, ok := loads[name]
+		if !ok {
+			t.Errorf("no loads recorded for solver %q — add them here", name)
+			continue
+		}
+		prev := 0.0
+		for _, lam := range lams {
+			s := goldenSpec(name)
+			s.Lambda = lam
+			u := mustSolve(t, name, s, Options{}).MaxUtilisation
+			if !(u > prev) || math.IsInf(u, 0) {
+				t.Errorf("%s at λ=%v: max utilisation %v, want finite and above %v", name, lam, u, prev)
+			}
+			prev = u
+		}
+	}
+	for _, c := range []struct{ lambda, want float64 }{
+		{2.25e-4, 0.44722290924550356},
+		{3e-4, 1.301577483950161},
+	} {
+		r := mustSolve(t, "hotspot-2d", Spec{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: c.lambda}, Options{})
+		if math.Float64bits(r.MaxUtilisation) != math.Float64bits(c.want) {
+			t.Errorf("hotspot-2d at λ=%v: max utilisation %.17g, want %.17g", c.lambda, r.MaxUtilisation, c.want)
 		}
 	}
 }

@@ -62,9 +62,9 @@ type Solver interface {
 	Assemble(x []float64, conv Convergence) (*SolveResult, error)
 }
 
-// SolveResult is the variant-independent view of a solved model: the
-// latency decomposition every variant produces, the convergence
-// diagnostics, and the variant's full typed result under Detail.
+// SolveResult is a solved model, the one result type of every variant:
+// the latency decomposition, the busiest channel's utilisation and the
+// convergence diagnostics.
 type SolveResult struct {
 	// Latency is the mean message latency in cycles (Eq. 10).
 	Latency float64
@@ -77,11 +77,13 @@ type SolveResult struct {
 	// VBar is the channel-averaged virtual-channel multiplexing degree
 	// (Eqs. 33-37).
 	VBar float64
+	// MaxUtilisation is the highest channel holding-time utilisation
+	// λ·S̄ (Eq. 27) over the network's channel classes. Because wormhole
+	// holding times include stalls, it can exceed 1 near saturation; the
+	// flit-capacity bound is enforced separately.
+	MaxUtilisation float64
 	// Convergence summarises the fixed-point iteration.
 	Convergence Convergence
-	// Detail is the variant's typed result (*Result, *BiResult,
-	// *UniformResult, *HypercubeResult or *NDimResult).
-	Detail any
 }
 
 // RoundBudget returns the fixed-point round budget (the defaulted

@@ -9,25 +9,6 @@ import (
 	"kncube/internal/vcmodel"
 )
 
-// UniformResult is the solved uniform-traffic baseline.
-type UniformResult struct {
-	// Latency is the mean message latency in cycles, including source
-	// waiting and virtual-channel multiplexing.
-	Latency float64
-	// Network is the mean network latency S (no source wait, no V̄).
-	Network float64
-	// SourceWait is the M/G/1 source-queue waiting time.
-	SourceWait float64
-	// Multiplexing is Dally's V̄ at the mean channel load.
-	Multiplexing float64
-	// ChannelRate is the per-channel message rate lambda·k̄.
-	ChannelRate float64
-	// Blocking is the per-channel mean blocking delay.
-	Blocking float64
-	// Convergence is the fixed-point diagnostic summary.
-	Convergence Convergence
-}
-
 // uniformModel is the classic uniform-traffic baseline
 // (Dally-1990/Draper-Ghosh style, adapted to the unidirectional torus with
 // the same blocking composition as the hot-spot model): the mean network
@@ -100,8 +81,8 @@ func (m *uniformModel) Iterate(in, out []float64) error {
 
 func (m *uniformModel) Assemble(x []float64, conv Convergence) (*SolveResult, error) {
 	s := x[0]
-	b, err := m.blocking(&m.c, s, 0)
-	if err != nil {
+	// The converged S must still pass the channel check Iterate applies.
+	if _, err := m.blocking(&m.c, s, 0); err != nil {
 		return nil, fmt.Errorf("%w (uniform channel)", ErrSaturated)
 	}
 	ws, err := queueing.PaperWait(m.s.Lambda/float64(m.s.V), s, m.lm)
@@ -112,24 +93,16 @@ func (m *uniformModel) Assemble(x []float64, conv Convergence) (*SolveResult, er
 	if err != nil {
 		return nil, err
 	}
-	r := &UniformResult{
-		Latency:      (s + ws) * vbar,
-		Network:      s,
-		SourceWait:   ws,
-		Multiplexing: vbar,
-		ChannelRate:  m.lc,
-		Blocking:     b,
-		Convergence:  conv,
-	}
+	latency := (s + ws) * vbar
 	return &SolveResult{
-		Latency: r.Latency,
+		Latency: latency,
 		// All traffic is one (uniform) class.
-		Regular:     r.Latency,
-		Hot:         r.Latency,
-		SourceWait:  ws,
-		VBar:        vbar,
-		Convergence: conv,
-		Detail:      r,
+		Regular:        latency,
+		Hot:            latency,
+		SourceWait:     ws,
+		VBar:           vbar,
+		MaxUtilisation: m.lc * s,
+		Convergence:    conv,
 	}, nil
 }
 

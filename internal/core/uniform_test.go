@@ -38,16 +38,18 @@ func TestUniformParamsValidate(t *testing.T) {
 }
 
 func TestUniformZeroLoad(t *testing.T) {
-	r := solveDetail[UniformResult](t, "uniform", Spec{K: 16, Dims: 2, V: 2, Lm: 32, Lambda: 1e-9}, Options{})
+	s := Spec{K: 16, Dims: 2, V: 2, Lm: 32, Lambda: 1e-9}
+	r := mustSolve(t, "uniform", s, Options{})
 	want := 32.0 + 15.0 // Lm + n(k-1)/2
-	if math.Abs(r.Network-want) > 0.01 {
-		t.Errorf("zero-load network latency %v, want %v", r.Network, want)
+	// The state's one variable is the network latency S.
+	if network := solvedState(t, "uniform", s).x[0]; math.Abs(network-want) > 0.01 {
+		t.Errorf("zero-load network latency %v, want %v", network, want)
 	}
 	if math.Abs(r.Latency-want) > 0.1 {
 		t.Errorf("zero-load latency %v, want ~%v", r.Latency, want)
 	}
-	if r.Multiplexing > 1.0001 {
-		t.Errorf("zero-load multiplexing %v", r.Multiplexing)
+	if r.VBar > 1.0001 {
+		t.Errorf("zero-load multiplexing %v", r.VBar)
 	}
 }
 
@@ -94,8 +96,8 @@ func TestUniformSaturationNearChannelCapacity(t *testing.T) {
 func TestUniformDimsScaling(t *testing.T) {
 	// More dimensions at the same radix mean longer paths and higher
 	// latency at equal lambda.
-	r2 := solveDetail[UniformResult](t, "uniform", Spec{K: 8, Dims: 2, V: 2, Lm: 32, Lambda: 1e-3}, Options{})
-	r3 := solveDetail[UniformResult](t, "uniform", Spec{K: 8, Dims: 3, V: 2, Lm: 32, Lambda: 1e-3}, Options{})
+	r2 := mustSolve(t, "uniform", Spec{K: 8, Dims: 2, V: 2, Lm: 32, Lambda: 1e-3}, Options{})
+	r3 := mustSolve(t, "uniform", Spec{K: 8, Dims: 3, V: 2, Lm: 32, Lambda: 1e-3}, Options{})
 	if r3.Latency <= r2.Latency {
 		t.Errorf("3-D latency %v not above 2-D %v", r3.Latency, r2.Latency)
 	}

@@ -50,8 +50,8 @@ func (c *roundCancel) Err() error {
 }
 
 // sameOutcome fails unless a prepared solve's outcome equals the one-shot
-// reference bit for bit: the same refusal text, or the same latencies,
-// convergence summary and typed result.
+// reference bit for bit: the same refusal text, or the same SolveResult
+// in every field.
 func sameOutcome(t *testing.T, step string, got *SolveResult, gotErr error, want *SolveResult, wantErr error) {
 	t.Helper()
 	if wantErr != nil || gotErr != nil {
@@ -60,13 +60,17 @@ func sameOutcome(t *testing.T, step string, got *SolveResult, gotErr error, want
 		}
 		return
 	}
-	bits := func(r *SolveResult) [5]uint64 {
-		return [5]uint64{math.Float64bits(r.Latency), math.Float64bits(r.Regular),
-			math.Float64bits(r.Hot), math.Float64bits(r.SourceWait), math.Float64bits(r.VBar)}
+	// SolveResult holds scalars only, so == compares every field; the bit
+	// patterns of its floats add what == misses (signed zeros, NaNs).
+	bits := func(r *SolveResult) [9]uint64 {
+		c := r.Convergence
+		return [...]uint64{math.Float64bits(r.Latency), math.Float64bits(r.Regular),
+			math.Float64bits(r.Hot), math.Float64bits(r.SourceWait), math.Float64bits(r.VBar),
+			math.Float64bits(r.MaxUtilisation), math.Float64bits(c.Residual),
+			math.Float64bits(c.Tolerance), math.Float64bits(c.Damping)}
 	}
-	if bits(got) != bits(want) || got.Convergence != want.Convergence || !reflect.DeepEqual(got.Detail, want.Detail) {
-		t.Errorf("%s: prepared latency %.17g (%+v), one-shot %.17g (%+v)",
-			step, got.Latency, got.Convergence, want.Latency, want.Convergence)
+	if *got != *want || bits(got) != bits(want) {
+		t.Errorf("%s: prepared %+v, one-shot %+v", step, *got, *want)
 	}
 }
 

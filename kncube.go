@@ -11,7 +11,8 @@
 //   - validated generalisations: the bidirectional torus
 //     ("bidirectional-2d"), the general k-ary n-cube ("ndim"), and the
 //     hypercube baseline of the authors' predecessor paper ("hypercube");
-//     every variant is solved through Solve, Prepare or SolveBatch;
+//     every variant is solved through Solve, Prepare or SolveBatch and
+//     answers with one SolveResult;
 //   - the flit-level simulator the paper validates against (NewSimulator),
 //     supporting unidirectional and bidirectional channels and both
 //     deterministic and minimal-adaptive routing;
@@ -49,8 +50,9 @@ import (
 // H = 0); zero K or Dims select the variant's natural default.
 type ModelSpec = core.Spec
 
-// SolveResult is the variant-independent latency decomposition produced by
-// Solve; Detail holds the variant's full typed result.
+// SolveResult is the solved model every variant produces: the latency
+// decomposition, the busiest channel's utilisation and the convergence
+// summary.
 type SolveResult = core.SolveResult
 
 // Convergence summarises a solver's fixed-point iteration; every solved
@@ -66,9 +68,10 @@ func Models() []string { return core.Solvers() }
 
 // Solve evaluates the named model variant — "hotspot-2d",
 // "bidirectional-2d", "uniform", "hypercube" or "ndim" — through the shared
-// instrumented fixed-point driver. SolveResult.Detail holds the variant's
-// typed result (*ModelResult, *BiModelResult, *UniformResult,
-// *HypercubeResult or *NDimResult).
+// instrumented fixed-point driver; every variant answers with the same
+// SolveResult. Validate "bidirectional-2d" against a simulator with
+// SimConfig.Bidirectional set and "hypercube" against SimConfig{K: 2,
+// Dims: n}.
 func Solve(model string, s ModelSpec, o ModelOptions) (*SolveResult, error) {
 	return core.Solve(model, s, o)
 }
@@ -125,10 +128,6 @@ func SolveBatch(model string, specs []ModelSpec, o BatchOptions) ([]BatchItem, e
 // (DESIGN.md §4.7 and §10).
 type ModelOptions = core.Options
 
-// ModelResult is the solved hot-spot model: the latency decomposition and
-// its diagnostics, scalars only (the Detail of a "hotspot-2d" solve).
-type ModelResult = core.Result
-
 // Blocking-delay forms. The zero value of ModelOptions selects
 // BlockingVCOccupancy — the calibrated reconstruction used by all harness
 // tooling; BlockingMultiServer is the light-load reference (DESIGN.md
@@ -140,24 +139,6 @@ const (
 
 // ErrSaturated is returned by the models beyond their saturation load.
 var ErrSaturated = core.ErrSaturated
-
-// UniformResult is the solved uniform-traffic baseline (the Detail of a
-// "uniform" solve).
-type UniformResult = core.UniformResult
-
-// BiModelResult is the solved bidirectional-torus model (the Detail of a
-// "bidirectional-2d" solve); pair it with SimConfig.Bidirectional for
-// validation.
-type BiModelResult = core.BiResult
-
-// NDimResult is the solved general k-ary n-cube model (the Detail of an
-// "ndim" solve).
-type NDimResult = core.NDimResult
-
-// HypercubeResult is the solved hypercube model (the Detail of a
-// "hypercube" solve); validate it against the simulator with
-// SimConfig{K: 2, Dims: n}.
-type HypercubeResult = core.HypercubeResult
 
 // SaturationLambda bisects for the largest stable load of any solver.
 func SaturationLambda(solve func(lambda float64) error, lo, hi, relTol float64) (float64, error) {
