@@ -234,7 +234,9 @@ func solvedState(t *testing.T, name string, s Spec) *PreparedSolver {
 // classDegrees returns a solved hotspot-2d solver's class-mean
 // multiplexing degrees (Eqs. 36-37): over the x-channels, the hot y-ring
 // channels and the non-hot y-ring channels. The first two are read from
-// the assembly's per-channel scratch.
+// the assembly's per-channel scratch, the third is evaluated from the
+// state as Assemble evaluates it (the solve's assembly did so without
+// error, so its error is dropped).
 func classDegrees(ps *PreparedSolver) (vX, vHy, vHyB float64) {
 	m := ps.s.(*model)
 	k := m.s.K
