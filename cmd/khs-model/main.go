@@ -2,8 +2,9 @@
 // Loucif, Ould-Khaoua, Min (IPDPS 2005) for k-ary n-cubes.
 //
 // The -model flag selects any registered model variant (hotspot-2d,
-// bidirectional-2d, uniform, hypercube, ndim) and composes with every mode:
-// a single point (default), -sweep, and -saturation.
+// bidirectional-2d, uniform, ndim, and hypercube, which is ndim at K = 2)
+// and composes with every mode: a single point (default), -sweep, and
+// -saturation.
 //
 // Usage:
 //

@@ -141,7 +141,6 @@ func TestHotPathRootsArePinned(t *testing.T) {
 		"telemetry.(*Histogram).Observe",
 		"core.(*model).Iterate",
 		"core.(*biModel).Iterate",
-		"core.(*hyperModel).Iterate",
 		"core.(*ndimModel).Iterate",
 		"core.(*uniformModel).Iterate",
 	} {

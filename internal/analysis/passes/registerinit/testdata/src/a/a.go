@@ -5,22 +5,24 @@ package a
 
 import "kncube/internal/core"
 
-func factory(s core.Spec, o core.Options) (core.Solver, error) { return nil, nil }
+func rules(s core.Spec) error { return nil }
+
+func factory(s core.Spec, o core.Options) core.Solver { return nil }
 
 func init() {
-	core.Register("fixture-init", core.Spec{}, factory) // init-time registration: allowed
+	core.Register("fixture-init", core.Spec{}, rules, factory) // init-time registration: allowed
 }
 
 func lateRegister() {
-	core.Register("fixture-late", core.Spec{}, factory) // want `core\.Register outside an init func`
+	core.Register("fixture-late", core.Spec{}, rules, factory) // want `core\.Register outside an init func`
 }
 
 var _ = func() bool {
-	core.Register("fixture-var", core.Spec{}, factory) // want `core\.Register outside an init func`
+	core.Register("fixture-var", core.Spec{}, rules, factory) // want `core\.Register outside an init func`
 	return true
 }()
 
 func suppressed() {
 	//lint:ignore registerinit fixture exercises the suppression path
-	core.Register("fixture-suppressed", core.Spec{}, factory)
+	core.Register("fixture-suppressed", core.Spec{}, rules, factory)
 }

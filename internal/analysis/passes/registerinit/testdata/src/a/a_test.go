@@ -4,5 +4,5 @@ import "kncube/internal/core"
 
 // Tests may register throwaway solver variants under unique names.
 func registerForTest() {
-	core.Register("fixture-test-only", core.Spec{}, factory)
+	core.Register("fixture-test-only", core.Spec{}, rules, factory)
 }

@@ -65,8 +65,8 @@ func TestAccelNoneIsBitIdenticalToDefault(t *testing.T) {
 		"hotspot-2d":       50.279061333373619,
 		"bidirectional-2d": 40.892751654238204,
 		"uniform":          49.472803116714566,
-		"hypercube":        36.134133213199313,
-		"ndim":             49.374738316941915,
+		"hypercube":        36.134132101215386,
+		"ndim":             49.374738338870849,
 	}
 	for _, name := range Solvers() {
 		none, err := Solve(name, goldenSpec(name), Options{FixPoint: fixpoint.Options{Acceleration: fixpoint.AccelNone}})

@@ -15,9 +15,6 @@ func TestIterateAllocFree(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewSolver(%q): %v", name, err)
 			}
-			if err := s.Validate(); err != nil {
-				t.Fatalf("Validate(%q): %v", name, err)
-			}
 			s.Prepare()
 			in := make([]float64, s.StateSize())
 			out := make([]float64, len(in))

@@ -26,10 +26,11 @@ import (
 // once, re-solvable for many offered loads. It is not safe for concurrent
 // use — the state buffer and the workspace are shared across solves.
 type PreparedSolver struct {
-	name string
-	s    Solver
-	o    Options
-	x    []float64
+	name  string
+	s     Solver
+	rules Rules // the variant's, rechecked with each solve's load
+	o     Options
+	x     []float64
 	// ws is the fixed-point scratch every solve of this shape reuses; the
 	// first solve grows it, and each solve resets what it carries over.
 	ws   fixpoint.Workspace
@@ -45,16 +46,17 @@ type PreparedSolver struct {
 // solver that can be re-solved for many offered loads without repeating
 // the spec-invariant setup.
 func Prepare(name string, s Spec, o Options) (*PreparedSolver, error) {
-	sol, err := NewSolver(name, s, o)
+	v, err := lookup(name)
 	if err != nil {
 		return nil, err
 	}
-	if err := sol.Validate(); err != nil {
+	sol, err := v.solver(s, o)
+	if err != nil {
 		return nil, err
 	}
 	sol.Prepare()
-	ps := &PreparedSolver{name: name, s: sol, o: o, x: make([]float64, sol.StateSize()),
-		key: keyOf(name, Canonical(name, s), o)}
+	ps := &PreparedSolver{name: name, s: sol, rules: v.rules, o: o, x: make([]float64, sol.StateSize()),
+		key: keyOf(name, v.canonical(s), o)}
 	if t := reflect.TypeOf(sol); t.Kind() == reflect.Pointer {
 		ps.modelBytes = int(t.Elem().Size())
 	}
@@ -85,10 +87,10 @@ func (ps *PreparedSolver) SolveWarm(lambda float64) (*SolveResult, error) {
 }
 
 func (ps *PreparedSolver) solve(lambda float64, warm bool) (*SolveResult, error) {
-	ps.s.SetLambda(lambda)
-	if err := ps.s.Validate(); err != nil {
+	if err := ps.rules(ps.key.spec(lambda)); err != nil {
 		return nil, err
 	}
+	ps.s.SetLambda(lambda)
 	if !warm || !ps.warm {
 		ps.s.InitState(ps.x)
 	}
@@ -148,6 +150,11 @@ func keyOf(name string, s Spec, o Options) poolKey {
 	return poolKey{name: name, k: s.K, dims: s.Dims, v: s.V, lm: s.Lm, h: math.Float64bits(s.H),
 		blocking: o.Blocking, tolerance: math.Float64bits(fp.Tolerance), maxIterations: fp.MaxIterations,
 		damping: math.Float64bits(fp.Damping), acceleration: fp.Acceleration}
+}
+
+// spec is the canonical spec k files, at offered load lambda.
+func (k poolKey) spec(lambda float64) Spec {
+	return Spec{K: k.k, Dims: k.dims, V: k.v, Lm: k.lm, H: math.Float64frombits(k.h), Lambda: lambda}
 }
 
 // maxIdleBytes bounds the bytes the idle solvers of one PreparedSet hold,

@@ -197,8 +197,7 @@ func (m *biModel) SetLambda(lambda float64) {
 	}
 }
 
-func (m *biModel) Validate() error { return validateTorus(m.s) }
-func (m *biModel) StateSize() int  { return m.n }
+func (m *biModel) StateSize() int { return m.n }
 
 // InitState writes the zero-load starting point.
 func (m *biModel) InitState(x []float64) {
@@ -331,12 +330,12 @@ func (m *biModel) Iterate(in, out []float64) error {
 }
 
 func init() {
-	Register("bidirectional-2d", Spec{Dims: 2}, func(s Spec, o Options) (Solver, error) {
+	Register("bidirectional-2d", Spec{Dims: 2}, func(s Spec) error {
 		if s.Dims != 2 {
-			return nil, fieldErrf("dims", "core: the bidirectional-2d solver models a 2-D torus, got Dims = %d", s.Dims)
+			return fieldErrf("dims", "core: the bidirectional-2d solver models a 2-D torus, got Dims = %d", s.Dims)
 		}
-		return newBiModel(s, o), nil
-	})
+		return validateTorus(s)
+	}, func(s Spec, o Options) Solver { return newBiModel(s, o) })
 }
 
 // Assemble computes the latency decomposition from the converged state.

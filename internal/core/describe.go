@@ -2,9 +2,9 @@ package core
 
 import "errors"
 
-// Constraint discovery for API clients. The variants keep their parameter
-// rules inside Validate (single source of truth); Constraints recovers a
-// per-field description of those rules by probing the validator with
+// Constraint discovery for API clients. Each variant keeps its parameter
+// rules in the Rules it registered (single source of truth); Constraints
+// recovers a per-field description of those rules by probing them with
 // deliberately-invalid specs and harvesting the *FieldError each probe
 // provokes. The probe values are invalid for every registered variant, so
 // each probe isolates exactly the field it mutates.
@@ -20,7 +20,7 @@ type Constraint struct {
 // probeBases are candidate valid operating points; Constraints uses the
 // first one the variant accepts. Together they cover every registered
 // variant: the torus variants take the Figure-1 shape, the uniform
-// baseline needs H = 0, and the hypercube needs K = 2.
+// baseline needs H = 0, and the hypercube (ndim at K = 2) needs K = 2.
 var probeBases = []Spec{
 	{K: 16, Dims: 2, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4},
 	{K: 16, Dims: 2, V: 2, Lm: 32, H: 0, Lambda: 1e-4},
@@ -49,10 +49,11 @@ var probes = []struct {
 // model name errors. A field with no entry is unconstrained for this
 // variant beyond what the probe could observe.
 func Constraints(name string) ([]Constraint, error) {
-	if _, err := lookup(name); err != nil {
+	v, err := lookup(name)
+	if err != nil {
 		return nil, err
 	}
-	base, ok := validBase(name)
+	base, ok := v.validBase()
 	if !ok {
 		// Unreachable for the registered variants (probeBases covers them
 		// all); an externally-registered variant with an exotic operating
@@ -63,7 +64,7 @@ func Constraints(name string) ([]Constraint, error) {
 	for _, p := range probes {
 		sp := base
 		p.mutate(&sp)
-		err := ValidateSpec(name, sp, Options{})
+		err := v.rules(v.canonical(sp))
 		var fe *FieldError
 		if errors.As(err, &fe) {
 			out = append(out, Constraint{Field: fe.Field, Reason: fe.Reason})
@@ -72,26 +73,12 @@ func Constraints(name string) ([]Constraint, error) {
 	return out, nil
 }
 
-// validBase returns the first probe base the variant accepts.
-func validBase(name string) (Spec, bool) {
+// validBase returns the first probe base the variant's rules accept.
+func (v variant) validBase() (Spec, bool) {
 	for _, b := range probeBases {
-		if ValidateSpec(name, b, Options{}) == nil {
+		if v.rules(v.canonical(b)) == nil {
 			return b, true
 		}
 	}
 	return Spec{}, false
-}
-
-// ValidateSpec runs the named variant's full validation path for s under
-// o — the registry lookup, the option checks (Options.Validate), the
-// factory checks (which reject variant-contradicting fields) and
-// Solver.Validate (which range-checks) — without preparing or solving
-// anything. Its error is the one a Solve of the same arguments would
-// return before iterating.
-func ValidateSpec(name string, s Spec, o Options) error {
-	sol, err := NewSolver(name, s, o)
-	if err != nil {
-		return err
-	}
-	return sol.Validate()
 }

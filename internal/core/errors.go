@@ -5,8 +5,8 @@ import "fmt"
 // FieldError attributes a parameter-validation failure to the Spec field
 // that caused it, so API layers (the khs-serve daemon in particular) can
 // return structured errors — (field, reason) pairs — instead of opaque
-// strings. Every Validate method and registry factory reports its failures
-// through this type; errors.As extracts it anywhere downstream.
+// strings. Every variant's Rules and the registry lookup report their
+// failures through this type; errors.As extracts it anywhere downstream.
 //
 // Field is the canonical lower-case JSON/flag name of the offending
 // parameter: "model", "k", "dims", "v", "lm", "h", "lambda", or, for an

@@ -118,9 +118,6 @@ func TestIteratePure(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewSolver(%q): %v", name, err)
 			}
-			if err := s.Validate(); err != nil {
-				t.Fatalf("Validate(%q): %v", name, err)
-			}
 			s.Prepare()
 			n := s.StateSize()
 			// prev is the round before in: three rounds from the

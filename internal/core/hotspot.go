@@ -79,8 +79,8 @@ type Options struct {
 
 // Validate refuses blocking forms no solver implements, among them the
 // retired numbers (paper 1, wait-only 2, bandwidth 4; DESIGN.md §4.7).
-// NewSolver applies it, and surface.Def.Validate applies it to persisted
-// surface definitions.
+// Every registry entry point applies it, and surface.Def.Validate applies
+// it to persisted surface definitions.
 func (o Options) Validate() error {
 	switch o.Blocking {
 	case BlockingVCOccupancy, BlockingMultiServer:
@@ -335,16 +335,14 @@ func (m *model) Iterate(in, out []float64) error {
 	return nil
 }
 
-// Validate and StateSize complete the Solver interface.
-func (m *model) Validate() error { return validateTorus(m.s) }
-func (m *model) StateSize() int  { return m.l.size }
+func (m *model) StateSize() int { return m.l.size }
 
 // maxTorusK is the largest 2-D torus radix validateTorus accepts: the
 // torus state grows as K², and (K+6)(K-1) stays under maxStateSize.
 const maxTorusK = 1 << 10
 
 // validateTorus is the 2-D torus variants' range check (hotspot-2d and
-// bidirectional-2d; their factories enforce Dims = 2).
+// bidirectional-2d; their rules check Dims = 2 first).
 func validateTorus(s Spec) error {
 	if s.K < 2 || s.K > maxTorusK {
 		return fieldErrf("k", "core: K = %d, want 2..%d", s.K, maxTorusK)
@@ -380,12 +378,12 @@ func (m *model) InitState(x []float64) {
 }
 
 func init() {
-	Register("hotspot-2d", Spec{Dims: 2}, func(s Spec, o Options) (Solver, error) {
+	Register("hotspot-2d", Spec{Dims: 2}, func(s Spec) error {
 		if s.Dims != 2 {
-			return nil, fieldErrf("dims", "core: hotspot-2d models the 2-D torus, got Dims = %d", s.Dims)
+			return fieldErrf("dims", "core: hotspot-2d models the 2-D torus, got Dims = %d", s.Dims)
 		}
-		return newModel(s, o), nil
-	})
+		return validateTorus(s)
+	}, func(s Spec, o Options) Solver { return newModel(s, o) })
 }
 
 // Assemble computes Eqs. 10-15, 21-24 and 31-37 from the converged service

@@ -2,9 +2,28 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
+
+	"kncube/internal/fixpoint"
 )
+
+// TestHypercubeIsNDimAtK2: the hypercube is the ndim model at K = 2, so
+// the two names answer every load, refused ones included, bit for bit
+// alike under both accelerations.
+func TestHypercubeIsNDimAtK2(t *testing.T) {
+	for _, acc := range []fixpoint.Acceleration{fixpoint.AccelNone, fixpoint.AccelAnderson} {
+		o := Options{FixPoint: fixpoint.Options{Acceleration: acc}}
+		for i, lambda := range bitIdentityLambdas() {
+			s := bitIdentityShape("hypercube")
+			s.Lambda = lambda
+			hc, hcErr := Solve("hypercube", s, o)
+			nd, ndErr := Solve("ndim", s, o)
+			sameOutcome(t, fmt.Sprintf("%s λ[%d]", acc, i), hc, hcErr, nd, ndErr)
+		}
+	}
+}
 
 // TestHypercubeParamsValidate pins the hypercube's rules (K = 2 with K 0
 // standing for it, Dims 1..30, V >= 1, then the shared ranges) and the

@@ -40,15 +40,18 @@ type ndimModel struct {
 	solverBase
 	s        Spec // s.Dims is the dimension count n; the network has K^n nodes
 	prepared bool
-	lr       float64     // Eq. 3
-	lh       [][]float64 // lh[d][j] = lambda·h·k^d·(k-j)
+	lr       float64   // Eq. 3
+	lh       []float64 // lh[hotIdx(d, j)] = lambda·h·k^d·(k-j)
+	// pHot[d] = k^-(d+1), the fraction of dimension-d channels at each
+	// hot position j.
+	pHot []float64
 	// Channel classes, rebuilt by SetLambda: a channel off the hot tree,
-	// and the hot channels, [d][j].
+	// and the hot channels, [hotIdx(d, j)].
 	cQuiet channel
-	cHot   [][]channel
-	// Round scratch: the hot-channel delays, [d][j], and each
+	cHot   []channel
+	// Round scratch: the hot-channel delays, [hotIdx(d, j)], and each
 	// dimension's averaged regular delay, [d].
-	bHot [][]float64
+	bHot []float64
 	bAvg []float64
 }
 
@@ -61,21 +64,14 @@ func newNDimModel(s Spec, o Options) *ndimModel {
 func (m *ndimModel) Prepare() {
 	if !m.prepared {
 		n, k := m.s.Dims, m.s.K
-		if n < 0 {
-			n = 0
-		}
-		if k < 0 {
-			k = 0
-		}
-		m.lh = make([][]float64, n)
-		m.cHot = make([][]channel, n)
-		m.bHot = make([][]float64, n)
-		for d := 0; d < n; d++ {
-			m.lh[d] = make([]float64, k+1)
-			m.cHot[d] = make([]channel, k+1)
-			m.bHot[d] = make([]float64, k)
-		}
+		m.lh = make([]float64, n*(k-1))
+		m.cHot = make([]channel, n*(k-1))
+		m.bHot = make([]float64, n*(k-1))
 		m.bAvg = make([]float64, n)
+		m.pHot = make([]float64, n)
+		for d := range m.pHot {
+			m.pHot[d] = math.Pow(float64(k), -float64(d+1))
+		}
 		m.prepared = true
 	}
 	m.SetLambda(m.s.Lambda)
@@ -83,7 +79,7 @@ func (m *ndimModel) Prepare() {
 
 // held is the bytes of the buffers Prepare built (see heldSizer).
 func (m *ndimModel) held() int {
-	return bytesOf2(m.lh) + bytesOf2(m.cHot) + bytesOf2(m.bHot) + bytesOf(m.bAvg)
+	return bytesOf(m.lh) + bytesOf(m.cHot) + bytesOf(m.bHot) + bytesOf(m.bAvg) + bytesOf(m.pHot)
 }
 
 // SetLambda recomputes the λ-dependent traffic rates and the channel
@@ -96,33 +92,51 @@ func (m *ndimModel) SetLambda(lambda float64) {
 	m.lr = p.Lambda * (1 - p.H) * float64(p.K-1) / 2
 	m.cQuiet = m.channel(m.lr, 0)
 	k := p.K
-	if k < 0 {
-		k = 0
-	}
 	kd := 1.0
-	for d := range m.lh {
-		for j := 1; j <= k; j++ {
-			m.lh[d][j] = p.Lambda * p.H * kd * float64(k-j)
-			m.cHot[d][j] = m.channel(m.lr, m.lh[d][j])
+	for d := range m.pHot {
+		for j := 1; j <= k-1; j++ {
+			i := m.hotIdx(d, j)
+			m.lh[i] = p.Lambda * p.H * kd * float64(k-j)
+			m.cHot[i] = m.channel(m.lr, m.lh[i])
 		}
 		kd *= float64(k)
 	}
 }
 
-// Validate checks the radix, the dimension count and the node-count cap,
-// then the shared ranges.
-func (m *ndimModel) Validate() error {
-	if m.s.K < 2 {
-		return fieldErrf("k", "core: ndim K = %d, want >= 2", m.s.K)
+// validateNDim checks the radix, the dimension count and the node-count
+// cap, then the shared ranges. The virtual-channel floor follows the
+// geometry: a ring of k > 2 nodes has a cycle that deterministic routing
+// needs two virtual channels to break, while dimension-order routing on a
+// 2-node ring crosses at most one hop per dimension, so at K = 2 one
+// virtual channel suffices.
+func validateNDim(s Spec) error {
+	if s.K < 2 {
+		return fieldErrf("k", "core: ndim K = %d, want >= 2", s.K)
 	}
-	if m.s.Dims < 1 {
-		return fieldErrf("dims", "core: ndim Dims = %d, want >= 1", m.s.Dims)
+	if s.Dims < 1 {
+		return fieldErrf("dims", "core: ndim Dims = %d, want >= 1", s.Dims)
 	}
-	if math.Pow(float64(m.s.K), float64(m.s.Dims)) > 1<<30 ||
-		2*float64(m.s.Dims)*float64(m.s.K-1) > maxStateSize {
-		return fieldErrf("k", "core: ndim K^Dims too large (K=%d, Dims=%d)", m.s.K, m.s.Dims)
+	if math.Pow(float64(s.K), float64(s.Dims)) > 1<<30 ||
+		2*float64(s.Dims)*float64(s.K-1) > maxStateSize {
+		return fieldErrf("k", "core: ndim K^Dims too large (K=%d, Dims=%d)", s.K, s.Dims)
 	}
-	return m.s.checkRanges(2)
+	minV := 2
+	if s.K == 2 {
+		minV = 1
+	}
+	return s.checkRanges(minV)
+}
+
+// validateHypercube is the hypercube's rules: the 2-ary n-cube of 1..30
+// dimensions, then ndim's rules.
+func validateHypercube(s Spec) error {
+	if s.K != 2 {
+		return fieldErrf("k", "core: the hypercube is the 2-ary n-cube, got K = %d", s.K)
+	}
+	if s.Dims < 1 || s.Dims > 30 {
+		return fieldErrf("dims", "core: hypercube Dims = %d, want 1..30", s.Dims)
+	}
+	return validateNDim(s)
 }
 
 // StateSize: hot services [d][j] then regular services [d][b], both
@@ -140,11 +154,11 @@ func (m *ndimModel) regIdx(d, b int) int {
 }
 
 // InitState writes the zero-load services: j hops in this dimension plus
-// the expected remaining path (half ring per remaining dimension, roughly).
+// the expected remaining path, (k-1)/2 hops per remaining dimension.
 func (m *ndimModel) InitState(x []float64) {
 	k, n := m.s.K, m.s.Dims
 	for d := 0; d < n; d++ {
-		rem := float64(n-1-d) * float64(k-1) / 2 / 2
+		rem := float64(n-1-d) * float64(k-1) / 2
 		for j := 1; j <= k-1; j++ {
 			x[m.hotIdx(d, j)] = m.lm + float64(j) + rem
 			x[m.regIdx(d, j)] = m.lm + float64(j) + rem
@@ -152,30 +166,26 @@ func (m *ndimModel) InitState(x []float64) {
 	}
 }
 
-// cont returns the expected continuation service after finishing
-// dimension d for a hot-spot (hot = true) or regular message, read from
-// the entries of x for the dimensions above d.
-func (m *ndimModel) cont(x []float64, d int, hot bool) float64 {
+// cont returns the expected continuation services after finishing
+// dimension d of a hot-spot and of a regular message, read from the
+// entries of x for the dimensions above d only.
+func (m *ndimModel) cont(x []float64, d int) (hot, reg float64) {
 	k, n := m.s.K, m.s.Dims
+	inv := 1.0 / float64(k)
 	// The message's remaining address digits are uniform; the next crossed
 	// dimension is the first one among d+1..n-1 with a nonzero offset.
-	val := 0.0
 	pSame := 1.0
 	for d2 := d + 1; d2 < n; d2++ {
 		// Offset in dimension d2 is nonzero with probability (k-1)/k; each
 		// distance 1..k-1 equally likely.
-		for t := 1; t <= k-1; t++ {
-			var s float64
-			if hot {
-				s = x[m.hotIdx(d2, t)]
-			} else {
-				s = x[m.regIdx(d2, t)]
-			}
-			val += pSame * (1.0 / float64(k)) * s
+		h, r := x[m.hotIdx(d2, 1):m.hotIdx(d2+1, 1)], x[m.regIdx(d2, 1):m.regIdx(d2+1, 1)]
+		for t := range h {
+			hot += pSame * inv * h[t]
+			reg += pSame * inv * r[t]
 		}
 		pSame /= float64(k)
 	}
-	return val + pSame*m.lm
+	return hot + pSame*m.lm, reg + pSame*m.lm
 }
 
 // regEntrance returns the mean regular service over a dimension's
@@ -204,19 +214,20 @@ func (m *ndimModel) Iterate(in, out []float64) error {
 		// Hot channels. Their delays also enter the regular average
 		// below, which sees the same channels with the same arguments.
 		for j := 1; j <= k-1; j++ {
-			b, err := m.blocking(&m.cHot[d][j], entReg, in[m.hotIdx(d, j)])
+			i := m.hotIdx(d, j)
+			b, err := m.blocking(&m.cHot[i], entReg, in[i])
 			if err != nil {
 				return fmt.Errorf("%w (ndim hot, dim %d ch %d)", ErrSaturated, d, j)
 			}
-			m.bHot[d][j] = b
+			m.bHot[i] = b
 		}
 		// Regular blocking: the hot-tree-weighted average over the
 		// dimension's channels (a fraction k^-(d+1) of them sit at each
 		// hot position j).
-		pHot := math.Pow(float64(k), -float64(d+1))
+		pHot := m.pHot[d]
 		bAvg := 0.0
-		for j := 1; j <= k-1; j++ {
-			bAvg += pHot * m.bHot[d][j]
+		for _, b := range m.bHot[m.hotIdx(d, 1):m.hotIdx(d+1, 1)] {
+			bAvg += pHot * b
 		}
 		bQuiet, err := m.blocking(&m.cQuiet, entReg, 0)
 		if err != nil {
@@ -225,24 +236,30 @@ func (m *ndimModel) Iterate(in, out []float64) error {
 		m.bAvg[d] = bAvg + (1-float64(k-1)*pHot)*bQuiet
 	}
 	for d := n - 1; d >= 0; d-- {
-		next := m.cont(out, d, true)
+		hot, reg := m.cont(out, d)
 		for j := 1; j <= k-1; j++ {
-			next = 1 + m.bHot[d][j] + next
-			out[m.hotIdx(d, j)] = next
+			i := m.hotIdx(d, j)
+			hot = 1 + m.bHot[i] + hot
+			out[i] = hot
 		}
-		next = m.cont(out, d, false)
 		for b := 1; b <= k-1; b++ {
-			next = 1 + m.bAvg[d] + next
-			out[m.regIdx(d, b)] = next
+			reg = 1 + m.bAvg[d] + reg
+			out[m.regIdx(d, b)] = reg
 		}
 	}
 	return nil
 }
 
+// The hypercube baseline, the model of the authors' predecessor paper
+// (S. Loucif and M. Ould-Khaoua, J. Supercomputing 27(3), 2004; the
+// paper's reference [12]), is the 2-ary n-cube: with k = 2 each ring is
+// one channel, so unidirectional and bidirectional networks coincide and
+// the hot tree above puts one hot channel in each dimension. It is this
+// model at K = 2, under its own name and rules.
 func init() {
-	Register("ndim", Spec{Dims: 2}, func(s Spec, o Options) (Solver, error) {
-		return newNDimModel(s, o), nil
-	})
+	factory := func(s Spec, o Options) Solver { return newNDimModel(s, o) }
+	Register("ndim", Spec{Dims: 2}, validateNDim, factory)
+	Register("hypercube", Spec{K: 2}, validateHypercube, factory)
 }
 
 // Assemble computes the latency decomposition from the converged state.
@@ -277,14 +294,15 @@ func (m *ndimModel) Assemble(state []float64, conv Convergence) (*SolveResult, e
 	maxUtil := 0.0
 	for d := 0; d < n; d++ {
 		entRegD := m.regEntrance(state, d)
-		pHot := math.Pow(float64(k), -float64(d+1))
+		pHot := m.pHot[d]
 		acc := 0.0
 		for j := 1; j <= k-1; j++ {
-			sBar := queueing.WeightedService(m.lr, entRegD, m.lh[d][j], state[m.hotIdx(d, j)])
-			if u := (m.lr + m.lh[d][j]) * sBar; u > maxUtil {
+			i := m.hotIdx(d, j)
+			sBar := queueing.WeightedService(m.lr, entRegD, m.lh[i], state[i])
+			if u := (m.lr + m.lh[i]) * sBar; u > maxUtil {
 				maxUtil = u
 			}
-			deg, err := vcmodel.Degree(m.s.V, m.lr+m.lh[d][j], sBar)
+			deg, err := vcmodel.Degree(m.s.V, m.lr+m.lh[i], sBar)
 			if err != nil {
 				return nil, err
 			}

@@ -7,12 +7,13 @@ import (
 )
 
 // TestNDimParamsValidate pins the general model's rules (K >= 2, Dims >= 1
-// with Dims 0 standing for 2, the K^Dims cap, V >= 2, then the shared
-// ranges) and the field each rejection names.
+// with Dims 0 standing for 2, the K^Dims cap, V >= 2 except V >= 1 at
+// K = 2, then the shared ranges) and the field each rejection names.
 func TestNDimParamsValidate(t *testing.T) {
 	for _, good := range []Spec{
 		{K: 8, Dims: 3, V: 2, Lm: 16, H: 0.2, Lambda: 1e-4},
 		{K: 8, V: 2, Lm: 16, H: 0.2, Lambda: 1e-4},
+		{K: 2, Dims: 3, V: 1, Lm: 16, H: 0.2, Lambda: 1e-4},
 	} {
 		if err := ValidateSpec("ndim", good, Options{}); err != nil {
 			t.Fatalf("good spec %+v rejected: %v", good, err)
@@ -25,6 +26,7 @@ func TestNDimParamsValidate(t *testing.T) {
 		{Spec{K: 1, Dims: 3, V: 2, Lm: 16, H: 0.2, Lambda: 1e-4}, "k"},
 		{Spec{K: 8, Dims: -1, V: 2, Lm: 16, H: 0.2, Lambda: 1e-4}, "dims"},
 		{Spec{K: 8, Dims: 3, V: 1, Lm: 16, H: 0.2, Lambda: 1e-4}, "v"},
+		{Spec{K: 3, Dims: 3, V: 1, Lm: 16, H: 0.2, Lambda: 1e-4}, "v"},
 		{Spec{K: 8, Dims: 3, V: 2, Lm: 0, H: 0.2, Lambda: 1e-4}, "lm"},
 		{Spec{K: 8, Dims: 3, V: 2, Lm: 16, H: 1, Lambda: 1e-4}, "h"},
 		{Spec{K: 8, Dims: 3, V: 2, Lm: 16, H: 0.2, Lambda: 0}, "lambda"},

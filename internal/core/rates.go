@@ -23,9 +23,6 @@ func Rates(s Spec) (ChannelRates, error) {
 	if err != nil {
 		return ChannelRates{}, err
 	}
-	if err := sol.Validate(); err != nil {
-		return ChannelRates{}, err
-	}
 	m := sol.(*model)
 	m.Prepare()
 	cr := ChannelRates{

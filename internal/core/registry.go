@@ -9,11 +9,11 @@ import (
 )
 
 // Spec is the variant-independent parameter set the registry accepts: the
-// union of the five variants' parameters, and the only parameter type the
-// models take. Fields a variant does not use are validated by its factory (e.g. the
-// hypercube requires K = 2, the uniform baseline requires H = 0); a zero K
-// or Dims stands for the variant's natural default where one exists, and
-// Canonical spells that default out.
+// union of the registered variants' parameters, and the only parameter
+// type the models take. Each variant's rules refuse the fields it cannot
+// represent (e.g. the hypercube requires K = 2, the uniform baseline
+// requires H = 0); a zero K or Dims stands for the variant's natural
+// default where one exists, and Canonical spells that default out.
 type Spec struct {
 	// K is the radix; Dims the dimension count n.
 	K, Dims int
@@ -55,15 +55,21 @@ func (s Spec) checkRanges(minV int) error {
 	return nil
 }
 
-// Factory builds a variant's Solver from a canonical Spec. It rejects
-// specs that contradict the variant (wrong Dims, H where none is
-// modelled); parameter-range checking is left to Solver.Validate.
-type Factory func(s Spec, o Options) (Solver, error)
+// Rules reports the first problem with a canonical Spec under a variant's
+// parameter rules, as a *FieldError: first the fields that contradict the
+// variant (wrong Dims, H where none is modelled), then the ranges. It
+// builds nothing, so validating a spec costs no solver.
+type Rules func(s Spec) error
 
-// variant is one registry entry: the factory and the shape defaults a
-// zero K or Dims stands for.
+// Factory builds a variant's Solver from a canonical Spec its Rules
+// accepted.
+type Factory func(s Spec, o Options) Solver
+
+// variant is one registry entry: the shape defaults a zero K or Dims
+// stands for, the parameter rules and the factory.
 type variant struct {
 	defaults Spec
+	rules    Rules
 	factory  Factory
 }
 
@@ -72,23 +78,24 @@ var (
 	registry   = map[string]variant{}
 )
 
-// Register adds a named solver factory. defaults holds the K and Dims a
-// zero field of a spec stands for (zero where the variant has no default).
-// It panics on an empty name, a nil factory, or a duplicate registration —
-// all programming errors, caught at init time.
-func Register(name string, defaults Spec, f Factory) {
+// Register adds a named solver: its defaults (the K and Dims a zero field
+// of a spec stands for, zero where the variant has no default), its
+// parameter rules and its factory. It panics on an empty name, nil rules
+// or factory, or a duplicate registration — all programming errors,
+// caught at init time.
+func Register(name string, defaults Spec, rules Rules, f Factory) {
 	registryMu.Lock()
 	defer registryMu.Unlock()
 	if name == "" {
 		panic("core: Register with empty solver name")
 	}
-	if f == nil {
-		panic(fmt.Sprintf("core: Register(%q) with nil factory", name))
+	if rules == nil || f == nil {
+		panic(fmt.Sprintf("core: Register(%q) with nil rules or factory", name))
 	}
 	if _, dup := registry[name]; dup {
 		panic(fmt.Sprintf("core: duplicate solver registration %q", name))
 	}
-	registry[name] = variant{defaults: defaults, factory: f}
+	registry[name] = variant{defaults: defaults, rules: rules, factory: f}
 }
 
 // Solvers returns the registered solver names, sorted.
@@ -139,25 +146,53 @@ func Canonical(name string, s Spec) Spec {
 	return v.canonical(s)
 }
 
+// validate checks o (Options.Validate), then the canonical form of s
+// against the variant's rules.
+func (v variant) validate(s Spec, o Options) error {
+	if err := o.Validate(); err != nil {
+		return err
+	}
+	return v.rules(v.canonical(s))
+}
+
+// solver validates s under o and builds the variant's Solver for its
+// canonical form.
+func (v variant) solver(s Spec, o Options) (Solver, error) {
+	if err := v.validate(s, o); err != nil {
+		return nil, err
+	}
+	return v.factory(v.canonical(s), o), nil
+}
+
 // NewSolver builds the named variant's Solver for the canonical form of
-// the given spec, refusing options the variant does not implement (see
-// Options.Validate).
+// the given spec, refusing a spec its rules refuse and options the
+// variant does not implement (see Options.Validate).
 func NewSolver(name string, s Spec, o Options) (Solver, error) {
 	v, err := lookup(name)
 	if err != nil {
 		return nil, err
 	}
-	if err := o.Validate(); err != nil {
-		return nil, err
+	return v.solver(s, o)
+}
+
+// ValidateSpec runs the named variant's full validation path for s under
+// o — the registry lookup, the option checks (Options.Validate) and the
+// variant's rules — without building, preparing or solving anything. Its
+// error is the one a Solve of the same arguments would return before
+// iterating.
+func ValidateSpec(name string, s Spec, o Options) error {
+	v, err := lookup(name)
+	if err != nil {
+		return err
 	}
-	return v.factory(v.canonical(s), o)
+	return v.validate(s, o)
 }
 
 // Solve evaluates the named model variant through the shared fixed-point
 // driver. Every registered variant — "hotspot-2d", "bidirectional-2d",
-// "uniform", "hypercube", "ndim" — is reachable only through Solve,
-// Prepare, SolveBatch and SolveLambdas, and each answers with the same
-// SolveResult.
+// "uniform", "ndim" and "hypercube", which is ndim at K = 2 — is
+// reachable only through Solve, Prepare, SolveBatch and SolveLambdas, and
+// each answers with the same SolveResult.
 func Solve(name string, s Spec, o Options) (*SolveResult, error) {
 	ps, err := Prepare(name, s, o)
 	if err != nil {

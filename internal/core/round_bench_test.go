@@ -25,9 +25,6 @@ func BenchmarkRound(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := s.Validate(); err != nil {
-			b.Fatal(err)
-		}
 		s.Prepare()
 		x0 := make([]float64, s.StateSize())
 		s.InitState(x0)

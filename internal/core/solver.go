@@ -1,15 +1,16 @@
 package core
 
-// The Solver interface and the shared fixed-point driver. The five model
-// variants (hot-spot torus, bidirectional torus, uniform baseline,
-// hypercube, general k-ary n-cube) are all the same pipeline — traffic
-// rates → service-time recursions → M/G/1 blocking → source queue → Dally's
-// V̄ — solved by fixed-point iteration; this file holds the single
-// copy of everything that pipeline shares: the driver around the
-// fixed-point iteration, the blocking composition, and the
-// saturation classification of iteration failures. Variant files implement
-// Solver and register a factory (registry.go); nothing below this layer
-// calls fixpoint.Solve or a fixpoint.Workspace directly.
+// The Solver interface and the shared fixed-point driver. The four models
+// (hot-spot torus, bidirectional torus, uniform baseline and general
+// k-ary n-cube, the last registered a second time as the hypercube at
+// K = 2) are all the same pipeline — traffic rates → service-time
+// recursions → M/G/1 blocking → source queue → Dally's V̄ — solved by
+// fixed-point iteration; this file holds the single copy of everything
+// that pipeline shares: the driver around the fixed-point iteration, the
+// blocking composition, and the saturation classification of iteration
+// failures. Variant files implement Solver and register their rules and a
+// factory (registry.go); nothing below this layer calls fixpoint.Solve or
+// a fixpoint.Workspace directly.
 
 import (
 	"errors"
@@ -26,8 +27,10 @@ import (
 type Convergence = fixpoint.Convergence
 
 // Solver is one latency-model variant, expressed as the fixed-point system
-// the shared driver iterates. Construction is trivial; the spec-invariant
-// setup happens in Prepare and the heavy work in Iterate and Assemble.
+// the shared driver iterates, built by its registered Factory for a spec
+// its registered Rules accepted. Construction is trivial; the
+// spec-invariant setup happens in Prepare and the heavy work in Iterate
+// and Assemble.
 //
 // The solve phases split along the λ boundary: Prepare builds everything
 // that depends only on the topology shape (ring/row enumeration, hot-spot
@@ -37,13 +40,10 @@ type Convergence = fixpoint.Convergence
 // surface builds, and batch requests — without repeating the setup; see
 // PreparedSolver and SolveBatch in batch.go.
 type Solver interface {
-	// Validate reports the first problem with the solver's parameters; the
-	// driver calls it before touching any state.
-	Validate() error
 	// Prepare builds the spec-invariant machinery and computes the traffic
 	// rates for the constructed load. Idempotent: a second call is a no-op
-	// apart from re-deriving the rates. The driver calls it after Validate
-	// and before any other state access.
+	// apart from re-deriving the rates. The driver calls it before any
+	// other state access.
 	Prepare()
 	// SetLambda re-points the prepared solver at a new offered load,
 	// recomputing only the λ-dependent traffic rates in place. Prepare

@@ -54,17 +54,22 @@ func (m *uniformModel) SetLambda(lambda float64) {
 	m.c = m.channel(m.lc, 0)
 }
 
-// Validate checks the uniform baseline's topology rules, then the shared
-// ranges (V >= 1: one virtual channel suffices without a hot-spot class).
-func (m *uniformModel) Validate() error {
-	if m.s.K < 2 {
-		return fieldErrf("k", "core: uniform K = %d, want >= 2", m.s.K)
+// validateUniform refuses a hot-spot class, checks the uniform baseline's
+// topology rules, then the shared ranges (V >= 1: one virtual channel
+// suffices without a hot-spot class).
+func validateUniform(s Spec) error {
+	if !stats.IsZero(s.H) {
+		return fieldErrf("h", "core: the uniform baseline models no hot-spot class, got H = %v", s.H)
 	}
-	if m.s.Dims < 1 {
-		return fieldErrf("dims", "core: uniform Dims = %d, want >= 1", m.s.Dims)
+	if s.K < 2 {
+		return fieldErrf("k", "core: uniform K = %d, want >= 2", s.K)
 	}
-	return m.s.checkRanges(1)
+	if s.Dims < 1 {
+		return fieldErrf("dims", "core: uniform Dims = %d, want >= 1", s.Dims)
+	}
+	return s.checkRanges(1)
 }
+
 func (m *uniformModel) StateSize() int { return 1 }
 
 func (m *uniformModel) InitState(x []float64) { x[0] = m.lm + m.dbar }
@@ -107,12 +112,8 @@ func (m *uniformModel) Assemble(x []float64, conv Convergence) (*SolveResult, er
 }
 
 func init() {
-	Register("uniform", Spec{Dims: 2}, func(s Spec, o Options) (Solver, error) {
-		if !stats.IsZero(s.H) {
-			return nil, fieldErrf("h", "core: the uniform baseline models no hot-spot class, got H = %v", s.H)
-		}
-		return newUniformModel(s, o), nil
-	})
+	Register("uniform", Spec{Dims: 2}, validateUniform,
+		func(s Spec, o Options) Solver { return newUniformModel(s, o) })
 }
 
 // SaturationLambda locates the model's saturation rate by bisection: the

@@ -201,9 +201,6 @@ func TestRoundBudgetIsTheBudgetSolved(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := sol.Validate(); err != nil {
-				t.Fatal(err)
-			}
 			sol.Prepare()
 			rounds := 0
 			o.FixPoint.Trace = func(fixpoint.TraceRecord) { rounds++ }

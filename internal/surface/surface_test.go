@@ -291,8 +291,8 @@ func TestBuildAccelerationDefault(t *testing.T) {
 	dampedChecksum := map[string]uint64{
 		"bidirectional-2d": 0x37e74e4683157a3c,
 		"hotspot-2d":       0x3d071e8d00991b54,
-		"hypercube":        0x96443af25995b4d7,
-		"ndim":             0x4eccab183c6857cf,
+		"hypercube":        0xb7dad08065b244c2,
+		"ndim":             0x34b8138ec2e50875,
 		"uniform":          0xd2b1d6378ac44022,
 	}
 	encode := func(name string, fo fixpoint.Options) []byte {

@@ -9,10 +9,10 @@
 //     virtual channels, and Pfister-Norton hot-spot traffic ("hotspot-2d"),
 //     with a uniform-traffic baseline ("uniform");
 //   - validated generalisations: the bidirectional torus
-//     ("bidirectional-2d"), the general k-ary n-cube ("ndim"), and the
-//     hypercube baseline of the authors' predecessor paper ("hypercube");
-//     every variant is solved through Solve, Prepare or SolveBatch and
-//     answers with one SolveResult;
+//     ("bidirectional-2d") and the general k-ary n-cube ("ndim"), which at
+//     k = 2 is also the hypercube baseline of the authors' predecessor
+//     paper ("hypercube"); every variant is solved through Solve, Prepare
+//     or SolveBatch and answers with one SolveResult;
 //   - the flit-level simulator the paper validates against (NewSimulator),
 //     supporting unidirectional and bidirectional channels and both
 //     deterministic and minimal-adaptive routing;
@@ -67,8 +67,8 @@ type TraceRecord = fixpoint.TraceRecord
 func Models() []string { return core.Solvers() }
 
 // Solve evaluates the named model variant — "hotspot-2d",
-// "bidirectional-2d", "uniform", "hypercube" or "ndim" — through the shared
-// instrumented fixed-point driver; every variant answers with the same
+// "bidirectional-2d", "uniform", "ndim" or "hypercube" (ndim at K = 2) —
+// through the shared instrumented fixed-point driver; every variant answers with the same
 // SolveResult. Validate "bidirectional-2d" against a simulator with
 // SimConfig.Bidirectional set and "hypercube" against SimConfig{K: 2,
 // Dims: n}.
